@@ -70,7 +70,7 @@ bench-run:
 # other benchmarks would inflate the reading. The pkts/s baseline is sticky,
 # like bench-run's.
 bench-scale:
-	@$(GO) test -run '^$$' -bench 'BenchmarkRunThroughputHuge' -benchtime 1x -timeout 30m . \
+	@$(GO) test -run '^$$' -bench 'BenchmarkRunThroughputHuge$$' -benchtime 1x -timeout 30m . \
 	  | $(GO) run ./cmd/benchjson -prev BENCH_scale.json -out BENCH_scale.json
 	@echo "BENCH_scale.json:" && cat BENCH_scale.json
 
@@ -89,13 +89,13 @@ bench-parallel:
 # cancel-churn delta must hold its >=20% win, whole-run pkts/s may not
 # regress more than 10% against the sticky baseline, the per-packet
 # datapath and metrics-registry benches must stay alloc-free, the
-# million-flow scale run must hold its pkts/s and fit the 2 GiB peak-RSS
+# million-flow scale run must hold its pkts/s and fit the 1 GiB peak-RSS
 # envelope, and the sharded run must beat serial >= 2.0x on machines with
 # at least 4 cores (warn-only below that). Same invocations CI runs.
 bench-gate:
 	$(GO) run ./cmd/benchgate -min-improve 20 -zero-alloc BenchmarkEngine -zero-alloc BenchmarkRegistry BENCH_core.json
 	$(GO) run ./cmd/benchgate -max-regress 10 -zero-alloc BenchmarkDatapath BENCH_run.json
-	$(GO) run ./cmd/benchgate -max-regress 10 -max-rss-mb 2048 BENCH_scale.json
+	$(GO) run ./cmd/benchgate -max-regress 10 -max-rss-mb 1024 BENCH_scale.json
 	$(GO) run ./cmd/benchgate -min-parallel-speedup 2.0 BENCH_parallel.json
 
 # Fold the per-suite blobs into BENCH.json, keyed by git revision, so the

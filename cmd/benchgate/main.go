@@ -5,7 +5,7 @@
 //
 //	benchgate -max-regress 10 -zero-alloc BenchmarkDatapath BENCH_run.json
 //	benchgate -min-improve 20 -zero-alloc BenchmarkEngine BENCH_core.json
-//	benchgate -max-regress 10 -max-rss-mb 2048 BENCH_scale.json
+//	benchgate -max-regress 10 -max-rss-mb 1024 BENCH_scale.json
 //	benchgate -min-parallel-speedup 2.0 BENCH_parallel.json
 //
 // -max-regress bounds how far the headline metric (pkts/s for the run

@@ -19,7 +19,20 @@ import (
 const (
 	slotsPerBucket = 4
 	maxKicks       = 500
+
+	// Buckets live in pages that exist only once a fingerprint has been
+	// placed in them. A page is one cache line (8 buckets) unless the filter
+	// is so large that its page table would outgrow 16-bit page ids.
+	minPageShift = 3  // log2 buckets per page: 8 × 4 × 2 B = 64 B
+	maxPageBits  = 15 // at most 1<<15 pages, so id+1 fits a uint16
+	// Pages are carved, in the order they are first placed into, from
+	// 4 KiB chunks. A chunk is never reallocated, so a fully touched filter
+	// costs its dense size plus the page table, not a doubling.
+	chunkShift   = 9
+	chunkBuckets = 1 << chunkShift
 )
+
+type bucket [slotsPerBucket]uint16
 
 // Filter is an approximate membership set over uint64 keys.
 // It is not safe for concurrent use.
@@ -28,11 +41,20 @@ const (
 // runs must be reproducible, and a randomly seeded filter would make the
 // rare false positive — and therefore the whole event sequence — differ
 // between identically-configured runs.
+//
+// The logical geometry (bucket count, candidate buckets, kick sequence) is
+// that of a flat bucket array; only the storage is paged, so that a filter
+// sized for the worst case costs memory in proportion to the buckets a run
+// actually fills. An absent page reads as eight empty buckets.
 type Filter struct {
-	buckets [][slotsPerBucket]uint16
-	mask    uint64
-	count   int
-	rng     *rand.Rand
+	table     []uint16                // bucket i's page: table[i>>pageShift] is its id + 1, 0 if absent
+	chunks    []*[chunkBuckets]bucket // page id p starts at slot p<<pageShift of the chunks laid end to end
+	pages     int                     // pages allocated so far
+	pageShift uint                    // log2 buckets per page
+	pageMask  uint64                  // 1<<pageShift - 1
+	mask      uint64                  // bucket count - 1
+	count     int
+	rng       *rand.Rand // kick stream, built on the first kick
 }
 
 // New returns a filter sized for at least capacity items. The filter keeps
@@ -42,10 +64,15 @@ func New(capacity int) *Filter {
 		capacity = slotsPerBucket
 	}
 	n := nextPow2((capacity + slotsPerBucket - 1) / slotsPerBucket * 21 / 20)
+	shift := uint(minPageShift)
+	for n>>shift > 1<<maxPageBits {
+		shift++
+	}
 	return &Filter{
-		buckets: make([][slotsPerBucket]uint16, n),
-		mask:    uint64(n - 1),
-		rng:     rand.New(rand.NewSource(int64(n))),
+		table:     make([]uint16, (n-1)>>shift+1),
+		pageShift: shift,
+		pageMask:  1<<shift - 1,
+		mask:      uint64(n - 1),
 	}
 }
 
@@ -55,6 +82,66 @@ func nextPow2(n int) int {
 		p <<= 1
 	}
 	return p
+}
+
+// bucket returns bucket i, or nil when its page has never been placed into,
+// without allocating. Callers resolve a bucket once per operation and work
+// on the pointer: the two dependent loads (page table, then chunk) are the
+// paged layout's whole cost over a flat array. (The &63 tells the compiler
+// the shift count is in range, sparing a check on this path.)
+func (f *Filter) bucket(i uint64) *bucket {
+	id := f.table[i>>(f.pageShift&63)]
+	if id == 0 {
+		return nil
+	}
+	slot := uint64(id-1)<<(f.pageShift&63) | i&f.pageMask
+	return &f.chunks[slot>>chunkShift][slot&(chunkBuckets-1)]
+}
+
+// newPage allocates the page of bucket i, which must be absent, and returns
+// the bucket. Chunks are added until they cover every slot of the pages
+// handed out: a chunk holds many small pages, a large page spans chunks.
+func (f *Filter) newPage(i uint64) *bucket {
+	f.pages++
+	for uint64(len(f.chunks))<<chunkShift < uint64(f.pages)<<f.pageShift {
+		f.chunks = append(f.chunks, new([chunkBuckets]bucket))
+	}
+	f.table[i>>f.pageShift] = uint16(f.pages)
+	return f.bucket(i)
+}
+
+// has reports whether b holds fp; a nil (absent) bucket holds nothing.
+func (b *bucket) has(fp uint16) bool {
+	return b != nil && (b[0] == fp || b[1] == fp || b[2] == fp || b[3] == fp)
+}
+
+// drop clears one copy of fp from b, reporting whether there was one.
+func (b *bucket) drop(fp uint16) bool {
+	if b == nil {
+		return false
+	}
+	for s := range b {
+		if b[s] == fp {
+			b[s] = 0
+			return true
+		}
+	}
+	return false
+}
+
+// place stores fp in bucket i, resolved by the caller as b, allocating its
+// page if b is nil. It reports false when the bucket is full.
+func (f *Filter) place(i uint64, b *bucket, fp uint16) bool {
+	if b == nil {
+		b = f.newPage(i)
+	}
+	for s := range b {
+		if b[s] == 0 {
+			b[s] = fp
+			return true
+		}
+	}
+	return false
 }
 
 // fingerprint derives a non-zero 16-bit fingerprint and the primary bucket
@@ -84,26 +171,33 @@ func (f *Filter) altIndex(i uint64, fp uint16) uint64 {
 // too full to place the key even after relocation.
 func (f *Filter) Insert(key uint64) bool {
 	fp, i1 := f.fingerprint(key)
-	return f.insert(fp, i1)
+	i2 := f.altIndex(i1, fp)
+	return f.insert(fp, i1, i2, f.bucket(i1), f.bucket(i2))
 }
 
-// insert places fingerprint fp whose primary bucket is i1, kicking as needed.
-func (f *Filter) insert(fp uint16, i1 uint64) bool {
-	i2 := f.altIndex(i1, fp)
-	if f.place(i1, fp) || f.place(i2, fp) {
+// insert places fingerprint fp, whose candidate buckets i1 and i2 the caller
+// resolved as b1 and b2, kicking as needed.
+func (f *Filter) insert(fp uint16, i1, i2 uint64, b1, b2 *bucket) bool {
+	if f.place(i1, b1, fp) || f.place(i2, b2, fp) {
 		f.count++
 		return true
 	}
-	// Kick a random resident fingerprint to its alternate bucket.
+	// Kick a random resident fingerprint to its alternate bucket. The
+	// stream is seeded by the bucket count, as it was when New built it.
+	if f.rng == nil {
+		f.rng = rand.New(rand.NewSource(int64(f.mask + 1)))
+	}
 	i := i1
 	if f.rng.Intn(2) == 1 {
 		i = i2
 	}
 	for k := 0; k < maxKicks; k++ {
+		// Bucket i is full — place just failed on it — so its page exists.
+		b := f.bucket(i)
 		s := f.rng.Intn(slotsPerBucket)
-		fp, f.buckets[i][s] = f.buckets[i][s], fp
+		fp, b[s] = b[s], fp
 		i = f.altIndex(i, fp)
-		if f.place(i, fp) {
+		if f.place(i, f.bucket(i), fp) {
 			f.count++
 			return true
 		}
@@ -112,47 +206,26 @@ func (f *Filter) insert(fp uint16, i1 uint64) bool {
 }
 
 // ContainsOrAdd reports whether key may already be in the filter and, when
-// it is not, inserts it — hashing the key once instead of the twice a
-// Contains-then-Insert pair costs on the marking hot path. The observable
-// filter state (and the kick RNG stream) evolves exactly as the separate
-// calls would; as with Insert, an over-full filter silently fails to add.
-func (f *Filter) ContainsOrAdd(key uint64) bool {
+// it is not, inserts it — hashing the key and resolving its buckets once
+// instead of the twice a Contains-then-Insert pair costs on the marking hot
+// path. The observable filter state (and the kick RNG stream) evolves
+// exactly as the separate calls would. ok is false only when key was absent
+// and, as with Insert, the filter was too full to add it.
+func (f *Filter) ContainsOrAdd(key uint64) (present, ok bool) {
 	fp, i1 := f.fingerprint(key)
 	i2 := f.altIndex(i1, fp)
-	if f.has(i1, fp) || f.has(i2, fp) {
-		return true
+	b1, b2 := f.bucket(i1), f.bucket(i2)
+	if b1.has(fp) || b2.has(fp) {
+		return true, true
 	}
-	f.insert(fp, i1)
-	return false
-}
-
-func (f *Filter) place(i uint64, fp uint16) bool {
-	b := &f.buckets[i]
-	for s := 0; s < slotsPerBucket; s++ {
-		if b[s] == 0 {
-			b[s] = fp
-			return true
-		}
-	}
-	return false
+	return false, f.insert(fp, i1, i2, b1, b2)
 }
 
 // Contains reports whether key may be in the filter. False positives are
 // possible; false negatives are not.
 func (f *Filter) Contains(key uint64) bool {
 	fp, i1 := f.fingerprint(key)
-	i2 := f.altIndex(i1, fp)
-	return f.has(i1, fp) || f.has(i2, fp)
-}
-
-func (f *Filter) has(i uint64, fp uint16) bool {
-	b := &f.buckets[i]
-	for s := 0; s < slotsPerBucket; s++ {
-		if b[s] == fp {
-			return true
-		}
-	}
-	return false
+	return f.bucket(i1).has(fp) || f.bucket(f.altIndex(i1, fp)).has(fp)
 }
 
 // Delete removes one copy of key, reporting whether a matching fingerprint
@@ -160,25 +233,9 @@ func (f *Filter) has(i uint64, fp uint16) bool {
 // entry, as with any cuckoo filter.
 func (f *Filter) Delete(key uint64) bool {
 	fp, i1 := f.fingerprint(key)
-	if f.remove(i1, fp) {
+	if f.bucket(i1).drop(fp) || f.bucket(f.altIndex(i1, fp)).drop(fp) {
 		f.count--
 		return true
-	}
-	i2 := f.altIndex(i1, fp)
-	if f.remove(i2, fp) {
-		f.count--
-		return true
-	}
-	return false
-}
-
-func (f *Filter) remove(i uint64, fp uint16) bool {
-	b := &f.buckets[i]
-	for s := 0; s < slotsPerBucket; s++ {
-		if b[s] == fp {
-			b[s] = 0
-			return true
-		}
 	}
 	return false
 }
@@ -186,10 +243,10 @@ func (f *Filter) remove(i uint64, fp uint16) bool {
 // Len returns the number of items currently stored.
 func (f *Filter) Len() int { return f.count }
 
-// Reset empties the filter in place.
+// Reset empties the filter, dropping its pages.
 func (f *Filter) Reset() {
-	for i := range f.buckets {
-		f.buckets[i] = [slotsPerBucket]uint16{}
-	}
+	clear(f.table)
+	f.chunks = nil
+	f.pages = 0
 	f.count = 0
 }

@@ -1,0 +1,287 @@
+package cuckoo
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// denseFilter is the flat-array filter the paged one replaced, kept here as
+// the reference for what every operation must answer: same geometry, same
+// hashing, same kick stream, one [4]uint16 per bucket allocated up front.
+type denseFilter struct {
+	buckets []bucket
+	mask    uint64
+	count   int
+	rng     *rand.Rand
+	draws   int // kick-stream position
+}
+
+func newDense(capacity int) *denseFilter {
+	p := New(capacity) // geometry only
+	n := int(p.mask + 1)
+	return &denseFilter{buckets: make([]bucket, n), mask: p.mask, rng: rand.New(rand.NewSource(int64(n)))}
+}
+
+func (d *denseFilter) hash(key uint64) (uint16, uint64, uint64) {
+	g := Filter{mask: d.mask}
+	fp, i1 := g.fingerprint(key)
+	return fp, i1, g.altIndex(i1, fp)
+}
+
+func (d *denseFilter) intn(n int) int { d.draws++; return d.rng.Intn(n) }
+
+func (d *denseFilter) place(i uint64, fp uint16) bool {
+	for s := range d.buckets[i] {
+		if d.buckets[i][s] == 0 {
+			d.buckets[i][s] = fp
+			return true
+		}
+	}
+	return false
+}
+
+func (d *denseFilter) has(i uint64, fp uint16) bool {
+	for _, v := range d.buckets[i] {
+		if v == fp {
+			return true
+		}
+	}
+	return false
+}
+
+func (d *denseFilter) Insert(key uint64) bool {
+	fp, i1, i2 := d.hash(key)
+	if d.place(i1, fp) || d.place(i2, fp) {
+		d.count++
+		return true
+	}
+	i := i1
+	if d.intn(2) == 1 {
+		i = i2
+	}
+	g := Filter{mask: d.mask}
+	for k := 0; k < maxKicks; k++ {
+		s := d.intn(slotsPerBucket)
+		fp, d.buckets[i][s] = d.buckets[i][s], fp
+		i = g.altIndex(i, fp)
+		if d.place(i, fp) {
+			d.count++
+			return true
+		}
+	}
+	return false
+}
+
+func (d *denseFilter) Contains(key uint64) bool {
+	fp, i1, i2 := d.hash(key)
+	return d.has(i1, fp) || d.has(i2, fp)
+}
+
+func (d *denseFilter) ContainsOrAdd(key uint64) (bool, bool) {
+	if d.Contains(key) {
+		return true, true
+	}
+	return false, d.Insert(key)
+}
+
+func (d *denseFilter) Delete(key uint64) bool {
+	fp, i1, i2 := d.hash(key)
+	for _, i := range []uint64{i1, i2} {
+		for s := range d.buckets[i] {
+			if d.buckets[i][s] == fp {
+				d.buckets[i][s] = 0
+				d.count--
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sameKickPosition draws one value from both kick streams: equal values
+// mean the paged filter's lazily built stream sits where the reference's
+// eagerly built one does (both then stay in step, one draw further on).
+func sameKickPosition(t *testing.T, f *Filter, d *denseFilter) {
+	t.Helper()
+	if f.rng == nil {
+		if d.draws != 0 {
+			t.Fatalf("reference drew %d kick values, paged filter none", d.draws)
+		}
+		return
+	}
+	if got, want := f.rng.Int63(), d.rng.Int63(); got != want {
+		t.Fatalf("kick streams diverged after %d reference draws", d.draws)
+	}
+}
+
+// TestPagedMatchesDense drives the paged filter and the dense reference
+// through the same random insert / contains / delete / ContainsOrAdd script,
+// up to 95% of the slots and so through long kick chains and failed inserts:
+// every answer, Len and the kick stream must agree throughout.
+func TestPagedMatchesDense(t *testing.T) {
+	for _, capacity := range []int{4, 100, 3000, 1 << 16} {
+		f, d := New(capacity), newDense(capacity)
+		slots := int(f.mask+1) * slotsPerBucket
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		keys := make([]uint64, 0, slots)
+		fill := func(target int) {
+			for op := 0; f.Len() < target && op < 20*slots; op++ {
+				var key uint64
+				if len(keys) > 0 && rng.Intn(3) == 0 {
+					key = keys[rng.Intn(len(keys))]
+				} else {
+					key = rng.Uint64()
+				}
+				switch rng.Intn(8) {
+				case 0, 1, 2:
+					got, want := f.Insert(key), d.Insert(key)
+					if got != want {
+						t.Fatalf("cap %d: Insert(%#x) = %v, dense %v at len %d", capacity, key, got, want, d.count)
+					}
+					keys = append(keys, key)
+				case 3, 4:
+					gp, gok := f.ContainsOrAdd(key)
+					wp, wok := d.ContainsOrAdd(key)
+					if gp != wp || gok != wok {
+						t.Fatalf("cap %d: ContainsOrAdd(%#x) = %v,%v, dense %v,%v", capacity, key, gp, gok, wp, wok)
+					}
+					keys = append(keys, key)
+				case 5, 6:
+					if got, want := f.Contains(key), d.Contains(key); got != want {
+						t.Fatalf("cap %d: Contains(%#x) = %v, dense %v", capacity, key, got, want)
+					}
+				default:
+					if got, want := f.Delete(key), d.Delete(key); got != want {
+						t.Fatalf("cap %d: Delete(%#x) = %v, dense %v", capacity, key, got, want)
+					}
+				}
+				if f.Len() != d.count {
+					t.Fatalf("cap %d: Len = %d, dense %d", capacity, f.Len(), d.count)
+				}
+			}
+			if capacity > 4 && f.Len() < target {
+				t.Fatalf("cap %d: script stalled at %d of %d items", capacity, f.Len(), target)
+			}
+			sameKickPosition(t, f, d)
+		}
+		fill(slots / 2)
+		fill(slots * 95 / 100)
+		if capacity > 4 && d.draws == 0 {
+			t.Fatalf("cap %d: script never kicked", capacity)
+		}
+		// Overfill: inserts now fail after 500 kicks, each failure dropping
+		// whichever fingerprint the chain ended on — the same one on both.
+		failed := 0
+		for k := 0; k < slots/4+8; k++ {
+			key := rng.Uint64()
+			got, want := f.Insert(key), d.Insert(key)
+			if got != want {
+				t.Fatalf("cap %d: overfill Insert = %v, dense %v", capacity, got, want)
+			}
+			if !got {
+				failed++
+			}
+		}
+		if failed == 0 || f.Len() != d.count {
+			t.Fatalf("cap %d: overfill failed %d inserts, Len %d vs dense %d", capacity, failed, f.Len(), d.count)
+		}
+		sameKickPosition(t, f, d)
+		// Every bucket, touched or not, reads the same.
+		for i := uint64(0); i <= f.mask; i++ {
+			var got bucket
+			if b := f.bucket(i); b != nil {
+				got = *b
+			}
+			if got != d.buckets[i] {
+				t.Fatalf("cap %d: bucket %d = %v, dense %v", capacity, i, got, d.buckets[i])
+			}
+		}
+		// Drain and refill after Reset: the pages are gone, the kick stream
+		// carries on where it was.
+		f.Reset()
+		*d = denseFilter{buckets: make([]bucket, len(d.buckets)), mask: d.mask, rng: d.rng, draws: d.draws}
+		if f.pages != 0 || f.Len() != 0 || f.Contains(keys[0]) {
+			t.Fatalf("cap %d: Reset left pages=%d len=%d", capacity, f.pages, f.Len())
+		}
+		keys = keys[:0]
+		fill(slots * 95 / 100)
+	}
+}
+
+// TestAbsentPageReadsAllocateNothing: lookups and deletes of keys whose
+// pages were never placed into answer false without building the page — a
+// marker that only ever sees first transmissions of a few flows must not
+// page its whole filter in through EndFlow's deletes.
+func TestAbsentPageReadsAllocateNothing(t *testing.T) {
+	f := New(1 << 16)
+	f.Insert(1)
+	pages := f.pages
+	key := uint64(1 << 32)
+	allocs := testing.AllocsPerRun(1000, func() {
+		key++
+		if f.Contains(key) && f.pages == pages {
+			// a false positive against the one resident page is legal
+			return
+		}
+		f.Delete(key)
+	})
+	if allocs != 0 || f.pages != pages {
+		t.Fatalf("absent-page reads: %.1f allocs/op, pages %d -> %d", allocs, pages, f.pages)
+	}
+}
+
+// TestFootprintFollowsTouchedPages pins the point of paging: an idle default
+// filter costs its page table, a lightly used one a few chunks, and a fully
+// touched one the dense 256 KiB plus the table — chunks are never
+// reallocated, so not twice that.
+func TestFootprintFollowsTouchedPages(t *testing.T) {
+	const dense = (1 << 15) * slotsPerBucket * 2 // default geometry, flat
+	footprint := func(f *Filter) int {
+		return cap(f.table)*2 + cap(f.chunks)*8 + len(f.chunks)*chunkBuckets*slotsPerBucket*2
+	}
+	f := New(1 << 16)
+	if got := footprint(f); got != 8<<10 {
+		t.Errorf("idle filter holds %d B, want its 8 KiB page table", got)
+	}
+	for k := uint64(0); k < 225; k++ { // a fattree16_churn host's whole run
+		f.Insert(k)
+	}
+	if got := footprint(f); got > 32<<10 {
+		t.Errorf("225 inserts hold %d B over %d pages, want under 32 KiB", got, f.pages)
+	}
+	for k := uint64(225); k < 1<<16; k++ {
+		f.Insert(k)
+	}
+	if f.pages != len(f.table) {
+		t.Fatalf("65536 inserts touched %d of %d pages", f.pages, len(f.table))
+	}
+	if got := footprint(f); got > dense+10<<10 {
+		t.Errorf("fully touched filter holds %d B, dense array is %d", got, dense)
+	}
+}
+
+// TestLargeFilterWidensPages: past 1<<15 pages the page grows instead of the
+// page id, so any capacity still indexes through the uint16 table — also
+// once a single page outgrows a chunk and spans several.
+func TestLargeFilterWidensPages(t *testing.T) {
+	for _, capacity := range []int{1 << 22, 1 << 27} {
+		f := New(capacity)
+		if len(f.table) > 1<<maxPageBits || f.pageShift <= minPageShift {
+			t.Fatalf("cap %d: table %d entries at page shift %d", capacity, len(f.table), f.pageShift)
+		}
+		const keys = 1 << 9
+		for k := uint64(0); k < keys; k++ {
+			if !f.Insert(k) {
+				t.Fatalf("cap %d: insert %d failed", capacity, k)
+			}
+		}
+		for k := uint64(0); k < keys; k++ {
+			if !f.Contains(k) {
+				t.Fatalf("cap %d: false negative for %d", capacity, k)
+			}
+		}
+		if want := (f.pages<<f.pageShift + chunkBuckets - 1) >> chunkShift; len(f.chunks) != want {
+			t.Fatalf("cap %d: %d pages of %d buckets in %d chunks, want %d", capacity, f.pages, 1<<f.pageShift, len(f.chunks), want)
+		}
+	}
+}

@@ -182,3 +182,36 @@ func TestMarkerEndFlowEnablesFilterReuse(t *testing.T) {
 		t.Fatalf("stale signature: retcnt %d", p.Info.RetCnt)
 	}
 }
+
+// TestMarkerCountsFilterOverflows overfills a deliberately tiny duplicate
+// filter: once a signature cannot be stored the marker must say so, because
+// the only other symptom is a retransmission that goes unboosted.
+func TestMarkerCountsFilterOverflows(t *testing.T) {
+	cfg := DefaultMarkerConfig()
+	cfg.FilterCapacity = 8 // two buckets, eight slots
+	m := NewMarker(cfg)
+	const segs = 64
+	m.StartFlow(1, 0, segs*packet.MSS)
+	for i := int64(0); i < segs; i++ {
+		m.Mark(&packet.Packet{Flow: 1, Seq: i * packet.MSS, PayloadLen: packet.MSS})
+		if i == 3 && m.FilterOverflows != 0 {
+			t.Fatalf("overflow after %d signatures in an 8-slot filter", i+1)
+		}
+	}
+	if m.FilterOverflows == 0 {
+		t.Fatalf("%d signatures into 8 slots reported no overflow", segs)
+	}
+	// The filter holds 8 fingerprints at most, so most segments went
+	// unrecorded and their retransmissions look like first transmissions.
+	unboosted := 0
+	for i := int64(0); i < segs; i++ {
+		p := &packet.Packet{Flow: 1, Seq: i * packet.MSS, PayloadLen: packet.MSS}
+		m.Mark(p)
+		if p.Info.RetCnt == 0 {
+			unboosted++
+		}
+	}
+	if unboosted == 0 {
+		t.Fatal("every retransmission was boosted despite the overflows")
+	}
+}

@@ -74,6 +74,11 @@ type Marker struct {
 	nextID *flowtab.Table[uint8] // per-destination 3-bit flow epoch
 	// Boosts counts boosting operations applied (telemetry).
 	Boosts int64
+	// FilterOverflows counts signatures the duplicate filter was too full
+	// to store. Each one costs a fingerprint (the new one or a resident one
+	// kicked out), so a later retransmission of that segment goes unboosted;
+	// a run that reports any wants a larger FilterCapacity.
+	FilterOverflows int64
 }
 
 // NewMarker returns a marking component.
@@ -166,7 +171,11 @@ func (m *Marker) Mark(p *packet.Packet) {
 
 	key := sig(p.Flow, p.Seq)
 	retcnt := uint8(0)
-	if m.filter.ContainsOrAdd(key) {
+	present, ok := m.filter.ContainsOrAdd(key)
+	if !ok {
+		m.FilterOverflows++
+	}
+	if present {
 		// Retransmission: bump this segment's boost count.
 		seg := p.Seq / packet.MSS
 		c := f.retx.Get(seg)

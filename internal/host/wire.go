@@ -118,7 +118,7 @@ func (m *WireMarker) Mark(key uint64, offset int64, n int, hdr []byte, innerEthe
 
 	key2 := sig(key, offset)
 	retcnt := uint8(0)
-	if m.filter.ContainsOrAdd(key2) {
+	if present, _ := m.filter.ContainsOrAdd(key2); present {
 		seg := offset / packet.MSS
 		c := f.retx.Get(seg)
 		if m.cfg.Boosting && c < packet.MaxRetx {

@@ -1,18 +1,22 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"vertigo/internal/units"
 )
 
-// This file cross-validates the 4-ary lazy-cancellation heap against a
-// deliberately naive reference scheduler: an unsorted slice scanned for the
-// minimum (at, seq) on every step. The reference is too slow to simulate
-// anything but transparently correct; random At/After/Cancel/Run
-// interleavings must produce identical fire orders and identical Timer
-// observations on both.
+// This file cross-validates the calendar scheduler — unordered ring buckets
+// heapified and drained in (at, seq) order as the cursor reaches them, a
+// 4-ary overflow heap, lazy cancellation — against a deliberately naive
+// reference scheduler: an unsorted slice scanned for the minimum (at, seq)
+// on every step. The reference is too slow to simulate anything but
+// transparently correct; random At/After/Cancel/Run/PeekTime interleavings
+// must produce identical fire orders and identical Timer observations on
+// both. Dense scripts pile hundreds of events into single 32 ns buckets,
+// the regime a 1024-host fat-tree puts the engine in.
 
 // refEvent is one scheduled callback in the reference scheduler.
 type refEvent struct {
@@ -67,6 +71,18 @@ func (r *refSched) TimerAt(ev *refEvent) units.Time {
 	return ev.at
 }
 
+// PeekTime returns the earliest pending fire time, as Engine.PeekTime does.
+func (r *refSched) PeekTime() (units.Time, bool) {
+	var at units.Time
+	found := false
+	for _, ev := range r.evs {
+		if !ev.dead && !ev.done && (!found || ev.at < at) {
+			at, found = ev.at, true
+		}
+	}
+	return at, found
+}
+
 func (r *refSched) pendingCount() int {
 	n := 0
 	for _, ev := range r.evs {
@@ -103,96 +119,218 @@ func (r *refSched) Run(until units.Time) units.Time {
 	return r.now
 }
 
+// pair drives the engine and the reference through the same operations and
+// fails the test at the first observable divergence. Everything a handler
+// does is decided when it is scheduled, so both sides act alike whichever
+// runs first.
+type pair struct {
+	t   *testing.T
+	tag string
+	eng *Engine
+	ref *refSched
+
+	engLog, refLog []int // fire order, plus in-handler cancel outcomes
+	checked        int   // log prefix already compared equal
+	engTimers      []Timer
+	refTimers      []*refEvent
+	id             int
+}
+
+func newPair(t *testing.T, tag string) *pair {
+	return &pair{t: t, tag: tag, eng: NewEngine(1), ref: &refSched{}}
+}
+
+// inHandler is what a scheduled handler does when it fires, besides logging.
+type inHandler struct {
+	nest               units.Time // >= 0: schedule a child this far ahead
+	cancelLo, cancelHi int        // cancel timers [cancelLo, cancelHi) that exist by then
+}
+
+var plain = inHandler{nest: -1}
+
+const cancelMark = 1 << 30 // log entries at or above it record a successful in-handler cancel
+
+// after schedules a Timer-backed event d ahead on both sides.
+func (p *pair) after(d units.Time, h inHandler) {
+	myID := p.id
+	p.id++
+	p.engTimers = append(p.engTimers, p.eng.After(d, func() {
+		p.engLog = append(p.engLog, myID)
+		if h.nest >= 0 {
+			p.eng.After(h.nest, func() { p.engLog = append(p.engLog, -myID-1) })
+		}
+		for i := h.cancelLo; i < h.cancelHi && i < len(p.engTimers); i++ {
+			if p.engTimers[i].Cancel() {
+				p.engLog = append(p.engLog, cancelMark+i)
+			}
+		}
+	}))
+	p.refTimers = append(p.refTimers, p.ref.After(d, func() {
+		p.refLog = append(p.refLog, myID)
+		if h.nest >= 0 {
+			p.ref.After(h.nest, func() { p.refLog = append(p.refLog, -myID-1) })
+		}
+		for i := h.cancelLo; i < h.cancelHi && i < len(p.refTimers); i++ {
+			if p.ref.Cancel(p.refTimers[i]) {
+				p.refLog = append(p.refLog, cancelMark+i)
+			}
+		}
+	}))
+}
+
+// sched schedules a fire-and-forget event on the engine, a plain one on the
+// reference.
+func (p *pair) sched(d units.Time) {
+	myID := p.id
+	p.id++
+	p.eng.SchedAfter(d, func() { p.engLog = append(p.engLog, myID) })
+	p.ref.After(d, func() { p.refLog = append(p.refLog, myID) })
+}
+
+func (p *pair) cancel(i int) {
+	p.t.Helper()
+	if gotE, gotR := p.engTimers[i].Cancel(), p.ref.Cancel(p.refTimers[i]); gotE != gotR {
+		p.t.Fatalf("%s: Cancel(%d) engine=%v ref=%v", p.tag, i, gotE, gotR)
+	}
+}
+
+// run advances both sides d past now and compares where they ended.
+func (p *pair) run(d units.Time) {
+	p.t.Helper()
+	endE := p.eng.Run(p.eng.Now() + d)
+	endR := p.ref.Run(p.ref.now + d)
+	if endE != endR {
+		p.t.Fatalf("%s: Run end engine=%v ref=%v", p.tag, endE, endR)
+	}
+	p.sameLog()
+}
+
+func (p *pair) peek() {
+	p.t.Helper()
+	atE, okE := p.eng.PeekTime()
+	atR, okR := p.ref.PeekTime()
+	if atE != atR || okE != okR {
+		p.t.Fatalf("%s: PeekTime engine=%v,%v ref=%v,%v", p.tag, atE, okE, atR, okR)
+	}
+}
+
+// probe compares timer i's observable state and the pending counts.
+func (p *pair) probe(i int) {
+	p.t.Helper()
+	if p1, p2 := p.engTimers[i].Pending(), p.ref.Pending(p.refTimers[i]); p1 != p2 {
+		p.t.Fatalf("%s: Pending(%d) engine=%v ref=%v", p.tag, i, p1, p2)
+	}
+	if a1, a2 := p.engTimers[i].At(), p.ref.TimerAt(p.refTimers[i]); a1 != a2 {
+		p.t.Fatalf("%s: At(%d) engine=%v ref=%v", p.tag, i, a1, a2)
+	}
+	if pe, pr := p.eng.Pending(), p.ref.pendingCount(); pe != pr {
+		p.t.Fatalf("%s: Pending() engine=%d ref=%d", p.tag, pe, pr)
+	}
+}
+
+// sameLog compares what the two sides logged since the last call.
+func (p *pair) sameLog() {
+	p.t.Helper()
+	for ; p.checked < len(p.engLog) && p.checked < len(p.refLog); p.checked++ {
+		if i := p.checked; p.engLog[i] != p.refLog[i] {
+			p.t.Fatalf("%s: fire order diverges at %d: engine=%d ref=%d", p.tag, i, p.engLog[i], p.refLog[i])
+		}
+	}
+	if len(p.engLog) != len(p.refLog) {
+		p.t.Fatalf("%s: engine logged %d entries, ref %d", p.tag, len(p.engLog), len(p.refLog))
+	}
+}
+
+// drain runs everything still scheduled and compares the complete logs.
+func (p *pair) drain() {
+	p.t.Helper()
+	p.run(units.Second)
+	if n := p.eng.Pending(); n != 0 {
+		p.t.Fatalf("%s: %d events pending after drain", p.tag, n)
+	}
+}
+
+// toBucketStart is the delay from now to the start of the bucket ahead.
+func (p *pair) toBucketStart(ahead int64) units.Time {
+	b := int64(p.eng.Now())>>bucketShift + ahead
+	return units.Time(b<<bucketShift) - p.eng.Now()
+}
+
+const ringSpan = units.Time(nBuckets << bucketShift)
+
 // runScript executes ops pseudo-random operations derived from seed on both
-// schedulers and fails the test at the first observable divergence.
-func runScript(t *testing.T, seed int64, ops int) {
+// schedulers. A dense script adds the operations that put the engine where a
+// k=16 fat-tree does: bursts of 300+ tie-heavy events inside one bucket whose
+// handlers schedule into, and cancel out of, the bucket being drained
+// (sometimes enough at once to trigger a sweep mid-drain); events near and
+// past the ring span, which end up sharing slots with a later lap once a
+// long Run window parks the cursor and a schedule rewinds it; and PeekTime
+// between windows.
+func runScript(t *testing.T, seed int64, ops int, dense bool) {
 	t.Helper()
-	eng := NewEngine(1)
-	ref := &refSched{}
-
-	var engFired, refFired []int
-	var engTimers []Timer
-	var refTimers []*refEvent
-	id := 0
-
+	p := newPair(t, "")
 	// Both sides must make the same choices, so all randomness comes from one
 	// stream consumed identically for both.
 	rng := rand.New(rand.NewSource(seed))
 
-	schedule := func(d units.Time, nest bool) {
-		myID := id
-		id++
-		engTimers = append(engTimers, eng.After(d, func() {
-			engFired = append(engFired, myID)
-			if nest {
-				eng.After(d/2, func() { engFired = append(engFired, -myID-1) })
-			}
-		}))
-		refTimers = append(refTimers, ref.After(d, func() {
-			refFired = append(refFired, myID)
-			if nest {
-				ref.After(d/2, func() { refFired = append(refFired, -myID-1) })
-			}
-		}))
-	}
-
 	for op := 0; op < ops; op++ {
-		switch k := rng.Intn(10); {
+		p.tag = fmt.Sprintf("seed %d op %d", seed, op)
+		k := rng.Intn(10)
+		if dense && rng.Intn(3) == 0 {
+			k = 10 + rng.Intn(5)
+		}
+		switch {
 		case k < 4: // plain schedule, heavy tie density to stress seq order
-			schedule(units.Time(rng.Intn(50)), false)
+			p.after(units.Time(rng.Intn(50)), plain)
 		case k < 5: // schedule with a nested in-handler schedule
-			schedule(units.Time(rng.Intn(50)), true)
-		case k < 6: // fire-and-forget on the engine, plain event on the ref
-			myID := id
-			id++
 			d := units.Time(rng.Intn(50))
-			eng.SchedAfter(d, func() { engFired = append(engFired, myID) })
-			ref.After(d, func() { refFired = append(refFired, myID) })
+			p.after(d, inHandler{nest: d / 2})
+		case k < 6: // fire-and-forget on the engine, plain event on the ref
+			p.sched(units.Time(rng.Intn(50)))
 		case k < 9: // cancel a random timer (often already fired or dead)
-			if len(engTimers) == 0 {
+			if len(p.engTimers) == 0 {
 				continue
 			}
-			i := rng.Intn(len(engTimers))
-			gotE := engTimers[i].Cancel()
-			gotR := ref.Cancel(refTimers[i])
-			if gotE != gotR {
-				t.Fatalf("seed %d op %d: Cancel(%d) engine=%v ref=%v", seed, op, i, gotE, gotR)
+			p.cancel(rng.Intn(len(p.engTimers)))
+		case k < 10: // advance time
+			p.run(units.Time(rng.Intn(40)))
+		case k == 10: // burst into one bucket, a few buckets ahead
+			n := 300 + rng.Intn(64)
+			base := p.toBucketStart(int64(rng.Intn(3)))
+			if base < 0 {
+				base = 0 // bucket 0 ahead started before now: spill into it and the next
 			}
-		default: // advance time
-			d := units.Time(rng.Intn(40))
-			endE := eng.Run(eng.Now() + d)
-			endR := ref.Run(ref.now + d)
-			if endE != endR {
-				t.Fatalf("seed %d op %d: Run end engine=%v ref=%v", seed, op, endE, endR)
+			first := len(p.engTimers)
+			for i := 0; i < n; i++ {
+				h := plain
+				switch rng.Intn(16) {
+				case 0, 1, 2: // child lands in the bucket being drained, or the next
+					h.nest = units.Time(rng.Intn(12))
+				case 3, 4, 5: // cancel a node that has not surfaced (or has)
+					h.cancelLo = first + rng.Intn(n)
+					h.cancelHi = h.cancelLo + 1
+				case 6: // cancel enough to tip the engine into a sweep
+					if rng.Intn(8) == 0 {
+						h.cancelLo, h.cancelHi = first, first+n
+					}
+				}
+				p.after(base+units.Time(rng.Intn(1<<bucketShift)), h)
 			}
+		case k == 11: // near the ring's far edge, and past it into overflow
+			p.after(ringSpan-units.Time(rng.Intn(64<<bucketShift))+units.Time(rng.Intn(3))*ringSpan/2, plain)
+		case k == 12: // long window: laps the ring or parks the cursor far ahead
+			p.run(units.Time(rng.Intn(int(2 * ringSpan))))
+		case k == 13: // stop mid-bucket
+			p.run(units.Time(rng.Intn(8)))
+		default:
+			p.peek()
 		}
-		// Probe a random timer's observable state after every operation.
-		if len(engTimers) > 0 {
-			i := rng.Intn(len(engTimers))
-			if p1, p2 := engTimers[i].Pending(), ref.Pending(refTimers[i]); p1 != p2 {
-				t.Fatalf("seed %d op %d: Pending(%d) engine=%v ref=%v", seed, op, i, p1, p2)
-			}
-			if a1, a2 := engTimers[i].At(), ref.TimerAt(refTimers[i]); a1 != a2 {
-				t.Fatalf("seed %d op %d: At(%d) engine=%v ref=%v", seed, op, i, a1, a2)
-			}
-		}
-		if pe, pr := eng.Pending(), ref.pendingCount(); pe != pr {
-			t.Fatalf("seed %d op %d: Pending() engine=%d ref=%d", seed, op, pe, pr)
-		}
-	}
-	// Drain everything still scheduled.
-	eng.Run(eng.Now() + units.Second)
-	ref.Run(ref.now + units.Second)
-
-	if len(engFired) != len(refFired) {
-		t.Fatalf("seed %d: engine fired %d events, ref fired %d", seed, len(engFired), len(refFired))
-	}
-	for i := range engFired {
-		if engFired[i] != refFired[i] {
-			t.Fatalf("seed %d: fire order diverges at %d: engine=%d ref=%d",
-				seed, i, engFired[i], refFired[i])
+		if len(p.engTimers) > 0 {
+			p.probe(rng.Intn(len(p.engTimers)))
 		}
 	}
+	p.tag = fmt.Sprintf("seed %d drain", seed)
+	p.drain()
 }
 
 // TestCrossValidateAgainstReference runs many random interleavings. Each
@@ -201,7 +339,18 @@ func runScript(t *testing.T, seed int64, ops int) {
 // incremental Run windows.
 func TestCrossValidateAgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
-		runScript(t, seed, 300)
+		runScript(t, seed, 300, false)
+	}
+}
+
+// TestCrossValidateDense runs the dense-bucket scripts (see runScript).
+func TestCrossValidateDense(t *testing.T) {
+	n := int64(40)
+	if testing.Short() {
+		n = 8
+	}
+	for seed := int64(0); seed < n; seed++ {
+		runScript(t, seed, 120, true)
 	}
 }
 
@@ -212,17 +361,22 @@ func TestCrossValidateDeep(t *testing.T) {
 		t.Skip("long scripts")
 	}
 	for seed := int64(1000); seed < 1010; seed++ {
-		runScript(t, seed, 5000)
+		runScript(t, seed, 5000, false)
 	}
 }
 
 // FuzzCrossValidate lets the fuzzer hunt for interleavings the fixed seeds
-// miss: the input bytes seed the same script generator.
+// miss: the input bytes seed the same script generator, sparse or dense.
 func FuzzCrossValidate(f *testing.F) {
 	for _, s := range []int64{0, 1, 42, 1 << 32} {
-		f.Add(s, uint16(200))
+		f.Add(s, uint16(200), false)
+		f.Add(s, uint16(60), true)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, ops uint16) {
-		runScript(t, seed, int(ops)%2000)
+	f.Fuzz(func(t *testing.T, seed int64, ops uint16, dense bool) {
+		if dense {
+			runScript(t, seed, int(ops)%200, true)
+		} else {
+			runScript(t, seed, int(ops)%2000, false)
+		}
 	})
 }

@@ -8,16 +8,19 @@
 // (time, seq): a ring of fixed-width time buckets absorbs the near-future
 // events that dominate a packet simulation (serialization, propagation and
 // host-processing delays, all within tens of microseconds), making schedule
-// and fire O(1) appends and short bucket scans instead of log-depth sift
-// walks. Events beyond the ring's span — retransmit timers, sampler ticks —
-// park in a hand-rolled 4-ary min-heap and migrate into the ring as the
-// cursor approaches them. Every extraction selects the minimum (at, seq)
-// key, so fire order is the same total order the heap produced and
-// replacing the structure cannot perturb a run.
+// an O(1) append. A bucket stays unordered until the cursor reaches it; it is
+// then heapified in place and drained from its root, so firing costs a sift
+// over that one bucket — a handful of nodes on the leaf-spine, a couple of
+// hundred on a k=16 fat-tree — never over everything pending. Events beyond
+// the ring's span — retransmit timers, sampler ticks — park in a hand-rolled
+// 4-ary min-heap and migrate into the ring as the cursor approaches them.
+// Every extraction selects the minimum (at, seq) key, so fire order is the
+// same total order a single heap would produce and replacing the structure
+// cannot perturb a run.
 // Cancellation is lazy: Timer.Cancel tombstones the frame in place and the
-// scheduler reaps it when its bucket is scanned (or sweeps the overflow
-// heap once tombstones dominate), so the cancel path — which TCP
-// retransmit timers hit on every ACK — is O(1).
+// scheduler reaps it when it surfaces at its bucket's root (or sweeps ring
+// and overflow heap once tombstones dominate), so the cancel path — which
+// TCP retransmit timers hit on every ACK — is O(1).
 package sim
 
 import (
@@ -34,8 +37,8 @@ type Handler func()
 // event is a scheduled callback. Events are recycled through the engine's
 // free list once fired or reaped; gen distinguishes incarnations so that
 // a Timer held across its event's recycling can never act on the new tenant.
-// A tombstoned (dead) event stays in the heap until it surfaces at the root,
-// where Run discards it without firing.
+// A tombstoned (dead) event stays in its bucket or heap until it surfaces at
+// the root, where locate discards it without firing.
 type event struct {
 	at       units.Time
 	seq      uint64 // schedule order, breaks timestamp ties deterministically
@@ -45,10 +48,13 @@ type event struct {
 	schedCtx units.Time // schedAt of the event that scheduled this one, see CurSchedCtx
 	dead     bool       // tombstone: cancelled, reaped lazily at pop
 	chain    bool       // fire-and-forget (Sched): frame may self-reschedule in place
+	// Pad to 64 bytes: frames are carved from contiguous slabs (see alloc),
+	// and a frame that straddles two cache lines costs two misses per fire.
+	_ [14]byte
 }
 
 // heapNode is one calendar/heap slot: the (at, seq) sort key inlined next
-// to the frame pointer, so bucket scans and sift comparisons read
+// to the frame pointer, so sift comparisons read
 // consecutive memory instead of dereferencing a scattered *event per probe.
 type heapNode struct {
 	at  units.Time
@@ -60,7 +66,9 @@ type heapNode struct {
 // density (about one event per 6ns of simulated time in the leaf-spine
 // benchmark scenario): 32ns buckets hold a handful of events each, and
 // 2048 of them span 64µs — comfortably past every per-packet delay, so
-// only long-deadline timers take the overflow-heap detour.
+// only long-deadline timers take the overflow-heap detour. A 1024-host
+// fat-tree puts ~186 events in a bucket; heap-ordered draining (see locate)
+// keeps that a log-depth sift rather than a scan per event.
 const (
 	bucketShift = 5            // log2 bucket width in ns
 	nBuckets    = 1 << 11      // ring size (power of two)
@@ -73,13 +81,17 @@ const (
 type Engine struct {
 	// ring is the calendar: bucket i holds pending events whose bucket
 	// number (at >> bucketShift) is congruent to i mod nBuckets. Buckets
-	// are unordered — extraction scans the cursor's bucket for the
-	// minimum (at, seq) — and may contain tombstones, which the scan
-	// reaps, and far-wrap nodes (bucket number beyond the cursor's lap),
-	// which it skips.
+	// are unordered until the cursor reaches them. They may contain
+	// tombstones, reaped when they surface, and far-wrap nodes (bucket
+	// number on a later lap of the ring than the cursor's), which sort
+	// behind every node of the current lap by their larger at.
 	ring    [][]heapNode
 	ringCnt int   // nodes currently in the ring, tombstones included
 	curB    int64 // cursor: no live node's bucket number is below curB
+	// heaped marks the cursor's bucket as a 4-ary min-heap on (at, seq):
+	// locate heapifies it on arrival, schedule sifts late arrivals up, and
+	// anything that moves the cursor or reorders the bucket clears it.
+	heaped bool
 	// overflow is a 4-ary min-heap on (at, seq) holding events scheduled
 	// at least a full ring span past the cursor; migrate moves them into
 	// the ring as the cursor approaches.
@@ -94,11 +106,12 @@ type Engine struct {
 	fired       uint64
 	live        int      // scheduled minus tombstoned: the real pending work
 	free        []*event // recycled events: At/After/Sched allocate from here
+	slab        []event  // uncarved tail of the newest frame slab
 	cur         *event   // firing chainable frame, reusable in place by Sched
 
 	// Self-instrumentation (see Stats).
 	freeHits    uint64 // alloc calls served from the free list
-	tombPops    uint64 // tombstoned events reaped at scan or sweep
+	tombPops    uint64 // tombstoned events reaped at a bucket root or by sweep
 	sweeps      uint64 // amortized tombstone sweeps triggered by Cancel
 	peakPending int    // high-water mark of live scheduled events
 
@@ -177,7 +190,12 @@ func (e *Engine) Events() uint64 { return e.fired }
 // cancelled. Tombstoned events still sitting in the heap are not counted.
 func (e *Engine) Pending() int { return e.live }
 
-// alloc takes an event off the free list, or makes a fresh one.
+// frameSlab is the number of event frames carved from one allocation, as
+// packet.Pool does for packets: a run whose pending set keeps growing pays
+// one malloc per 256 frames instead of one each.
+const frameSlab = 256
+
+// alloc takes an event off the free list, or carves a fresh one.
 func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -186,7 +204,12 @@ func (e *Engine) alloc() *event {
 		e.freeHits++
 		return ev
 	}
-	return &event{}
+	if len(e.slab) == 0 {
+		e.slab = make([]event, frameSlab)
+	}
+	ev := &e.slab[0]
+	e.slab = e.slab[1:]
+	return ev
 }
 
 // recycle returns a fired or reaped event to the free list. Bumping gen
@@ -198,12 +221,12 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// pushOverflow inserts nd into the 4-ary overflow heap, sifting it up with
-// inlined (at, seq) comparisons. seq values are unique, so ties cannot
-// occur and strict comparisons suffice.
-func (e *Engine) pushOverflow(nd heapNode) {
+// heapPush appends nd to the 4-ary min-heap h, sifting it up with inlined
+// (at, seq) comparisons. seq values are unique, so ties cannot occur and
+// strict comparisons suffice.
+func heapPush(h []heapNode, nd heapNode) []heapNode {
 	at, seq := nd.at, nd.seq
-	h := append(e.overflow, heapNode{})
+	h = append(h, heapNode{})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -215,13 +238,15 @@ func (e *Engine) pushOverflow(nd heapNode) {
 		i = p
 	}
 	h[i] = nd
-	e.overflow = h
+	return h
 }
 
-// siftDown places node nd at index i of h[:n], sifting it down through the
-// at-most-four children per level with inlined (at, seq) comparisons over
-// the contiguous node array.
-func siftDown(h []heapNode, nd heapNode, i, n int) {
+// siftDown restores 4-ary min-heap order below index i of h after h[i] was
+// replaced: it sifts that node down through the at-most-four children per
+// level with inlined (at, seq) comparisons over the contiguous node array.
+func siftDown(h []heapNode, i int) {
+	n := len(h)
+	nd := h[i]
 	at, seq := nd.at, nd.seq
 	for {
 		c := i<<2 + 1
@@ -248,28 +273,34 @@ func siftDown(h []heapNode, nd heapNode, i, n int) {
 	h[i] = nd
 }
 
-// popOverflow removes and returns the minimum (at, seq) overflow node.
-func (e *Engine) popOverflow() heapNode {
-	h := e.overflow
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = heapNode{}
-	h = h[:n]
-	if n > 0 {
-		siftDown(h, last, 0, n)
+// heapify orders h as a 4-ary min-heap on (at, seq) in place.
+func heapify(h []heapNode) {
+	for i := (len(h) - 2) >> 2; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	e.overflow = h
-	return top
+}
+
+// heapPop removes the minimum (at, seq) node — the root — from heap h.
+func heapPop(h []heapNode) []heapNode {
+	n := len(h) - 1
+	h[0], h[n] = h[n], heapNode{}
+	h = h[:n]
+	if n > 1 {
+		siftDown(h, 0)
+	}
+	return h
 }
 
 // migrate moves overflow events into the ring as long as their bucket lies
 // within a ring span of the cursor. Called whenever the cursor advances, so
 // the overflow invariant (bucket >= curB + nBuckets) holds between calls
 // and the ring always contains the global minimum when it is non-empty.
+// The cursor having just moved, no bucket is heapified yet (heaped is
+// false), so a plain append is right even for the cursor's own slot.
 func (e *Engine) migrate() {
 	for len(e.overflow) > 0 && int64(e.overflow[0].at)>>bucketShift < e.curB+nBuckets {
-		nd := e.popOverflow()
+		nd := e.overflow[0]
+		e.overflow = heapPop(e.overflow)
 		s := (int64(nd.at) >> bucketShift) & ringMask
 		e.ring[s] = append(e.ring[s], nd)
 		e.ringCnt++
@@ -283,7 +314,8 @@ func (e *Engine) migrate() {
 // re-armed at high rate (TCP RTOs reset on every ACK) would pile dead
 // frames up in the overflow heap until their deadlines pass. Removal
 // cannot change fire order: extraction selects by the (at, seq) total
-// order, never by position.
+// order, never by position. Filtering does break the heap shape of a bucket
+// mid-drain, so the mark is cleared and locate re-heapifies what is left.
 func (e *Engine) sweep() {
 	h := e.overflow
 	kept := h[:0]
@@ -298,11 +330,9 @@ func (e *Engine) sweep() {
 	for i := len(kept); i < len(h); i++ {
 		h[i] = heapNode{}
 	}
-	n := len(kept)
-	for i := (n - 2) >> 2; i >= 0; i-- {
-		siftDown(kept, kept[i], i, n)
-	}
+	heapify(kept)
 	e.overflow = kept
+	e.heaped = false
 	for s, b := range e.ring {
 		kb := b[:0]
 		for _, nd := range b {
@@ -345,16 +375,23 @@ func (e *Engine) schedule(t units.Time, fn Handler, chain bool) *event {
 	if b < e.curB {
 		// Run can park the cursor past now when it stops short of the next
 		// event; a schedule landing between now and the cursor rewinds it.
-		// Nodes already in the ring keep working — the scan skips buckets
-		// whose lap the cursor has not reached.
+		// Nodes already in the ring keep working — a node whose lap the
+		// cursor has not reached sorts behind the ones it has.
 		e.curB = b
+		e.heaped = false
 	}
-	if b-e.curB < nBuckets {
-		s := b & ringMask
-		e.ring[s] = append(e.ring[s], heapNode{at: t, seq: ev.seq, ev: ev})
+	nd := heapNode{at: t, seq: ev.seq, ev: ev}
+	s := b & ringMask
+	switch {
+	case b-e.curB >= nBuckets:
+		e.overflow = heapPush(e.overflow, nd)
+	case e.heaped && b == e.curB:
+		// The cursor's bucket is being drained in heap order: sift up.
+		e.ring[s] = heapPush(e.ring[s], nd)
 		e.ringCnt++
-	} else {
-		e.pushOverflow(heapNode{at: t, seq: ev.seq, ev: ev})
+	default:
+		e.ring[s] = append(e.ring[s], nd)
+		e.ringCnt++
 	}
 	e.live++
 	if e.live > e.peakPending {
@@ -437,6 +474,52 @@ func (e *Engine) MaxEventsExceeded() bool { return e.maxEventsHit }
 // wallCheckMask throttles the watchdog to one clock read per 16 Ki events.
 const wallCheckMask = 1<<14 - 1
 
+// locate finds the minimum (at, seq) pending node and leaves it at the root
+// of the cursor's bucket, whose slot it returns; ok is false when nothing is
+// pending anywhere. It jumps or advances the cursor to the next populated
+// bucket and heapifies that bucket on arrival. Tombstones are reaped as they
+// surface (live was already decremented when Cancel tombstoned them). A
+// root on a later lap of the ring — far-wrap nodes share the slot but carry
+// a larger at than anything on the cursor's lap — means the bucket has
+// nothing left for this lap.
+func (e *Engine) locate() (s int64, ok bool) {
+	for {
+		if e.ringCnt == 0 {
+			if len(e.overflow) == 0 {
+				return 0, false
+			}
+			e.curB = int64(e.overflow[0].at) >> bucketShift
+			e.heaped = false
+			e.migrate()
+		}
+		s = e.curB & ringMask
+		if b := e.ring[s]; len(b) > 0 {
+			if !e.heaped {
+				heapify(b)
+				e.heaped = true
+			}
+			for len(b) > 0 && b[0].ev.dead {
+				e.tombPops++
+				e.recycle(b[0].ev)
+				b = heapPop(b)
+				e.ringCnt--
+			}
+			e.ring[s] = b
+			if len(b) > 0 && int64(b[0].at)>>bucketShift == e.curB {
+				return s, true
+			}
+		}
+		// A lightly loaded run walks dozens of empty buckets per event, so
+		// this step stays a few instructions: no call unless there is
+		// something that could migrate.
+		e.curB++
+		e.heaped = false
+		if len(e.overflow) > 0 {
+			e.migrate()
+		}
+	}
+}
+
 // Run executes events in order until the queue is empty, until Stop is
 // called, until the wall-clock watchdog fires, or until the next event would
 // fire after the until deadline. It returns the time at which the run ended.
@@ -444,54 +527,12 @@ func (e *Engine) Run(until units.Time) units.Time {
 	e.stopped = false
 	watchdog := !e.wallDeadline.IsZero()
 	for !e.stopped {
-		// Locate the minimum (at, seq) pending node: jump or advance the
-		// cursor to the next populated bucket, then scan it. The scan also
-		// reaps tombstones on the spot (live was already decremented when
-		// Cancel tombstoned them) and skips far-wrap nodes — ones whose
-		// bucket number maps to this slot on a later lap of the ring.
-		var b []heapNode
-		var s int64
-		minI := -1
-		var mAt units.Time
-		var mSeq uint64
-		for {
-			if e.ringCnt == 0 {
-				if len(e.overflow) == 0 {
-					break
-				}
-				e.curB = int64(e.overflow[0].at) >> bucketShift
-				e.migrate()
-			}
-			s = e.curB & ringMask
-			b = e.ring[s]
-			for i := 0; i < len(b); {
-				nd := b[i]
-				if nd.ev.dead {
-					e.tombPops++
-					e.recycle(nd.ev)
-					n := len(b) - 1
-					b[i] = b[n]
-					b[n] = heapNode{}
-					b = b[:n]
-					e.ringCnt--
-					continue
-				}
-				if int64(nd.at)>>bucketShift == e.curB &&
-					(minI < 0 || nd.at < mAt || (nd.at == mAt && nd.seq < mSeq)) {
-					minI, mAt, mSeq = i, nd.at, nd.seq
-				}
-				i++
-			}
-			e.ring[s] = b
-			if minI >= 0 {
-				break
-			}
-			e.curB++
-			e.migrate()
-		}
-		if minI < 0 {
+		s, ok := e.locate()
+		if !ok {
 			break // nothing pending anywhere
 		}
+		b := e.ring[s]
+		mAt := b[0].at
 		if mAt > until {
 			break
 		}
@@ -513,11 +554,8 @@ func (e *Engine) Run(until units.Time) units.Time {
 				break
 			}
 		}
-		ev := b[minI].ev
-		n := len(b) - 1
-		b[minI] = b[n]
-		b[n] = heapNode{}
-		e.ring[s] = b[:n]
+		ev := b[0].ev
+		e.ring[s] = heapPop(b)
 		e.ringCnt--
 		e.live--
 		e.now = mAt
@@ -555,49 +593,15 @@ func (e *Engine) Run(until units.Time) units.Time {
 // PeekTime returns the fire time of the next pending event without running
 // it, and false when nothing is scheduled. The sharded runner's window
 // barrier calls this between rounds to compute the global minimum next-event
-// time. The scan mirrors Run's min-locate pass — it reaps tombstones and
-// advances the bucket cursor, both of which Run would do anyway, so a
+// time. It shares Run's locate step — reaping surfaced tombstones and
+// advancing the bucket cursor, both of which Run would do anyway — so a
 // subsequent Run observes exactly the state it would have reached itself.
 func (e *Engine) PeekTime() (units.Time, bool) {
-	minI := -1
-	var mAt units.Time
-	var mSeq uint64
-	for {
-		if e.ringCnt == 0 {
-			if len(e.overflow) == 0 {
-				break
-			}
-			e.curB = int64(e.overflow[0].at) >> bucketShift
-			e.migrate()
-		}
-		s := e.curB & ringMask
-		b := e.ring[s]
-		for i := 0; i < len(b); {
-			nd := b[i]
-			if nd.ev.dead {
-				e.tombPops++
-				e.recycle(nd.ev)
-				n := len(b) - 1
-				b[i] = b[n]
-				b[n] = heapNode{}
-				b = b[:n]
-				e.ringCnt--
-				continue
-			}
-			if int64(nd.at)>>bucketShift == e.curB &&
-				(minI < 0 || nd.at < mAt || (nd.at == mAt && nd.seq < mSeq)) {
-				minI, mAt, mSeq = i, nd.at, nd.seq
-			}
-			i++
-		}
-		e.ring[s] = b
-		if minI >= 0 {
-			return mAt, true
-		}
-		e.curB++
-		e.migrate()
+	s, ok := e.locate()
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return e.ring[s][0].at, true
 }
 
 // EngineStats snapshots the engine's self-instrumentation: how much work a
@@ -653,7 +657,7 @@ func (t Timer) valid() bool {
 // already-cancelled timer is a no-op. Reports whether the event was pending.
 //
 // Cancellation is lazy: the event is tombstoned in place and reaped when it
-// reaches the heap root, so Cancel is O(1) — no re-sift, no bookkeeping on
+// surfaces at a heap root, so Cancel is O(1) — no re-sift, no bookkeeping on
 // the path retransmit timers hit on every ACK.
 func (t Timer) Cancel() bool {
 	ev := t.ev
@@ -666,7 +670,7 @@ func (t Timer) Cancel() bool {
 	// Amortized garbage bound: once tombstones outnumber live events, sweep
 	// them out so cancel-heavy workloads cannot inflate the overflow heap or
 	// starve the free list while waiting for dead deadlines to pass. (Ring
-	// tombstones are also reaped eagerly when their bucket is scanned.)
+	// tombstones are also reaped as their bucket drains.)
 	if n := e.ringCnt + len(e.overflow); n >= 64 && e.live < n-e.live {
 		e.sweep()
 	}

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"vertigo/internal/metrics"
@@ -164,5 +167,48 @@ func TestIncastPeriodicIntervals(t *testing.T) {
 		if d := times[i] - times[i-1]; d != units.Millisecond {
 			t.Fatalf("interval %v, want exactly 1ms", d)
 		}
+	}
+}
+
+// TestPermIntoMatchesRandPerm pins the reusable permutation to math/rand's:
+// from the same source state it must return the same permutation and leave
+// the source in the same state, whatever the buffer held before, or every
+// incast run's server choice (and sim_digest) would move.
+func TestPermIntoMatchesRandPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 16, 1024} {
+		want, got := rand.New(rand.NewSource(int64(n)+3)), rand.New(rand.NewSource(int64(n)+3))
+		buf := make([]int, n)
+		for round := 0; round < 3; round++ { // later rounds reuse a dirty buffer
+			w := want.Perm(n)
+			permInto(got, buf)
+			if !slices.Equal(buf, w) {
+				t.Fatalf("n=%d round %d: permInto = %v, rand.Perm = %v", n, round, buf, w)
+			}
+			if a, b := got.Int63(), want.Int63(); a != b {
+				t.Fatalf("n=%d round %d: source states diverged (%d vs %d)", n, round, a, b)
+			}
+		}
+	}
+}
+
+// TestIncastFireDoesNotAllocatePermutation: after the first query sized the
+// buffer, a query's only allocations are its per-server start closures and
+// event frames — nothing proportional to the host count.
+func TestIncastFireDoesNotAllocatePermutation(t *testing.T) {
+	eng := sim.NewEngine(1)
+	ic := &Incast{
+		Eng: eng, Met: metrics.NewCollector(), Hosts: 1024, Scale: 1, FlowSize: 1000,
+		Start: func(int, int, int64, bool, int) {},
+	}
+	ic.fire()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const fires = 200
+	for i := 0; i < fires; i++ {
+		ic.fire()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / fires; per > 2048 {
+		t.Fatalf("fire allocates %d B per query at 1024 hosts; the permutation alone was 8192", per)
 	}
 }
