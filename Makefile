@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-serve vet bench bench-core bench-obs bench-run bench-scale bench-parallel bench-gate bench-merge exp-small exp-medium examples clean
+.PHONY: all build test test-short race race-serve vet bench bench-core bench-obs bench-run bench-scale bench-parallel bench-gate bench-merge benchmark-smoke exp-small exp-medium examples clean
 
 all: build vet test
 
@@ -104,6 +104,18 @@ bench-merge:
 	$(GO) run ./cmd/benchjson -merge -rev $$(git rev-parse --short HEAD) \
 	  -out BENCH.json BENCH_core.json BENCH_obs.json BENCH_run.json BENCH_scale.json BENCH_parallel.json
 	@echo "BENCH.json:" && cat BENCH.json
+
+# The benchmark of record (benchmark/, BENCHMARK.json) end to end on its
+# quickest workload, through the wrapper the gating pipeline uses: builds
+# ./benchmark into .bench_build, makes the set-up and timed children, checks
+# the ledger, the completion floor and the digest's repeatability, and fails
+# unless the result line says so. It measures nothing worth keeping — one
+# second on a shared runner — it only proves the benchmark still builds and
+# runs against the simulator it measures.
+benchmark-smoke:
+	@line=$$(bash benchmark/run.sh --workload leafspine_bulk --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+	  echo "$$line"; \
+	  echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -q '"failed":0[,}]'
 
 # Regenerate every paper table/figure from the CLI.
 exp-small:

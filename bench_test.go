@@ -260,10 +260,13 @@ func BenchmarkSweepParallel(b *testing.B) {
 
 // BenchmarkEngineAllocs pins the engine's event free list: steady-state
 // schedule/cancel/fire cycles reuse recycled event structs, so allocs/op
-// is 0 even with a tombstoned timer reaped per op.
+// is 0 even with a tombstoned timer reaped per op — for closure events and
+// for argument events, whose per-slot timers share one handler.
 func BenchmarkEngineAllocs(b *testing.B) {
 	eng := sim.NewEngine(1)
 	fn := func() {}
+	var fired uint64
+	afn := func(slot uint64) { fired += slot }
 	for i := 0; i < 64; i++ { // warm the free list and heap backing array
 		eng.After(units.Time(i), fn)
 	}
@@ -274,6 +277,9 @@ func BenchmarkEngineAllocs(b *testing.B) {
 		tm := eng.After(50, fn)
 		eng.After(100, fn)
 		tm.Cancel()
+		atm := eng.AfterArg(50, afn, uint64(i))
+		eng.AfterArg(100, afn, uint64(i))
+		atm.Cancel()
 		eng.Run(eng.Now() + 200)
 	}
 }

@@ -49,7 +49,10 @@ type Queue interface {
 }
 
 // DropTailQueue is a FIFO with byte-based admission: the queue used by the
-// ECMP, DRILL and DIBS fabrics.
+// ECMP, DRILL and DIBS fabrics. Pop advances a head index instead of shifting
+// the slice; the consumed prefix is reclaimed when it dominates the slice,
+// and at once when the queue drains, so a port that is mostly empty keeps
+// reusing the front of a small array instead of marching through a large one.
 type DropTailQueue struct {
 	pkts  []*packet.Packet
 	head  int
@@ -82,8 +85,9 @@ func (q *DropTailQueue) Pop() *packet.Packet {
 	q.pkts[q.head] = nil
 	q.head++
 	q.bytes -= p.Size()
-	// Reclaim the consumed prefix once it dominates the slice.
-	if q.head > 64 && q.head*2 >= len(q.pkts) {
+	// Reclaim the consumed prefix when the queue drains or once it dominates
+	// the slice.
+	if q.head == len(q.pkts) || q.head > 64 && q.head*2 >= len(q.pkts) {
 		q.pkts = compact(q.pkts, q.head)
 		q.head = 0
 	}
@@ -119,8 +123,9 @@ func (q *DropTailQueue) PeekAt(i int) *packet.Packet {
 // hundred frames (300 KB / 1500 B = 200), so binary-search insertion with a
 // memmove beats pointer-chasing tree structures at this scale. Pop advances a
 // head index instead of shifting the whole slice (the same deferred-
-// compaction scheme DropTailQueue uses), and the freed slot in front of the
-// head is reused when an insertion lands there.
+// compaction scheme DropTailQueue uses, rewinding to the front whenever the
+// queue drains), and the freed slot in front of the head is reused when an
+// insertion lands there.
 type SortedQueue struct {
 	pkts []*packet.Packet
 	// ranks mirrors pkts in lockstep: ranks[i] == pkts[i].Rank(). The rank
@@ -134,6 +139,17 @@ type SortedQueue struct {
 	// evScratch backs ForceInsert's eviction list, reused across calls so
 	// the overflow path does not allocate per packet.
 	evScratch []*packet.Packet
+}
+
+// sortedSeed is the capacity of a sorted queue's first allocation, which
+// holds both arrays: most ports of a large fabric never hold more, and
+// append-doubling them up from one entry took six allocations apiece to get
+// here.
+const sortedSeed = 32
+
+type sortedSeedArrays struct {
+	pkts  [sortedSeed]*packet.Packet
+	ranks [sortedSeed]uint32
 }
 
 // NewSorted returns an empty rank-sorted queue with the given byte capacity.
@@ -187,6 +203,10 @@ func (q *SortedQueue) insert(p *packet.Packet) {
 		q.pkts[q.head] = p
 		q.ranks[q.head] = r
 	} else {
+		if cap(q.pkts) == 0 {
+			seed := new(sortedSeedArrays)
+			q.pkts, q.ranks = seed.pkts[:0], seed.ranks[:0]
+		}
 		q.pkts = append(q.pkts, nil)
 		copy(q.pkts[i+1:], q.pkts[i:])
 		q.pkts[i] = p
@@ -206,13 +226,19 @@ func (q *SortedQueue) Pop() *packet.Packet {
 	q.pkts[q.head] = nil
 	q.head++
 	q.bytes -= p.Size()
-	// Reclaim the consumed prefix once it dominates the slice.
-	if q.head > 64 && q.head*2 >= len(q.pkts) {
-		q.pkts = compact(q.pkts, q.head)
-		q.ranks = compact(q.ranks, q.head)
-		q.head = 0
+	// Reclaim the consumed prefix when the queue drains or once it dominates
+	// the slice.
+	if q.head == len(q.pkts) || q.head > 64 && q.head*2 >= len(q.pkts) {
+		q.rewind()
 	}
 	return p
+}
+
+// rewind moves the live window back to the front of both arrays.
+func (q *SortedQueue) rewind() {
+	q.pkts = compact(q.pkts, q.head)
+	q.ranks = compact(q.ranks, q.head)
+	q.head = 0
 }
 
 // Tail returns the maximum-rank packet without removing it, or nil.
@@ -237,6 +263,9 @@ func (q *SortedQueue) ExtractTail() *packet.Packet {
 	q.pkts = q.pkts[:n-1]
 	q.ranks = q.ranks[:n-1]
 	q.bytes -= p.Size()
+	if q.head == n-1 && q.head > 0 {
+		q.rewind() // the last packet left from the tail end
+	}
 	return p
 }
 

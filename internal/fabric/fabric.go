@@ -174,12 +174,11 @@ type Network struct {
 	obs      Observer     // optional telemetry observer
 	pool     *packet.Pool // per-simulation packet free list
 
-	// Shared arenas for burst-grown in-flight FIFOs: a port whose wire
-	// drains empty returns oversized backing arrays here instead of pinning
-	// them, so a large fabric's memory tracks concurrent wire occupancy, not
+	// Shared arena for burst-grown in-flight FIFOs: a port whose wire
+	// drains empty returns an oversized backing array here instead of pinning
+	// it, so a large fabric's memory tracks concurrent wire occupancy, not
 	// the historical worst burst of every port.
-	infP arena.Pool[*packet.Packet]
-	infT arena.Pool[units.Time]
+	inf arena.Pool[wireSeg]
 
 	// Live forwarding state, mutable by fault injection (see fault methods
 	// below): the FIB consulted by every switch (initially Topo.FIB, swapped
@@ -200,6 +199,10 @@ type Network struct {
 	trainsPlanned uint64
 	trainSegs     uint64
 	trainInvals   uint64
+
+	// Per-packet registry signals not yet published (see publishObs).
+	queueDepth obs.HistBatch
+	ecnMarks   uint64
 
 	// Sharded execution (nil when serial — see shard.go): the domain
 	// context this replica runs under, and the inbox delivering packets
@@ -333,6 +336,7 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 	for i := range n.linkDownSince {
 		n.linkDownSince[i] = -1
 	}
+	eng.OnPublish(n.publishObs)
 
 	n.switches = make([]*Switch, t.NumSwitches)
 	for sw := 0; sw < t.NumSwitches; sw++ {
@@ -408,7 +412,7 @@ func (n *Network) Send(p *packet.Packet) {
 	nic := n.hostNIC[p.Src]
 	nic.sync(n.Eng.Now())
 	nic.q.Push(p)
-	obsQueueDepth.Observe(int64(nic.q.Bytes()))
+	n.queueDepth.Observe(int64(nic.q.Bytes()))
 	if n.obs != nil {
 		n.obs.Enqueue(nic.sw, nic.idx, p, nic.q.Bytes())
 	}
@@ -753,8 +757,10 @@ type Port struct {
 	contCtx   units.Time
 
 	// Train plan, struct-of-arrays: segment i of the plan serializes over
-	// [planStart[i], planEnd[i]) with jitter planJit[i] folded in. Segments
-	// planHead..planN-1 are uncommitted and still occupy the queue.
+	// [planStart[i], planEnd[i]) with jitter planJit[i] folded in. The three
+	// are thirds of one allocation, as long as the longest plan the port has
+	// made so far (see plan). Segments planHead..planN-1 are uncommitted and
+	// still occupy the queue.
 	// planMaxRank is the largest planned rank (sorted queues), the
 	// planning-time bound deciding whether an insertion preempts the plan.
 	// planTarget adapts the train length: it grows toward Cfg.TrainLen on
@@ -793,16 +799,20 @@ type Port struct {
 	drawHead int
 
 	// In-flight (committed) packets riding the link, delivered strictly
-	// FIFO by one self-rescheduling arrival event: inflightAt[i] is the
-	// exact wire arrival time of inflight[i].
-	inflight   []*packet.Packet
-	inflightAt []units.Time
-	infHead    int
-	arrAt      units.Time
-	arrArmed   bool
+	// FIFO by one self-rescheduling arrival event.
+	inflight []wireSeg
+	infHead  int
+	arrAt    units.Time
+	arrArmed bool
 
 	txFire  func() // train end / continuation: settle the plan, send more
 	arrFire func() // deliver the due in-flight packet to the peer
+}
+
+// wireSeg is one in-flight packet and its exact wire arrival time.
+type wireSeg struct {
+	p  *packet.Packet
+	at units.Time
 }
 
 // initTx builds the port's two shared event callbacks. Neither is ever
@@ -844,21 +854,20 @@ func (pt *Port) initTx() {
 		// its arrival by at least the propagation delay).
 		pt.sync(now)
 		pt.arrArmed = false
-		if pt.infHead >= len(pt.inflight) || pt.inflightAt[pt.infHead] != now {
+		if pt.infHead >= len(pt.inflight) || pt.inflight[pt.infHead].at != now {
 			pt.rearmArrive() // arming referred to a since-invalidated segment
 			return
 		}
-		p := pt.inflight[pt.infHead]
-		pt.inflight[pt.infHead] = nil
+		p := pt.inflight[pt.infHead].p
+		pt.inflight[pt.infHead].p = nil
 		pt.infHead++
 		// Reclaim the consumed prefix so a continuously busy link cannot
-		// grow the slices without bound (only a handful of packets fit in
+		// grow the slice without bound (only a handful of packets fit in
 		// one propagation delay, so the copy is tiny).
 		if pt.infHead == len(pt.inflight) {
 			pt.releaseInflight()
 		} else if pt.infHead > 32 && pt.infHead*2 >= len(pt.inflight) {
 			pt.inflight = append(pt.inflight[:0], pt.inflight[pt.infHead:]...)
-			pt.inflightAt = append(pt.inflightAt[:0], pt.inflightAt[pt.infHead:]...)
 			pt.infHead = 0
 		}
 		pt.rearmArrive()
@@ -945,11 +954,11 @@ func (pt *Port) sync(now units.Time) {
 }
 
 // keepInflight is the largest in-flight FIFO capacity a drained port keeps;
-// burst-grown backing arrays past it return to the network's shared arena.
+// a burst-grown backing array past it returns to the network's shared arena.
 const keepInflight = 64
 
 // pushInflight appends a committed packet to the in-flight FIFO, growing
-// the parallel arrays through the network's shared arena.
+// it through the network's shared arena.
 func (pt *Port) pushInflight(p *packet.Packet, at units.Time) {
 	if pt.xdom {
 		// The peer lives in another domain: the packet leaves this replica
@@ -957,33 +966,27 @@ func (pt *Port) pushInflight(p *packet.Packet, at units.Time) {
 		pt.emitCross(p, at)
 		return
 	}
-	if n := len(pt.inflight); n == cap(pt.inflight) || n == cap(pt.inflightAt) {
+	if n := len(pt.inflight); n == cap(pt.inflight) {
 		need := 2 * n
 		if need < 8 {
 			need = 8
 		}
-		np := pt.net.infP.Get(need)[:n]
-		nt := pt.net.infT.Get(need)[:n]
-		copy(np, pt.inflight)
-		copy(nt, pt.inflightAt)
-		pt.net.infP.Put(pt.inflight)
-		pt.net.infT.Put(pt.inflightAt)
-		pt.inflight, pt.inflightAt = np, nt
+		grown := pt.net.inf.Get(need)[:n]
+		copy(grown, pt.inflight)
+		pt.net.inf.Put(pt.inflight)
+		pt.inflight = grown
 	}
-	pt.inflight = append(pt.inflight, p)
-	pt.inflightAt = append(pt.inflightAt, at)
+	pt.inflight = append(pt.inflight, wireSeg{p, at})
 }
 
 // releaseInflight resets a fully drained FIFO — the port-quiesce moment —
-// returning burst-grown backing arrays to the shared arena.
+// returning a burst-grown backing array to the shared arena.
 func (pt *Port) releaseInflight() {
-	if cap(pt.inflight) > keepInflight || cap(pt.inflightAt) > keepInflight {
-		pt.net.infP.Put(pt.inflight)
-		pt.net.infT.Put(pt.inflightAt)
-		pt.inflight, pt.inflightAt = nil, nil
+	if cap(pt.inflight) > keepInflight {
+		pt.net.inf.Put(pt.inflight)
+		pt.inflight = nil
 	} else {
 		pt.inflight = pt.inflight[:0]
-		pt.inflightAt = pt.inflightAt[:0]
 	}
 	pt.infHead = 0
 }
@@ -1092,7 +1095,7 @@ func (pt *Port) rearmArrive() {
 	var at units.Time
 	switch {
 	case pt.infHead < len(pt.inflight):
-		at = pt.inflightAt[pt.infHead]
+		at = pt.inflight[pt.infHead].at
 	case pt.planHead < pt.planN:
 		at = pt.planEnd[pt.planHead] + pt.delay
 	default:
@@ -1180,11 +1183,17 @@ func (pt *Port) plan(now, vs, vc units.Time) {
 	if n > pt.planTarget {
 		n = pt.planTarget
 	}
-	if pt.planStart == nil {
-		l := pt.net.Cfg.TrainLen
-		pt.planStart = make([]units.Time, l)
-		pt.planEnd = make([]units.Time, l)
-		pt.planJit = make([]units.Time, l)
+	if len(pt.planStart) < n {
+		// The wire is idle, so no plan is pending and nothing needs copying.
+		// Sized to the plan, not to the target: a clean completion doubles the
+		// target whatever the plan's length, but the queue seldom holds more
+		// than a few segments, so most ports never regrow.
+		l := 8
+		for l < n {
+			l <<= 1
+		}
+		buf := make([]units.Time, 3*l)
+		pt.planStart, pt.planEnd, pt.planJit = buf[:l:l], buf[l:2*l:2*l], buf[2*l:]
 	}
 	jmax := int64(pt.net.Cfg.Jitter)
 	t := now
@@ -1377,7 +1386,7 @@ func (s *Switch) enqueue(i int, p *packet.Packet) bool {
 	if port.planHead < port.planN && port.sorted != nil && p.Rank() < port.planMaxRank {
 		port.invalidate()
 	}
-	obsQueueDepth.Observe(int64(port.q.Bytes()))
+	s.net.queueDepth.Observe(int64(port.q.Bytes()))
 	s.markECN(port, p)
 	if o := s.net.obs; o != nil {
 		o.Enqueue(s.id, i, p, port.q.Bytes())
@@ -1391,7 +1400,7 @@ func (s *Switch) markECN(port *Port, p *packet.Packet) {
 	if k > 0 && p.ECNCapable && port.q.Len() >= k {
 		p.CE = true
 		s.net.Met.ECNMarks++
-		obsECNMarks.Inc()
+		s.net.ecnMarks++
 	}
 }
 

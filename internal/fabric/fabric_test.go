@@ -226,6 +226,41 @@ func TestECNMarking(t *testing.T) {
 	}
 }
 
+// TestPerPacketSignalsPublishInBatches: queue depth and ECN marks are
+// tallied per network and reach the process-global registry on the engine's
+// publish cadence — nothing per enqueue, everything by the time Run returns.
+func TestPerPacketSignalsPublishInBatches(t *testing.T) {
+	cfg := DefaultConfig(ECMP)
+	cfg.ECNThreshold = 5
+	eng, net, met, got := testNet(t, cfg)
+	depth0, marks0 := obsQueueDepth.Count(), obsECNMarks.Value()
+	var ids packet.IDGen
+	for i := 0; i < 50; i++ {
+		for src := 1; src <= 2; src++ {
+			p := dataPkt(&ids, src, 0, uint64(src), 1000)
+			p.ECNCapable = true
+			net.Send(p)
+		}
+	}
+	if obsQueueDepth.Count() != depth0 {
+		t.Fatal("an enqueue wrote to the shared registry")
+	}
+	eng.Run(units.Second)
+	var enqueues uint64
+	for _, p := range got[0] {
+		enqueues += 1 + uint64(p.Hops) // the NIC, then every switch on the way
+	}
+	if len(got[0]) != 100 || met.ECNMarks == 0 {
+		t.Fatalf("%d of 100 packets delivered, %d marks: scenario shows nothing", len(got[0]), met.ECNMarks)
+	}
+	if d := obsQueueDepth.Count() - depth0; d != enqueues {
+		t.Errorf("registry saw %d queue-depth observations, want %d", d, enqueues)
+	}
+	if d := obsECNMarks.Value() - marks0; d != uint64(met.ECNMarks) {
+		t.Errorf("registry saw %d ECN marks, collector %d", d, met.ECNMarks)
+	}
+}
+
 func TestECNNotMarkedWhenIncapable(t *testing.T) {
 	cfg := DefaultConfig(ECMP)
 	cfg.ECNThreshold = 2

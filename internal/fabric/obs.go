@@ -4,10 +4,12 @@ import "vertigo/internal/obs"
 
 // Process-global fabric metrics. Drops, deflections, faults and train
 // bookkeeping are rare relative to per-packet work, so they bump the
-// registry directly at the event site; queue depth is the one per-packet
-// signal and is a histogram observation (three atomic adds) at the two
+// registry directly at the event site. Queue depth (observed at the two
 // enqueue chokepoints — the occupancy *distribution* is what distinguishes
-// buffer regimes, not its mean.
+// buffer regimes, not its mean) and ECN marks are per-packet signals: each
+// Network tallies them in plain fields and publishObs folds the tallies in
+// on its engine's publish cadence, so no enqueue touches a cache line that
+// another simulation in the process writes.
 var (
 	obsDrops = obs.NewCounterVec("vertigo_fabric_drops_total",
 		"data packets dropped, by reason", "reason",
@@ -31,6 +33,16 @@ var (
 	obsTTR = obs.NewHistogram("vertigo_fault_ttr_ns",
 		"carrier-loss duration of recovered links")
 )
+
+// publishObs folds the network's per-packet tallies into the registry; New
+// hooks it to the engine's publish cadence.
+func (n *Network) publishObs() {
+	n.queueDepth.FlushTo(obsQueueDepth)
+	if n.ecnMarks > 0 {
+		obsECNMarks.Add(n.ecnMarks)
+		n.ecnMarks = 0
+	}
+}
 
 // noteDeflect accounts one deflection in both the per-run collector and the
 // process-global registry.

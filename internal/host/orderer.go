@@ -33,28 +33,29 @@ func DefaultOrdererConfig() OrdererConfig {
 // empty buffer, Out-of-order Receive ⇔ non-empty buffer (timer armed).
 //
 // Entries live in the flow table's slab and are recycled: newFlow resets
-// the semantic fields while the buffer keeps its backing arrays, and the
-// timer callbacks — built once per slab slot around a stable table ref —
-// are shared by every flow that ever occupies the slot.
+// the semantic fields while the buffer keeps its backing arrays. A slot's
+// timers carry its table ref as their argument (see Orderer.onTimeout), so
+// the slot itself holds no callback.
 //
 // The reorder buffer is struct-of-arrays: held packet i of the live window
 // [head, len) is (bufP[i], bufV[i], bufAt[i]). Splitting the former
 // 24-byte entry struct keeps the position values bufferEarly binary-searches
 // densely packed — sixteen uint32 per cache line instead of two entries —
 // and lets each array recycle through the orderer's shared arena
-// independently when a burst-grown flow quiesces.
+// independently when a burst-grown flow quiesces. The first winLen entries
+// are a window into a chunk shared with the neighbouring slots (see
+// carveWindow).
 type orderFlow struct {
 	hasExpected bool
 	finished    bool   // flow fully delivered; state lingers as a tombstone
 	expected    uint32 // position value of the next in-order packet
+	slot        int32  // this entry's flow-table ref, the timers' argument
 	finishedAt  units.Time
 	head        int              // index of the first live entry
 	bufP        []*packet.Packet // held packets, flow order
 	bufV        []uint32         // their un-boosted position values
 	bufAt       []units.Time     // their arrival times (timer deadlines)
 	timer       sim.Timer
-	timeoutFn   func() // prebuilt o.timeoutRef(slot) closure
-	reclaimFn   func() // prebuilt o.reclaimRef(slot) closure
 }
 
 // Orderer is the RX-path ordering component: the first software entity to
@@ -68,6 +69,15 @@ type Orderer struct {
 	deliver func(*packet.Packet)
 	flows   *flowtab.Table[orderFlow]
 	met     *metrics.Collector // optional aggregate telemetry
+
+	// The τ-timeout and tombstone-reclaim handlers, built once: every slot's
+	// timers go through them with the slot's table ref as the argument.
+	onTimeout, onReclaim sim.ArgHandler
+
+	// Uncarved remainder of the newest window chunk (see carveWindow).
+	chunkP  []*packet.Packet
+	chunkV  []uint32
+	chunkAt []units.Time
 
 	// Shared arenas for burst-grown reorder buffers: a flow that quiesces
 	// with oversized arrays returns them here and the next burst — on any
@@ -89,7 +99,9 @@ func NewOrderer(eng *sim.Engine, cfg OrdererConfig, deliver func(*packet.Packet)
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultOrdererConfig().Timeout
 	}
-	return &Orderer{eng: eng, cfg: cfg, deliver: deliver, flows: flowtab.New[orderFlow](64)}
+	o := &Orderer{eng: eng, cfg: cfg, deliver: deliver, flows: flowtab.New[orderFlow](64)}
+	o.onTimeout, o.onReclaim = o.timeoutRef, o.reclaimRef
+	return o
 }
 
 // SetCollector mirrors the orderer's telemetry into a metrics collector.
@@ -132,23 +144,19 @@ func (o *Orderer) done(nextExpected uint32, p *packet.Packet) bool {
 }
 
 // newFlow creates ordering state for a first-seen flow, recycling a slab
-// slot (and its buffer backing / timer closures) when one is free.
+// slot (and its buffer backing) when one is free.
 func (o *Orderer) newFlow(p *packet.Packet, v uint32) *orderFlow {
 	st, _ := o.flows.PutReuse(p.Flow)
 	st.hasExpected = false
 	st.finished = false
 	st.expected = 0
+	st.slot = o.flows.Ref(p.Flow)
 	st.finishedAt = 0
 	st.head = 0
 	st.bufP = st.bufP[:0]
 	st.bufV = st.bufV[:0]
 	st.bufAt = st.bufAt[:0]
 	st.timer = sim.Timer{}
-	if st.timeoutFn == nil {
-		slot := o.flows.Ref(p.Flow)
-		st.timeoutFn = func() { o.timeoutRef(slot) }
-		st.reclaimFn = func() { o.reclaimRef(slot) }
-	}
 	if p.Info.First {
 		st.hasExpected = true
 		st.expected = v
@@ -215,22 +223,52 @@ func (o *Orderer) clearBuf(st *orderFlow) {
 	st.head = 0
 }
 
-// growBuf widens the reorder buffer through the shared arena, copying the
-// full occupied prefix (entries before head are already zero).
-func (o *Orderer) growBuf(st *orderFlow) {
-	need := 2 * len(st.bufV)
-	if need < 8 {
-		need = 8
+// Reorder windows: RFS-sorted queues let a flow's later packets overtake its
+// earlier ones wherever a queue builds, so nearly every flow buffers a packet
+// or two and nearly every slot needs a buffer, if a small one. A slot's first
+// winLen entries are therefore a window into a chunk serving winsPerChunk
+// slots — three allocations a chunk where three a slot were — and only a flow
+// that holds more than winLen packets at once goes to the arenas.
+const (
+	winLen       = 8
+	winsPerChunk = 32
+)
+
+// carveWindow gives a slot without buffer backing the next window of the
+// current chunk, starting a new chunk when that one is used up.
+func (o *Orderer) carveWindow(st *orderFlow) {
+	if len(o.chunkV) == 0 {
+		o.chunkP = make([]*packet.Packet, winLen*winsPerChunk)
+		o.chunkV = make([]uint32, winLen*winsPerChunk)
+		o.chunkAt = make([]units.Time, winLen*winsPerChunk)
 	}
+	st.bufP, o.chunkP = o.chunkP[:0:winLen], o.chunkP[winLen:]
+	st.bufV, o.chunkV = o.chunkV[:0:winLen], o.chunkV[winLen:]
+	st.bufAt, o.chunkAt = o.chunkAt[:0:winLen], o.chunkAt[winLen:]
+}
+
+// growBuf widens a full reorder buffer: a slot that has none yet gets a
+// window, any other doubles through the shared arena, copying the full
+// occupied prefix (entries before head are already zero). An outgrown window
+// stays with its chunk; arrays that came from the arena go back to it.
+func (o *Orderer) growBuf(st *orderFlow) {
+	old := st.bufCap()
+	if old == 0 {
+		o.carveWindow(st)
+		return
+	}
+	need := 2 * len(st.bufV)
 	p := o.arP.Get(need)[:len(st.bufP)]
 	v := o.arV.Get(need)[:len(st.bufV)]
 	at := o.arT.Get(need)[:len(st.bufAt)]
 	copy(p, st.bufP)
 	copy(v, st.bufV)
 	copy(at, st.bufAt)
-	o.arP.Put(st.bufP)
-	o.arV.Put(st.bufV)
-	o.arT.Put(st.bufAt)
+	if old > winLen {
+		o.arP.Put(st.bufP)
+		o.arV.Put(st.bufV)
+		o.arT.Put(st.bufAt)
+	}
 	st.bufP, st.bufV, st.bufAt = p, v, at
 }
 
@@ -283,15 +321,15 @@ func (o *Orderer) finish(st *orderFlow) {
 	st.finished = true
 	st.finishedAt = o.eng.Now()
 	o.clearBuf(st)
-	o.eng.After(o.cfg.Timeout, st.reclaimFn)
+	o.eng.AfterArg(o.cfg.Timeout, o.onReclaim, uint64(st.slot))
 }
 
 // reclaimRef removes a tombstone a full τ after it finished. The age check
 // stands in for the previous pointer-identity test: while the tombstone
 // exists, Receive never recreates state for the flow, so a younger
 // finishedAt on this slot always means a *newer* finish event is due.
-func (o *Orderer) reclaimRef(slot int32) {
-	flow, st, ok := o.flows.AtRef(slot)
+func (o *Orderer) reclaimRef(slot uint64) {
+	flow, st, ok := o.flows.AtRef(int32(slot))
 	if !ok || !st.finished {
 		return
 	}
@@ -365,14 +403,14 @@ func (o *Orderer) armAt(st *orderFlow, at units.Time) {
 	if at < o.eng.Now() {
 		at = o.eng.Now()
 	}
-	st.timer = o.eng.At(at, st.timeoutFn)
+	st.timer = o.eng.AtArg(at, o.onTimeout, uint64(st.slot))
 }
 
 // timeoutRef resolves a slab slot back to its flow. A fired timer's state
 // always still exists: every path that deletes ordering state cancels or
 // has observed the timer first.
-func (o *Orderer) timeoutRef(slot int32) {
-	flow, st, ok := o.flows.AtRef(slot)
+func (o *Orderer) timeoutRef(slot uint64) {
+	flow, st, ok := o.flows.AtRef(int32(slot))
 	if !ok {
 		return
 	}

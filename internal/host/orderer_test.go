@@ -2,6 +2,7 @@ package host
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"vertigo/internal/packet"
@@ -138,5 +139,86 @@ func TestOrdererHoldsUntilTimeout(t *testing.T) {
 	eng.Run(10 * units.Second)
 	if len(got) != 2 {
 		t.Fatalf("after timeout: delivered %v, want 2 packets", got)
+	}
+}
+
+// reorderedFlow is one three-packet flow's life on an orderer: its packets
+// arrive last first, as out of an RFS-sorted queue, so two are held under a
+// τ-timer until the first one releases the run and finishes the flow.
+func reorderedFlow(o *Orderer, pkts []*packet.Packet) {
+	o.Receive(pkts[2])
+	o.Receive(pkts[1])
+	o.Receive(pkts[0])
+}
+
+// TestOrdererSlotChurnAllocatesNothing pins what the slot-number timers and
+// the kept reorder window buy: a flow-table slot hosting one reordered flow
+// after another — buffer, arm τ, release, tombstone, reclaim — costs its
+// first tenant a window and every later one nothing, where closures bound to
+// the slot cost two objects and arena buffers three per fresh slot.
+func TestOrdererSlotChurnAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultOrdererConfig()
+	delivered := 0
+	o := NewOrderer(eng, cfg, func(*packet.Packet) { delivered++ })
+	pkts := mkFlow(0, 3)
+	tenants := 0
+	tenant := func() {
+		tenants++
+		for _, p := range pkts {
+			p.Flow++
+		}
+		reorderedFlow(o, pkts)
+		if slot := o.flows.Ref(pkts[0].Flow); slot != 0 {
+			t.Fatalf("tenant %d landed in slot %d, want the recycled slot 0", tenants, slot)
+		}
+		eng.Run(eng.Now() + 2*cfg.Timeout) // past the tombstone's reclaim
+	}
+	tenant()
+	if avg := testing.AllocsPerRun(1000, tenant); avg != 0 {
+		t.Fatalf("a recycled slot's tenant allocates %.3f objects, want 0", avg)
+	}
+	if delivered != 3*tenants || o.Held != int64(2*tenants) || o.Timeouts != 0 || o.ActiveFlows() != 0 {
+		t.Fatalf("%d tenants: delivered %d, held %d, %d timeouts, %d flows left",
+			tenants, delivered, o.Held, o.Timeouts, o.ActiveFlows())
+	}
+}
+
+// TestOrdererFreshSlotsShareChunks bounds the other end: 64 flows reordered
+// at once take 64 fresh slots, whose windows come from two chunks of three
+// arrays each — not three arrays and two closures a slot.
+func TestOrdererFreshSlotsShareChunks(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := DefaultOrdererConfig()
+	delivered := 0
+	o := NewOrderer(eng, cfg, func(*packet.Packet) { delivered++ })
+	// Size the engine's frame free list and far-timer heap first, so that
+	// the count below is the orderer's own.
+	for i := 0; i < 256; i++ {
+		eng.After(units.Millisecond+units.Time(i), func() {})
+	}
+	eng.Run(2 * units.Millisecond)
+	const slots = 64
+	flows := make([][]*packet.Packet, slots)
+	for i := range flows {
+		flows[i] = mkFlow(uint64(1+i), 3)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, pkts := range flows {
+		reorderedFlow(o, pkts)
+	}
+	runtime.ReadMemStats(&m1)
+	allocs := m1.Mallocs - m0.Mallocs
+	t.Logf("%d fresh slots: %d allocations", slots, allocs)
+	if allocs > 12 {
+		t.Fatalf("first use of %d slots cost %d allocations, want at most 12", slots, allocs)
+	}
+	if o.ActiveFlows() != slots || delivered != 3*slots {
+		t.Fatalf("%d tombstones, %d delivered; want %d and %d", o.ActiveFlows(), delivered, slots, 3*slots)
+	}
+	eng.Run(eng.Now() + 2*cfg.Timeout)
+	if o.ActiveFlows() != 0 {
+		t.Fatalf("%d tombstones survived reclaim", o.ActiveFlows())
 	}
 }

@@ -119,6 +119,39 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
+// HistBatch is a Histogram's single-goroutine front end for per-packet
+// signals: Observe tallies in plain memory — no atomics, no cache line shared
+// with another simulation — and FlushTo folds the tally into the shared
+// histogram, which the owner does on its engine's publish cadence (see
+// sim.Engine.OnPublish). The zero value is ready to use.
+type HistBatch struct {
+	counts [nHistBuckets]uint64
+	count  uint64
+	sum    int64
+}
+
+// Observe records one value.
+func (b *HistBatch) Observe(v int64) {
+	b.counts[bucketOf(v)]++
+	b.count++
+	b.sum += v
+}
+
+// FlushTo adds everything observed since the last flush to h.
+func (b *HistBatch) FlushTo(h *Histogram) {
+	if b.count == 0 {
+		return
+	}
+	for i := range b.counts {
+		if c := b.counts[i]; c > 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.count.Add(b.count)
+	h.sum.Add(b.sum)
+	*b = HistBatch{}
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

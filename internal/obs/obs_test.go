@@ -240,6 +240,39 @@ func TestFlightDumpJSONL(t *testing.T) {
 	}
 }
 
+// TestHistBatchFlush: a batch flushed into a histogram leaves it exactly as
+// observing the same values directly would, a flush empties the batch, and
+// neither step allocates.
+func TestHistBatchFlush(t *testing.T) {
+	r := NewRegistry()
+	direct, batched := r.Histogram("direct_ns", ""), r.Histogram("batched_ns", "")
+	var b HistBatch
+	vals := []int64{-5, 0, 1, 2, 3, 1000, 1000, 1 << 40}
+	for round := 0; round < 3; round++ {
+		for _, v := range vals {
+			direct.Observe(v)
+			b.Observe(v)
+		}
+		if round == 0 && batched.Count() != 0 {
+			t.Fatal("batch reached the histogram before its flush")
+		}
+		b.FlushTo(batched)
+		b.FlushTo(batched) // empty: adds nothing
+	}
+	want, got := direct.Snapshot(), batched.Snapshot()
+	if got.Count != want.Count || got.Sum != want.Sum || len(got.Buckets) != len(want.Buckets) {
+		t.Fatalf("batched %+v, direct %+v", got, want)
+	}
+	for i := range want.Buckets {
+		if got.Buckets[i] != want.Buckets[i] {
+			t.Fatalf("bucket %d: batched %+v, direct %+v", i, got.Buckets[i], want.Buckets[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Observe(12345); b.FlushTo(batched) }); allocs != 0 {
+		t.Fatalf("batch observe+flush allocates: %v allocs/op", allocs)
+	}
+}
+
 func TestHistogramObserveZeroAlloc(t *testing.T) {
 	h := NewRegistry().Histogram("za_ns", "")
 	c := NewRegistry().Counter("za_total", "")

@@ -16,7 +16,10 @@ import (
 // transparently correct; random At/After/Cancel/Run/PeekTime interleavings
 // must produce identical fire orders and identical Timer observations on
 // both. Dense scripts pile hundreds of events into single 32 ns buckets,
-// the regime a 1024-host fat-tree puts the engine in.
+// the regime a 1024-host fat-tree puts the engine in. On the engine every
+// other timer goes through AfterArg — one handler for the whole script, the
+// timer's number as the argument — so plain and argument events share
+// buckets, ties and recycled frames; the reference knows only closures.
 
 // refEvent is one scheduled callback in the reference scheduler.
 type refEvent struct {
@@ -134,10 +137,35 @@ type pair struct {
 	engTimers      []Timer
 	refTimers      []*refEvent
 	id             int
+
+	// The engine side's two argument handlers, built once: engFire(id) is
+	// timer id firing, engChild(id) the child it scheduled. hands[id] is what
+	// event id does when it fires.
+	hands             []inHandler
+	engFire, engChild ArgHandler
 }
 
 func newPair(t *testing.T, tag string) *pair {
-	return &pair{t: t, tag: tag, eng: NewEngine(1), ref: &refSched{}}
+	p := &pair{t: t, tag: tag, eng: NewEngine(1), ref: &refSched{}}
+	p.engChild = func(id uint64) { p.engLog = append(p.engLog, -int(id)-1) }
+	p.engFire = func(id uint64) {
+		h := p.hands[id]
+		p.engLog = append(p.engLog, int(id))
+		if h.nest >= 0 {
+			// The child takes the form its parent did not.
+			if id&1 == 0 {
+				p.eng.AfterArg(h.nest, p.engChild, id)
+			} else {
+				p.eng.After(h.nest, func() { p.engChild(id) })
+			}
+		}
+		for i := h.cancelLo; i < h.cancelHi && i < len(p.engTimers); i++ {
+			if p.engTimers[i].Cancel() {
+				p.engLog = append(p.engLog, cancelMark+i)
+			}
+		}
+	}
+	return p
 }
 
 // inHandler is what a scheduled handler does when it fires, besides logging.
@@ -150,21 +178,22 @@ var plain = inHandler{nest: -1}
 
 const cancelMark = 1 << 30 // log entries at or above it record a successful in-handler cancel
 
-// after schedules a Timer-backed event d ahead on both sides.
-func (p *pair) after(d units.Time, h inHandler) {
-	myID := p.id
+// newID numbers the next event and records what it does when it fires.
+func (p *pair) newID(h inHandler) int {
+	p.hands = append(p.hands, h)
 	p.id++
-	p.engTimers = append(p.engTimers, p.eng.After(d, func() {
-		p.engLog = append(p.engLog, myID)
-		if h.nest >= 0 {
-			p.eng.After(h.nest, func() { p.engLog = append(p.engLog, -myID-1) })
-		}
-		for i := h.cancelLo; i < h.cancelHi && i < len(p.engTimers); i++ {
-			if p.engTimers[i].Cancel() {
-				p.engLog = append(p.engLog, cancelMark+i)
-			}
-		}
-	}))
+	return p.id - 1
+}
+
+// after schedules a Timer-backed event d ahead on both sides: an argument
+// event on the engine when its number is odd, a closure otherwise.
+func (p *pair) after(d units.Time, h inHandler) {
+	myID := p.newID(h)
+	if myID&1 == 1 {
+		p.engTimers = append(p.engTimers, p.eng.AfterArg(d, p.engFire, uint64(myID)))
+	} else {
+		p.engTimers = append(p.engTimers, p.eng.After(d, func() { p.engFire(uint64(myID)) }))
+	}
 	p.refTimers = append(p.refTimers, p.ref.After(d, func() {
 		p.refLog = append(p.refLog, myID)
 		if h.nest >= 0 {
@@ -181,8 +210,7 @@ func (p *pair) after(d units.Time, h inHandler) {
 // sched schedules a fire-and-forget event on the engine, a plain one on the
 // reference.
 func (p *pair) sched(d units.Time) {
-	myID := p.id
-	p.id++
+	myID := p.newID(plain)
 	p.eng.SchedAfter(d, func() { p.engLog = append(p.engLog, myID) })
 	p.ref.After(d, func() { p.refLog = append(p.refLog, myID) })
 }

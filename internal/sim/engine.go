@@ -34,15 +34,25 @@ import (
 // Handler is a callback invoked when an event fires.
 type Handler func()
 
+// ArgHandler is a callback invoked with the argument its event was scheduled
+// with (see AtArg): one handler built per component serves every slot of a
+// slab, the argument saying which slot fired.
+type ArgHandler func(arg uint64)
+
 // event is a scheduled callback. Events are recycled through the engine's
 // free list once fired or reaped; gen distinguishes incarnations so that
 // a Timer held across its event's recycling can never act on the new tenant.
 // A tombstoned (dead) event stays in its bucket or heap until it surfaces at
 // the root, where locate discards it without firing.
+//
+// Exactly one of fn and afn is set. The tie-breaking schedule sequence number
+// lives only in the frame's heapNode, which is what keeps the frame at 64
+// bytes with a second handler and its argument aboard.
 type event struct {
 	at       units.Time
-	seq      uint64 // schedule order, breaks timestamp ties deterministically
 	fn       Handler
+	afn      ArgHandler // argument-carrying handler (AtArg), fired as afn(arg)
+	arg      uint64
 	gen      uint64     // incarnation counter, bumped on recycle
 	schedAt  units.Time // sim time the event was scheduled, see CurSchedAt
 	schedCtx units.Time // schedAt of the event that scheduled this one, see CurSchedCtx
@@ -50,7 +60,7 @@ type event struct {
 	chain    bool       // fire-and-forget (Sched): frame may self-reschedule in place
 	// Pad to 64 bytes: frames are carved from contiguous slabs (see alloc),
 	// and a frame that straddles two cache lines costs two misses per fire.
-	_ [14]byte
+	_ [6]byte
 }
 
 // heapNode is one calendar/heap slot: the (at, seq) sort key inlined next
@@ -131,6 +141,7 @@ type Engine struct {
 	pubTombPops uint64
 	pubSweeps   uint64
 	pubLive     int
+	onPublish   []func()            // co-located components' publish hooks, see OnPublish
 	flight      *obs.FlightRecorder // crash flight recorder, nil when disabled
 }
 
@@ -216,7 +227,7 @@ func (e *Engine) alloc() *event {
 // invalidates every Timer still pointing at the event.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.fn, ev.afn = nil, nil
 	ev.dead = false
 	e.free = append(e.free, ev)
 }
@@ -367,9 +378,10 @@ func (e *Engine) schedule(t units.Time, fn Handler, chain bool) *event {
 	} else {
 		ev = e.alloc()
 	}
-	ev.at, ev.seq, ev.fn, ev.chain = t, e.seq, fn, chain
+	ev.at, ev.fn, ev.chain = t, fn, chain
 	ev.schedAt = e.now
 	ev.schedCtx = e.curSched
+	nd := heapNode{at: t, seq: e.seq, ev: ev}
 	e.seq++
 	b := int64(t) >> bucketShift
 	if b < e.curB {
@@ -380,7 +392,6 @@ func (e *Engine) schedule(t units.Time, fn Handler, chain bool) *event {
 		e.curB = b
 		e.heaped = false
 	}
-	nd := heapNode{at: t, seq: ev.seq, ev: ev}
 	s := b & ringMask
 	switch {
 	case b-e.curB >= nBuckets:
@@ -413,6 +424,26 @@ func (e *Engine) After(d units.Time, fn Handler) Timer {
 		d = 0
 	}
 	return e.At(e.now+d, fn)
+}
+
+// AtArg is At for an argument-carrying handler: fn(arg) runs at absolute time
+// t. Handler and argument ride in the event frame, so a component that keeps
+// its state in slabs schedules per-slot timers through one handler built at
+// construction and the slot number as arg, where At would need a closure per
+// slot to say which one fired. Ordering, cancellation and recycling are At's:
+// both draw from the same sequence counter and frame free list.
+func (e *Engine) AtArg(t units.Time, fn ArgHandler, arg uint64) Timer {
+	ev := e.schedule(t, nil, false)
+	ev.afn, ev.arg = fn, arg
+	return Timer{engine: e, ev: ev, gen: ev.gen}
+}
+
+// AfterArg schedules fn(arg) to run d after the current time; see AtArg.
+func (e *Engine) AfterArg(d units.Time, fn ArgHandler, arg uint64) Timer {
+	if d < 0 {
+		d = 0
+	}
+	return e.AtArg(e.now+d, fn, arg)
 }
 
 // Sched schedules fn to run at absolute time t with no Timer handle: the
@@ -554,7 +585,7 @@ func (e *Engine) Run(until units.Time) units.Time {
 				break
 			}
 		}
-		ev := b[0].ev
+		ev, seq := b[0].ev, b[0].seq
 		e.ring[s] = heapPop(b)
 		e.ringCnt--
 		e.live--
@@ -563,7 +594,7 @@ func (e *Engine) Run(until units.Time) units.Time {
 		e.curSchedCtx = ev.schedCtx
 		e.fired++
 		if e.flight != nil {
-			e.flight.Record(obs.FlightEvent, int64(mAt), int64(ev.schedAt), int64(e.live), int64(ev.seq))
+			e.flight.Record(obs.FlightEvent, int64(mAt), int64(ev.schedAt), int64(e.live), int64(seq))
 		}
 		fn := ev.fn
 		if ev.chain {
@@ -579,8 +610,13 @@ func (e *Engine) Run(until units.Time) units.Time {
 		} else {
 			// Timer-backed event: recycle before firing so the handle is
 			// already inert (and the frame reusable) inside its own handler.
+			afn, arg := ev.afn, ev.arg
 			e.recycle(ev)
-			fn()
+			if afn != nil {
+				afn(arg)
+			} else {
+				fn()
+			}
 		}
 	}
 	if e.now < until && !e.stopped {
@@ -626,7 +662,8 @@ func (s EngineStats) FreeListHitRate() float64 {
 }
 
 // Stats returns the engine's instrumentation counters. The sequence counter
-// doubles as the scheduled-event count: it increments once per At/After/Sched.
+// doubles as the scheduled-event count: it increments once per At/After/Sched
+// (and their Arg forms).
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
 		Events:         e.fired,

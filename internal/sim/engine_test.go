@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vertigo/internal/units"
 )
@@ -435,6 +436,87 @@ func TestStaleTimerAfterChainReuse(t *testing.T) {
 	}
 }
 
+// TestEventFrameIsOneCacheLine pins the frame layout: two handlers, the
+// argument and the schedule stamps fit 64 bytes because the sequence number
+// lives in the heap node alone.
+func TestEventFrameIsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("event frame is %d bytes, want 64", n)
+	}
+}
+
+// TestArgTimer walks an argument event through a Timer's whole life: it
+// reports Pending and At like a plain one, Cancel keeps it from firing, a
+// fired one hands its handler the argument it was scheduled with, and its
+// frame — recycled into a plain event — is invisible to the stale handle and
+// does not fire the old handler.
+func TestArgTimer(t *testing.T) {
+	eng := NewEngine(1)
+	var got []uint64
+	h := func(arg uint64) { got = append(got, arg) }
+
+	a := eng.AtArg(10, h, 7)
+	b := eng.AfterArg(10, h, 8) // same instant: schedule order decides
+	c := eng.AtArg(10, h, 9)
+	if !a.Pending() || a.At() != 10 || eng.Pending() != 3 {
+		t.Fatalf("pending arg timer: Pending=%v At=%v engine pending=%d", a.Pending(), a.At(), eng.Pending())
+	}
+	if !b.Cancel() || b.Pending() || b.At() != 0 || b.Cancel() {
+		t.Fatal("cancelled arg timer still observable or cancellable twice")
+	}
+	eng.Run(20)
+	if len(got) != 2 || got[0] != 7 || got[1] != 9 {
+		t.Fatalf("arg handlers saw %v, want [7 9]", got)
+	}
+	if a.Pending() || a.At() != 0 || a.Cancel() || c.Cancel() {
+		t.Fatal("fired arg timer not inert")
+	}
+
+	// The three frames are on the free list; plain events reuse them.
+	plain := 0
+	for i := 0; i < 3; i++ {
+		eng.At(30, func() { plain++ })
+	}
+	if a.Cancel() || b.Cancel() || c.Cancel() || a.Pending() {
+		t.Fatal("stale arg timer acted on a recycled frame")
+	}
+	eng.Run(40)
+	if plain != 3 || len(got) != 2 {
+		t.Fatalf("recycled frames: %d plain fires (want 3), arg handler ran %d times (want 2)", plain, len(got))
+	}
+
+	// And back: a frame that carried a closure carries an argument next.
+	eng.AtArg(50, h, 11)
+	eng.Run(60)
+	if len(got) != 3 || got[2] != 11 {
+		t.Fatalf("arg event on a frame recycled from a plain one saw %v", got)
+	}
+}
+
+// TestArgPathZeroAllocs pins what AtArg is for: once the free list is warm,
+// scheduling, cancelling and firing per-slot timers through one shared
+// handler allocates nothing, whatever the slot number.
+func TestArgPathZeroAllocs(t *testing.T) {
+	eng := NewEngine(1)
+	var sum uint64
+	h := func(arg uint64) { sum += arg }
+	for i := 0; i < 64; i++ {
+		eng.AfterArg(units.Time(i), h, uint64(i))
+	}
+	eng.Run(1 << 20)
+	slot := uint64(0)
+	avg := testing.AllocsPerRun(200, func() {
+		slot++
+		tm := eng.AfterArg(50, h, slot)
+		eng.AfterArg(100, h, slot<<20)
+		tm.Cancel()
+		eng.Run(eng.Now() + 200)
+	})
+	if avg > 0 {
+		t.Fatalf("arg schedule/cancel/fire allocates %.2f per cycle, want 0", avg)
+	}
+}
+
 // TestCancelPathZeroAllocs pins the full schedule/cancel/reap cycle at zero
 // allocations once the free list is warm.
 func TestCancelPathZeroAllocs(t *testing.T) {
@@ -452,6 +534,33 @@ func TestCancelPathZeroAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("schedule/cancel/fire allocates %.2f per cycle, want 0", avg)
+	}
+}
+
+// TestOnPublishCadence: publish hooks run where the engine itself publishes —
+// every 16 Ki events inside Run, when Run returns, and from FinishObs — in
+// registration order, and never per event.
+func TestOnPublishCadence(t *testing.T) {
+	eng := NewEngine(1)
+	var calls []int
+	eng.OnPublish(func() { calls = append(calls, 1) })
+	eng.OnPublish(func() { calls = append(calls, 2) })
+	for i := 0; i < 40_000; i++ {
+		eng.Sched(units.Time(i), func() {})
+	}
+	eng.Run(units.Second)
+	// Before events 0, 16384 and 32768, and at exit.
+	if len(calls) != 8 {
+		t.Fatalf("hooks ran %d times over 40k events, want 2 hooks x 4 publishes", len(calls))
+	}
+	eng.FinishObs()
+	if len(calls) != 10 {
+		t.Fatalf("FinishObs ran the hooks %d times, want once each", len(calls)-8)
+	}
+	for i, c := range calls {
+		if c != 1+i%2 {
+			t.Fatalf("hook order %v, want registration order at every publish", calls)
+		}
 	}
 }
 

@@ -40,7 +40,17 @@ func (e *Engine) publishObs() {
 		obsPending.Add(int64(d))
 		e.pubLive = e.live
 	}
+	for _, fn := range e.onPublish {
+		fn()
+	}
 }
+
+// OnPublish registers fn to run whenever the engine publishes to the registry:
+// once per 16 Ki events inside Run, when Run returns, and from FinishObs. The
+// components driven by this engine fold their own hot-path tallies — kept in
+// plain fields, like the engine's — into the process-global registry from it,
+// so they too stay free of per-packet atomic traffic.
+func (e *Engine) OnPublish(fn func()) { e.onPublish = append(e.onPublish, fn) }
 
 // FinishObs publishes any unpublished counter growth and retires the
 // engine's contribution to the pending gauge. Run callers (core.Run, tests

@@ -16,10 +16,11 @@ import (
 const connSlab = 256
 
 // SenderPool recycles Sender slots across flows. Every slot lives in a
-// contiguous slab and carries its method-value closures (ACK handler, RTO,
-// pacing) built on first use and reused for every flow the slot ever hosts,
-// so steady-state flow churn allocates nothing: a million-flow run touches
-// only O(peak concurrent flows) sender state.
+// contiguous slab and is numbered; a sender's RTO and pacing timers are
+// argument events carrying that number to the pool's two handlers, and its
+// ACK handler is built on the slot's first use and reused for every flow it
+// hosts, so steady-state flow churn allocates nothing: a million-flow run
+// touches only O(peak concurrent flows) sender state.
 //
 // All pooled senders share one Config, held by the pool; the per-slot cfg
 // pointer keeps the 100+ byte parameter block out of every slot.
@@ -28,11 +29,34 @@ type SenderPool struct {
 	slabs [][]Sender
 	free  []*Sender
 	live  int
+	// The RTO and pacing handlers every slot's timers fire through, built
+	// once; the argument is the slot number.
+	onRTO, trySend sim.ArgHandler
 }
 
 // NewSenderPool returns an empty pool whose senders run under cfg.
 func NewSenderPool(cfg Config) *SenderPool {
-	return &SenderPool{cfg: cfg}
+	sp := &SenderPool{cfg: cfg}
+	sp.onRTO = func(slot uint64) { sp.at(slot).onRTO() }
+	sp.trySend = func(slot uint64) { sp.at(slot).trySend() }
+	return sp
+}
+
+// at resolves a slot number. Every slab but a private pool's only one (see
+// NewSender) holds connSlab slots.
+func (sp *SenderPool) at(slot uint64) *Sender {
+	return &sp.slabs[slot/connSlab][slot%connSlab]
+}
+
+// grow carves a slab of n free slots, numbering them.
+func (sp *SenderPool) grow(n int) {
+	base := len(sp.slabs) * connSlab
+	slab := make([]Sender, n)
+	sp.slabs = append(sp.slabs, slab)
+	for i := range slab {
+		slab[i].slot = uint32(base + i)
+		sp.free = append(sp.free, &slab[i])
+	}
 }
 
 // Get checks a sender out of the pool (growing it by a slab when empty) and
@@ -40,16 +64,12 @@ func NewSenderPool(cfg Config) *SenderPool {
 // flow completes.
 func (sp *SenderPool) Get(h *host.Host, met *metrics.Collector, ids *packet.IDGen, spec FlowSpec, onDone func()) *Sender {
 	if len(sp.free) == 0 {
-		slab := make([]Sender, connSlab)
-		sp.slabs = append(sp.slabs, slab)
-		for i := range slab {
-			sp.free = append(sp.free, &slab[i])
-		}
+		sp.grow(connSlab)
 	}
 	s := sp.free[len(sp.free)-1]
 	sp.free = sp.free[:len(sp.free)-1]
 	sp.live++
-	s.init(sp, &sp.cfg, h, met, ids, spec, onDone)
+	s.init(sp, h, met, ids, spec, onDone)
 	return s
 }
 

@@ -14,7 +14,12 @@ import (
 // the configuration core.Run uses.
 func newPoolRig(t *testing.T) (*rig, *transport.SenderPool, *transport.ReceiverPool) {
 	t.Helper()
-	r := newRig(t, fabric.DefaultConfig(fabric.ECMP), transport.DefaultConfig(transport.DCTCP), false)
+	return newPoolRigFor(t, transport.DCTCP)
+}
+
+func newPoolRigFor(t *testing.T, proto transport.Protocol) (*rig, *transport.SenderPool, *transport.ReceiverPool) {
+	t.Helper()
+	r := newRig(t, fabric.DefaultConfig(fabric.ECMP), transport.DefaultConfig(proto), false)
 	rp := transport.NewReceiverPool(r.eng, r.net, r.met, r.ids)
 	for _, h := range r.hosts {
 		h := h
@@ -77,6 +82,90 @@ func TestPoolChurnAllocationFree(t *testing.T) {
 	t.Logf("%d allocs over %d flows (%.3f allocs/flow)", m1.Mallocs-m0.Mallocs, measured, perFlow)
 	if perFlow > 2 {
 		t.Errorf("flow churn allocates %.2f objects/flow, want ~0", perFlow)
+	}
+}
+
+// TestPoolRTOFollowsTheSlot: a sender's timers name its slot by number, so a
+// recycled slot's RTO must act on the tenant that armed it, and the previous
+// tenant's timer — cancelled when its flow completed, and due long before the
+// new one — must stay inert. The second tenant's destination is unplugged, so
+// the only thing that can happen to it is its own retransmission timeout.
+func TestPoolRTOFollowsTheSlot(t *testing.T) {
+	r, sp, _ := newPoolRig(t)
+	type rtoSeen struct {
+		flow uint64
+		at   units.Time
+	}
+	var seen []rtoSeen
+	transport.SetDebugRTO(func(flow uint64, _, _ int64, now, _ units.Time, _ int) {
+		seen = append(seen, rtoSeen{flow, now})
+	})
+	defer transport.SetDebugRTO(nil)
+
+	specA := transport.FlowSpec{ID: r.ids.Next(), Src: 0, Dst: 2, Size: 20_000, Query: -1}
+	a := sp.Get(r.hosts[0], r.met, r.ids, specA, nil)
+	a.Start()
+	r.eng.Run(300 * units.Microsecond)
+	if !a.Done() || sp.Live() != 0 {
+		t.Fatalf("first tenant: done=%v, %d senders live", a.Done(), sp.Live())
+	}
+	// A's last RTO arming was due MinRTO (10 ms) after its last ACK: well
+	// inside the second tenant's InitRTO (1 s).
+	r.net.SetLinkState(r.net.Topo.HostLink[2], false)
+	start := r.eng.Now()
+	specB := transport.FlowSpec{ID: r.ids.Next(), Src: 0, Dst: 2, Size: 20_000, Query: -1}
+	b := sp.Get(r.hosts[0], r.met, r.ids, specB, nil)
+	if b != a {
+		t.Fatal("second flow did not get the recycled slot")
+	}
+	b.Start()
+	r.eng.Run(start + r.cfg.InitRTO + units.Millisecond)
+	want := rtoSeen{specB.ID, start + r.cfg.InitRTO}
+	if len(seen) != 1 || seen[0] != want {
+		t.Fatalf("RTOs seen %+v, want exactly %+v", seen, want)
+	}
+	if b.Done() || r.met.RTOs != 1 {
+		t.Fatalf("second tenant: done=%v with %d RTOs, want a lone timeout on a dead path", b.Done(), r.met.RTOs)
+	}
+}
+
+// TestPoolPacingFollowsTheSlot is the pacing timer's half: two Swift flows
+// with half-packet windows share a pool, one of them on a recycled slot.
+// Each can send its second segment only when its own pacing timer fires
+// (two base RTTs after the first, long after the ACK), so both finishing
+// promptly — and no sooner than the pacing gap — means each timer resolved
+// its own slot; one resolving the other's would leave a flow waiting for its
+// one-second RTO.
+func TestPoolPacingFollowsTheSlot(t *testing.T) {
+	r, sp, _ := newPoolRigFor(t, transport.Swift)
+	get := func(src, dst int) (*transport.Sender, uint64) {
+		spec := transport.FlowSpec{ID: r.ids.Next(), Src: src, Dst: dst, Size: 6_000, Query: -1}
+		return sp.Get(r.hosts[src], r.met, r.ids, spec, nil), spec.ID
+	}
+	a, _ := get(0, 2)
+	a.Start()
+	r.eng.Run(300 * units.Microsecond)
+	if !a.Done() {
+		t.Fatal("first tenant did not complete")
+	}
+	b, idB := get(0, 2)
+	c, idC := get(1, 3)
+	if b != a || c == a {
+		t.Fatal("want one flow on the recycled slot and one on a fresh slot")
+	}
+	b.SetCwndForTest(0.5)
+	c.SetCwndForTest(0.5)
+	b.Start()
+	c.Start()
+	r.eng.Run(r.eng.Now() + 5*units.Millisecond)
+	if !b.Done() || !c.Done() || r.met.RTOs != 0 {
+		t.Fatalf("paced flows: done=%v,%v with %d RTOs", b.Done(), c.Done(), r.met.RTOs)
+	}
+	const gap = 50 * units.Microsecond // 25 µs default RTT / cwnd 0.5
+	for _, id := range []uint64{idB, idC} {
+		if fct := r.met.Flow(id).FCT(); fct < gap {
+			t.Errorf("flow %d finished in %v, under one pacing gap: its second segment was not paced", id, fct)
+		}
 	}
 }
 

@@ -27,12 +27,12 @@ type FlowSpec struct {
 // additionally paces transmissions, which is what lets its congestion window
 // drop below one packet under extreme incast (paper §4.2).
 //
-// Senders are designed to live in SenderPool slabs: the hot per-ACK state
-// (sequence, congestion, RTT fields below) is grouped at the front of the
-// struct so the ACK path touches a contiguous prefix of the slot, the
-// config block is shared via pointer rather than copied per flow, and the
-// method-value closures are built once per slot and reused by every flow
-// the slot ever hosts.
+// Senders live in SenderPool slabs: the hot per-ACK state (sequence,
+// congestion, RTT fields below) is grouped at the front of the struct so the
+// ACK path touches a contiguous prefix of the slot, the config block is
+// shared via pointer rather than copied per flow, and the RTO and pacing
+// timers name the slot by number (see SenderPool.onRTO), so a slot carries
+// no timer callback of its own.
 type Sender struct {
 	// Hot state, touched on every ACK.
 	//
@@ -79,31 +79,31 @@ type Sender struct {
 	pool *packet.Pool
 	spec FlowSpec
 
-	sp     *SenderPool // owning pool, nil for standalone senders
+	sp     *SenderPool // owning pool
+	slot   uint32      // this sender's slot number in sp, fixed when the slab is carved
 	onDone func()
 
-	// Method-value closures are allocated once per slot and survive reuse;
-	// taking s.onRTO at every arm site would allocate per ACK, and taking
+	// The ACK handler the host's flow registry holds: a method value built
+	// once per slot and reused by every flow the slot hosts, since taking
 	// s.onAck at every Start would allocate per flow.
-	onRTOFn, trySendFn func()
-	onAckFn            func(*packet.Packet)
+	onAckFn func(*packet.Packet)
 }
 
-// NewSender creates (but does not start) a standalone, non-pooled sender on
-// host h (the SenderPool path is core's default; this remains for tests and
-// single-flow tools).
+// NewSender creates (but does not start) a sender of its own on host h, in a
+// private pool of one slot (the shared SenderPool is core's default; this
+// remains for tests and single-flow tools).
 func NewSender(h *host.Host, met *metrics.Collector, cfg Config, ids *packet.IDGen, spec FlowSpec, onDone func()) *Sender {
-	s := &Sender{}
-	c := cfg
-	s.init(nil, &c, h, met, ids, spec, onDone)
-	return s
+	sp := NewSenderPool(cfg)
+	sp.grow(1)
+	return sp.Get(h, met, ids, spec, onDone)
 }
 
-// init resets a slot for a new flow, preserving the slot's prebuilt
-// closures (and building them on first use).
-func (s *Sender) init(sp *SenderPool, cfg *Config, h *host.Host, met *metrics.Collector,
+// init resets a slot for a new flow, preserving the slot's number and its
+// prebuilt ACK handler (built on first use).
+func (s *Sender) init(sp *SenderPool, h *host.Host, met *metrics.Collector,
 	ids *packet.IDGen, spec FlowSpec, onDone func()) {
-	onRTO, trySend, onAck := s.onRTOFn, s.trySendFn, s.onAckFn
+	cfg := &sp.cfg
+	onAck := s.onAckFn
 	*s = Sender{
 		h:    h,
 		eng:  h.Eng,
@@ -113,6 +113,7 @@ func (s *Sender) init(sp *SenderPool, cfg *Config, h *host.Host, met *metrics.Co
 		pool: h.Pool(),
 		spec: spec,
 		sp:   sp,
+		slot: s.slot,
 		cwnd: cfg.InitWindow,
 		// Effectively unbounded until the first loss event.
 		ssthresh: math.MaxFloat64,
@@ -122,12 +123,10 @@ func (s *Sender) init(sp *SenderPool, cfg *Config, h *host.Host, met *metrics.Co
 	if cfg.Protocol == Swift {
 		s.cwnd = math.Min(cfg.InitWindow, cfg.Swift.MaxCwnd)
 	}
-	if onRTO == nil {
-		onRTO = s.onRTO
-		trySend = s.trySend
+	if onAck == nil {
 		onAck = s.onAck
 	}
-	s.onRTOFn, s.trySendFn, s.onAckFn = onRTO, trySend, onAck
+	s.onAckFn = onAck
 }
 
 // Start registers the flow and transmits the initial window.
@@ -202,7 +201,7 @@ func (s *Sender) paceGate() bool {
 		return true
 	}
 	if !s.pacingTimer.Pending() {
-		s.pacingTimer = s.eng.At(s.nextSendAt, s.trySendFn)
+		s.pacingTimer = s.eng.AtArg(s.nextSendAt, s.sp.trySend, uint64(s.slot))
 	}
 	return false
 }
@@ -286,7 +285,7 @@ func (s *Sender) transmit(seq int64, payload int, fin, retx bool) {
 
 func (s *Sender) armRTO() {
 	s.rtoTimer.Cancel()
-	s.rtoTimer = s.eng.After(s.rto, s.onRTOFn)
+	s.rtoTimer = s.eng.AfterArg(s.rto, s.sp.onRTO, uint64(s.slot))
 }
 
 // onRTO handles a retransmission timeout: collapse the window, back off the
@@ -337,7 +336,7 @@ var debugRTO func(flow uint64, sndUna, nextSeq int64, now units.Time, rto units.
 func (s *Sender) onAck(p *packet.Packet) {
 	s.handleAck(p)
 	s.pool.Put(p)
-	if s.done && s.sp != nil {
+	if s.done {
 		s.sp.put(s)
 	}
 }

@@ -39,7 +39,9 @@ type Background struct {
 	Load     float64 // fraction of aggregate host capacity, e.g. 0.5
 	Start    FlowStarter
 
-	rate float64 // flows per second
+	rate    float64 // flows per second
+	until   units.Time
+	arrival func() // the one arrival handler, built by Run
 }
 
 // Rate returns the aggregate flow arrival rate in flows per second.
@@ -52,15 +54,8 @@ func (b *Background) Run(until units.Time) {
 	}
 	capacityBps := float64(b.HostRate) * float64(b.Hosts)
 	b.rate = b.Load * capacityBps / (8 * b.Dist.MeanBytes())
-	b.next(until)
-}
-
-func (b *Background) next(until units.Time) {
-	at := b.Eng.Now() + expInterval(b.Eng, b.rate)
-	if at > until {
-		return
-	}
-	b.Eng.At(at, func() {
+	b.until = until
+	b.arrival = func() {
 		rng := b.Eng.Rand()
 		src := rng.Intn(b.Hosts)
 		dst := rng.Intn(b.Hosts - 1)
@@ -68,8 +63,17 @@ func (b *Background) next(until units.Time) {
 			dst++
 		}
 		b.Start(src, dst, b.Dist.Sample(rng), false, -1)
-		b.next(until)
-	})
+		b.next()
+	}
+	b.next()
+}
+
+func (b *Background) next() {
+	at := b.Eng.Now() + expInterval(b.Eng, b.rate)
+	if at > b.until {
+		return
+	}
+	b.Eng.At(at, b.arrival)
 }
 
 // Incast generates the paper's microburst application: at rate QPS, a random
@@ -89,8 +93,21 @@ type Incast struct {
 	RequestDelay units.Time
 	Start        FlowStarter
 
-	perm []int // fire's server permutation, reused across queries
+	perm    []int // fire's server permutation, reused across queries
+	until   units.Time
+	arrival func() // the one query-arrival handler, built by Run
+
+	// Requests on their way to the servers: fire parks each in a slot of reqs
+	// and schedules respond with the slot number; respond frees the slot, so
+	// the table stays as large as the most requests ever in flight at once.
+	reqs    []request
+	freeReq []uint32
+	respond sim.ArgHandler
 }
+
+// request is one server's share of a query, between the query firing and
+// the request reaching the server.
+type request struct{ server, client, query int }
 
 // Load returns the incast traffic's offered load as a fraction of aggregate
 // host access capacity.
@@ -112,10 +129,20 @@ func (ic *Incast) Run(until units.Time) {
 	if ic.QPS <= 0 || ic.Scale <= 0 || ic.Hosts < 2 {
 		return
 	}
-	ic.next(until)
+	ic.until = until
+	ic.arrival = func() {
+		ic.fire()
+		ic.next()
+	}
+	ic.respond = func(slot uint64) {
+		r := ic.reqs[slot]
+		ic.freeReq = append(ic.freeReq, uint32(slot))
+		ic.Start(r.server, r.client, ic.FlowSize, true, r.query)
+	}
+	ic.next()
 }
 
-func (ic *Incast) next(until units.Time) {
+func (ic *Incast) next() {
 	var gap units.Time
 	if ic.Periodic {
 		gap = units.Time(float64(units.Second) / ic.QPS)
@@ -126,13 +153,10 @@ func (ic *Incast) next(until units.Time) {
 		gap = expInterval(ic.Eng, ic.QPS)
 	}
 	at := ic.Eng.Now() + gap
-	if at > until {
+	if at > ic.until {
 		return
 	}
-	ic.Eng.At(at, func() {
-		ic.fire()
-		ic.next(until)
-	})
+	ic.Eng.At(at, ic.arrival)
 }
 
 // permInto fills m with the permutation rng.Perm(len(m)) would return,
@@ -167,10 +191,15 @@ func (ic *Incast) fire() {
 		if s == client {
 			continue
 		}
-		server := s
-		ic.Eng.After(ic.RequestDelay, func() {
-			ic.Start(server, client, ic.FlowSize, true, query)
-		})
+		var slot uint32
+		if n := len(ic.freeReq); n > 0 {
+			slot, ic.freeReq = ic.freeReq[n-1], ic.freeReq[:n-1]
+		} else {
+			slot = uint32(len(ic.reqs))
+			ic.reqs = append(ic.reqs, request{})
+		}
+		ic.reqs[slot] = request{server: s, client: client, query: query}
+		ic.Eng.AfterArg(ic.RequestDelay, ic.respond, uint64(slot))
 		picked++
 		if picked == scale {
 			break

@@ -192,23 +192,47 @@ func TestPermIntoMatchesRandPerm(t *testing.T) {
 }
 
 // TestIncastFireDoesNotAllocatePermutation: after the first query sized the
-// buffer, a query's only allocations are its per-server start closures and
-// event frames — nothing proportional to the host count.
+// permutation buffer and the request table, a query allocates nothing
+// proportional to the host count or to its fan-out — requests ride recycled
+// table slots and argument events, not a closure each — and the table stays
+// as large as one query's requests in flight.
 func TestIncastFireDoesNotAllocatePermutation(t *testing.T) {
 	eng := sim.NewEngine(1)
+	const scale = 32
+	started := 0
 	ic := &Incast{
-		Eng: eng, Met: metrics.NewCollector(), Hosts: 1024, Scale: 1, FlowSize: 1000,
-		Start: func(int, int, int64, bool, int) {},
+		Eng: eng, Met: metrics.NewCollector(), Hosts: 1024, QPS: 1, Scale: scale, FlowSize: 1000,
+		RequestDelay: 5 * units.Microsecond,
+		Start: func(src, dst int, _ int64, incast bool, query int) {
+			if !incast || src == dst || query != started/scale {
+				t.Fatalf("response %d: src %d dst %d incast %v query %d", started, src, dst, incast, query)
+			}
+			started++
+		},
 	}
-	ic.fire()
+	ic.Run(0) // builds the handlers; the first arrival falls past the deadline
+	query := func() {
+		ic.fire()
+		eng.Run(eng.Now() + 10*units.Microsecond)
+	}
+	query()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const fires = 200
 	for i := 0; i < fires; i++ {
-		ic.fire()
+		query()
 	}
 	runtime.ReadMemStats(&after)
+	// What is left is the engine growing the calendar bucket the query's
+	// requests land in (three doublings) and the collector's query log.
+	if per := float64(after.Mallocs-before.Mallocs) / fires; per > 4 {
+		t.Fatalf("a query allocates %.1f objects; a closure per request made it %d and more", per, scale)
+	}
 	if per := (after.TotalAlloc - before.TotalAlloc) / fires; per > 2048 {
-		t.Fatalf("fire allocates %d B per query at 1024 hosts; the permutation alone was 8192", per)
+		t.Fatalf("a query allocates %d B at 1024 hosts; the permutation alone was 8192", per)
+	}
+	if started != (fires+1)*scale || len(ic.reqs) != scale {
+		t.Fatalf("%d responses started (want %d), request table holds %d slots (want %d)",
+			started, (fires+1)*scale, len(ic.reqs), scale)
 	}
 }
