@@ -106,16 +106,24 @@ bench-merge:
 	@echo "BENCH.json:" && cat BENCH.json
 
 # The benchmark of record (benchmark/, BENCHMARK.json) end to end on its
-# quickest workload, through the wrapper the gating pipeline uses: builds
-# ./benchmark into .bench_build, makes the set-up and timed children, checks
-# the ledger, the completion floor and the digest's repeatability, and fails
-# unless the result line says so. It measures nothing worth keeping — one
-# second on a shared runner — it only proves the benchmark still builds and
-# runs against the simulator it measures.
+# quickest workload and on its biggest, through the wrapper the gating
+# pipeline uses: builds ./benchmark into .bench_build, makes the set-up and
+# timed children, checks the ledger, the completion floor and the digest's
+# repeatability, and fails unless the result line says so. The timings are
+# worth nothing — one second on a shared runner — it only proves the
+# benchmark still builds and runs against the simulator it measures. Memory
+# is another matter: fattree16_churn's peak RSS repeats to a few MiB, so the
+# 1,024-host run must also stay under 256 MiB (it reads ~160), the first
+# absolute memory bound on the benchmark of record.
 benchmark-smoke:
-	@line=$$(bash benchmark/run.sh --workload leafspine_bulk --seed 1 --seconds 1 --trace 0 | tail -n 1); \
-	  echo "$$line"; \
-	  echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -q '"failed":0[,}]'
+	@for w in leafspine_bulk fattree16_churn; do \
+	  line=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+	  echo "$$w $$line"; \
+	  echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -q '"failed":0[,}]' || exit 1; \
+	done; \
+	rss=$$(echo "$$line" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p'); \
+	echo "fattree16_churn peak_rss_mb $$rss, bound 256"; \
+	[ -n "$$rss" ] && [ "$$rss" -lt 256 ]
 
 # Regenerate every paper table/figure from the CLI.
 exp-small:

@@ -261,7 +261,8 @@ func BenchmarkSweepParallel(b *testing.B) {
 // BenchmarkEngineAllocs pins the engine's event free list: steady-state
 // schedule/cancel/fire cycles reuse recycled event structs, so allocs/op
 // is 0 even with a tombstoned timer reaped per op — for closure events and
-// for argument events, whose per-slot timers share one handler.
+// for argument events, whose per-slot timers and fire-and-forget events share
+// one handler.
 func BenchmarkEngineAllocs(b *testing.B) {
 	eng := sim.NewEngine(1)
 	fn := func() {}
@@ -279,6 +280,7 @@ func BenchmarkEngineAllocs(b *testing.B) {
 		tm.Cancel()
 		atm := eng.AfterArg(50, afn, uint64(i))
 		eng.AfterArg(100, afn, uint64(i))
+		eng.SchedArg(eng.Now()+75, afn, uint64(i))
 		atm.Cancel()
 		eng.Run(eng.Now() + 200)
 	}

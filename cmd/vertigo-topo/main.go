@@ -79,7 +79,7 @@ func summarize(t *topo.Topology) {
 	maxDist := 0
 	for sw := 0; sw < t.NumSwitches; sw++ {
 		for dst := 0; dst < t.NumHosts; dst++ {
-			if n := len(t.FIB[sw][dst]); n > 0 {
+			if n := len(t.FIB.NextHops(sw, dst)); n > 0 {
 				if n < minP {
 					minP = n
 				}
@@ -95,7 +95,7 @@ func summarize(t *topo.Topology) {
 			if dst == h {
 				continue
 			}
-			d := t.Dist[tor][dst]
+			d := t.FIB.Hops(tor, dst)
 			sumDist += d
 			pairs++
 			if d > maxDist {

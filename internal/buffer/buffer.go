@@ -65,6 +65,12 @@ func NewDropTail(capacity units.ByteSize) *DropTailQueue {
 	return &DropTailQueue{cap: capacity}
 }
 
+// Init makes q, wherever its owner keeps it, an empty FIFO with the given
+// byte capacity.
+func (q *DropTailQueue) Init(capacity units.ByteSize) {
+	*q = DropTailQueue{cap: capacity}
+}
+
 // Push appends p if it fits.
 func (q *DropTailQueue) Push(p *packet.Packet) bool {
 	n := p.Size()
@@ -126,16 +132,19 @@ func (q *DropTailQueue) PeekAt(i int) *packet.Packet {
 // compaction scheme DropTailQueue uses, rewinding to the front whenever the
 // queue drains), and the freed slot in front of the head is reused when an
 // insertion lands there.
+//
+// The packet window, its head index and the byte accounting are a
+// DropTailQueue's, embedded: Len, Bytes, Cap, Fits and PeekAt are its
+// methods, Push and Pop are replaced. An owner that keeps its queue header
+// by value (a fabric port) therefore needs room for one SortedQueue and can
+// run either discipline in it — the embedded FIFO alone, or the whole.
 type SortedQueue struct {
-	pkts []*packet.Packet
+	DropTailQueue
 	// ranks mirrors pkts in lockstep: ranks[i] == pkts[i].Rank(). The rank
 	// of a queued packet never changes, and keeping the sort keys in a
 	// contiguous uint32 array lets the binary search and tail comparisons
 	// run over cache lines instead of chasing a packet pointer per probe.
 	ranks []uint32
-	head  int
-	bytes units.ByteSize
-	cap   units.ByteSize
 	// evScratch backs ForceInsert's eviction list, reused across calls so
 	// the overflow path does not allocate per packet.
 	evScratch []*packet.Packet
@@ -154,7 +163,15 @@ type sortedSeedArrays struct {
 
 // NewSorted returns an empty rank-sorted queue with the given byte capacity.
 func NewSorted(capacity units.ByteSize) *SortedQueue {
-	return &SortedQueue{cap: capacity}
+	q := new(SortedQueue)
+	q.Init(capacity)
+	return q
+}
+
+// Init makes q, wherever its owner keeps it, an empty rank-sorted queue with
+// the given byte capacity.
+func (q *SortedQueue) Init(capacity units.ByteSize) {
+	*q = SortedQueue{DropTailQueue: DropTailQueue{cap: capacity}}
 }
 
 // insertionPoint returns the index (into q.pkts, so >= q.head) where a packet
@@ -283,28 +300,6 @@ func (q *SortedQueue) ForceInsert(p *packet.Packet) []*packet.Packet {
 	}
 	q.evScratch = evicted
 	return evicted
-}
-
-// Len returns the queue length in packets.
-func (q *SortedQueue) Len() int { return len(q.pkts) - q.head }
-
-// Bytes returns occupancy in bytes.
-func (q *SortedQueue) Bytes() units.ByteSize { return q.bytes }
-
-// Cap returns the byte capacity.
-func (q *SortedQueue) Cap() units.ByteSize { return q.cap }
-
-// Fits reports whether n more bytes fit.
-func (q *SortedQueue) Fits(n units.ByteSize) bool { return q.bytes+n <= q.cap }
-
-// PeekAt returns the i-th next packet to pop (ascending rank, FIFO among
-// equals) without removing it. Sorted order is pop order, so this is a
-// direct index off the head.
-func (q *SortedQueue) PeekAt(i int) *packet.Packet {
-	if i < 0 || q.head+i >= len(q.pkts) {
-		return nil
-	}
-	return q.pkts[q.head+i]
 }
 
 // MaxRankAt returns the rank of the i-th next packet to pop; it is the

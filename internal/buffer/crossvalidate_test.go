@@ -87,10 +87,20 @@ func TestSortedQueueMatchesPIEO(t *testing.T) {
 
 // TestDropTailDrainRefill is the FIFO's share of the same cycles, against a
 // plain slice: bursts of every size around the compaction threshold, drained
-// fully or partly, must come out in arrival order with exact byte counts.
+// fully or partly, must come out in arrival order with exact byte counts —
+// from a FIFO of its own, and from the one a SortedQueue embeds, initialised
+// in place the way a fabric port runs drop-tail in its queue header.
 func TestDropTailDrainRefill(t *testing.T) {
+	t.Run("own", func(t *testing.T) { dropTailDrainRefill(t, NewDropTail(1<<30)) })
+	t.Run("embedded", func(t *testing.T) {
+		header := NewSorted(1) // whatever it was, Init makes it an empty FIFO
+		header.DropTailQueue.Init(1 << 30)
+		dropTailDrainRefill(t, &header.DropTailQueue)
+	})
+}
+
+func dropTailDrainRefill(t *testing.T, q *DropTailQueue) {
 	rng := rand.New(rand.NewSource(1))
-	q := NewDropTail(1 << 30)
 	var ref []*packet.Packet
 	for cycle := 0; cycle < 400; cycle++ {
 		for n := rng.Intn(200); n > 0; n-- {

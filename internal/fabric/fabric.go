@@ -169,10 +169,17 @@ type Network struct {
 	Cfg  Config
 
 	switches []*Switch
-	hostNIC  []*Port      // host egress toward its ToR
-	hostRecv []Receiver   // host ingress handlers
-	obs      Observer     // optional telemetry observer
-	pool     *packet.Pool // per-simulation packet free list
+	// ports is every egress port of the network in one slab: each switch's
+	// ports in switch order (Switch.ports is its window), then the host NICs
+	// (nics). A port's index here is what its events carry, through the two
+	// handlers below, in place of two closures a port.
+	ports    []Port
+	nics     []Port         // host egress toward its ToR, by host ID
+	txFn     sim.ArgHandler // transmit event of ports[arg]
+	arrFn    sim.ArgHandler // arrival event of ports[arg]
+	hostRecv []Receiver     // host ingress handlers
+	obs      Observer       // optional telemetry observer
+	pool     *packet.Pool   // per-simulation packet free list
 
 	// Shared arena for burst-grown in-flight FIFOs: a port whose wire
 	// drains empty returns an oversized backing array here instead of pinning
@@ -184,7 +191,7 @@ type Network struct {
 	// below): the FIB consulted by every switch (initially Topo.FIB, swapped
 	// by control-plane healing), per-switch health, and per-link carrier-loss
 	// bookkeeping for time-to-recover accounting.
-	fib           [][][]int
+	fib           *topo.FIB
 	swDown        []bool
 	linkDownSince []units.Time // -1 while a link is up
 
@@ -237,13 +244,8 @@ func (n *Network) trainsOK() bool {
 // conditions plans were built under (observer attachment, fault injection).
 func (n *Network) settleAll() {
 	now := n.Eng.Now()
-	for _, s := range n.switches {
-		for _, pt := range s.ports {
-			pt.sync(now)
-			pt.invalidate()
-		}
-	}
-	for _, pt := range n.hostNIC {
+	for i := range n.ports {
+		pt := &n.ports[i]
 		pt.sync(now)
 		pt.invalidate()
 	}
@@ -337,63 +339,60 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 		n.linkDownSince[i] = -1
 	}
 	eng.OnPublish(n.publishObs)
+	n.txFn = func(i uint64) { n.ports[i].transmit() }
+	n.arrFn = func(i uint64) { n.ports[i].arrive() }
 
+	// One slab for every port: a k=32 fat-tree has ~41k switch ports, and
+	// per-port (or per-switch) allocations both fragment the heap and scatter
+	// the hot per-port wire state. Port's size is a multiple of 64 and the
+	// allocator hands out arrays of such sizes 64-byte aligned, so no port
+	// straddles a cache line it does not own.
 	n.switches = make([]*Switch, t.NumSwitches)
-	for sw := 0; sw < t.NumSwitches; sw++ {
-		n.switches[sw] = newSwitch(n, sw)
+	nSwitchPorts := 0
+	for sw := range n.switches {
+		n.switches[sw] = &Switch{net: n, id: sw, drillMem: flowtab.New[int32](8)}
+		nSwitchPorts += t.Ports(sw)
 	}
-	// Wire switch port delivery functions.
-	for sw := 0; sw < t.NumSwitches; sw++ {
-		s := n.switches[sw]
-		for p := range s.ports {
-			peer := t.PortPeer[sw][p]
-			link := t.Links[t.PortLink[sw][p]]
-			port := s.ports[p]
-			port.rate = link.Rate
-			port.rate0 = link.Rate
-			port.delay = link.Delay
-			if peer.Host {
-				h := peer.Node
-				port.deliver = func(pkt *packet.Packet) { n.deliverToHost(h, pkt) }
-			} else {
-				dst := n.switches[peer.Node]
-				port.deliver = dst.Receive
-			}
-		}
-	}
-	// Host NICs: effectively unbounded egress FIFO; transports self-limit.
-	// One slab for all NIC ports, same as switch ports.
-	nicSlab := make([]Port, t.NumHosts)
-	n.hostNIC = make([]*Port, t.NumHosts)
-	for h := 0; h < t.NumHosts; h++ {
-		link := t.Links[t.HostLink[h]]
-		tor := n.switches[t.HostToR[h]]
-		pt := &nicSlab[h]
-		*pt = Port{
-			net:     n,
-			sw:      -1,
-			idx:     h,
-			q:       buffer.NewDropTail(1 << 30),
-			rate:    link.Rate,
-			rate0:   link.Rate,
-			delay:   link.Delay,
-			deliver: tor.Receive,
-		}
-		n.hostNIC[h] = pt
-		pt.initTx()
-	}
+	n.ports = make([]Port, nSwitchPorts+t.NumHosts)
+	n.nics = n.ports[nSwitchPorts:]
 	// Seed each port's private positional jitter stream from the engine seed
 	// and the port's identity. Per-port streams are what let train planning
 	// batch jitter draws without perturbing any other consumer of randomness:
 	// the k-th draw of a port is pinned by (seed, port, k) alone.
 	seed := xrand.Mix(uint64(eng.Seed()))
-	for _, s := range n.switches {
-		for _, pt := range s.ports {
-			pt.rng = xrand.New(seed ^ xrand.Mix(portIdent(pt.sw, pt.idx)))
+	slot := 0
+	add := func(sw, idx int, link topo.Link, sorted bool, capacity units.ByteSize) *Port {
+		pt := &n.ports[slot]
+		pt.net, pt.slot, pt.sw, pt.idx = n, uint32(slot), sw, idx
+		slot++
+		if sorted {
+			pt.qs.Init(capacity)
+			pt.q, pt.sorted = &pt.qs, &pt.qs
+		} else {
+			pt.qs.DropTailQueue.Init(capacity)
+			pt.q = &pt.qs.DropTailQueue
+		}
+		pt.rate, pt.rate0, pt.delay = link.Rate, link.Rate, link.Delay
+		pt.rng = xrand.New(seed ^ xrand.Mix(portIdent(sw, idx)))
+		return pt
+	}
+	sorted := cfg.Policy == Vertigo && cfg.Scheduling
+	for sw, s := range n.switches {
+		end := slot + t.Ports(sw)
+		s.ports = n.ports[slot:end:end]
+		for p, peer := range t.PortPeer[sw] {
+			pt := add(sw, p, t.Links[t.PortLink[sw][p]], sorted, cfg.BufferBytes)
+			pt.peerID = int32(peer.Node)
+			if !peer.Host {
+				pt.peer = n.switches[peer.Node]
+			}
 		}
 	}
-	for _, pt := range n.hostNIC {
-		pt.rng = xrand.New(seed ^ xrand.Mix(portIdent(pt.sw, pt.idx)))
+	// Host NICs: effectively unbounded egress FIFO; transports self-limit.
+	for h := 0; h < t.NumHosts; h++ {
+		pt := add(-1, h, t.Links[t.HostLink[h]], false, 1<<30)
+		pt.peerID = int32(t.HostToR[h])
+		pt.peer = n.switches[pt.peerID]
 	}
 	return n
 }
@@ -409,7 +408,7 @@ func (n *Network) RegisterHost(h int, r Receiver) { n.hostRecv[h] = r }
 
 // Send injects a packet from its source host's NIC.
 func (n *Network) Send(p *packet.Packet) {
-	nic := n.hostNIC[p.Src]
+	nic := &n.nics[p.Src]
 	nic.sync(n.Eng.Now())
 	nic.q.Push(p)
 	n.queueDepth.Observe(int64(nic.q.Bytes()))
@@ -600,7 +599,7 @@ func (n *Network) SetLinkRateFactor(li int, factor float64) {
 // its convergence delay and installs it here, restoring reachability that
 // pure dataplane reactions could only approximate. Must run on the simulator
 // thread (schedule via the engine).
-func (n *Network) InstallFIB(fib [][][]int) {
+func (n *Network) InstallFIB(fib *topo.FIB) {
 	n.fib = fib
 	if n.ownsControl() {
 		n.Met.FIBInstalls++
@@ -633,9 +632,9 @@ func (n *Network) linkPorts(li int) [2]*Port {
 	l := n.Topo.Links[li]
 	get := func(e topo.Endpoint) *Port {
 		if e.Host {
-			return n.hostNIC[e.Node]
+			return &n.nics[e.Node]
 		}
-		return n.switches[e.Node].ports[e.Port]
+		return &n.switches[e.Node].ports[e.Port]
 	}
 	return [2]*Port{get(l.A), get(l.B)}
 }
@@ -702,32 +701,34 @@ func (n *Network) drop(sw, port int, p *packet.Packet, reason metrics.DropReason
 // bit-identical to TrainLen=0 while a saturated port pays one transmit
 // event per train instead of per packet.
 type Port struct {
-	net     *Network
-	sw, idx int // switch ID and port index (-1/hostID for host NICs)
-	q       buffer.Queue
-	sorted  *buffer.SortedQueue // q, when rank-sorted (nil for drop-tail)
-	rate    units.BitRate       // current rate (degraded during brownouts)
-	rate0   units.BitRate       // configured rate, restored by factor-1 transitions
-	delay   units.Time
-	down    bool    // link failed: no carrier
-	wasDown bool    // carrier was lost and later restored at least once
-	ber     float64 // bit-error corruption probability per transmitted packet
-	deliver func(*packet.Packet)
+	// The first four cache lines hold what the per-packet paths read — an
+	// arrival, a policy's occupancy probe, sync with no plan pending, enqueue
+	// and sendOne — so a hop touches the head of one slab element and nothing
+	// behind a pointer but the queue's own arrays.
+	net *Network
+	// q is the port's queue, and sorted the same queue when it is rank-sorted
+	// (nil for drop-tail). Both point into qs, the queue's header kept by
+	// value: all of it, or just the FIFO a SortedQueue embeds.
+	q      buffer.Queue
+	sorted *buffer.SortedQueue
+	qs     buffer.SortedQueue
 
-	// Cross-domain egress (sharded runs only): the peer switch lives in
-	// another domain, so committed packets are emitted to the coordinator
-	// instead of riding the local wire, and trains stand down (commit-time
-	// emission must happen per packet). berRNG is the positional bit-error
-	// stream substituting for the engine's global one.
-	xdom   bool
-	xdst   int32 // destination domain
-	xpeer  int32 // peer switch ID in that domain
-	berRNG xrand.Source
+	// Segments planHead..planN-1 of the train plan (see planStart) are
+	// uncommitted and still occupy the queue. planMaxRank is the largest
+	// planned rank (sorted queues), the planning-time bound deciding whether
+	// an insertion preempts the plan.
+	planHead    int
+	planN       int
+	planMaxRank uint32
 
-	// rng is the port's private jitter stream. Draw k is a pure function of
-	// (engine seed, port identity, k), so planning a train draws the same
-	// values per packet as popping one packet at a time would.
-	rng xrand.Source
+	slot uint32 // index in net.ports: the argument of this port's events
+
+	down     bool // link failed: no carrier
+	wasDown  bool // carrier was lost and later restored at least once
+	txArmed  bool // a transmit event is pending at txAt, see busyUntil
+	arrArmed bool // an arrival event is pending at arrAt, see inflight
+	vposSet  bool // vposAt/vposCtx override the caller's virtual position
+	xdom     bool // the peer switch lives in another domain, see xdst
 
 	// Wire state. busyUntil is when the last scheduled serialization ends;
 	// the port is idle iff now >= busyUntil. txArmed records whether a
@@ -738,7 +739,19 @@ type Port struct {
 	// firing when !txArmed or at a time other than txAt.
 	busyUntil units.Time
 	txAt      units.Time
-	txArmed   bool
+
+	// In-flight (committed) packets riding the link, delivered strictly
+	// FIFO by one self-rescheduling arrival event, to the far end: switch
+	// peer, or host peerID when peer is nil.
+	arrAt    units.Time
+	inflight []wireSeg
+	infHead  int
+	peer     *Switch
+
+	rate  units.BitRate // current rate (degraded during brownouts)
+	delay units.Time
+	ber   float64 // bit-error corruption probability per transmitted packet
+
 	// txSched is the instant the pending transmit event was armed: a
 	// superseded event also fails this check, so re-arming for the same
 	// txAt cannot resurrect an abandoned firing. contSched is the VIRTUAL
@@ -756,23 +769,6 @@ type Port struct {
 	contSched units.Time
 	contCtx   units.Time
 
-	// Train plan, struct-of-arrays: segment i of the plan serializes over
-	// [planStart[i], planEnd[i]) with jitter planJit[i] folded in. The three
-	// are thirds of one allocation, as long as the longest plan the port has
-	// made so far (see plan). Segments planHead..planN-1 are uncommitted and
-	// still occupy the queue.
-	// planMaxRank is the largest planned rank (sorted queues), the
-	// planning-time bound deciding whether an insertion preempts the plan.
-	// planTarget adapts the train length: it grows toward Cfg.TrainLen on
-	// cleanly completed plans and halves on invalidation, so ports whose
-	// plans keep getting preempted stop paying for long ones.
-	planStart   []units.Time
-	planEnd     []units.Time
-	planJit     []units.Time
-	planHead    int
-	planN       int
-	planMaxRank uint32
-	planTarget  int
 	// headSched/headCtx track the virtual schedule position — (schedule
 	// time, scheduler's schedule time) — the per-packet engine would have
 	// given the pending head segment's pop event. Each commit advances them
@@ -790,23 +786,42 @@ type Port struct {
 	// real schedule position.
 	vposAt  units.Time
 	vposCtx units.Time
-	vposSet bool
 
+	// rng is the port's private jitter stream. Draw k is a pure function of
+	// (engine seed, port identity, k), so planning a train draws the same
+	// values per packet as popping one packet at a time would.
 	// drawBuf holds jitter values reclaimed from invalidated plan tails, in
 	// draw order; drawJitter consumes it before touching rng so the k-th
 	// committed pop always carries the k-th drawn value.
-	drawBuf  []units.Time
 	drawHead int
+	rng      xrand.Source
+	drawBuf  []units.Time
 
-	// In-flight (committed) packets riding the link, delivered strictly
-	// FIFO by one self-rescheduling arrival event.
-	inflight []wireSeg
-	infHead  int
-	arrAt    units.Time
-	arrArmed bool
+	// Train plan, struct-of-arrays: segment i of the plan serializes over
+	// [planStart[i], planEnd[i]) with jitter planJit[i] folded in. The three
+	// are thirds of one allocation, as long as the longest plan the port has
+	// made so far (see plan).
+	// planTarget adapts the train length: it grows toward Cfg.TrainLen on
+	// cleanly completed plans and halves on invalidation, so ports whose
+	// plans keep getting preempted stop paying for long ones.
+	planStart  []units.Time
+	planEnd    []units.Time
+	planJit    []units.Time
+	planTarget int
 
-	txFire  func() // train end / continuation: settle the plan, send more
-	arrFire func() // deliver the due in-flight packet to the peer
+	sw, idx int           // switch ID and port index (-1/hostID for host NICs)
+	rate0   units.BitRate // configured rate, restored by factor-1 transitions
+
+	// Cross-domain egress (sharded runs only): the peer switch lives in
+	// another domain, so committed packets are emitted to the coordinator
+	// instead of riding the local wire, and trains stand down (commit-time
+	// emission must happen per packet). berRNG is the positional bit-error
+	// stream substituting for the engine's global one.
+	berRNG xrand.Source
+	peerID int32 // far end: a switch ID, or a host ID when peer is nil
+	xdst   int32 // destination domain
+
+	_ [48]byte // to a multiple of the cache line, see Network.ports
 }
 
 // wireSeg is one in-flight packet and its exact wire arrival time.
@@ -815,63 +830,74 @@ type wireSeg struct {
 	at units.Time
 }
 
-// initTx builds the port's two shared event callbacks. Neither is ever
-// cancelled: superseded armings are recognized by flag/time mismatch and
-// fall through, so no Timer handles are needed and a saturated port rides
-// one chained frame per direction.
-func (pt *Port) initTx() {
-	pt.txFire = func() {
-		eng := pt.net.Eng
-		now := eng.Now()
-		if !pt.txArmed || now != pt.txAt || eng.CurSchedAt() != pt.txSched {
-			return // superseded or early-fired; a live arming has its own event
-		}
-		if cs, cc := eng.CurSchedAt(), eng.CurSchedCtx(); cs < pt.contSched ||
-			(cs == pt.contSched && cc < pt.contCtx) {
-			// Armed earlier than per-packet mode would have scheduled this
-			// pop (a train end is armed at plan time, not at the last
-			// segment's start): same-instant events scheduled before
-			// (contSched, contCtx) must fire first. Requeue behind them; any
-			// later-sequenced event touching the port meanwhile pops via
-			// sync's early-fire hook instead.
-			pt.txSched = now
-			eng.Sched(now, pt.txFire)
-			return
-		}
-		pt.txArmed = false
-		vs, vc := pt.contSched, pt.contCtx
-		pt.sync(now)
-		pt.vposAt, pt.vposCtx, pt.vposSet = vs, vc, true
-		pt.maybeSend()
+// schedTransmit arms the port's transmit event at t. Neither of a port's two
+// events is ever cancelled: superseded armings are recognized by flag/time
+// mismatch and fall through, so no Timer handles are needed and a saturated
+// port rides one chained frame per direction.
+func (pt *Port) schedTransmit(t units.Time) {
+	pt.net.Eng.SchedArg(t, pt.net.txFn, uint64(pt.slot))
+}
+
+// transmit is the port's transmit event — a train's end, or a continuation:
+// settle the plan, send more.
+func (pt *Port) transmit() {
+	eng := pt.net.Eng
+	now := eng.Now()
+	if !pt.txArmed || now != pt.txAt || eng.CurSchedAt() != pt.txSched {
+		return // superseded or early-fired; a live arming has its own event
 	}
-	pt.arrFire = func() {
-		now := pt.net.Eng.Now()
-		if !pt.arrArmed || now != pt.arrAt {
-			return
-		}
-		// Commit any segment that started serializing before now; the due
-		// arrival is always committed by its own firing (its start precedes
-		// its arrival by at least the propagation delay).
-		pt.sync(now)
-		pt.arrArmed = false
-		if pt.infHead >= len(pt.inflight) || pt.inflight[pt.infHead].at != now {
-			pt.rearmArrive() // arming referred to a since-invalidated segment
-			return
-		}
-		p := pt.inflight[pt.infHead].p
-		pt.inflight[pt.infHead].p = nil
-		pt.infHead++
-		// Reclaim the consumed prefix so a continuously busy link cannot
-		// grow the slice without bound (only a handful of packets fit in
-		// one propagation delay, so the copy is tiny).
-		if pt.infHead == len(pt.inflight) {
-			pt.releaseInflight()
-		} else if pt.infHead > 32 && pt.infHead*2 >= len(pt.inflight) {
-			pt.inflight = append(pt.inflight[:0], pt.inflight[pt.infHead:]...)
-			pt.infHead = 0
-		}
-		pt.rearmArrive()
-		pt.deliver(p)
+	if cs, cc := eng.CurSchedAt(), eng.CurSchedCtx(); cs < pt.contSched ||
+		(cs == pt.contSched && cc < pt.contCtx) {
+		// Armed earlier than per-packet mode would have scheduled this
+		// pop (a train end is armed at plan time, not at the last
+		// segment's start): same-instant events scheduled before
+		// (contSched, contCtx) must fire first. Requeue behind them; any
+		// later-sequenced event touching the port meanwhile pops via
+		// sync's early-fire hook instead.
+		pt.txSched = now
+		pt.schedTransmit(now)
+		return
+	}
+	pt.txArmed = false
+	vs, vc := pt.contSched, pt.contCtx
+	pt.sync(now)
+	pt.vposAt, pt.vposCtx, pt.vposSet = vs, vc, true
+	pt.maybeSend()
+}
+
+// arrive is the port's arrival event: deliver the due in-flight packet to
+// the far end.
+func (pt *Port) arrive() {
+	now := pt.net.Eng.Now()
+	if !pt.arrArmed || now != pt.arrAt {
+		return
+	}
+	// Commit any segment that started serializing before now; the due
+	// arrival is always committed by its own firing (its start precedes
+	// its arrival by at least the propagation delay).
+	pt.sync(now)
+	pt.arrArmed = false
+	if pt.infHead >= len(pt.inflight) || pt.inflight[pt.infHead].at != now {
+		pt.rearmArrive() // arming referred to a since-invalidated segment
+		return
+	}
+	p := pt.inflight[pt.infHead].p
+	pt.inflight[pt.infHead].p = nil
+	pt.infHead++
+	// Reclaim the consumed prefix so a continuously busy link cannot
+	// grow the slice without bound (only a handful of packets fit in
+	// one propagation delay, so the copy is tiny).
+	if pt.infHead == len(pt.inflight) {
+		pt.releaseInflight()
+	} else if pt.infHead > 32 && pt.infHead*2 >= len(pt.inflight) {
+		pt.inflight = append(pt.inflight[:0], pt.inflight[pt.infHead:]...)
+		pt.infHead = 0
+	}
+	pt.rearmArrive()
+	if pt.peer != nil {
+		pt.peer.Receive(p)
+	} else {
+		pt.net.deliverToHost(int(pt.peerID), p)
 	}
 }
 
@@ -1036,7 +1062,7 @@ func (pt *Port) invalidate() {
 	pt.txArmed = true
 	pt.txAt = pt.busyUntil
 	pt.txSched = pt.net.Eng.Now()
-	pt.net.Eng.Sched(pt.txAt, pt.txFire)
+	pt.schedTransmit(pt.txAt)
 	if pt.planTarget > 2 {
 		pt.planTarget >>= 1
 	}
@@ -1103,7 +1129,7 @@ func (pt *Port) rearmArrive() {
 	}
 	pt.arrArmed = true
 	pt.arrAt = at
-	pt.net.Eng.Sched(at, pt.arrFire)
+	pt.net.Eng.SchedArg(at, pt.net.arrFn, uint64(pt.slot))
 }
 
 // maybeSend puts the wire to work. Callers must have settled the port to
@@ -1156,7 +1182,7 @@ func (pt *Port) maybeSend() {
 			// event ever existed and this event's own sequencing is exact.
 			pt.contSched = now
 			pt.contCtx = vs
-			pt.net.Eng.Sched(pt.txAt, pt.txFire)
+			pt.schedTransmit(pt.txAt)
 		}
 		return
 	}
@@ -1238,7 +1264,7 @@ func (pt *Port) plan(now, vs, vc units.Time) {
 	pt.headSched = vs
 	pt.headCtx = vc
 	pt.commitHead()
-	pt.net.Eng.Sched(t, pt.txFire)
+	pt.schedTransmit(t)
 	pt.rearmArrive()
 	pt.net.trainsPlanned++
 	pt.net.trainSegs += uint64(n)
@@ -1267,14 +1293,13 @@ func (pt *Port) sendOne(now, vs units.Time) {
 	}
 	end := now + tx
 	pt.busyUntil = end
-	eng := pt.net.Eng
 	if pt.q.Len() > 0 {
 		pt.txAt = end
 		pt.txArmed = true
 		pt.txSched = now
 		pt.contSched = now
 		pt.contCtx = vs
-		eng.Sched(end, pt.txFire)
+		pt.schedTransmit(end)
 	} else {
 		// Lazy-busy: nothing left to send at end-of-serialization, so no
 		// event; an enqueue landing before then arms the continuation.
@@ -1294,7 +1319,7 @@ func (pt *Port) sendOne(now, vs units.Time) {
 type Switch struct {
 	net   *Network
 	id    int
-	ports []*Port
+	ports []Port // the switch's window of net.ports
 
 	// DRILL memory: per candidate-group, the least-loaded port last seen.
 	// A flowtab keeps the per-packet lookup off Go's map runtime; there are
@@ -1314,36 +1339,11 @@ type Switch struct {
 	rng xrand.Source
 }
 
-func newSwitch(n *Network, id int) *Switch {
-	s := &Switch{net: n, id: id, drillMem: flowtab.New[int32](8)}
-	nports := n.Topo.Ports(id)
-	// One contiguous slab for the switch's ports: a k=32 fat-tree has ~41k
-	// ports, and per-port allocations both fragment the heap and scatter the
-	// hot per-port wire state.
-	slab := make([]Port, nports)
-	s.ports = make([]*Port, nports)
-	for p := 0; p < nports; p++ {
-		var q buffer.Queue
-		var sq *buffer.SortedQueue
-		if n.Cfg.Policy == Vertigo && n.Cfg.Scheduling {
-			sq = buffer.NewSorted(n.Cfg.BufferBytes)
-			q = sq
-		} else {
-			q = buffer.NewDropTail(n.Cfg.BufferBytes)
-		}
-		pt := &slab[p]
-		pt.net, pt.sw, pt.idx, pt.q, pt.sorted = n, id, p, q, sq
-		s.ports[p] = pt
-		pt.initTx()
-	}
-	return s
-}
-
 // ID returns the switch's topology ID.
 func (s *Switch) ID() int { return s.id }
 
 // Port returns the egress port with the given index.
-func (s *Switch) Port(i int) *Port { return s.ports[i] }
+func (s *Switch) Port(i int) *Port { return &s.ports[i] }
 
 // Receive processes an arriving packet: TTL check, route, enqueue. A failed
 // switch discards everything that was already on the wire toward it.
@@ -1373,7 +1373,7 @@ func (s *Switch) Receive(p *packet.Packet) {
 // whose link is down behaves like a full queue, so deflection-capable
 // policies route around failures in place.
 func (s *Switch) enqueue(i int, p *packet.Packet) bool {
-	port := s.ports[i]
+	port := &s.ports[i]
 	if port.down {
 		return false
 	}
@@ -1407,5 +1407,5 @@ func (s *Switch) markECN(port *Port, p *packet.Packet) {
 // candidates returns the live FIB next-hop ports for p's destination (the
 // network's installed table, which control-plane healing may have swapped).
 func (s *Switch) candidates(p *packet.Packet) []int {
-	return s.net.fib[s.id][p.Dst]
+	return s.net.fib.NextHops(s.id, p.Dst)
 }

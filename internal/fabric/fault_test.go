@@ -272,3 +272,72 @@ func TestInstallFIBRoutesAroundFailure(t *testing.T) {
 		t.Fatal("healed ECMP fabric should not deflect")
 	}
 }
+
+// TestInstallFIBRoundTripDRILL heals around a dead uplink and back under
+// DRILL, whose per-group memory is keyed by candidate identity (drillKey):
+// the healed table routes every packet over the surviving uplink, and
+// reinstalling the pristine table brings back the very candidate lists the
+// run started with — same backing array, same key — and both uplinks.
+func TestInstallFIBRoundTripDRILL(t *testing.T) {
+	eng, net, met, got := testNet(t, DefaultConfig(DRILL))
+	var ids packet.IDGen
+	burst := func(n int) {
+		before := len(got[2])
+		for i := 0; i < n; i++ {
+			net.Send(dataPkt(&ids, 0, 2, uint64(i), 100))
+		}
+		eng.Run(eng.Now() + units.Millisecond)
+		if d := len(got[2]) - before; d != n {
+			t.Fatalf("delivered %d of %d", d, n)
+		}
+	}
+	leaf0 := net.Switch(0)
+	pristine := leaf0.candidates(&packet.Packet{Dst: 2})
+	if len(pristine) != 2 {
+		t.Fatalf("leaf 0 has %d uplink candidates toward leaf 1, want 2", len(pristine))
+	}
+	key := drillKey(pristine)
+	burst(40)
+	if leaf0.drillMem.Get(key) == nil {
+		t.Fatal("DRILL remembered nothing for the uplink group")
+	}
+
+	// Link 4 is leaf 0's uplink to spine 0 (port pristine[0]).
+	const dead = 4
+	net.SetLinkState(dead, false)
+	net.InstallFIB(net.Topo.FIBExcluding(func(li int) bool { return li == dead }))
+	healed := leaf0.candidates(&packet.Packet{Dst: 2})
+	if len(healed) != 1 || healed[0] != pristine[1] {
+		t.Fatalf("healed candidates %v, want only %d", healed, pristine[1])
+	}
+	drops := met.Drops[metrics.DropLinkDown] + met.Drops[metrics.DropOverflow]
+	burst(40)
+	if d := met.Drops[metrics.DropLinkDown] + met.Drops[metrics.DropOverflow] - drops; d != 0 {
+		t.Fatalf("%d packets lost on the healed table", d)
+	}
+
+	net.SetLinkState(dead, true)
+	net.InstallFIB(net.Topo.FIB)
+	back := leaf0.candidates(&packet.Packet{Dst: 2})
+	if len(back) != 2 || &back[0] != &pristine[0] || drillKey(back) != key {
+		t.Fatalf("pristine table reinstalled: candidates %v (key %x), want the original %v (key %x)",
+			back, drillKey(back), pristine, key)
+	}
+	// The memory DRILL kept across the heal names a port of the group it is
+	// filed under, so the first packets after the round trip can use it.
+	if mem := leaf0.drillMem.Get(key); mem == nil || (int(*mem) != pristine[0] && int(*mem) != pristine[1]) {
+		t.Fatal("DRILL memory for the uplink group lost or foreign after the round trip")
+	}
+	burst(40)
+	for _, i := range pristine {
+		if leaf0.Port(i).wasDown != (i == pristine[0]) {
+			t.Fatalf("uplink %d: wasDown=%v", i, leaf0.Port(i).wasDown)
+		}
+	}
+	if met.PostRecoveryTx == 0 {
+		t.Fatal("no packet used the recovered uplink after the pristine table went back in")
+	}
+	if met.FIBInstalls != 2 {
+		t.Fatalf("FIBInstalls = %d, want 2", met.FIBInstalls)
+	}
+}

@@ -66,8 +66,16 @@ func (s *Switch) routeDRILL(p *packet.Packet) {
 	}
 }
 
-// drillKey identifies a candidate group. FIB candidate slices are shared per
-// destination-group, so the first element plus length is a stable identity.
+// drillKey identifies a candidate group by its first port and its length.
+// The lists are topo.FIB's (Network.fib): every destination of one column —
+// the hosts behind one ToR — gets the identical list at a switch, its ports
+// that step one hop closer, in ascending order. On the pristine table of a
+// leaf-spine or fat-tree a switch has one multi-port list per direction (all
+// uplinks), so first port and length name the group; a healed table may hand
+// a switch two equally long lists that start alike, which then share a slot.
+// The key holds values, not addresses, so memory survives InstallFIB: a
+// healed table's lists are other arrays, the pristine table's come back as
+// they were.
 func drillKey(cands []int) uint64 {
 	return uint64(cands[0])<<32 | uint64(len(cands))
 }
@@ -153,7 +161,7 @@ func (s *Switch) routeVertigo(p *packet.Packet) {
 		// keeping the smallest-RFS packets and dropping the largest.
 		if sq := s.ports[i].sorted; sq != nil && !s.ports[i].down {
 			s.ports[i].settle()
-			s.markECN(s.ports[i], p)
+			s.markECN(&s.ports[i], p)
 			for _, ev := range sq.ForceInsert(p) {
 				s.net.drop(s.id, i, ev, metrics.DropOverflow)
 			}
@@ -178,7 +186,7 @@ func (s *Switch) overflowVictims(i int, p *packet.Packet) []*packet.Packet {
 		// ForceInsert inserts by rank and evicts from the tail — possibly
 		// planned segments — so the plan cannot survive it.
 		s.ports[i].settle()
-		s.markECN(s.ports[i], p)
+		s.markECN(&s.ports[i], p)
 		victims := sq.ForceInsert(p)
 		s.ports[i].maybeSend()
 		return victims
@@ -229,12 +237,32 @@ func (s *Switch) deflectVertigo(victim *packet.Packet, origin int) {
 // pickPowerOfN samples n (distinct where possible) ports from cands and
 // returns the one with the lowest queue occupancy. n=1 is a uniform random
 // pick; ties keep the first sample, matching hardware comparator behaviour.
+// The samples are the first n steps of a Fisher-Yates shuffle of cands, each
+// probed as it is drawn: a probe settles the port, which may send, draw and
+// be observed by the next.
 func (s *Switch) pickPowerOfN(cands []int, n int) int {
 	if len(cands) == 1 {
 		return cands[0]
 	}
 	if n <= 1 {
 		return cands[s.intn(len(cands))]
+	}
+	if n == 2 {
+		// The paper's default, once per routed packet: two steps of the
+		// shuffle need no copy to swap in. Step one swapped cands[0] into
+		// slot j0, so that is what step two finds there.
+		j0 := s.intn(len(cands))
+		a := cands[j0]
+		aBytes := s.ports[a].occBytes()
+		j1 := 1 + s.intn(len(cands)-1)
+		b := cands[j1]
+		if j1 == j0 {
+			b = cands[0]
+		}
+		if s.ports[b].occBytes() < aBytes {
+			return b
+		}
+		return a
 	}
 	if n > len(cands) {
 		n = len(cands)

@@ -1,0 +1,185 @@
+package fabric
+
+import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"vertigo/internal/metrics"
+	"vertigo/internal/packet"
+	"vertigo/internal/sim"
+	"vertigo/internal/topo"
+	"vertigo/internal/units"
+)
+
+// TestPortLayout pins the port slab's geometry: a port is a whole number of
+// cache lines, the slab starts on one, every switch's ports and the NICs are
+// windows of it in index order, and what the per-packet paths read — an
+// arrival, an occupancy probe, sync with no plan pending, enqueue, sendOne —
+// sits in the first four lines, the queue header included.
+func TestPortLayout(t *testing.T) {
+	var p Port
+	if n := unsafe.Sizeof(p); n%64 != 0 {
+		t.Errorf("Port is %d bytes, not a multiple of 64", n)
+	}
+	typ := reflect.TypeOf(p)
+	for _, name := range []string{
+		"net", "q", "sorted", "qs", "planHead", "planN", "planMaxRank", "slot",
+		"down", "wasDown", "txArmed", "arrArmed", "vposSet", "xdom",
+		"busyUntil", "txAt", "arrAt", "inflight", "infHead", "peer",
+		"rate", "delay", "ber", "txSched",
+	} {
+		f, ok := typ.FieldByName(name)
+		if !ok {
+			t.Fatalf("Port has no field %s", name)
+		}
+		if end := f.Offset + f.Type.Size(); end > 256 {
+			t.Errorf("hot field %s ends at byte %d, past the fourth cache line", name, end)
+		}
+	}
+
+	_, net, _, _ := fatTreeNet(t, DefaultConfig(Vertigo))
+	if a := uintptr(unsafe.Pointer(&net.ports[0])); a%64 != 0 {
+		t.Errorf("port slab starts at %#x, not on a cache line", a)
+	}
+	slot := 0
+	for sw := 0; sw < net.Topo.NumSwitches; sw++ {
+		for i := 0; i < net.Topo.Ports(sw); i++ {
+			if pt := net.Switch(sw).Port(i); pt != &net.ports[slot] || int(pt.slot) != slot {
+				t.Fatalf("switch %d port %d is not slab element %d", sw, i, slot)
+			}
+			slot++
+		}
+	}
+	for h := range net.nics {
+		if pt := &net.nics[h]; pt != &net.ports[slot] || int(pt.slot) != slot {
+			t.Fatalf("host %d's NIC is not slab element %d", h, slot)
+		}
+		slot++
+	}
+	if slot != len(net.ports) {
+		t.Fatalf("slab holds %d ports, switches and NICs account for %d", len(net.ports), slot)
+	}
+}
+
+// TestPortsCostNoObjects: building a network allocates nothing per port — no
+// queue object, no event closures, no delivery closure; the slab is one
+// allocation whatever its length — and a first packet through a fresh port
+// allocates only the arrays it fills: the queue's and the in-flight FIFO's.
+func TestPortsCostNoObjects(t *testing.T) {
+	build := func(hostsPerLeaf int) (*topo.Topology, float64) {
+		tp, err := topo.NewLeafSpine(topo.LeafSpineConfig{
+			Spines: 2, Leaves: 2, HostsPerLeaf: hostsPerLeaf,
+			HostRate: 10 * units.Gbps, FabricRate: 40 * units.Gbps,
+			LinkDelay: 500 * units.Nanosecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, met := sim.NewEngine(1), metrics.NewCollector()
+		return tp, testing.AllocsPerRun(5, func() { New(eng, tp, met, DefaultConfig(Vertigo)) })
+	}
+	_, few := build(2)
+	tp, many := build(16)
+	if few != many {
+		t.Errorf("New allocates %.0f objects with 12 ports and %.0f with 68: something is allocated per port", few, many)
+	}
+
+	eng := sim.NewEngine(1)
+	net := New(eng, tp, metrics.NewCollector(), DefaultConfig(Vertigo))
+	delivered := 0
+	for h := 0; h < tp.NumHosts; h++ {
+		net.RegisterHost(h, recvFunc(func(p *packet.Packet) { delivered++; net.Pool().Put(p) }))
+	}
+	var ids packet.IDGen
+	send := func(src, dst int) {
+		p := net.Pool().Get()
+		*p = *dataPkt(&ids, src, dst, uint64(src), 1000)
+		net.Send(p)
+		eng.Run(eng.Now() + 100*units.Microsecond)
+	}
+	// Warm the packet pool, the event frames and every port between host 0
+	// and leaf 1: both uplinks, both spines' downlinks.
+	for i := 0; i < 64; i++ {
+		send(0, 16)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	send(1, 17) // fresh: host 1's NIC and leaf 1's port to host 17
+	runtime.ReadMemStats(&m1)
+	if delivered != 65 {
+		t.Fatalf("delivered %d of 65", delivered)
+	}
+	if got := m1.Mallocs - m0.Mallocs; got > 4 {
+		t.Errorf("first packet through two fresh ports allocated %d objects, want at most a queue array and an in-flight array each", got)
+	}
+}
+
+// refPickPowerOfN is pickPowerOfN as it was before its two-sample case
+// stopped copying the candidates: a partial Fisher-Yates shuffle over a copy,
+// each sample probed as it is drawn.
+func refPickPowerOfN(cands []int, n int, intn func(int) int, occ func(port int) units.ByteSize) int {
+	if len(cands) == 1 {
+		return cands[0]
+	}
+	if n <= 1 {
+		return cands[intn(len(cands))]
+	}
+	if n > len(cands) {
+		n = len(cands)
+	}
+	best := -1
+	var bestBytes units.ByteSize
+	idx := append([]int(nil), cands...)
+	for k := 0; k < n; k++ {
+		j := k + intn(len(idx)-k)
+		idx[k], idx[j] = idx[j], idx[k]
+		c := idx[k]
+		if b := occ(c); best == -1 || b < bestBytes {
+			best, bestBytes = c, b
+		}
+	}
+	return best
+}
+
+// TestPickPowerOfNMatchesCopyingReference: for n of 1, 2, 3 and all, over
+// random candidate lists and queue depths with many ties, pickPowerOfN makes
+// the draws the copying reference makes and picks the port it picks. The two
+// draw from twin streams; a different number of draws, or the same draws
+// resolved differently, parts them.
+func TestPickPowerOfNMatchesCopyingReference(t *testing.T) {
+	tp, err := topo.NewFatTree(topo.FatTreeConfig{K: 8, Rate: 10 * units.Gbps, LinkDelay: 500 * units.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.NewEngine(1)
+	net := New(eng, tp, metrics.NewCollector(), DefaultConfig(Vertigo))
+	twin := sim.NewEngine(eng.Seed()).Rand()
+	s := net.Switch(tp.NumSwitches - 1) // a core switch: eight ports, all facing the fabric
+	rng := rand.New(rand.NewSource(7))
+	var ids packet.IDGen
+	for round := 0; round < 200; round++ {
+		// 0-2 packets on every port, queued behind the engine's back: nothing
+		// is scheduled, so a probe finds exactly this.
+		for i := range s.ports {
+			for s.ports[i].q.Pop() != nil {
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				s.ports[i].q.Push(dataPkt(&ids, 0, 1, 1, 1000))
+			}
+		}
+		cands := rng.Perm(len(s.ports))[:1+rng.Intn(len(s.ports))]
+		for _, n := range []int{1, 2, 3, len(cands)} {
+			got := s.pickPowerOfN(cands, n)
+			want := refPickPowerOfN(cands, n, twin.Intn, func(port int) units.ByteSize { return s.ports[port].q.Bytes() })
+			if got != want {
+				t.Fatalf("round %d: pickPowerOfN(%v, %d) = %d, reference %d", round, cands, n, got, want)
+			}
+			if a, b := eng.Rand().Int63(), twin.Int63(); a != b {
+				t.Fatalf("round %d: pickPowerOfN(%v, %d) left the random stream elsewhere than the reference", round, cands, n)
+			}
+		}
+	}
+}

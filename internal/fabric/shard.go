@@ -74,17 +74,16 @@ func NewSharded(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg C
 		// Per-switch policy stream: stream selector disjoint from portIdent
 		// (port indexes never reach 1<<31).
 		s.rng = xrand.New(seed ^ xrand.Mix(uint64(uint32(s.id+1))<<32|1<<31))
-		for _, pt := range s.ports {
-			peer := t.PortPeer[s.id][pt.idx]
-			if !peer.Host && sd.SwitchDomain[peer.Node] != sd.SwitchDomain[s.id] {
+		for i := range s.ports {
+			pt := &s.ports[i]
+			if pt.peer != nil && sd.SwitchDomain[pt.peerID] != sd.SwitchDomain[s.id] {
 				pt.xdom = true
-				pt.xdst = int32(sd.SwitchDomain[peer.Node])
-				pt.xpeer = int32(peer.Node)
+				pt.xdst = int32(sd.SwitchDomain[pt.peerID])
 			}
-			pt.berRNG = xrand.New(seed ^ xrand.Mix(portIdent(pt.sw, pt.idx)^berSalt))
 		}
 	}
-	for _, pt := range n.hostNIC {
+	for i := range n.ports {
+		pt := &n.ports[i]
 		pt.berRNG = xrand.New(seed ^ xrand.Mix(portIdent(pt.sw, pt.idx)^berSalt))
 	}
 	n.inbox.init(n)
@@ -135,7 +134,7 @@ func (pt *Port) emitCross(p *packet.Packet, at units.Time) {
 		At:      at,
 		SrcSw:   int32(pt.sw),
 		SrcPort: int32(pt.idx),
-		DstSw:   pt.xpeer,
+		DstSw:   pt.peerID,
 		Pkt:     *p,
 	})
 	pt.net.pool.Put(p)

@@ -18,8 +18,9 @@ import (
 // both. Dense scripts pile hundreds of events into single 32 ns buckets,
 // the regime a 1024-host fat-tree puts the engine in. On the engine every
 // other timer goes through AfterArg — one handler for the whole script, the
-// timer's number as the argument — so plain and argument events share
-// buckets, ties and recycled frames; the reference knows only closures.
+// timer's number as the argument — and every third fire-and-forget event
+// through SchedArg, so plain and argument events share buckets, ties and
+// frames, recycled or rearmed in place; the reference knows only closures.
 
 // refEvent is one scheduled callback in the reference scheduler.
 type refEvent struct {
@@ -138,16 +139,28 @@ type pair struct {
 	refTimers      []*refEvent
 	id             int
 
-	// The engine side's two argument handlers, built once: engFire(id) is
-	// timer id firing, engChild(id) the child it scheduled. hands[id] is what
-	// event id does when it fires.
-	hands             []inHandler
-	engFire, engChild ArgHandler
+	// The engine side's argument handlers, built once: engFire(id) is timer
+	// id firing, engSched(id) fire-and-forget event id, engChild(id) the
+	// child either scheduled. hands[id] is what event id does when it fires.
+	hands                       []inHandler
+	engFire, engSched, engChild ArgHandler
 }
 
 func newPair(t *testing.T, tag string) *pair {
 	p := &pair{t: t, tag: tag, eng: NewEngine(1), ref: &refSched{}}
 	p.engChild = func(id uint64) { p.engLog = append(p.engLog, -int(id)-1) }
+	p.engSched = func(id uint64) {
+		p.engLog = append(p.engLog, int(id))
+		if h := p.hands[id]; h.nest >= 0 {
+			// The child rearms the firing frame in place, in the form its
+			// parent did not take.
+			if id%3 == 0 {
+				p.eng.SchedAfter(h.nest, func() { p.engChild(id) })
+			} else {
+				p.eng.SchedArg(p.eng.Now()+h.nest, p.engChild, id)
+			}
+		}
+	}
 	p.engFire = func(id uint64) {
 		h := p.hands[id]
 		p.engLog = append(p.engLog, int(id))
@@ -207,12 +220,23 @@ func (p *pair) after(d units.Time, h inHandler) {
 	}))
 }
 
-// sched schedules a fire-and-forget event on the engine, a plain one on the
-// reference.
-func (p *pair) sched(d units.Time) {
-	myID := p.newID(plain)
-	p.eng.SchedAfter(d, func() { p.engLog = append(p.engLog, myID) })
-	p.ref.After(d, func() { p.refLog = append(p.refLog, myID) })
+// sched schedules a fire-and-forget event d ahead on the engine — an argument
+// event when its number divides by three, a closure otherwise — and a plain
+// one on the reference. With nest >= 0 it schedules a child that far ahead
+// when it fires.
+func (p *pair) sched(d, nest units.Time) {
+	myID := p.newID(inHandler{nest: nest})
+	if myID%3 == 0 {
+		p.eng.SchedArg(p.eng.Now()+d, p.engSched, uint64(myID))
+	} else {
+		p.eng.SchedAfter(d, func() { p.engSched(uint64(myID)) })
+	}
+	p.ref.After(d, func() {
+		p.refLog = append(p.refLog, myID)
+		if nest >= 0 {
+			p.ref.After(nest, func() { p.refLog = append(p.refLog, -myID-1) })
+		}
+	})
 }
 
 func (p *pair) cancel(i int) {
@@ -314,7 +338,7 @@ func runScript(t *testing.T, seed int64, ops int, dense bool) {
 			d := units.Time(rng.Intn(50))
 			p.after(d, inHandler{nest: d / 2})
 		case k < 6: // fire-and-forget on the engine, plain event on the ref
-			p.sched(units.Time(rng.Intn(50)))
+			p.sched(units.Time(rng.Intn(50)), units.Time(rng.Intn(24)-12))
 		case k < 9: // cancel a random timer (often already fired or dead)
 			if len(p.engTimers) == 0 {
 				continue

@@ -27,6 +27,7 @@ import (
 	"math/rand"
 	"time"
 
+	"vertigo/internal/arena"
 	"vertigo/internal/obs"
 	"vertigo/internal/units"
 )
@@ -45,19 +46,20 @@ type ArgHandler func(arg uint64)
 // A tombstoned (dead) event stays in its bucket or heap until it surfaces at
 // the root, where locate discards it without firing.
 //
-// Exactly one of fn and afn is set. The tie-breaking schedule sequence number
-// lives only in the frame's heapNode, which is what keeps the frame at 64
-// bytes with a second handler and its argument aboard.
+// Exactly one of fn and afn is set (schedule writes both, so a frame rearmed
+// in place cannot keep the other from its last life). The tie-breaking
+// schedule sequence number lives only in the frame's heapNode, which is what
+// keeps the frame at 64 bytes with a second handler and its argument aboard.
 type event struct {
 	at       units.Time
 	fn       Handler
-	afn      ArgHandler // argument-carrying handler (AtArg), fired as afn(arg)
+	afn      ArgHandler // argument-carrying handler (AtArg, SchedArg), fired as afn(arg)
 	arg      uint64
 	gen      uint64     // incarnation counter, bumped on recycle
 	schedAt  units.Time // sim time the event was scheduled, see CurSchedAt
 	schedCtx units.Time // schedAt of the event that scheduled this one, see CurSchedCtx
 	dead     bool       // tombstone: cancelled, reaped lazily at pop
-	chain    bool       // fire-and-forget (Sched): frame may self-reschedule in place
+	chain    bool       // fire-and-forget (Sched, SchedArg): frame may self-reschedule in place
 	// Pad to 64 bytes: frames are carved from contiguous slabs (see alloc),
 	// and a frame that straddles two cache lines costs two misses per fire.
 	_ [6]byte
@@ -78,7 +80,10 @@ type heapNode struct {
 // 2048 of them span 64µs — comfortably past every per-packet delay, so
 // only long-deadline timers take the overflow-heap detour. A 1024-host
 // fat-tree puts ~186 events in a bucket; heap-ordered draining (see locate)
-// keeps that a log-depth sift rather than a scan per event.
+// keeps that a log-depth sift rather than a scan per event, and only the
+// ~100 buckets between the cursor and the fabric's 2 µs scheduling horizon
+// are that full at once, so bucket arrays follow that window round the ring
+// (see bucketKeep) instead of every slot keeping its worst burst.
 const (
 	bucketShift = 5            // log2 bucket width in ns
 	nBuckets    = 1 << 11      // ring size (power of two)
@@ -102,6 +107,8 @@ type Engine struct {
 	// locate heapifies it on arrival, schedule sifts late arrivals up, and
 	// anything that moves the cursor or reorders the bucket clears it.
 	heaped bool
+	// nodes holds bucket arrays between tenants (see bucketKeep).
+	nodes arena.Pool[heapNode]
 	// overflow is a 4-ary min-heap on (at, seq) holding events scheduled
 	// at least a full ring span past the cursor; migrate moves them into
 	// the ring as the cursor approaches.
@@ -147,9 +154,24 @@ type Engine struct {
 
 // bucketCap is each ring bucket's preallocated capacity. Carving all
 // buckets from one backing array up front keeps steady-state scheduling
-// allocation-free from the first event; a bucket that outgrows its slice
-// reallocates independently and keeps the larger capacity.
-const bucketCap = 4
+// allocation-free from the first event. A bucket that outgrows its array
+// draws a larger one from the engine's size-classed free list (room), and
+// hands back any array of more than bucketKeep nodes when the cursor leaves
+// it drained (locate): the next burst, whichever slot it lands in, reuses it.
+// The arrays a leaf-spine run grows — 32 nodes, for the couple of dozen
+// events its worst bursts put in a bucket — stay put and never round-trip
+// the free list; on a 1024-host fat-tree, where every bucket holds a few
+// hundred as the cursor reaches it, the ring's memory is that of the ~100
+// buckets dense at any instant, not 2,048 times the densest bucket ever seen
+// (0.7 MB at the end of fattree16_churn, where 16.8 MB stood).
+const (
+	bucketCap  = 4
+	bucketKeep = 64
+	// nodesPerClass is how many arrays of one size the free list keeps (the
+	// arena's default is 16): the dense window's worth, which all come back
+	// when a burst ends and are all wanted when the next one starts.
+	nodesPerClass = 128
+)
 
 // NewEngine returns an engine whose randomness is derived from seed.
 func NewEngine(seed int64) *Engine {
@@ -158,7 +180,27 @@ func NewEngine(seed int64) *Engine {
 	for i := range ring {
 		ring[i] = backing[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
 	}
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), ring: ring}
+	e := &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), ring: ring}
+	e.nodes.MaxPerClass = nodesPerClass
+	return e
+}
+
+// room returns ring bucket s with space for one more node.
+func (e *Engine) room(s int64) []heapNode {
+	if b := e.ring[s]; len(b) < cap(b) {
+		return b
+	}
+	return e.grow(s)
+}
+
+// grow moves full bucket s to an array of twice the size from the free list
+// and gives the old one back.
+func (e *Engine) grow(s int64) []heapNode {
+	b := e.ring[s]
+	g := e.nodes.Get(max(2*cap(b), bucketCap))[:len(b)]
+	copy(g, b)
+	e.nodes.Put(b)
+	return g
 }
 
 // Now returns the current simulated time.
@@ -313,7 +355,7 @@ func (e *Engine) migrate() {
 		nd := e.overflow[0]
 		e.overflow = heapPop(e.overflow)
 		s := (int64(nd.at) >> bucketShift) & ringMask
-		e.ring[s] = append(e.ring[s], nd)
+		e.ring[s] = append(e.room(s), nd)
 		e.ringCnt++
 	}
 }
@@ -363,8 +405,9 @@ func (e *Engine) sweep() {
 	e.sweeps++
 }
 
-// schedule allocates (or reuses) a frame for (t, fn) and pushes it.
-func (e *Engine) schedule(t units.Time, fn Handler, chain bool) *event {
+// schedule allocates (or reuses) a frame for the event — fn, or afn(arg) —
+// and pushes it.
+func (e *Engine) schedule(t units.Time, fn Handler, afn ArgHandler, arg uint64, chain bool) *event {
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
@@ -378,7 +421,7 @@ func (e *Engine) schedule(t units.Time, fn Handler, chain bool) *event {
 	} else {
 		ev = e.alloc()
 	}
-	ev.at, ev.fn, ev.chain = t, fn, chain
+	ev.at, ev.fn, ev.afn, ev.arg, ev.chain = t, fn, afn, arg, chain
 	ev.schedAt = e.now
 	ev.schedCtx = e.curSched
 	nd := heapNode{at: t, seq: e.seq, ev: ev}
@@ -398,10 +441,10 @@ func (e *Engine) schedule(t units.Time, fn Handler, chain bool) *event {
 		e.overflow = heapPush(e.overflow, nd)
 	case e.heaped && b == e.curB:
 		// The cursor's bucket is being drained in heap order: sift up.
-		e.ring[s] = heapPush(e.ring[s], nd)
+		e.ring[s] = heapPush(e.room(s), nd)
 		e.ringCnt++
 	default:
-		e.ring[s] = append(e.ring[s], nd)
+		e.ring[s] = append(e.room(s), nd)
 		e.ringCnt++
 	}
 	e.live++
@@ -414,7 +457,7 @@ func (e *Engine) schedule(t units.Time, fn Handler, chain bool) *event {
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a modelling bug rather than a recoverable condition.
 func (e *Engine) At(t units.Time, fn Handler) Timer {
-	ev := e.schedule(t, fn, false)
+	ev := e.schedule(t, fn, nil, 0, false)
 	return Timer{engine: e, ev: ev, gen: ev.gen}
 }
 
@@ -433,8 +476,7 @@ func (e *Engine) After(d units.Time, fn Handler) Timer {
 // slot to say which one fired. Ordering, cancellation and recycling are At's:
 // both draw from the same sequence counter and frame free list.
 func (e *Engine) AtArg(t units.Time, fn ArgHandler, arg uint64) Timer {
-	ev := e.schedule(t, nil, false)
-	ev.afn, ev.arg = fn, arg
+	ev := e.schedule(t, nil, fn, arg, false)
 	return Timer{engine: e, ev: ev, gen: ev.gen}
 }
 
@@ -454,7 +496,16 @@ func (e *Engine) AfterArg(d units.Time, fn ArgHandler, arg uint64) Timer {
 // rides a single self-rescheduling event. Like At, scheduling in the past
 // panics.
 func (e *Engine) Sched(t units.Time, fn Handler) {
-	e.schedule(t, fn, true)
+	e.schedule(t, fn, nil, 0, true)
+}
+
+// SchedArg is Sched for an argument-carrying handler, as AtArg is At's: fn(arg)
+// runs at absolute time t with no Timer handle, and a firing fire-and-forget
+// frame — whichever of Sched and SchedArg armed it — is reused in place. A
+// component whose ports or slots live in one slab schedules all of them
+// through one handler and the slot's index.
+func (e *Engine) SchedArg(t units.Time, fn ArgHandler, arg uint64) {
+	e.schedule(t, nil, fn, arg, true)
 }
 
 // SchedAfter schedules fn to run d after the current time; see Sched.
@@ -462,7 +513,7 @@ func (e *Engine) SchedAfter(d units.Time, fn Handler) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, fn, true)
+	e.schedule(e.now+d, fn, nil, 0, true)
 }
 
 // Stop makes Run return after the current event completes.
@@ -524,7 +575,8 @@ func (e *Engine) locate() (s int64, ok bool) {
 			e.migrate()
 		}
 		s = e.curB & ringMask
-		if b := e.ring[s]; len(b) > 0 {
+		b := e.ring[s]
+		if len(b) > 0 {
 			if !e.heaped {
 				heapify(b)
 				e.heaped = true
@@ -542,13 +594,26 @@ func (e *Engine) locate() (s int64, ok bool) {
 		}
 		// A lightly loaded run walks dozens of empty buckets per event, so
 		// this step stays a few instructions: no call unless there is
-		// something that could migrate.
+		// something to hand back or something that could migrate.
+		if len(b) == 0 && cap(b) > bucketKeep {
+			e.release(s)
+		}
 		e.curB++
 		e.heaped = false
 		if len(e.overflow) > 0 {
 			e.migrate()
 		}
 	}
+}
+
+// release hands the array of bucket s — drained, the cursor leaving it, and
+// grown past bucketKeep by a burst — to the free list, for whichever bucket
+// fills next. The array is all zero: every pop cleared its slot. (A cursor
+// that jumps off an empty ring leaves its bucket's array where it is; the
+// walk finds it a lap later.)
+func (e *Engine) release(s int64) {
+	e.nodes.Put(e.ring[s])
+	e.ring[s] = nil
 }
 
 // Run executes events in order until the queue is empty, until Stop is
@@ -602,7 +667,11 @@ func (e *Engine) Run(until units.Time) units.Time {
 			// first Sched can rearm it in place. Recycling is deferred — no
 			// Timer exists that could observe the frame mid-fire.
 			e.cur = ev
-			fn()
+			if afn := ev.afn; afn != nil {
+				afn(ev.arg)
+			} else {
+				fn()
+			}
 			if e.cur != nil { // handler did not reschedule the frame
 				e.recycle(ev)
 				e.cur = nil

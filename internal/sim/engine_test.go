@@ -493,13 +493,20 @@ func TestArgTimer(t *testing.T) {
 	}
 }
 
-// TestArgPathZeroAllocs pins what AtArg is for: once the free list is warm,
-// scheduling, cancelling and firing per-slot timers through one shared
-// handler allocates nothing, whatever the slot number.
+// TestArgPathZeroAllocs pins what AtArg and SchedArg are for: once the free
+// list is warm, scheduling, cancelling and firing per-slot events through one
+// shared handler allocates nothing, whatever the slot number — a
+// fire-and-forget chain included, which rearms its frame in place.
 func TestArgPathZeroAllocs(t *testing.T) {
 	eng := NewEngine(1)
 	var sum uint64
 	h := func(arg uint64) { sum += arg }
+	var hop ArgHandler
+	hop = func(arg uint64) {
+		if sum += arg; arg&3 != 0 {
+			eng.SchedArg(eng.Now()+10, hop, arg-1)
+		}
+	}
 	for i := 0; i < 64; i++ {
 		eng.AfterArg(units.Time(i), h, uint64(i))
 	}
@@ -509,11 +516,79 @@ func TestArgPathZeroAllocs(t *testing.T) {
 		slot++
 		tm := eng.AfterArg(50, h, slot)
 		eng.AfterArg(100, h, slot<<20)
+		eng.SchedArg(eng.Now()+20, hop, slot<<2|3) // four hops on one frame
 		tm.Cancel()
 		eng.Run(eng.Now() + 200)
 	})
 	if avg > 0 {
 		t.Fatalf("arg schedule/cancel/fire allocates %.2f per cycle, want 0", avg)
+	}
+}
+
+// ringCap is the calendar's footprint in nodes: the capacity of every bucket
+// array, whatever it holds.
+func ringCap(e *Engine) (nodes int) {
+	for _, b := range e.ring {
+		nodes += cap(b)
+	}
+	return nodes
+}
+
+// TestRingMemoryFollowsDenseWindow drives the engine the way a 1024-host
+// fat-tree does: 256 events in every 32 ns bucket, each rescheduling itself
+// 2 µs ahead as a busy port does, for four laps of the ring. Every slot is
+// that dense as the cursor passes, but only the 64 buckets of the window are
+// at any instant, so the bucket arrays must total a small multiple of the
+// pending set — not 2,048 times the densest bucket, which is what a ring whose
+// buckets each kept the array they grew comes to (~525k nodes here).
+func TestRingMemoryFollowsDenseWindow(t *testing.T) {
+	const (
+		perBucket = 256
+		ahead     = 64 // buckets: 2,048 ns
+		period    = units.Time(ahead << bucketShift)
+	)
+	eng := NewEngine(1)
+	var tick ArgHandler
+	tick = func(slot uint64) { eng.SchedArg(eng.Now()+period, tick, slot) }
+	for i := 0; i < perBucket*ahead; i++ {
+		eng.SchedArg(units.Time(i/perBucket<<bucketShift+i%(1<<bucketShift)), tick, uint64(i))
+	}
+	eng.Run(4 * ringSpan)
+	pending := eng.Stats().PeakPending
+	if pending != perBucket*ahead {
+		t.Fatalf("peak pending %d, want %d", pending, perBucket*ahead)
+	}
+	got := ringCap(eng)
+	t.Logf("%d pending, bucket arrays hold %d nodes", pending, got)
+	if got > 4*pending {
+		t.Errorf("bucket arrays hold %d nodes after four dense laps, want at most 4 x the %d pending", got, pending)
+	}
+	// The arrays go round: whatever the free list could not supply in the
+	// first lap it has by now.
+	misses := eng.nodes.Misses()
+	eng.Run(8 * ringSpan)
+	if d := eng.nodes.Misses() - misses; d != 0 {
+		t.Errorf("four more laps allocated %d bucket arrays, want the first laps' reused", d)
+	}
+}
+
+// TestRingLeavesSparseBucketsAlone: at leaf-spine density — a couple of dozen
+// events in a bucket at the worst of a burst — buckets keep the arrays they
+// grew, and steady-state scheduling never visits the free list.
+func TestRingLeavesSparseBucketsAlone(t *testing.T) {
+	const perBucket, ahead = 24, 64
+	period := units.Time(ahead << bucketShift)
+	eng := NewEngine(1)
+	var tick ArgHandler
+	tick = func(slot uint64) { eng.SchedArg(eng.Now()+period, tick, slot) }
+	for i := 0; i < perBucket*ahead; i++ {
+		eng.SchedArg(units.Time(i/perBucket<<bucketShift+i%(1<<bucketShift)), tick, uint64(i))
+	}
+	eng.Run(ringSpan) // every slot has grown to hold its 24
+	gets := eng.nodes.Hits() + eng.nodes.Misses()
+	eng.Run(4 * ringSpan)
+	if d := eng.nodes.Hits() + eng.nodes.Misses() - gets; d != 0 {
+		t.Errorf("three sparse laps drew %d arrays from the free list, want 0: sparse buckets must keep theirs", d)
 	}
 }
 

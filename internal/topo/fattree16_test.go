@@ -60,31 +60,31 @@ func TestFatTreeK16FIBMultipath(t *testing.T) {
 
 	// Edge to any non-local host: k/2 = 8 equal-cost uplinks, whether the
 	// destination is in-pod (via the 8 aggs) or cross-pod.
-	if got := len(tp.FIB[edge0][inPodOther]); got != 8 {
+	if got := len(tp.FIB.NextHops(edge0, inPodOther)); got != 8 {
 		t.Errorf("edge within-pod choices = %d, want 8", got)
 	}
-	if got := len(tp.FIB[edge0][lastHost]); got != 8 {
+	if got := len(tp.FIB.NextHops(edge0, lastHost)); got != 8 {
 		t.Errorf("edge cross-pod choices = %d, want 8", got)
 	}
 	// Aggregation to a cross-pod host: all 8 core uplinks are shortest.
 	agg0 := 128
-	if got := len(tp.FIB[agg0][lastHost]); got != 8 {
+	if got := len(tp.FIB.NextHops(agg0, lastHost)); got != 8 {
 		t.Errorf("agg cross-pod choices = %d, want 8", got)
 	}
 	// Core to any host: a single downlink (the destination pod's agg).
 	for c := 256; c < 320; c++ {
-		if got := len(tp.FIB[c][lastHost]); got != 1 {
+		if got := len(tp.FIB.NextHops(c, lastHost)); got != 1 {
 			t.Fatalf("core %d choices = %d, want 1", c, got)
 		}
 	}
 	// Hop distances: same edge 1, same pod 3, cross-pod 5.
-	if d := tp.Dist[edge0][1]; d != 1 {
+	if d := tp.FIB.Hops(edge0, 1); d != 1 {
 		t.Errorf("same-edge dist %d, want 1", d)
 	}
-	if d := tp.Dist[edge0][inPodOther]; d != 3 {
+	if d := tp.FIB.Hops(edge0, inPodOther); d != 3 {
 		t.Errorf("same-pod dist %d, want 3", d)
 	}
-	if d := tp.Dist[edge0][lastHost]; d != 5 {
+	if d := tp.FIB.Hops(edge0, lastHost); d != 5 {
 		t.Errorf("cross-pod dist %d, want 5", d)
 	}
 }
@@ -92,12 +92,12 @@ func TestFatTreeK16FIBMultipath(t *testing.T) {
 // TestFatTreeK16FIBProgress is the leaf-spine FIB-progress property on the
 // k=16 fat-tree: every (switch, dst) entry is non-empty and every listed
 // port steps strictly closer to the destination. This sweeps all 320x1024
-// entries, covering the same-ToR column aliasing in fibAndDist.
+// entries, so every column, shared list and ToR cell of the table is read.
 func TestFatTreeK16FIBProgress(t *testing.T) {
 	tp := k16(t)
 	for sw := 0; sw < tp.NumSwitches; sw++ {
 		for dst := 0; dst < tp.NumHosts; dst++ {
-			ports := tp.FIB[sw][dst]
+			ports := tp.FIB.NextHops(sw, dst)
 			if len(ports) == 0 {
 				t.Fatalf("no next hop from switch %d to host %d", sw, dst)
 			}
@@ -109,7 +109,7 @@ func TestFatTreeK16FIBProgress(t *testing.T) {
 					}
 					continue
 				}
-				if tp.Dist[peer.Node][dst] != tp.Dist[sw][dst]-1 {
+				if tp.FIB.Hops(peer.Node, dst) != tp.FIB.Hops(sw, dst)-1 {
 					t.Fatalf("switch %d port %d to host %d does not make progress", sw, p, dst)
 				}
 			}
@@ -117,10 +117,11 @@ func TestFatTreeK16FIBProgress(t *testing.T) {
 	}
 }
 
-// TestFatTreeK16SameToRAliasing pins the FIB-build sharing contract: hosts
-// under one edge switch have identical distance columns and share non-ToR
-// FIB entries (the build aliases the previous host's backing arrays), while
-// the ToR's own entry names each host's distinct access port.
+// TestFatTreeK16SameToRAliasing pins what the table's size rests on: hosts
+// under one edge switch share a column — the identical next-hop slice at every
+// other switch, the same hop count everywhere — while the ToR's own entry
+// names each host's distinct access port; and the k=16 table's backing arrays
+// stay under 3 MiB (one slice per (switch, host) took 13 MB).
 func TestFatTreeK16SameToRAliasing(t *testing.T) {
 	tp := k16(t)
 	h0, h1 := 0, 1 // both under edge 0
@@ -129,23 +130,33 @@ func TestFatTreeK16SameToRAliasing(t *testing.T) {
 		t.Fatal("test setup: hosts 0 and 1 do not share an edge")
 	}
 	for sw := 0; sw < tp.NumSwitches; sw++ {
-		if tp.Dist[sw][h0] != tp.Dist[sw][h1] {
+		if tp.FIB.Hops(sw, h0) != tp.FIB.Hops(sw, h1) {
 			t.Fatalf("switch %d: dist to h0 %d != dist to h1 %d",
-				sw, tp.Dist[sw][h0], tp.Dist[sw][h1])
+				sw, tp.FIB.Hops(sw, h0), tp.FIB.Hops(sw, h1))
 		}
 		if sw == tor {
 			continue
 		}
-		a, b := tp.FIB[sw][h0], tp.FIB[sw][h1]
+		a, b := tp.FIB.NextHops(sw, h0), tp.FIB.NextHops(sw, h1)
 		if len(a) == 0 || len(a) != len(b) || &a[0] != &b[0] {
 			t.Fatalf("switch %d: non-ToR FIB entries for same-ToR hosts not aliased", sw)
 		}
 	}
-	e0, e1 := tp.FIB[tor][h0], tp.FIB[tor][h1]
+	e0, e1 := tp.FIB.NextHops(tor, h0), tp.FIB.NextHops(tor, h1)
 	if len(e0) != 1 || len(e1) != 1 || e0[0] == e1[0] {
 		t.Fatalf("ToR entries %v / %v: want distinct single access ports", e0, e1)
 	}
 	if tp.PortPeer[tor][e0[0]] != (Endpoint{Host: true, Node: h0}) {
 		t.Fatalf("ToR entry for h0 exits to %v", tp.PortPeer[tor][e0[0]])
+	}
+
+	f := tp.FIB
+	if cols := len(f.off) / f.switches; cols != 1+128 {
+		t.Errorf("%d columns, want one per edge switch plus the empty one", cols)
+	}
+	size := 4*len(f.col) + 4*len(f.off) + len(f.hops) + 8*cap(f.ports) + 8*len(f.access)
+	t.Logf("k=16 FIB: %d cells, %d packed port words, %d bytes", len(f.off), len(f.ports), size)
+	if size > 3<<20 {
+		t.Errorf("k=16 FIB backing arrays total %d bytes, want <= 3 MiB", size)
 	}
 }

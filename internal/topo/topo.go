@@ -52,13 +52,18 @@ type Topology struct {
 	HostLink []int
 	// HostToR[h] is the switch directly attached to host h.
 	HostToR []int
-	// FIB[sw][dst] lists the output ports on shortest paths from sw to host dst.
-	FIB [][][]int
+	// FIB is the shortest-path forwarding table over the whole topology:
+	// FIB.NextHops(sw, dst) lists the output ports on shortest paths from sw
+	// to host dst, FIB.Hops(sw, dst) is their length.
+	FIB *FIB
 	// FabricPorts[sw] lists ports whose peer is another switch (the
 	// deflection candidate set, host-destination ports excluded).
 	FabricPorts [][]int
-	// Dist[sw][dst] is the shortest-path hop count (switch hops) to host dst.
-	Dist [][]int
+
+	// accessPort[h] is the port on HostToR[h] that faces host h. Every
+	// forwarding table built from this topology answers a ToR's own entries
+	// out of this one array.
+	accessPort []int
 }
 
 // Ports returns the number of ports on switch sw.
@@ -176,144 +181,10 @@ func (t *Topology) Finalize() error {
 		}
 	}
 
-	t.buildFIB()
+	t.accessPort = make([]int, t.NumHosts)
+	for h, peer := range t.HostPeer {
+		t.accessPort[h] = peer.Port
+	}
+	t.FIB = t.FIBExcluding(nil)
 	return nil
-}
-
-// buildFIB runs a reverse BFS from every destination host across the switch
-// graph and records, per switch, every port that lies on a shortest path.
-func (t *Topology) buildFIB() {
-	t.FIB, t.Dist = t.fibAndDist(nil)
-}
-
-// FIBExcluding recomputes the shortest-path forwarding tables over the
-// subgraph that omits every link for which dead reports true — the table a
-// converged control plane would install after routing around failures. The
-// receiver is not modified; install the result with fabric.Network.InstallFIB.
-// Destinations whose every path crosses a dead link get empty entries
-// (traffic to them is unroutable until the links recover). A nil dead is
-// equivalent to the full topology.
-func (t *Topology) FIBExcluding(dead func(link int) bool) [][][]int {
-	fib, _ := t.fibAndDist(dead)
-	return fib
-}
-
-// fibAndDist computes the FIB and hop-distance tables, skipping links for
-// which dead reports true (nil = keep all).
-//
-// The build is allocation-lean: every per-switch slice is an exact-capacity
-// window into a shared backing array sized by a counting pass, and each
-// destination's next-hop port lists are packed into one arena. A k-ary
-// fat-tree FIB has NumSwitches x NumHosts entries averaging k/2 ports each;
-// growing each entry individually is what used to dominate large-topology
-// construction.
-func (t *Topology) fibAndDist(dead func(link int) bool) ([][][]int, [][]int) {
-	fibT := make([][][]int, t.NumSwitches)
-	distT := make([][]int, t.NumSwitches)
-	fibRows := make([][]int, t.NumSwitches*t.NumHosts)
-	distBack := make([]int, t.NumSwitches*t.NumHosts)
-	for sw := range fibT {
-		lo, hi := sw*t.NumHosts, (sw+1)*t.NumHosts
-		fibT[sw] = fibRows[lo:hi:hi]
-		distT[sw] = distBack[lo:hi:hi]
-	}
-
-	// Switch adjacency: neighbor switch -> connecting ports, dead links
-	// filtered out up front, packed into one backing array.
-	type adj struct{ sw, port int }
-	nAdj := 0
-	for sw := range t.PortPeer {
-		for p, peer := range t.PortPeer[sw] {
-			if peer.Host || (dead != nil && dead(t.PortLink[sw][p])) {
-				continue
-			}
-			nAdj++
-		}
-	}
-	adjBack := make([]adj, 0, nAdj)
-	neighbors := make([][]adj, t.NumSwitches)
-	for sw := range t.PortPeer {
-		start := len(adjBack)
-		for p, peer := range t.PortPeer[sw] {
-			if peer.Host || (dead != nil && dead(t.PortLink[sw][p])) {
-				continue
-			}
-			adjBack = append(adjBack, adj{peer.Node, p})
-		}
-		neighbors[sw] = adjBack[start:len(adjBack):len(adjBack)]
-	}
-
-	dist := make([]int, t.NumSwitches)
-	queue := make([]int, 0, t.NumSwitches)
-	lastTor, prevDst := -1, -1
-	for dst := 0; dst < t.NumHosts; dst++ {
-		if dead != nil && dead(t.HostLink[dst]) {
-			// The destination's access link is dead: no switch can reach it.
-			continue
-		}
-		tor := t.HostToR[dst]
-		if tor == lastTor {
-			// Same ToR as the previously built destination: the BFS — and
-			// therefore the distance column and every non-ToR next-hop list —
-			// is identical. Alias the previous column (FIB entries are
-			// read-only) and rebuild only the ToR's own entry, which names
-			// this host's access port. With k/2 hosts per fat-tree edge
-			// switch this skips all but one BFS per ToR and shares the
-			// dominant share of FIB memory.
-			for sw := 0; sw < t.NumSwitches; sw++ {
-				distT[sw][dst] = distT[sw][prevDst]
-				fibT[sw][dst] = fibT[sw][prevDst]
-			}
-			fibT[tor][dst] = []int{t.HostPeer[dst].Port}
-			prevDst = dst
-			continue
-		}
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[tor] = 0
-		queue = append(queue[:0], tor)
-		for len(queue) > 0 {
-			sw := queue[0]
-			queue = queue[1:]
-			for _, n := range neighbors[sw] {
-				if dist[n.sw] == -1 {
-					dist[n.sw] = dist[sw] + 1
-					queue = append(queue, n.sw)
-				}
-			}
-		}
-		// Counting pass, then pack this destination's port lists into one
-		// arena; each FIB entry is an exact window into it.
-		need := 1 // the ToR's host port
-		for sw := 0; sw < t.NumSwitches; sw++ {
-			if sw == tor {
-				continue
-			}
-			for _, n := range neighbors[sw] {
-				if dist[n.sw] >= 0 && dist[n.sw] == dist[sw]-1 {
-					need++
-				}
-			}
-		}
-		back := make([]int, 0, need)
-		for sw := 0; sw < t.NumSwitches; sw++ {
-			distT[sw][dst] = dist[sw] + 1 // +1 for the final host hop
-			start := len(back)
-			if sw == tor {
-				back = append(back, t.HostPeer[dst].Port)
-			} else {
-				for _, n := range neighbors[sw] {
-					if dist[n.sw] >= 0 && dist[n.sw] == dist[sw]-1 {
-						back = append(back, n.port)
-					}
-				}
-			}
-			if len(back) > start {
-				fibT[sw][dst] = back[start:len(back):len(back)]
-			}
-		}
-		lastTor, prevDst = tor, dst
-	}
-	return fibT, distT
 }

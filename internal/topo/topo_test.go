@@ -64,7 +64,7 @@ func TestLeafSpineFIB(t *testing.T) {
 	}
 	for sw := 0; sw < tp.NumSwitches; sw++ {
 		for dst := 0; dst < tp.NumHosts; dst++ {
-			ports := tp.FIB[sw][dst]
+			ports := tp.FIB.NextHops(sw, dst)
 			if len(ports) == 0 {
 				t.Fatalf("no next hop from switch %d to host %d", sw, dst)
 			}
@@ -94,11 +94,11 @@ func TestLeafSpineDistances(t *testing.T) {
 	}
 	// From a host's own ToR the path is 1 hop (ToR->host); from another
 	// leaf it is 3 (leaf->spine->ToR->host).
-	if d := tp.Dist[tp.HostToR[0]][0]; d != 1 {
+	if d := tp.FIB.Hops(tp.HostToR[0], 0); d != 1 {
 		t.Errorf("ToR->local host distance %d, want 1", d)
 	}
 	otherLeaf := tp.HostToR[319]
-	if d := tp.Dist[otherLeaf][0]; d != 3 {
+	if d := tp.FIB.Hops(otherLeaf, 0); d != 3 {
 		t.Errorf("remote leaf distance %d, want 3", d)
 	}
 }
@@ -112,7 +112,7 @@ func TestFatTreeFIBMultipath(t *testing.T) {
 	// 2 upward choices.
 	edge0 := tp.HostToR[0]
 	lastHost := tp.NumHosts - 1
-	if got := len(tp.FIB[edge0][lastHost]); got != 2 {
+	if got := len(tp.FIB.NextHops(edge0, lastHost)); got != 2 {
 		t.Errorf("edge uplink choices = %d, want 2", got)
 	}
 	// Within-pod, different edge: still 2 choices (via the 2 aggs).
@@ -120,17 +120,17 @@ func TestFatTreeFIBMultipath(t *testing.T) {
 	if tp.HostToR[inPodOther] == edge0 {
 		t.Fatal("test setup: host 2 shares edge with host 0")
 	}
-	if got := len(tp.FIB[edge0][inPodOther]); got != 2 {
+	if got := len(tp.FIB.NextHops(edge0, inPodOther)); got != 2 {
 		t.Errorf("within-pod choices = %d, want 2", got)
 	}
 	// Distances: same edge 1, same pod 3, cross-pod 5.
-	if d := tp.Dist[edge0][1]; d != 1 {
+	if d := tp.FIB.Hops(edge0, 1); d != 1 {
 		t.Errorf("same-edge dist %d, want 1", d)
 	}
-	if d := tp.Dist[edge0][inPodOther]; d != 3 {
+	if d := tp.FIB.Hops(edge0, inPodOther); d != 3 {
 		t.Errorf("same-pod dist %d, want 3", d)
 	}
-	if d := tp.Dist[edge0][lastHost]; d != 5 {
+	if d := tp.FIB.Hops(edge0, lastHost); d != 5 {
 		t.Errorf("cross-pod dist %d, want 5", d)
 	}
 }
@@ -168,7 +168,7 @@ func TestPropertyFIBProgress(t *testing.T) {
 		}
 		for sw := 0; sw < tp.NumSwitches; sw++ {
 			for dst := 0; dst < tp.NumHosts; dst++ {
-				ports := tp.FIB[sw][dst]
+				ports := tp.FIB.NextHops(sw, dst)
 				if len(ports) == 0 {
 					return false
 				}
@@ -180,7 +180,7 @@ func TestPropertyFIBProgress(t *testing.T) {
 						}
 						continue
 					}
-					if tp.Dist[peer.Node][dst] != tp.Dist[sw][dst]-1 {
+					if tp.FIB.Hops(peer.Node, dst) != tp.FIB.Hops(sw, dst)-1 {
 						return false
 					}
 				}

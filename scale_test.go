@@ -23,9 +23,11 @@ import (
 // Slab recycling, the streaming metrics store and the arenas are what make
 // this hold; before them, sender/receiver/record state accreted per flow.
 //
-// Measured: 268 → 524 MB, 1.95×. It read 1.5× (546 → 824 MB) while every
-// host's marker carried a 256 KiB flat duplicate filter: that fixed 270 MB
-// floor sat under both runs and flattered the ratio. The 3× bound below is
+// Measured: 217 → 471 MB, 2.17×. The ratio rises as the fixed floor under
+// both runs falls, so it says less than the two figures: 546 → 824 MB (1.5×)
+// while every host's marker carried a 256 KiB flat duplicate filter, 247 →
+// 515 MB (2.08×) while the FIB held a slice per (switch, host) and every
+// calendar bucket the array of its worst burst. The 3× bound below is
 // unchanged.
 //
 // Both runs execute in this process and getrusage's high-water mark is
