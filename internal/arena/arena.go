@@ -18,22 +18,15 @@ const (
 	// numClasses bounds recyclable capacities at 2^(numClasses-1) elements;
 	// anything larger is left to the garbage collector.
 	numClasses = 24
-	// maxPerClass is the default bound on how many arrays one size class
-	// retains (see Pool.MaxPerClass).
+	// maxPerClass bounds how many arrays one size class retains. Beyond it,
+	// Put drops the array: the arena adapts down after a burst instead of
+	// holding its high-water mark forever.
 	maxPerClass = 16
 )
 
 // Pool recycles backing arrays of one element type, bucketed by
 // power-of-two capacity class.
 type Pool[T any] struct {
-	// MaxPerClass bounds how many arrays one size class retains; zero means
-	// 16. Beyond it, Put drops the array: the arena adapts down after a burst
-	// instead of holding its high-water mark forever. An owner whose working
-	// set is many same-sized arrays at once (the event engine's ~100 dense
-	// calendar buckets) raises it to that many, or every lull would drop the
-	// set and the next burst allocate it again.
-	MaxPerClass int
-
 	classes [numClasses][][]T
 	hits    uint64
 	misses  uint64
@@ -73,11 +66,7 @@ func (a *Pool[T]) Put(s []T) {
 		return
 	}
 	c := bits.Len(uint(n)) - 1 // floor class: every array here has cap >= 1<<c
-	keep := a.MaxPerClass
-	if keep == 0 {
-		keep = maxPerClass
-	}
-	if c >= numClasses || len(a.classes[c]) >= keep {
+	if c >= numClasses || len(a.classes[c]) >= maxPerClass {
 		return
 	}
 	s = s[:n]

@@ -58,18 +58,12 @@ func TestLooseFitOneClassUp(t *testing.T) {
 }
 
 func TestClassRetentionBounded(t *testing.T) {
-	for _, keep := range []int{0, 40} { // the default, and an owner's own bound
-		a := Pool[int]{MaxPerClass: keep}
-		want := keep
-		if want == 0 {
-			want = maxPerClass
-		}
-		for i := 0; i < 3*want; i++ {
-			a.Put(make([]int, 0, 64))
-		}
-		if got := len(a.classes[6]); got != want {
-			t.Fatalf("MaxPerClass %d: class retained %d arrays, want %d", keep, got, want)
-		}
+	var a Pool[int]
+	for i := 0; i < 3*maxPerClass; i++ {
+		a.Put(make([]int, 0, 64))
+	}
+	if got := len(a.classes[6]); got != maxPerClass {
+		t.Fatalf("class retained %d arrays, want %d", got, maxPerClass)
 	}
 }
 

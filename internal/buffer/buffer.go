@@ -65,12 +65,6 @@ func NewDropTail(capacity units.ByteSize) *DropTailQueue {
 	return &DropTailQueue{cap: capacity}
 }
 
-// Init makes q, wherever its owner keeps it, an empty FIFO with the given
-// byte capacity.
-func (q *DropTailQueue) Init(capacity units.ByteSize) {
-	*q = DropTailQueue{cap: capacity}
-}
-
 // Push appends p if it fits.
 func (q *DropTailQueue) Push(p *packet.Packet) bool {
 	n := p.Size()
@@ -137,9 +131,12 @@ func (q *DropTailQueue) PeekAt(i int) *packet.Packet {
 // DropTailQueue's, embedded: Len, Bytes, Cap, Fits and PeekAt are its
 // methods, Push and Pop are replaced. An owner that keeps its queue header
 // by value (a fabric port) therefore needs room for one SortedQueue and can
-// run either discipline in it — the embedded FIFO alone, or the whole.
+// run either discipline in it: the whole after Init, or the embedded FIFO
+// alone through the view InitDropTail returns. The two are exclusive — a
+// FIFO Push or Pop would leave ranks behind pkts — so the field is
+// unexported and nothing else hands the FIFO out.
 type SortedQueue struct {
-	DropTailQueue
+	fifo
 	// ranks mirrors pkts in lockstep: ranks[i] == pkts[i].Rank(). The rank
 	// of a queued packet never changes, and keeping the sort keys in a
 	// contiguous uint32 array lets the binary search and tail comparisons
@@ -168,10 +165,22 @@ func NewSorted(capacity units.ByteSize) *SortedQueue {
 	return q
 }
 
+// fifo embeds a DropTailQueue, promoted methods and all, under an unexported
+// field name.
+type fifo = DropTailQueue
+
 // Init makes q, wherever its owner keeps it, an empty rank-sorted queue with
 // the given byte capacity.
 func (q *SortedQueue) Init(capacity units.ByteSize) {
-	*q = SortedQueue{DropTailQueue: DropTailQueue{cap: capacity}}
+	*q = SortedQueue{fifo: fifo{cap: capacity}}
+}
+
+// InitDropTail makes q's storage an empty drop-tail queue with the given
+// byte capacity instead, and returns it. Until the next Init, q is only that
+// storage: use the returned queue and none of q's own methods.
+func (q *SortedQueue) InitDropTail(capacity units.ByteSize) *DropTailQueue {
+	q.Init(capacity)
+	return &q.fifo
 }
 
 // insertionPoint returns the index (into q.pkts, so >= q.head) where a packet

@@ -93,9 +93,8 @@ func TestSortedQueueMatchesPIEO(t *testing.T) {
 func TestDropTailDrainRefill(t *testing.T) {
 	t.Run("own", func(t *testing.T) { dropTailDrainRefill(t, NewDropTail(1<<30)) })
 	t.Run("embedded", func(t *testing.T) {
-		header := NewSorted(1) // whatever it was, Init makes it an empty FIFO
-		header.DropTailQueue.Init(1 << 30)
-		dropTailDrainRefill(t, &header.DropTailQueue)
+		header := NewSorted(1) // whatever it was, InitDropTail makes it an empty FIFO
+		dropTailDrainRefill(t, header.InitDropTail(1<<30))
 	})
 }
 

@@ -369,8 +369,7 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 			pt.qs.Init(capacity)
 			pt.q, pt.sorted = &pt.qs, &pt.qs
 		} else {
-			pt.qs.DropTailQueue.Init(capacity)
-			pt.q = &pt.qs.DropTailQueue
+			pt.q = pt.qs.InitDropTail(capacity)
 		}
 		pt.rate, pt.rate0, pt.delay = link.Rate, link.Rate, link.Delay
 		pt.rng = xrand.New(seed ^ xrand.Mix(portIdent(sw, idx)))

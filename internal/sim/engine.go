@@ -167,10 +167,6 @@ type Engine struct {
 const (
 	bucketCap  = 4
 	bucketKeep = 64
-	// nodesPerClass is how many arrays of one size the free list keeps (the
-	// arena's default is 16): the dense window's worth, which all come back
-	// when a burst ends and are all wanted when the next one starts.
-	nodesPerClass = 128
 )
 
 // NewEngine returns an engine whose randomness is derived from seed.
@@ -180,9 +176,7 @@ func NewEngine(seed int64) *Engine {
 	for i := range ring {
 		ring[i] = backing[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
 	}
-	e := &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), ring: ring}
-	e.nodes.MaxPerClass = nodesPerClass
-	return e
+	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), ring: ring}
 }
 
 // room returns ring bucket s with space for one more node.
