@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	vertigo-exp [-scale tiny|small|medium|paper] [-v] [-out DIR] <experiment>...
+//	vertigo-exp [-scale tiny|small|medium|paper|huge] [-v] [-out DIR] <experiment>...
 //	vertigo-exp -list
 //	vertigo-exp all
 //
@@ -45,13 +45,14 @@ func main() {
 }
 
 func realMain() error {
+	opt := exp.NewOptions()
 	var (
-		scale   = flag.String("scale", "small", "scale preset: tiny|small|medium|paper")
+		scale   = flag.String("scale", "small", "scale preset: tiny|small|medium|paper|huge")
 		verbose = flag.Bool("v", false, "print one progress line per simulation run (label, metrics, wall time, events/sec)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
 		par     = flag.Int("parallel", 1, "experiments to run concurrently (tables still print in order)")
-		jobs    = flag.Int("j", exp.Concurrency,
+		jobs    = flag.Int("j", opt.Concurrency,
 			"simulations to run concurrently within each experiment (1 = sequential; tables are identical at any setting)")
 
 		outDir     = flag.String("out", "", "write run artifacts (manifest.json, results.json, samples.csv, trace.jsonl) into this directory")
@@ -62,19 +63,18 @@ func realMain() error {
 			`fault schedule injected into every run, e.g. "flap@10ms:link=64,down=1ms,period=4ms,count=3" (see internal/faults)`)
 		healDelay  = flag.Duration("heal-delay", 0, "control-plane healing delay after each -fault topology change (0 = healing off)")
 		runTimeout = flag.Duration("run-timeout", 0, "wall-clock budget per simulation run; an over-budget run fails its row (0 = unlimited)")
-		trainLen   = flag.Int("train", -1, "dataplane packet-train length override: 0 = per-packet engine, >=2 = coalesce; -1 keeps the default (results are identical at any value)")
+		trainLen   = flag.Int("train", opt.TrainLen, "dataplane packet-train length override: 0 = per-packet engine, >=2 = coalesce; -1 keeps the default (results are identical at any value)")
 		shards     = flag.Int("shards", 0, "shard every simulation across this many topology domains on separate cores (tables are deterministic per shard count; <=1 = serial engine)")
 
 		debugAddr = flag.String("debug-addr", "", "serve the introspection plane on this address, e.g. localhost:9464 (/metrics, /statusz, /healthz, /debug/pprof)")
 		rawSeries = flag.String("raw-series", "auto", "raw FCT/QCT series retention: auto (drop past 200k flows/run), keep, drop (histograms still carry the distributions)")
-		flightLen = flag.Int("flight", 4096, "crash flight recorder ring size per run; a crashed or watchdog-killed run dumps it to -out flight.jsonl (0 = off)")
+		flightLen = flag.Int("flight", opt.FlightLen, "crash flight recorder ring size per run; a crashed or watchdog-killed run dumps it to -out flight.jsonl (0 = off)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		traceFile  = flag.String("trace", "", "write a runtime execution trace to this file")
 	)
 	flag.Parse()
-	exp.Concurrency = max(1, *jobs)
 
 	if *list {
 		for _, id := range exp.IDs() {
@@ -93,12 +93,6 @@ func realMain() error {
 			return err
 		}
 	}
-	if *verbose {
-		exp.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -162,29 +156,33 @@ func realMain() error {
 		ids[i] = e.ID
 	}
 
-	exp.SampleTick = units.FromDuration(*sampleTick)
-	exp.TraceFlow = *traceFlow
+	// One Options for the whole invocation: every experiment gets this
+	// pointer, so -parallel runs serialise Progress and OnRun on its lock.
+	opt.Concurrency = max(1, *jobs)
+	opt.RunTimeout = *runTimeout
+	opt.FlightLen = *flightLen
+	opt.SampleTick = units.FromDuration(*sampleTick)
+	opt.TraceFlow = *traceFlow
 	if *faultSpec != "" {
-		sched, err := faults.Parse(*faultSpec)
-		if err != nil {
+		if opt.FaultSchedule, err = faults.Parse(*faultSpec); err != nil {
 			return err
 		}
-		exp.FaultSchedule = sched
 	}
-	exp.HealDelay = units.FromDuration(*healDelay)
-	exp.RunTimeout = *runTimeout
-	exp.TrainLen = *trainLen
-	exp.Shards = *shards
-	exp.FlightLen = *flightLen
-	rm, err := metrics.ParseRawMode(*rawSeries)
-	if err != nil {
+	opt.HealDelay = units.FromDuration(*healDelay)
+	opt.TrainLen = *trainLen
+	if opt.RawMode, err = metrics.ParseRawMode(*rawSeries); err != nil {
 		return err
 	}
-	exp.RawMode = rm
+	opt.Shards = *shards
+	if *verbose {
+		opt.Progress = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		}
+	}
 	var rec *exp.Recorder
 	if *outDir != "" {
 		rec = exp.NewRecorder()
-		exp.OnRun = rec.Record
+		opt.OnRun = rec.Record
 	}
 	start := time.Now()
 
@@ -193,7 +191,7 @@ func realMain() error {
 			return map[string]any{
 				"experiments": ids,
 				"scale":       sc.Name,
-				"concurrency": exp.Concurrency,
+				"concurrency": opt.Concurrency,
 				"start_time":  start.UTC().Format(time.RFC3339),
 			}
 		}
@@ -222,7 +220,7 @@ func realMain() error {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			tables, err := e.Run(sc, nil)
+			tables, err := e.Run(sc, opt)
 			results[i] = outcome{tables, err}
 		}()
 	}
@@ -262,7 +260,7 @@ func realMain() error {
 	}
 
 	if rec != nil {
-		m := exp.BuildManifest(ids, sc, exp.Concurrency, rec, start, time.Since(start))
+		m := exp.BuildManifest(ids, sc, opt.Concurrency, rec, start, time.Since(start))
 		if err := exp.WriteArtifacts(*outDir, m, allTables, rec); err != nil {
 			return fmt.Errorf("writing artifacts: %w", err)
 		}

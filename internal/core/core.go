@@ -314,42 +314,139 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	eng := sim.NewEngine(cfg.Seed)
-	eng.SetFlight(cfg.Flight)
-	met := metrics.NewCollector()
-	met.RawSeries = cfg.RawSeries
-	net := fabric.New(eng, t, met, cfg.Fabric)
-	ids := &packet.IDGen{}
+	w, err := newWorld(&cfg, t, nil, cfg.PacketTrace)
+	if err != nil {
+		return nil, err
+	}
+	// A serial run's generators are live: they draw from the engine's
+	// stream and open transports as the run goes.
+	err = armGenerators(&cfg, w.eng, w.met, t.NumHosts, func(src, dst int, size int64, incast bool, query int) {
+		spec := transport.FlowSpec{ID: w.ids.Next(), Src: src, Dst: dst, Size: size, Incast: incast, Query: query}
+		w.senders.Get(w.hosts[src], w.met, w.ids, spec, nil).Start()
+	})
+	if err != nil {
+		return nil, err
+	}
+	w.bound(&cfg)
+	end := w.eng.Run(cfg.SimTime)
+	res, err := w.finish(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Summary = w.met.Summarize(end)
+	return res, nil
+}
+
+// armGenerators arms cfg's synthetic workload on eng — background, trace
+// replay, incast, in the order that fixes each one's share of the engine's
+// random stream — with start called at every flow arrival. A serial run
+// starts transports from it; a sharded run records the arrivals on a
+// throwaway engine (materializeWorkload).
+func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts int, start workload.FlowStarter) error {
+	if cfg.BGLoad > 0 {
+		dist := cfg.BGDist
+		if dist == nil {
+			dist = workload.CacheFollower
+		}
+		bg := &workload.Background{
+			Eng: eng, Hosts: hosts, Dist: dist,
+			HostRate: cfg.HostRate(), Load: cfg.BGLoad, Start: start,
+		}
+		bg.Run(cfg.SimTime)
+	}
+	if cfg.Trace != nil {
+		if err := cfg.Trace.Validate(hosts); err != nil {
+			return err
+		}
+		cfg.Trace.Run(eng, cfg.SimTime, start)
+	}
+	if cfg.IncastQPS > 0 && cfg.IncastScale > 0 {
+		ic := &workload.Incast{
+			Eng: eng, Met: met, Hosts: hosts,
+			QPS: cfg.IncastQPS, Scale: cfg.IncastScale, FlowSize: cfg.IncastFlowSize,
+			Periodic: cfg.IncastPeriodic, RequestDelay: cfg.RequestDelay,
+			Start: start,
+		}
+		ic.Run(cfg.SimTime)
+	}
+	return nil
+}
+
+// world is one assembled simulation stack — engine, collector, fabric with
+// its probes and faults, transport pools and every host — the whole of a
+// serial run and one domain of a sharded one. newWorld builds it up to the
+// point where the workload is armed; the caller arms its workload (live
+// generators, or a domain's share of a materialized schedule), then calls
+// bound, runs the engine, and calls finish.
+type world struct {
+	eng     *sim.Engine
+	met     *metrics.Collector
+	net     *fabric.Network
+	ids     *packet.IDGen
+	senders *transport.SenderPool
+	hosts   []*host.Host
 
 	// Probes attach independently; the fabric fans events out through a
 	// telemetry.Multi when more than one is present.
-	var mon *telemetry.Monitor
-	var tracer *telemetry.Tracer
-	var sampler *telemetry.Sampler
-	if cfg.Telemetry {
-		mon = telemetry.NewMonitor(eng, cfg.TelemetryConfig)
-		net.AddObserver(mon)
+	mon     *telemetry.Monitor
+	tracer  *telemetry.Tracer
+	sampler *telemetry.Sampler
+
+	// what names the world in an error: "run", or "shard 2".
+	what string
+	// first is false for a sharded run's domains past 0, which leave the
+	// flight recorder and the chaos panic to domain 0.
+	first bool
+}
+
+// newWorld assembles cfg's stack on t, as one domain of a sharded run when sd
+// is non-nil. Packet trace lines go to traceOut (nil: no tracer). The order
+// of the constructor, AddObserver and scheduling calls is part of a run's
+// identity — it fixes event sequence numbers and the position of random
+// draws — and is the same for both callers.
+func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Writer) (*world, error) {
+	w := &world{what: "run", first: true}
+	if sd != nil {
+		w.what, w.first = fmt.Sprintf("shard %d", sd.Domain), sd.Domain == 0
 	}
-	if cfg.PacketTrace != nil {
+	eng := sim.NewEngine(cfg.Seed)
+	w.eng = eng
+	if w.first {
+		eng.SetFlight(cfg.Flight)
+	}
+	w.met = metrics.NewCollector()
+	w.met.RawSeries = cfg.RawSeries
+	if sd != nil {
+		w.net = fabric.NewSharded(eng, t, w.met, cfg.Fabric, sd)
+	} else {
+		w.net = fabric.New(eng, t, w.met, cfg.Fabric)
+	}
+	w.ids = &packet.IDGen{}
+
+	if cfg.Telemetry { // serial only: shardable refuses a live Monitor
+		w.mon = telemetry.NewMonitor(eng, cfg.TelemetryConfig)
+		w.net.AddObserver(w.mon)
+	}
+	if traceOut != nil {
 		if cfg.PacketTraceJSON {
-			tracer = telemetry.NewJSONTracer(eng, cfg.PacketTrace, cfg.PacketTraceFlow)
+			w.tracer = telemetry.NewJSONTracer(eng, traceOut, cfg.PacketTraceFlow)
 		} else {
-			tracer = telemetry.NewTracer(eng, cfg.PacketTrace, cfg.PacketTraceFlow)
+			w.tracer = telemetry.NewTracer(eng, traceOut, cfg.PacketTraceFlow)
 		}
-		net.AddObserver(tracer)
+		w.net.AddObserver(w.tracer)
 	}
 	if cfg.SampleTick > 0 {
-		sampler = telemetry.NewSampler(eng, telemetry.SamplerConfig{Tick: cfg.SampleTick})
-		sampler.Start(cfg.SimTime)
-		net.AddObserver(sampler)
+		w.sampler = telemetry.NewSampler(eng, telemetry.SamplerConfig{Tick: cfg.SampleTick})
+		w.sampler.Start(cfg.SimTime)
+		w.net.AddObserver(w.sampler)
 	}
 	for _, lf := range cfg.LinkFailures {
-		if err := net.FailLinkAt(lf.Link, lf.At); err != nil {
+		if err := w.net.FailLinkAt(lf.Link, lf.At); err != nil {
 			return nil, err
 		}
 	}
 	if !cfg.Faults.Empty() {
-		if _, err := faults.Apply(eng, net, cfg.Faults, cfg.HealDelay); err != nil {
+		if _, err := faults.Apply(eng, w.net, cfg.Faults, cfg.HealDelay); err != nil {
 			return nil, err
 		}
 	}
@@ -363,106 +460,81 @@ func Run(cfg Config) (*Result, error) {
 	// Connection state lives in slab-backed pools: sender and receiver
 	// slots recycle as flows complete, so a run's transport footprint is
 	// O(peak concurrent flows), not O(flows started).
-	senders := transport.NewSenderPool(cfg.Transport)
-	receivers := transport.NewReceiverPool(eng, net, met, ids)
+	w.senders = transport.NewSenderPool(cfg.Transport)
+	receivers := transport.NewReceiverPool(eng, w.net, w.met, w.ids)
 
-	hosts := make([]*host.Host, t.NumHosts)
-	for i := 0; i < t.NumHosts; i++ {
-		h := host.NewHost(i, eng, net, met, cfg.Marker, ocfg, vertigoStack)
+	// A sharded run's every domain instantiates all hosts (marker/orderer
+	// state is cheap, and the fabric replica's NIC wiring expects them), but
+	// only owned hosts ever see traffic.
+	w.hosts = make([]*host.Host, t.NumHosts)
+	for i := range w.hosts {
+		h := host.NewHost(i, eng, w.net, w.met, cfg.Marker, ocfg, vertigoStack)
 		h.SetAcceptor(func(first *packet.Packet) func(*packet.Packet) {
 			return receivers.Accept(h, first)
 		})
-		hosts[i] = h
+		w.hosts[i] = h
 	}
+	return w, nil
+}
 
-	starter := func(src, dst int, size int64, incast bool, query int) {
-		spec := transport.FlowSpec{
-			ID:     ids.Next(),
-			Src:    src,
-			Dst:    dst,
-			Size:   size,
-			Incast: incast,
-			Query:  query,
-		}
-		senders.Get(hosts[src], met, ids, spec, nil).Start()
-	}
-
-	if cfg.BGLoad > 0 {
-		dist := cfg.BGDist
-		if dist == nil {
-			dist = workload.CacheFollower
-		}
-		bg := &workload.Background{
-			Eng:      eng,
-			Hosts:    t.NumHosts,
-			Dist:     dist,
-			HostRate: cfg.HostRate(),
-			Load:     cfg.BGLoad,
-			Start:    starter,
-		}
-		bg.Run(cfg.SimTime)
-	}
-	if cfg.Trace != nil {
-		if err := cfg.Trace.Validate(t.NumHosts); err != nil {
-			return nil, err
-		}
-		cfg.Trace.Run(eng, cfg.SimTime, starter)
-	}
-	if cfg.IncastQPS > 0 && cfg.IncastScale > 0 {
-		ic := &workload.Incast{
-			Eng:          eng,
-			Met:          met,
-			Hosts:        t.NumHosts,
-			QPS:          cfg.IncastQPS,
-			Scale:        cfg.IncastScale,
-			FlowSize:     cfg.IncastFlowSize,
-			Periodic:     cfg.IncastPeriodic,
-			RequestDelay: cfg.RequestDelay,
-			Start:        starter,
-		}
-		ic.Run(cfg.SimTime)
-	}
-
-	if cfg.ChaosPanicAt > 0 {
+// bound arms what can cut the run short: the chaos-drill panic, the
+// wall-clock watchdog and the event cap (per domain when sharded: any single
+// shard firing MaxEvents events aborts the run, which bounds a runaway
+// scenario as deterministically as the serial cap does). It comes after the
+// workload is armed, so the panic's sequence number follows the generators'.
+func (w *world) bound(cfg *Config) {
+	if w.first && cfg.ChaosPanicAt > 0 {
 		at := cfg.ChaosPanicAt
-		eng.At(at, func() {
+		w.eng.At(at, func() {
 			panic(fmt.Sprintf("core: deliberate chaos panic at t=%v (ChaosPanicAt)", at))
 		})
 	}
-
 	if cfg.WallTimeout > 0 {
-		eng.SetWallDeadline(cfg.WallTimeout)
+		w.eng.SetWallDeadline(cfg.WallTimeout)
 	}
 	if cfg.MaxEvents > 0 {
-		eng.SetMaxEvents(cfg.MaxEvents)
+		w.eng.SetMaxEvents(cfg.MaxEvents)
 	}
-	end := eng.Run(cfg.SimTime)
-	eng.FinishObs()
-	net.Pool().PublishObs()
-	if eng.DeadlineExceeded() {
-		return nil, fmt.Errorf("core: run exceeded its %v wall-clock budget at t=%v (%d events fired): %w",
-			cfg.WallTimeout, end, eng.Events(), ErrWallBudget)
+}
+
+// overBudget reports a run the watchdog or the event cap stopped.
+func (w *world) overBudget(cfg *Config) error {
+	if w.eng.DeadlineExceeded() {
+		return fmt.Errorf("core: %s exceeded its %v wall-clock budget at t=%v (%d events fired): %w",
+			w.what, cfg.WallTimeout, w.eng.Now(), w.eng.Events(), ErrWallBudget)
 	}
-	if eng.MaxEventsExceeded() {
-		return nil, fmt.Errorf("core: run exceeded its %d-event budget at t=%v: %w",
-			cfg.MaxEvents, end, ErrMaxEvents)
+	if w.eng.MaxEventsExceeded() {
+		return fmt.Errorf("core: %s exceeded its %d-event budget at t=%v: %w",
+			w.what, cfg.MaxEvents, w.eng.Now(), ErrMaxEvents)
 	}
-	if mon != nil {
-		mon.Finish()
+	return nil
+}
+
+// finish closes a world whose engine has run to the horizon: it publishes
+// the last registry deltas, fails an over-budget run, flushes the probes, and
+// returns the world's own collector and counters, unmerged and without a
+// Summary — summarizing is the caller's, over one collector or the merge.
+func (w *world) finish(cfg *Config) (*Result, error) {
+	w.eng.FinishObs()
+	w.net.Pool().PublishObs()
+	if err := w.overBudget(cfg); err != nil {
+		return nil, err
 	}
-	if tracer != nil {
-		if err := tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("core: flushing packet trace: %w", err)
+	if w.mon != nil {
+		w.mon.Finish()
+	}
+	if w.tracer != nil {
+		if err := w.tracer.Flush(); err != nil {
+			return nil, fmt.Errorf("core: flushing %s packet trace: %w", w.what, err)
 		}
 	}
 	return &Result{
-		Summary:   met.Summarize(end),
-		Collector: met,
-		Events:    eng.Events(),
-		Engine:    eng.Stats(),
-		Pool:      net.Pool().Stats(),
-		Trains:    net.TrainStats(),
-		Telemetry: mon,
-		Sampler:   sampler,
+		Collector: w.met,
+		Events:    w.eng.Events(),
+		Engine:    w.eng.Stats(),
+		Pool:      w.net.Pool().Stats(),
+		Trains:    w.net.TrainStats(),
+		Telemetry: w.mon,
+		Sampler:   w.sampler,
 	}, nil
 }

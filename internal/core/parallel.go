@@ -12,19 +12,16 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 
 	"vertigo/internal/fabric"
-	"vertigo/internal/faults"
-	"vertigo/internal/host"
 	"vertigo/internal/metrics"
-	"vertigo/internal/packet"
 	"vertigo/internal/sim"
 	"vertigo/internal/telemetry"
 	"vertigo/internal/topo"
 	"vertigo/internal/transport"
 	"vertigo/internal/units"
-	"vertigo/internal/workload"
 )
 
 // shardable reports whether the configuration can run sharded at all.
@@ -74,38 +71,18 @@ type materialized struct {
 // The generators are the only workload-side consumers of the engine's
 // global random stream, so the recorded schedule is a deterministic
 // function of (Seed, workload config) alone — independent of shard count.
-func materializeWorkload(cfg *Config, t *topo.Topology) *materialized {
+func materializeWorkload(cfg *Config, t *topo.Topology) (*materialized, error) {
 	m := &materialized{}
 	eng := sim.NewEngine(cfg.Seed)
 	met := metrics.NewCollector()
-	start := func(src, dst int, size int64, incast bool, query int) {
+	err := armGenerators(cfg, eng, met, t.NumHosts, func(src, dst int, size int64, incast bool, query int) {
 		m.flows = append(m.flows, flowOp{
 			At: eng.Now(), Src: src, Dst: dst, Size: size,
 			Incast: incast, Query: query, ID: uint64(len(m.flows) + 1),
 		})
-	}
-	if cfg.BGLoad > 0 {
-		dist := cfg.BGDist
-		if dist == nil {
-			dist = workload.CacheFollower
-		}
-		bg := &workload.Background{
-			Eng: eng, Hosts: t.NumHosts, Dist: dist,
-			HostRate: cfg.HostRate(), Load: cfg.BGLoad, Start: start,
-		}
-		bg.Run(cfg.SimTime)
-	}
-	if cfg.Trace != nil {
-		cfg.Trace.Run(eng, cfg.SimTime, start)
-	}
-	if cfg.IncastQPS > 0 && cfg.IncastScale > 0 {
-		ic := &workload.Incast{
-			Eng: eng, Met: met, Hosts: t.NumHosts,
-			QPS: cfg.IncastQPS, Scale: cfg.IncastScale, FlowSize: cfg.IncastFlowSize,
-			Periodic: cfg.IncastPeriodic, RequestDelay: cfg.RequestDelay,
-			Start: start,
-		}
-		ic.Run(cfg.SimTime)
+	})
+	if err != nil {
+		return nil, err
 	}
 	eng.Run(cfg.SimTime)
 	for _, q := range met.Queries {
@@ -116,7 +93,7 @@ func materializeWorkload(cfg *Config, t *topo.Topology) *materialized {
 			m.queries[q].Client = m.flows[i].Dst
 		}
 	}
-	return m
+	return m, nil
 }
 
 // domOp is one entry of a domain's arrival cursor: a query registration or a
@@ -159,12 +136,7 @@ func (pp *opPump) init() {
 // domain is one shard: a full simulation stack owning a slice of the
 // topology.
 type domain struct {
-	idx      int
-	eng      *sim.Engine
-	met      *metrics.Collector
-	net      *fabric.Network
-	sampler  *telemetry.Sampler
-	tracer   *telemetry.Tracer
+	*world
 	traceBuf bytes.Buffer
 	outbox   [][]fabric.CrossItem // per destination domain, drained each window
 	pump     opPump
@@ -190,27 +162,18 @@ func (d *domain) runShard() {
 // cfg validated, cfg.shardable() and part.N > 1.
 func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, error) {
 	nDom := part.N
-	m := materializeWorkload(&cfg, t)
-
-	vertigoStack := cfg.VertigoStack || cfg.Fabric.Policy == fabric.Vertigo
-	ocfg := cfg.Orderer
-	ocfg.Discipline = cfg.Marker.Discipline
-	ocfg.BoostFactorLog2 = cfg.Marker.BoostFactorLog2
+	m, err := materializeWorkload(&cfg, t)
+	if err != nil {
+		return nil, err
+	}
 
 	doms := make([]*domain, nDom)
 	for di := 0; di < nDom; di++ {
 		d := &domain{
-			idx:    di,
-			eng:    sim.NewEngine(cfg.Seed),
-			met:    metrics.NewCollector(),
 			outbox: make([][]fabric.CrossItem, nDom),
 			cmd:    make(chan units.Time),
 			res:    make(chan any),
 		}
-		if di == 0 {
-			d.eng.SetFlight(cfg.Flight)
-		}
-		d.met.RawSeries = cfg.RawSeries
 		sd := &fabric.ShardCtx{
 			Domain:       di,
 			SwitchDomain: part.SwitchDomain,
@@ -219,40 +182,14 @@ func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, er
 				d.outbox[dst] = append(d.outbox[dst], it)
 			},
 		}
-		d.net = fabric.NewSharded(d.eng, t, d.met, cfg.Fabric, sd)
+		// Each domain traces into a buffer of its own; the merge below
+		// interleaves them into cfg.PacketTrace.
+		var traceOut io.Writer
 		if cfg.PacketTrace != nil {
-			d.tracer = telemetry.NewJSONTracer(d.eng, &d.traceBuf, cfg.PacketTraceFlow)
-			d.net.AddObserver(d.tracer)
+			traceOut = &d.traceBuf
 		}
-		if cfg.SampleTick > 0 {
-			d.sampler = telemetry.NewSampler(d.eng, telemetry.SamplerConfig{Tick: cfg.SampleTick})
-			d.sampler.Start(cfg.SimTime)
-			d.net.AddObserver(d.sampler)
-		}
-		for _, lf := range cfg.LinkFailures {
-			if err := d.net.FailLinkAt(lf.Link, lf.At); err != nil {
-				return nil, err
-			}
-		}
-		if !cfg.Faults.Empty() {
-			if _, err := faults.Apply(d.eng, d.net, cfg.Faults, cfg.HealDelay); err != nil {
-				return nil, err
-			}
-		}
-
-		// Every domain instantiates all hosts (marker/orderer state is
-		// cheap, and the fabric replica's NIC wiring expects them), but only
-		// owned hosts ever see traffic.
-		ids := &packet.IDGen{}
-		senders := transport.NewSenderPool(cfg.Transport)
-		receivers := transport.NewReceiverPool(d.eng, d.net, d.met, ids)
-		hosts := make([]*host.Host, t.NumHosts)
-		for i := 0; i < t.NumHosts; i++ {
-			h := host.NewHost(i, d.eng, d.net, d.met, cfg.Marker, ocfg, vertigoStack)
-			h.SetAcceptor(func(first *packet.Packet) func(*packet.Packet) {
-				return receivers.Accept(h, first)
-			})
-			hosts[i] = h
+		if d.world, err = newWorld(&cfg, t, sd, traceOut); err != nil {
+			return nil, err
 		}
 
 		// The domain's arrival cursor: queries registered where the client
@@ -313,26 +250,11 @@ func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, er
 					ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size,
 					Incast: f.Incast, Query: -1, Preregistered: true,
 				}
-				senders.Get(hosts[f.Src], d.met, ids, spec, nil).Start()
+				d.senders.Get(d.hosts[f.Src], d.met, d.ids, spec, nil).Start()
 			}
 		}
 		d.pump.init()
-
-		if di == 0 && cfg.ChaosPanicAt > 0 {
-			at := cfg.ChaosPanicAt
-			d.eng.At(at, func() {
-				panic(fmt.Sprintf("core: deliberate chaos panic at t=%v (ChaosPanicAt)", at))
-			})
-		}
-		if cfg.WallTimeout > 0 {
-			d.eng.SetWallDeadline(cfg.WallTimeout)
-		}
-		if cfg.MaxEvents > 0 {
-			// Per-domain budget: any single shard firing this many events
-			// aborts the run, mirroring the serial cap's intent (bound
-			// runaway scenarios deterministically).
-			d.eng.SetMaxEvents(cfg.MaxEvents)
-		}
+		d.bound(&cfg)
 		doms[di] = d
 	}
 
@@ -370,13 +292,8 @@ func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, er
 	}
 	checkBudgets := func() error {
 		for _, d := range doms {
-			if d.eng.DeadlineExceeded() {
-				return fmt.Errorf("core: shard %d exceeded its %v wall-clock budget at t=%v (%d events fired): %w",
-					d.idx, cfg.WallTimeout, d.eng.Now(), d.eng.Events(), ErrWallBudget)
-			}
-			if d.eng.MaxEventsExceeded() {
-				return fmt.Errorf("core: shard %d exceeded its %d-event budget at t=%v: %w",
-					d.idx, cfg.MaxEvents, d.eng.Now(), ErrMaxEvents)
+			if err := d.overBudget(&cfg); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -432,34 +349,32 @@ func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, er
 	var traces [][]byte
 	var samplers []*telemetry.Sampler
 	for _, d := range doms {
-		d.eng.FinishObs()
-		d.net.Pool().PublishObs()
-		met.Merge(d.met)
-		res.Events += d.eng.Events()
-		es, ps, ts := d.eng.Stats(), d.net.Pool().Stats(), d.net.TrainStats()
-		res.Engine.Events += es.Events
-		res.Engine.Scheduled += es.Scheduled
-		res.Engine.FreeListHits += es.FreeListHits
-		res.Engine.TombstonedPops += es.TombstonedPops
-		res.Engine.HeapSweeps += es.HeapSweeps
-		if es.PeakPending > res.Engine.PeakPending {
-			res.Engine.PeakPending = es.PeakPending
+		r, err := d.finish(&cfg)
+		if err != nil {
+			return nil, err
 		}
-		res.Pool.Gets += ps.Gets
-		res.Pool.Hits += ps.Hits
-		res.Pool.Puts += ps.Puts
-		res.Pool.Slabs += ps.Slabs
-		res.Trains.Trains += ts.Trains
-		res.Trains.Segments += ts.Segments
-		res.Trains.Invalidated += ts.Invalidated
+		met.Merge(r.Collector)
+		res.Events += r.Events
+		res.Engine.Events += r.Engine.Events
+		res.Engine.Scheduled += r.Engine.Scheduled
+		res.Engine.FreeListHits += r.Engine.FreeListHits
+		res.Engine.TombstonedPops += r.Engine.TombstonedPops
+		res.Engine.HeapSweeps += r.Engine.HeapSweeps
+		if r.Engine.PeakPending > res.Engine.PeakPending {
+			res.Engine.PeakPending = r.Engine.PeakPending
+		}
+		res.Pool.Gets += r.Pool.Gets
+		res.Pool.Hits += r.Pool.Hits
+		res.Pool.Puts += r.Pool.Puts
+		res.Pool.Slabs += r.Pool.Slabs
+		res.Trains.Trains += r.Trains.Trains
+		res.Trains.Segments += r.Trains.Segments
+		res.Trains.Invalidated += r.Trains.Invalidated
 		if d.tracer != nil {
-			if err := d.tracer.Flush(); err != nil {
-				return nil, fmt.Errorf("core: flushing shard %d packet trace: %w", d.idx, err)
-			}
 			traces = append(traces, d.traceBuf.Bytes())
 		}
-		if d.sampler != nil {
-			samplers = append(samplers, d.sampler)
+		if r.Sampler != nil {
+			samplers = append(samplers, r.Sampler)
 		}
 	}
 	if cfg.PacketTrace != nil {

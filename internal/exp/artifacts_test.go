@@ -21,22 +21,20 @@ import (
 // through run() with the instrumentation knobs on, the Recorder installed as
 // OnRun, and WriteArtifacts producing the directory the CLI would.
 func TestArtifactPipeline(t *testing.T) {
-	defer func(tick units.Time, fl uint64, on func(RunInfo)) {
-		SampleTick, TraceFlow, OnRun = tick, fl, on
-	}(SampleTick, TraceFlow, OnRun)
-	SampleTick = 100 * units.Microsecond
-	TraceFlow = 1
+	opt := NewOptions()
+	opt.SampleTick = 100 * units.Microsecond
+	opt.TraceFlow = 1
 	rec := NewRecorder()
-	OnRun = rec.Record
+	opt.OnRun = rec.Record
 
 	cfg := withLoads(baseConfig(Tiny, fabric.Vertigo, transport.DCTCP), 0.2, 0.5)
 	cfg.SimTime = 5 * units.Millisecond
-	if _, _, err := DefaultOptions().run("figX/vertigo", cfg); err != nil {
+	if _, _, err := opt.run("figX/vertigo", cfg); err != nil {
 		t.Fatal(err)
 	}
 	cfg2 := withLoads(baseConfig(Tiny, fabric.ECMP, transport.DCTCP), 0.2, 0.5)
 	cfg2.SimTime = 5 * units.Millisecond
-	if _, _, err := DefaultOptions().run("figX/ecmp", cfg2); err != nil {
+	if _, _, err := opt.run("figX/ecmp", cfg2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +51,7 @@ func TestArtifactPipeline(t *testing.T) {
 	}
 
 	start := time.Now()
-	m := BuildManifest([]string{"figX"}, Tiny, Concurrency, rec, start, 3*time.Second)
+	m := BuildManifest([]string{"figX"}, Tiny, opt.Concurrency, rec, start, 3*time.Second)
 	if m.Runs != 2 || m.Events == 0 || m.EventsPerSec == 0 {
 		t.Fatalf("manifest totals wrong: %+v", m)
 	}

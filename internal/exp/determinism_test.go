@@ -10,15 +10,22 @@ import (
 	"vertigo/internal/units"
 )
 
-// renderAll runs the experiment at Tiny scale and returns every table
-// rendered as text.
-func renderAll(t *testing.T, id string) []byte {
+// workers is the default Options at the given sweep concurrency.
+func workers(n int) *Options {
+	opt := NewOptions()
+	opt.Concurrency = n
+	return opt
+}
+
+// renderAll runs the experiment at Tiny scale under opt and returns every
+// table rendered as text.
+func renderAll(t *testing.T, id string, opt *Options) []byte {
 	t.Helper()
 	e, err := ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := e.Run(Tiny, nil)
+	tables, err := e.Run(Tiny, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +43,9 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	defer func(old int) { Concurrency = old }(Concurrency)
 	for _, id := range []string{"fig1", "fig8"} {
-		Concurrency = 1
-		seq := renderAll(t, id)
-		Concurrency = 8
-		par := renderAll(t, id)
+		seq := renderAll(t, id, workers(1))
+		par := renderAll(t, id, workers(8))
 		if !bytes.Equal(seq, par) {
 			t.Errorf("%s: parallel render differs from sequential:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
 				id, seq, par)
@@ -63,15 +67,13 @@ func TestFatTreeK16SweepDeterminism(t *testing.T) {
 		Name: "k16det", Spines: 8, Leaves: 16, HostsPerLeaf: 64, FatTreeK: 16,
 		SimTime: 200 * units.Microsecond, IncastScale: 16, IncastFlowKB: 4, Seed: 1,
 	}
-	render := func(workers int) []byte {
-		opt := DefaultOptions()
-		opt.Concurrency = workers
+	render := func(n int) []byte {
 		tbl := &Table{
 			ID:      "k16det",
 			Title:   "fat-tree k=16 determinism probe",
 			Columns: []string{"system", "flows", "pkts", "drops", "FCT_p99", "QCT_mean"},
 		}
-		sw := newSweep(opt)
+		sw := newSweep(workers(n))
 		for _, p := range []fabric.Policy{fabric.ECMP, fabric.DIBS, fabric.Vertigo} {
 			p := p
 			cfg := withLoads(fatTreeConfig(sc, p, transport.DCTCP), 0.10, 0.40)

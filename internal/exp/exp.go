@@ -11,12 +11,10 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"vertigo/internal/core"
 	"vertigo/internal/fabric"
-	"vertigo/internal/faults"
 	"vertigo/internal/metrics"
 	"vertigo/internal/obs"
 	"vertigo/internal/packet"
@@ -69,8 +67,9 @@ var (
 	// 16x64 leaf-spine) under an incast-dominated mix of small flows, so ten
 	// simulated milliseconds start over a million flows while keeping byte
 	// volume CI-sized. It stresses slab recycling, the streaming metrics
-	// store and topology build cost rather than per-flow dynamics; used by
-	// BenchmarkRunThroughputHuge and the bench-scale CI job.
+	// store and topology build cost rather than per-flow dynamics. The
+	// benchmark of record's fattree16_churn workload is this scenario cut to
+	// 0.6 simulated ms; TestScaleSublinearRSS runs it whole.
 	Huge = Scale{
 		Name: "huge", Spines: 8, Leaves: 16, HostsPerLeaf: 64, FatTreeK: 16,
 		SimTime: 10 * units.Millisecond, IncastScale: 32, IncastFlowKB: 4, Seed: 1,
@@ -170,78 +169,6 @@ func (t *Table) Fprint(w io.Writer) {
 	}
 }
 
-// The package-level variables below are the CLI drivers' configuration
-// surface: flags set them once before any sweep starts, and sweeps run with
-// a nil *Options snapshot them (see DefaultOptions). Callers that run
-// concurrent sweeps with different budgets — the vertigo-serve daemon —
-// must pass explicit Options instead; mutating these globals mid-flight is
-// a data race.
-
-// Progress, when non-nil, receives one line per completed simulation run.
-// Sweep workers report concurrently; calls are serialized by progressMu, so
-// the installed function need not be thread-safe itself.
-var Progress func(format string, args ...any)
-
-// OnRun, when non-nil, receives every completed run's instrumentation:
-// summary, engine/pool counters, sampler series and packet trace. Calls are
-// serialized under the same lock as Progress, so the installed function need
-// not be thread-safe; runs arrive in completion order (use RunInfo.Label to
-// regroup).
-var OnRun func(RunInfo)
-
-// SampleTick, when positive, attaches a telemetry.Sampler with this tick to
-// every experiment run; the series is delivered through OnRun.
-var SampleTick units.Time
-
-// TraceFlow, when nonzero, attaches a JSONL packet tracer filtered to this
-// flow ID on every experiment run; the trace is delivered through OnRun.
-var TraceFlow uint64
-
-// FaultSchedule, when non-empty, is injected into every experiment run that
-// does not carry a schedule of its own (the -fault CLI flag).
-var FaultSchedule *faults.Schedule
-
-// HealDelay, when positive, enables control-plane healing with this
-// convergence delay on every run that does not set its own.
-var HealDelay units.Time
-
-// RunTimeout, when positive, bounds each run's wall-clock time; a run that
-// exceeds it fails its row instead of stalling the sweep (-run-timeout).
-var RunTimeout time.Duration
-
-// MaxEvents, when positive, bounds each run's event count; a capped run
-// fails its row with an error wrapping core.ErrMaxEvents.
-var MaxEvents uint64
-
-// ChaosPanicAt, when positive, panics every run deliberately at this
-// simulated time — a crash drill for the recover/flight-dump machinery.
-var ChaosPanicAt units.Time
-
-// TrainLen, when non-negative, overrides the dataplane packet-train length
-// on every run (the -train CLI flag). 0 forces the per-packet engine; the
-// default -1 leaves each run's configured value alone. Because coalescing
-// is exact, every value must render byte-identical tables — pinned by the
-// train identity tests.
-var TrainLen = -1
-
-// RawMode, when not RawAuto, overrides every run's raw-series retention (the
-// -raw-series CLI flag): keep forces exact percentiles at any scale, drop
-// exercises the histogram fallback everywhere.
-var RawMode metrics.RawMode
-
-// Shards, when > 1, runs every scenario sharded across that many topology
-// domains (the -shards CLI flag). Results are deterministic per shard count
-// — byte-identical tables for a given -shards at any -j — but -shards=N
-// follows different random interleavings than the serial engine, so it is
-// statistically, not bitwise, comparable to -shards=1.
-var Shards int
-
-// FlightLen is the per-run crash flight recorder's ring size: the last
-// FlightLen dataplane records (events, drops, faults) are dumped to
-// flight.jsonl when a run panics or the wall-clock watchdog kills it
-// (-flight). 0 disables the recorder.
-var FlightLen = 4096
-
 // Process-global sweep metrics: scrape-visible run progress.
 var (
 	obsRunsStarted   = obs.NewCounter("vertigo_exp_runs_started_total", "experiment runs started")
@@ -273,15 +200,8 @@ func (ri *RunInfo) EventsPerSec() float64 {
 	return float64(ri.Engine.Events) / ri.Wall.Seconds()
 }
 
-// progressMu is the package-level progress lock: every sweep whose Options
-// carry no private lock (DefaultOptions, zero Options) serializes its
-// Progress/OnRun calls here, so concurrent CLI experiments sharing one
-// Recorder never interleave.
-var progressMu sync.Mutex
-
 // Experiment is a named table/figure driver. Run executes the sweep under
-// opt; a nil opt snapshots the package-level defaults (DefaultOptions), so
-// flag-driven CLI invocations pass nil.
+// opt; a nil opt means NewOptions' defaults.
 type Experiment struct {
 	ID    string
 	Title string
@@ -360,9 +280,8 @@ func withLoads(cfg core.Config, bg, total float64) core.Config {
 // runs so lines never interleave.
 func (o *Options) reportFailure(label string, err error, fr *obs.FlightRecorder) {
 	obsRunsFailed.Inc()
-	mu := o.lock()
-	mu.Lock()
-	defer mu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	if o.Progress != nil {
 		o.Progress("%-40s FAILED: %s", label, firstLine(err.Error()))
 	}
@@ -426,7 +345,7 @@ func (o *Options) applyTo(cfg core.Config) core.Config {
 // deadline) surface here exactly as they would mid-sweep.
 func ProbeConfig(sc Scale, opt *Options) core.Config {
 	if opt == nil {
-		opt = DefaultOptions()
+		opt = NewOptions()
 	}
 	return opt.applyTo(baseConfig(sc, fabric.Vertigo, transport.DCTCP))
 }
@@ -469,8 +388,7 @@ func (o *Options) run(label string, cfg core.Config) (*metrics.Summary, *metrics
 	}
 	// One critical section for both hooks, so a run's progress line and its
 	// OnRun record can never interleave with another worker's.
-	mu := o.lock()
-	mu.Lock()
+	o.mu.Lock()
 	if o.Progress != nil {
 		o.Progress("%-40s q=%4d/%4d QCT=%-10v FCT=%-10v drops=%d wall=%.2fs ev/s=%.2fM",
 			label, res.Summary.QueriesCompleted, res.Summary.QueriesStarted,
@@ -480,7 +398,7 @@ func (o *Options) run(label string, cfg core.Config) (*metrics.Summary, *metrics
 	if o.OnRun != nil {
 		o.OnRun(info)
 	}
-	mu.Unlock()
+	o.mu.Unlock()
 	return res.Summary, res.Collector, nil
 }
 

@@ -23,12 +23,9 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	defer func(old int) { Concurrency = old }(Concurrency)
 	for _, id := range []string{"failheal", "flapstorm"} {
-		Concurrency = 1
-		seq := renderAll(t, id)
-		Concurrency = 8
-		par := renderAll(t, id)
+		seq := renderAll(t, id, workers(1))
+		par := renderAll(t, id, workers(8))
 		if !bytes.Equal(seq, par) {
 			t.Errorf("%s: parallel render differs from sequential:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
 				id, seq, par)
@@ -50,11 +47,8 @@ func TestSweepSurvivesPanic(t *testing.T) {
 	}
 
 	for _, conc := range []int{1, 4} {
-		defer func(old int) { Concurrency = old }(Concurrency)
-		Concurrency = conc
-
 		var rendered []string
-		sw := newSweep(nil)
+		sw := newSweep(workers(conc))
 		for _, label := range []string{"a", "boom", "c"} {
 			label := label
 			sw.add(label, core.Config{}, func(*metrics.Summary, *metrics.Collector) {
@@ -90,11 +84,8 @@ func TestSweepCollectsAllErrors(t *testing.T) {
 		}
 		return &metrics.Summary{}, metrics.NewCollector(), nil
 	}
-	defer func(old int) { Concurrency = old }(Concurrency)
-	Concurrency = 1
-
 	var rendered int
-	sw := newSweep(nil)
+	sw := newSweep(workers(1))
 	for _, label := range []string{"bad1", "ok1", "bad2", "ok2"} {
 		sw.add(label, core.Config{}, func(*metrics.Summary, *metrics.Collector) { rendered++ })
 	}
@@ -126,13 +117,11 @@ func TestPartialArtifactsOnFailure(t *testing.T) {
 		}
 		return o.run(label, cfg)
 	}
-	defer func(old func(RunInfo)) { OnRun = old }(OnRun)
+	opt := workers(2)
 	rec := NewRecorder()
-	OnRun = rec.Record
-	defer func(old int) { Concurrency = old }(Concurrency)
-	Concurrency = 2
+	opt.OnRun = rec.Record
 
-	sw := newSweep(nil)
+	sw := newSweep(opt)
 	tbl := &Table{ID: "x", Title: "partial", Columns: []string{"label"}}
 	good := baseConfig(Tiny, fabric.ECMP, transport.DCTCP)
 	good.SimTime = Tiny.SimTime / 8
@@ -144,7 +133,7 @@ func TestPartialArtifactsOnFailure(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	m := BuildManifest([]string{"x"}, Tiny, Concurrency, rec, time.Now(), time.Second)
+	m := BuildManifest([]string{"x"}, Tiny, opt.Concurrency, rec, time.Now(), time.Second)
 	if m.Runs != 1 || m.FailedRuns != 1 {
 		t.Fatalf("manifest runs=%d failed=%d, want 1/1", m.Runs, m.FailedRuns)
 	}

@@ -20,15 +20,18 @@ import (
 	"vertigo/internal/units"
 )
 
-// fig1Artifacts runs fig1 at Tiny with sampling and tracing on and returns
-// every deterministic artifact: rendered tables, samples.csv, trace.jsonl.
-// (results.json is excluded deliberately — it carries wall-clock timings.)
-func fig1Artifacts(t *testing.T) (tables, samples, trace []byte) {
+// fig1Artifacts runs fig1 at Tiny on conc workers with sampling and tracing
+// on and returns every deterministic artifact: rendered tables, samples.csv,
+// trace.jsonl. (results.json is excluded deliberately — it carries
+// wall-clock timings.)
+func fig1Artifacts(t *testing.T, conc int) (tables, samples, trace []byte) {
 	t.Helper()
+	opt := workers(conc)
+	opt.SampleTick = 100 * units.Microsecond
+	opt.TraceFlow = 1
 	rec := NewRecorder()
-	defer func(on func(RunInfo)) { OnRun = on }(OnRun)
-	OnRun = rec.Record
-	tables = renderAll(t, "fig1")
+	opt.OnRun = rec.Record
+	tables = renderAll(t, "fig1", opt)
 	return tables, rec.SamplesCSV(), rec.TraceJSONL()
 }
 
@@ -40,14 +43,7 @@ func TestScrapeDoesNotPerturb(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	defer func(tick units.Time, fl uint64, conc int) {
-		SampleTick, TraceFlow, Concurrency = tick, fl, conc
-	}(SampleTick, TraceFlow, Concurrency)
-	SampleTick = 100 * units.Microsecond
-	TraceFlow = 1
-
-	Concurrency = 1
-	baseTables, baseSamples, baseTrace := fig1Artifacts(t)
+	baseTables, baseSamples, baseTrace := fig1Artifacts(t, 1)
 	if len(baseSamples) == 0 || len(baseTrace) == 0 {
 		t.Fatal("baseline run produced no samples/trace; test would prove nothing")
 	}
@@ -78,8 +74,7 @@ func TestScrapeDoesNotPerturb(t *testing.T) {
 	}()
 
 	for _, conc := range []int{1, 8} {
-		Concurrency = conc
-		tables, samples, trace := fig1Artifacts(t)
+		tables, samples, trace := fig1Artifacts(t, conc)
 		if !bytes.Equal(tables, baseTables) {
 			t.Errorf("j=%d: tables perturbed by live scraping:\n--- quiet ---\n%s\n--- scraped ---\n%s",
 				conc, baseTables, tables)
@@ -114,19 +109,16 @@ func TestWatchdogKillDumpsFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	defer func(rt time.Duration, conc int, on func(RunInfo)) {
-		RunTimeout, Concurrency, OnRun = rt, conc, on
-	}(RunTimeout, Concurrency, OnRun)
-	RunTimeout = time.Nanosecond // no run can finish: first watchdog check kills it
-	Concurrency = 2
+	opt := workers(2)
+	opt.RunTimeout = time.Nanosecond // no run can finish: first watchdog check kills it
 	rec := NewRecorder()
-	OnRun = rec.Record
+	opt.OnRun = rec.Record
 
 	e, err := ByID("fig1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(Tiny, nil); err == nil {
+	if _, err := e.Run(Tiny, opt); err == nil {
 		t.Fatal("1ns wall budget should fail every run")
 	}
 	if len(rec.Failed()) == 0 {
@@ -186,7 +178,7 @@ func TestHistogramQuantilesMatchRawFig1(t *testing.T) {
 	}
 	cfg := withLoads(baseConfig(Tiny, fabric.Vertigo, transport.DCTCP), 0.2, 0.5)
 	cfg.RawSeries = metrics.RawKeep
-	sum, _, err := DefaultOptions().run("quantile-fidelity", cfg)
+	sum, _, err := NewOptions().run("quantile-fidelity", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

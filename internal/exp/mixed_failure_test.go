@@ -25,8 +25,7 @@ func TestMixedFailureSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	opt := NewOptions()
-	opt.Concurrency = 8
+	opt := workers(8)
 	opt.FlightLen = 1024
 	opt.RunTimeout = time.Minute
 	rec := NewRecorder()

@@ -12,10 +12,9 @@ func TestParallelExperimentsRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	defer func(old int) { Concurrency = old }(Concurrency)
-	Concurrency = 4
-	Progress = func(string, ...any) {} // exercise the progress path too
-	defer func() { Progress = nil }()
+	// One Options for both, as the CLI hands them.
+	opt := workers(4)
+	opt.Progress = func(string, ...any) {} // exercise the progress path too
 	var wg sync.WaitGroup
 	for _, id := range []string{"fig13", "defset"} {
 		e, err := ByID(id)
@@ -25,7 +24,7 @@ func TestParallelExperimentsRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.Run(Tiny, nil); err != nil {
+			if _, err := e.Run(Tiny, opt); err != nil {
 				t.Error(err)
 			}
 		}()

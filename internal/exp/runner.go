@@ -17,13 +17,6 @@ import (
 	"vertigo/internal/units"
 )
 
-// Concurrency is the number of simulations experiment drivers run at once
-// when no per-call Options override it (see DefaultOptions). Each sweep
-// point is one single-threaded deterministic simulation, so the sweep is
-// embarrassingly parallel; 1 restores fully sequential execution. The
-// default uses every available CPU.
-var Concurrency = runtime.GOMAXPROCS(0)
-
 // ErrPanic marks a run that died by panicking (as opposed to returning an
 // error). Crash-safe sweeps wrap the recovered panic into an error chain
 // containing this sentinel, so callers classify with errors.Is instead of
@@ -31,14 +24,16 @@ var Concurrency = runtime.GOMAXPROCS(0)
 // scenario: the same config panics the same way on every machine.
 var ErrPanic = errors.New("run panicked")
 
-// Options carries one sweep invocation's settings. The package-level
-// variables (Concurrency, RunTimeout, FlightLen, ...) remain the defaults
-// for the CLI drivers — DefaultOptions snapshots them — but concurrent
-// callers with different budgets (the vertigo-serve daemon runs many
-// tenants' sweeps at once) pass their own Options instead of mutating
-// shared globals.
+// Options carries one sweep invocation's settings, and is the only place
+// they live: vertigo-exp fills one from its flags, vertigo-serve one per job
+// from the job's spec, tests one each. Concurrent sweeps with different
+// budgets therefore never share state unless they share an Options, in which
+// case they also share its progress lock.
 type Options struct {
-	// Concurrency is the worker count for this sweep (<=0: sequential).
+	// Concurrency is the number of simulations a sweep runs at once. Each
+	// sweep point is one deterministic simulation, so the sweep is
+	// embarrassingly parallel and its tables are identical at any setting;
+	// <= 1 is fully sequential.
 	Concurrency int
 	// RunTimeout, when positive, bounds each run's wall-clock time; an
 	// over-budget run fails its row (wrapping core.ErrWallBudget) instead
@@ -64,14 +59,20 @@ type Options struct {
 	// convergence delay on every run that does not set its own.
 	HealDelay units.Time
 	// TrainLen, when non-negative, overrides the dataplane packet-train
-	// length on every run; -1 leaves each run's configured value alone.
+	// length on every run: 0 forces the per-packet engine; -1 leaves each
+	// run's configured value alone. Coalescing is exact, so every value must
+	// render byte-identical tables — pinned by the train identity tests.
 	TrainLen int
 	// RawMode, when not RawAuto, overrides every run's raw-series
-	// retention.
+	// retention: keep forces exact percentiles at any scale, drop exercises
+	// the histogram fallback everywhere.
 	RawMode metrics.RawMode
 	// Shards, when > 1, runs every scenario sharded across that many
 	// topology domains (core.Config.Shards); configurations or topologies
-	// a shard cannot carry degrade to serial per run.
+	// a shard cannot carry degrade to serial per run. Tables are
+	// byte-identical for a given count at any Concurrency, but a sharded run
+	// follows different random interleavings than the serial engine, so it is
+	// statistically, not bitwise, comparable to an unsharded one.
 	Shards int
 	// ChaosPanicAt, when positive, sets core.Config.ChaosPanicAt on every
 	// run that does not set its own: a deterministic crash drill for the
@@ -86,50 +87,18 @@ type Options struct {
 	// completion order (use RunInfo.Label to regroup).
 	OnRun func(RunInfo)
 
-	// mu serializes Progress+OnRun. nil falls back to the package-level
-	// lock, so every DefaultOptions sweep in the process serializes
-	// against the others — exactly the old global behavior, which the CLI
-	// relies on when -parallel runs experiments concurrently against one
-	// shared Recorder.
+	// mu serializes Progress and OnRun across every sweep run under this
+	// Options or a copy of it: vertigo-exp -parallel runs several
+	// experiments at once against one Recorder.
 	mu *sync.Mutex
 }
 
-// NewOptions returns an Options with the zero-value defaults (TrainLen -1 =
-// leave configured values alone) and a private progress lock, suitable for
-// concurrent independent sweeps.
+// NewOptions is the one constructor. It returns the defaults of a process
+// nobody configured — a worker per CPU, a 4096-record flight ring, every
+// run's own train length, nothing else attached or bounded — with a progress
+// lock of its own. Experiment.Run(sc, nil) means these.
 func NewOptions() *Options {
-	return &Options{Concurrency: 1, TrainLen: -1, mu: new(sync.Mutex)}
-}
-
-// DefaultOptions snapshots the package-level variables — the CLI drivers'
-// configuration surface — into an Options. Sweeps run with a nil *Options
-// use this, so existing flag-driven behavior is unchanged.
-func DefaultOptions() *Options {
-	return &Options{
-		Concurrency:   Concurrency,
-		RunTimeout:    RunTimeout,
-		MaxEvents:     MaxEvents,
-		FlightLen:     FlightLen,
-		SampleTick:    SampleTick,
-		TraceFlow:     TraceFlow,
-		FaultSchedule: FaultSchedule,
-		HealDelay:     HealDelay,
-		TrainLen:      TrainLen,
-		RawMode:       RawMode,
-		Shards:        Shards,
-		ChaosPanicAt:  ChaosPanicAt,
-		Progress:      Progress,
-		OnRun:         OnRun,
-	}
-}
-
-// lock returns the Options' progress lock, falling back to the package
-// lock for default/zero Options.
-func (o *Options) lock() *sync.Mutex {
-	if o.mu != nil {
-		return o.mu
-	}
-	return &progressMu
+	return &Options{Concurrency: runtime.GOMAXPROCS(0), FlightLen: 4096, TrainLen: -1, mu: new(sync.Mutex)}
 }
 
 // runFn is the scenario executor used by sweeps; a package variable so the
@@ -158,11 +127,11 @@ type sweep struct {
 	jobs []*sweepJob
 }
 
-// newSweep returns an empty sweep running under opt; nil opt snapshots the
-// package-level defaults.
+// newSweep returns an empty sweep running under opt; nil opt means
+// NewOptions' defaults.
 func newSweep(opt *Options) *sweep {
 	if opt == nil {
-		opt = DefaultOptions()
+		opt = NewOptions()
 	}
 	return &sweep{opt: opt}
 }

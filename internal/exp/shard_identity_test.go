@@ -20,11 +20,9 @@ import (
 // shard count and sweep concurrency.
 func renderShards(t *testing.T, id string, shards, conc int) []byte {
 	t.Helper()
-	defer func(oldShards, oldConc int) {
-		Shards, Concurrency = oldShards, oldConc
-	}(Shards, Concurrency)
-	Shards, Concurrency = shards, conc
-	return renderAll(t, id)
+	opt := workers(conc)
+	opt.Shards = shards
+	return renderAll(t, id, opt)
 }
 
 // TestShardIdentitySerial compares -shards=1 (and the explicit zero value)

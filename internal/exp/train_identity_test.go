@@ -16,11 +16,9 @@ import (
 // train-length override and sweep concurrency.
 func renderTrain(t *testing.T, id string, train, conc int) []byte {
 	t.Helper()
-	defer func(oldTrain, oldConc int) {
-		TrainLen, Concurrency = oldTrain, oldConc
-	}(TrainLen, Concurrency)
-	TrainLen, Concurrency = train, conc
-	return renderAll(t, id)
+	opt := workers(conc)
+	opt.TrainLen = train
+	return renderAll(t, id, opt)
 }
 
 // TestTrainIdentitySweeps compares rendered tables across TrainLen 0 (the
@@ -55,24 +53,13 @@ func TestTrainIdentitySweeps(t *testing.T) {
 // artifacts.
 func artifactsTrain(t *testing.T, id string, train, conc int) (samples, trace []byte) {
 	t.Helper()
-	defer func(oldTrain, oldConc int) {
-		TrainLen, Concurrency = oldTrain, oldConc
-	}(TrainLen, Concurrency)
-	defer func(tick units.Time, flow uint64, onRun func(RunInfo)) {
-		SampleTick, TraceFlow, OnRun = tick, flow, onRun
-	}(SampleTick, TraceFlow, OnRun)
-	TrainLen, Concurrency = train, conc
-	SampleTick = 200 * units.Microsecond
-	TraceFlow = 1
+	opt := workers(conc)
+	opt.TrainLen = train
+	opt.SampleTick = 200 * units.Microsecond
+	opt.TraceFlow = 1
 	rec := NewRecorder()
-	OnRun = rec.Record
-	e, err := ByID(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(Tiny, nil); err != nil {
-		t.Fatal(err)
-	}
+	opt.OnRun = rec.Record
+	renderAll(t, id, opt)
 	return rec.SamplesCSV(), rec.TraceJSONL()
 }
 

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -79,7 +80,14 @@ func TestPortsCostNoObjects(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng, met := sim.NewEngine(1), metrics.NewCollector()
-		return tp, testing.AllocsPerRun(5, func() { New(eng, tp, met, DefaultConfig(Vertigo)) })
+		// Malloc counts are process-wide and the runtime allocates now and
+		// then on its own account (a thread started under CPU contention is
+		// three objects), so every reading here is the least of three.
+		least := math.Inf(1)
+		for i := 0; i < 3; i++ {
+			least = min(least, testing.AllocsPerRun(5, func() { New(eng, tp, met, DefaultConfig(Vertigo)) }))
+		}
+		return tp, least
 	}
 	_, few := build(2)
 	tp, many := build(16)
@@ -105,15 +113,19 @@ func TestPortsCostNoObjects(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		send(0, 16)
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	send(1, 17) // fresh: host 1's NIC and leaf 1's port to host 17
-	runtime.ReadMemStats(&m1)
-	if delivered != 65 {
-		t.Fatalf("delivered %d of 65", delivered)
+	least := ^uint64(0)
+	for h := 1; h <= 3; h++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		send(h, 16+h) // fresh: host h's NIC and leaf 1's port to host 16+h
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.Mallocs-m0.Mallocs)
 	}
-	if got := m1.Mallocs - m0.Mallocs; got > 4 {
-		t.Errorf("first packet through two fresh ports allocated %d objects, want at most a queue array and an in-flight array each", got)
+	if delivered != 67 {
+		t.Fatalf("delivered %d of 67", delivered)
+	}
+	if least > 4 {
+		t.Errorf("first packet through two fresh ports allocated %d objects, want at most a queue array and an in-flight array each", least)
 	}
 }
 

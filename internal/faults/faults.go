@@ -20,6 +20,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -160,19 +161,27 @@ func (s *Schedule) Validate(numLinks, numSwitches int, simTime units.Time) error
 		default:
 			return fmt.Errorf("faults: event %d has unknown kind %d", i, int(e.Kind))
 		}
-		if e.Kind == Corrupt && (e.BER < 0 || e.BER > 1) {
+		// Written so that NaN, which compares false to everything, fails.
+		if e.Kind == Corrupt && !(e.BER >= 0 && e.BER <= 1) {
 			return fmt.Errorf("faults: event %d (%s) bit-error rate %g outside [0,1]", i, e, e.BER)
 		}
-		if e.Kind == Degrade && e.Factor <= 0 {
-			return fmt.Errorf("faults: event %d (%s) rate factor %g must be positive", i, e, e.Factor)
+		if e.Kind == Degrade && !(e.Factor > 0 && e.Factor <= math.MaxFloat64) {
+			return fmt.Errorf("faults: event %d (%s) rate factor %g must be positive and finite", i, e, e.Factor)
 		}
 	}
 	return nil
 }
 
+// maxParsed bounds the schedule Parse builds. The text arrives from outside
+// (the -fault flag, a vertigo-serve job's fault field) and one flap item
+// expands to 2*count events, so without a bound a forty-byte string asks for
+// gigabytes before anything is validated.
+const maxParsed = 1 << 16
+
 // Parse reads the compact schedule syntax (see the package comment). Flap
 // events expand into their down/up pairs, so the returned schedule contains
-// only primitive transitions.
+// only primitive transitions. What Parse accepts passes Validate(-1, -1, 0)
+// and holds at most maxParsed events.
 func Parse(src string) (*Schedule, error) {
 	sched := &Schedule{}
 	for _, item := range strings.Split(src, ";") {
@@ -239,10 +248,23 @@ func Parse(src string) (*Schedule, error) {
 			if downFor <= 0 || period <= downFor || count < 1 {
 				return nil, fmt.Errorf("faults: event %q needs 0 < down < period and count >= 1", item)
 			}
+			if count > (maxParsed-len(sched.Events))/2 { // before Flap sizes an array by it
+				return nil, fmt.Errorf("faults: event %q takes the schedule past %d events", item, maxParsed)
+			}
+			// The last cycle's up event is the latest: at + (count-1)*period + down.
+			if room := math.MaxInt64 - at; downFor > room || units.Time(count-1) > (room-downFor)/period {
+				return nil, fmt.Errorf("faults: event %q: its last cycle ends past the largest representable time", item)
+			}
 			sched.Add(Flap(link, at, downFor, period, count)...)
 		default:
 			return nil, fmt.Errorf("faults: event %q has unknown kind %q (down|up|swdown|swup|corrupt|degrade|flap)", item, kindStr)
 		}
+		if len(sched.Events) > maxParsed {
+			return nil, fmt.Errorf("faults: event %q takes the schedule past %d events", item, maxParsed)
+		}
+	}
+	if err := sched.Validate(-1, -1, 0); err != nil {
+		return nil, err
 	}
 	return sched, nil
 }

@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"vertigo/internal/units"
 )
@@ -144,4 +146,94 @@ func TestNilScheduleIsEmptyAndValid(t *testing.T) {
 	if (&Schedule{}).Empty() != true {
 		t.Error("zero schedule not empty")
 	}
+}
+
+// TestParseBoundsFlap: one flap item used to size an allocation straight from
+// its count, before anything was validated. Every such item is now refused
+// with an error that names it, having allocated next to nothing.
+func TestParseBoundsFlap(t *testing.T) {
+	for _, c := range []struct{ src, wantSub string }{
+		{"flap@0s:link=0,down=1ns,period=2ns,count=2000000", "past 65536 events"},
+		{"flap@0s:link=0,down=1ns,period=2ns,count=200000000", "past 65536 events"},
+		{"flap@0s:link=0,down=1ns,period=2ns,count=4611686018427387904", "past 65536 events"},
+		// 30,000 cycles of 100,000 h run past int64 nanoseconds; so does one
+		// cycle that starts at the far end of the range.
+		{"flap@0s:link=0,down=1ns,period=100000h,count=30000", "largest representable time"},
+		{"flap@2562047h:link=0,down=1h,period=2h,count=1", "largest representable time"},
+		{"flap@0s:link=0,down=1ns,period=2ns,count=20000; flap@0s:link=1,down=1ns,period=2ns,count=20000", "past 65536 events"},
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := Parse(c.src)
+		runtime.ReadMemStats(&m1)
+		item := strings.TrimSpace(c.src[strings.LastIndex(c.src, ";")+1:])
+		if err == nil || !strings.Contains(err.Error(), c.wantSub) || !strings.Contains(err.Error(), item) {
+			t.Errorf("Parse(%q) error %v, want one naming %q with %q", c.src, err, item, c.wantSub)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got > 4<<20 {
+			t.Errorf("Parse(%q) allocated %d bytes before refusing", c.src, got)
+		}
+	}
+	sched, err := Parse("flap@1h:link=3,down=1ns,period=2ns,count=32768")
+	if err != nil || len(sched.Events) != maxParsed {
+		t.Fatalf("the largest flap Parse takes: %v", err)
+	}
+	if last := sched.Events[maxParsed-1]; last.At != units.FromDuration(time.Hour)+2*32767+1 || last.Kind != LinkUp {
+		t.Fatalf("last event %v", last)
+	}
+}
+
+// TestParseValidates: what Parse accepts, Validate accepts, so a serve job or
+// a -fault flag with an index or a rate that can never be right is refused
+// where it is read rather than once per run.
+func TestParseValidates(t *testing.T) {
+	for _, src := range []string{
+		"down@1ms:link=-1", "swup@1ms:sw=-2", "corrupt@0s:link=0,ber=1.5", "corrupt@0s:link=0,ber=NaN",
+		"degrade@0s:link=0,factor=0", "degrade@0s:link=0,factor=NaN", "degrade@0s:link=0,factor=+Inf",
+		"flap@0s:link=-4,down=1ms,period=2ms,count=1",
+	} {
+		if s, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) accepted %v", src, s)
+		}
+	}
+}
+
+// FuzzParse: whatever the text, Parse does not panic and does not build more
+// than maxParsed events; a schedule it returns passes the boundless Validate
+// and survives String and Parse unchanged.
+func FuzzParse(f *testing.F) {
+	f.Add("down@10ms:link=5; up@14ms:link=5")
+	f.Add("flap@5ms:link=5,down=1ms,period=4ms,count=3")
+	f.Add("swdown@10ms:sw=2; swup@20ms:sw=2")
+	f.Add("corrupt@0s:link=5,ber=1e-3")
+	f.Add("degrade@10ms:link=5,factor=0.25; degrade@20ms:link=5,factor=1")
+	f.Add("flap@5ms:link=16,down=1ms,period=4ms,count=2;corrupt@0s:link=17,ber=1e-3") // CI's -fault string
+	f.Add("flap@0s:link=0,down=1ns,period=2ns,count=2000000")
+	f.Add("flap@0s:link=0,down=1ns,period=2ns,count=4611686018427387904")
+	f.Add("flap@2562047h:link=0,down=1h,period=2h,count=1")
+	f.Add("corrupt@0s:link=0,ber=NaN")
+	f.Fuzz(func(t *testing.T, src string) {
+		sched, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if len(sched.Events) > maxParsed {
+			t.Fatalf("%d events from %d bytes of text", len(sched.Events), len(src))
+		}
+		if err := sched.Validate(-1, -1, 0); err != nil {
+			t.Fatalf("parsed, then invalid: %v", err)
+		}
+		again, err := Parse(sched.String())
+		if err != nil {
+			t.Fatalf("re-parsing %q: %v", sched.String(), err)
+		}
+		if len(again.Events) != len(sched.Events) {
+			t.Fatalf("round trip changed the event count: %d -> %d", len(sched.Events), len(again.Events))
+		}
+		for i, e := range sched.Events {
+			if again.Events[i] != e {
+				t.Fatalf("event %d changed in the round trip: %v -> %v", i, e, again.Events[i])
+			}
+		}
+	})
 }

@@ -215,3 +215,29 @@ func TestMarkerCountsFilterOverflows(t *testing.T) {
 		t.Fatal("every retransmission was boosted despite the overflows")
 	}
 }
+
+// TestMarkerWarmFlowAllocatesNothing pins the marker's per-segment cost in
+// objects on a warm flow — flow-table hit, duplicate-filter probe, header
+// stamp: once every segment has been marked once and the filter's pages
+// exist, marking allocates nothing.
+func TestMarkerWarmFlowAllocatesNothing(t *testing.T) {
+	m := NewMarker(DefaultMarkerConfig())
+	const segs = 1 << 12
+	m.StartFlow(1, 0, segs*packet.MSS)
+	p := &packet.Packet{Flow: 1, Kind: packet.Data, PayloadLen: packet.MSS}
+	i := 0
+	mark := func() {
+		p.Seq = int64(i%segs) * packet.MSS
+		m.Mark(p)
+		i++
+	}
+	for i < segs {
+		mark()
+	}
+	if avg := testing.AllocsPerRun(2*segs, mark); avg != 0 {
+		t.Fatalf("marking a segment of a warm flow allocates %.3f objects, want 0", avg)
+	}
+	if m.FilterOverflows != 0 {
+		t.Fatalf("%d filter overflows at default capacity", m.FilterOverflows)
+	}
+}

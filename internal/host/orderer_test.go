@@ -155,32 +155,51 @@ func reorderedFlow(o *Orderer, pkts []*packet.Packet) {
 // the kept reorder window buy: a flow-table slot hosting one reordered flow
 // after another — buffer, arm τ, release, tombstone, reclaim — costs its
 // first tenant a window and every later one nothing, where closures bound to
-// the slot cost two objects and arena buffers three per fresh slot.
+// the slot cost two objects and arena buffers three per fresh slot. The
+// in-order stream is the datapath's common case — flow-table hit, position
+// compare, direct delivery — across the same turnover: it never allocates.
 func TestOrdererSlotChurnAllocatesNothing(t *testing.T) {
-	eng := sim.NewEngine(1)
-	cfg := DefaultOrdererConfig()
-	delivered := 0
-	o := NewOrderer(eng, cfg, func(*packet.Packet) { delivered++ })
-	pkts := mkFlow(0, 3)
-	tenants := 0
-	tenant := func() {
-		tenants++
+	inOrder := func(o *Orderer, pkts []*packet.Packet) {
 		for _, p := range pkts {
-			p.Flow++
+			o.Receive(p)
 		}
-		reorderedFlow(o, pkts)
-		if slot := o.flows.Ref(pkts[0].Flow); slot != 0 {
-			t.Fatalf("tenant %d landed in slot %d, want the recycled slot 0", tenants, slot)
-		}
-		eng.Run(eng.Now() + 2*cfg.Timeout) // past the tombstone's reclaim
 	}
-	tenant()
-	if avg := testing.AllocsPerRun(1000, tenant); avg != 0 {
-		t.Fatalf("a recycled slot's tenant allocates %.3f objects, want 0", avg)
-	}
-	if delivered != 3*tenants || o.Held != int64(2*tenants) || o.Timeouts != 0 || o.ActiveFlows() != 0 {
-		t.Fatalf("%d tenants: delivered %d, held %d, %d timeouts, %d flows left",
-			tenants, delivered, o.Held, o.Timeouts, o.ActiveFlows())
+	for _, tc := range []struct {
+		name   string
+		segs   int
+		arrive func(*Orderer, []*packet.Packet)
+		held   int // packets a tenant has buffered before they are released
+	}{
+		{"reordered", 3, reorderedFlow, 2},
+		{"in order", 64, inOrder, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			cfg := DefaultOrdererConfig()
+			delivered := 0
+			o := NewOrderer(eng, cfg, func(*packet.Packet) { delivered++ })
+			pkts := mkFlow(0, tc.segs)
+			tenants := 0
+			tenant := func() {
+				tenants++
+				for _, p := range pkts {
+					p.Flow++
+				}
+				tc.arrive(o, pkts)
+				if slot := o.flows.Ref(pkts[0].Flow); slot != 0 {
+					t.Fatalf("tenant %d landed in slot %d, want the recycled slot 0", tenants, slot)
+				}
+				eng.Run(eng.Now() + 2*cfg.Timeout) // past the tombstone's reclaim
+			}
+			tenant()
+			if avg := testing.AllocsPerRun(1000, tenant); avg != 0 {
+				t.Fatalf("a recycled slot's tenant allocates %.3f objects, want 0", avg)
+			}
+			if delivered != tc.segs*tenants || o.Held != int64(tc.held*tenants) || o.Timeouts != 0 || o.ActiveFlows() != 0 {
+				t.Fatalf("%d tenants: delivered %d, held %d, %d timeouts, %d flows left",
+					tenants, delivered, o.Held, o.Timeouts, o.ActiveFlows())
+			}
+		})
 	}
 }
 

@@ -3,54 +3,27 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"math/bits"
 	"strings"
 
+	"vertigo/internal/obs"
 	"vertigo/internal/units"
 )
 
 // Histogram is a log-bucketed histogram of non-negative int64 observations
-// (nanoseconds, bytes, counts). Bucket i>0 holds values in [2^(i-1), 2^i);
-// bucket 0 holds zero and negative values. Log bucketing keeps the whole
-// distribution — from sub-microsecond queue blips to multi-second tails —
-// in 65 counters with bounded (≤ 2×) relative error, which is what run
-// artifacts need: end-of-run scalars hide exactly the transient behaviour
+// (nanoseconds, bytes, counts) on obs's bucket grid: bucket i>0 holds values
+// in [2^(i-1), 2^i), bucket 0 zero and negative values. Log bucketing keeps
+// the whole distribution — from sub-microsecond queue blips to multi-second
+// tails — in 65 counters with bounded (≤ 2×) relative error, which is what
+// run artifacts need: end-of-run scalars hide exactly the transient behaviour
 // the paper's evaluation is about.
 //
 // The zero value is an empty, usable histogram.
 type Histogram struct {
-	counts [65]uint64
+	counts [obs.NumBuckets]uint64
 	total  uint64
 	sum    int64
 	min    int64
 	max    int64
-}
-
-// bucketOf returns the bucket index for v.
-func bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(v))
-}
-
-// BucketLow returns the inclusive lower bound of bucket i.
-func BucketLow(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	return 1 << (i - 1)
-}
-
-// BucketHigh returns the inclusive upper bound of bucket i.
-func BucketHigh(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	if i >= 63 {
-		return int64(^uint64(0) >> 1)
-	}
-	return 1<<i - 1
 }
 
 // Observe records one value.
@@ -61,7 +34,7 @@ func (h *Histogram) Observe(v int64) {
 	if h.total == 0 || v > h.max {
 		h.max = v
 	}
-	h.counts[bucketOf(v)]++
+	h.counts[obs.BucketOf(v)]++
 	h.total++
 	h.sum += v
 }
@@ -118,7 +91,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i, c := range h.counts {
 		seen += c
 		if seen >= rank {
-			hi := BucketHigh(i)
+			hi := obs.BucketHigh(i)
 			if hi > h.max {
 				hi = h.max
 			}
@@ -145,7 +118,7 @@ func (h *Histogram) CDF(maxPoints int) []CDFPoint {
 			continue
 		}
 		seen += c
-		v := BucketHigh(i)
+		v := obs.BucketHigh(i)
 		if v > h.max {
 			v = h.max
 		}
@@ -192,7 +165,7 @@ func (h *Histogram) Buckets() []Bucket {
 	var out []Bucket
 	for i, c := range h.counts {
 		if c > 0 {
-			out = append(out, Bucket{Low: BucketLow(i), High: BucketHigh(i), Count: c})
+			out = append(out, Bucket{Low: obs.BucketLow(i), High: obs.BucketHigh(i), Count: c})
 		}
 	}
 	return out
@@ -222,8 +195,8 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	}
 	*h = Histogram{total: w.Count, sum: w.Sum, min: w.Min, max: w.Max}
 	for _, b := range w.Buckets {
-		i := bucketOf(b.High)
-		if BucketLow(i) != b.Low {
+		i := obs.BucketOf(b.High)
+		if obs.BucketLow(i) != b.Low {
 			return fmt.Errorf("metrics: bucket [%d,%d] does not match the log-bucket grid", b.Low, b.High)
 		}
 		h.counts[i] = b.Count

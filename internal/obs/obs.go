@@ -75,34 +75,32 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// nHistBuckets mirrors metrics.Histogram's log-bucket grid: bucket i>0 holds
-// values in [2^(i-1), 2^i), bucket 0 holds zero and negative values. The
-// same grid means registry histograms and end-of-run Summary histograms are
-// directly comparable (and mergeable by bucket index).
-const nHistBuckets = 65
+// NumBuckets, BucketOf, BucketLow and BucketHigh are the log-2 bucket grid,
+// defined here once: bucket i>0 holds values in [2^(i-1), 2^i), bucket 0
+// holds zero and negative values. Histogram counts on it atomically and
+// metrics.Histogram with min/max and merging, so registry histograms and
+// end-of-run Summary histograms are directly comparable (and mergeable by
+// bucket index).
+const NumBuckets = 65
 
-// Histogram is an atomic log-bucketed histogram of int64 observations
-// (nanoseconds, bytes). Observe is three wait-free atomic adds — no locks,
-// no allocation — so it is safe on per-packet paths bumped from many
-// concurrent simulations. Unlike metrics.Histogram it carries no min/max
-// (they would need CAS loops on the hot path); quantiles come from the
-// bucket grid at scrape time.
-type Histogram struct {
-	counts [nHistBuckets]atomic.Uint64
-	count  atomic.Uint64
-	sum    atomic.Int64
-}
-
-// bucketOf returns the bucket index for v (metrics.Histogram's grid).
-func bucketOf(v int64) int {
+// BucketOf returns the bucket index for v.
+func BucketOf(v int64) int {
 	if v <= 0 {
 		return 0
 	}
 	return bits.Len64(uint64(v))
 }
 
-// bucketHigh returns the inclusive upper bound of bucket i.
-func bucketHigh(i int) int64 {
+// BucketLow returns the inclusive lower bound of bucket i.
+func BucketLow(i int) int64 {
+	if i <= 0 {
+		return 0
+	}
+	return 1 << (i - 1)
+}
+
+// BucketHigh returns the inclusive upper bound of bucket i.
+func BucketHigh(i int) int64 {
 	if i <= 0 {
 		return 0
 	}
@@ -112,9 +110,21 @@ func bucketHigh(i int) int64 {
 	return 1<<i - 1
 }
 
+// Histogram is an atomic log-bucketed histogram of int64 observations
+// (nanoseconds, bytes). Observe is three wait-free atomic adds — no locks,
+// no allocation — so it is safe on per-packet paths bumped from many
+// concurrent simulations. Unlike metrics.Histogram it carries no min/max
+// (they would need CAS loops on the hot path); quantiles come from the
+// bucket grid at scrape time.
+type Histogram struct {
+	counts [NumBuckets]atomic.Uint64
+	count  atomic.Uint64
+	sum    atomic.Int64
+}
+
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
-	h.counts[bucketOf(v)].Add(1)
+	h.counts[BucketOf(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 }
@@ -125,14 +135,14 @@ func (h *Histogram) Observe(v int64) {
 // histogram, which the owner does on its engine's publish cadence (see
 // sim.Engine.OnPublish). The zero value is ready to use.
 type HistBatch struct {
-	counts [nHistBuckets]uint64
+	counts [NumBuckets]uint64
 	count  uint64
 	sum    int64
 }
 
 // Observe records one value.
 func (b *HistBatch) Observe(v int64) {
-	b.counts[bucketOf(v)]++
+	b.counts[BucketOf(v)]++
 	b.count++
 	b.sum += v
 }
@@ -165,7 +175,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
 	for i := range h.counts {
 		if c := h.counts[i].Load(); c > 0 {
-			s.Buckets = append(s.Buckets, BucketCount{High: bucketHigh(i), Count: c})
+			s.Buckets = append(s.Buckets, BucketCount{High: BucketHigh(i), Count: c})
 		}
 	}
 	return s

@@ -277,10 +277,12 @@ func TestHistogramObserveZeroAlloc(t *testing.T) {
 	h := NewRegistry().Histogram("za_ns", "")
 	c := NewRegistry().Counter("za_total", "")
 	g := NewRegistry().Gauge("za", "")
+	v := NewRegistry().CounterVec("za_drops_total", "", "reason", "overflow", "fault")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		g.Add(1)
 		h.Observe(12345)
+		v.At(1).Inc()
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path bumps allocate: %v allocs/op", allocs)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -119,6 +120,27 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 }
 
 func intp(v int) *int { return &v }
+
+// TestSubmitRejectsUnboundedFlap: a fault field whose one flap item asks for
+// hundreds of millions of events is a synchronous 400 from the parser — it
+// used to allocate them all at admission, before any validation.
+func TestSubmitRejectsUnboundedFlap(t *testing.T) {
+	s := newTestServer(t, testConfig(t), func(*Job) error { return nil })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, count := range []string{"200000000", "4611686018427387904"} {
+		body := `{"experiment":"failover","scale":"tiny","fault":"flap@0s:link=0,down=1ns,period=2ns,count=` + count + `"}`
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 400 || !strings.Contains(string(msg), "count="+count) {
+			t.Errorf("count=%s: status %d, body %s; want a 400 naming the item", count, resp.StatusCode, msg)
+		}
+	}
+}
 
 // TestAdmissionQueueFull pins the bounded-queue contract: with all workers
 // wedged and the queue full, the next submission is a 429 with Retry-After.

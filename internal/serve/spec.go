@@ -31,7 +31,7 @@ type Spec struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Experiment is the experiment ID to run (see vertigo-exp -list).
 	Experiment string `json:"experiment"`
-	// Scale is the scale preset: tiny|small|medium|paper (default small).
+	// Scale is the scale preset: tiny|small|medium|paper|huge (default small).
 	Scale string `json:"scale,omitempty"`
 	// Seed overrides the scale's RNG seed when nonzero.
 	Seed int64 `json:"seed,omitempty"`

@@ -2,9 +2,8 @@
 
 package vertigo_test
 
-// Million-flow memory-scaling checks. These take minutes, so they hide
-// behind VERTIGO_SCALE_TEST=1; the bench-scale CI job runs them alongside
-// BenchmarkRunThroughputHuge.
+// Million-flow memory-scaling check. It takes minutes, so it hides behind
+// VERTIGO_SCALE_TEST=1; CI's benchmark-compare job runs it.
 
 import (
 	"os"
@@ -13,8 +12,36 @@ import (
 	"testing"
 
 	"vertigo/internal/core"
+	"vertigo/internal/exp"
+	"vertigo/internal/fabric"
+	"vertigo/internal/topo"
+	"vertigo/internal/transport"
 	"vertigo/internal/units"
 )
+
+// runHugeConfig is the frozen scale=huge scenario: the Huge preset's k=16
+// fat-tree (1024 hosts) under a 40% incast-only load of 4 KB flows —
+// over a million flows in 10 simulated milliseconds. Flow churn, not byte
+// volume, is the stressor: it exercises sender/receiver slab recycling,
+// streaming-only metrics past the raw-series cutover, and the
+// allocation-lean FIB build.
+func runHugeConfig() core.Config {
+	sc := exp.Huge
+	cfg := core.DefaultConfig(fabric.Vertigo, transport.DCTCP)
+	cfg.Seed = sc.Seed
+	cfg.SimTime = sc.SimTime
+	cfg.Kind = core.FatTree
+	cfg.FatTreeCfg = topo.FatTreeConfig{
+		K:         sc.FatTreeK,
+		Rate:      10 * units.Gbps,
+		LinkDelay: 500 * units.Nanosecond,
+	}
+	cfg.IncastScale = sc.IncastScale
+	cfg.IncastFlowSize = int64(sc.IncastFlowKB) * 1000
+	cfg.BGLoad = 0
+	cfg.SetIncastLoad(0.40)
+	return cfg
+}
 
 // TestScaleSublinearRSS pins the tentpole memory claim: growing a run from
 // ~130k to ~1.3M flows (10x) must grow peak RSS far less than linearly,
