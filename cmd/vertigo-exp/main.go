@@ -63,7 +63,6 @@ func realMain() error {
 			`fault schedule injected into every run, e.g. "flap@10ms:link=64,down=1ms,period=4ms,count=3" (see internal/faults)`)
 		healDelay  = flag.Duration("heal-delay", 0, "control-plane healing delay after each -fault topology change (0 = healing off)")
 		runTimeout = flag.Duration("run-timeout", 0, "wall-clock budget per simulation run; an over-budget run fails its row (0 = unlimited)")
-		trainLen   = flag.Int("train", opt.TrainLen, "dataplane packet-train length override: 0 = per-packet engine, >=2 = coalesce; -1 keeps the default (results are identical at any value)")
 		shards     = flag.Int("shards", 0, "shard every simulation across this many topology domains on separate cores (tables are deterministic per shard count; <=1 = serial engine)")
 
 		debugAddr = flag.String("debug-addr", "", "serve the introspection plane on this address, e.g. localhost:9464 (/metrics, /statusz, /healthz, /debug/pprof)")
@@ -169,7 +168,6 @@ func realMain() error {
 		}
 	}
 	opt.HealDelay = units.FromDuration(*healDelay)
-	opt.TrainLen = *trainLen
 	if opt.RawMode, err = metrics.ParseRawMode(*rawSeries); err != nil {
 		return err
 	}

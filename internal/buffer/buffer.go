@@ -41,11 +41,6 @@ type Queue interface {
 	Cap() units.ByteSize
 	// Fits reports whether a packet of size n would currently fit.
 	Fits(n units.ByteSize) bool
-	// PeekAt returns the packet the i-th next Pop would return (0 = head)
-	// without removing it, or nil when i >= Len. Train planning walks the
-	// first few pop candidates through this to serialize them under one
-	// event while they stay queued.
-	PeekAt(i int) *packet.Packet
 }
 
 // DropTailQueue is a FIFO with byte-based admission: the queue used by the
@@ -106,14 +101,6 @@ func (q *DropTailQueue) Cap() units.ByteSize { return q.cap }
 // Fits reports whether n more bytes fit.
 func (q *DropTailQueue) Fits(n units.ByteSize) bool { return q.bytes+n <= q.cap }
 
-// PeekAt returns the i-th next packet to pop without removing it.
-func (q *DropTailQueue) PeekAt(i int) *packet.Packet {
-	if i < 0 || q.head+i >= len(q.pkts) {
-		return nil
-	}
-	return q.pkts[q.head+i]
-}
-
 // SortedQueue keeps packets ordered by ascending rank (Vertigo's RFS), with
 // FIFO order among equal ranks. Pop returns the minimum-rank packet; the
 // tail (maximum rank, youngest among ties) can be inspected and extracted,
@@ -128,7 +115,7 @@ func (q *DropTailQueue) PeekAt(i int) *packet.Packet {
 // insertion lands there.
 //
 // The packet window, its head index and the byte accounting are a
-// DropTailQueue's, embedded: Len, Bytes, Cap, Fits and PeekAt are its
+// DropTailQueue's, embedded: Len, Bytes, Cap and Fits are its
 // methods, Push and Pop are replaced. An owner that keeps its queue header
 // by value (a fabric port) therefore needs room for one SortedQueue and can
 // run either discipline in it: the whole after Init, or the embedded FIFO
@@ -309,11 +296,4 @@ func (q *SortedQueue) ForceInsert(p *packet.Packet) []*packet.Packet {
 	}
 	q.evScratch = evicted
 	return evicted
-}
-
-// MaxRankAt returns the rank of the i-th next packet to pop; it is the
-// planning-time upper bound train coalescing uses to decide whether a later
-// insertion can preempt a planned segment.
-func (q *SortedQueue) MaxRankAt(i int) uint32 {
-	return q.ranks[q.head+i]
 }

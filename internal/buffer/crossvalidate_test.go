@@ -78,9 +78,6 @@ func TestSortedQueueMatchesPIEO(t *testing.T) {
 			if sq.Len() != pl.Len() {
 				t.Fatalf("%s: length mismatch %d vs %d", at, sq.Len(), pl.Len())
 			}
-			if sq.Len() > 0 && sq.PeekAt(0) == nil {
-				t.Fatalf("%s: non-empty queue has no head", at)
-			}
 		}
 	}
 }
@@ -118,13 +115,10 @@ func dropTailDrainRefill(t *testing.T, q *DropTailQueue) {
 			ref = ref[1:]
 		}
 		var bytes units.ByteSize
-		for i, p := range ref {
+		for _, p := range ref {
 			bytes += p.Size()
-			if q.PeekAt(i) != p {
-				t.Fatalf("cycle %d: PeekAt(%d) disagrees with arrival order", cycle, i)
-			}
 		}
-		if q.Len() != len(ref) || q.Bytes() != bytes || q.PeekAt(len(ref)) != nil {
+		if q.Len() != len(ref) || q.Bytes() != bytes {
 			t.Fatalf("cycle %d: Len %d Bytes %d, want %d and %d", cycle, q.Len(), q.Bytes(), len(ref), bytes)
 		}
 		if len(ref) == 0 && q.Pop() != nil {

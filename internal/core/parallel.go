@@ -369,7 +369,6 @@ func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, er
 		res.Pool.Slabs += r.Pool.Slabs
 		res.Trains.Trains += r.Trains.Trains
 		res.Trains.Segments += r.Trains.Segments
-		res.Trains.Invalidated += r.Trains.Invalidated
 		if d.tracer != nil {
 			traces = append(traces, d.traceBuf.Bytes())
 		}

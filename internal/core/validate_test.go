@@ -26,8 +26,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"negative incast scale", func(c *Config) { c.IncastScale = -2 }, "incast scale"},
 		{"negative flow size", func(c *Config) { c.IncastFlowSize = -5 }, "flow size"},
 		{"negative heal delay", func(c *Config) { c.HealDelay = -units.Millisecond }, "heal delay"},
-		{"negative train length", func(c *Config) { c.Fabric.TrainLen = -1 }, "packet-train length"},
-		{"oversized train length", func(c *Config) { c.Fabric.TrainLen = 4097 }, "packet-train length"},
 		{"negative failure link", func(c *Config) {
 			c.LinkFailures = []LinkFailure{{Link: -1, At: 0}}
 		}, "link index"},

@@ -324,9 +324,6 @@ func (o *Options) applyTo(cfg core.Config) core.Config {
 	if o.ChaosPanicAt > 0 && cfg.ChaosPanicAt == 0 {
 		cfg.ChaosPanicAt = o.ChaosPanicAt
 	}
-	if o.TrainLen >= 0 {
-		cfg.Fabric.TrainLen = o.TrainLen
-	}
 	if o.Shards > 1 && cfg.Shards == 0 {
 		cfg.Shards = o.Shards
 	}
@@ -341,8 +338,8 @@ func (o *Options) applyTo(cfg core.Config) core.Config {
 // can validate a submission (core.Config.Validate) before committing a
 // worker to it. The probe uses the Vertigo+DCTCP combination every
 // experiment includes; option-level errors (fault schedules outside the
-// simulated window, train lengths out of range, chaos panics past the
-// deadline) surface here exactly as they would mid-sweep.
+// simulated window, chaos panics past the deadline) surface here exactly as
+// they would mid-sweep.
 func ProbeConfig(sc Scale, opt *Options) core.Config {
 	if opt == nil {
 		opt = NewOptions()

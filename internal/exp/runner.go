@@ -58,11 +58,6 @@ type Options struct {
 	// HealDelay, when positive, enables control-plane healing with this
 	// convergence delay on every run that does not set its own.
 	HealDelay units.Time
-	// TrainLen, when non-negative, overrides the dataplane packet-train
-	// length on every run: 0 forces the per-packet engine; -1 leaves each
-	// run's configured value alone. Coalescing is exact, so every value must
-	// render byte-identical tables — pinned by the train identity tests.
-	TrainLen int
 	// RawMode, when not RawAuto, overrides every run's raw-series
 	// retention: keep forces exact percentiles at any scale, drop exercises
 	// the histogram fallback everywhere.
@@ -94,11 +89,11 @@ type Options struct {
 }
 
 // NewOptions is the one constructor. It returns the defaults of a process
-// nobody configured — a worker per CPU, a 4096-record flight ring, every
-// run's own train length, nothing else attached or bounded — with a progress
-// lock of its own. Experiment.Run(sc, nil) means these.
+// nobody configured — a worker per CPU, a 4096-record flight ring, nothing
+// else attached or bounded — with a progress lock of its own.
+// Experiment.Run(sc, nil) means these.
 func NewOptions() *Options {
-	return &Options{Concurrency: runtime.GOMAXPROCS(0), FlightLen: 4096, TrainLen: -1, mu: new(sync.Mutex)}
+	return &Options{Concurrency: runtime.GOMAXPROCS(0), FlightLen: 4096, mu: new(sync.Mutex)}
 }
 
 // runFn is the scenario executor used by sweeps; a package variable so the

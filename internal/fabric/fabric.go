@@ -102,16 +102,10 @@ type Config struct {
 	// Deflection enables deflection on overflow (Fig. 11a ablation).
 	Deflection bool
 
-	// TrainLen caps how many back-to-back segments a port may serialize
-	// under a single transmit event (a packet train). Coalescing changes
-	// event granularity only — per-packet departure and arrival times, drop
-	// decisions and queue occupancy readings are bit-identical to the
-	// per-packet engine — so any value here alters performance, never
-	// results. Values below 2 disable coalescing; trains also stand down
-	// automatically whenever exactness cannot be proven: while a telemetry
-	// observer is attached (per-packet Transmit callbacks need exact
-	// now-stamps) and as soon as any fault is injected (carrier loss, BER,
-	// brownouts can interleave with a planned train).
+	// TrainLen has no effect at any value. It was the cap on packet-train
+	// coalescing, which the lazy wire (see Port) replaced; the field stays
+	// only because the frozen benchmark/ package still assigns it, and the
+	// next benchmark PR removes both.
 	TrainLen int
 }
 
@@ -127,7 +121,6 @@ func DefaultConfig(p Policy) Config {
 		DeflChoices:  2,
 		Scheduling:   true,
 		Deflection:   true,
-		TrainLen:     64,
 	}
 	if p == Vertigo {
 		cfg.MaxDeflections = 8
@@ -175,7 +168,7 @@ type Network struct {
 	// handlers below, in place of two closures a port.
 	ports    []Port
 	nics     []Port         // host egress toward its ToR, by host ID
-	txFn     sim.ArgHandler // transmit event of ports[arg]
+	txFn     sim.ArgHandler // wake-up event of ports[arg], see Port.armWake
 	arrFn    sim.ArgHandler // arrival event of ports[arg]
 	hostRecv []Receiver     // host ingress handlers
 	obs      Observer       // optional telemetry observer
@@ -195,17 +188,10 @@ type Network struct {
 	swDown        []bool
 	linkDownSince []units.Time // -1 while a link is up
 
-	// faultsSeen latches true at the first fault injection (scheduled or
-	// immediate) and permanently stands packet trains down: a fault can
-	// retime or destroy a link mid-train, and proving exactness across every
-	// such interleaving is not worth the complexity for runs that are fault
-	// experiments anyway.
-	faultsSeen bool
-
-	// Train accounting (see TrainStats).
-	trainsPlanned uint64
-	trainSegs     uint64
-	trainInvals   uint64
+	// Replay accounting (see TrainStats), with what publishObs has already
+	// folded into the registry.
+	replays, replayedPops       uint64
+	pubReplays, pubReplayedPops uint64
 
 	// Per-packet registry signals not yet published (see publishObs).
 	queueDepth obs.HistBatch
@@ -218,36 +204,38 @@ type Network struct {
 	inbox crossInbox
 }
 
-// TrainStats reports packet-train coalescing activity: how many trains were
-// planned, how many segments rode them, and how many plans were invalidated
-// (a competing higher-priority enqueue or queue rewrite forced a replan).
+// TrainStats counts the lazy wire's replays under the names the frozen
+// benchmark/ package reads (the next benchmark PR renames them): Trains is
+// the number of replays that popped at least one packet, Segments the pops
+// performed by replay rather than inside the real event that found the wire
+// idle, and Invalidated is always zero — a replay is computed after the fact,
+// so there is nothing to invalidate.
 type TrainStats struct {
 	Trains      uint64 `json:"trains"`
 	Segments    uint64 `json:"segments"`
 	Invalidated uint64 `json:"invalidated"`
 }
 
-// TrainStats returns coalescing counters for instrumentation and tests.
+// TrainStats returns the replay counters for instrumentation and tests.
 func (n *Network) TrainStats() TrainStats {
-	return TrainStats{Trains: n.trainsPlanned, Segments: n.trainSegs, Invalidated: n.trainInvals}
+	return TrainStats{Trains: n.replays, Segments: n.replayedPops}
 }
 
-// trainsOK reports whether new packet trains may form right now. Checked at
-// plan time so mid-run observer attachment or fault injection takes effect
-// immediately.
-func (n *Network) trainsOK() bool {
-	return n.Cfg.TrainLen > 1 && n.obs == nil && !n.faultsSeen
-}
-
-// settleAll commits and abandons every port's pending train plan, restoring
-// plain per-packet state. Called before any transition that breaks the
-// conditions plans were built under (observer attachment, fault injection).
-func (n *Network) settleAll() {
+// SettleAll replays, on every port, the pops due by now. No result depends
+// on it — a port replays the same pops at its next touch — so it is for
+// readers that look at state without touching the ports: a sampler before
+// its snapshot (see offerSettler), a run's end before the totals are read.
+func (n *Network) SettleAll() {
 	now := n.Eng.Now()
 	for i := range n.ports {
-		pt := &n.ports[i]
-		pt.sync(now)
-		pt.invalidate()
+		n.ports[i].sync(now)
+	}
+}
+
+// offerSettler hands SettleAll to an observer that asks for it.
+func (n *Network) offerSettler(o Observer) {
+	if s, ok := o.(interface{ SetSettler(settle func()) }); ok {
+		s.SetSettler(n.SettleAll)
 	}
 }
 
@@ -265,7 +253,7 @@ func (n *Network) Pool() *packet.Pool {
 // SetObserver installs o as the only telemetry observer, detaching any
 // already attached (nil to disable). Use AddObserver to attach several.
 func (n *Network) SetObserver(o Observer) {
-	n.settleAll()
+	n.offerSettler(o)
 	n.obs = o
 }
 
@@ -275,9 +263,7 @@ func (n *Network) SetObserver(o Observer) {
 // allocations — on every dataplane event; the mux allocates only here, at
 // attach time. Nil is a no-op.
 func (n *Network) AddObserver(o Observer) {
-	if o != nil {
-		n.settleAll()
-	}
+	n.offerSettler(o)
 	switch {
 	case o == nil:
 	case n.obs == nil:
@@ -321,9 +307,6 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 	if cfg.DeflChoices <= 0 {
 		cfg.DeflChoices = 2
 	}
-	if cfg.TrainLen < 2 {
-		cfg.TrainLen = 0
-	}
 	n := &Network{
 		Eng:           eng,
 		Topo:          t,
@@ -339,13 +322,14 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 		n.linkDownSince[i] = -1
 	}
 	eng.OnPublish(n.publishObs)
-	n.txFn = func(i uint64) { n.ports[i].transmit() }
+	n.txFn = func(i uint64) { n.ports[i].wake() }
 	n.arrFn = func(i uint64) { n.ports[i].arrive() }
 
 	// One slab for every port: a k=32 fat-tree has ~41k switch ports, and
 	// per-port (or per-switch) allocations both fragment the heap and scatter
 	// the hot per-port wire state. Port's size is a multiple of 64 and the
-	// allocator hands out arrays of such sizes 64-byte aligned, so no port
+	// allocator hands out arrays past its 32 KiB size classes — a hundred
+	// ports — page-aligned, so in a fabric too big for the cache no port
 	// straddles a cache line it does not own.
 	n.switches = make([]*Switch, t.NumSwitches)
 	nSwitchPorts := 0
@@ -355,10 +339,10 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 	}
 	n.ports = make([]Port, nSwitchPorts+t.NumHosts)
 	n.nics = n.ports[nSwitchPorts:]
-	// Seed each port's private positional jitter stream from the engine seed
-	// and the port's identity. Per-port streams are what let train planning
-	// batch jitter draws without perturbing any other consumer of randomness:
-	// the k-th draw of a port is pinned by (seed, port, k) alone.
+	// Seed each port's private positional streams — jitter and bit errors —
+	// from the engine seed and the port's identity. Per-port streams are what
+	// let a pop be replayed after the fact: the k-th draw of a port is pinned
+	// by (seed, port, k) alone, whenever it is taken.
 	seed := xrand.Mix(uint64(eng.Seed()))
 	slot := 0
 	add := func(sw, idx int, link topo.Link, sorted bool, capacity units.ByteSize) *Port {
@@ -373,6 +357,7 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 		}
 		pt.rate, pt.rate0, pt.delay = link.Rate, link.Rate, link.Delay
 		pt.rng = xrand.New(seed ^ xrand.Mix(portIdent(sw, idx)))
+		pt.berRNG = xrand.New(seed ^ xrand.Mix(portIdent(sw, idx)^berSalt))
 		return pt
 	}
 	sorted := cfg.Policy == Vertigo && cfg.Scheduling
@@ -401,6 +386,9 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 func portIdent(sw, idx int) uint64 {
 	return uint64(uint32(sw+1))<<32 | uint64(uint32(idx))
 }
+
+// berSalt separates a port's bit-error stream from its jitter stream.
+const berSalt = 0x9e3779b97f4a7c15
 
 // RegisterHost installs the receive handler for host h.
 func (n *Network) RegisterHost(h int, r Receiver) { n.hostRecv[h] = r }
@@ -442,7 +430,6 @@ func (n *Network) SetLinkStateAt(li int, at units.Time, up bool) error {
 	if err := n.checkLink(li); err != nil {
 		return err
 	}
-	n.faultsSeen = true
 	n.Eng.At(at, func() { n.SetLinkState(li, up) })
 	return nil
 }
@@ -465,12 +452,8 @@ func (n *Network) SetLinkState(li int, up bool) {
 // setLinkState flips both ports of link li without emitting a fault event
 // (switch-level transitions reuse it per attached link).
 func (n *Network) setLinkState(li int, up bool) {
-	n.faultsSeen = true
 	for _, pt := range n.linkPorts(li) {
 		pt.sync(n.Eng.Now())
-		pt.invalidate()
-	}
-	for _, pt := range n.linkPorts(li) {
 		switch {
 		case up && pt.down:
 			pt.down = false
@@ -506,7 +489,6 @@ func (n *Network) SetSwitchStateAt(sw int, at units.Time, up bool) error {
 	if sw < 0 || sw >= n.Topo.NumSwitches {
 		return fmt.Errorf("fabric: switch %d out of range [0,%d)", sw, n.Topo.NumSwitches)
 	}
-	n.faultsSeen = true
 	n.Eng.At(at, func() { n.SetSwitchState(sw, up) })
 	return nil
 }
@@ -538,7 +520,6 @@ func (n *Network) SetLinkBERAt(li int, at units.Time, ber float64) error {
 	if ber < 0 || ber > 1 {
 		return fmt.Errorf("fabric: link %d bit-error rate %g outside [0,1]", li, ber)
 	}
-	n.faultsSeen = true
 	n.Eng.At(at, func() { n.SetLinkBER(li, ber) })
 	return nil
 }
@@ -546,10 +527,8 @@ func (n *Network) SetLinkBERAt(li int, at units.Time, ber float64) error {
 // SetLinkBER applies a bit-error rate change immediately (simulator thread
 // only; see SetLinkBERAt).
 func (n *Network) SetLinkBER(li int, ber float64) {
-	n.faultsSeen = true
 	for _, pt := range n.linkPorts(li) {
 		pt.sync(n.Eng.Now())
-		pt.invalidate()
 		pt.ber = ber
 	}
 	if n.ownsLink(li) {
@@ -569,7 +548,6 @@ func (n *Network) SetLinkRateFactorAt(li int, at units.Time, factor float64) err
 	if factor <= 0 {
 		return fmt.Errorf("fabric: link %d rate factor %g must be positive", li, factor)
 	}
-	n.faultsSeen = true
 	n.Eng.At(at, func() { n.SetLinkRateFactor(li, factor) })
 	return nil
 }
@@ -577,10 +555,8 @@ func (n *Network) SetLinkRateFactorAt(li int, at units.Time, factor float64) err
 // SetLinkRateFactor applies a rate brownout immediately (simulator thread
 // only; see SetLinkRateFactorAt).
 func (n *Network) SetLinkRateFactor(li int, factor float64) {
-	n.faultsSeen = true
 	for _, pt := range n.linkPorts(li) {
 		pt.sync(n.Eng.Now())
-		pt.invalidate()
 		pt.rate = units.BitRate(float64(pt.rate0) * factor)
 		if pt.rate < 1 {
 			pt.rate = 1
@@ -673,7 +649,7 @@ func (n *Network) drop(sw, port int, p *packet.Packet, reason metrics.DropReason
 		n.Met.Drop(reason, cls)
 		obsDrops.At(int(reason)).Inc()
 	}
-	n.Eng.Flight().Record(obs.FlightDrop, int64(n.Eng.Now()), int64(reason), int64(sw), int64(port))
+	n.Eng.Flight().Record(obs.FlightDrop, int64(n.Eng.AsOf()), int64(reason), int64(sw), int64(port))
 	if n.obs != nil {
 		n.obs.Drop(sw, port, p, reason)
 	}
@@ -685,64 +661,57 @@ func (n *Network) drop(sw, port int, p *packet.Packet, reason metrics.DropReason
 // store-and-forward: a popped packet occupies the link for its
 // serialization time, then arrives at the peer after the propagation delay.
 //
-// The transmit path is event-coalesced. Instead of one end-of-serialization
-// event per packet, an idle port with a backlog plans a packet train: it
-// computes the exact departure and arrival time of up to TrainLen queued
-// segments in one pass (drawing each segment's jitter from the port's
-// positional stream) and arms a single transmit event at the train's end.
-// Planned segments stay in the queue — occupancy readings must match the
-// per-packet engine at every instant — and are committed (popped onto the
-// wire) lazily by sync() the moment anything observes the port: an enqueue,
-// a policy occupancy probe, an arrival, or the train-end event itself.
-// Rewrites that would reorder a planned pop (a lower-rank insertion into a
-// sorted queue, overflow eviction, any fault) invalidate the uncommitted
-// tail, returning its jitter draws for positional reuse, so results stay
-// bit-identical to TrainLen=0 while a saturated port pays one transmit
-// event per train instead of per packet.
+// The wire is lazy: a port has no transmit event. An egress port is a
+// work-conserving single server, so its departure instants are a function of
+// its arrivals alone, and its queue changes only when something touches the
+// port. sync therefore replays, at each touch, the pops that came due since
+// the last one — each performed as of the instant the wire went free — and
+// every touch calls it first: an enqueue, a policy's occupancy probe, a fault
+// method, the port's own arrival event.
+//
+// Invariant: after a touch at t either the queue is empty or busyUntil > t,
+// so whatever sync later finds queued was already queued at busyUntil and the
+// replay is exact. Tie rule: a departure due at instant T happens before
+// anything else at T (sync compares with <=). That is well defined because a
+// pop at T causes nothing at T — serialization and propagation both take
+// time.
+//
+// Wake-up: while the wire is busy its frame is in flight, and that frame's
+// arrival — the end of the port's arrival chain, due after busyUntil since
+// propagation takes time — is a touch that replays the next pop before that
+// pop's own arrival has to be scheduled. A corrupted frame keeps its place
+// in the chain (the far end discards it on arrival), so the one port that
+// has no arrival to rely on is a cross-domain port, which hands its frames
+// to another domain as they are popped: it alone arms an event of its own
+// (armWake).
 type Port struct {
-	// The first four cache lines hold what the per-packet paths read — an
-	// arrival, a policy's occupancy probe, sync with no plan pending, enqueue
-	// and sendOne — so a hop touches the head of one slab element and nothing
-	// behind a pointer but the queue's own arrays.
 	net *Network
 	// q is the port's queue, and sorted the same queue when it is rank-sorted
 	// (nil for drop-tail). Both point into qs, the queue's header kept by
-	// value: all of it, or just the FIFO a SortedQueue embeds.
+	// value: all of it, or just the FIFO a SortedQueue embeds. Len, Bytes and
+	// Fits are that FIFO's under either discipline, so the paths every probe
+	// takes read them from qs, without dispatch.
 	q      buffer.Queue
 	sorted *buffer.SortedQueue
 	qs     buffer.SortedQueue
-
-	// Segments planHead..planN-1 of the train plan (see planStart) are
-	// uncommitted and still occupy the queue. planMaxRank is the largest
-	// planned rank (sorted queues), the planning-time bound deciding whether
-	// an insertion preempts the plan.
-	planHead    int
-	planN       int
-	planMaxRank uint32
 
 	slot uint32 // index in net.ports: the argument of this port's events
 
 	down     bool // link failed: no carrier
 	wasDown  bool // carrier was lost and later restored at least once
-	txArmed  bool // a transmit event is pending at txAt, see busyUntil
-	arrArmed bool // an arrival event is pending at arrAt, see inflight
-	vposSet  bool // vposAt/vposCtx override the caller's virtual position
+	txArmed  bool // a wake-up event is pending at txAt, see armWake
+	arrArmed bool // the arrival event of the in-flight head is pending
 	xdom     bool // the peer switch lives in another domain, see xdst
 
-	// Wire state. busyUntil is when the last scheduled serialization ends;
-	// the port is idle iff now >= busyUntil. txArmed records whether a
-	// transmit event is pending at txAt — a port whose queue drains empty
-	// leaves none armed (lazy-busy), and the next enqueue arms a
-	// continuation at busyUntil if the wire is still occupied. A stale
-	// transmit event (abandoned by an invalidation) identifies itself by
-	// firing when !txArmed or at a time other than txAt.
+	// busyUntil is when the last started serialization ends; the wire is
+	// idle iff now >= busyUntil. A wake-up event that fires when !txArmed or
+	// at a time other than txAt was superseded by a touch at the same instant.
 	busyUntil units.Time
 	txAt      units.Time
 
-	// In-flight (committed) packets riding the link, delivered strictly
-	// FIFO by one self-rescheduling arrival event, to the far end: switch
-	// peer, or host peerID when peer is nil.
-	arrAt    units.Time
+	// In-flight packets riding the link, delivered strictly FIFO by one
+	// self-rescheduling arrival event, to the far end: switch peer, or host
+	// peerID when peer is nil. A corrupted frame rides as a nil packet.
 	inflight []wireSeg
 	infHead  int
 	peer     *Switch
@@ -751,72 +720,18 @@ type Port struct {
 	delay units.Time
 	ber   float64 // bit-error corruption probability per transmitted packet
 
-	// txSched is the instant the pending transmit event was armed: a
-	// superseded event also fails this check, so re-arming for the same
-	// txAt cannot resurrect an abandoned firing. contSched is the VIRTUAL
-	// schedule time of the pending pop — the instant per-packet mode would
-	// have scheduled it (the previous pop's start). It differs from txSched
-	// after an invalidation re-arms the continuation: the replacement event
-	// carries a later sequence number than the per-packet pop it stands in
-	// for, and sync's early-fire hook uses contSched to restore the exact
-	// same-instant fire order. contCtx extends the comparison one level:
-	// it is the virtual pop's schedule *context* — the schedule time of the
-	// event that would have scheduled it (see sim.Engine.CurSchedCtx) — and
-	// breaks the tie when the virtual pop and a touching event were both
-	// scheduled within the same instant.
-	txSched   units.Time
-	contSched units.Time
-	contCtx   units.Time
-
-	// headSched/headCtx track the virtual schedule position — (schedule
-	// time, scheduler's schedule time) — the per-packet engine would have
-	// given the pending head segment's pop event. Each commit advances them
-	// by the chain rule (the next pop is scheduled inside the current one);
-	// an enqueue-triggered commit overrides the context with the enqueuing
-	// event's own position, exactly as per-packet mode would.
-	headSched units.Time
-	headCtx   units.Time
-
-	// vposAt/vposCtx, when vposSet, override the virtual position maybeSend
-	// attributes to its caller. A continuation transmit event (or sync's
-	// early-fire of one) stands in for a per-packet pop scheduled at an
-	// earlier position (contSched, contCtx); pops it performs must chain
-	// their virtual positions from there, not from the stand-in event's
-	// real schedule position.
-	vposAt  units.Time
-	vposCtx units.Time
-
-	// rng is the port's private jitter stream. Draw k is a pure function of
-	// (engine seed, port identity, k), so planning a train draws the same
-	// values per packet as popping one packet at a time would.
-	// drawBuf holds jitter values reclaimed from invalidated plan tails, in
-	// draw order; drawJitter consumes it before touching rng so the k-th
-	// committed pop always carries the k-th drawn value.
-	drawHead int
-	rng      xrand.Source
-	drawBuf  []units.Time
-
-	// Train plan, struct-of-arrays: segment i of the plan serializes over
-	// [planStart[i], planEnd[i]) with jitter planJit[i] folded in. The three
-	// are thirds of one allocation, as long as the longest plan the port has
-	// made so far (see plan).
-	// planTarget adapts the train length: it grows toward Cfg.TrainLen on
-	// cleanly completed plans and halves on invalidation, so ports whose
-	// plans keep getting preempted stop paying for long ones.
-	planStart  []units.Time
-	planEnd    []units.Time
-	planJit    []units.Time
-	planTarget int
+	// The port's private positional streams, jitter and bit errors: draw k is
+	// a pure function of (engine seed, port identity, k), so a replayed pop
+	// draws what it would have drawn on time.
+	rng    xrand.Source
+	berRNG xrand.Source
 
 	sw, idx int           // switch ID and port index (-1/hostID for host NICs)
 	rate0   units.BitRate // configured rate, restored by factor-1 transitions
 
 	// Cross-domain egress (sharded runs only): the peer switch lives in
-	// another domain, so committed packets are emitted to the coordinator
-	// instead of riding the local wire, and trains stand down (commit-time
-	// emission must happen per packet). berRNG is the positional bit-error
-	// stream substituting for the engine's global one.
-	berRNG xrand.Source
+	// another domain, so popped packets are emitted to the coordinator
+	// instead of riding the local wire.
 	peerID int32 // far end: a switch ID, or a host ID when peer is nil
 	xdst   int32 // destination domain
 
@@ -829,57 +744,38 @@ type wireSeg struct {
 	at units.Time
 }
 
-// schedTransmit arms the port's transmit event at t. Neither of a port's two
-// events is ever cancelled: superseded armings are recognized by flag/time
-// mismatch and fall through, so no Timer handles are needed and a saturated
-// port rides one chained frame per direction.
-func (pt *Port) schedTransmit(t units.Time) {
-	pt.net.Eng.SchedArg(t, pt.net.txFn, uint64(pt.slot))
+// armWake arms a cross-domain port's wake-up event at busyUntil when packets
+// wait behind its busy wire. Such a port has no arrival chain to replay its
+// pops, and must pop on time whatever happens: the window protocol needs its
+// frames emitted before the peer domain advances past their arrival. It is
+// called once a touch has made its last pop, never from sendOne: in the
+// middle of a replay busyUntil can still lie behind now. The event is never
+// cancelled; a superseded arming falls through in wake.
+func (pt *Port) armWake() {
+	if !pt.xdom || pt.qs.Len() == 0 || (pt.txArmed && pt.txAt == pt.busyUntil) {
+		return
+	}
+	pt.txArmed, pt.txAt = true, pt.busyUntil
+	pt.net.Eng.SchedArg(pt.busyUntil, pt.net.txFn, uint64(pt.slot))
 }
 
-// transmit is the port's transmit event — a train's end, or a continuation:
-// settle the plan, send more.
-func (pt *Port) transmit() {
-	eng := pt.net.Eng
-	now := eng.Now()
-	if !pt.txArmed || now != pt.txAt || eng.CurSchedAt() != pt.txSched {
-		return // superseded or early-fired; a live arming has its own event
-	}
-	if cs, cc := eng.CurSchedAt(), eng.CurSchedCtx(); cs < pt.contSched ||
-		(cs == pt.contSched && cc < pt.contCtx) {
-		// Armed earlier than per-packet mode would have scheduled this
-		// pop (a train end is armed at plan time, not at the last
-		// segment's start): same-instant events scheduled before
-		// (contSched, contCtx) must fire first. Requeue behind them; any
-		// later-sequenced event touching the port meanwhile pops via
-		// sync's early-fire hook instead.
-		pt.txSched = now
-		pt.schedTransmit(now)
+// wake is a cross-domain port's wake-up event: a touch at busyUntil and
+// nothing more.
+func (pt *Port) wake() {
+	now := pt.net.Eng.Now()
+	if !pt.txArmed || now != pt.txAt {
 		return
 	}
 	pt.txArmed = false
-	vs, vc := pt.contSched, pt.contCtx
 	pt.sync(now)
-	pt.vposAt, pt.vposCtx, pt.vposSet = vs, vc, true
-	pt.maybeSend()
 }
 
 // arrive is the port's arrival event: deliver the due in-flight packet to
-// the far end.
+// the far end. It is also the busy wire's wake-up — the pops due by now are
+// replayed first, so the next arrival it schedules is the right one.
 func (pt *Port) arrive() {
-	now := pt.net.Eng.Now()
-	if !pt.arrArmed || now != pt.arrAt {
-		return
-	}
-	// Commit any segment that started serializing before now; the due
-	// arrival is always committed by its own firing (its start precedes
-	// its arrival by at least the propagation delay).
-	pt.sync(now)
+	pt.sync(pt.net.Eng.Now())
 	pt.arrArmed = false
-	if pt.infHead >= len(pt.inflight) || pt.inflight[pt.infHead].at != now {
-		pt.rearmArrive() // arming referred to a since-invalidated segment
-		return
-	}
 	p := pt.inflight[pt.infHead].p
 	pt.inflight[pt.infHead].p = nil
 	pt.infHead++
@@ -893,9 +789,11 @@ func (pt *Port) arrive() {
 		pt.infHead = 0
 	}
 	pt.rearmArrive()
-	if pt.peer != nil {
+	switch {
+	case p == nil: // corrupted on the wire, already accounted as dropped
+	case pt.peer != nil:
 		pt.peer.Receive(p)
-	} else {
+	default:
 		pt.net.deliverToHost(int(pt.peerID), p)
 	}
 }
@@ -910,85 +808,55 @@ func (pt *Port) Queue() buffer.Queue {
 // Down reports whether the port's link has failed.
 func (pt *Port) Down() bool { return pt.down }
 
-// occBytes returns the queue occupancy an external observer must see: lazy
-// train state settled to now first.
+// occBytes returns the queue occupancy an external observer must see: the
+// pops due by now replayed first.
 func (pt *Port) occBytes() units.ByteSize {
 	pt.sync(pt.net.Eng.Now())
-	return pt.q.Bytes()
+	return pt.qs.Bytes()
 }
 
 // fitsNow reports whether n more bytes fit, after settling to now.
 func (pt *Port) fitsNow(n units.ByteSize) bool {
 	pt.sync(pt.net.Eng.Now())
-	return pt.q.Fits(n)
+	return pt.qs.Fits(n)
 }
 
-// settle commits everything due and abandons the rest of the plan; callers
-// are about to rewrite the queue in ways planning cannot survive
-// (ForceInsert's rank insertion plus tail eviction).
-func (pt *Port) settle() {
-	pt.sync(pt.net.Eng.Now())
-	pt.invalidate()
-}
-
-// sync commits every planned segment whose serialization started strictly
-// before now: the packet pops from the queue and joins the in-flight list
-// exactly as the per-packet engine already did at its start time. Strict
-// inequality mirrors per-packet event order at shared instants, where the
-// touching event (an arrival's enqueue) carries an earlier sequence number
-// than the pop it ties with.
+// sync replays the pops due by now: while the wire went free at or before
+// now with a packet waiting, that packet left at the instant the wire went
+// free (see Port for why this is exact, and for the tie rule in <=). Only two
+// callers of rearmArrive ever find work — arrive, for the next frame of a
+// busy period, and the real event whose pop started the busy period; a
+// replayed pop finds the arrival of the frame before it still pending — so
+// when a replay happens cannot move an arrival's sequence number.
 func (pt *Port) sync(now units.Time) {
-	if pt.planHead < pt.planN {
-		for pt.planHead < pt.planN && pt.planStart[pt.planHead] < now {
-			pt.commitHead()
-		}
-		// Tie at the head segment's exact start instant: per-packet mode
-		// scheduled this pop at the previous segment's start (the transmit
-		// chain arms the next event at pop time), so it has already fired
-		// from the touching event's point of view exactly when its virtual
-		// position (headSched, headCtx) precedes the toucher's.
-		if pt.planHead < pt.planN && pt.planStart[pt.planHead] == now {
-			vs, vc := pt.headSched, pt.headCtx
-			cs, cc := pt.net.Eng.CurSchedAt(), pt.net.Eng.CurSchedCtx()
-			if vs < cs || (vs == cs && vc < cc) {
-				pt.commitHead()
-			}
-		}
-		if pt.planHead == pt.planN {
-			// Clean completion: the plan survived untouched, so trains on
-			// this port can afford to grow.
-			pt.planHead, pt.planN = 0, 0
-			if t := pt.planTarget << 1; t <= pt.net.Cfg.TrainLen {
-				pt.planTarget = t
-			}
-		}
+	if pt.busyUntil > now || pt.qs.Len() == 0 || pt.down {
+		return
 	}
-	// A continuation pop pending at this exact instant whose virtual
-	// schedule position (time, then schedule context) precedes the touching
-	// event's would have fired first in per-packet mode: run it before the
-	// touch observes or mutates the queue. The real event then self-rejects
-	// on txArmed.
-	if pt.planN == 0 && pt.txArmed && pt.txAt == now && !pt.down && pt.q.Len() > 0 {
-		cs, cc := pt.net.Eng.CurSchedAt(), pt.net.Eng.CurSchedCtx()
-		if pt.contSched < cs || (pt.contSched == cs && pt.contCtx < cc) {
-			pt.txArmed = false
-			pt.vposAt, pt.vposCtx, pt.vposSet = pt.contSched, pt.contCtx, true
-			pt.maybeSend()
-		}
+	eng := pt.net.Eng
+	for pt.busyUntil <= now && pt.qs.Len() > 0 {
+		// Observers and the flight recorder stamp the pop with its own instant.
+		eng.SetAsOf(pt.busyUntil)
+		pt.sendOne(pt.busyUntil)
+		pt.net.replayedPops++
 	}
+	eng.ClearAsOf()
+	pt.net.replays++
+	pt.armWake()
 }
 
 // keepInflight is the largest in-flight FIFO capacity a drained port keeps;
 // a burst-grown backing array past it returns to the network's shared arena.
 const keepInflight = 64
 
-// pushInflight appends a committed packet to the in-flight FIFO, growing
-// it through the network's shared arena.
+// pushInflight appends a popped packet to the in-flight FIFO, growing it
+// through the network's shared arena.
 func (pt *Port) pushInflight(p *packet.Packet, at units.Time) {
 	if pt.xdom {
 		// The peer lives in another domain: the packet leaves this replica
-		// at commit time and arrives through the peer domain's inbox.
-		pt.emitCross(p, at)
+		// at its pop and arrives through the peer domain's inbox.
+		if p != nil {
+			pt.emitCross(p, at)
+		}
 		return
 	}
 	if n := len(pt.inflight); n == cap(pt.inflight) {
@@ -1016,299 +884,57 @@ func (pt *Port) releaseInflight() {
 	pt.infHead = 0
 }
 
-// commitHead pops the plan's first uncommitted segment from the queue and
-// moves it to the in-flight list, exactly as the per-packet engine did at
-// the segment's start time.
-func (pt *Port) commitHead() {
-	p := pt.q.Pop()
-	if pt.wasDown && p.Kind == packet.Data {
-		pt.net.Met.PostRecoveryTx++
-	}
-	pt.pushInflight(p, pt.planEnd[pt.planHead]+pt.delay)
-	pt.planHead++
-	// Chain rule: per-packet mode schedules the next pop inside this one,
-	// so the new head's pop is scheduled at the committed segment's start
-	// with the old head's schedule time as its context.
-	pt.headCtx = pt.headSched
-	pt.headSched = pt.planStart[pt.planHead-1]
-}
-
-// invalidate abandons the uncommitted tail of the plan. The packets never
-// left the queue, so only plan metadata resets; their already-drawn jitter
-// values are reclaimed in order for positional reuse by the next draws.
-func (pt *Port) invalidate() {
-	if pt.planHead >= pt.planN {
-		return
-	}
-	// If the arrival chain is armed at a planned (uncommitted) segment's
-	// arrival, that segment no longer exists: disarm, and let the pending
-	// event reject itself on the flag/time check. A replan re-arms.
-	if pt.arrArmed && pt.infHead >= len(pt.inflight) {
-		pt.arrArmed = false
-	}
-	pt.unconsumeDraws(pt.planJit[pt.planHead:pt.planN])
-	// The wire is only committed through the end of the last synced
-	// segment, which is where the first uncommitted one would have started.
-	pt.busyUntil = pt.planStart[pt.planHead]
-	// Re-arm the continuation pop at the abandoned head's start. The event
-	// just scheduled carries this instant's sequence number, but per-packet
-	// mode scheduled that pop while popping the previous segment — keep the
-	// virtual schedule position so sync can early-fire it ahead of
-	// same-instant events that should have out-sequenced it.
-	pt.contSched = pt.headSched
-	pt.contCtx = pt.headCtx
-	pt.planHead, pt.planN = 0, 0
-	pt.txArmed = true
-	pt.txAt = pt.busyUntil
-	pt.txSched = pt.net.Eng.Now()
-	pt.schedTransmit(pt.txAt)
-	if pt.planTarget > 2 {
-		pt.planTarget >>= 1
-	}
-	pt.net.trainInvals++
-	obsTrainInvals.Inc()
-}
-
-// unconsumeDraws pushes jits — the plan's uncommitted jitter values, which
-// are always the most recently consumed draws — back to the FRONT of the
-// pending-draw queue, so the next pops see exactly the sequence they would
-// have drawn one at a time. Appending instead would rotate the order the
-// second time a port invalidates with reclaimed draws still pending.
-func (pt *Port) unconsumeDraws(jits []units.Time) {
-	if len(jits) == 0 {
-		return
-	}
-	old := pt.drawBuf
-	rest := len(old) - pt.drawHead
-	need := len(jits) + rest
-	if cap(old) < need {
-		nb := make([]units.Time, need, 2*need)
-		copy(nb, jits)
-		copy(nb[len(jits):], old[pt.drawHead:])
-		pt.drawBuf = nb
-	} else {
-		pt.drawBuf = old[:need]
-		copy(pt.drawBuf[len(jits):], old[pt.drawHead:pt.drawHead+rest])
-		copy(pt.drawBuf[:len(jits)], jits)
-	}
-	pt.drawHead = 0
-}
-
-// drawJitter returns the next positional jitter value in [0, jmax]:
-// reclaimed draws first, then fresh ones from the port's stream.
-func (pt *Port) drawJitter(jmax int64) units.Time {
-	if pt.drawHead < len(pt.drawBuf) {
-		v := pt.drawBuf[pt.drawHead]
-		pt.drawHead++
-		if pt.drawHead == len(pt.drawBuf) {
-			pt.drawBuf = pt.drawBuf[:0]
-			pt.drawHead = 0
-		}
-		return v
-	}
-	return units.Time(pt.rng.Int63n(jmax + 1))
-}
-
-// rearmArrive schedules the delivery chain for the earliest pending
-// arrival, committed or still planned. No-op when already armed or nothing
-// is pending. An arrival armed at a planned segment is safe: the segment's
-// start precedes its arrival, so the firing's own sync commits it first.
+// rearmArrive schedules the arrival event of the in-flight head. No-op when
+// it is already pending or nothing is in flight.
 func (pt *Port) rearmArrive() {
-	if pt.arrArmed {
-		return
-	}
-	var at units.Time
-	switch {
-	case pt.infHead < len(pt.inflight):
-		at = pt.inflight[pt.infHead].at
-	case pt.planHead < pt.planN:
-		at = pt.planEnd[pt.planHead] + pt.delay
-	default:
+	if pt.arrArmed || pt.infHead >= len(pt.inflight) {
 		return
 	}
 	pt.arrArmed = true
-	pt.arrAt = at
-	pt.net.Eng.SchedArg(at, pt.net.arrFn, uint64(pt.slot))
+	pt.net.Eng.SchedArg(pt.inflight[pt.infHead].at, pt.net.arrFn, uint64(pt.slot))
 }
 
-// maybeSend puts the wire to work. Callers must have settled the port to
-// now (enqueue and the event callbacks all do).
+// maybeSend puts an idle wire to work. Callers must have settled the port to
+// now (enqueue and the fault methods all do) and then changed its queue or
+// its carrier.
 func (pt *Port) maybeSend() {
 	now := pt.net.Eng.Now()
-	// The virtual schedule position of the event driving this call: the real
-	// firing event's, unless a continuation stand-in overrode it (see vposAt).
-	// Pops performed here chain their virtual positions from it.
-	vs, vc := pt.net.Eng.CurSchedAt(), pt.net.Eng.CurSchedCtx()
-	if pt.vposSet {
-		vs, vc, pt.vposSet = pt.vposAt, pt.vposCtx, false
-	}
 	if pt.down {
 		// No carrier: anything queued is lost, as on a real unplugged cable.
-		pt.sync(now)
-		pt.invalidate()
 		for p := pt.q.Pop(); p != nil; p = pt.q.Pop() {
 			pt.net.drop(pt.sw, pt.idx, p, metrics.DropLinkDown)
 		}
 		return
 	}
-	if pt.planHead < pt.planN && pt.planStart[pt.planHead] == now {
-		// Enqueue landing exactly when the head segment starts: per-packet
-		// mode's wire went idle at this instant (planned segments are
-		// back-to-back), so its maybeSend pops the head synchronously inside
-		// the enqueuing event — regardless of the armed continuation's
-		// sequence position, which then self-rejects. Commit the head here
-		// and stamp its successor's virtual position with this event's own,
-		// since per-packet mode scheduled the next pop from right here.
-		pt.commitHead()
-		pt.headCtx = vs
-		if pt.planHead == pt.planN {
-			pt.contCtx = pt.headCtx
-			pt.planHead, pt.planN = 0, 0
-			if t := pt.planTarget << 1; t <= pt.net.Cfg.TrainLen {
-				pt.planTarget = t
-			}
-		}
+	if now >= pt.busyUntil && pt.qs.Len() > 0 {
+		pt.sendOne(now)
 	}
-	if now < pt.busyUntil {
-		// Wire busy. Lazy-busy: the port that went empty armed no trailing
-		// event, so the enqueue that found it mid-serialization arms the
-		// continuation.
-		if !pt.txArmed {
-			pt.txArmed = true
-			pt.txAt = pt.busyUntil
-			pt.txSched = now
-			// Genuine lazy-busy: the queue had drained, so no earlier pop
-			// event ever existed and this event's own sequencing is exact.
-			pt.contSched = now
-			pt.contCtx = vs
-			pt.schedTransmit(pt.txAt)
-		}
-		return
-	}
-	if pt.net.trainsOK() && pt.ber == 0 && !pt.xdom && pt.q.Len() > 1 {
-		pt.plan(now, vs, vc)
-	} else {
-		pt.sendOne(now, vs)
-	}
+	pt.armWake()
 }
 
-// plan coalesces up to planTarget queued segments into one packet train:
-// exact per-segment times now, one transmit event at the train's end.
-// vs/vc is the caller's virtual schedule position (see maybeSend), from
-// which segment 0's pop — performed per-packet inside that very event —
-// chains the plan's virtual pop positions.
-func (pt *Port) plan(now, vs, vc units.Time) {
-	n := pt.q.Len()
-	if pt.planTarget == 0 {
-		pt.planTarget = 8
-	}
-	if pt.planTarget > pt.net.Cfg.TrainLen {
-		pt.planTarget = pt.net.Cfg.TrainLen
-	}
-	if n > pt.planTarget {
-		n = pt.planTarget
-	}
-	if len(pt.planStart) < n {
-		// The wire is idle, so no plan is pending and nothing needs copying.
-		// Sized to the plan, not to the target: a clean completion doubles the
-		// target whatever the plan's length, but the queue seldom holds more
-		// than a few segments, so most ports never regrow.
-		l := 8
-		for l < n {
-			l <<= 1
-		}
-		buf := make([]units.Time, 3*l)
-		pt.planStart, pt.planEnd, pt.planJit = buf[:l:l], buf[l:2*l:2*l], buf[2*l:]
-	}
-	jmax := int64(pt.net.Cfg.Jitter)
-	t := now
-	for i := 0; i < n; i++ {
-		tx := pt.rate.TxTime(pt.q.PeekAt(i).Size())
-		var jit units.Time
-		if jmax > 0 {
-			jit = pt.drawJitter(jmax)
-			tx += jit
-		}
-		pt.planStart[i] = t
-		pt.planJit[i] = jit
-		t += tx
-		pt.planEnd[i] = t
-	}
-	if t == now {
-		// Degenerate zero-duration train (absurd rate, zero jitter): fall
-		// back to one-at-a-time so the train-end event cannot spin in place.
-		// The consumed draws go back for positional reuse.
-		pt.unconsumeDraws(pt.planJit[:n])
-		pt.sendOne(now, vs)
-		return
-	}
-	if pt.sorted != nil {
-		pt.planMaxRank = pt.sorted.MaxRankAt(n - 1)
-	}
-	pt.planHead, pt.planN = 0, n
-	pt.busyUntil = t
-	pt.txAt = t
-	pt.txArmed = true
-	pt.txSched = now
-	// Per-packet mode would schedule the pop at the train's end while
-	// popping the last segment, not now; its scheduler — the pop of the
-	// last segment — would itself have been scheduled at the start of the
-	// one before (n >= 2 always: plans need at least two queued packets).
-	pt.contSched = pt.planStart[n-1]
-	pt.contCtx = pt.planStart[n-2]
-	// The first segment starts now: per-packet mode pops it inside this very
-	// event, so commit it eagerly — a later read at this same instant must
-	// not see it still queued. Its virtual pop position is the caller's
-	// virtual position; the chain rule in commitHead advances from there.
-	pt.headSched = vs
-	pt.headCtx = vc
-	pt.commitHead()
-	pt.schedTransmit(t)
-	pt.rearmArrive()
-	pt.net.trainsPlanned++
-	pt.net.trainSegs += uint64(n)
-	obsTrains.Inc()
-	obsTrainSegs.Add(uint64(n))
-}
-
-// sendOne is the per-packet path: used when trains are disabled or stood
-// down, and for a lone queued packet, where lazy-busy already means zero
-// trailing events. vs is the caller's virtual schedule time (see
-// maybeSend): the continuation this pop arms is virtually scheduled by it.
-func (pt *Port) sendOne(now, vs units.Time) {
+// sendOne pops the head of the queue onto the wire at instant at: now, or
+// the earlier instant a replayed pop was due.
+func (pt *Port) sendOne(at units.Time) {
 	p := pt.q.Pop()
-	if p == nil {
-		return
-	}
 	if pt.wasDown && p.Kind == packet.Data {
 		pt.net.Met.PostRecoveryTx++
 	}
 	tx := pt.rate.TxTime(p.Size())
 	if j := int64(pt.net.Cfg.Jitter); j > 0 {
-		tx += pt.drawJitter(j)
+		tx += units.Time(pt.rng.Int63n(j + 1))
 	}
 	if o := pt.net.obs; o != nil {
 		o.Transmit(pt.sw, pt.idx, p, tx, pt.q.Bytes())
 	}
-	end := now + tx
+	end := at + tx
 	pt.busyUntil = end
-	if pt.q.Len() > 0 {
-		pt.txAt = end
-		pt.txArmed = true
-		pt.txSched = now
-		pt.contSched = now
-		pt.contCtx = vs
-		pt.schedTransmit(end)
-	} else {
-		// Lazy-busy: nothing left to send at end-of-serialization, so no
-		// event; an enqueue landing before then arms the continuation.
-		pt.txArmed = false
-	}
-	if pt.ber > 0 && pt.berHit() {
+	if pt.ber > 0 && pt.berRNG.Float64() < pt.ber {
 		// Bit-error corruption: the bits occupy the wire for the full
-		// serialization time, but the far end discards the frame on checksum.
+		// serialization time and reach the far end, which discards the frame
+		// on checksum. It is dropped here and rides on as nothing, so the
+		// arrival chain — the wake-up of the pops behind it — stays whole.
 		pt.net.drop(pt.sw, pt.idx, p, metrics.DropCorrupt)
-		return
+		p = nil
 	}
 	pt.pushInflight(p, end+pt.delay)
 	pt.rearmArrive()
@@ -1379,11 +1005,6 @@ func (s *Switch) enqueue(i int, p *packet.Packet) bool {
 	port.sync(s.net.Eng.Now())
 	if !port.q.Push(p) {
 		return false
-	}
-	// A rank-sorted insertion below the plan's largest rank would pop ahead
-	// of a planned segment; abandon the plan's uncommitted tail.
-	if port.planHead < port.planN && port.sorted != nil && p.Rank() < port.planMaxRank {
-		port.invalidate()
 	}
 	s.net.queueDepth.Observe(int64(port.q.Bytes()))
 	s.markECN(port, p)

@@ -2,14 +2,14 @@ package fabric
 
 import "vertigo/internal/obs"
 
-// Process-global fabric metrics. Drops, deflections, faults and train
-// bookkeeping are rare relative to per-packet work, so they bump the
-// registry directly at the event site. Queue depth (observed at the two
-// enqueue chokepoints — the occupancy *distribution* is what distinguishes
-// buffer regimes, not its mean) and ECN marks are per-packet signals: each
+// Process-global fabric metrics. Drops, deflections and faults are rare
+// relative to per-packet work, so they bump the registry directly at the
+// event site. Queue depth (observed at the two enqueue chokepoints — the
+// occupancy *distribution* is what distinguishes buffer regimes, not its
+// mean), ECN marks and the lazy wire's replays are per-packet signals: each
 // Network tallies them in plain fields and publishObs folds the tallies in
-// on its engine's publish cadence, so no enqueue touches a cache line that
-// another simulation in the process writes.
+// on its engine's publish cadence, so no enqueue or pop touches a cache line
+// that another simulation in the process writes.
 var (
 	obsDrops = obs.NewCounterVec("vertigo_fabric_drops_total",
 		"data packets dropped, by reason", "reason",
@@ -20,12 +20,10 @@ var (
 		"packets CE-marked at enqueue")
 	obsQueueDepth = obs.NewHistogram("vertigo_fabric_queue_depth_bytes",
 		"egress queue occupancy observed after each enqueue")
-	obsTrains = obs.NewCounter("vertigo_fabric_trains_planned_total",
-		"packet trains planned by egress ports")
-	obsTrainSegs = obs.NewCounter("vertigo_fabric_train_segments_total",
-		"segments committed into planned trains")
-	obsTrainInvals = obs.NewCounter("vertigo_fabric_train_invalidations_total",
-		"planned trains abandoned before their end event")
+	obsReplays = obs.NewCounter("vertigo_fabric_replays_total",
+		"port touches that replayed at least one pop due since the last touch")
+	obsReplayedPops = obs.NewCounter("vertigo_fabric_replayed_pops_total",
+		"pops performed by replay, after the instant they were due")
 	obsFaultEvents = obs.NewCounter("vertigo_fault_events_total",
 		"fault transitions applied to the fabric")
 	obsFIBInstalls = obs.NewCounter("vertigo_fault_fib_installs_total",
@@ -41,6 +39,11 @@ func (n *Network) publishObs() {
 	if n.ecnMarks > 0 {
 		obsECNMarks.Add(n.ecnMarks)
 		n.ecnMarks = 0
+	}
+	if d := n.replays - n.pubReplays; d > 0 {
+		obsReplays.Add(d)
+		obsReplayedPops.Add(n.replayedPops - n.pubReplayedPops)
+		n.pubReplays, n.pubReplayedPops = n.replays, n.replayedPops
 	}
 }
 

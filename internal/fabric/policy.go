@@ -160,7 +160,7 @@ func (s *Switch) routeVertigo(p *packet.Packet) {
 		// Ablation (Fig. 11a "No Deflection"): behave as a pure SRPT buffer,
 		// keeping the smallest-RFS packets and dropping the largest.
 		if sq := s.ports[i].sorted; sq != nil && !s.ports[i].down {
-			s.ports[i].settle()
+			s.ports[i].sync(s.net.Eng.Now())
 			s.markECN(&s.ports[i], p)
 			for _, ev := range sq.ForceInsert(p) {
 				s.net.drop(s.id, i, ev, metrics.DropOverflow)
@@ -183,9 +183,7 @@ func (s *Switch) routeVertigo(p *packet.Packet) {
 // which is exactly random-deflection behaviour.
 func (s *Switch) overflowVictims(i int, p *packet.Packet) []*packet.Packet {
 	if sq := s.ports[i].sorted; sq != nil && !s.ports[i].down {
-		// ForceInsert inserts by rank and evicts from the tail — possibly
-		// planned segments — so the plan cannot survive it.
-		s.ports[i].settle()
+		s.ports[i].sync(s.net.Eng.Now())
 		s.markECN(&s.ports[i], p)
 		victims := sq.ForceInsert(p)
 		s.ports[i].maybeSend()
@@ -219,7 +217,7 @@ func (s *Switch) deflectVertigo(victim *packet.Packet, origin int) {
 	// Both sampled queues full: severe congestion. Insert into the sampled
 	// port by rank and drop from its tail (paper footnote 5).
 	if sq := s.ports[i].sorted; sq != nil && !s.ports[i].down {
-		s.ports[i].settle()
+		s.ports[i].sync(s.net.Eng.Now())
 		victim.Deflections++
 		s.net.noteDeflect()
 		if o := s.net.obs; o != nil {

@@ -16,19 +16,19 @@ import (
 // FIBs and fault state stay globally consistent that way — but traffic only
 // ever touches elements the replica owns: packets leaving an owned switch
 // through a port whose peer lives in another domain are handed to Emit at
-// commit time instead of riding the local wire, and arrive in the peer's
+// their pop instead of riding the local wire, and arrive in the peer's
 // replica through InjectCross.
 //
 // Randomness discipline: a sharded replica never touches the engine's
 // global random stream. Policies draw from per-switch positional streams
-// and bit-error corruption from per-port ones, so every draw is a pure
-// function of (seed, element identity, draw index) — independent of the
-// domain count and of event interleaving across domains.
+// (jitter and bit-error corruption are per-port in every run), so every draw
+// is a pure function of (seed, element identity, draw index) — independent
+// of the domain count and of event interleaving across domains.
 type ShardCtx struct {
 	Domain       int
 	SwitchDomain []int
 	HostDomain   []int
-	// Emit hands a committed cross-domain packet to the coordinator. It is
+	// Emit hands a popped cross-domain packet to the coordinator. It is
 	// called on the domain's own goroutine mid-window; implementations
 	// append to a domain-local outbox without synchronization.
 	Emit func(dstDomain int, item CrossItem)
@@ -64,8 +64,8 @@ func crossLess(a, b *CrossItem) bool {
 }
 
 // NewSharded builds one domain replica: a full Network decorated with the
-// shard context, cross-domain port marks, and the positional random streams
-// sharded execution substitutes for the engine's global one.
+// shard context, cross-domain port marks, and the per-switch positional
+// policy streams sharded execution substitutes for the engine's global one.
 func NewSharded(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config, sd *ShardCtx) *Network {
 	n := New(eng, t, met, cfg)
 	n.shard = sd
@@ -82,16 +82,9 @@ func NewSharded(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg C
 			}
 		}
 	}
-	for i := range n.ports {
-		pt := &n.ports[i]
-		pt.berRNG = xrand.New(seed ^ xrand.Mix(portIdent(pt.sw, pt.idx)^berSalt))
-	}
 	n.inbox.init(n)
 	return n
 }
-
-// berSalt separates a port's bit-error stream from its jitter stream.
-const berSalt = 0x9e3779b97f4a7c15
 
 // Sharded reports whether this Network is a domain replica.
 func (n *Network) Sharded() bool { return n.shard != nil }
@@ -124,7 +117,7 @@ func (n *Network) ownsControl() bool {
 	return n.shard == nil || n.shard.Domain == 0
 }
 
-// emitCross hands a committed packet on a cross-domain port to the
+// emitCross hands a popped packet on a cross-domain port to the
 // coordinator and recycles the local frame. The arrival time is at least
 // one cross-domain propagation delay in the future, so the conservative
 // window protocol guarantees the destination replica has not advanced past
@@ -147,14 +140,6 @@ func (s *Switch) intn(n int) int {
 		return int(s.rng.Int63n(int64(n)))
 	}
 	return s.net.Eng.Rand().Intn(n)
-}
-
-// berHit draws one bit-error corruption decision for this port.
-func (pt *Port) berHit() bool {
-	if pt.net.shard != nil {
-		return pt.berRNG.Float64() < pt.ber
-	}
-	return pt.net.Eng.Rand().Float64() < pt.ber
 }
 
 // crossInbox delivers injected cross-domain packets in canonical order

@@ -418,8 +418,9 @@ func TestHTTPAPI(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Invalid JSON and unknown fields are 400s.
-	for _, body := range []string{"{not json", `{"experiment":"failover","bogus_field":1}`} {
+	// Invalid JSON and unknown fields are 400s — "train", a field until the
+	// fabric lost its packet-train knob, among them.
+	for _, body := range []string{"{not json", `{"experiment":"failover","bogus_field":1}`, `{"experiment":"failover","train":0}`} {
 		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

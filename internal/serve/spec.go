@@ -52,8 +52,6 @@ type Spec struct {
 	// MaxEvents bounds each run's event count; 0 uses the daemon default.
 	// Capped runs are deterministic, hence permanent failures.
 	MaxEvents uint64 `json:"max_events,omitempty"`
-	// Train overrides the dataplane packet-train length (nil = default).
-	Train *int `json:"train,omitempty"`
 	// Shards, when > 1, runs every simulation sharded across that many
 	// topology domains on separate cores. Tables are deterministic per
 	// shard count; scenarios a shard cannot carry degrade to serial.
@@ -182,9 +180,6 @@ func (s *Spec) resolve(d Config) (*resolved, error) {
 	}
 	opt.SampleTick = units.FromDuration(st)
 	opt.TraceFlow = s.TraceFlow
-	if s.Train != nil {
-		opt.TrainLen = *s.Train
-	}
 	if s.Shards < 0 {
 		return nil, fmt.Errorf("serve: negative shards %d", s.Shards)
 	}
@@ -203,8 +198,8 @@ func (s *Spec) resolve(d Config) (*resolved, error) {
 	opt.ChaosPanicAt = units.FromDuration(cp)
 
 	// Fail bad configurations at admission, not after a worker committed:
-	// fault events outside the simulated window, train lengths out of
-	// range, chaos panics past the deadline all surface here.
+	// fault events outside the simulated window and chaos panics past the
+	// deadline all surface here.
 	probe := exp.ProbeConfig(sc, opt)
 	if err := probe.Validate(); err != nil {
 		return nil, err

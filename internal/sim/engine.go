@@ -51,18 +51,17 @@ type ArgHandler func(arg uint64)
 // schedule sequence number lives only in the frame's heapNode, which is what
 // keeps the frame at 64 bytes with a second handler and its argument aboard.
 type event struct {
-	at       units.Time
-	fn       Handler
-	afn      ArgHandler // argument-carrying handler (AtArg, SchedArg), fired as afn(arg)
-	arg      uint64
-	gen      uint64     // incarnation counter, bumped on recycle
-	schedAt  units.Time // sim time the event was scheduled, see CurSchedAt
-	schedCtx units.Time // schedAt of the event that scheduled this one, see CurSchedCtx
-	dead     bool       // tombstone: cancelled, reaped lazily at pop
-	chain    bool       // fire-and-forget (Sched, SchedArg): frame may self-reschedule in place
+	at      units.Time
+	fn      Handler
+	afn     ArgHandler // argument-carrying handler (AtArg, SchedArg), fired as afn(arg)
+	arg     uint64
+	gen     uint64     // incarnation counter, bumped on recycle
+	schedAt units.Time // sim time the event was scheduled, for the flight recorder
+	dead    bool       // tombstone: cancelled, reaped lazily at pop
+	chain   bool       // fire-and-forget (Sched, SchedArg): frame may self-reschedule in place
 	// Pad to 64 bytes: frames are carved from contiguous slabs (see alloc),
 	// and a frame that straddles two cache lines costs two misses per fire.
-	_ [6]byte
+	_ [14]byte
 }
 
 // heapNode is one calendar/heap slot: the (at, seq) sort key inlined next
@@ -112,19 +111,18 @@ type Engine struct {
 	// overflow is a 4-ary min-heap on (at, seq) holding events scheduled
 	// at least a full ring span past the cursor; migrate moves them into
 	// the ring as the cursor approaches.
-	overflow    []heapNode
-	now         units.Time
-	curSched    units.Time // schedule time of the currently-firing event
-	curSchedCtx units.Time // schedule time of the event that scheduled the firing one
-	seq         uint64
-	seed        int64
-	rng         *rand.Rand
-	stopped     bool
-	fired       uint64
-	live        int      // scheduled minus tombstoned: the real pending work
-	free        []*event // recycled events: At/After/Sched allocate from here
-	slab        []event  // uncarved tail of the newest frame slab
-	cur         *event   // firing chainable frame, reusable in place by Sched
+	overflow []heapNode
+	now      units.Time
+	asOf     units.Time // the as-of clock while set (see SetAsOf), else -1
+	seq      uint64
+	seed     int64
+	rng      *rand.Rand
+	stopped  bool
+	fired    uint64
+	live     int      // scheduled minus tombstoned: the real pending work
+	free     []*event // recycled events: At/After/Sched allocate from here
+	slab     []event  // uncarved tail of the newest frame slab
+	cur      *event   // firing chainable frame, reusable in place by Sched
 
 	// Self-instrumentation (see Stats).
 	freeHits    uint64 // alloc calls served from the free list
@@ -176,7 +174,7 @@ func NewEngine(seed int64) *Engine {
 	for i := range ring {
 		ring[i] = backing[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
 	}
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), ring: ring}
+	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), ring: ring, asOf: -1}
 }
 
 // room returns ring bucket s with space for one more node.
@@ -206,25 +204,25 @@ func (e *Engine) Now() units.Time { return e.now }
 // every draw in the simulation.
 func (e *Engine) Seed() int64 { return e.seed }
 
-// CurSchedAt returns the simulated time at which the currently-firing event
-// was scheduled (0 outside Run). Because the sequence counter increases
-// monotonically through simulated time, an event scheduled at an earlier
-// instant always carries a lower tie-break seq: comparing schedule times
-// decides which of two events firing at the same instant runs first, except
-// when both were scheduled within the same instant. Lazy components use this
-// to replay the exact fire order their per-event counterparts would have had.
-func (e *Engine) CurSchedAt() units.Time { return e.curSched }
+// AsOf returns the instant the work in progress is accounted to: Now, except
+// between SetAsOf and ClearAsOf. A lazy component that performs, inside a
+// later event, work that was due at an earlier instant (a port replaying the
+// pops its wire owed, see internal/fabric) brackets each piece with the
+// instant it belongs to; whatever timestamps that work — a telemetry probe,
+// the flight recorder — reads AsOf and records the true time. Scheduling
+// always goes by Now.
+func (e *Engine) AsOf() units.Time {
+	if e.asOf >= 0 {
+		return e.asOf
+	}
+	return e.now
+}
 
-// CurSchedCtx returns the schedule time of the event that scheduled the
-// currently-firing event (0 outside Run or for events scheduled during
-// setup). It resolves one more level of the tie CurSchedAt leaves open: when
-// two events firing at the same instant were also scheduled at the same
-// instant, their relative seq order is decided by which of their *parent*
-// events ran first within that instant — and parents, firing at one instant,
-// are themselves ordered by schedule time. Lazy components compare
-// (CurSchedAt, CurSchedCtx) lexicographically to replay per-event fire order
-// through two levels of same-instant scheduling.
-func (e *Engine) CurSchedCtx() units.Time { return e.curSchedCtx }
+// SetAsOf starts accounting work to instant t, at or before Now.
+func (e *Engine) SetAsOf(t units.Time) { e.asOf = t }
+
+// ClearAsOf returns the as-of clock to Now.
+func (e *Engine) ClearAsOf() { e.asOf = -1 }
 
 // Rand returns the engine's deterministic random source. All simulation
 // components must draw randomness from here and nowhere else.
@@ -417,7 +415,6 @@ func (e *Engine) schedule(t units.Time, fn Handler, afn ArgHandler, arg uint64, 
 	}
 	ev.at, ev.fn, ev.afn, ev.arg, ev.chain = t, fn, afn, arg, chain
 	ev.schedAt = e.now
-	ev.schedCtx = e.curSched
 	nd := heapNode{at: t, seq: e.seq, ev: ev}
 	e.seq++
 	b := int64(t) >> bucketShift
@@ -649,8 +646,6 @@ func (e *Engine) Run(until units.Time) units.Time {
 		e.ringCnt--
 		e.live--
 		e.now = mAt
-		e.curSched = ev.schedAt
-		e.curSchedCtx = ev.schedCtx
 		e.fired++
 		if e.flight != nil {
 			e.flight.Record(obs.FlightEvent, int64(mAt), int64(ev.schedAt), int64(e.live), int64(seq))

@@ -54,6 +54,16 @@ func (m *Multi) Add(o Observer) {
 	}
 }
 
+// SetSettler passes the fabric's settler on to every attached observer that
+// asks for one (see Sampler.SetSettler), for a mux attached whole.
+func (m *Multi) SetSettler(settle func()) {
+	for _, o := range m.obs {
+		if s, ok := o.(interface{ SetSettler(func()) }); ok {
+			s.SetSettler(settle)
+		}
+	}
+}
+
 // Len returns the number of attached observers.
 func (m *Multi) Len() int { return len(m.obs) }
 

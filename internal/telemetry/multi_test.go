@@ -6,6 +6,7 @@ import (
 
 	"vertigo/internal/metrics"
 	"vertigo/internal/packet"
+	"vertigo/internal/sim"
 	"vertigo/internal/units"
 )
 
@@ -77,5 +78,18 @@ func TestMultiZeroValueUsable(t *testing.T) {
 	m.Enqueue(0, 0, &packet.Packet{}, 0) // must not panic
 	if m.Len() != 0 {
 		t.Fatal("zero Multi non-empty")
+	}
+}
+
+// TestMultiPassesSettlerOn: a mux attached whole hands the fabric's settler
+// to the members that ask for one, so a sampler inside it still settles the
+// fabric before each snapshot.
+func TestMultiPassesSettlerOn(t *testing.T) {
+	var log []string
+	smp := NewSampler(sim.NewEngine(1), SamplerConfig{})
+	NewMulti(&recordObserver{"a", &log}, smp).SetSettler(func() { log = append(log, "settled") })
+	smp.onTick()
+	if !reflect.DeepEqual(log, []string{"settled"}) {
+		t.Errorf("tick logged %v, want one settle", log)
 	}
 }

@@ -50,9 +50,9 @@ type Sampler struct {
 	cfg  SamplerConfig
 	ends units.Time
 
-	ports map[PortKey]*portState
-	order []PortKey // first-seen order: deterministic iteration
-	tick  func()    // prebuilt tick closure, scheduled once per period
+	ports  portTable[portState] // sampled in first-seen order
+	tick   func()               // prebuilt tick closure, scheduled once per period
+	settle func()               // see SetSettler
 
 	samples   []Sample
 	truncated int64
@@ -65,6 +65,7 @@ type Sampler struct {
 
 // portState is one port's state accumulated since the last tick.
 type portState struct {
+	key  PortKey
 	occ  units.ByteSize // occupancy after the most recent enqueue/dequeue
 	busy units.Time     // serialization time started during this tick
 }
@@ -78,10 +79,16 @@ func NewSampler(eng *sim.Engine, cfg SamplerConfig) *Sampler {
 	if cfg.MaxSamples == 0 {
 		cfg.MaxSamples = def.MaxSamples
 	}
-	s := &Sampler{eng: eng, cfg: cfg, ports: make(map[PortKey]*portState)}
+	s := &Sampler{eng: eng, cfg: cfg}
 	s.tick = s.onTick
 	return s
 }
+
+// SetSettler gives the sampler the function that brings every port's state
+// up to the current instant; the fabric supplies it on attachment. The fabric
+// reports a transmission when it replays it, which can be after the instant
+// it happened, so each tick settles the fabric before its snapshot.
+func (s *Sampler) SetSettler(settle func()) { s.settle = settle }
 
 // Start schedules sampling ticks up to (and including) until.
 func (s *Sampler) Start(until units.Time) {
@@ -93,8 +100,10 @@ func (s *Sampler) Start(until units.Time) {
 
 func (s *Sampler) onTick() {
 	now := s.eng.Now()
-	for _, k := range s.order {
-		ps := s.ports[k]
+	if s.settle != nil {
+		s.settle()
+	}
+	for _, ps := range s.ports.order {
 		if ps.occ == 0 && ps.busy == 0 {
 			continue
 		}
@@ -104,7 +113,7 @@ func (s *Sampler) onTick() {
 			s.truncated++
 			continue
 		}
-		s.samples = append(s.samples, Sample{Time: now, Port: k, Queue: ps.occ, Util: util})
+		s.samples = append(s.samples, Sample{Time: now, Port: ps.key, Queue: ps.occ, Util: util})
 	}
 	if now+s.cfg.Tick <= s.ends {
 		// Self-rescheduling tick: the firing frame is reused in place.
@@ -113,12 +122,10 @@ func (s *Sampler) onTick() {
 }
 
 func (s *Sampler) port(sw, port int) *portState {
-	k := PortKey{sw, port}
-	ps, ok := s.ports[k]
-	if !ok {
-		ps = &portState{}
-		s.ports[k] = ps
-		s.order = append(s.order, k)
+	ps := s.ports.lookup(sw, port)
+	if ps == nil {
+		ps = &portState{key: PortKey{sw, port}}
+		s.ports.insert(sw, port, ps)
 	}
 	return ps
 }

@@ -88,11 +88,45 @@ func (p *PortStats) Utilization(elapsed units.Time) float64 {
 	return float64(p.BusyTime) / float64(elapsed)
 }
 
+// portTable finds a port's state by (switch, port) without hashing — every
+// dataplane callback starts with this lookup — in a table with one row per
+// switch (row 0 the host NICs), grown on first sight. order lists the ports
+// first seen first, for deterministic iteration.
+type portTable[T any] struct {
+	rows  [][]*T
+	order []*T
+}
+
+// lookup returns the state of a port seen before, or nil.
+func (t *portTable[T]) lookup(sw, port int) *T {
+	if r := sw + 1; r < len(t.rows) {
+		if row := t.rows[r]; port < len(row) {
+			return row[port]
+		}
+	}
+	return nil
+}
+
+// insert records v as the state of a port seen for the first time.
+func (t *portTable[T]) insert(sw, port int, v *T) {
+	r := sw + 1
+	for len(t.rows) <= r {
+		t.rows = append(t.rows, nil)
+	}
+	for len(t.rows[r]) <= port {
+		t.rows[r] = append(t.rows[r], nil)
+	}
+	t.rows[r][port] = v
+	t.order = append(t.order, v)
+}
+
 // Monitor collects fabric telemetry. Attach with fabric.Network.SetObserver.
+// Timestamps are read from the engine's as-of clock: the fabric reports a
+// transmission when it replays it, stamped with the instant it happened.
 type Monitor struct {
 	eng   *sim.Engine
 	cfg   Config
-	ports map[PortKey]*PortStats
+	ports portTable[PortStats]
 
 	episodes []Episode
 	// Fault stream (see fault.go): every transition, plus the open carrier
@@ -121,15 +155,14 @@ func NewMonitor(eng *sim.Engine, cfg Config) *Monitor {
 	if cfg.MicroburstMax <= 0 {
 		cfg.MicroburstMax = def.MicroburstMax
 	}
-	return &Monitor{eng: eng, cfg: cfg, ports: make(map[PortKey]*PortStats)}
+	return &Monitor{eng: eng, cfg: cfg}
 }
 
 func (m *Monitor) port(sw, port int) *PortStats {
-	k := PortKey{sw, port}
-	ps, ok := m.ports[k]
-	if !ok {
-		ps = &PortStats{Key: k}
-		m.ports[k] = ps
+	ps := m.ports.lookup(sw, port)
+	if ps == nil {
+		ps = &PortStats{Key: PortKey{sw, port}}
+		m.ports.insert(sw, port, ps)
 	}
 	return ps
 }
@@ -181,7 +214,7 @@ func (m *Monitor) Deliver(host int, p *packet.Packet) {
 
 // track runs the occupancy episode state machine.
 func (m *Monitor) track(ps *PortStats, occ units.ByteSize) {
-	now := m.eng.Now()
+	now := m.eng.AsOf()
 	switch {
 	case !ps.inEpisode && occ >= m.cfg.BurstThreshold:
 		ps.inEpisode = true
@@ -200,10 +233,14 @@ func (m *Monitor) track(ps *PortStats, occ units.ByteSize) {
 	}
 }
 
-// Finish closes episodes still open at simulation end.
+// Finish closes episodes still open at simulation end, ports in first-seen
+// order, and puts the list in its canonical order: by end instant, then
+// start, then port. An episode is recorded when the fabric reports the
+// transmission that ended it, which for a replayed pop is whenever the port
+// was next touched; the order of recording is not a property of the run.
 func (m *Monitor) Finish() {
 	now := m.eng.Now()
-	for _, ps := range m.ports {
+	for _, ps := range m.ports.order {
 		if ps.inEpisode {
 			ps.inEpisode = false
 			m.episodes = append(m.episodes, Episode{
@@ -214,6 +251,19 @@ func (m *Monitor) Finish() {
 			})
 		}
 	}
+	sort.SliceStable(m.episodes, func(i, j int) bool {
+		a, b := &m.episodes[i], &m.episodes[j]
+		if ea, eb := a.Start+a.Duration, b.Start+b.Duration; ea != eb {
+			return ea < eb
+		}
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		if a.Port.Switch != b.Port.Switch {
+			return a.Port.Switch < b.Port.Switch
+		}
+		return a.Port.Port < b.Port.Port
+	})
 }
 
 // Episodes returns all recorded congestion episodes.
@@ -232,10 +282,7 @@ func (m *Monitor) Microbursts() []Episode {
 
 // Ports returns per-port stats sorted by descending utilization.
 func (m *Monitor) Ports(elapsed units.Time) []*PortStats {
-	out := make([]*PortStats, 0, len(m.ports))
-	for _, ps := range m.ports {
-		out = append(out, ps)
-	}
+	out := append([]*PortStats(nil), m.ports.order...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].BusyTime != out[j].BusyTime {
 			return out[i].BusyTime > out[j].BusyTime

@@ -1,11 +1,14 @@
 package telemetry_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"vertigo/internal/core"
 	"vertigo/internal/fabric"
+	"vertigo/internal/packet"
+	"vertigo/internal/sim"
 	"vertigo/internal/telemetry"
 	"vertigo/internal/topo"
 	"vertigo/internal/transport"
@@ -260,5 +263,74 @@ func TestTracerOnFatTreeVertigo(t *testing.T) {
 	// flow was routed upward; at minimum the trace shows multi-hop forwarding.
 	if !strings.Contains(out, "hops=2") {
 		t.Error("traced flow never forwarded beyond its ToR")
+	}
+}
+
+// TestMonitorFinishOrderDeterministic: episodes still open at the horizon are
+// closed, and all episodes listed, in an order that is a property of the run
+// — by end instant, then start, then port — not of map iteration or of when
+// the fabric happened to report a transmission.
+func TestMonitorFinishOrderDeterministic(t *testing.T) {
+	episodes := func() []telemetry.Episode {
+		eng := sim.NewEngine(1)
+		mon := telemetry.NewMonitor(eng, telemetry.Config{BurstThreshold: 1000, BurstClear: 500})
+		p := &packet.Packet{Kind: packet.Data, PayloadLen: 100}
+		// Six ports open an episode, NICs and switch ports interleaved, not in
+		// key order; one closes before the horizon, reported late (as-of).
+		for i, k := range []telemetry.PortKey{{3, 1}, {-1, 4}, {0, 2}, {3, 0}, {-1, 0}, {1, 7}} {
+			eng.At(units.Time(10+i), func() { mon.Enqueue(k.Switch, k.Port, p, 2000) })
+		}
+		eng.At(90, func() {
+			eng.SetAsOf(40)
+			mon.Transmit(0, 2, p, 5, 100)
+			eng.ClearAsOf()
+		})
+		eng.Run(100)
+		mon.Finish()
+		return mon.Episodes()
+	}
+	want := episodes()
+	if len(want) != 6 {
+		t.Fatalf("%d episodes, want 6", len(want))
+	}
+	if want[0].Port != (telemetry.PortKey{Switch: 0, Port: 2}) || want[0].Start+want[0].Duration != 40 {
+		t.Errorf("first episode %+v, want the one s0.p2 closed as of t=40", want[0])
+	}
+	for i := 1; i < len(want)-1; i++ {
+		if a, b := want[i], want[i+1]; a.Start+a.Duration != 100 || a.Start > b.Start {
+			t.Errorf("episodes %d and %d out of canonical order: %+v, %+v", i, i+1, a, b)
+		}
+	}
+	for run := 0; run < 20; run++ {
+		if got := episodes(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d lists the episodes as %v, the first run as %v", run, got, want)
+		}
+	}
+}
+
+// TestProbeCallbacksAllocFree: once a port has been seen, the monitor's and
+// the sampler's per-packet callbacks find its state by index and allocate
+// nothing.
+func TestProbeCallbacksAllocFree(t *testing.T) {
+	eng := sim.NewEngine(1)
+	mon := telemetry.NewMonitor(eng, telemetry.Config{})
+	smp := telemetry.NewSampler(eng, telemetry.DefaultSamplerConfig())
+	p := &packet.Packet{Kind: packet.Data, PayloadLen: 100}
+	touch := func() {
+		for sw := -1; sw < 6; sw++ {
+			for port := 0; port < 8; port++ {
+				mon.Enqueue(sw, port, p, 1000)
+				mon.Transmit(sw, port, p, 10, 0)
+				smp.Enqueue(sw, port, p, 1000)
+				smp.Transmit(sw, port, p, 10, 0)
+			}
+		}
+	}
+	touch()
+	if n := testing.AllocsPerRun(10, touch); n != 0 {
+		t.Errorf("callbacks on seen ports allocate %.1f objects per round, want 0", n)
+	}
+	if got := len(mon.Ports(units.Second)); got != 7*8 {
+		t.Errorf("monitor lists %d ports, want %d", got, 7*8)
 	}
 }

@@ -24,6 +24,12 @@ import (
 // line, the trace.jsonl artifact format:
 //
 //	{"t":<ns>,"ev":"enq","sw":1,"port":2,"kind":"data","flow":7,...,"occ":4500}
+//
+// Lines are written in emission order and stamped from the engine's as-of
+// clock. The fabric reports a transmission when it replays it, so a tx line
+// carries the true instant of the transmission and can follow lines with
+// later stamps; one port's lines are always in time order. Sort by time for
+// a global timeline.
 type Tracer struct {
 	eng   *sim.Engine
 	w     *bufio.Writer
@@ -62,7 +68,7 @@ func (t *Tracer) emit(event string, sw, port int, p *packet.Packet, extraKey str
 	t.Lines++
 	if t.jsonl {
 		fmt.Fprintf(t.w, `{"t":%d,"ev":"%s","sw":%d,"port":%d,"kind":"%s","flow":%d,"seq":%d,"rfs":%d,"hops":%d,"defl":%d`,
-			int64(t.eng.Now()), event, sw, port, p.Kind, p.Flow, p.Seq,
+			int64(t.eng.AsOf()), event, sw, port, p.Kind, p.Flow, p.Seq,
 			p.Rank(), p.Hops, p.Deflections)
 		if extraStr != "" {
 			fmt.Fprintf(t.w, `,"%s":"%s"`, extraKey, extraStr)
@@ -73,7 +79,7 @@ func (t *Tracer) emit(event string, sw, port int, p *packet.Packet, extraKey str
 		return
 	}
 	fmt.Fprintf(t.w, "%d %s sw=%d port=%d kind=%s flow=%d seq=%d rfs=%d hops=%d defl=%d",
-		int64(t.eng.Now()), event, sw, port, p.Kind, p.Flow, p.Seq,
+		int64(t.eng.AsOf()), event, sw, port, p.Kind, p.Flow, p.Seq,
 		p.Rank(), p.Hops, p.Deflections)
 	if extraStr != "" {
 		fmt.Fprintf(t.w, " %s=%s", extraKey, extraStr)

@@ -2,13 +2,14 @@
 //
 // The simulator historically drew every random number from one engine-wide
 // math/rand stream, which makes each draw's value depend on the global
-// *order* of draws. That coupling is what forbids event coalescing: batching
-// a port's per-packet jitter draws into one planning step would shift every
-// other consumer's position in the shared stream. Giving each port its own
-// stream makes draw order positional — the k-th draw of a port has the same
-// value whether it is taken when the k-th packet starts serializing or all
-// at once when a packet train is planned — which is the "RNG draw order
-// provably preserved" condition packet-train coalescing relies on.
+// *order* of draws. That coupling forbids doing any drawing work after the
+// fact: a port that replays a transmission when it is next touched, rather
+// than in an event of its own, would take its jitter draw at another position
+// in the shared stream and shift every other consumer's. Giving each port its
+// own stream makes draw order positional — the k-th draw of a port has the
+// same value whether it is taken at the instant the k-th packet starts
+// serializing or later, when the port replays that pop — which is the
+// condition the fabric's lazy wire relies on.
 //
 // The generator is splitmix64 (Steele et al., "Fast splittable pseudorandom
 // number generators"): 8 bytes of state, one add and three xor-shifts per
