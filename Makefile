@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-serve vet benchmark-smoke benchmark-compare exp-small exp-medium examples clean
+.PHONY: all build test test-short race race-serve vet shard-smoke benchmark-smoke benchmark-compare exp-small exp-medium examples clean
 
 all: build vet test
 
@@ -29,6 +29,25 @@ race:
 # serve-smoke job runs first.
 race-serve:
 	$(GO) test -race -timeout 20m ./internal/serve/
+
+# A sharded sweep outside `go test` — what CI's shard-smoke job runs (needs
+# jq). Per-count determinism at the CLI: two `-shards 2` renders of fig1 are
+# the same bytes. And the offered workload is a function of the seed, not of
+# the shard count: the two ECMP systems draw no policy randomness, so their
+# runs report the same flows_started and queries_started serial and sharded.
+SMOKE := $(CURDIR)/.bench_build/shard-smoke
+STARTED := [.runs[] | select(.label | test("[+]ecmp/")) | [.label, .summary.flows_started, .summary.queries_started]] | sort
+shard-smoke:
+	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
+	$(GO) run ./cmd/vertigo-exp -scale tiny -shards 2 fig1 > $(SMOKE)/a.txt
+	$(GO) run ./cmd/vertigo-exp -scale tiny -shards 2 fig1 > $(SMOKE)/b.txt
+	test -s $(SMOKE)/a.txt && cmp $(SMOKE)/a.txt $(SMOKE)/b.txt
+	$(GO) run ./cmd/vertigo-exp -scale tiny -shards 0 -out $(SMOKE)/serial fig1 > /dev/null
+	$(GO) run ./cmd/vertigo-exp -scale tiny -shards 2 -out $(SMOKE)/sharded fig1 > /dev/null
+	jq -c '$(STARTED)' $(SMOKE)/serial/results.json > $(SMOKE)/serial.started
+	jq -c '$(STARTED)' $(SMOKE)/sharded/results.json > $(SMOKE)/sharded.started
+	jq -e 'length == 8 and all(.[]; .[1] > 0 and .[2] > 0)' $(SMOKE)/serial.started
+	cmp $(SMOKE)/serial.started $(SMOKE)/sharded.started
 
 # The benchmark of record (benchmark/, BENCHMARK.json) end to end on its
 # quickest workload and on its biggest, through the wrapper the gating

@@ -314,9 +314,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A serial run's generators are live: they draw from the engine's
-	// stream and open transports as the run goes.
-	err = armGenerators(&cfg, w.eng, w.met, t.NumHosts, func(src, dst int, size int64, incast bool, query int) {
+	// The serial run owns every host (nil predicate) and mints flow IDs from
+	// the generator its packets share.
+	err = armGenerators(&cfg, w.eng, w.met, t.NumHosts, nil, func(src, dst int, size int64, incast bool, query int) {
 		spec := transport.FlowSpec{ID: w.ids.Next(), Src: src, Dst: dst, Size: size, Incast: incast, Query: query}
 		w.senders.Get(w.hosts[src], w.met, w.ids, spec, nil).Start()
 	})
@@ -335,10 +335,12 @@ func Run(cfg Config) (*Result, error) {
 
 // armGenerators arms cfg's synthetic workload on eng — background, trace
 // replay, incast, in the order that fixes each one's share of the engine's
-// random stream — with start called at every flow arrival. A serial run
-// starts transports from it; a sharded run records the arrivals on a
-// throwaway engine (materializeWorkload).
-func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts int, start workload.FlowStarter) error {
+// random stream — with start called at every flow arrival. It is the only
+// way a run gets its workload: a serial run passes a nil owns; each domain of
+// a sharded run arms the same generators on its own identically seeded
+// engine, so all draw one schedule, and owns (the domain's hosts) confines a
+// query's registration to the domain of its client.
+func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts int, owns func(host int) bool, start workload.FlowStarter) error {
 	if cfg.BGLoad > 0 {
 		dist := cfg.BGDist
 		if dist == nil {
@@ -361,7 +363,7 @@ func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts i
 			Eng: eng, Met: met, Hosts: hosts,
 			QPS: cfg.IncastQPS, Scale: cfg.IncastScale, FlowSize: cfg.IncastFlowSize,
 			Periodic: cfg.IncastPeriodic, RequestDelay: cfg.RequestDelay,
-			Start: start,
+			Start: start, Owns: owns,
 		}
 		ic.Run(cfg.SimTime)
 	}
@@ -371,9 +373,8 @@ func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts i
 // world is one assembled simulation stack — engine, collector, fabric with
 // its probes and faults, transport pools and every host — the whole of a
 // serial run and one domain of a sharded one. newWorld builds it up to the
-// point where the workload is armed; the caller arms its workload (live
-// generators, or a domain's share of a materialized schedule), then calls
-// bound, runs the engine, and calls finish.
+// point where the workload is armed; the caller arms it (armGenerators), then
+// calls bound, runs the engine, and calls finish.
 type world struct {
 	eng     *sim.Engine
 	met     *metrics.Collector
@@ -381,6 +382,7 @@ type world struct {
 	ids     *packet.IDGen
 	senders *transport.SenderPool
 	hosts   []*host.Host
+	inj     *faults.Injector // nil when nothing is scheduled to fail
 
 	// Probes attach independently; the fabric fans events out through a
 	// telemetry.Multi when more than one is present.
@@ -436,13 +438,18 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 		w.sampler.Start(cfg.SimTime)
 		w.net.AddObserver(w.sampler)
 	}
+	// One schedule, one injector: the permanent LinkFailures lead it, so the
+	// healer's view of what is dead includes them.
+	sched := &faults.Schedule{}
 	for _, lf := range cfg.LinkFailures {
-		if err := w.net.FailLinkAt(lf.Link, lf.At); err != nil {
-			return nil, err
-		}
+		sched.Add(faults.Event{At: lf.At, Kind: faults.LinkDown, Link: lf.Link})
 	}
-	if !cfg.Faults.Empty() {
-		if _, err := faults.Apply(eng, w.net, cfg.Faults, cfg.HealDelay); err != nil {
+	if cfg.Faults != nil {
+		sched.Add(cfg.Faults.Events...)
+	}
+	if !sched.Empty() {
+		var err error
+		if w.inj, err = faults.Apply(eng, w.net, sched, cfg.HealDelay); err != nil {
 			return nil, err
 		}
 	}

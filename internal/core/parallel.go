@@ -13,11 +13,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"vertigo/internal/fabric"
 	"vertigo/internal/metrics"
-	"vertigo/internal/sim"
 	"vertigo/internal/telemetry"
 	"vertigo/internal/topo"
 	"vertigo/internal/transport"
@@ -40,106 +38,12 @@ func (c *Config) shardable() bool {
 	return true
 }
 
-// flowOp is one pre-materialized flow arrival; rank order (the slice index)
-// is the global arrival order and mints the flow's globally unique ID.
-type flowOp struct {
-	At       units.Time
-	Src, Dst int
-	Size     int64
-	Incast   bool
-	Query    int // rank into materialized.queries, or -1
-	ID       uint64
-}
-
-// queryOp is one pre-materialized incast query. Client is -1 when none of
-// the query's response flows landed inside the horizon (the query can then
-// never complete, exactly as in a serial run, and is owned by domain 0).
-type queryOp struct {
-	At     units.Time
-	Client int
-	Scale  int
-}
-
-type materialized struct {
-	flows   []flowOp
-	queries []queryOp
-}
-
-// materializeWorkload replays the synthetic generators (Background, Trace,
-// Incast) against a throwaway engine seeded identically to a serial run,
-// recording every flow and query arrival instead of starting transports.
-// The generators are the only workload-side consumers of the engine's
-// global random stream, so the recorded schedule is a deterministic
-// function of (Seed, workload config) alone — independent of shard count.
-func materializeWorkload(cfg *Config, t *topo.Topology) (*materialized, error) {
-	m := &materialized{}
-	eng := sim.NewEngine(cfg.Seed)
-	met := metrics.NewCollector()
-	err := armGenerators(cfg, eng, met, t.NumHosts, func(src, dst int, size int64, incast bool, query int) {
-		m.flows = append(m.flows, flowOp{
-			At: eng.Now(), Src: src, Dst: dst, Size: size,
-			Incast: incast, Query: query, ID: uint64(len(m.flows) + 1),
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	eng.Run(cfg.SimTime)
-	for _, q := range met.Queries {
-		m.queries = append(m.queries, queryOp{At: q.Start, Client: -1, Scale: q.Scale})
-	}
-	for i := range m.flows {
-		if q := m.flows[i].Query; q >= 0 && m.queries[q].Client < 0 {
-			m.queries[q].Client = m.flows[i].Dst
-		}
-	}
-	return m, nil
-}
-
-// domOp is one entry of a domain's arrival cursor: a query registration or a
-// flow start owned by that domain.
-type domOp struct {
-	at    units.Time
-	query bool
-	rank  int
-}
-
-// opPump replays a domain's share of the materialized workload through one
-// self-rescheduling engine event, so the window barrier always sees the next
-// arrival in PeekTime.
-type opPump struct {
-	eng  *sim.Engine
-	ops  []domOp
-	i    int
-	exec func(domOp)
-	fire func()
-}
-
-func (pp *opPump) arm() {
-	if pp.i < len(pp.ops) {
-		pp.eng.At(pp.ops[pp.i].at, pp.fire)
-	}
-}
-
-func (pp *opPump) init() {
-	pp.fire = func() {
-		now := pp.eng.Now()
-		for pp.i < len(pp.ops) && pp.ops[pp.i].at == now {
-			pp.exec(pp.ops[pp.i])
-			pp.i++
-		}
-		pp.arm()
-	}
-	pp.arm()
-}
-
 // domain is one shard: a full simulation stack owning a slice of the
 // topology.
 type domain struct {
 	*world
 	traceBuf bytes.Buffer
 	outbox   [][]fabric.CrossItem // per destination domain, drained each window
-	pump     opPump
 
 	cmd chan units.Time // window deadline; closed to stop the goroutine
 	res chan any        // recovered panic value, nil on clean window
@@ -158,104 +62,75 @@ func (d *domain) runShard() {
 	}
 }
 
-// runSharded executes cfg split across part.N domains. Callers guarantee
-// cfg validated, cfg.shardable() and part.N > 1.
-func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, error) {
-	nDom := part.N
-	m, err := materializeWorkload(&cfg, t)
+// newDomain assembles domain di of part and arms its workload. Every domain
+// runs every generator live: the generators are the only consumers of the
+// engine's random stream in a sharded run, so the identically seeded replicas
+// draw one schedule and each keeps what it owns — a flow is registered where
+// it completes (the destination, which for a response is the client holding
+// the query's local ID) and started where it originates. The arrival count is
+// the flow's global ID, the same in every replica.
+func newDomain(cfg *Config, t *topo.Topology, part *topo.Partition, di int) (*domain, error) {
+	d := &domain{
+		outbox: make([][]fabric.CrossItem, part.N),
+		cmd:    make(chan units.Time),
+		res:    make(chan any),
+	}
+	sd := &fabric.ShardCtx{
+		Domain:       di,
+		SwitchDomain: part.SwitchDomain,
+		HostDomain:   part.HostDomain,
+		Emit: func(dst int, it fabric.CrossItem) {
+			d.outbox[dst] = append(d.outbox[dst], it)
+		},
+	}
+	// Each domain traces into a buffer of its own; runSharded's merge
+	// interleaves them into cfg.PacketTrace.
+	var traceOut io.Writer
+	if cfg.PacketTrace != nil {
+		traceOut = &d.traceBuf
+	}
+	var err error
+	if d.world, err = newWorld(cfg, t, sd, traceOut); err != nil {
+		return nil, err
+	}
+	owns := func(h int) bool { return part.HostDomain[h] == di }
+	var arrivals uint64
+	err = armGenerators(cfg, d.eng, d.met, t.NumHosts, owns, func(src, dst int, size int64, incast bool, query int) {
+		arrivals++
+		if owns(dst) {
+			cls := metrics.Background
+			if incast {
+				cls = metrics.Incast
+			}
+			d.met.StartFlow(metrics.FlowRecord{
+				ID: arrivals, Class: cls, Src: src, Dst: dst,
+				Size: size, Start: d.eng.Now(), Query: query,
+			})
+		}
+		if owns(src) {
+			spec := transport.FlowSpec{
+				ID: arrivals, Src: src, Dst: dst, Size: size,
+				Incast: incast, Query: -1, Preregistered: true,
+			}
+			d.senders.Get(d.hosts[src], d.met, d.ids, spec, nil).Start()
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
+	d.bound(cfg)
+	return d, nil
+}
 
-	doms := make([]*domain, nDom)
-	for di := 0; di < nDom; di++ {
-		d := &domain{
-			outbox: make([][]fabric.CrossItem, nDom),
-			cmd:    make(chan units.Time),
-			res:    make(chan any),
-		}
-		sd := &fabric.ShardCtx{
-			Domain:       di,
-			SwitchDomain: part.SwitchDomain,
-			HostDomain:   part.HostDomain,
-			Emit: func(dst int, it fabric.CrossItem) {
-				d.outbox[dst] = append(d.outbox[dst], it)
-			},
-		}
-		// Each domain traces into a buffer of its own; the merge below
-		// interleaves them into cfg.PacketTrace.
-		var traceOut io.Writer
-		if cfg.PacketTrace != nil {
-			traceOut = &d.traceBuf
-		}
-		if d.world, err = newWorld(&cfg, t, sd, traceOut); err != nil {
+// runSharded executes cfg split across part.N domains. Callers guarantee
+// cfg validated, cfg.shardable() and part.N > 1.
+func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, error) {
+	doms := make([]*domain, part.N)
+	for di := range doms {
+		var err error
+		if doms[di], err = newDomain(&cfg, t, part, di); err != nil {
 			return nil, err
 		}
-
-		// The domain's arrival cursor: queries registered where the client
-		// lives, flows registered where they complete (the destination) and
-		// started where they originate. qmap carries the destination
-		// domain's local query IDs.
-		qmap := make([]int, len(m.queries))
-		var ops []domOp
-		for rank, q := range m.queries {
-			qd := 0
-			if q.Client >= 0 {
-				qd = part.HostDomain[q.Client]
-			}
-			if qd == di {
-				ops = append(ops, domOp{at: q.At, query: true, rank: rank})
-			}
-		}
-		for rank, f := range m.flows {
-			if part.HostDomain[f.Src] == di || part.HostDomain[f.Dst] == di {
-				ops = append(ops, domOp{at: f.At, rank: rank})
-			}
-		}
-		sort.SliceStable(ops, func(i, j int) bool {
-			if ops[i].at != ops[j].at {
-				return ops[i].at < ops[j].at
-			}
-			// Queries registered before any same-instant flow referencing
-			// them; rank order breaks the remaining ties.
-			if ops[i].query != ops[j].query {
-				return ops[i].query
-			}
-			return ops[i].rank < ops[j].rank
-		})
-		d.pump = opPump{eng: d.eng, ops: ops}
-		d.pump.exec = func(op domOp) {
-			if op.query {
-				q := m.queries[op.rank]
-				qmap[op.rank] = d.met.StartQuery(q.Scale, q.At)
-				return
-			}
-			f := m.flows[op.rank]
-			if part.HostDomain[f.Dst] == di {
-				cls := metrics.Background
-				if f.Incast {
-					cls = metrics.Incast
-				}
-				localQ := -1
-				if f.Query >= 0 {
-					localQ = qmap[f.Query]
-				}
-				d.met.StartFlow(metrics.FlowRecord{
-					ID: f.ID, Class: cls, Src: f.Src, Dst: f.Dst,
-					Size: f.Size, Start: f.At, Query: localQ,
-				})
-			}
-			if part.HostDomain[f.Src] == di {
-				spec := transport.FlowSpec{
-					ID: f.ID, Src: f.Src, Dst: f.Dst, Size: f.Size,
-					Incast: f.Incast, Query: -1, Preregistered: true,
-				}
-				d.senders.Get(d.hosts[f.Src], d.met, d.ids, spec, nil).Start()
-			}
-		}
-		d.pump.init()
-		d.bound(&cfg)
-		doms[di] = d
 	}
 
 	stopped := false

@@ -2,9 +2,12 @@ package core
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"vertigo/internal/fabric"
+	"vertigo/internal/metrics"
+	"vertigo/internal/sim"
 	"vertigo/internal/topo"
 	"vertigo/internal/transport"
 	"vertigo/internal/units"
@@ -128,6 +131,152 @@ func TestShardedDegradesToSerial(t *testing.T) {
 			if !reflect.DeepEqual(base.Summary, r.Summary) {
 				t.Errorf("%s shards=%d: expected serial-identical summary, got:\n%+v\nvs serial\n%+v",
 					tc.name, n, r.Summary, base.Summary)
+			}
+		}
+	}
+}
+
+// startedFlow is what the start callback learns of one arrival.
+type startedFlow struct {
+	ID       uint64
+	Start    units.Time
+	Src, Dst int
+	Size     int64
+	Class    metrics.FlowClass
+}
+
+// replayWorkload runs cfg's generators alone on a bare engine and returns
+// every arrival in order, numbered from 1, with the number of queries fired:
+// the offered workload as a function of the seed and nothing else.
+func replayWorkload(t *testing.T, cfg Config) ([]startedFlow, int) {
+	t.Helper()
+	eng, met := sim.NewEngine(cfg.Seed), metrics.NewCollector()
+	var flows []startedFlow
+	err := armGenerators(&cfg, eng, met, cfg.NumHosts(), nil, func(src, dst int, size int64, incast bool, _ int) {
+		cls := metrics.Background
+		if incast {
+			cls = metrics.Incast
+		}
+		flows = append(flows, startedFlow{uint64(len(flows) + 1), eng.Now(), src, dst, size, cls})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(cfg.SimTime)
+	return flows, len(met.Queries)
+}
+
+// domainFlows arms cfg's n domains exactly as runSharded does, runs each to
+// the horizon on its own (the arrivals never depend on a packet, so the
+// window exchange is not needed) and returns the flow records the domains
+// registered, in ID order.
+func domainFlows(t *testing.T, cfg Config, n int) []startedFlow {
+	t.Helper()
+	cfg.RawSeries = metrics.RawKeep // completed records stay for RangeFlows
+	tp, err := topo.NewLeafSpine(cfg.LeafSpineCfg)
+	if cfg.Kind == FatTree {
+		tp, err = topo.NewFatTree(cfg.FatTreeCfg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := topo.NewPartition(tp, n)
+	if err != nil || part.N != n {
+		t.Fatalf("partition into %d: got %+v, %v", n, part, err)
+	}
+	var flows []startedFlow
+	for di := 0; di < n; di++ {
+		d, err := newDomain(&cfg, tp, part, di)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.eng.Run(cfg.SimTime)
+		d.met.RangeFlows(func(f *metrics.FlowRecord) bool {
+			if part.HostDomain[f.Dst] != di {
+				t.Errorf("shards=%d: domain %d registered flow %d to host %d of domain %d",
+					n, di, f.ID, f.Dst, part.HostDomain[f.Dst])
+			}
+			flows = append(flows, startedFlow{f.ID, f.Start, f.Src, f.Dst, f.Size, f.Class})
+			return true
+		})
+	}
+	sort.Slice(flows, func(i, j int) bool { return flows[i].ID < flows[j].ID })
+	return flows
+}
+
+// TestOfferedWorkloadIsShardInvariant: every domain runs every generator on
+// an identically seeded engine, so the offered workload is a function of the
+// seed, not of the shard count — the flows the domains register, put
+// together, are the generators' arrivals exactly, with IDs dense from 1 in
+// arrival order, and a sharded run reports that many flows and queries
+// started. Where no policy randomness is drawn from the engine's stream
+// (ECMP) the serial run offers the same workload too.
+func TestOfferedWorkloadIsShardInvariant(t *testing.T) {
+	fatTree := shardTestConfig()
+	fatTree.Kind = FatTree
+	fatTree.FatTreeCfg.K = 8
+	fatTree.SimTime = 5 * units.Millisecond
+	fatTree.IncastFlowSize = 4000
+	fatTree.SetIncastLoad(0.2)
+	fatTree.BGLoad = 0.2
+	// Every request reaches its server past the horizon: the queries start,
+	// none of their responses does, none can complete, and no flow names the
+	// client whose domain has to count the query.
+	late := shardTestConfig()
+	late.SimTime = 2 * units.Millisecond
+	late.RequestDelay = 3 * units.Millisecond
+	late.BGLoad = 0
+	late.SetIncastLoad(0.5)
+	ecmp := shardTestConfig()
+	ecmp.Fabric = fabric.DefaultConfig(fabric.ECMP)
+	ecmp.VertigoStack = false
+
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		serial bool // shards=1 draws nothing else from the engine's stream
+		flows  bool // the seed offers any
+	}{
+		{"leafspine", shardTestConfig(), false, true},
+		{"fattree8", fatTree, false, true},
+		{"late-requests", late, true, false},
+		{"ecmp", ecmp, true, true},
+	} {
+		if testing.Short() {
+			if tc.cfg.Kind == FatTree {
+				continue
+			}
+			tc.cfg.SimTime = min(tc.cfg.SimTime, 5*units.Millisecond)
+		}
+		want, queries := replayWorkload(t, tc.cfg)
+		if queries == 0 || (len(want) > 0) != tc.flows {
+			t.Fatalf("%s: replay offers %d flows and %d queries; test would prove nothing", tc.name, len(want), queries)
+		}
+		shards := []int{2, 4}
+		if tc.serial {
+			shards = []int{1, 2, 4}
+		}
+		for _, n := range shards {
+			cfg := tc.cfg
+			cfg.Shards = n
+			r, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", tc.name, n, err)
+			}
+			s := r.Summary
+			if s.FlowsStarted != len(want) || s.QueriesStarted != queries {
+				t.Errorf("%s shards=%d: started %d flows and %d queries, the seed offers %d and %d",
+					tc.name, n, s.FlowsStarted, s.QueriesStarted, len(want), queries)
+			}
+			if !tc.flows && s.QueriesCompleted != 0 {
+				t.Errorf("%s shards=%d: %d queries completed without a response", tc.name, n, s.QueriesCompleted)
+			}
+			if n == 1 {
+				continue
+			}
+			if got := domainFlows(t, tc.cfg, n); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s shards=%d: the domains registered %d flows, not the %d arrivals of the replay (IDs 1..%d in arrival order)",
+					tc.name, n, len(got), len(want), len(want))
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"vertigo/internal/fabric"
 	"vertigo/internal/faults"
+	"vertigo/internal/topo"
 	"vertigo/internal/transport"
 	"vertigo/internal/units"
 )
@@ -105,6 +106,49 @@ func TestRunWithFaultScheduleAccounts(t *testing.T) {
 	}
 	if s.FIBInstalls != 4 {
 		t.Errorf("FIB installs = %d, want 4 (one per transition)", s.FIBInstalls)
+	}
+}
+
+// TestHealerSeesLinkFailures: a permanent Config.LinkFailures entry goes
+// through the same injector as Config.Faults, so the control plane's heal
+// knows the link is dead — also when a later, unrelated flap triggers another
+// recomputation — and the tables it installs route around it.
+func TestHealerSeesLinkFailures(t *testing.T) {
+	cfg := smallConfig(fabric.ECMP, transport.DCTCP)
+	cfg.SimTime = 5 * units.Millisecond
+	dead := cfg.NumHosts()        // leaf 0's first uplink
+	flapped := cfg.NumHosts() + 1 // its second
+	cfg.LinkFailures = []LinkFailure{{Link: dead, At: units.Millisecond}}
+	cfg.Faults = (&faults.Schedule{}).Add(
+		faults.Flap(flapped, 2*units.Millisecond, 500*units.Microsecond, units.Millisecond, 1)...)
+	cfg.HealDelay = 100 * units.Microsecond
+	tp, err := topo.NewLeafSpine(cfg.LeafSpineCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newWorld(&cfg, tp, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.eng.Run(cfg.SimTime)
+	if w.inj == nil || w.inj.FailedLinks() != 1 {
+		t.Fatalf("injector does not count the LinkFailures link as failed (injector %v)", w.inj)
+	}
+	if w.met.FIBInstalls != 3 {
+		t.Errorf("FIB installs = %d, want 3 (the failure and both flap edges)", w.met.FIBInstalls)
+	}
+	fib := w.net.FIB()
+	if fib == tp.FIB {
+		t.Fatal("pristine FIB installed while a link is permanently failed")
+	}
+	for _, end := range []topo.Endpoint{tp.Links[dead].A, tp.Links[dead].B} {
+		for dst := 0; dst < tp.NumHosts; dst++ {
+			for _, port := range fib.NextHops(end.Node, dst) {
+				if port == end.Port {
+					t.Fatalf("healed FIB still routes switch %d -> host %d over dead link %d", end.Node, dst, dead)
+				}
+			}
+		}
 	}
 }
 

@@ -409,35 +409,17 @@ func (n *Network) Send(p *packet.Packet) {
 // instrumentation).
 func (n *Network) Switch(id int) *Switch { return n.switches[id] }
 
-// FailLinkAt schedules both directions of topology link li to fail at time
-// at. Unless a control-plane healer later installs recomputed routes
-// (InstallFIB), FIBs keep pointing at the dead link, modelling the window
-// between carrier loss and control-plane repair during which only
-// in-dataplane reactions (deflection) can rescue traffic. Switches see
-// carrier loss instantly, so the forwarding policies treat a dead port
-// exactly like a full queue. The failure is permanent unless a matching
-// SetLinkStateAt(li, t, true) restores carrier.
-func (n *Network) FailLinkAt(li int, at units.Time) error {
-	return n.SetLinkStateAt(li, at, false)
-}
-
-// SetLinkStateAt schedules a carrier transition for topology link li: up
-// false fails the link (both directions), up true restores it. Transitions
-// are idempotent — failing a dead link or restoring a live one is a no-op —
-// and same-timestamp events apply in scheduling order, so a down scheduled
-// before an up at the same instant leaves the link up.
-func (n *Network) SetLinkStateAt(li int, at units.Time, up bool) error {
-	if err := n.checkLink(li); err != nil {
-		return err
-	}
-	n.Eng.At(at, func() { n.SetLinkState(li, up) })
-	return nil
-}
-
-// SetLinkState applies a carrier transition immediately. It must only be
-// called from the simulator thread (an engine event); external callers use
-// SetLinkStateAt. Panics on an out-of-range link, as scheduled callers were
-// validated and direct callers are modelling bugs.
+// SetLinkState applies a carrier transition to topology link li now: up false
+// fails both directions, up true restores them. Unless a control-plane healer
+// later installs recomputed routes (InstallFIB), FIBs keep pointing at a dead
+// link, modelling the window between carrier loss and control-plane repair
+// during which only in-dataplane reactions (deflection) can rescue traffic.
+// Switches see carrier loss instantly, so the forwarding policies treat a dead
+// port exactly like a full queue. Transitions are idempotent — failing a dead
+// link or restoring a live one is a no-op. Like every fault setter below it
+// must only be called from the simulator thread (an engine event; a
+// faults.Schedule is the validated way to time one) and panics on an
+// out-of-range index.
 func (n *Network) SetLinkState(li int, up bool) {
 	n.setLinkState(li, up)
 	kind := telemetry.FaultLinkDown
@@ -480,21 +462,10 @@ func (n *Network) setLinkState(li int, up bool) {
 	}
 }
 
-// SetSwitchStateAt schedules whole-switch failure (up false: every attached
+// SetSwitchState applies a whole-switch failure (up false: every attached
 // link loses carrier and arriving packets are discarded) or recovery (up
-// true) at time at. Recovery restores every attached link; compose link and
-// switch faults on disjoint links, as overlapping transitions are
-// last-write-wins.
-func (n *Network) SetSwitchStateAt(sw int, at units.Time, up bool) error {
-	if sw < 0 || sw >= n.Topo.NumSwitches {
-		return fmt.Errorf("fabric: switch %d out of range [0,%d)", sw, n.Topo.NumSwitches)
-	}
-	n.Eng.At(at, func() { n.SetSwitchState(sw, up) })
-	return nil
-}
-
-// SetSwitchState applies a whole-switch transition immediately (simulator
-// thread only; see SetSwitchStateAt).
+// true) now. Recovery restores every attached link; compose link and switch
+// faults on disjoint links, as overlapping transitions are last-write-wins.
 func (n *Network) SetSwitchState(sw int, up bool) {
 	n.swDown[sw] = !up
 	for _, li := range n.Topo.PortLink[sw] {
@@ -509,23 +480,9 @@ func (n *Network) SetSwitchState(sw int, up bool) {
 	}
 }
 
-// SetLinkBERAt schedules a bit-error rate change on link li at time at: each
-// packet serialized onto the link is thereafter corrupted (dropped with
-// DropCorrupt, still occupying the wire) with probability ber. Zero clears
-// the fault; ber must be in [0,1].
-func (n *Network) SetLinkBERAt(li int, at units.Time, ber float64) error {
-	if err := n.checkLink(li); err != nil {
-		return err
-	}
-	if ber < 0 || ber > 1 {
-		return fmt.Errorf("fabric: link %d bit-error rate %g outside [0,1]", li, ber)
-	}
-	n.Eng.At(at, func() { n.SetLinkBER(li, ber) })
-	return nil
-}
-
-// SetLinkBER applies a bit-error rate change immediately (simulator thread
-// only; see SetLinkBERAt).
+// SetLinkBER sets link li's bit-error rate now: each packet serialized onto
+// the link is thereafter corrupted (dropped with DropCorrupt, still occupying
+// the wire) with probability ber. Zero clears the fault.
 func (n *Network) SetLinkBER(li int, ber float64) {
 	for _, pt := range n.linkPorts(li) {
 		pt.sync(n.Eng.Now())
@@ -538,22 +495,9 @@ func (n *Network) SetLinkBER(li int, ber float64) {
 	}
 }
 
-// SetLinkRateFactorAt schedules a rate brownout on link li at time at: the
-// link serializes at factor times its configured rate. Factor 1 restores
-// full speed; factor must be positive (values above 1 model an upgrade).
-func (n *Network) SetLinkRateFactorAt(li int, at units.Time, factor float64) error {
-	if err := n.checkLink(li); err != nil {
-		return err
-	}
-	if factor <= 0 {
-		return fmt.Errorf("fabric: link %d rate factor %g must be positive", li, factor)
-	}
-	n.Eng.At(at, func() { n.SetLinkRateFactor(li, factor) })
-	return nil
-}
-
-// SetLinkRateFactor applies a rate brownout immediately (simulator thread
-// only; see SetLinkRateFactorAt).
+// SetLinkRateFactor applies a rate brownout now: link li serializes at factor
+// times its configured rate. Factor 1 restores full speed; values above 1
+// model an upgrade.
 func (n *Network) SetLinkRateFactor(li int, factor float64) {
 	for _, pt := range n.linkPorts(li) {
 		pt.sync(n.Eng.Now())
@@ -585,6 +529,10 @@ func (n *Network) InstallFIB(fib *topo.FIB) {
 	}
 }
 
+// FIB returns the forwarding tables currently installed (for tests and
+// instrumentation).
+func (n *Network) FIB() *topo.FIB { return n.fib }
+
 // LinkDown reports whether link li currently has no carrier.
 func (n *Network) LinkDown(li int) bool {
 	return li >= 0 && li < len(n.linkDownSince) && n.linkDownSince[li] >= 0
@@ -593,13 +541,6 @@ func (n *Network) LinkDown(li int) bool {
 // SwitchDown reports whether switch sw is currently failed.
 func (n *Network) SwitchDown(sw int) bool {
 	return sw >= 0 && sw < len(n.swDown) && n.swDown[sw]
-}
-
-func (n *Network) checkLink(li int) error {
-	if li < 0 || li >= len(n.Topo.Links) {
-		return fmt.Errorf("fabric: link %d out of range [0,%d)", li, len(n.Topo.Links))
-	}
-	return nil
 }
 
 // linkPorts returns the egress ports driving the two directions of link li.

@@ -372,9 +372,7 @@ func TestLinkFailureBlackholesECMP(t *testing.T) {
 	var ids packet.IDGen
 	// Host 0 -> host 1: same leaf, single path through leaf 0 port 1.
 	// Failing the host-1 access link (topology link index 1) blackholes it.
-	if err := net.FailLinkAt(1, 0); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(0, func() { net.SetLinkState(1, false) })
 	eng.Run(units.Millisecond)
 	for i := 0; i < 10; i++ {
 		net.Send(dataPkt(&ids, 0, 1, 5, 100))
@@ -396,9 +394,7 @@ func TestLinkFailureDeflectionRescuesVertigo(t *testing.T) {
 	var ids packet.IDGen
 	// Leaf 0's first uplink is its port index 2 (after 2 host ports).
 	// Its link index: 4 host links + first leaf-spine link = index 4.
-	if err := net.FailLinkAt(4, 0); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(0, func() { net.SetLinkState(4, false) })
 	eng.Run(units.Millisecond)
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -421,22 +417,10 @@ func TestLinkFailureFlushesQueuedPackets(t *testing.T) {
 		net.Send(dataPkt(&ids, 1, 0, 7, 100))
 		net.Send(dataPkt(&ids, 2, 0, 8, 100))
 	}
-	if err := net.FailLinkAt(0, 10*units.Microsecond); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(10*units.Microsecond, func() { net.SetLinkState(0, false) })
 	eng.Run(units.Second)
 	if met.Drops[metrics.DropLinkDown] == 0 {
 		t.Fatal("queued packets not flushed on carrier loss")
-	}
-}
-
-func TestFailLinkAtValidation(t *testing.T) {
-	_, net, _, _ := testNet(t, DefaultConfig(ECMP))
-	if err := net.FailLinkAt(-1, 0); err == nil {
-		t.Error("negative link index accepted")
-	}
-	if err := net.FailLinkAt(1<<20, 0); err == nil {
-		t.Error("out-of-range link index accepted")
 	}
 }
 

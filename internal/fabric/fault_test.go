@@ -17,9 +17,7 @@ func TestFailLinkAtTimeZero(t *testing.T) {
 	// destination from the first packet on.
 	eng, net, met, got := testNet(t, DefaultConfig(ECMP))
 	var ids packet.IDGen
-	if err := net.FailLinkAt(1, 0); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(0, func() { net.SetLinkState(1, false) })
 	for i := 0; i < 10; i++ {
 		net.Send(dataPkt(&ids, 0, 1, 5, 100))
 	}
@@ -28,7 +26,7 @@ func TestFailLinkAtTimeZero(t *testing.T) {
 		t.Fatalf("delivered %d packets over a link dead since t=0", len(got[1]))
 	}
 	if !net.LinkDown(1) {
-		t.Fatal("LinkDown(1) = false after FailLinkAt(1, 0)")
+		t.Fatal("LinkDown(1) = false after failing link 1 at t=0")
 	}
 	if met.FaultEvents != 1 {
 		t.Fatalf("FaultEvents = %d, want 1", met.FaultEvents)
@@ -39,15 +37,9 @@ func TestDoubleFailSameLinkIsIdempotent(t *testing.T) {
 	// Failing an already-dead link must not disturb downtime accounting: the
 	// recovery still reports one outage spanning the first failure.
 	eng, net, met, _ := testNet(t, DefaultConfig(ECMP))
-	if err := net.FailLinkAt(4, 10*units.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.FailLinkAt(4, 20*units.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SetLinkStateAt(4, 30*units.Microsecond, true); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(10*units.Microsecond, func() { net.SetLinkState(4, false) })
+	eng.At(20*units.Microsecond, func() { net.SetLinkState(4, false) })
+	eng.At(30*units.Microsecond, func() { net.SetLinkState(4, true) })
 	eng.Run(units.Millisecond)
 	if net.LinkDown(4) {
 		t.Fatal("link still down after recovery")
@@ -60,46 +52,14 @@ func TestDoubleFailSameLinkIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestLinkStateValidation(t *testing.T) {
-	_, net, _, _ := testNet(t, DefaultConfig(ECMP))
-	if err := net.SetLinkStateAt(-1, 0, false); err == nil {
-		t.Error("negative link index accepted")
-	}
-	if err := net.SetLinkStateAt(len(net.Topo.Links), 0, true); err == nil {
-		t.Error("out-of-range link index accepted")
-	}
-	if err := net.SetSwitchStateAt(-1, 0, false); err == nil {
-		t.Error("negative switch index accepted")
-	}
-	if err := net.SetSwitchStateAt(net.Topo.NumSwitches, 0, false); err == nil {
-		t.Error("out-of-range switch index accepted")
-	}
-	if err := net.SetLinkBERAt(0, 0, -0.1); err == nil {
-		t.Error("negative BER accepted")
-	}
-	if err := net.SetLinkBERAt(0, 0, 1.5); err == nil {
-		t.Error("BER above 1 accepted")
-	}
-	if err := net.SetLinkRateFactorAt(0, 0, 0); err == nil {
-		t.Error("zero rate factor accepted")
-	}
-	if err := net.SetLinkRateFactorAt(1<<20, 0, 0.5); err == nil {
-		t.Error("out-of-range link index accepted for rate factor")
-	}
-}
-
 func TestFailThenRecoverSameTimestamp(t *testing.T) {
 	// A down and an up scheduled for the same instant resolve in scheduling
 	// order: down first, up second leaves the link usable.
 	eng, net, _, got := testNet(t, DefaultConfig(ECMP))
 	var ids packet.IDGen
 	const at = 10 * units.Microsecond
-	if err := net.SetLinkStateAt(1, at, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SetLinkStateAt(1, at, true); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(at, func() { net.SetLinkState(1, false) })
+	eng.At(at, func() { net.SetLinkState(1, true) })
 	eng.Run(20 * units.Microsecond)
 	if net.LinkDown(1) {
 		t.Fatal("link down after same-timestamp fail-then-recover")
@@ -118,12 +78,8 @@ func TestRecoveredLinkCarriesTraffic(t *testing.T) {
 	// again: the new traffic must flow and be counted as post-recovery.
 	eng, net, met, got := testNet(t, DefaultConfig(ECMP))
 	var ids packet.IDGen
-	if err := net.FailLinkAt(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SetLinkStateAt(1, 100*units.Microsecond, true); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(0, func() { net.SetLinkState(1, false) })
+	eng.At(100*units.Microsecond, func() { net.SetLinkState(1, true) })
 	eng.Run(50 * units.Microsecond)
 	net.Send(dataPkt(&ids, 0, 1, 5, 100)) // dies on the dead link
 	eng.Run(200 * units.Microsecond)
@@ -148,9 +104,7 @@ func TestCorruptionDropsProbabilistically(t *testing.T) {
 	// classified DropCorrupt, and the wire still carries (and wastes) them.
 	eng, net, met, got := testNet(t, DefaultConfig(ECMP))
 	var ids packet.IDGen
-	if err := net.SetLinkBERAt(1, 0, 1); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(0, func() { net.SetLinkBER(1, 1) })
 	const n = 20
 	for i := 0; i < n; i++ {
 		net.Send(dataPkt(&ids, 0, 1, 5, 100))
@@ -185,9 +139,7 @@ func TestDegradeSlowsDelivery(t *testing.T) {
 			delivered++
 		}))
 		if factor != 1 {
-			if err := net.SetLinkRateFactorAt(1, 0, factor); err != nil {
-				t.Fatal(err)
-			}
+			eng.At(0, func() { net.SetLinkRateFactor(1, factor) })
 		}
 		for i := 0; i < 20; i++ {
 			net.Send(dataPkt(&ids, 0, 1, 5, 100))
@@ -213,9 +165,7 @@ func TestSwitchDeathDropsArrivals(t *testing.T) {
 	var ids packet.IDGen
 	// Kill mid-burst so packets are queued toward (and in flight to) the
 	// spine when it dies.
-	if err := net.SetSwitchStateAt(2, 5*units.Microsecond, false); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(5*units.Microsecond, func() { net.SetSwitchState(2, false) })
 	const n = 40
 	for i := 0; i < n; i++ {
 		net.Send(dataPkt(&ids, 0, 2, uint64(i), 100)) // many flows, both spines
@@ -250,9 +200,7 @@ func TestInstallFIBRoutesAroundFailure(t *testing.T) {
 	// step) restores full delivery with no deflection needed.
 	eng, net, met, got := testNet(t, DefaultConfig(ECMP))
 	var ids packet.IDGen
-	if err := net.FailLinkAt(4, 0); err != nil {
-		t.Fatal(err)
-	}
+	eng.At(0, func() { net.SetLinkState(4, false) })
 	eng.At(10*units.Microsecond, func() {
 		net.InstallFIB(net.Topo.FIBExcluding(func(li int) bool { return li == 4 }))
 	})

@@ -432,12 +432,10 @@ func TestLazyWireDrainsBehindCorruptedFrame(t *testing.T) {
 			li := tp.PortLink[sw.ID()][port]
 			if corrupted == 0 {
 				net.SetLinkBER(li, 1)
-			} else if err := net.SetLinkBERAt(li, corrupted*tx-1, 1); err != nil {
-				t.Fatal(err)
+			} else {
+				eng.At(corrupted*tx-1, func() { net.SetLinkBER(li, 1) })
 			}
-			if err := net.SetLinkBERAt(li, corrupted*tx+1, 0); err != nil {
-				t.Fatal(err)
-			}
+			eng.At(corrupted*tx+1, func() { net.SetLinkBER(li, 0) })
 			for i := 0; i < 5; i++ {
 				sw.enqueue(port, dataPkt(&ids, 2, 0, 1, 100))
 			}
@@ -477,9 +475,7 @@ func TestLazyWireCarrierLossMidBacklog(t *testing.T) {
 		ps := r.backlog(&ids, make([]uint32, 10)...)
 		tx := r.pt.rate.TxTime(ps[0].Size())
 		li := r.net.Topo.PortLink[r.sw.ID()][r.port]
-		if err := r.net.FailLinkAt(li, c.lossAfter*tx+c.extra); err != nil {
-			t.Fatal(err)
-		}
+		r.eng.At(c.lossAfter*tx+c.extra, func() { r.net.SetLinkState(li, false) })
 		r.eng.Run(units.Second)
 		if len(*got) != c.delivered {
 			t.Errorf("carrier lost at %d tx %+d ns: %d delivered, want %d", c.lossAfter, c.extra, len(*got), c.delivered)
@@ -500,9 +496,7 @@ func TestLazyWireRateChangeMidBacklog(t *testing.T) {
 	ps := r.backlog(&ids, make([]uint32, 4)...)
 	tx := r.pt.rate.TxTime(ps[0].Size())
 	li := r.net.Topo.PortLink[r.sw.ID()][r.port]
-	if err := r.net.SetLinkRateFactorAt(li, tx+tx/2, 0.5); err != nil {
-		t.Fatal(err)
-	}
+	r.eng.At(tx+tx/2, func() { r.net.SetLinkRateFactor(li, 0.5) })
 	r.eng.Run(units.Second)
 	slow := (r.pt.rate0 / 2).TxTime(ps[0].Size())
 	d := r.pt.delay

@@ -70,9 +70,7 @@ func TestRTOBackoffDoubles(t *testing.T) {
 	r := newRig(t, fcfg, tcfg, false)
 	// Kill the destination's access link so every transmission is lost:
 	// pure RTO territory. Host 2 is on leaf 1; its access link index is 2.
-	if err := r.net.FailLinkAt(2, 0); err != nil {
-		t.Fatal(err)
-	}
+	r.eng.At(0, func() { r.net.SetLinkState(2, false) })
 	r.eng.Run(units.Millisecond)
 	r.flow(0, 2, 10_000)
 	r.eng.Run(20 * units.Second)
