@@ -63,7 +63,7 @@ func realMain() error {
 			`fault schedule injected into every run, e.g. "flap@10ms:link=64,down=1ms,period=4ms,count=3" (see internal/faults)`)
 		healDelay  = flag.Duration("heal-delay", 0, "control-plane healing delay after each -fault topology change (0 = healing off)")
 		runTimeout = flag.Duration("run-timeout", 0, "wall-clock budget per simulation run; an over-budget run fails its row (0 = unlimited)")
-		shards     = flag.Int("shards", 0, "shard every simulation across this many topology domains on separate cores (tables are deterministic per shard count; <=1 = serial engine)")
+		shards     = flag.Int("shards", 0, "shard every simulation across this many topology domains on separate cores, probes included (tables are deterministic per shard count, same offered workload at any; <=1 = serial engine)")
 
 		debugAddr = flag.String("debug-addr", "", "serve the introspection plane on this address, e.g. localhost:9464 (/metrics, /statusz, /healthz, /debug/pprof)")
 		rawSeries = flag.String("raw-series", "auto", "raw FCT/QCT series retention: auto (drop past 200k flows/run), keep, drop (histograms still carry the distributions)")

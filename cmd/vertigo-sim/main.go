@@ -45,9 +45,9 @@ func main() {
 		las       = flag.Bool("las", false, "use flow-aging (LAS) marking instead of SRPT")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
 		telemetry = flag.Bool("telemetry", false, "print the per-port monitoring report (§5)")
-		pktTrace  = flag.String("packet-trace", "", "write a per-event dataplane trace to this file")
+		pktTrace  = flag.String("packet-trace", "", "write a per-event dataplane trace (JSONL, one object per event) to this file")
 		traceFlow = flag.Uint64("packet-trace-flow", 0, "flow ID to trace (0 = all flows)")
-		shards    = flag.Int("shards", 0, "shard the run across this many topology domains on separate cores (deterministic per shard count; <=1 = serial engine)")
+		shards    = flag.Int("shards", 0, "shard the run across this many topology domains on separate cores, probes included (deterministic per shard count, same offered workload at any; <=1 = serial engine)")
 		debugAddr = flag.String("debug-addr", "", "serve the introspection plane on this address, e.g. localhost:9464 (/metrics, /statusz, /healthz, /debug/pprof)")
 	)
 	flag.Parse()

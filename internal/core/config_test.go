@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"vertigo/internal/fabric"
+	"vertigo/internal/metrics"
+	"vertigo/internal/topo"
 	"vertigo/internal/transport"
 	"vertigo/internal/units"
 	"vertigo/internal/workload"
@@ -61,6 +64,43 @@ func TestSetIncastLoadRoundTrips(t *testing.T) {
 		(float64(cfg.HostRate()) * float64(cfg.NumHosts()))
 	if got < 0.399 || got > 0.401 {
 		t.Errorf("incast load %.4f, want 0.40", got)
+	}
+}
+
+// TestSetIncastLoadOnSmallFabric: a query's fan-in is clamped to the hosts-1
+// servers there are, and the rate SetIncastLoad picks has to be sized with
+// that fan-in, not the configured scale — on four hosts with IncastScale 8
+// the run must still offer the load it was asked for, not 3/8 of it.
+func TestSetIncastLoadOnSmallFabric(t *testing.T) {
+	cfg := DefaultConfig(fabric.ECMP, transport.DCTCP)
+	cfg.LeafSpineCfg = topo.LeafSpineConfig{
+		Spines: 1, Leaves: 2, HostsPerLeaf: 2,
+		HostRate: 10 * units.Gbps, FabricRate: 40 * units.Gbps,
+		LinkDelay: 500 * units.Nanosecond,
+	}
+	cfg.SimTime = 200 * units.Millisecond
+	cfg.BGLoad = 0
+	cfg.IncastScale = 8
+	const load = 0.2
+	cfg.SetIncastLoad(load)
+	cfg.RawSeries = metrics.RawKeep // completed records stay for RangeFlows
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes int64
+	res.Collector.RangeFlows(func(f *metrics.FlowRecord) bool {
+		if f.Class == metrics.Incast {
+			bytes += f.Size
+		}
+		return true
+	})
+	got := float64(bytes) * 8 / (cfg.SimTime.Seconds() * float64(cfg.HostRate()) * float64(cfg.NumHosts()))
+	// Poisson arrivals: the count of n queries is off by ~1/sqrt(n).
+	n := float64(res.Summary.QueriesStarted)
+	if tol := 4 / math.Sqrt(n); n < 500 || math.Abs(got/load-1) > tol {
+		t.Errorf("asked for incast load %.2f, %d queries offered %.4f (%.0f%% of it, tolerance %.0f%%)",
+			load, res.Summary.QueriesStarted, got, 100*got/load, 100*tol)
 	}
 }
 

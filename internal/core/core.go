@@ -77,13 +77,12 @@ type Config struct {
 	// Telemetry attaches a monitoring observer to the fabric (§5).
 	Telemetry       bool
 	TelemetryConfig telemetry.Config
-	// PacketTrace, when non-nil, receives one line per dataplane event
-	// (fleet-wide packet capture); PacketTraceFlow filters to one flow
-	// (0 = all flows — beware volume). PacketTraceJSON selects JSONL
-	// (trace.jsonl) instead of text lines.
+	// PacketTrace, when non-nil, receives one JSON object per dataplane
+	// event (fleet-wide packet capture, the trace.jsonl format; a sharded
+	// run's is merged by time); PacketTraceFlow filters to one flow (0 = all
+	// flows — beware volume).
 	PacketTrace     io.Writer
 	PacketTraceFlow uint64
-	PacketTraceJSON bool
 
 	// SampleTick, when positive, attaches a telemetry.Sampler recording
 	// per-port queue occupancy and utilization on that tick; the series is
@@ -135,12 +134,12 @@ type Config struct {
 
 	// Shards, when > 1, splits the run across that many topology domains
 	// executing on separate cores under a conservative window protocol
-	// (see parallel.go). Values <= 1, configurations a shard cannot carry
-	// (live Monitor telemetry, text packet traces), and topologies without
-	// usable lookahead all degrade to the serial engine. Sharded results
-	// are deterministic per shard count but follow different random
-	// interleavings than the serial engine, so -shards=N is statistically —
-	// not bitwise — comparable to -shards=1.
+	// (see parallel.go), whatever else the config carries — every probe
+	// shards. Values <= 1 and topologies the partition cannot cut into more
+	// than one domain take the serial engine. The offered workload is the
+	// same at any count and results are deterministic per count, but
+	// same-instant events commit in a partition-dependent order, so
+	// -shards=N is statistically — not bitwise — comparable to -shards=1.
 	Shards int
 }
 
@@ -300,7 +299,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	if cfg.shardable() {
+	if cfg.Shards > 1 {
 		part, perr := topo.NewPartition(t, cfg.Shards)
 		if perr != nil {
 			return nil, perr
@@ -421,16 +420,12 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 	}
 	w.ids = &packet.IDGen{}
 
-	if cfg.Telemetry { // serial only: shardable refuses a live Monitor
+	if cfg.Telemetry {
 		w.mon = telemetry.NewMonitor(eng, cfg.TelemetryConfig)
 		w.net.AddObserver(w.mon)
 	}
 	if traceOut != nil {
-		if cfg.PacketTraceJSON {
-			w.tracer = telemetry.NewJSONTracer(eng, traceOut, cfg.PacketTraceFlow)
-		} else {
-			w.tracer = telemetry.NewTracer(eng, traceOut, cfg.PacketTraceFlow)
-		}
+		w.tracer = telemetry.NewTracer(eng, traceOut, cfg.PacketTraceFlow)
 		w.net.AddObserver(w.tracer)
 	}
 	if cfg.SampleTick > 0 {

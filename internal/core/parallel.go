@@ -22,22 +22,6 @@ import (
 	"vertigo/internal/units"
 )
 
-// shardable reports whether the configuration can run sharded at all.
-// The live Monitor and the text packet tracer are serial-only consumers
-// (their output formats have no canonical merge); everything else shards.
-func (c *Config) shardable() bool {
-	if c.Shards <= 1 {
-		return false
-	}
-	if c.Telemetry {
-		return false
-	}
-	if c.PacketTrace != nil && !c.PacketTraceJSON {
-		return false
-	}
-	return true
-}
-
 // domain is one shard: a full simulation stack owning a slice of the
 // topology.
 type domain struct {
@@ -123,7 +107,7 @@ func newDomain(cfg *Config, t *topo.Topology, part *topo.Partition, di int) (*do
 }
 
 // runSharded executes cfg split across part.N domains. Callers guarantee
-// cfg validated, cfg.shardable() and part.N > 1.
+// cfg validated and part.N > 1.
 func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, error) {
 	doms := make([]*domain, part.N)
 	for di := range doms {
@@ -222,6 +206,7 @@ func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, er
 	met.RawSeries = cfg.RawSeries
 	res := &Result{Collector: met}
 	var traces [][]byte
+	var monitors []*telemetry.Monitor
 	var samplers []*telemetry.Sampler
 	for _, d := range doms {
 		r, err := d.finish(&cfg)
@@ -247,6 +232,9 @@ func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, er
 		if d.tracer != nil {
 			traces = append(traces, d.traceBuf.Bytes())
 		}
+		if r.Telemetry != nil {
+			monitors = append(monitors, r.Telemetry)
+		}
 		if r.Sampler != nil {
 			samplers = append(samplers, r.Sampler)
 		}
@@ -255,6 +243,9 @@ func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, er
 		if err := telemetry.MergeJSONLTraces(cfg.PacketTrace, traces); err != nil {
 			return nil, fmt.Errorf("core: merging packet traces: %w", err)
 		}
+	}
+	if len(monitors) > 0 {
+		res.Telemetry = telemetry.MergeMonitors(monitors)
 	}
 	if len(samplers) > 0 {
 		res.Sampler = telemetry.MergeSamplers(samplers)

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"vertigo/internal/fabric"
+	"vertigo/internal/faults"
 	"vertigo/internal/metrics"
 	"vertigo/internal/sim"
+	"vertigo/internal/telemetry"
 	"vertigo/internal/topo"
 	"vertigo/internal/transport"
 	"vertigo/internal/units"
@@ -99,40 +103,22 @@ func TestShardedConservation(t *testing.T) {
 	}
 }
 
-// TestShardedDegradesToSerial pins the degrade rules: shard counts <= 1,
-// Monitor telemetry, and text packet traces all take the serial engine,
-// byte-for-byte. (A sharded run cannot carry a Monitor or an ordered text
-// trace, so Run falls back rather than changing semantics.)
+// TestShardedDegradesToSerial pins the one degrade rule an option carries:
+// shard counts <= 1 take the serial engine, byte-for-byte. (The other rule —
+// a topology the partition cannot cut — is TestPartitionDegradesToSerial's.)
 func TestShardedDegradesToSerial(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config) // applied to both runs; only Shards differs
-	}{
-		{"plain", func(c *Config) {}},
-		{"telemetry", func(c *Config) { c.Telemetry = true }},
-	} {
-		serial := shardTestConfig()
-		tc.mut(&serial)
-		base, err := Run(serial)
-		if err != nil {
-			t.Fatalf("%s serial: %v", tc.name, err)
-		}
-		for _, n := range []int{1, 4} {
-			if tc.name == "plain" && n == 4 {
-				continue // genuinely sharded; covered by TestShardedDeterministic
-			}
-			cfg := shardTestConfig()
-			tc.mut(&cfg)
-			cfg.Shards = n
-			r, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", tc.name, n, err)
-			}
-			if !reflect.DeepEqual(base.Summary, r.Summary) {
-				t.Errorf("%s shards=%d: expected serial-identical summary, got:\n%+v\nvs serial\n%+v",
-					tc.name, n, r.Summary, base.Summary)
-			}
-		}
+	base, err := Run(shardTestConfig())
+	if err != nil {
+		t.Fatalf("serial: %v", err)
+	}
+	cfg := shardTestConfig()
+	cfg.Shards = 1
+	r, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("shards=1: %v", err)
+	}
+	if !reflect.DeepEqual(base.Summary, r.Summary) {
+		t.Errorf("shards=1: expected serial-identical summary, got:\n%+v\nvs serial\n%+v", r.Summary, base.Summary)
 	}
 }
 
@@ -204,13 +190,47 @@ func domainFlows(t *testing.T, cfg Config, n int) []startedFlow {
 	return flows
 }
 
-// TestOfferedWorkloadIsShardInvariant: every domain runs every generator on
-// an identically seeded engine, so the offered workload is a function of the
-// seed, not of the shard count — the flows the domains register, put
-// together, are the generators' arrivals exactly, with IDs dense from 1 in
-// arrival order, and a sharded run reports that many flows and queries
-// started. Where no policy randomness is drawn from the engine's stream
-// (ECMP) the serial run offers the same workload too.
+// withPolicy returns cfg under pol's default fabric, transport and host stack.
+func withPolicy(cfg Config, pol fabric.Policy) Config {
+	def := DefaultConfig(pol, transport.DCTCP)
+	cfg.Fabric, cfg.Transport, cfg.VertigoStack = def.Fabric, def.Transport, def.VertigoStack
+	return cfg
+}
+
+// offered reduces flows to the multiset a run offers — (start, src, dst,
+// size, class), IDs dropped — in a canonical order.
+func offered(flows []startedFlow) []startedFlow {
+	out := make([]startedFlow, len(flows))
+	for i, f := range flows {
+		f.ID = 0
+		out[i] = f
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		switch {
+		case a.Start != b.Start:
+			return a.Start < b.Start
+		case a.Src != b.Src:
+			return a.Src < b.Src
+		case a.Dst != b.Dst:
+			return a.Dst < b.Dst
+		case a.Size != b.Size:
+			return a.Size < b.Size
+		}
+		return a.Class < b.Class
+	})
+	return out
+}
+
+// TestOfferedWorkloadIsShardInvariant: the engine's random stream is the
+// generators' alone — no policy, transport or probe draws from it — and every
+// domain runs every generator on an identically seeded engine, so the offered
+// workload is a function of the seed, not of the policy or the shard count.
+// A serial run under each of the four policies starts the multiset of flows,
+// and the number of queries, that a generators-only replay of the seed does;
+// the flows the domains of a sharded run register, put together, are the
+// replay's arrivals exactly, with IDs dense from 1 in arrival order, and the
+// run reports that many flows and queries started.
 func TestOfferedWorkloadIsShardInvariant(t *testing.T) {
 	fatTree := shardTestConfig()
 	fatTree.Kind = FatTree
@@ -227,23 +247,31 @@ func TestOfferedWorkloadIsShardInvariant(t *testing.T) {
 	late.RequestDelay = 3 * units.Millisecond
 	late.BGLoad = 0
 	late.SetIncastLoad(0.5)
-	ecmp := shardTestConfig()
-	ecmp.Fabric = fabric.DefaultConfig(fabric.ECMP)
-	ecmp.VertigoStack = false
+	// Sixteen hosts: a query's fan-in is clamped to the other fifteen.
+	fatTree4 := shardTestConfig()
+	fatTree4.Kind = FatTree
+	fatTree4.FatTreeCfg.K = 4
+	fatTree4.SetIncastLoad(0.1)
 
-	for _, tc := range []struct {
-		name   string
-		cfg    Config
-		serial bool // shards=1 draws nothing else from the engine's stream
-		flows  bool // the seed offers any
-	}{
-		{"leafspine", shardTestConfig(), false, true},
-		{"fattree8", fatTree, false, true},
-		{"late-requests", late, true, false},
-		{"ecmp", ecmp, true, true},
-	} {
+	type row struct {
+		name  string
+		cfg   Config
+		flows bool // the seed offers any
+	}
+	table := []row{
+		{"leafspine", shardTestConfig(), true},
+		{"fattree8", fatTree, true},
+		{"late-requests", late, false},
+	}
+	for _, pol := range []fabric.Policy{fabric.ECMP, fabric.DRILL, fabric.DIBS} {
+		table = append(table, row{"leafspine-" + pol.String(), withPolicy(shardTestConfig(), pol), true})
+	}
+	for _, pol := range []fabric.Policy{fabric.ECMP, fabric.DRILL, fabric.DIBS, fabric.Vertigo} {
+		table = append(table, row{"fattree4-" + pol.String(), withPolicy(fatTree4, pol), true})
+	}
+	for _, tc := range table {
 		if testing.Short() {
-			if tc.cfg.Kind == FatTree {
+			if tc.cfg.Kind == FatTree && tc.cfg.FatTreeCfg.K == 8 {
 				continue
 			}
 			tc.cfg.SimTime = min(tc.cfg.SimTime, 5*units.Millisecond)
@@ -252,13 +280,10 @@ func TestOfferedWorkloadIsShardInvariant(t *testing.T) {
 		if queries == 0 || (len(want) > 0) != tc.flows {
 			t.Fatalf("%s: replay offers %d flows and %d queries; test would prove nothing", tc.name, len(want), queries)
 		}
-		shards := []int{2, 4}
-		if tc.serial {
-			shards = []int{1, 2, 4}
-		}
-		for _, n := range shards {
+		for _, n := range []int{1, 2, 4} {
 			cfg := tc.cfg
 			cfg.Shards = n
+			cfg.RawSeries = metrics.RawKeep // completed records stay for RangeFlows
 			r, err := Run(cfg)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", tc.name, n, err)
@@ -272,11 +297,112 @@ func TestOfferedWorkloadIsShardInvariant(t *testing.T) {
 				t.Errorf("%s shards=%d: %d queries completed without a response", tc.name, n, s.QueriesCompleted)
 			}
 			if n == 1 {
+				// The serial run mints flow IDs its own way; what it offers
+				// is the replay's multiset.
+				var got []startedFlow
+				r.Collector.RangeFlows(func(f *metrics.FlowRecord) bool {
+					got = append(got, startedFlow{0, f.Start, f.Src, f.Dst, f.Size, f.Class})
+					return true
+				})
+				if !reflect.DeepEqual(offered(got), offered(want)) {
+					t.Errorf("%s serial: the run started %d flows that are not the multiset of the replay's %d arrivals",
+						tc.name, len(got), len(want))
+				}
 				continue
 			}
 			if got := domainFlows(t, tc.cfg, n); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s shards=%d: the domains registered %d flows, not the %d arrivals of the replay (IDs 1..%d in arrival order)",
 					tc.name, n, len(got), len(want), len(want))
+			}
+		}
+	}
+}
+
+// TestShardedMonitorReconciles: Config.Telemetry shards like everything else.
+// Every port and host reports in exactly one domain's Monitor, so the merged
+// Monitor of a sharded run names no port twice and reconciles with the merged
+// Summary to the packet — deliveries, drops, deflections — renders the same
+// report on every run, and, under a flap schedule that fails links of more
+// than one domain (the DIBS rows), carries the fault stream the collector
+// counted.
+func TestShardedMonitorReconciles(t *testing.T) {
+	for _, pol := range []fabric.Policy{fabric.Vertigo, fabric.DIBS} {
+		for _, n := range []int{2, 4} {
+			cfg := withPolicy(shardTestConfig(), pol)
+			if testing.Short() {
+				cfg.SimTime = 10 * units.Millisecond
+			}
+			cfg.Shards = n
+			cfg.Telemetry = true
+			flaps, recoveries := 0, 0
+			if pol == fabric.DIBS {
+				// First leaf's first uplink and last leaf's last: two domains.
+				hosts, links := cfg.NumHosts(), cfg.NumHosts()+cfg.LeafSpineCfg.Leaves*cfg.LeafSpineCfg.Spines
+				cfg.Faults = (&faults.Schedule{}).
+					Add(faults.Flap(hosts, cfg.SimTime/4, cfg.SimTime/16, cfg.SimTime/8, 3)...).
+					Add(faults.Flap(links-1, cfg.SimTime/3, cfg.SimTime/16, cfg.SimTime/8, 2)...)
+				flaps, recoveries = 10, 5
+			}
+			name := fmt.Sprintf("%v shards=%d", pol, n)
+
+			var reports [2]string
+			var r *Result
+			for rep := range reports {
+				var err error
+				if r, err = Run(cfg); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var sb strings.Builder
+				r.Telemetry.WriteReport(&sb, r.Summary.Duration, 1<<30)
+				reports[rep] = sb.String()
+			}
+			if reports[0] != reports[1] {
+				t.Errorf("%s: two runs render different reports:\n%s\nvs\n%s", name, reports[0], reports[1])
+			}
+			if !strings.Contains(reports[0], "congestion episodes") {
+				t.Errorf("%s: report has no episode line:\n%s", name, reports[0])
+			}
+
+			// The monitored run is the sharded run: attaching the Monitor sent
+			// it nowhere else.
+			bare := cfg
+			bare.Telemetry = false
+			if b, err := Run(bare); err != nil {
+				t.Fatalf("%s unmonitored: %v", name, err)
+			} else if !reflect.DeepEqual(b.Summary, r.Summary) {
+				t.Errorf("%s: the Monitor changed the run:\n%+v\nvs unmonitored\n%+v", name, r.Summary, b.Summary)
+			}
+
+			mon, s := r.Telemetry, r.Summary
+			if mon.Delivered == 0 || mon.Delivered != s.PacketsRecv {
+				t.Errorf("%s: monitor delivered %d, summary %d", name, mon.Delivered, s.PacketsRecv)
+			}
+			seen := map[telemetry.PortKey]bool{}
+			var drops, defl int64
+			for _, ps := range mon.Ports(s.Duration) {
+				if seen[ps.Key] {
+					t.Errorf("%s: port %v reported by two domains", name, ps.Key)
+				}
+				seen[ps.Key] = true
+				drops += ps.Drops
+				defl += ps.Deflections
+			}
+			// The collector counts dropped data packets; a port's row counts
+			// the ACKs it dropped too, and no other counter holds those. DIBS
+			// tail-drops a few and a dead link swallows what it is handed; a
+			// Vertigo queue evicts from the tail of the rank order, where no
+			// ACK sits, so on the unfaulted Vertigo rows the sum is exact.
+			if total := r.Collector.TotalDrops(); total == 0 || drops < total || (pol == fabric.Vertigo && drops != total) {
+				t.Errorf("%s: ports sum to %d drops, collector counts %d data packets dropped", name, drops, total)
+			}
+			if defl == 0 || defl != s.Deflections {
+				t.Errorf("%s: ports sum to %d deflections, summary %d", name, defl, s.Deflections)
+			}
+			if got := len(mon.Faults()); got != flaps || int64(got) != r.Collector.FaultEvents {
+				t.Errorf("%s: monitor saw %d fault events, collector %d, schedule %d", name, got, r.Collector.FaultEvents, flaps)
+			}
+			if got := len(mon.TimesToRecover()); got != recoveries || got != r.Collector.RecoveryCount() {
+				t.Errorf("%s: monitor paired %d recoveries, collector %d, schedule %d", name, got, r.Collector.RecoveryCount(), recoveries)
 			}
 		}
 	}

@@ -361,7 +361,6 @@ func (o *Options) run(label string, cfg core.Config) (*metrics.Summary, *metrics
 		traceBuf = &bytes.Buffer{}
 		cfg.PacketTrace = traceBuf
 		cfg.PacketTraceFlow = o.TraceFlow
-		cfg.PacketTraceJSON = true
 	}
 	obsRunsStarted.Inc()
 	start := time.Now()

@@ -10,6 +10,7 @@ import (
 	"vertigo/internal/core"
 	"vertigo/internal/fabric"
 	"vertigo/internal/metrics"
+	"vertigo/internal/topo"
 	"vertigo/internal/transport"
 	"vertigo/internal/units"
 )
@@ -126,30 +127,46 @@ func TestObservationIdentityArtifacts(t *testing.T) {
 
 // TestObservationIdentityIncast is the benchmark's leafspine_incast
 // configuration at 100 ms — the paper's headline mix — with and without the
-// sampler and monitor that make it leafspine_observed: one Summary.
+// sampler and monitor that make it leafspine_observed, and a tracer: one
+// Summary, serial and — every probe shards — split over two domains.
 func TestObservationIdentityIncast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	for _, seed := range []int64{1, 7} {
+	for _, row := range []struct {
+		shards int
+		seed   int64
+	}{{0, 1}, {0, 7}, {2, 1}} {
 		cfg := withLoads(baseConfig(Tiny, fabric.Vertigo, transport.DCTCP), 0.25, 0.85)
-		cfg.Seed = seed
+		cfg.Seed = row.seed
 		cfg.SimTime = 100 * units.Millisecond
+		cfg.Shards = row.shards
+		if row.shards > 1 {
+			tp, err := topo.NewLeafSpine(cfg.LeafSpineCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if part, err := topo.NewPartition(tp, row.shards); err != nil || part.N != row.shards {
+				t.Fatalf("%+v: the fabric does not split (%+v, %v); the row would prove nothing", row, part, err)
+			}
+		}
 		bare, err := core.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var trace bytes.Buffer
 		cfg.Telemetry = true
 		cfg.SampleTick = 200 * units.Microsecond
+		cfg.PacketTrace, cfg.PacketTraceFlow = &trace, 1
 		watched, err := core.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a, b := summaryDigest(t, bare.Summary), summaryDigest(t, watched.Summary); a != b {
-			t.Errorf("seed %d: digest %.12s unobserved, %.12s observed", seed, a, b)
+			t.Errorf("%+v: digest %.12s unobserved, %.12s observed", row, a, b)
 		}
-		if watched.Telemetry.Delivered == 0 || len(watched.Sampler.Samples()) == 0 {
-			t.Errorf("seed %d: the probes saw nothing", seed)
+		if watched.Telemetry.Delivered == 0 || len(watched.Sampler.Samples()) == 0 || trace.Len() == 0 {
+			t.Errorf("%+v: the probes saw nothing", row)
 		}
 	}
 }

@@ -63,11 +63,11 @@ type Options struct {
 	// the histogram fallback everywhere.
 	RawMode metrics.RawMode
 	// Shards, when > 1, runs every scenario sharded across that many
-	// topology domains (core.Config.Shards); configurations or topologies
-	// a shard cannot carry degrade to serial per run. Tables are
-	// byte-identical for a given count at any Concurrency, but a sharded run
-	// follows different random interleavings than the serial engine, so it is
-	// statistically, not bitwise, comparable to an unsharded one.
+	// topology domains (core.Config.Shards), probes included; only a
+	// topology the partition cannot cut runs serial. Tables are
+	// byte-identical for a given count at any Concurrency and every count is
+	// offered the same workload, but a sharded run is statistically, not
+	// bitwise, comparable to an unsharded one.
 	Shards int
 	// ChaosPanicAt, when positive, sets core.Config.ChaosPanicAt on every
 	// run that does not set its own: a deterministic crash drill for the

@@ -250,13 +250,6 @@ func (n *Network) Pool() *packet.Pool {
 	return n.pool
 }
 
-// SetObserver installs o as the only telemetry observer, detaching any
-// already attached (nil to disable). Use AddObserver to attach several.
-func (n *Network) SetObserver(o Observer) {
-	n.offerSettler(o)
-	n.obs = o
-}
-
 // AddObserver attaches one more telemetry probe alongside any already
 // attached, fanning events out through a telemetry.Multi once more than one
 // is present. The no-observer fast path stays a single nil check — and zero
@@ -333,17 +326,20 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 	// straddles a cache line it does not own.
 	n.switches = make([]*Switch, t.NumSwitches)
 	nSwitchPorts := 0
+	// Every random draw of the fabric is positional: a switch's policy
+	// stream (selector disjoint from portIdent — port indexes never reach
+	// 1<<31), a port's jitter and bit-error streams below, each seeded from
+	// the engine seed and the element's identity, so the k-th draw of a port is
+	// pinned by (seed, port, k) alone — what lets a pop be replayed after the
+	// fact — and none touches the engine's stream, the workload generators'.
+	seed := xrand.Mix(uint64(eng.Seed()))
 	for sw := range n.switches {
 		n.switches[sw] = &Switch{net: n, id: sw, drillMem: flowtab.New[int32](8)}
+		n.switches[sw].rng = xrand.New(seed ^ xrand.Mix(uint64(uint32(sw+1))<<32|1<<31))
 		nSwitchPorts += t.Ports(sw)
 	}
 	n.ports = make([]Port, nSwitchPorts+t.NumHosts)
 	n.nics = n.ports[nSwitchPorts:]
-	// Seed each port's private positional streams — jitter and bit errors —
-	// from the engine seed and the port's identity. Per-port streams are what
-	// let a pop be replayed after the fact: the k-th draw of a port is pinned
-	// by (seed, port, k) alone, whenever it is taken.
-	seed := xrand.Mix(uint64(eng.Seed()))
 	slot := 0
 	add := func(sw, idx int, link topo.Link, sorted bool, capacity units.ByteSize) *Port {
 		pt := &n.ports[slot]
@@ -899,9 +895,9 @@ type Switch struct {
 	deflScratch []int
 	victimOne   [1]*packet.Packet
 
-	// rng is the switch's positional policy stream, consulted instead of
-	// the engine's global one in sharded runs (see Switch.intn) so random
-	// routing decisions are independent of cross-domain interleaving.
+	// rng is the switch's positional policy stream (see Switch.intn): random
+	// routing decisions depend on the seed, the switch and the draw's index,
+	// not on how events interleave across switches or domains.
 	rng xrand.Source
 }
 

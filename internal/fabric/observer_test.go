@@ -149,13 +149,9 @@ func TestAddObserverComposition(t *testing.T) {
 	if m2, ok := net.Observer().(*telemetry.Multi); !ok || m2.Len() != 3 || m2 != m {
 		t.Fatal("third observer should extend the existing mux in place")
 	}
-	net.SetObserver(a)
-	if net.Observer() != Observer(a) {
-		t.Fatal("SetObserver did not replace the mux")
-	}
-	net.SetObserver(nil)
-	if net.Observer() != nil {
-		t.Fatal("SetObserver(nil) did not detach")
+	net.AddObserver(nil)
+	if m2, ok := net.Observer().(*telemetry.Multi); !ok || m2.Len() != 3 {
+		t.Fatal("AddObserver(nil) on a mux should leave its three probes attached")
 	}
 }
 

@@ -232,6 +232,9 @@ func (s *Switch) deflectVertigo(victim *packet.Packet, origin int) {
 	s.net.drop(s.id, i, victim, metrics.DropDeflectFull)
 }
 
+// intn draws a policy decision from the switch's positional stream.
+func (s *Switch) intn(n int) int { return int(s.rng.Int63n(int64(n))) }
+
 // pickPowerOfN samples n (distinct where possible) ports from cands and
 // returns the one with the lowest queue occupancy. n=1 is a uniform random
 // pick; ties keep the first sample, matching hardware comparator behaviour.

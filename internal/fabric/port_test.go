@@ -155,8 +155,9 @@ func TestPickPowerOfNMatchesCopyingReference(t *testing.T) {
 	}
 	eng := sim.NewEngine(1)
 	net := New(eng, tp, metrics.NewCollector(), DefaultConfig(Vertigo))
-	twin := sim.NewEngine(eng.Seed()).Rand()
 	s := net.Switch(tp.NumSwitches - 1) // a core switch: eight ports, all facing the fabric
+	twin := s.rng                       // xrand.Source is a value: a copy is a twin stream
+	twinIntn := func(n int) int { return int(twin.Int63n(int64(n))) }
 	rng := rand.New(rand.NewSource(7))
 	var ids packet.IDGen
 	for round := 0; round < 200; round++ {
@@ -174,11 +175,11 @@ func TestPickPowerOfNMatchesCopyingReference(t *testing.T) {
 		cands := rng.Perm(len(s.ports))[:1+rng.Intn(len(s.ports))]
 		for _, n := range []int{1, 2, 3, len(cands)} {
 			got := s.pickPowerOfN(cands, n)
-			want := refPickPowerOfN(cands, n, twin.Intn, func(port int) units.ByteSize { return s.ports[port].q.Bytes() })
+			want := refPickPowerOfN(cands, n, twinIntn, func(port int) units.ByteSize { return s.ports[port].q.Bytes() })
 			if got != want {
 				t.Fatalf("round %d: pickPowerOfN(%v, %d) = %d, reference %d", round, cands, n, got, want)
 			}
-			if a, b := eng.Rand().Int63(), twin.Int63(); a != b {
+			if s.rng != twin {
 				t.Fatalf("round %d: pickPowerOfN(%v, %d) left the random stream elsewhere than the reference", round, cands, n)
 			}
 		}

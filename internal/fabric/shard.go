@@ -8,7 +8,6 @@ import (
 	"vertigo/internal/sim"
 	"vertigo/internal/topo"
 	"vertigo/internal/units"
-	"vertigo/internal/xrand"
 )
 
 // ShardCtx marks a Network as one domain replica of a sharded (conservative
@@ -19,11 +18,12 @@ import (
 // their pop instead of riding the local wire, and arrive in the peer's
 // replica through InjectCross.
 //
-// Randomness discipline: a sharded replica never touches the engine's
-// global random stream. Policies draw from per-switch positional streams
-// (jitter and bit-error corruption are per-port in every run), so every draw
-// is a pure function of (seed, element identity, draw index) — independent
-// of the domain count and of event interleaving across domains.
+// Randomness discipline: the fabric never touches the engine's random
+// stream, in a replica or in a serial run — that stream is the workload
+// generators' alone. Policies draw from per-switch positional streams, jitter
+// and bit-error corruption from per-port ones (all seeded in New), so every
+// draw is a pure function of (seed, element identity, draw index) —
+// independent of the domain count and of event interleaving across domains.
 type ShardCtx struct {
 	Domain       int
 	SwitchDomain []int
@@ -64,16 +64,11 @@ func crossLess(a, b *CrossItem) bool {
 }
 
 // NewSharded builds one domain replica: a full Network decorated with the
-// shard context, cross-domain port marks, and the per-switch positional
-// policy streams sharded execution substitutes for the engine's global one.
+// shard context, the cross-domain port marks and the inbox.
 func NewSharded(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config, sd *ShardCtx) *Network {
 	n := New(eng, t, met, cfg)
 	n.shard = sd
-	seed := xrand.Mix(uint64(eng.Seed()))
 	for _, s := range n.switches {
-		// Per-switch policy stream: stream selector disjoint from portIdent
-		// (port indexes never reach 1<<31).
-		s.rng = xrand.New(seed ^ xrand.Mix(uint64(uint32(s.id+1))<<32|1<<31))
 		for i := range s.ports {
 			pt := &s.ports[i]
 			if pt.peer != nil && sd.SwitchDomain[pt.peerID] != sd.SwitchDomain[s.id] {
@@ -131,15 +126,6 @@ func (pt *Port) emitCross(p *packet.Packet, at units.Time) {
 		Pkt:     *p,
 	})
 	pt.net.pool.Put(p)
-}
-
-// intn draws a policy decision: the engine's global stream when serial, the
-// switch's positional stream when sharded.
-func (s *Switch) intn(n int) int {
-	if s.net.shard != nil {
-		return int(s.rng.Int63n(int64(n)))
-	}
-	return s.net.Eng.Rand().Intn(n)
 }
 
 // crossInbox delivers injected cross-domain packets in canonical order

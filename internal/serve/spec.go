@@ -53,8 +53,8 @@ type Spec struct {
 	// Capped runs are deterministic, hence permanent failures.
 	MaxEvents uint64 `json:"max_events,omitempty"`
 	// Shards, when > 1, runs every simulation sharded across that many
-	// topology domains on separate cores. Tables are deterministic per
-	// shard count; scenarios a shard cannot carry degrade to serial.
+	// topology domains on separate cores, probes included. Tables are
+	// deterministic per shard count, the offered workload the same at any.
 	Shards int `json:"shards,omitempty"`
 	// SampleTick attaches the per-port sampler with this tick.
 	SampleTick string `json:"sample_tick,omitempty"`

@@ -224,8 +224,9 @@ func (e *Engine) SetAsOf(t units.Time) { e.asOf = t }
 // ClearAsOf returns the as-of clock to Now.
 func (e *Engine) ClearAsOf() { e.asOf = -1 }
 
-// Rand returns the engine's deterministic random source. All simulation
-// components must draw randomness from here and nowhere else.
+// Rand returns the engine's deterministic random source: the workload
+// generators' stream and nobody else's, so the seed alone fixes the offered
+// workload. The fabric draws from positional xrand streams (see fabric.New).
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Events returns the number of events executed so far.

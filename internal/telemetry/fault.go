@@ -110,15 +110,10 @@ func (m *Monitor) Faults() []FaultEvent { return m.faults }
 func (m *Monitor) TimesToRecover() []units.Time { return m.ttrs }
 
 // Fault implements FaultObserver for the Tracer: one "fault" record per
-// transition, in the same text/JSONL stream as the dataplane events.
+// transition, in the same JSONL stream as the dataplane events.
 func (t *Tracer) Fault(ev FaultEvent) {
 	t.Lines++
-	if t.jsonl {
-		fmt.Fprintf(t.w, `{"t":%d,"ev":"fault","kind":"%s","link":%d,"sw":%d,"val":%g}`+"\n",
-			int64(ev.Time), ev.Kind, ev.Link, ev.Switch, ev.Value)
-		return
-	}
-	fmt.Fprintf(t.w, "%d fault kind=%s link=%d sw=%d val=%g\n",
+	fmt.Fprintf(t.w, `{"t":%d,"ev":"fault","kind":"%s","link":%d,"sw":%d,"val":%g}`+"\n",
 		int64(ev.Time), ev.Kind, ev.Link, ev.Switch, ev.Value)
 }
 

@@ -15,7 +15,7 @@ func TestMultiFaultFanOut(t *testing.T) {
 	mon := NewMonitor(eng, Config{})
 	samp := NewSampler(eng, SamplerConfig{})
 	var buf bytes.Buffer
-	tr := NewJSONTracer(eng, &buf, 0)
+	tr := NewTracer(eng, &buf, 0)
 	mux := NewMulti(mon, samp, tr)
 
 	ev := FaultEvent{Time: units.Millisecond, Kind: FaultLinkDown, Link: 4, Switch: -1}

@@ -40,8 +40,15 @@ func MergeSamplers(parts []*Sampler) *Sampler {
 		}
 		return a.Port.Port < b.Port.Port
 	})
-	sort.SliceStable(out.marks, func(i, j int) bool {
-		a, b := &out.marks[i], &out.marks[j]
+	sortFaults(out.marks)
+	return out
+}
+
+// sortFaults puts fault events in their canonical order: by (time, kind,
+// link, switch).
+func sortFaults(evs []FaultEvent) {
+	sort.SliceStable(evs, func(i, j int) bool {
+		a, b := &evs[i], &evs[j]
 		if a.Time != b.Time {
 			return a.Time < b.Time
 		}
@@ -53,6 +60,34 @@ func MergeSamplers(parts []*Sampler) *Sampler {
 		}
 		return a.Switch < b.Switch
 	})
+}
+
+// MergeMonitors folds the finished per-domain monitors of a sharded run into
+// one: the union of their port tables (a port reports only in the domain that
+// owns it, so no row is summed), the episodes in Finish's canonical order,
+// delivery counters and histograms summed, and the fault stream in canonical
+// order, replayed so the time-to-recover samples follow it. Like a merged
+// sampler the result is only good for reading. parts is non-empty.
+func MergeMonitors(parts []*Monitor) *Monitor {
+	out := &Monitor{cfg: parts[0].cfg}
+	var faults []FaultEvent
+	for _, p := range parts {
+		for _, ps := range p.ports.order {
+			out.ports.insert(ps.Key.Switch, ps.Key.Port, ps)
+		}
+		out.episodes = append(out.episodes, p.episodes...)
+		faults = append(faults, p.faults...)
+		for n, c := range p.DeflectionHist {
+			out.DeflectionHist[n] += c
+		}
+		out.DeflPerPacket.Merge(&p.DeflPerPacket)
+		out.Delivered += p.Delivered
+	}
+	sortEpisodes(out.episodes)
+	sortFaults(faults)
+	for _, ev := range faults {
+		out.Fault(ev)
+	}
 	return out
 }
 

@@ -120,7 +120,8 @@ func (t *portTable[T]) insert(sw, port int, v *T) {
 	t.order = append(t.order, v)
 }
 
-// Monitor collects fabric telemetry. Attach with fabric.Network.SetObserver.
+// Monitor collects fabric telemetry. Attach with fabric.Network.AddObserver;
+// a sharded run attaches one per domain and merges them (MergeMonitors).
 // Timestamps are read from the engine's as-of clock: the fabric reports a
 // transmission when it replays it, stamped with the instant it happened.
 type Monitor struct {
@@ -251,8 +252,14 @@ func (m *Monitor) Finish() {
 			})
 		}
 	}
-	sort.SliceStable(m.episodes, func(i, j int) bool {
-		a, b := &m.episodes[i], &m.episodes[j]
+	sortEpisodes(m.episodes)
+}
+
+// sortEpisodes puts episodes in their canonical order: by end instant, then
+// start, then port.
+func sortEpisodes(eps []Episode) {
+	sort.SliceStable(eps, func(i, j int) bool {
+		a, b := &eps[i], &eps[j]
 		if ea, eb := a.Start+a.Duration, b.Start+b.Duration; ea != eb {
 			return ea < eb
 		}

@@ -146,12 +146,12 @@ func TestTracerEmitsLifecycle(t *testing.T) {
 		t.Fatalf("flows %d, want 3", res.Summary.FlowsCompleted)
 	}
 	out := buf.String()
-	for _, want := range []string{"enq", "tx", "deliver", "flow=1"} {
+	for _, want := range []string{`"ev":"enq"`, `"ev":"tx"`, `"ev":"deliver"`, `"flow":1,`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q", want)
 		}
 	}
-	if strings.Contains(out, "flow=2 ") || strings.Contains(out, "flow=3 ") {
+	if strings.Contains(out, `"flow":2,`) || strings.Contains(out, `"flow":3,`) {
 		t.Error("flow filter leaked other flows into the trace")
 	}
 }
@@ -250,18 +250,18 @@ func TestTracerOnFatTreeVertigo(t *testing.T) {
 		t.Fatal("nothing delivered")
 	}
 	out := trace.String()
-	for _, want := range []string{"enq", "tx", "deliver", "flow=1"} {
+	for _, want := range []string{`"ev":"enq"`, `"ev":"tx"`, `"ev":"deliver"`, `"flow":1,`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fat-tree trace missing %q", want)
 		}
 	}
-	if strings.Contains(out, "flow=2 ") {
+	if strings.Contains(out, `"flow":2,`) {
 		t.Error("flow filter leaked other flows")
 	}
 	// On a three-tier fabric the traced flow's packets cross core switches:
 	// hops beyond the leaf-spine maximum of 3 must appear... only if the
 	// flow was routed upward; at minimum the trace shows multi-hop forwarding.
-	if !strings.Contains(out, "hops=2") {
+	if !strings.Contains(out, `"hops":2,`) {
 		t.Error("traced flow never forwarded beyond its ToR")
 	}
 }

@@ -16,12 +16,9 @@ import (
 // filter to keep traces tractable; an unfiltered trace of a busy run is
 // gigabytes.
 //
-// Text line format (space-separated):
-//
-//	<time_ns> <event> sw=<id> port=<p> flow=<f> seq=<s> rfs=<r> extra...
-//
-// JSONL mode (NewJSONTracer) writes the same events as one JSON object per
-// line, the trace.jsonl artifact format:
+// Each event is one JSON object on a line of its own (JSONL, the
+// trace.jsonl artifact format), leading with its timestamp — the key a
+// sharded run's per-domain traces merge by (MergeJSONLTraces):
 //
 //	{"t":<ns>,"ev":"enq","sw":1,"port":2,"kind":"data","flow":7,...,"occ":4500}
 //
@@ -31,25 +28,17 @@ import (
 // later stamps; one port's lines are always in time order. Sort by time for
 // a global timeline.
 type Tracer struct {
-	eng   *sim.Engine
-	w     *bufio.Writer
-	flow  uint64 // 0 = trace everything
-	jsonl bool
+	eng  *sim.Engine
+	w    *bufio.Writer
+	flow uint64 // 0 = trace everything
 	// Lines counts emitted events.
 	Lines int64
 }
 
-// NewTracer returns a tracer writing text lines to w; flow filters to one
-// flow ID (0 traces all flows — beware volume).
+// NewTracer returns a tracer writing JSONL to w; flow filters to one flow ID
+// (0 traces all flows — beware volume).
 func NewTracer(eng *sim.Engine, w io.Writer, flow uint64) *Tracer {
 	return &Tracer{eng: eng, w: bufio.NewWriter(w), flow: flow}
-}
-
-// NewJSONTracer is NewTracer emitting one JSON object per event (JSONL).
-func NewJSONTracer(eng *sim.Engine, w io.Writer, flow uint64) *Tracer {
-	t := NewTracer(eng, w, flow)
-	t.jsonl = true
-	return t
 }
 
 // Flush drains buffered trace lines; call at simulation end.
@@ -66,27 +55,15 @@ func (t *Tracer) emit(event string, sw, port int, p *packet.Packet, extraKey str
 		return
 	}
 	t.Lines++
-	if t.jsonl {
-		fmt.Fprintf(t.w, `{"t":%d,"ev":"%s","sw":%d,"port":%d,"kind":"%s","flow":%d,"seq":%d,"rfs":%d,"hops":%d,"defl":%d`,
-			int64(t.eng.AsOf()), event, sw, port, p.Kind, p.Flow, p.Seq,
-			p.Rank(), p.Hops, p.Deflections)
-		if extraStr != "" {
-			fmt.Fprintf(t.w, `,"%s":"%s"`, extraKey, extraStr)
-		} else if extraKey != "" {
-			fmt.Fprintf(t.w, `,"%s":%d`, extraKey, extraNum)
-		}
-		t.w.WriteString("}\n")
-		return
-	}
-	fmt.Fprintf(t.w, "%d %s sw=%d port=%d kind=%s flow=%d seq=%d rfs=%d hops=%d defl=%d",
+	fmt.Fprintf(t.w, `{"t":%d,"ev":"%s","sw":%d,"port":%d,"kind":"%s","flow":%d,"seq":%d,"rfs":%d,"hops":%d,"defl":%d`,
 		int64(t.eng.AsOf()), event, sw, port, p.Kind, p.Flow, p.Seq,
 		p.Rank(), p.Hops, p.Deflections)
 	if extraStr != "" {
-		fmt.Fprintf(t.w, " %s=%s", extraKey, extraStr)
+		fmt.Fprintf(t.w, `,"%s":"%s"`, extraKey, extraStr)
 	} else if extraKey != "" {
-		fmt.Fprintf(t.w, " %s=%d", extraKey, extraNum)
+		fmt.Fprintf(t.w, `,"%s":%d`, extraKey, extraNum)
 	}
-	t.w.WriteByte('\n')
+	t.w.WriteString("}\n")
 }
 
 // Enqueue implements fabric.Observer.

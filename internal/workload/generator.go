@@ -113,15 +113,22 @@ type Incast struct {
 // the request reaching the server.
 type request struct{ server, client, query int }
 
+// fanIn returns how many servers answer one query: scale, clamped to the
+// hosts-1 a client can ask. fire picks that many and the load conversions
+// below count that many, so a fabric smaller than scale is offered the load
+// it was asked for.
+func fanIn(scale, hosts int) int { return min(scale, hosts-1) }
+
 // Load returns the incast traffic's offered load as a fraction of aggregate
 // host access capacity.
 func (ic *Incast) Load(hostRate units.BitRate) float64 {
-	return ic.QPS * float64(ic.Scale) * float64(ic.FlowSize) * 8 /
+	return ic.QPS * float64(fanIn(ic.Scale, ic.Hosts)) * float64(ic.FlowSize) * 8 /
 		(float64(hostRate) * float64(ic.Hosts))
 }
 
 // QPSForLoad returns the query rate that offers the given load fraction.
 func QPSForLoad(load float64, hosts, scale int, flowSize int64, hostRate units.BitRate) float64 {
+	scale = fanIn(scale, hosts)
 	if scale <= 0 || flowSize <= 0 {
 		return 0
 	}
@@ -179,10 +186,7 @@ func permInto(rng *rand.Rand, m []int) {
 func (ic *Incast) fire() {
 	rng := ic.Eng.Rand()
 	client := rng.Intn(ic.Hosts)
-	scale := ic.Scale
-	if scale > ic.Hosts-1 {
-		scale = ic.Hosts - 1
-	}
+	scale := fanIn(ic.Scale, ic.Hosts)
 	query := -1
 	if ic.Owns == nil || ic.Owns(client) {
 		query = ic.Met.StartQuery(scale, ic.Eng.Now())

@@ -124,6 +124,15 @@ func TestQPSForLoadInvertsLoad(t *testing.T) {
 	if got := ic.Load(10 * units.Gbps); got < 0.399 || got > 0.401 {
 		t.Fatalf("round-trip load %.4f, want 0.4", got)
 	}
+	// Four hosts answer a 100-way query three at a time; both directions of
+	// the conversion count three.
+	small := &Incast{Hosts: 4, QPS: QPSForLoad(0.4, 4, 100, 40_000, 10*units.Gbps), Scale: 100, FlowSize: 40_000}
+	if got := small.Load(10 * units.Gbps); got < 0.399 || got > 0.401 {
+		t.Fatalf("round-trip load on 4 hosts %.4f, want 0.4", got)
+	}
+	if want := QPSForLoad(0.4, 4, 3, 40_000, 10*units.Gbps); small.QPS != want {
+		t.Fatalf("scale 100 on 4 hosts asks %.1f qps, scale 3 asks %.1f", small.QPS, want)
+	}
 	if QPSForLoad(0.5, 10, 0, 100, units.Gbps) != 0 {
 		t.Fatal("zero scale should yield zero QPS")
 	}

@@ -1,15 +1,16 @@
 // Package xrand is a tiny deterministic PRNG for per-entity random streams.
 //
-// The simulator historically drew every random number from one engine-wide
-// math/rand stream, which makes each draw's value depend on the global
-// *order* of draws. That coupling forbids doing any drawing work after the
-// fact: a port that replays a transmission when it is next touched, rather
-// than in an event of its own, would take its jitter draw at another position
-// in the shared stream and shift every other consumer's. Giving each port its
-// own stream makes draw order positional — the k-th draw of a port has the
-// same value whether it is taken at the instant the k-th packet starts
-// serializing or later, when the port replays that pop — which is the
-// condition the fabric's lazy wire relies on.
+// Every random draw of the fabric — a switch's policy decisions, a port's
+// jitter and bit errors — comes from a stream of the element's own; the
+// engine's math/rand stream is the workload generators' alone. One shared
+// stream makes each draw's value depend on the global *order* of draws: a
+// policy's draws shift the generators' (every scheme is offered another
+// workload), a sharded run's depend on how domains interleave, and a port that
+// replays a transmission when it is next touched, rather than in an event of
+// its own, takes its jitter draw at another position. A stream per element
+// makes draws positional — the k-th draw of a port has the same value whether
+// taken when the k-th packet starts serializing or later, when the port
+// replays that pop — which the lazy wire and sharded execution rely on.
 //
 // The generator is splitmix64 (Steele et al., "Fast splittable pseudorandom
 // number generators"): 8 bytes of state, one add and three xor-shifts per

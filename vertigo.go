@@ -121,17 +121,17 @@ type Config struct {
 	// and the deflections-per-packet histogram.
 	Telemetry bool
 
-	// PacketTracePath, when set, writes one line per dataplane event of the
-	// traced flow to this file (PacketTraceFlow; 0 traces everything).
+	// PacketTracePath, when set, writes one JSON object a line per dataplane
+	// event of the traced flow to this file (PacketTraceFlow; 0 = all flows).
 	PacketTracePath string
 	PacketTraceFlow uint64
 
 	// Shards, when > 1, partitions the fabric into that many topology
 	// domains and runs them on separate cores under a conservative
-	// time-window protocol. A sharded run is deterministic for a given
-	// shard count but statistically — not bitwise — comparable to a serial
-	// run; scenarios a shard cannot carry (Telemetry, text packet traces)
-	// degrade to the serial engine.
+	// time-window protocol, probes included (Telemetry and the packet trace
+	// merge across domains). The seed fixes the offered workload at any
+	// count; a sharded run is deterministic for a given count but
+	// statistically — not bitwise — comparable to a serial run.
 	Shards int
 }
 
@@ -204,16 +204,29 @@ type Report struct {
 }
 
 // Run executes the scenario described by cfg.
-func Run(cfg Config) (*Report, error) {
+func Run(cfg Config) (rep *Report, err error) {
 	cc, err := cfg.lower()
 	if err != nil {
 		return nil, err
+	}
+	if cfg.PacketTracePath != "" {
+		trace, oerr := os.Create(cfg.PacketTracePath)
+		if oerr != nil {
+			return nil, oerr
+		}
+		// Closed on every path out; a clean run reports the close's error.
+		defer func() {
+			if cerr := trace.Close(); cerr != nil && err == nil {
+				rep, err = nil, cerr
+			}
+		}()
+		cc.PacketTrace, cc.PacketTraceFlow = trace, cfg.PacketTraceFlow
 	}
 	res, err := core.Run(cc)
 	if err != nil {
 		return nil, err
 	}
-	rep := report(res)
+	rep = report(res)
 	if res.Telemetry != nil {
 		var sb strings.Builder
 		res.Telemetry.WriteReport(&sb, res.Summary.Duration, 10)
@@ -335,14 +348,6 @@ func (cfg Config) lower() (core.Config, error) {
 	}
 	cc.Telemetry = cfg.Telemetry
 	cc.Shards = cfg.Shards
-	if cfg.PacketTracePath != "" {
-		f, err := os.Create(cfg.PacketTracePath)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cc.PacketTrace = f
-		cc.PacketTraceFlow = cfg.PacketTraceFlow
-	}
 	return cc, nil
 }
 
