@@ -66,9 +66,11 @@ shard-smoke:
 # repeatability, and fails unless the result line says so. The timings are
 # worth nothing — one second on a shared runner — it only proves the
 # benchmark still builds and runs against the simulator it measures. Memory
-# is another matter: fattree16_churn's peak RSS repeats to a few MiB, so the
-# 1,024-host run must also stay under 256 MiB (it reads ~160), the first
-# absolute memory bound on the benchmark of record.
+# is another matter: fattree16_churn's peak RSS repeats to a few MiB and its
+# allocs_per_pkt is exact for a seed, so the 1,024-host run must also stay
+# under 160 MiB (it reads 125–132) and at or under 0.25 allocations a packet (it
+# reads 0.076; 0.57 while hosts, ports and sender slots each allocated their
+# own) — the absolute bounds on the benchmark of record.
 benchmark-smoke:
 	@for w in leafspine_bulk fattree16_churn; do \
 	  line=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
@@ -76,8 +78,9 @@ benchmark-smoke:
 	  echo "$$line" | grep -q '"correct":true' && echo "$$line" | grep -q '"failed":0[,}]' || exit 1; \
 	done; \
 	rss=$$(echo "$$line" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p'); \
-	echo "fattree16_churn peak_rss_mb $$rss, bound 256"; \
-	[ -n "$$rss" ] && [ "$$rss" -lt 256 ]
+	apk=$$(echo "$$line" | sed -n 's/.*"allocs_per_pkt":{"value":\([0-9.e+-]*\).*/\1/p'); \
+	echo "fattree16_churn peak_rss_mb $$rss, bound 160; allocs_per_pkt $$apk, bound 0.25"; \
+	[ -n "$$rss" ] && [ "$$rss" -lt 160 ] && [ -n "$$apk" ] && awk -v a="$$apk" 'BEGIN { exit !(a + 0 <= 0.25) }'
 
 # The benchmark of record on two revisions, and its verdict: unpacks BASE's
 # committed tree under .bench_build/, runs every workload there and then

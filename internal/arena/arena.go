@@ -8,6 +8,13 @@
 // burst — wherever it lands — reuses them, keeping steady-state memory
 // proportional to concurrent burstiness.
 //
+// The same pool is where the small and numerous arrays come from: the seed
+// array of a port's queue, an in-flight FIFO's first eight entries, a reorder
+// window. A large fabric has tens of thousands of owners that each need one,
+// and one allocation apiece is most of what such a run asks of the
+// allocator; a miss in a small size class is therefore carved from a chunk
+// that serves many.
+//
 // Pools are not safe for concurrent use; each simulation engine owns its
 // own (one engine == one goroutine, matching the rest of the simulator).
 package arena
@@ -22,12 +29,19 @@ const (
 	// Put drops the array: the arena adapts down after a burst instead of
 	// holding its high-water mark forever.
 	maxPerClass = 16
+	// carveClasses is how many of the smallest size classes — arrays of up
+	// to 1<<(carveClasses-1) elements — are carved from chunks of chunkLen
+	// elements. An array carved from a chunk cannot be freed on its own, so
+	// dropping one would strand it: these classes retain whatever is Put.
+	carveClasses = 7
+	chunkLen     = 2048
 )
 
 // Pool recycles backing arrays of one element type, bucketed by
 // power-of-two capacity class.
 type Pool[T any] struct {
 	classes [numClasses][][]T
+	chunk   []T // uncarved remainder of the newest chunk
 	hits    uint64
 	misses  uint64
 }
@@ -51,22 +65,42 @@ func (a *Pool[T]) Get(n int) []T {
 		}
 	}
 	a.misses++
-	if c >= numClasses {
+	switch {
+	case c >= numClasses:
 		return make([]T, 0, n)
+	case c >= carveClasses:
+		return make([]T, 0, 1<<c)
 	}
-	return make([]T, 0, 1<<c)
+	if len(a.chunk) < 1<<c {
+		// The remainder, shorter than this class, is left behind: at most
+		// one array's worth a chunk.
+		a.chunk = make([]T, chunkLen)
+	}
+	s := a.chunk[: 0 : 1<<c]
+	a.chunk = a.chunk[1<<c:]
+	return s
+}
+
+// Grow returns full slice s moved to an array of twice its capacity, and at
+// least min, from the pool, to which the outgrown array returns.
+func (a *Pool[T]) Grow(s []T, min int) []T {
+	g := a.Get(max(2*cap(s), min))[:len(s)]
+	copy(g, s)
+	a.Put(s)
+	return g
 }
 
 // Put recycles s's backing array for a future Get. The array is zeroed so
 // recycled pointer slices do not pin their former contents. Oversized and
-// zero-capacity arrays, and arrays landing in a full class, are dropped.
+// zero-capacity arrays, and arrays landing in a full class that is not
+// carved, are dropped.
 func (a *Pool[T]) Put(s []T) {
 	n := cap(s)
 	if n == 0 {
 		return
 	}
 	c := bits.Len(uint(n)) - 1 // floor class: every array here has cap >= 1<<c
-	if c >= numClasses || len(a.classes[c]) >= maxPerClass {
+	if c >= numClasses || c >= carveClasses && len(a.classes[c]) >= maxPerClass {
 		return
 	}
 	s = s[:n]
@@ -77,7 +111,7 @@ func (a *Pool[T]) Put(s []T) {
 // Hits returns how many Gets were served from recycled arrays.
 func (a *Pool[T]) Hits() uint64 { return a.hits }
 
-// Misses returns how many Gets had to allocate.
+// Misses returns how many Gets had to allocate or carve.
 func (a *Pool[T]) Misses() uint64 { return a.misses }
 
 // classFor returns the smallest class c with 1<<c >= n.

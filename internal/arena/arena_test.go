@@ -60,9 +60,9 @@ func TestLooseFitOneClassUp(t *testing.T) {
 func TestClassRetentionBounded(t *testing.T) {
 	var a Pool[int]
 	for i := 0; i < 3*maxPerClass; i++ {
-		a.Put(make([]int, 0, 64))
+		a.Put(make([]int, 0, 256))
 	}
-	if got := len(a.classes[6]); got != maxPerClass {
+	if got := len(a.classes[8]); got != maxPerClass {
 		t.Fatalf("class retained %d arrays, want %d", got, maxPerClass)
 	}
 }
@@ -82,5 +82,63 @@ func TestDegenerateInputs(t *testing.T) {
 	a.Put(big)
 	if a.Get(1<<numClasses) != nil && a.Hits() != 0 {
 		t.Fatal("oversized array was recycled")
+	}
+}
+
+// TestSmallClassesAreCarvedFromChunks: a miss in a small class costs an
+// allocation per chunk, not per array; every carved array has exactly its
+// class's capacity, none overlaps another — each keeps what was written to it
+// while its neighbours are filled to capacity — and carved arrays round-trip
+// through Put and Get by class, however many are returned.
+func TestSmallClassesAreCarvedFromChunks(t *testing.T) {
+	var a Pool[int]
+	const perClass = 40 // more than maxPerClass: small classes retain them all
+	var held [][]int
+	next := 1
+	allocs := testing.AllocsPerRun(1, func() {
+		for c := 0; c < carveClasses; c++ {
+			for i := 0; i < perClass; i++ {
+				s := a.Get(1 << c)
+				if len(s) != 0 || cap(s) != 1<<c {
+					t.Fatalf("Get(%d): len=%d cap=%d, want a carved array of exactly the class", 1<<c, len(s), cap(s))
+				}
+				for len(s) < cap(s) {
+					s = append(s, next)
+				}
+				next++
+				held = append(held, s)
+			}
+		}
+	})
+	total := perClass * (1<<carveClasses - 1)
+	if want := float64(total/chunkLen + 1 + 16); allocs > want { // chunks, plus the test's own list growing
+		t.Fatalf("carving %d arrays of %d elements made %.0f allocations, want at most %.0f", len(held), total, allocs, want)
+	}
+	for i, s := range held {
+		for _, v := range s {
+			if v != i+1 {
+				t.Fatalf("array %d (cap %d) holds %d: it shares memory with array %d", i, cap(s), v, v-1)
+			}
+		}
+	}
+	for _, s := range held {
+		a.Put(s)
+	}
+	misses := a.Misses()
+	for c := 0; c < carveClasses; c++ {
+		seen := map[*int]bool{}
+		for i := 0; i < perClass; i++ {
+			s := a.Get(1 << c)
+			if cap(s) != 1<<c {
+				t.Fatalf("recycled Get(%d) has cap %d", 1<<c, cap(s))
+			}
+			if s = s[:1]; s[0] != 0 || seen[&s[0]] {
+				t.Fatalf("recycled Get(%d) #%d: dirty, or handed out twice", 1<<c, i)
+			}
+			seen[&s[0]] = true
+		}
+	}
+	if a.Misses() != misses {
+		t.Fatalf("%d of the returned arrays were not kept", a.Misses()-misses)
 	}
 }

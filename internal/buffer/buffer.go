@@ -6,20 +6,38 @@
 package buffer
 
 import (
+	"vertigo/internal/arena"
 	"vertigo/internal/packet"
 	"vertigo/internal/units"
 )
 
+// Mem is where queues get their arrays: the seed every queue starts on, the
+// doublings of a deep burst, and the right-sized array a queue moves to when
+// the burst has passed. The queues of one fabric share one, so that tens of
+// thousands of ports' seed arrays are carved from a few chunks and a burst's
+// arrays serve the next burst, wherever it lands; a queue on its own (see
+// NewSorted, NewDropTail) has one to itself. Not safe for concurrent use.
+type Mem struct {
+	pkts  arena.Pool[*packet.Packet]
+	ranks arena.Pool[uint32]
+}
+
+// seedLen is the capacity of a queue's first array: most ports of a large
+// fabric never hold more.
+const seedLen = 32
+
 // compact reclaims the consumed prefix of a deferred-compaction queue slice
 // once the head index dominates it, returning the live suffix moved to the
 // front. When the backing array was grown by a deep burst and occupancy has
-// fallen far below it, the array is released and the live packets move to a
-// right-sized allocation — otherwise a single burst would pin peak memory
+// fallen far below it, the array goes back to pool and the live packets move
+// to a right-sized one — otherwise a single burst would pin peak memory
 // for the rest of the run.
-func compact[T any](pkts []T, head int) []T {
+func compact[T any](pool *arena.Pool[T], pkts []T, head int) []T {
 	live := pkts[head:]
 	if c := cap(pkts); c > 1024 && len(live) <= c/4 {
-		return append(make([]T, 0, 2*len(live)), live...)
+		g := append(pool.Get(2*len(live)), live...)
+		pool.Put(pkts)
+		return g
 	}
 	return append(pkts[:0], live...)
 }
@@ -53,11 +71,12 @@ type DropTailQueue struct {
 	head  int
 	bytes units.ByteSize
 	cap   units.ByteSize
+	mem   *Mem
 }
 
 // NewDropTail returns an empty FIFO with the given byte capacity.
 func NewDropTail(capacity units.ByteSize) *DropTailQueue {
-	return &DropTailQueue{cap: capacity}
+	return &DropTailQueue{cap: capacity, mem: new(Mem)}
 }
 
 // Push appends p if it fits.
@@ -66,9 +85,17 @@ func (q *DropTailQueue) Push(p *packet.Packet) bool {
 	if q.bytes+n > q.cap {
 		return false
 	}
+	q.room()
 	q.pkts = append(q.pkts, p)
 	q.bytes += n
 	return true
+}
+
+// room makes room for one more packet.
+func (q *DropTailQueue) room() {
+	if len(q.pkts) == cap(q.pkts) {
+		q.pkts = q.mem.pkts.Grow(q.pkts, seedLen)
+	}
 }
 
 // Pop removes the head packet.
@@ -83,7 +110,7 @@ func (q *DropTailQueue) Pop() *packet.Packet {
 	// Reclaim the consumed prefix when the queue drains or once it dominates
 	// the slice.
 	if q.head == len(q.pkts) || q.head > 64 && q.head*2 >= len(q.pkts) {
-		q.pkts = compact(q.pkts, q.head)
+		q.pkts = compact(&q.mem.pkts, q.pkts, q.head)
 		q.head = 0
 	}
 	return p
@@ -118,10 +145,10 @@ func (q *DropTailQueue) Fits(n units.ByteSize) bool { return q.bytes+n <= q.cap 
 // DropTailQueue's, embedded: Len, Bytes, Cap and Fits are its
 // methods, Push and Pop are replaced. An owner that keeps its queue header
 // by value (a fabric port) therefore needs room for one SortedQueue and can
-// run either discipline in it: the whole after Init, or the embedded FIFO
-// alone through the view InitDropTail returns. The two are exclusive — a
-// FIFO Push or Pop would leave ranks behind pkts — so the field is
-// unexported and nothing else hands the FIFO out.
+// run either discipline in it: the whole, or the embedded FIFO alone through
+// the view FIFO returns. The two are exclusive — a FIFO Push or Pop would
+// leave ranks behind pkts — so the field is unexported and nothing else hands
+// the FIFO out.
 type SortedQueue struct {
 	fifo
 	// ranks mirrors pkts in lockstep: ranks[i] == pkts[i].Rank(). The rank
@@ -129,26 +156,12 @@ type SortedQueue struct {
 	// contiguous uint32 array lets the binary search and tail comparisons
 	// run over cache lines instead of chasing a packet pointer per probe.
 	ranks []uint32
-	// evScratch backs ForceInsert's eviction list, reused across calls so
-	// the overflow path does not allocate per packet.
-	evScratch []*packet.Packet
-}
-
-// sortedSeed is the capacity of a sorted queue's first allocation, which
-// holds both arrays: most ports of a large fabric never hold more, and
-// append-doubling them up from one entry took six allocations apiece to get
-// here.
-const sortedSeed = 32
-
-type sortedSeedArrays struct {
-	pkts  [sortedSeed]*packet.Packet
-	ranks [sortedSeed]uint32
 }
 
 // NewSorted returns an empty rank-sorted queue with the given byte capacity.
 func NewSorted(capacity units.ByteSize) *SortedQueue {
 	q := new(SortedQueue)
-	q.Init(capacity)
+	q.Init(capacity, new(Mem))
 	return q
 }
 
@@ -156,19 +169,16 @@ func NewSorted(capacity units.ByteSize) *SortedQueue {
 // field name.
 type fifo = DropTailQueue
 
-// Init makes q, wherever its owner keeps it, an empty rank-sorted queue with
-// the given byte capacity.
-func (q *SortedQueue) Init(capacity units.ByteSize) {
-	*q = SortedQueue{fifo: fifo{cap: capacity}}
+// Init makes q, wherever its owner keeps it, an empty queue with the given
+// byte capacity whose arrays come from mem.
+func (q *SortedQueue) Init(capacity units.ByteSize, mem *Mem) {
+	*q = SortedQueue{fifo: fifo{cap: capacity, mem: mem}}
 }
 
-// InitDropTail makes q's storage an empty drop-tail queue with the given
-// byte capacity instead, and returns it. Until the next Init, q is only that
-// storage: use the returned queue and none of q's own methods.
-func (q *SortedQueue) InitDropTail(capacity units.ByteSize) *DropTailQueue {
-	q.Init(capacity)
-	return &q.fifo
-}
+// FIFO returns q's storage as a drop-tail queue. An owner picks one
+// discipline at Init and keeps to it: the returned queue and none of q's own
+// methods, or q's own and never this.
+func (q *SortedQueue) FIFO() *DropTailQueue { return &q.fifo }
 
 // insertionPoint returns the index (into q.pkts, so >= q.head) where a packet
 // with the given rank is inserted: after all packets with rank <= r (FIFO
@@ -204,6 +214,7 @@ func (q *SortedQueue) insert(p *packet.Packet) {
 	// is the common case — SRPT ranks grow as flows age, so steady arrivals
 	// land at the tail.
 	if n := len(q.pkts); n > q.head && q.ranks[n-1] <= r {
+		q.room()
 		q.pkts = append(q.pkts, p)
 		q.ranks = append(q.ranks, r)
 		q.bytes += p.Size()
@@ -216,10 +227,7 @@ func (q *SortedQueue) insert(p *packet.Packet) {
 		q.pkts[q.head] = p
 		q.ranks[q.head] = r
 	} else {
-		if cap(q.pkts) == 0 {
-			seed := new(sortedSeedArrays)
-			q.pkts, q.ranks = seed.pkts[:0], seed.ranks[:0]
-		}
+		q.room()
 		q.pkts = append(q.pkts, nil)
 		copy(q.pkts[i+1:], q.pkts[i:])
 		q.pkts[i] = p
@@ -228,6 +236,14 @@ func (q *SortedQueue) insert(p *packet.Packet) {
 		q.ranks[i] = r
 	}
 	q.bytes += p.Size()
+}
+
+// room makes room for one more packet and its rank.
+func (q *SortedQueue) room() {
+	q.fifo.room()
+	if len(q.ranks) == cap(q.ranks) {
+		q.ranks = q.mem.ranks.Grow(q.ranks, seedLen)
+	}
 }
 
 // Pop removes and returns the minimum-rank packet.
@@ -249,8 +265,8 @@ func (q *SortedQueue) Pop() *packet.Packet {
 
 // rewind moves the live window back to the front of both arrays.
 func (q *SortedQueue) rewind() {
-	q.pkts = compact(q.pkts, q.head)
-	q.ranks = compact(q.ranks, q.head)
+	q.pkts = compact(&q.mem.pkts, q.pkts, q.head)
+	q.ranks = compact(&q.mem.ranks, q.ranks, q.head)
 	q.head = 0
 }
 
@@ -283,17 +299,14 @@ func (q *SortedQueue) ExtractTail() *packet.Packet {
 }
 
 // ForceInsert inserts p by rank regardless of capacity, then evicts tail
-// packets until occupancy is within capacity again. It returns the evicted
-// packets (possibly including p itself, when p carries the largest rank).
-// This implements the paper's "insert and drop from the tail" overflow rule.
-// The returned slice is owned by the queue and is valid only until the next
-// ForceInsert on the same queue.
-func (q *SortedQueue) ForceInsert(p *packet.Packet) []*packet.Packet {
+// packets until occupancy is within capacity again. It appends the evicted
+// packets (possibly including p itself, when p carries the largest rank) to
+// evicted, the caller's scratch, and returns it. This implements the paper's
+// "insert and drop from the tail" overflow rule.
+func (q *SortedQueue) ForceInsert(p *packet.Packet, evicted []*packet.Packet) []*packet.Packet {
 	q.insert(p)
-	evicted := q.evScratch[:0]
 	for q.bytes > q.cap {
 		evicted = append(evicted, q.ExtractTail())
 	}
-	q.evScratch = evicted
 	return evicted
 }

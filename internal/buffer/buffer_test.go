@@ -151,13 +151,13 @@ func TestForceInsertEvictsLargestRanks(t *testing.T) {
 	q.Push(dataPkt(30, 100))
 
 	// Inserting rank 15 must evict rank 30 (the tail).
-	ev := q.ForceInsert(dataPkt(15, 100))
+	ev := q.ForceInsert(dataPkt(15, 100), nil)
 	if len(ev) != 1 || ev[0].Info.RFS != 30 {
 		t.Fatalf("evicted %v, want the rank-30 packet", ev)
 	}
 	// Inserting rank 99 must evict itself.
 	big := dataPkt(99, 100)
-	ev = q.ForceInsert(big)
+	ev = q.ForceInsert(big, nil)
 	if len(ev) != 1 || ev[0] != big {
 		t.Fatalf("evicted %v, want the arriving rank-99 packet itself", ev)
 	}
@@ -175,7 +175,7 @@ func TestForceInsertMayEvictMultiple(t *testing.T) {
 	q.Push(dataPkt(60, 50))
 	q.Push(dataPkt(70, 50))
 	big := dataPkt(10, 150) // twice a small packet: evicting one is not enough
-	ev := q.ForceInsert(big)
+	ev := q.ForceInsert(big, nil)
 	if len(ev) < 2 {
 		t.Fatalf("evicted %d packets, want at least 2 for the oversized arrival", len(ev))
 	}
@@ -264,7 +264,7 @@ func TestPropertyForceInsertBounded(t *testing.T) {
 		one := dataPkt(0, 100).Size()
 		q := NewSorted(5 * one)
 		for _, r := range ranks {
-			evicted := q.ForceInsert(dataPkt(r, 100))
+			evicted := q.ForceInsert(dataPkt(r, 100), nil)
 			if q.Bytes() > q.Cap() {
 				return false
 			}

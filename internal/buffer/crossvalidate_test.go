@@ -90,8 +90,9 @@ func TestSortedQueueMatchesPIEO(t *testing.T) {
 func TestDropTailDrainRefill(t *testing.T) {
 	t.Run("own", func(t *testing.T) { dropTailDrainRefill(t, NewDropTail(1<<30)) })
 	t.Run("embedded", func(t *testing.T) {
-		header := NewSorted(1) // whatever it was, InitDropTail makes it an empty FIFO
-		dropTailDrainRefill(t, header.InitDropTail(1<<30))
+		var header SortedQueue // a port's: initialised in place, one discipline from then on
+		header.Init(1<<30, new(Mem))
+		dropTailDrainRefill(t, header.FIFO())
 	})
 }
 

@@ -461,9 +461,10 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 	w.senders = transport.NewSenderPool(cfg.Transport)
 	receivers := transport.NewReceiverPool(eng, w.net, w.met, w.ids)
 
-	// A sharded run's every domain instantiates all hosts (marker/orderer
-	// state is cheap, and the fabric replica's NIC wiring expects them), but
-	// only owned hosts ever see traffic.
+	// A sharded run's every domain instantiates all hosts (the fabric
+	// replica's NIC wiring expects them), but only owned hosts ever see
+	// traffic. The others cost their structs: flow state lives in the
+	// domain's one directory, whose tables grow with the flows it holds.
 	w.hosts = make([]*host.Host, t.NumHosts)
 	for i := range w.hosts {
 		h := host.NewHost(i, eng, w.net, w.met, cfg.Marker, ocfg, vertigoStack)

@@ -30,9 +30,31 @@ const (
 	// costs its dense size plus the page table, not a doubling.
 	chunkShift   = 9
 	chunkBuckets = 1 << chunkShift
+	// A Chunks source allocates this many chunks at a time.
+	chunksPerSlab = 16
 )
 
 type bucket [slotsPerBucket]uint16
+
+type chunk [chunkBuckets]bucket
+
+// Chunks is a source of page chunks for the many filters of one simulation,
+// a thousand hosts' say, each of which touches a few chunks' worth of pages:
+// it allocates them a slab at a time. A nil *Chunks allocates each chunk on
+// its own. Not safe for concurrent use.
+type Chunks struct{ slab []chunk }
+
+func (c *Chunks) next() *chunk {
+	if c == nil {
+		return new(chunk)
+	}
+	if len(c.slab) == 0 {
+		c.slab = make([]chunk, chunksPerSlab)
+	}
+	ch := &c.slab[0]
+	c.slab = c.slab[1:]
+	return ch
+}
 
 // Filter is an approximate membership set over uint64 keys.
 // It is not safe for concurrent use.
@@ -47,12 +69,13 @@ type bucket [slotsPerBucket]uint16
 // sized for the worst case costs memory in proportion to the buckets a run
 // actually fills. An absent page reads as eight empty buckets.
 type Filter struct {
-	table     []uint16                // bucket i's page: table[i>>pageShift] is its id + 1, 0 if absent
-	chunks    []*[chunkBuckets]bucket // page id p starts at slot p<<pageShift of the chunks laid end to end
-	pages     int                     // pages allocated so far
-	pageShift uint                    // log2 buckets per page
-	pageMask  uint64                  // 1<<pageShift - 1
-	mask      uint64                  // bucket count - 1
+	table     []uint16 // bucket i's page: table[i>>pageShift] is its id + 1, 0 if absent; built with the first page
+	chunks    []*chunk // page id p starts at slot p<<pageShift of the chunks laid end to end
+	src       *Chunks  // where chunks come from
+	pages     int      // pages allocated so far
+	pageShift uint     // log2 buckets per page
+	pageMask  uint64   // 1<<pageShift - 1
+	mask      uint64   // bucket count - 1
 	count     int
 	rng       *rand.Rand // kick stream, built on the first kick
 }
@@ -60,6 +83,16 @@ type Filter struct {
 // New returns a filter sized for at least capacity items. The filter keeps
 // roughly 95% load factor headroom; inserts may start failing beyond that.
 func New(capacity int) *Filter {
+	f := new(Filter)
+	f.Init(capacity, nil)
+	return f
+}
+
+// Init makes f, wherever its owner keeps it, an empty filter sized for at
+// least capacity items whose pages come from src. It allocates nothing: a
+// filter that never stores anything — the marker of a host that never sends —
+// costs its header.
+func (f *Filter) Init(capacity int, src *Chunks) {
 	if capacity < slotsPerBucket {
 		capacity = slotsPerBucket
 	}
@@ -68,12 +101,7 @@ func New(capacity int) *Filter {
 	for n>>shift > 1<<maxPageBits {
 		shift++
 	}
-	return &Filter{
-		table:     make([]uint16, (n-1)>>shift+1),
-		pageShift: shift,
-		pageMask:  1<<shift - 1,
-		mask:      uint64(n - 1),
-	}
+	*f = Filter{src: src, pageShift: shift, pageMask: 1<<shift - 1, mask: uint64(n - 1)}
 }
 
 func nextPow2(n int) int {
@@ -90,7 +118,11 @@ func nextPow2(n int) int {
 // paged layout's whole cost over a flat array. (The &63 tells the compiler
 // the shift count is in range, sparing a check on this path.)
 func (f *Filter) bucket(i uint64) *bucket {
-	id := f.table[i>>(f.pageShift&63)]
+	pg := i >> (f.pageShift & 63)
+	if pg >= uint64(len(f.table)) { // no page yet, so no table
+		return nil
+	}
+	id := f.table[pg]
 	if id == 0 {
 		return nil
 	}
@@ -102,9 +134,13 @@ func (f *Filter) bucket(i uint64) *bucket {
 // the bucket. Chunks are added until they cover every slot of the pages
 // handed out: a chunk holds many small pages, a large page spans chunks.
 func (f *Filter) newPage(i uint64) *bucket {
+	if f.table == nil {
+		f.table = make([]uint16, f.mask>>f.pageShift+1)
+		f.chunks = make([]*chunk, 0, 8) // a churn host's whole run, see TestFootprintFollowsTouchedPages
+	}
 	f.pages++
 	for uint64(len(f.chunks))<<chunkShift < uint64(f.pages)<<f.pageShift {
-		f.chunks = append(f.chunks, new([chunkBuckets]bucket))
+		f.chunks = append(f.chunks, f.src.next())
 	}
 	f.table[i>>f.pageShift] = uint16(f.pages)
 	return f.bucket(i)

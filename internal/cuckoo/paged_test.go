@@ -231,17 +231,22 @@ func TestAbsentPageReadsAllocateNothing(t *testing.T) {
 }
 
 // TestFootprintFollowsTouchedPages pins the point of paging: an idle default
-// filter costs its page table, a lightly used one a few chunks, and a fully
-// touched one the dense 256 KiB plus the table — chunks are never
-// reallocated, so not twice that.
+// filter costs nothing past its header — the page table comes with the first
+// page — a lightly used one a few chunks, and a fully touched one the dense
+// 256 KiB plus the table — chunks are never reallocated, so not twice that.
 func TestFootprintFollowsTouchedPages(t *testing.T) {
 	const dense = (1 << 15) * slotsPerBucket * 2 // default geometry, flat
 	footprint := func(f *Filter) int {
 		return cap(f.table)*2 + cap(f.chunks)*8 + len(f.chunks)*chunkBuckets*slotsPerBucket*2
 	}
 	f := New(1 << 16)
-	if got := footprint(f); got != 8<<10 {
-		t.Errorf("idle filter holds %d B, want its 8 KiB page table", got)
+	if got := footprint(f); got != 0 || f.Contains(7) || f.Delete(7) {
+		t.Errorf("idle filter holds %d B, want nothing before the first insert", got)
+	}
+	f.Insert(1 << 40)
+	f.Delete(1 << 40)
+	if got := footprint(f) - chunkBuckets*slotsPerBucket*2 - cap(f.chunks)*8; got != 8<<10 {
+		t.Errorf("page table is %d B after the first insert, want 8 KiB", got)
 	}
 	for k := uint64(0); k < 225; k++ { // a fattree16_churn host's whole run
 		f.Insert(k)
@@ -266,14 +271,14 @@ func TestFootprintFollowsTouchedPages(t *testing.T) {
 func TestLargeFilterWidensPages(t *testing.T) {
 	for _, capacity := range []int{1 << 22, 1 << 27} {
 		f := New(capacity)
-		if len(f.table) > 1<<maxPageBits || f.pageShift <= minPageShift {
-			t.Fatalf("cap %d: table %d entries at page shift %d", capacity, len(f.table), f.pageShift)
-		}
 		const keys = 1 << 9
 		for k := uint64(0); k < keys; k++ {
 			if !f.Insert(k) {
 				t.Fatalf("cap %d: insert %d failed", capacity, k)
 			}
+		}
+		if len(f.table) > 1<<maxPageBits || f.pageShift <= minPageShift {
+			t.Fatalf("cap %d: table %d entries at page shift %d", capacity, len(f.table), f.pageShift)
 		}
 		for k := uint64(0); k < keys; k++ {
 			if !f.Contains(k) {
@@ -283,5 +288,55 @@ func TestLargeFilterWidensPages(t *testing.T) {
 		if want := (f.pages<<f.pageShift + chunkBuckets - 1) >> chunkShift; len(f.chunks) != want {
 			t.Fatalf("cap %d: %d pages of %d buckets in %d chunks, want %d", capacity, f.pages, 1<<f.pageShift, len(f.chunks), want)
 		}
+	}
+}
+
+// TestSharedChunksMatchPrivate: filters drawing their chunks from one source
+// behave, operation for operation, as filters that allocate their own, the
+// source allocates a slab for every chunksPerSlab chunks handed out, and no
+// two filters are handed the same chunk.
+func TestSharedChunksMatchPrivate(t *testing.T) {
+	var src Chunks
+	const filters = 8
+	shared, private := make([]Filter, filters), make([]*Filter, filters)
+	for i := range shared {
+		shared[i].Init(1<<16, &src)
+		private[i] = New(1 << 16)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for op := 0; op < 40000; op++ {
+		i, key := rng.Intn(filters), uint64(rng.Intn(4000))
+		switch rng.Intn(3) {
+		case 0:
+			p1, ok1 := shared[i].ContainsOrAdd(key)
+			p2, ok2 := private[i].ContainsOrAdd(key)
+			if p1 != p2 || ok1 != ok2 {
+				t.Fatalf("op %d: ContainsOrAdd(%d) on filter %d: shared %v/%v, private %v/%v", op, key, i, p1, ok1, p2, ok2)
+			}
+		case 1:
+			if a, b := shared[i].Delete(key), private[i].Delete(key); a != b {
+				t.Fatalf("op %d: Delete(%d) on filter %d: shared %v, private %v", op, key, i, a, b)
+			}
+		case 2:
+			if a, b := shared[i].Contains(key), private[i].Contains(key); a != b {
+				t.Fatalf("op %d: Contains(%d) on filter %d: shared %v, private %v", op, key, i, a, b)
+			}
+		}
+	}
+	seen := map[*chunk]int{}
+	for i := range shared {
+		if shared[i].Len() != private[i].Len() || len(shared[i].chunks) != len(private[i].chunks) {
+			t.Fatalf("filter %d: shared holds %d keys in %d chunks, private %d in %d", i,
+				shared[i].Len(), len(shared[i].chunks), private[i].Len(), len(private[i].chunks))
+		}
+		for _, c := range shared[i].chunks {
+			if j, dup := seen[c]; dup {
+				t.Fatalf("filters %d and %d were handed the same chunk", j, i)
+			}
+			seen[c] = i
+		}
+	}
+	if len(seen) < 2*chunksPerSlab {
+		t.Fatalf("only %d chunks handed out: the test does not cross a slab boundary", len(seen))
 	}
 }

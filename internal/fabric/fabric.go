@@ -167,6 +167,7 @@ type Network struct {
 	// (nics). A port's index here is what its events carry, through the two
 	// handlers below, in place of two closures a port.
 	ports    []Port
+	cold     []portCold     // what ports[i] reads off the per-packet path, by the same index
 	nics     []Port         // host egress toward its ToR, by host ID
 	txFn     sim.ArgHandler // wake-up event of ports[arg], see Port.armWake
 	arrFn    sim.ArgHandler // arrival event of ports[arg]
@@ -174,11 +175,20 @@ type Network struct {
 	obs      Observer       // optional telemetry observer
 	pool     *packet.Pool   // per-simulation packet free list
 
-	// Shared arena for burst-grown in-flight FIFOs: a port whose wire
-	// drains empty returns an oversized backing array here instead of pinning
-	// it, so a large fabric's memory tracks concurrent wire occupancy, not
-	// the historical worst burst of every port.
-	inf arena.Pool[wireSeg]
+	// Shared arenas for the ports' arrays — in-flight FIFOs (inf) and queues
+	// (qmem): the first array of each is carved from a chunk that serves many
+	// ports, and a port whose wire drains empty returns an oversized backing
+	// array instead of pinning it, so a large fabric's memory tracks
+	// concurrent occupancy, not the historical worst burst of every port, and
+	// its allocations do not track the port count.
+	inf  arena.Pool[wireSeg]
+	qmem buffer.Mem
+
+	// Ext is the per-simulation state of the layer above, which the fabric
+	// carries and never reads: hosts are built one by one against their
+	// Network, and what they share (the host package's flow directory) hangs
+	// here.
+	Ext any
 
 	// Live forwarding state, mutable by fault injection (see fault methods
 	// below): the FIB consulted by every switch (initially Topo.FIB, swapped
@@ -334,26 +344,23 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 	// fact — and none touches the engine's stream, the workload generators'.
 	seed := xrand.Mix(uint64(eng.Seed()))
 	for sw := range n.switches {
-		n.switches[sw] = &Switch{net: n, id: sw, drillMem: flowtab.New[int32](8)}
+		n.switches[sw] = &Switch{net: n, id: sw}
 		n.switches[sw].rng = xrand.New(seed ^ xrand.Mix(uint64(uint32(sw+1))<<32|1<<31))
 		nSwitchPorts += t.Ports(sw)
 	}
 	n.ports = make([]Port, nSwitchPorts+t.NumHosts)
+	n.cold = make([]portCold, len(n.ports))
 	n.nics = n.ports[nSwitchPorts:]
 	slot := 0
 	add := func(sw, idx int, link topo.Link, sorted bool, capacity units.ByteSize) *Port {
 		pt := &n.ports[slot]
-		pt.net, pt.slot, pt.sw, pt.idx = n, uint32(slot), sw, idx
-		slot++
-		if sorted {
-			pt.qs.Init(capacity)
-			pt.q, pt.sorted = &pt.qs, &pt.qs
-		} else {
-			pt.q = pt.qs.InitDropTail(capacity)
-		}
-		pt.rate, pt.rate0, pt.delay = link.Rate, link.Rate, link.Delay
+		pt.net, pt.slot, pt.sw, pt.idx = n, uint32(slot), int32(sw), int32(idx)
+		pt.qs.Init(capacity, &n.qmem)
+		pt.isSorted = sorted
+		pt.rate, pt.delay = link.Rate, link.Delay
 		pt.rng = xrand.New(seed ^ xrand.Mix(portIdent(sw, idx)))
-		pt.berRNG = xrand.New(seed ^ xrand.Mix(portIdent(sw, idx)^berSalt))
+		n.cold[slot] = portCold{rate0: link.Rate, berRNG: xrand.New(seed ^ xrand.Mix(portIdent(sw, idx)^berSalt))}
+		slot++
 		return pt
 	}
 	sorted := cfg.Policy == Vertigo && cfg.Scheduling
@@ -393,10 +400,10 @@ func (n *Network) RegisterHost(h int, r Receiver) { n.hostRecv[h] = r }
 func (n *Network) Send(p *packet.Packet) {
 	nic := &n.nics[p.Src]
 	nic.sync(n.Eng.Now())
-	nic.q.Push(p)
-	n.queueDepth.Observe(int64(nic.q.Bytes()))
+	nic.push(p)
+	n.queueDepth.Observe(int64(nic.qs.Bytes()))
 	if n.obs != nil {
-		n.obs.Enqueue(nic.sw, nic.idx, p, nic.q.Bytes())
+		n.obs.Enqueue(int(nic.sw), int(nic.idx), p, nic.qs.Bytes())
 	}
 	nic.maybeSend()
 }
@@ -482,7 +489,7 @@ func (n *Network) SetSwitchState(sw int, up bool) {
 func (n *Network) SetLinkBER(li int, ber float64) {
 	for _, pt := range n.linkPorts(li) {
 		pt.sync(n.Eng.Now())
-		pt.ber = ber
+		pt.cold().ber, pt.hasBER = ber, ber > 0
 	}
 	if n.ownsLink(li) {
 		n.emitFault(telemetry.FaultEvent{
@@ -497,7 +504,7 @@ func (n *Network) SetLinkBER(li int, ber float64) {
 func (n *Network) SetLinkRateFactor(li int, factor float64) {
 	for _, pt := range n.linkPorts(li) {
 		pt.sync(n.Eng.Now())
-		pt.rate = units.BitRate(float64(pt.rate0) * factor)
+		pt.rate = units.BitRate(float64(pt.cold().rate0) * factor)
 		if pt.rate < 1 {
 			pt.rate = 1
 		}
@@ -623,28 +630,15 @@ func (n *Network) drop(sw, port int, p *packet.Packet, reason metrics.DropReason
 // (armWake).
 type Port struct {
 	net *Network
-	// q is the port's queue, and sorted the same queue when it is rank-sorted
-	// (nil for drop-tail). Both point into qs, the queue's header kept by
-	// value: all of it, or just the FIFO a SortedQueue embeds. Len, Bytes and
-	// Fits are that FIFO's under either discipline, so the paths every probe
-	// takes read them from qs, without dispatch.
-	q      buffer.Queue
-	sorted *buffer.SortedQueue
-	qs     buffer.SortedQueue
-
-	slot uint32 // index in net.ports: the argument of this port's events
-
-	down     bool // link failed: no carrier
-	wasDown  bool // carrier was lost and later restored at least once
-	txArmed  bool // a wake-up event is pending at txAt, see armWake
-	arrArmed bool // the arrival event of the in-flight head is pending
-	xdom     bool // the peer switch lives in another domain, see xdst
+	// qs is the port's queue, the queue's header kept by value: rank-sorted
+	// when isSorted, else the FIFO a SortedQueue embeds (see push and pop).
+	// Len, Bytes and Fits are that FIFO's under either discipline, so the
+	// paths every probe takes read them from qs, without dispatch.
+	qs buffer.SortedQueue
 
 	// busyUntil is when the last started serialization ends; the wire is
-	// idle iff now >= busyUntil. A wake-up event that fires when !txArmed or
-	// at a time other than txAt was superseded by a touch at the same instant.
+	// idle iff now >= busyUntil.
 	busyUntil units.Time
-	txAt      units.Time
 
 	// In-flight packets riding the link, delivered strictly FIFO by one
 	// self-rescheduling arrival event, to the far end: switch peer, or host
@@ -655,24 +649,67 @@ type Port struct {
 
 	rate  units.BitRate // current rate (degraded during brownouts)
 	delay units.Time
-	ber   float64 // bit-error corruption probability per transmitted packet
 
-	// The port's private positional streams, jitter and bit errors: draw k is
-	// a pure function of (engine seed, port identity, k), so a replayed pop
-	// draws what it would have drawn on time.
-	rng    xrand.Source
+	// The port's private positional jitter stream: draw k is a pure function
+	// of (engine seed, port identity, k), so a replayed pop draws what it
+	// would have drawn on time.
+	rng xrand.Source
+
+	slot    uint32 // index in net.ports and net.cold: the argument of this port's events
+	sw, idx int32  // switch ID and port index (-1/hostID for host NICs)
+	peerID  int32  // far end: a switch ID, or a host ID when peer is nil
+
+	isSorted bool // qs is rank-sorted, not drop-tail
+	down     bool // link failed: no carrier
+	wasDown  bool // carrier was lost and later restored at least once
+	txArmed  bool // a wake-up event is pending at cold().txAt, see armWake
+	arrArmed bool // the arrival event of the in-flight head is pending
+	xdom     bool // the peer switch lives in another domain, see cold().xdst
+	hasBER   bool // cold().ber > 0: transmissions draw from the bit-error stream
+
+	_ [9]byte // to three cache lines, see Network.ports
+}
+
+// portCold is the part of a port no unfaulted, undivided run reads after
+// set-up, kept out of the slab the per-packet path walks: Network.cold[i]
+// belongs to Network.ports[i].
+type portCold struct {
+	// txAt is when the pending wake-up event is due. One that fires when
+	// !txArmed or at another time was superseded by a touch at that instant.
+	txAt units.Time
+	// ber is the bit-error corruption probability per transmitted packet,
+	// berRNG the port's positional stream for it (see Port.rng).
+	ber    float64
 	berRNG xrand.Source
+	rate0  units.BitRate // configured rate, restored by factor-1 transitions
+	// xdst is the destination domain of a cross-domain egress (sharded runs
+	// only): the peer switch lives there, so popped packets are emitted to
+	// the coordinator instead of riding the local wire.
+	xdst int32
+}
 
-	sw, idx int           // switch ID and port index (-1/hostID for host NICs)
-	rate0   units.BitRate // configured rate, restored by factor-1 transitions
+func (pt *Port) cold() *portCold { return &pt.net.cold[pt.slot] }
 
-	// Cross-domain egress (sharded runs only): the peer switch lives in
-	// another domain, so popped packets are emitted to the coordinator
-	// instead of riding the local wire.
-	peerID int32 // far end: a switch ID, or a host ID when peer is nil
-	xdst   int32 // destination domain
+// corrupts draws whether the frame now being serialized is corrupted.
+func (pt *Port) corrupts() bool {
+	c := pt.cold()
+	return c.berRNG.Float64() < c.ber
+}
 
-	_ [48]byte // to a multiple of the cache line, see Network.ports
+// push enqueues p under the port's discipline if it fits.
+func (pt *Port) push(p *packet.Packet) bool {
+	if pt.isSorted {
+		return pt.qs.Push(p)
+	}
+	return pt.qs.FIFO().Push(p)
+}
+
+// pop dequeues the next packet to transmit, or nil.
+func (pt *Port) pop() *packet.Packet {
+	if pt.isSorted {
+		return pt.qs.Pop()
+	}
+	return pt.qs.FIFO().Pop()
 }
 
 // wireSeg is one in-flight packet and its exact wire arrival time.
@@ -689,10 +726,10 @@ type wireSeg struct {
 // middle of a replay busyUntil can still lie behind now. The event is never
 // cancelled; a superseded arming falls through in wake.
 func (pt *Port) armWake() {
-	if !pt.xdom || pt.qs.Len() == 0 || (pt.txArmed && pt.txAt == pt.busyUntil) {
+	if !pt.xdom || pt.qs.Len() == 0 || (pt.txArmed && pt.cold().txAt == pt.busyUntil) {
 		return
 	}
-	pt.txArmed, pt.txAt = true, pt.busyUntil
+	pt.txArmed, pt.cold().txAt = true, pt.busyUntil
 	pt.net.Eng.SchedArg(pt.busyUntil, pt.net.txFn, uint64(pt.slot))
 }
 
@@ -700,7 +737,7 @@ func (pt *Port) armWake() {
 // nothing more.
 func (pt *Port) wake() {
 	now := pt.net.Eng.Now()
-	if !pt.txArmed || now != pt.txAt {
+	if !pt.txArmed || now != pt.cold().txAt {
 		return
 	}
 	pt.txArmed = false
@@ -739,7 +776,10 @@ func (pt *Port) arrive() {
 // policies and tests read exact occupancy.
 func (pt *Port) Queue() buffer.Queue {
 	pt.sync(pt.net.Eng.Now())
-	return pt.q
+	if pt.isSorted {
+		return &pt.qs
+	}
+	return pt.qs.FIFO()
 }
 
 // Down reports whether the port's link has failed.
@@ -796,15 +836,8 @@ func (pt *Port) pushInflight(p *packet.Packet, at units.Time) {
 		}
 		return
 	}
-	if n := len(pt.inflight); n == cap(pt.inflight) {
-		need := 2 * n
-		if need < 8 {
-			need = 8
-		}
-		grown := pt.net.inf.Get(need)[:n]
-		copy(grown, pt.inflight)
-		pt.net.inf.Put(pt.inflight)
-		pt.inflight = grown
+	if len(pt.inflight) == cap(pt.inflight) {
+		pt.inflight = pt.net.inf.Grow(pt.inflight, 8)
 	}
 	pt.inflight = append(pt.inflight, wireSeg{p, at})
 }
@@ -838,8 +871,8 @@ func (pt *Port) maybeSend() {
 	now := pt.net.Eng.Now()
 	if pt.down {
 		// No carrier: anything queued is lost, as on a real unplugged cable.
-		for p := pt.q.Pop(); p != nil; p = pt.q.Pop() {
-			pt.net.drop(pt.sw, pt.idx, p, metrics.DropLinkDown)
+		for p := pt.pop(); p != nil; p = pt.pop() {
+			pt.net.drop(int(pt.sw), int(pt.idx), p, metrics.DropLinkDown)
 		}
 		return
 	}
@@ -852,7 +885,7 @@ func (pt *Port) maybeSend() {
 // sendOne pops the head of the queue onto the wire at instant at: now, or
 // the earlier instant a replayed pop was due.
 func (pt *Port) sendOne(at units.Time) {
-	p := pt.q.Pop()
+	p := pt.pop()
 	if pt.wasDown && p.Kind == packet.Data {
 		pt.net.Met.PostRecoveryTx++
 	}
@@ -861,16 +894,16 @@ func (pt *Port) sendOne(at units.Time) {
 		tx += units.Time(pt.rng.Int63n(j + 1))
 	}
 	if o := pt.net.obs; o != nil {
-		o.Transmit(pt.sw, pt.idx, p, tx, pt.q.Bytes())
+		o.Transmit(int(pt.sw), int(pt.idx), p, tx, pt.qs.Bytes())
 	}
 	end := at + tx
 	pt.busyUntil = end
-	if pt.ber > 0 && pt.berRNG.Float64() < pt.ber {
+	if pt.hasBER && pt.corrupts() {
 		// Bit-error corruption: the bits occupy the wire for the full
 		// serialization time and reach the far end, which discards the frame
 		// on checksum. It is dropped here and rides on as nothing, so the
 		// arrival chain — the wake-up of the pops behind it — stays whole.
-		pt.net.drop(pt.sw, pt.idx, p, metrics.DropCorrupt)
+		pt.net.drop(int(pt.sw), int(pt.idx), p, metrics.DropCorrupt)
 		p = nil
 	}
 	pt.pushInflight(p, end+pt.delay)
@@ -886,14 +919,18 @@ type Switch struct {
 	// DRILL memory: per candidate-group, the least-loaded port last seen.
 	// A flowtab keeps the per-packet lookup off Go's map runtime; there are
 	// only a handful of candidate groups per switch, so the last-hit cache
-	// makes the common repeated lookup two loads.
-	drillMem *flowtab.Table[int32]
+	// makes the common repeated lookup two loads. Empty, and nothing but
+	// its header, under any other policy.
+	drillMem flowtab.Table[int32]
 
 	// deflScratch backs deflectionSet, rebuilt on every call; victimOne
-	// backs the single-victim overflow case. Both avoid a per-packet
-	// allocation on the deflection paths.
-	deflScratch []int
-	victimOne   [1]*packet.Packet
+	// backs the single-victim overflow case; victims and evicted back the
+	// lists ForceInsert returns — two, because overflowVictims' list is
+	// still being ranged over while deflectVertigo force-inserts a victim
+	// elsewhere. All avoid a per-packet allocation on the deflection paths.
+	deflScratch      []int
+	victimOne        [1]*packet.Packet
+	victims, evicted []*packet.Packet
 
 	// rng is the switch's positional policy stream (see Switch.intn): random
 	// routing decisions depend on the seed, the switch and the draw's index,
@@ -940,13 +977,13 @@ func (s *Switch) enqueue(i int, p *packet.Packet) bool {
 		return false
 	}
 	port.sync(s.net.Eng.Now())
-	if !port.q.Push(p) {
+	if !port.push(p) {
 		return false
 	}
-	s.net.queueDepth.Observe(int64(port.q.Bytes()))
+	s.net.queueDepth.Observe(int64(port.qs.Bytes()))
 	s.markECN(port, p)
 	if o := s.net.obs; o != nil {
-		o.Enqueue(s.id, i, p, port.q.Bytes())
+		o.Enqueue(s.id, i, p, port.qs.Bytes())
 	}
 	port.maybeSend()
 	return true
@@ -954,7 +991,7 @@ func (s *Switch) enqueue(i int, p *packet.Packet) bool {
 
 func (s *Switch) markECN(port *Port, p *packet.Packet) {
 	k := s.net.Cfg.ECNThreshold
-	if k > 0 && p.ECNCapable && port.q.Len() >= k {
+	if k > 0 && p.ECNCapable && port.qs.Len() >= k {
 		p.CE = true
 		s.net.Met.ECNMarks++
 		s.net.ecnMarks++

@@ -162,8 +162,8 @@ func (r *portRig) play(arr []arrival, touches []units.Time) []txRec {
 
 // model returns what refServer says the rig's port does with arr.
 func (r *portRig) model(arr []arrival) []txRec {
-	rng := xrand.New(xrand.Mix(uint64(r.eng.Seed())) ^ xrand.Mix(portIdent(r.pt.sw, r.pt.idx)))
-	return refServer(arr, r.pt.sorted != nil, r.net.Cfg.BufferBytes, r.pt.rate, r.pt.delay, r.net.Cfg.Jitter, rng)
+	rng := xrand.New(xrand.Mix(uint64(r.eng.Seed())) ^ xrand.Mix(portIdent(int(r.pt.sw), int(r.pt.idx))))
+	return refServer(arr, r.pt.isSorted, r.net.Cfg.BufferBytes, r.pt.rate, r.pt.delay, r.net.Cfg.Jitter, rng)
 }
 
 // lazySchedule draws a single-port schedule: bursts landing on one instant
@@ -498,7 +498,7 @@ func TestLazyWireRateChangeMidBacklog(t *testing.T) {
 	li := r.net.Topo.PortLink[r.sw.ID()][r.port]
 	r.eng.At(tx+tx/2, func() { r.net.SetLinkRateFactor(li, 0.5) })
 	r.eng.Run(units.Second)
-	slow := (r.pt.rate0 / 2).TxTime(ps[0].Size())
+	slow := (r.pt.cold().rate0 / 2).TxTime(ps[0].Size())
 	d := r.pt.delay
 	want := []units.Time{tx + d, 2*tx + d, 2*tx + slow + d, 2*tx + 2*slow + d}
 	if !reflect.DeepEqual(arrivals, want) {

@@ -159,13 +159,14 @@ func (s *Switch) routeVertigo(p *packet.Packet) {
 	if !s.net.Cfg.Deflection {
 		// Ablation (Fig. 11a "No Deflection"): behave as a pure SRPT buffer,
 		// keeping the smallest-RFS packets and dropping the largest.
-		if sq := s.ports[i].sorted; sq != nil && !s.ports[i].down {
-			s.ports[i].sync(s.net.Eng.Now())
-			s.markECN(&s.ports[i], p)
-			for _, ev := range sq.ForceInsert(p) {
+		if pt := &s.ports[i]; pt.isSorted && !pt.down {
+			pt.sync(s.net.Eng.Now())
+			s.markECN(pt, p)
+			s.victims = pt.qs.ForceInsert(p, s.victims[:0])
+			for _, ev := range s.victims {
 				s.net.drop(s.id, i, ev, metrics.DropOverflow)
 			}
-			s.ports[i].maybeSend()
+			pt.maybeSend()
 		} else {
 			s.net.drop(s.id, i, p, metrics.DropOverflow)
 		}
@@ -182,12 +183,12 @@ func (s *Switch) routeVertigo(p *packet.Packet) {
 // (Fig. 11a "No Scheduling") the arriving packet itself is the victim,
 // which is exactly random-deflection behaviour.
 func (s *Switch) overflowVictims(i int, p *packet.Packet) []*packet.Packet {
-	if sq := s.ports[i].sorted; sq != nil && !s.ports[i].down {
-		s.ports[i].sync(s.net.Eng.Now())
-		s.markECN(&s.ports[i], p)
-		victims := sq.ForceInsert(p)
-		s.ports[i].maybeSend()
-		return victims
+	if pt := &s.ports[i]; pt.isSorted && !pt.down {
+		pt.sync(s.net.Eng.Now())
+		s.markECN(pt, p)
+		s.victims = pt.qs.ForceInsert(p, s.victims[:0])
+		pt.maybeSend()
+		return s.victims
 	}
 	s.victimOne[0] = p
 	return s.victimOne[:]
@@ -216,17 +217,18 @@ func (s *Switch) deflectVertigo(victim *packet.Packet, origin int) {
 	}
 	// Both sampled queues full: severe congestion. Insert into the sampled
 	// port by rank and drop from its tail (paper footnote 5).
-	if sq := s.ports[i].sorted; sq != nil && !s.ports[i].down {
-		s.ports[i].sync(s.net.Eng.Now())
+	if pt := &s.ports[i]; pt.isSorted && !pt.down {
+		pt.sync(s.net.Eng.Now())
 		victim.Deflections++
 		s.net.noteDeflect()
 		if o := s.net.obs; o != nil {
 			o.Deflect(s.id, origin, i, victim)
 		}
-		for _, ev := range sq.ForceInsert(victim) {
+		s.evicted = pt.qs.ForceInsert(victim, s.evicted[:0])
+		for _, ev := range s.evicted {
 			s.net.drop(s.id, i, ev, metrics.DropDeflectFull)
 		}
-		s.ports[i].maybeSend()
+		pt.maybeSend()
 		return
 	}
 	s.net.drop(s.id, i, victim, metrics.DropDeflectFull)

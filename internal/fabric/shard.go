@@ -73,7 +73,7 @@ func NewSharded(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg C
 			pt := &s.ports[i]
 			if pt.peer != nil && sd.SwitchDomain[pt.peerID] != sd.SwitchDomain[s.id] {
 				pt.xdom = true
-				pt.xdst = int32(sd.SwitchDomain[pt.peerID])
+				pt.cold().xdst = int32(sd.SwitchDomain[pt.peerID])
 			}
 		}
 	}
@@ -118,10 +118,10 @@ func (n *Network) ownsControl() bool {
 // window protocol guarantees the destination replica has not advanced past
 // it.
 func (pt *Port) emitCross(p *packet.Packet, at units.Time) {
-	pt.net.shard.Emit(int(pt.xdst), CrossItem{
+	pt.net.shard.Emit(int(pt.cold().xdst), CrossItem{
 		At:      at,
-		SrcSw:   int32(pt.sw),
-		SrcPort: int32(pt.idx),
+		SrcSw:   pt.sw,
+		SrcPort: pt.idx,
 		DstSw:   pt.peerID,
 		Pkt:     *p,
 	})

@@ -193,16 +193,16 @@ func TestTableRefStability(t *testing.T) {
 	for k := uint64(100); k < 1100; k++ { // force several growths
 		tb.Put(k)
 	}
-	if k, v, ok := tb.AtRef(r); !ok || k != 10 || *v != 1 {
+	if k, _, v, ok := tb.AtRef(r); !ok || k != 10 || *v != 1 {
 		t.Fatalf("AtRef after growth = %d, %v, %v", k, v, ok)
 	}
 	tb.Delete(10)
-	if _, _, ok := tb.AtRef(r); ok {
+	if _, _, _, ok := tb.AtRef(r); ok {
 		t.Fatal("AtRef ok after delete")
 	}
 	// The freed slot is recycled LIFO: the next insert lands on it.
 	tb.Put(9999)
-	if k, _, ok := tb.AtRef(r); !ok || k != 9999 {
+	if k, _, _, ok := tb.AtRef(r); !ok || k != 9999 {
 		t.Fatalf("recycled AtRef = %d, %v, want 9999", k, ok)
 	}
 	if tb.Ref(12345) != -1 {

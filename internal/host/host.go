@@ -12,6 +12,19 @@ import (
 // just arrived (how transports accept incoming connections).
 type Acceptor func(first *packet.Packet) func(*packet.Packet)
 
+// Handler consumes the packets a host receives for one bound flow. A pooled
+// transport endpoint binds itself — a pointer in an interface, where a method
+// value would be a closure allocated per endpoint.
+type Handler interface {
+	Handle(p *packet.Packet)
+}
+
+// HandlerFunc adapts a plain function to Handler.
+type HandlerFunc func(*packet.Packet)
+
+// Handle calls f(p).
+func (f HandlerFunc) Handle(p *packet.Packet) { f(p) }
+
 // Host is one end system: it owns the optional Vertigo TX/RX components and
 // demultiplexes packets between the fabric and transport connections.
 type Host struct {
@@ -25,7 +38,7 @@ type Host struct {
 	Marker  *Marker
 	Orderer *Orderer
 
-	handlers *flowtab.Table[func(*packet.Packet)]
+	handlers flowtab.View[Handler] // this host's flows in the directory
 	accept   Acceptor
 }
 
@@ -33,16 +46,17 @@ type Host struct {
 // and ordering components.
 func NewHost(id int, eng *sim.Engine, net *fabric.Network, met *metrics.Collector,
 	mcfg MarkerConfig, ocfg OrdererConfig, vertigoStack bool) *Host {
+	dir := directoryOf(net)
 	h := &Host{
 		ID:       id,
 		Eng:      eng,
 		Net:      net,
 		Met:      met,
-		handlers: flowtab.New[func(*packet.Packet)](64),
+		handlers: dir.handlers.View(uint32(id)),
 	}
 	if vertigoStack {
-		h.Marker = NewMarker(mcfg)
-		h.Orderer = NewOrderer(eng, ocfg, h.dispatch)
+		h.Marker = newMarker(mcfg, dir, uint32(id))
+		h.Orderer = newOrderer(eng, ocfg, h.dispatch, dir, uint32(id))
 		h.Orderer.SetCollector(met)
 	}
 	net.RegisterHost(id, h)
@@ -56,10 +70,10 @@ func (h *Host) SetAcceptor(a Acceptor) { h.accept = a }
 // transports allocate and to which final consumers return packets.
 func (h *Host) Pool() *packet.Pool { return h.Net.Pool() }
 
-// Bind routes received packets of a flow to fn.
-func (h *Host) Bind(flow uint64, fn func(*packet.Packet)) {
+// Bind routes received packets of a flow to hd.
+func (h *Host) Bind(flow uint64, hd Handler) {
 	v, _ := h.handlers.Put(flow)
-	*v = fn
+	*v = hd
 }
 
 // Unbind removes a flow's handler.
@@ -95,14 +109,14 @@ func (h *Host) Receive(p *packet.Packet) {
 // dispatch hands p to its flow's handler, consulting the acceptor for new
 // inbound flows.
 func (h *Host) dispatch(p *packet.Packet) {
-	if fnp := h.handlers.Get(p.Flow); fnp != nil {
-		fn := *fnp // copy out: fn may Bind, moving the table slab under fnp
-		fn(p)
+	if hp := h.handlers.Get(p.Flow); hp != nil {
+		hd := *hp // copy out: the handler may rebind its flow, or unbind it, under hp
+		hd.Handle(p)
 		return
 	}
 	if p.Kind == packet.Data && h.accept != nil {
 		if fn := h.accept(p); fn != nil {
-			h.Bind(p.Flow, fn)
+			h.Bind(p.Flow, HandlerFunc(fn))
 			fn(p)
 			return
 		}

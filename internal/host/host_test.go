@@ -32,7 +32,7 @@ func hostPair(t *testing.T, vertigoStack bool) (*sim.Engine, *Host, *Host, *metr
 func TestHostBindDispatch(t *testing.T) {
 	eng, a, b, _ := hostPair(t, false)
 	var got []*packet.Packet
-	b.Bind(7, func(p *packet.Packet) { got = append(got, p) })
+	b.Bind(7, HandlerFunc(func(p *packet.Packet) { got = append(got, p) }))
 	a.Send(&packet.Packet{Kind: packet.Data, Src: 0, Dst: 1, Flow: 7, PayloadLen: 100})
 	eng.Run(units.Second)
 	if len(got) != 1 {
@@ -69,7 +69,7 @@ func TestHostMarksOutgoingData(t *testing.T) {
 	eng, a, b, _ := hostPair(t, true)
 	a.Marker.StartFlow(3, 1, 5000)
 	var got *packet.Packet
-	b.Bind(3, func(p *packet.Packet) { got = p })
+	b.Bind(3, HandlerFunc(func(p *packet.Packet) { got = p }))
 	a.Send(&packet.Packet{
 		Kind: packet.Data, Src: 0, Dst: 1, Flow: 3,
 		Seq: 0, PayloadLen: 1460, FlowSize: 5000,
@@ -86,7 +86,7 @@ func TestHostMarksOutgoingData(t *testing.T) {
 func TestHostAcksBypassMarkerAndOrderer(t *testing.T) {
 	eng, a, b, _ := hostPair(t, true)
 	var got *packet.Packet
-	b.Bind(4, func(p *packet.Packet) { got = p })
+	b.Bind(4, HandlerFunc(func(p *packet.Packet) { got = p }))
 	a.Send(&packet.Packet{Kind: packet.Ack, Src: 0, Dst: 1, Flow: 4, AckSeq: 100})
 	eng.Run(units.Second)
 	if got == nil {
@@ -99,7 +99,7 @@ func TestHostAcksBypassMarkerAndOrderer(t *testing.T) {
 
 func TestHostCountsReceives(t *testing.T) {
 	eng, a, b, met := hostPair(t, false)
-	b.Bind(5, func(*packet.Packet) {})
+	b.Bind(5, HandlerFunc(func(*packet.Packet) {}))
 	a.Send(&packet.Packet{Kind: packet.Data, Src: 0, Dst: 1, Flow: 5, PayloadLen: 100})
 	a.Send(&packet.Packet{Kind: packet.Ack, Src: 0, Dst: 1, Flow: 5})
 	eng.Run(units.Second)

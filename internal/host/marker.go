@@ -63,15 +63,16 @@ type markerFlow struct {
 }
 
 // Marker is the TX-path marking component. It tracks outgoing flows in an
-// open-addressing flow table, tags every data packet with a flowinfo
-// header, and detects retransmissions with a cuckoo filter over
-// (flow, seq) signatures so it can boost their priority (paper §3.1.2).
-// Not safe for concurrent use.
+// open-addressing flow table — its host's key space in the simulation's
+// directory — tags every data packet with a flowinfo header, and detects
+// retransmissions with a cuckoo filter over (flow, seq) signatures so it can
+// boost their priority (paper §3.1.2). Not safe for concurrent use.
 type Marker struct {
 	cfg    MarkerConfig
-	flows  *flowtab.Table[markerFlow]
-	filter *cuckoo.Filter
-	nextID *flowtab.Table[uint8] // per-destination 3-bit flow epoch
+	flows  flowtab.View[markerFlow]
+	nextID flowtab.View[uint8] // per-destination 3-bit flow epoch
+	filter cuckoo.Filter
+	active int // flows registered and not yet ended
 	// Boosts counts boosting operations applied (telemetry).
 	Boosts int64
 	// FilterOverflows counts signatures the duplicate filter was too full
@@ -81,18 +82,18 @@ type Marker struct {
 	FilterOverflows int64
 }
 
-// NewMarker returns a marking component.
-func NewMarker(cfg MarkerConfig) *Marker {
+// NewMarker returns a marking component on its own.
+func NewMarker(cfg MarkerConfig) *Marker { return newMarker(cfg, newDirectory(), 0) }
+
+// newMarker returns the marking component of dir's host owner.
+func newMarker(cfg MarkerConfig, dir *directory, owner uint32) *Marker {
 	capHint := cfg.FilterCapacity
 	if capHint <= 0 {
 		capHint = 1 << 16
 	}
-	return &Marker{
-		cfg:    cfg,
-		flows:  flowtab.New[markerFlow](64),
-		filter: cuckoo.New(capHint),
-		nextID: flowtab.New[uint8](16),
-	}
+	m := &Marker{cfg: cfg, flows: dir.marks.View(owner), nextID: dir.epochs.View(owner)}
+	m.filter.Init(capHint, &dir.filterChunks)
+	return m
 }
 
 // StartFlow registers an outgoing flow of the given total size toward dst.
@@ -101,7 +102,10 @@ func (m *Marker) StartFlow(flow uint64, dst int, size int64) {
 	idp, _ := m.nextID.Put(uint64(dst))
 	id := *idp
 	*idp = (id + 1) % (1 << packet.FlowIDBits)
-	f, _ := m.flows.PutReuse(flow)
+	f, existed := m.flows.PutReuse(flow)
+	if !existed {
+		m.active++
+	}
 	f.size = size
 	f.hi = -1
 	f.pkts = 0
@@ -127,10 +131,11 @@ func (m *Marker) EndFlow(flow uint64) {
 	}
 	f.retx.Reset()
 	m.flows.Delete(flow)
+	m.active--
 }
 
 // ActiveFlows returns the number of tracked flows.
-func (m *Marker) ActiveFlows() int { return m.flows.Len() }
+func (m *Marker) ActiveFlows() int { return m.active }
 
 // sig is the packet signature stored in the duplicate filter: in deployment
 // a CRC of the packet headers, here a mix of the flow ID and byte offset.

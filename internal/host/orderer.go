@@ -1,7 +1,6 @@
 package host
 
 import (
-	"vertigo/internal/arena"
 	"vertigo/internal/flowtab"
 	"vertigo/internal/metrics"
 	"vertigo/internal/packet"
@@ -32,19 +31,17 @@ func DefaultOrdererConfig() OrdererConfig {
 // paper states map onto the fields: Init ⇔ no state, In-order Receive ⇔
 // empty buffer, Out-of-order Receive ⇔ non-empty buffer (timer armed).
 //
-// Entries live in the flow table's slab and are recycled: newFlow resets
-// the semantic fields while the buffer keeps its backing arrays. A slot's
-// timers carry its table ref as their argument (see Orderer.onTimeout), so
-// the slot itself holds no callback.
+// Entries live in the directory's flow table and are recycled, across
+// hosts: newFlow resets the semantic fields while the buffer keeps its
+// backing arrays. A slot's timers carry its table ref as their argument (see
+// directory.onTimeout), so the slot itself holds no callback.
 //
 // The reorder buffer is struct-of-arrays: held packet i of the live window
 // [head, len) is (bufP[i], bufV[i], bufAt[i]). Splitting the former
 // 24-byte entry struct keeps the position values bufferEarly binary-searches
 // densely packed — sixteen uint32 per cache line instead of two entries —
-// and lets each array recycle through the orderer's shared arena
-// independently when a burst-grown flow quiesces. The first winLen entries
-// are a window into a chunk shared with the neighbouring slots (see
-// carveWindow).
+// and lets each array recycle through the directory's arenas independently
+// when a burst-grown flow quiesces.
 type orderFlow struct {
 	hasExpected bool
 	finished    bool   // flow fully delivered; state lingers as a tombstone
@@ -67,25 +64,13 @@ type Orderer struct {
 	eng     *sim.Engine
 	cfg     OrdererConfig
 	deliver func(*packet.Packet)
-	flows   *flowtab.Table[orderFlow]
-	met     *metrics.Collector // optional aggregate telemetry
-
-	// The τ-timeout and tombstone-reclaim handlers, built once: every slot's
-	// timers go through them with the slot's table ref as the argument.
-	onTimeout, onReclaim sim.ArgHandler
-
-	// Uncarved remainder of the newest window chunk (see carveWindow).
-	chunkP  []*packet.Packet
-	chunkV  []uint32
-	chunkAt []units.Time
-
-	// Shared arenas for burst-grown reorder buffers: a flow that quiesces
-	// with oversized arrays returns them here and the next burst — on any
-	// flow of this host — reuses them, so deflection storms size memory by
-	// concurrent burstiness, not by how many flows ever saw one.
-	arP arena.Pool[*packet.Packet]
-	arV arena.Pool[uint32]
-	arT arena.Pool[units.Time]
+	// dir holds the ordering state of every host of the simulation — the
+	// table flows is this host's key space in, the timer handlers, the
+	// reorder buffers' arenas.
+	dir    *directory
+	flows  flowtab.View[orderFlow]
+	active int                // flows with ordering state
+	met    *metrics.Collector // optional aggregate telemetry
 
 	// Telemetry.
 	Held     int64 // packets buffered at least once
@@ -93,14 +78,22 @@ type Orderer struct {
 	Releases int64 // packets released by a timeout (ahead of a gap)
 }
 
-// NewOrderer returns an ordering component delivering in-order packets via
-// the deliver callback.
+// NewOrderer returns an ordering component on its own, delivering in-order
+// packets via the deliver callback.
 func NewOrderer(eng *sim.Engine, cfg OrdererConfig, deliver func(*packet.Packet)) *Orderer {
+	return newOrderer(eng, cfg, deliver, newDirectory(), 0)
+}
+
+// newOrderer returns the ordering component of dir's host owner.
+func newOrderer(eng *sim.Engine, cfg OrdererConfig, deliver func(*packet.Packet), dir *directory, owner uint32) *Orderer {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultOrdererConfig().Timeout
 	}
-	o := &Orderer{eng: eng, cfg: cfg, deliver: deliver, flows: flowtab.New[orderFlow](64)}
-	o.onTimeout, o.onReclaim = o.timeoutRef, o.reclaimRef
+	o := &Orderer{eng: eng, cfg: cfg, deliver: deliver, dir: dir, flows: dir.orders.View(owner)}
+	for int(owner) >= len(dir.orderers) {
+		dir.orderers = append(dir.orderers, nil)
+	}
+	dir.orderers[owner] = o
 	return o
 }
 
@@ -108,7 +101,13 @@ func NewOrderer(eng *sim.Engine, cfg OrdererConfig, deliver func(*packet.Packet)
 func (o *Orderer) SetCollector(met *metrics.Collector) { o.met = met }
 
 // ActiveFlows returns the number of flows with ordering state.
-func (o *Orderer) ActiveFlows() int { return o.flows.Len() }
+func (o *Orderer) ActiveFlows() int { return o.active }
+
+// forget drops flow's ordering state.
+func (o *Orderer) forget(flow uint64) {
+	o.flows.Delete(flow)
+	o.active--
+}
 
 // position returns the packet's un-boosted position value.
 func (o *Orderer) position(p *packet.Packet) uint32 {
@@ -147,6 +146,7 @@ func (o *Orderer) done(nextExpected uint32, p *packet.Packet) bool {
 // slot (and its buffer backing) when one is free.
 func (o *Orderer) newFlow(p *packet.Packet, v uint32) *orderFlow {
 	st, _ := o.flows.PutReuse(p.Flow)
+	o.active++
 	st.hasExpected = false
 	st.finished = false
 	st.expected = 0
@@ -200,20 +200,20 @@ func (o *Orderer) Receive(p *packet.Packet) {
 func (st *orderFlow) buffered() int { return len(st.bufV) - st.head }
 
 // keepBuf is the largest reorder-buffer capacity a quiesced slot keeps for
-// its next flow; burst-grown arrays past it go back to the shared arena.
+// its next flow; burst-grown arrays past it go back to the shared arenas.
 const keepBuf = 1024
 
 // clearBuf empties the reorder buffer, dropping packet references. Modestly
 // sized backing arrays stay with the slot for its next flow; burst-grown
-// ones return to the orderer's shared arena instead of pinning the slot.
+// ones return to the directory's arenas instead of pinning the slot.
 func (o *Orderer) clearBuf(st *orderFlow) {
 	for i := st.head; i < len(st.bufP); i++ {
 		st.bufP[i] = nil
 	}
 	if cap(st.bufV) > keepBuf {
-		o.arP.Put(st.bufP)
-		o.arV.Put(st.bufV)
-		o.arT.Put(st.bufAt)
+		o.dir.bufP.Put(st.bufP)
+		o.dir.bufV.Put(st.bufV)
+		o.dir.bufAt.Put(st.bufAt)
 		st.bufP, st.bufV, st.bufAt = nil, nil, nil
 	} else {
 		st.bufP = st.bufP[:0]
@@ -223,53 +223,20 @@ func (o *Orderer) clearBuf(st *orderFlow) {
 	st.head = 0
 }
 
-// Reorder windows: RFS-sorted queues let a flow's later packets overtake its
-// earlier ones wherever a queue builds, so nearly every flow buffers a packet
-// or two and nearly every slot needs a buffer, if a small one. A slot's first
-// winLen entries are therefore a window into a chunk serving winsPerChunk
-// slots — three allocations a chunk where three a slot were — and only a flow
-// that holds more than winLen packets at once goes to the arenas.
-const (
-	winLen       = 8
-	winsPerChunk = 32
-)
+// winLen is the capacity of a slot's first reorder buffer. RFS-sorted queues
+// let a flow's later packets overtake its earlier ones wherever a queue
+// builds, so nearly every flow buffers a packet or two and nearly every slot
+// needs a buffer, if a small one: arrays this size the arenas carve from a
+// chunk that serves hundreds of slots.
+const winLen = 8
 
-// carveWindow gives a slot without buffer backing the next window of the
-// current chunk, starting a new chunk when that one is used up.
-func (o *Orderer) carveWindow(st *orderFlow) {
-	if len(o.chunkV) == 0 {
-		o.chunkP = make([]*packet.Packet, winLen*winsPerChunk)
-		o.chunkV = make([]uint32, winLen*winsPerChunk)
-		o.chunkAt = make([]units.Time, winLen*winsPerChunk)
-	}
-	st.bufP, o.chunkP = o.chunkP[:0:winLen], o.chunkP[winLen:]
-	st.bufV, o.chunkV = o.chunkV[:0:winLen], o.chunkV[winLen:]
-	st.bufAt, o.chunkAt = o.chunkAt[:0:winLen], o.chunkAt[winLen:]
-}
-
-// growBuf widens a full reorder buffer: a slot that has none yet gets a
-// window, any other doubles through the shared arena, copying the full
-// occupied prefix (entries before head are already zero). An outgrown window
-// stays with its chunk; arrays that came from the arena go back to it.
+// growBuf widens a full reorder buffer — to a window for a slot that has
+// none yet, else to twice its size — through the directory's arenas, which
+// take the outgrown arrays back.
 func (o *Orderer) growBuf(st *orderFlow) {
-	old := st.bufCap()
-	if old == 0 {
-		o.carveWindow(st)
-		return
-	}
-	need := 2 * len(st.bufV)
-	p := o.arP.Get(need)[:len(st.bufP)]
-	v := o.arV.Get(need)[:len(st.bufV)]
-	at := o.arT.Get(need)[:len(st.bufAt)]
-	copy(p, st.bufP)
-	copy(v, st.bufV)
-	copy(at, st.bufAt)
-	if old > winLen {
-		o.arP.Put(st.bufP)
-		o.arV.Put(st.bufV)
-		o.arT.Put(st.bufAt)
-	}
-	st.bufP, st.bufV, st.bufAt = p, v, at
+	st.bufP = o.dir.bufP.Grow(st.bufP, winLen)
+	st.bufV = o.dir.bufV.Grow(st.bufV, winLen)
+	st.bufAt = o.dir.bufAt.Grow(st.bufAt, winLen)
 }
 
 // bufCap is the capacity usable across all three parallel arrays.
@@ -321,20 +288,17 @@ func (o *Orderer) finish(st *orderFlow) {
 	st.finished = true
 	st.finishedAt = o.eng.Now()
 	o.clearBuf(st)
-	o.eng.AfterArg(o.cfg.Timeout, o.onReclaim, uint64(st.slot))
+	o.eng.AfterArg(o.cfg.Timeout, o.dir.onReclaim, uint64(st.slot))
 }
 
-// reclaimRef removes a tombstone a full τ after it finished. The age check
-// stands in for the previous pointer-identity test: while the tombstone
+// reclaim removes a tombstone a full τ after it finished; a reclaim event
+// resolves its slot to the flow occupying it now (see directory.onReclaim).
+// The age check stands in for a pointer-identity test: while the tombstone
 // exists, Receive never recreates state for the flow, so a younger
 // finishedAt on this slot always means a *newer* finish event is due.
-func (o *Orderer) reclaimRef(slot uint64) {
-	flow, st, ok := o.flows.AtRef(int32(slot))
-	if !ok || !st.finished {
-		return
-	}
-	if o.eng.Now() >= st.finishedAt+o.cfg.Timeout {
-		o.flows.Delete(flow)
+func (o *Orderer) reclaim(flow uint64, st *orderFlow) {
+	if st.finished && o.eng.Now() >= st.finishedAt+o.cfg.Timeout {
+		o.forget(flow)
 	}
 }
 
@@ -403,28 +367,20 @@ func (o *Orderer) armAt(st *orderFlow, at units.Time) {
 	if at < o.eng.Now() {
 		at = o.eng.Now()
 	}
-	st.timer = o.eng.AtArg(at, o.onTimeout, uint64(st.slot))
-}
-
-// timeoutRef resolves a slab slot back to its flow. A fired timer's state
-// always still exists: every path that deletes ordering state cancels or
-// has observed the timer first.
-func (o *Orderer) timeoutRef(slot uint64) {
-	flow, st, ok := o.flows.AtRef(int32(slot))
-	if !ok {
-		return
-	}
-	o.timeout(flow, st)
+	st.timer = o.eng.AtArg(at, o.dir.onTimeout, uint64(st.slot))
 }
 
 // timeout releases buffered packets up to the next gap (paper §3.3.2 event
-// 4): the transport now sees the gap and can run its own loss recovery.
+// 4): the transport now sees the gap and can run its own loss recovery. The
+// timer event resolves its slot back to the flow (see directory.onTimeout);
+// a fired timer's state always still exists, since every path that deletes
+// ordering state cancels or has observed the timer first.
 func (o *Orderer) timeout(flow uint64, st *orderFlow) {
 	st.timer = sim.Timer{}
 	if st.buffered() == 0 {
 		// Nothing held (state was idle): drop stale flow state.
 		if !st.hasExpected {
-			o.flows.Delete(flow)
+			o.forget(flow)
 		}
 		return
 	}

@@ -204,8 +204,9 @@ func TestOrdererSlotChurnAllocatesNothing(t *testing.T) {
 }
 
 // TestOrdererFreshSlotsShareChunks bounds the other end: 64 flows reordered
-// at once take 64 fresh slots, whose windows come from two chunks of three
-// arrays each — not three arrays and two closures a slot.
+// at once take 64 fresh slots, whose windows are carved from one chunk an
+// array — not three arrays and two closures a slot. What is left is an empty
+// table's first page and its probe array doubling its way to 64 entries.
 func TestOrdererFreshSlotsShareChunks(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultOrdererConfig()

@@ -188,11 +188,7 @@ func (e *Engine) room(s int64) []heapNode {
 // grow moves full bucket s to an array of twice the size from the free list
 // and gives the old one back.
 func (e *Engine) grow(s int64) []heapNode {
-	b := e.ring[s]
-	g := e.nodes.Get(max(2*cap(b), bucketCap))[:len(b)]
-	copy(g, b)
-	e.nodes.Put(b)
-	return g
+	return e.nodes.Grow(e.ring[s], bucketCap)
 }
 
 // Now returns the current simulated time.

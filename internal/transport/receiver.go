@@ -151,13 +151,17 @@ func (r *Receiver) admit(lo, hi int64) int64 {
 		out = append(out, cur)
 	}
 	r.ooo, r.scratch = out, r.ooo
-	// Advance the cumulative pointer over a now-contiguous prefix.
-	for len(r.ooo) > 0 && r.ooo[0].lo <= r.recvNext {
-		if r.ooo[0].hi > r.recvNext {
-			r.recvNext = r.ooo[0].hi
+	// Advance the cumulative pointer over a now-contiguous prefix, then copy
+	// the rest down: reslicing the prefix away would walk the array's start
+	// forward, and the swap above hands the shrunken capacity to the next
+	// merge.
+	k := 0
+	for ; k < len(r.ooo) && r.ooo[k].lo <= r.recvNext; k++ {
+		if r.ooo[k].hi > r.recvNext {
+			r.recvNext = r.ooo[k].hi
 		}
-		r.ooo = r.ooo[1:]
 	}
+	r.ooo = r.ooo[:copy(r.ooo, r.ooo[k:])]
 	return fresh
 }
 

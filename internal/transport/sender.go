@@ -30,9 +30,10 @@ type FlowSpec struct {
 // Senders live in SenderPool slabs: the hot per-ACK state (sequence,
 // congestion, RTT fields below) is grouped at the front of the struct so the
 // ACK path touches a contiguous prefix of the slot, the config block is
-// shared via pointer rather than copied per flow, and the RTO and pacing
-// timers name the slot by number (see SenderPool.onRTO), so a slot carries
-// no timer callback of its own.
+// shared via pointer rather than copied per flow, the RTO and pacing
+// timers name the slot by number (see SenderPool.onRTO), and the host's flow
+// registry holds the slot itself (Sender is a host.Handler), so a slot
+// carries no callback of its own.
 type Sender struct {
 	// Hot state, touched on every ACK.
 	//
@@ -82,11 +83,6 @@ type Sender struct {
 	sp     *SenderPool // owning pool
 	slot   uint32      // this sender's slot number in sp, fixed when the slab is carved
 	onDone func()
-
-	// The ACK handler the host's flow registry holds: a method value built
-	// once per slot and reused by every flow the slot hosts, since taking
-	// s.onAck at every Start would allocate per flow.
-	onAckFn func(*packet.Packet)
 }
 
 // NewSender creates (but does not start) a sender of its own on host h, in a
@@ -98,12 +94,10 @@ func NewSender(h *host.Host, met *metrics.Collector, cfg Config, ids *packet.IDG
 	return sp.Get(h, met, ids, spec, onDone)
 }
 
-// init resets a slot for a new flow, preserving the slot's number and its
-// prebuilt ACK handler (built on first use).
+// init resets a slot for a new flow, preserving the slot's number.
 func (s *Sender) init(sp *SenderPool, h *host.Host, met *metrics.Collector,
 	ids *packet.IDGen, spec FlowSpec, onDone func()) {
 	cfg := &sp.cfg
-	onAck := s.onAckFn
 	*s = Sender{
 		h:    h,
 		eng:  h.Eng,
@@ -123,10 +117,6 @@ func (s *Sender) init(sp *SenderPool, h *host.Host, met *metrics.Collector,
 	if cfg.Protocol == Swift {
 		s.cwnd = math.Min(cfg.InitWindow, cfg.Swift.MaxCwnd)
 	}
-	if onAck == nil {
-		onAck = s.onAck
-	}
-	s.onAckFn = onAck
 }
 
 // Start registers the flow and transmits the initial window.
@@ -149,7 +139,7 @@ func (s *Sender) Start() {
 	if s.h.Marker != nil {
 		s.h.Marker.StartFlow(s.spec.ID, s.spec.Dst, s.spec.Size)
 	}
-	s.h.Bind(s.spec.ID, s.onAckFn)
+	s.h.Bind(s.spec.ID, s)
 	s.trySend()
 }
 
@@ -329,11 +319,11 @@ func (s *Sender) onRTO() {
 // debugRTO, when set by tests, observes every retransmission timeout.
 var debugRTO func(flow uint64, sndUna, nextSeq int64, now units.Time, rto units.Time, dupAcks int)
 
-// onAck consumes one acknowledgment: the sender is the packet's final owner,
-// so the frame is recycled after processing. If the ACK completed the flow,
-// the slot goes back to its pool — complete() has already unbound the flow,
-// so nothing can reach this sender again.
-func (s *Sender) onAck(p *packet.Packet) {
+// Handle consumes one acknowledgment (host.Handler): the sender is the
+// packet's final owner, so the frame is recycled after processing. If the ACK
+// completed the flow, the slot goes back to its pool — complete() has already
+// unbound the flow, so nothing can reach this sender again.
+func (s *Sender) Handle(p *packet.Packet) {
 	s.handleAck(p)
 	s.pool.Put(p)
 	if s.done {
