@@ -8,7 +8,7 @@
 // Quickstart:
 //
 //	vertigo-serve -data /tmp/vertigo &
-//	curl -s localhost:8080/api/v1/jobs -d '{"experiment":"incast-burst","scale":"tiny"}'
+//	curl -s localhost:8080/api/v1/jobs -d '{"experiment":"failover","scale":"tiny"}'
 //	curl -N localhost:8080/api/v1/jobs/j1/events   # SSE progress
 //	curl -s localhost:8080/metrics | grep vertigo_serve
 package main

@@ -1,4 +1,7 @@
 // Command vertigo-sim runs one simulation scenario and prints its metrics.
+// Every field of vertigo.Config is a flag (vertigo.Config.RegisterFlags);
+// the defaults are the paper's (vertigo.Defaults) cut to a 16-host fabric
+// for 100 ms.
 //
 // Examples:
 //
@@ -19,44 +22,23 @@ import (
 )
 
 func main() {
-	var (
-		scheme    = flag.String("scheme", "vertigo", "forwarding scheme: ecmp|drill|dibs|vertigo")
-		transport = flag.String("transport", "dctcp", "congestion control: tcp|dctcp|swift")
-		topology  = flag.String("topology", "leafspine", "fabric: leafspine|fattree")
-		duration  = flag.Duration("duration", 100*time.Millisecond, "simulated time (also the completion deadline)")
-		seed      = flag.Int64("seed", 1, "simulation seed (same seed => identical run)")
-
-		spines   = flag.Int("spines", 2, "leaf-spine: spine switches")
-		leaves   = flag.Int("leaves", 4, "leaf-spine: leaf (ToR) switches")
-		hpl      = flag.Int("hosts-per-leaf", 4, "leaf-spine: hosts per leaf")
-		fatTreeK = flag.Int("fattree-k", 4, "fat-tree: k (even)")
-
-		bgLoad     = flag.Float64("bg-load", 0.25, "background load fraction of host capacity")
-		bgWorkload = flag.String("bg-workload", "cachefollower", "cachefollower|datamining|websearch")
-		tracePath  = flag.String("trace", "", "CSV flow trace to replay (start_us,src,dst,bytes)")
-
-		incastLoad  = flag.Float64("incast-load", 0.25, "incast offered load fraction (overrides -incast-qps)")
-		incastQPS   = flag.Float64("incast-qps", 0, "incast queries per second (used when -incast-load is 0)")
-		incastScale = flag.Int("incast-scale", 8, "servers per incast query")
-		incastKB    = flag.Int("incast-flow-kb", 40, "incast response size in KB")
-
-		tau       = flag.Duration("ordering-timeout", 360*time.Microsecond, "Vertigo ordering timeout τ")
-		boost     = flag.Int("boost-factor", 2, "Vertigo boosting factor (power of two; 1 disables)")
-		las       = flag.Bool("las", false, "use flow-aging (LAS) marking instead of SRPT")
-		jsonOut   = flag.Bool("json", false, "emit the report as JSON")
-		telemetry = flag.Bool("telemetry", false, "print the per-port monitoring report (§5)")
-		pktTrace  = flag.String("packet-trace", "", "write a per-event dataplane trace (JSONL, one object per event) to this file")
-		traceFlow = flag.Uint64("packet-trace-flow", 0, "flow ID to trace (0 = all flows)")
-		shards    = flag.Int("shards", 0, "shard the run across this many topology domains on separate cores, probes included (deterministic per shard count, same offered workload at any; <=1 = serial engine)")
-		debugAddr = flag.String("debug-addr", "", "serve the introspection plane on this address, e.g. localhost:9464 (/metrics, /statusz, /healthz, /debug/pprof)")
-	)
+	cfg := vertigo.Defaults(vertigo.SchemeVertigo, vertigo.TransportDCTCP)
+	// Small-scale defaults: a 2×4×4 leaf-spine (k=4 fat-tree) for 100 ms, a
+	// quarter of background load and 8-way incast offering another quarter.
+	cfg.Duration = 100 * time.Millisecond
+	cfg.Spines, cfg.Leaves, cfg.HostsPerLeaf, cfg.FatTreeK = 2, 4, 4, 4
+	cfg.BackgroundLoad = 0.25
+	cfg.IncastQPS, cfg.IncastScale, cfg.IncastLoad = 0, 8, 0.25
+	cfg.RegisterFlags(flag.CommandLine)
+	jsonOut := flag.Bool("json", false, "emit the report as JSON")
+	debugAddr := flag.String("debug-addr", "", "serve the introspection plane on this address, e.g. localhost:9464 (/metrics, /statusz, /healthz, /debug/pprof)")
 	flag.Parse()
 
 	if *debugAddr != "" {
 		status := func() any {
 			return map[string]any{
-				"scheme": *scheme, "transport": *transport, "topology": *topology,
-				"duration": duration.String(), "seed": *seed,
+				"scheme": cfg.Scheme, "transport": cfg.Transport, "topology": cfg.Topology,
+				"duration": cfg.Duration.String(), "seed": cfg.Seed,
 			}
 		}
 		// Closer unused: -debug-addr serves until process exit by design.
@@ -68,30 +50,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "introspection plane on http://%s/ (metrics, statusz, healthz, pprof)\n", addr)
 	}
 
-	cfg := vertigo.Defaults(vertigo.Scheme(*scheme), vertigo.Transport(*transport))
-	cfg.Seed = *seed
-	cfg.Duration = *duration
-	cfg.Topology = vertigo.Topology(*topology)
-	cfg.Spines = *spines
-	cfg.Leaves = *leaves
-	cfg.HostsPerLeaf = *hpl
-	cfg.FatTreeK = *fatTreeK
-	cfg.BackgroundLoad = *bgLoad
-	cfg.BackgroundWorkload = *bgWorkload
-	cfg.TracePath = *tracePath
-	cfg.IncastScale = *incastScale
-	cfg.IncastFlowKB = *incastKB
-	cfg.IncastQPS = *incastQPS
-	cfg.IncastLoad = *incastLoad
-	cfg.OrderTimeout = *tau
-	cfg.BoostFactor = *boost
-	cfg.DisableBoost = *boost == 1
-	cfg.LAS = *las
-
-	cfg.Telemetry = *telemetry
-	cfg.PacketTracePath = *pktTrace
-	cfg.PacketTraceFlow = *traceFlow
-	cfg.Shards = *shards
 	rep, err := vertigo.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vertigo-sim:", err)
@@ -110,7 +68,7 @@ func main() {
 	}
 
 	fmt.Printf("scheme=%s transport=%s topology=%s duration=%v seed=%d\n\n",
-		*scheme, *transport, *topology, *duration, *seed)
+		cfg.Scheme, cfg.Transport, cfg.Topology, cfg.Duration, cfg.Seed)
 	fmt.Printf("flows     %d started, %d completed (%.1f%%)\n",
 		rep.FlowsStarted, rep.FlowsCompleted, rep.FlowCompletionPct)
 	fmt.Printf("FCT       mean %v  p99 %v  (mice mean %v)\n",

@@ -64,7 +64,9 @@ type MarkerOptions struct {
 	// (paper §4.3); default is SRPT remaining-size marking.
 	LAS bool
 	// BoostFactor is the power-of-two priority boost per retransmission
-	// (paper default 2). Zero selects 2; 1 disables boosting.
+	// (paper default 2). Zero selects 2; 1 disables boosting. NewMarker
+	// panics on any other factor ("vertigo: boost factor 6 is not a power
+	// of two"), as Run rejects it in Config.BoostFactor.
 	BoostFactor int
 	// FlowCapacity hints the expected number of concurrent in-flight
 	// segments for sizing the duplicate-detection filter.
@@ -77,16 +79,11 @@ func NewMarker(opts MarkerOptions) *Marker {
 	if opts.LAS {
 		cfg.Discipline = host.LAS
 	}
-	switch {
-	case opts.BoostFactor == 1:
-		cfg.Boosting = false
-	case opts.BoostFactor > 1:
-		log2 := uint(0)
-		for f := opts.BoostFactor; f > 1; f >>= 1 {
-			log2++
-		}
-		cfg.BoostFactorLog2 = log2
+	log2, err := boostLog2(opts.BoostFactor)
+	if err != nil {
+		panic(err)
 	}
+	cfg.BoostFactorLog2, cfg.Boosting = log2, log2 > 0
 	cfg.FilterCapacity = opts.FlowCapacity
 	return host.NewWireMarker(cfg)
 }
@@ -96,7 +93,8 @@ type OrdererOptions struct {
 	// Timeout is τ, the longest an early segment is held while waiting for
 	// a delayed one (paper default 360µs).
 	Timeout time.Duration
-	// LAS and BoostFactor must match the sender's MarkerOptions.
+	// LAS and BoostFactor must match the sender's MarkerOptions; NewOrderer
+	// panics on a BoostFactor NewMarker would panic on.
 	LAS         bool
 	BoostFactor int
 }
@@ -110,12 +108,10 @@ func NewOrderer(opts OrdererOptions) *Orderer {
 	if opts.LAS {
 		cfg.Discipline = host.LAS
 	}
-	if opts.BoostFactor > 1 {
-		log2 := uint(0)
-		for f := opts.BoostFactor; f > 1; f >>= 1 {
-			log2++
-		}
-		cfg.BoostFactorLog2 = log2
+	log2, err := boostLog2(opts.BoostFactor)
+	if err != nil {
+		panic(err)
 	}
+	cfg.BoostFactorLog2 = log2
 	return host.NewWireOrderer(cfg)
 }

@@ -135,8 +135,8 @@ type Config struct {
 	// Shards, when > 1, splits the run across that many topology domains
 	// executing on separate cores under a conservative window protocol
 	// (see parallel.go), whatever else the config carries — every probe
-	// shards. Values <= 1 and topologies the partition cannot cut into more
-	// than one domain take the serial engine. The offered workload is the
+	// shards. Values 0 and 1 and topologies the partition cannot cut into more
+	// than one domain take the serial engine; Validate rejects negative ones. The offered workload is the
 	// same at any count and results are deterministic per count, but
 	// same-instant events commit in a partition-dependent order, so
 	// -shards=N is statistically — not bitwise — comparable to -shards=1.
@@ -239,6 +239,15 @@ func (c *Config) Validate() error {
 	}
 	if c.HealDelay < 0 {
 		return fmt.Errorf("core: negative heal delay %v", c.HealDelay)
+	}
+	if c.SampleTick < 0 {
+		return fmt.Errorf("core: negative sample tick %v", c.SampleTick)
+	}
+	if c.WallTimeout < 0 {
+		return fmt.Errorf("core: negative wall timeout %v", c.WallTimeout)
+	}
+	if c.Shards < 0 {
+		return fmt.Errorf("core: negative shard count %d", c.Shards)
 	}
 	if c.ChaosPanicAt < 0 || c.ChaosPanicAt > c.SimTime {
 		return fmt.Errorf("core: chaos panic at %v is outside the simulated window [0, %v]", c.ChaosPanicAt, c.SimTime)

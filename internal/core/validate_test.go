@@ -27,6 +27,9 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"negative incast scale", func(c *Config) { c.IncastScale = -2 }, "incast scale"},
 		{"negative flow size", func(c *Config) { c.IncastFlowSize = -5 }, "flow size"},
 		{"negative heal delay", func(c *Config) { c.HealDelay = -units.Millisecond }, "heal delay"},
+		{"negative sample tick", func(c *Config) { c.SampleTick = -units.Microsecond }, "sample tick"},
+		{"negative wall timeout", func(c *Config) { c.WallTimeout = -time.Second }, "wall timeout"},
+		{"negative shards", func(c *Config) { c.Shards = -3 }, "shard count"},
 		{"negative failure link", func(c *Config) {
 			c.LinkFailures = []LinkFailure{{Link: -1, At: 0}}
 		}, "link index"},

@@ -16,20 +16,18 @@ import (
 	"vertigo/internal/packet"
 	"vertigo/internal/sim"
 	"vertigo/internal/telemetry"
-	"vertigo/internal/units"
 )
 
-// Manifest records one vertigo-exp invocation: what was asked for, the
-// toolchain that produced it, and how much work it took. Written to
-// manifest.json so every artifact directory is self-describing.
+// Manifest records one sweep invocation: what ran, the toolchain that
+// produced it, and how much work it took. Written to manifest.json so every
+// artifact directory is self-describing.
 type Manifest struct {
-	Experiments []string   `json:"experiments"`
-	Scale       string     `json:"scale"`
-	Seed        int64      `json:"seed"`
-	Hosts       int        `json:"hosts"`
-	FatTreeK    int        `json:"fattree_k"`
-	SimTime     units.Time `json:"sim_time_ns"`
-	Concurrency int        `json:"concurrency"`
+	Experiments []string `json:"experiments"`
+	// Spec is the normalized spec the sweep ran: decoding it and calling
+	// Resolve gives back the same Scale and Options settings.
+	Spec     Spec `json:"spec"`
+	Hosts    int  `json:"hosts"`
+	FatTreeK int  `json:"fattree_k"`
 
 	GoVersion string `json:"go_version"`
 	GitRev    string `json:"git_rev"`
@@ -193,17 +191,14 @@ func sortedByLabel(recs []RunRecord) []RunRecord {
 }
 
 // BuildManifest assembles the invocation manifest from the requested
-// experiments, the scale, the sweep concurrency used, and the recorded
+// experiments, the scale and normalized spec they ran at, and the recorded
 // runs.
-func BuildManifest(ids []string, sc Scale, conc int, rec *Recorder, start time.Time, wall time.Duration) Manifest {
+func BuildManifest(ids []string, sc Scale, spec Spec, rec *Recorder, start time.Time, wall time.Duration) Manifest {
 	m := Manifest{
 		Experiments: ids,
-		Scale:       sc.Name,
-		Seed:        sc.Seed,
+		Spec:        spec,
 		Hosts:       sc.Hosts(),
 		FatTreeK:    sc.FatTreeK,
-		SimTime:     sc.SimTime,
-		Concurrency: conc,
 		GoVersion:   runtime.Version(),
 		GitRev:      gitRev(),
 		StartTime:   start.UTC().Format(time.RFC3339),

@@ -22,8 +22,8 @@ import (
 // OnRun, and WriteArtifacts producing the directory the CLI would.
 func TestArtifactPipeline(t *testing.T) {
 	opt := NewOptions()
-	opt.SampleTick = 100 * units.Microsecond
-	opt.TraceFlow = 1
+	opt.Spec.SampleTick = Duration(100 * units.Microsecond)
+	opt.Spec.TraceFlow = 1
 	rec := NewRecorder()
 	opt.OnRun = rec.Record
 
@@ -51,7 +51,7 @@ func TestArtifactPipeline(t *testing.T) {
 	}
 
 	start := time.Now()
-	m := BuildManifest([]string{"figX"}, Tiny, opt.Concurrency, rec, start, 3*time.Second)
+	m := BuildManifest([]string{"figX"}, Tiny, opt.Spec, rec, start, 3*time.Second)
 	if m.Runs != 2 || m.Events == 0 || m.EventsPerSec == 0 {
 		t.Fatalf("manifest totals wrong: %+v", m)
 	}

@@ -13,7 +13,7 @@ import (
 // workers is the default Options at the given sweep concurrency.
 func workers(n int) *Options {
 	opt := NewOptions()
-	opt.Concurrency = n
+	opt.Spec.Jobs = n
 	return opt
 }
 

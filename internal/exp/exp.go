@@ -302,51 +302,6 @@ func flightDump(fr *obs.FlightRecorder) []byte {
 	return b.Bytes()
 }
 
-// applyTo folds the option overrides into one run's config. Config-level
-// settings only; per-run attachments (tracer buffers, flight recorders)
-// stay in run.
-func (o *Options) applyTo(cfg core.Config) core.Config {
-	if o.SampleTick > 0 && cfg.SampleTick == 0 {
-		cfg.SampleTick = o.SampleTick
-	}
-	if !o.FaultSchedule.Empty() && cfg.Faults.Empty() {
-		cfg.Faults = o.FaultSchedule
-	}
-	if o.HealDelay > 0 && cfg.HealDelay == 0 {
-		cfg.HealDelay = o.HealDelay
-	}
-	if o.RunTimeout > 0 && cfg.WallTimeout == 0 {
-		cfg.WallTimeout = o.RunTimeout
-	}
-	if o.MaxEvents > 0 && cfg.MaxEvents == 0 {
-		cfg.MaxEvents = o.MaxEvents
-	}
-	if o.ChaosPanicAt > 0 && cfg.ChaosPanicAt == 0 {
-		cfg.ChaosPanicAt = o.ChaosPanicAt
-	}
-	if o.Shards > 1 && cfg.Shards == 0 {
-		cfg.Shards = o.Shards
-	}
-	if o.RawMode != metrics.RawAuto && cfg.RawSeries == metrics.RawAuto {
-		cfg.RawSeries = o.RawMode
-	}
-	return cfg
-}
-
-// ProbeConfig builds the representative scenario a sweep at this scale
-// runs — the shared leaf-spine base with the options applied — so services
-// can validate a submission (core.Config.Validate) before committing a
-// worker to it. The probe uses the Vertigo+DCTCP combination every
-// experiment includes; option-level errors (fault schedules outside the
-// simulated window, chaos panics past the deadline) surface here exactly as
-// they would mid-sweep.
-func ProbeConfig(sc Scale, opt *Options) core.Config {
-	if opt == nil {
-		opt = NewOptions()
-	}
-	return opt.applyTo(baseConfig(sc, fabric.Vertigo, transport.DCTCP))
-}
-
 // run executes one scenario, reporting progress and instrumentation.
 func (o *Options) run(label string, cfg core.Config) (*metrics.Summary, *metrics.Collector, error) {
 	cfg = o.applyTo(cfg)
@@ -357,10 +312,9 @@ func (o *Options) run(label string, cfg core.Config) (*metrics.Summary, *metrics
 		cfg.Flight = obs.NewFlightRecorder(o.FlightLen)
 	}
 	var traceBuf *bytes.Buffer
-	if o.TraceFlow > 0 && cfg.PacketTrace == nil {
+	if cfg.PacketTraceFlow > 0 && cfg.PacketTrace == nil {
 		traceBuf = &bytes.Buffer{}
 		cfg.PacketTrace = traceBuf
-		cfg.PacketTraceFlow = o.TraceFlow
 	}
 	obsRunsStarted.Inc()
 	start := time.Now()

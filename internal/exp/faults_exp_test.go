@@ -133,7 +133,7 @@ func TestPartialArtifactsOnFailure(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	m := BuildManifest([]string{"x"}, Tiny, opt.Concurrency, rec, time.Now(), time.Second)
+	m := BuildManifest([]string{"x"}, Tiny, opt.Spec, rec, time.Now(), time.Second)
 	if m.Runs != 1 || m.FailedRuns != 1 {
 		t.Fatalf("manifest runs=%d failed=%d, want 1/1", m.Runs, m.FailedRuns)
 	}

@@ -27,8 +27,8 @@ import (
 func fig1Artifacts(t *testing.T, conc int) (tables, samples, trace []byte) {
 	t.Helper()
 	opt := workers(conc)
-	opt.SampleTick = 100 * units.Microsecond
-	opt.TraceFlow = 1
+	opt.Spec.SampleTick = Duration(100 * units.Microsecond)
+	opt.Spec.TraceFlow = 1
 	rec := NewRecorder()
 	opt.OnRun = rec.Record
 	tables = renderAll(t, "fig1", opt)
@@ -147,7 +147,7 @@ func TestWatchdogKillDumpsFlight(t *testing.T) {
 		t.Skip("runs real simulations")
 	}
 	opt := workers(2)
-	opt.RunTimeout = time.Nanosecond // no run can finish: first watchdog check kills it
+	opt.Spec.RunTimeout = Duration(time.Nanosecond) // no run can finish: first watchdog check kills it
 	rec := NewRecorder()
 	opt.OnRun = rec.Record
 

@@ -27,7 +27,7 @@ func TestMixedFailureSweep(t *testing.T) {
 	}
 	opt := workers(8)
 	opt.FlightLen = 1024
-	opt.RunTimeout = time.Minute
+	opt.Spec.RunTimeout = Duration(time.Minute)
 	rec := NewRecorder()
 	opt.OnRun = rec.Record
 
@@ -95,7 +95,7 @@ func TestMixedFailureSweep(t *testing.T) {
 	// Partial artifacts: healthy rows in the table, both failures in the
 	// errors section, and a flight dump for each failed run.
 	dir := t.TempDir()
-	m := BuildManifest([]string{"mixed"}, Tiny, opt.Concurrency, rec, time.Now(), time.Second)
+	m := BuildManifest([]string{"mixed"}, Tiny, opt.Spec, rec, time.Now(), time.Second)
 	if m.Runs != 3 || m.FailedRuns != 2 {
 		t.Fatalf("manifest runs=%d failed=%d, want 3/2", m.Runs, m.FailedRuns)
 	}

@@ -47,8 +47,8 @@ func summaryDigest(t *testing.T, s *metrics.Summary) string {
 func renderObserved(t *testing.T, id string, ob observation, conc int) ([]byte, map[string]string, *Recorder) {
 	t.Helper()
 	opt := workers(conc)
-	opt.SampleTick = ob.tick
-	opt.TraceFlow = ob.trace
+	opt.Spec.SampleTick = Duration(ob.tick)
+	opt.Spec.TraceFlow = ob.trace
 	rec := NewRecorder()
 	sums := map[string]string{}
 	opt.OnRun = func(ri RunInfo) {

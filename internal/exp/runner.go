@@ -8,13 +8,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"vertigo/internal/core"
 	"vertigo/internal/faults"
 	"vertigo/internal/metrics"
 	"vertigo/internal/obs"
-	"vertigo/internal/units"
 )
 
 // ErrPanic marks a run that died by panicking (as opposed to returning an
@@ -24,55 +22,21 @@ import (
 // scenario: the same config panics the same way on every machine.
 var ErrPanic = errors.New("run panicked")
 
-// Options carries one sweep invocation's settings, and is the only place
-// they live: vertigo-exp fills one from its flags, vertigo-serve one per job
-// from the job's spec, tests one each. Concurrent sweeps with different
-// budgets therefore never share state unless they share an Options, in which
-// case they also share its progress lock.
+// Options is what one sweep invocation runs under: its Spec and the forms
+// Resolve derives from it, plus what no spec carries — the crash flight
+// recorder's size and the progress and per-run hooks. Concurrent sweeps
+// never share state unless they share an Options, in which case they also
+// share its progress lock.
 type Options struct {
-	// Concurrency is the number of simulations a sweep runs at once. Each
-	// sweep point is one deterministic simulation, so the sweep is
-	// embarrassingly parallel and its tables are identical at any setting;
-	// <= 1 is fully sequential.
-	Concurrency int
-	// RunTimeout, when positive, bounds each run's wall-clock time; an
-	// over-budget run fails its row (wrapping core.ErrWallBudget) instead
-	// of stalling the sweep.
-	RunTimeout time.Duration
-	// MaxEvents, when positive, bounds each run's event count; a capped
-	// run fails its row wrapping core.ErrMaxEvents (deterministic, so not
-	// worth retrying).
-	MaxEvents uint64
+	// Spec holds the sweep's settings (see Spec). Resolve stores the
+	// normalized spec here together with its parsed fault schedule; set
+	// Fault through Resolve, not here.
+	Spec Spec
+	// faults is Spec.Fault parsed, nil when it is empty.
+	faults *faults.Schedule
 	// FlightLen is the per-run crash flight recorder's ring size; failed
 	// runs dump it to flight.jsonl. 0 disables the recorder.
 	FlightLen int
-	// SampleTick, when positive, attaches a telemetry.Sampler with this
-	// tick to every run; the series is delivered through OnRun.
-	SampleTick units.Time
-	// TraceFlow, when nonzero, attaches a JSONL packet tracer filtered to
-	// this flow ID on every run.
-	TraceFlow uint64
-	// FaultSchedule, when non-empty, is injected into every run that does
-	// not carry a schedule of its own.
-	FaultSchedule *faults.Schedule
-	// HealDelay, when positive, enables control-plane healing with this
-	// convergence delay on every run that does not set its own.
-	HealDelay units.Time
-	// RawMode, when not RawAuto, overrides every run's raw-series
-	// retention: keep forces exact percentiles at any scale, drop exercises
-	// the histogram fallback everywhere.
-	RawMode metrics.RawMode
-	// Shards, when > 1, runs every scenario sharded across that many
-	// topology domains (core.Config.Shards), probes included; only a
-	// topology the partition cannot cut runs serial. Tables are
-	// byte-identical for a given count at any Concurrency and every count is
-	// offered the same workload, but a sharded run is statistically, not
-	// bitwise, comparable to an unsharded one.
-	Shards int
-	// ChaosPanicAt, when positive, sets core.Config.ChaosPanicAt on every
-	// run that does not set its own: a deterministic crash drill for the
-	// recover/flight-dump machinery.
-	ChaosPanicAt units.Time
 	// Progress, when non-nil, receives one line per completed run. Calls
 	// are serialized under the Options' progress lock, so the function
 	// need not be thread-safe itself.
@@ -88,12 +52,15 @@ type Options struct {
 	mu *sync.Mutex
 }
 
-// NewOptions is the one constructor. It returns the defaults of a process
-// nobody configured — a worker per CPU, a 4096-record flight ring, nothing
-// else attached or bounded — with a progress lock of its own.
-// Experiment.Run(sc, nil) means these.
+// DefaultFlightLen is the crash flight recorder's default ring size.
+const DefaultFlightLen = 4096
+
+// NewOptions returns the defaults of a process nobody configured — a worker
+// per CPU, a DefaultFlightLen flight ring, nothing else attached or bounded
+// — with a progress lock of its own. Experiment.Run(sc, nil) means these;
+// Resolve starts from them.
 func NewOptions() *Options {
-	return &Options{Concurrency: runtime.GOMAXPROCS(0), FlightLen: 4096, mu: new(sync.Mutex)}
+	return &Options{Spec: Spec{Jobs: runtime.GOMAXPROCS(0)}, FlightLen: DefaultFlightLen, mu: new(sync.Mutex)}
 }
 
 // runFn is the scenario executor used by sweeps; a package variable so the
@@ -162,10 +129,7 @@ func (o *Options) safeRun(label string, cfg core.Config) (sum *metrics.Summary, 
 // render, and the failures come back aggregated in a *SweepError.
 func (sw *sweep) run() error {
 	o := sw.opt
-	workers := o.Concurrency
-	if workers > len(sw.jobs) {
-		workers = len(sw.jobs)
-	}
+	workers := min(o.Spec.Jobs, len(sw.jobs))
 	if workers <= 1 {
 		for _, j := range sw.jobs {
 			j.sum, j.col, j.err = o.safeRun(j.label, j.cfg)

@@ -21,7 +21,7 @@ import (
 func renderShards(t *testing.T, id string, shards, conc int) []byte {
 	t.Helper()
 	opt := workers(conc)
-	opt.Shards = shards
+	opt.Spec.Shards = shards
 	return renderAll(t, id, opt)
 }
 

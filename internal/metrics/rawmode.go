@@ -52,6 +52,18 @@ func ParseRawMode(s string) (RawMode, error) {
 	return RawAuto, fmt.Errorf("metrics: unknown raw-series mode %q (want auto, keep or drop)", s)
 }
 
+// MarshalText renders the mode as ParseRawMode reads it.
+func (m RawMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses the mode with ParseRawMode.
+func (m *RawMode) UnmarshalText(b []byte) error {
+	v, err := ParseRawMode(string(b))
+	if err == nil {
+		*m = v
+	}
+	return err
+}
+
 // keepRaw reports whether a summary with n started flows keeps raw series.
 func (m RawMode) keepRaw(n int) bool {
 	switch m {

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"vertigo/internal/exp"
 )
 
 // TestChaosBurst is the acceptance drill: 50 concurrent submissions where
@@ -45,14 +47,17 @@ func TestChaosBurst(t *testing.T) {
 		tenant := fmt.Sprintf("t%d", i%4)
 		switch i % 5 {
 		case 0: // ~20%: deliberate panic inside the event loop
-			return Spec{Tenant: tenant, Experiment: "failover", Scale: "tiny",
-				SimTime: "4ms", ChaosPanicAt: "1ms", Seed: int64(200 + i)}
+			s := tiny(int64(200+i), tenant)
+			s.SimTime, s.ChaosPanicAt = ms(4), ms(1)
+			return s
 		case 1: // ~20%: wall-clock watchdog kill (transient class)
-			return Spec{Tenant: tenant, Experiment: "failover", Scale: "tiny",
-				RunTimeout: "1ms", Seed: int64(300 + i)}
+			s := tiny(int64(300+i), tenant)
+			s.RunTimeout = ms(1)
+			return s
 		default: // 60%: healthy short-sim jobs over three distinct specs
-			return Spec{Tenant: tenant, Experiment: "failover", Scale: "tiny",
-				SimTime: "4ms", Seed: healthySeeds[i%len(healthySeeds)]}
+			s := tiny(healthySeeds[i%len(healthySeeds)], tenant)
+			s.SimTime = ms(4)
+			return s
 		}
 	}
 
@@ -130,7 +135,8 @@ func TestChaosBurst(t *testing.T) {
 	// the batch API. Daemon jobs must match them byte-for-byte.
 	ref := make(map[int64][]byte, len(healthySeeds))
 	for _, seed := range healthySeeds {
-		sp := Spec{Experiment: "failover", Scale: "tiny", SimTime: "4ms", Seed: seed}
+		sp := tiny(seed)
+		sp.SimTime = ms(4)
 		res, err := sp.resolve(cfg.withDefaults())
 		if err != nil {
 			t.Fatal(err)
@@ -192,6 +198,9 @@ func TestChaosBurst(t *testing.T) {
 	}
 }
 
+// ms is n milliseconds as a spec duration.
+func ms(n int) exp.Duration { return exp.Duration(time.Duration(n) * time.Millisecond) }
+
 // checkFlightDump asserts a failed job wrote a non-empty flight.jsonl.
 func checkFlightDump(t *testing.T, v JobView) {
 	t.Helper()
@@ -242,14 +251,13 @@ func TestChaosKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []Spec{
-		{Experiment: "failover", Scale: "tiny", SimTime: "4ms", Seed: 11},
-		{Experiment: "failover", Scale: "tiny", SimTime: "4ms", Seed: 12},
-		{Experiment: "failover", Scale: "tiny", SimTime: "4ms", ChaosPanicAt: "1ms", Seed: 13},
-		{Experiment: "failover", Scale: "tiny", SimTime: "4ms", Seed: 14},
-	}
 	var ids []string
-	for _, sp := range specs {
+	for _, seed := range []int64{11, 12, 13, 14} {
+		sp := tiny(seed)
+		sp.SimTime = ms(4)
+		if seed == 13 {
+			sp.ChaosPanicAt = ms(1)
+		}
 		v, err := a.Submit(sp)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -43,11 +44,20 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec is the one strict decoder of a submitted spec: at most 1 MiB
+// of JSON, no field the Spec does not declare. w, when non-nil, is told to
+// close the connection of an oversized body.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(w, r.Body)
+	if err != nil {
 		mJobsRejected.At(rejInvalid).Inc()
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("decoding spec: %v", err))
 		return

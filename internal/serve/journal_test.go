@@ -26,7 +26,7 @@ func TestJournalResume(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		v, err := a.Submit(Spec{Experiment: "failover", Scale: "tiny", Seed: int64(i + 1)})
+		v, err := a.Submit(tiny(int64(i + 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestJournalResume(t *testing.T) {
 		t.Fatalf("resumed executions = %d, want 3", ran.Load())
 	}
 	// New submissions continue the ID sequence past the resumed ones.
-	v, err := b.Submit(Spec{Experiment: "failover", Scale: "tiny", Seed: 50})
+	v, err := b.Submit(tiny(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestJournalResume(t *testing.T) {
 // instead of re-executing.
 func TestResumeIdempotentByHash(t *testing.T) {
 	cfg := testConfig(t)
-	spec := Spec{Experiment: "failover", Scale: "tiny", Seed: 7}
+	spec := tiny(7)
 
 	// First process: complete the spec once, then accept a duplicate and die
 	// before it runs.
@@ -105,7 +105,7 @@ func TestResumeIdempotentByHash(t *testing.T) {
 func TestResumeSkipsTerminalAndTornRecords(t *testing.T) {
 	cfg := testConfig(t)
 	a := newTestServer(t, cfg, func(*Job) error { return nil })
-	v, err := a.Submit(Spec{Experiment: "failover", Scale: "tiny", Seed: 1})
+	v, err := a.Submit(tiny(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDrainDefersQueuedJobs(t *testing.T) {
 	s.Start()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		v, err := s.Submit(Spec{Experiment: "failover", Scale: "tiny", Seed: int64(i + 1)})
+		v, err := s.Submit(tiny(int64(i + 1)))
 		if err != nil {
 			t.Fatal(err)
 		}

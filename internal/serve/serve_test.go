@@ -73,6 +73,16 @@ func waitState(t *testing.T, s *Server, id string) JobView {
 	return JobView{}
 }
 
+// tiny is a failover job at the tiny scale for tenant (empty = anon); seed
+// 0 is the scale's.
+func tiny(seed int64, tenant ...string) Spec {
+	s := Spec{Experiment: "failover", Spec: exp.Spec{Scale: "tiny", Seed: seed}}
+	if len(tenant) > 0 {
+		s.Tenant = tenant[0]
+	}
+	return s
+}
+
 func submitOK(t *testing.T, s *Server, spec Spec) JobView {
 	t.Helper()
 	v, err := s.Submit(spec)
@@ -88,7 +98,7 @@ func TestSubmitHappyPath(t *testing.T) {
 		ran.Add(1)
 		return nil
 	})
-	v := submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny"})
+	v := submitOK(t, s, tiny(0))
 	if v.State != StateQueued || v.ID == "" || v.Hash == "" {
 		t.Fatalf("accepted view = %+v", v)
 	}
@@ -101,25 +111,38 @@ func TestSubmitHappyPath(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsInvalid: every invalid spec is a 400 at submission —
+// from the decoder (a malformed value) or from admission (a spec that
+// decodes but cannot run) — before any job exists.
 func TestSubmitRejectsInvalid(t *testing.T) {
 	s := newTestServer(t, testConfig(t), func(*Job) error { return nil })
-	for name, spec := range map[string]Spec{
-		"unknown experiment": {Experiment: "no-such-figure"},
-		"unknown scale":      {Experiment: "failover", Scale: "galactic"},
-		"bad fault DSL":      {Experiment: "failover", Fault: "exploding-teapot"},
-		"bad duration":       {Experiment: "failover", RunTimeout: "five minutes"},
-		"chaos past end":     {Experiment: "failover", Scale: "tiny", ChaosPanicAt: "1h"},
-		"negative retries":   {Experiment: "failover", Retries: intp(-1)},
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for name, body := range map[string]string{
+		"unknown experiment": `{"experiment":"no-such-figure"}`,
+		"unknown scale":      `{"experiment":"failover","scale":"galactic"}`,
+		"bad fault DSL":      `{"experiment":"failover","fault":"exploding-teapot"}`,
+		"bad duration":       `{"experiment":"failover","run_timeout":"five minutes"}`,
+		"negative duration":  `{"experiment":"failover","sample_tick":"-1ms"}`,
+		"negative shards":    `{"experiment":"failover","shards":-3}`,
+		"bad raw series":     `{"experiment":"failover","raw_series":"sometimes"}`,
+		"fault past end":     `{"experiment":"failover","scale":"tiny","fault":"flap@1s:link=16,down=1ms,period=4ms,count=2"}`,
+		"chaos past end":     `{"experiment":"failover","scale":"tiny","chaos_panic_at":"1h"}`,
+		"negative retries":   `{"experiment":"failover","retries":-1}`,
 	} {
-		_, err := s.Submit(spec)
-		var rej *RejectError
-		if !errors.As(err, &rej) || rej.Code != 400 {
-			t.Errorf("%s: err = %v, want 400 RejectError", name, err)
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Errorf("rejected specs left jobs behind: %+v", jobs)
+	}
 }
-
-func intp(v int) *int { return &v }
 
 // TestSubmitRejectsUnboundedFlap: a fault field whose one flap item asks for
 // hundreds of millions of events is a synchronous 400 from the parser — it
@@ -156,13 +179,13 @@ func TestAdmissionQueueFull(t *testing.T) {
 	// One running + two queued fills the queue. Wait for the worker to pop
 	// the first job before filling, or it would count against the queue.
 	ids := make([]string, 0, 3)
-	ids = append(ids, submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny", Seed: 1}).ID)
+	ids = append(ids, submitOK(t, s, tiny(1)).ID)
 	waitRunning(t, s, 1)
 	for i := 1; i < 3; i++ {
-		ids = append(ids, submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny", Seed: int64(i + 1)}).ID)
+		ids = append(ids, submitOK(t, s, tiny(int64(i+1))).ID)
 	}
 
-	_, err := s.Submit(Spec{Experiment: "failover", Scale: "tiny", Seed: 99})
+	_, err := s.Submit(tiny(99))
 	var rej *RejectError
 	if !errors.As(err, &rej) || rej.Code != 429 || rej.Reason != "queue_full" {
 		t.Fatalf("overload submit: err = %v, want 429 queue_full", err)
@@ -201,14 +224,14 @@ func TestAdmissionTenantCap(t *testing.T) {
 	defer close(block)
 
 	for i := 0; i < 2; i++ {
-		submitOK(t, s, Spec{Tenant: "greedy", Experiment: "failover", Scale: "tiny", Seed: int64(i + 1)})
+		submitOK(t, s, tiny(int64(i+1), "greedy"))
 	}
-	_, err := s.Submit(Spec{Tenant: "greedy", Experiment: "failover", Scale: "tiny", Seed: 3})
+	_, err := s.Submit(tiny(3, "greedy"))
 	var rej *RejectError
 	if !errors.As(err, &rej) || rej.Code != 429 || rej.Reason != "tenant_cap" {
 		t.Fatalf("capped tenant: err = %v, want 429 tenant_cap", err)
 	}
-	if _, err := s.Submit(Spec{Tenant: "modest", Experiment: "failover", Scale: "tiny"}); err != nil {
+	if _, err := s.Submit(tiny(0, "modest")); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
 	}
 }
@@ -223,7 +246,7 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 		}
 		return nil
 	})
-	v := submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny"})
+	v := submitOK(t, s, tiny(0))
 	v = waitState(t, s, v.ID)
 	if v.State != StateCompleted || v.Attempt != 3 {
 		t.Fatalf("job = %+v, want completed on attempt 3", v)
@@ -240,7 +263,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		calls.Add(1)
 		return fmt.Errorf("always wedged: %w", core.ErrWallBudget)
 	})
-	v := submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny"})
+	v := submitOK(t, s, tiny(0))
 	v = waitState(t, s, v.ID)
 	if v.State != StateFailed || v.Attempt != 3 {
 		t.Fatalf("job = %+v, want failed after 1+2 attempts", v)
@@ -259,7 +282,7 @@ func TestPanicRetriedOncePerHash(t *testing.T) {
 		calls.Add(1)
 		return fmt.Errorf("serve: job %s: %w: boom", j.ID, exp.ErrPanic)
 	})
-	v := submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny"})
+	v := submitOK(t, s, tiny(0))
 	v = waitState(t, s, v.ID)
 	if v.State != StateFailed || v.Attempt != 2 {
 		t.Fatalf("job = %+v, want failed after exactly 2 attempts", v)
@@ -268,7 +291,7 @@ func TestPanicRetriedOncePerHash(t *testing.T) {
 	// A second job with the same spec (same hash) is now known-deterministic:
 	// no retry at all.
 	calls.Store(0)
-	v2 := submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny"})
+	v2 := submitOK(t, s, tiny(0))
 	v2 = waitState(t, s, v2.ID)
 	if v2.State != StateFailed || v2.Attempt != 1 {
 		t.Fatalf("repeat job = %+v, want failed after 1 attempt", v2)
@@ -283,7 +306,7 @@ func TestMaxEventsPermanent(t *testing.T) {
 		calls.Add(1)
 		return fmt.Errorf("run capped: %w", core.ErrMaxEvents)
 	})
-	v := submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny"})
+	v := submitOK(t, s, tiny(0))
 	v = waitState(t, s, v.ID)
 	if v.State != StateFailed || calls.Load() != 1 {
 		t.Fatalf("job = %+v after %d calls, want failed after 1", v, calls.Load())
@@ -344,7 +367,7 @@ func TestShedRoutesThroughRetry(t *testing.T) {
 	// One running, three queued.
 	ids := make([]string, 0, 4)
 	for i := 0; i < 4; i++ {
-		ids = append(ids, submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny", Seed: int64(i + 1)}).ID)
+		ids = append(ids, submitOK(t, s, tiny(int64(i+1))).ID)
 	}
 	waitRunning(t, s, 1)
 	s.shed() // sheds ceil(3/2)=2 newest queued jobs into backoff
@@ -392,7 +415,7 @@ func TestMemWatchSheds(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 3; i++ {
-		ids = append(ids, submitOK(t, s, Spec{Experiment: "failover", Scale: "tiny", Seed: int64(i + 1)}).ID)
+		ids = append(ids, submitOK(t, s, tiny(int64(i+1))).ID)
 	}
 	waitRunning(t, s, 1)
 	pressured.Store(true)
@@ -513,23 +536,36 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	if err := s.Drain(c); err != nil {
 		t.Fatalf("drain of idle server: %v", err)
 	}
-	_, err = s.Submit(Spec{Experiment: "failover", Scale: "tiny"})
+	_, err = s.Submit(tiny(0))
 	var rej *RejectError
 	if !errors.As(err, &rej) || rej.Code != 503 {
 		t.Fatalf("submit while draining: %v, want 503", err)
 	}
 }
 
-// TestSpecHashNormalization pins hash identity: equivalent specs (defaults
-// spelled out or omitted) share a hash; different specs don't.
+// TestSpecHashNormalization pins hash identity: equivalent specs — defaults
+// spelled out or omitted, one duration written two ways — share a hash;
+// different specs don't.
 func TestSpecHashNormalization(t *testing.T) {
-	a := Spec{Experiment: "failover"}
-	b := Spec{Experiment: "failover", Tenant: "anon", Scale: "small", Jobs: 1}
-	if a.Hash() != b.Hash() {
-		t.Fatalf("equivalent specs hash differently: %s vs %s", a.Hash(), b.Hash())
+	hash := func(body string) string {
+		t.Helper()
+		s, err := decodeSpec(nil, io.NopCloser(strings.NewReader(body)))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return s.Hash()
 	}
-	c := Spec{Experiment: "failover", Seed: 7}
-	if a.Hash() == c.Hash() {
-		t.Fatal("different specs share a hash")
+	for _, same := range [][2]string{
+		{`{"experiment":"failover"}`,
+			`{"tenant":"anon","experiment":"failover","scale":"small","seed":1,"sim_time":"80ms","jobs":1,"raw_series":"auto"}`},
+		{`{"experiment":"failover","scale":"tiny","sim_time":"4000us"}`,
+			`{"experiment":"failover","scale":"tiny","sim_time":"4ms","heal_delay":""}`},
+	} {
+		if a, b := hash(same[0]), hash(same[1]); a != b {
+			t.Errorf("equivalent specs hash differently: %s vs %s\n%s\n%s", a, b, same[0], same[1])
+		}
+	}
+	if hash(`{"experiment":"failover"}`) == hash(`{"experiment":"failover","seed":7}`) {
+		t.Error("different specs share a hash")
 	}
 }

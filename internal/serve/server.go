@@ -22,7 +22,7 @@ type Config struct {
 	// DataDir roots the journal and the per-job artifact directories.
 	DataDir string
 	// Workers is the job worker pool size (default: GOMAXPROCS/2, min 1).
-	// Each job may itself run Spec.Jobs simulations concurrently.
+	// Each job may itself run its spec's jobs simulations concurrently.
 	Workers int
 	// QueueDepth bounds the number of queued-but-not-started jobs;
 	// submissions past it are rejected with 429 (default 64).
@@ -87,7 +87,7 @@ func (c *Config) withDefaults() Config {
 		d.DefaultRunTimeout = 2 * time.Minute
 	}
 	if d.FlightLen == 0 {
-		d.FlightLen = 4096
+		d.FlightLen = exp.DefaultFlightLen
 	}
 	if d.memStats == nil {
 		d.memStats = heapInUse
@@ -187,8 +187,8 @@ func (s *Server) resume(recs []journalRec) {
 	for _, rec := range recs {
 		switch rec.Ev {
 		case "accept":
-			if rec.Spec == nil {
-				continue
+			if rec.Spec == nil || s.jobs[rec.ID] != nil {
+				continue // no spec, or a second accept for one ID: the first stands
 			}
 			j := &Job{
 				ID:    rec.ID,
@@ -209,8 +209,8 @@ func (s *Server) resume(recs []journalRec) {
 			}
 		case "done":
 			j := s.jobs[rec.ID]
-			if j == nil {
-				continue
+			if j == nil || !rec.State.Terminal() {
+				continue // no accept before it, or not a terminal state
 			}
 			j.State = rec.State
 			j.Error = rec.Error
@@ -421,7 +421,8 @@ func (s *Server) executeJob(j *Job) error {
 		}()
 		return j.res.exp.Run(j.res.scale, &opt)
 	}()
-	m := exp.BuildManifest([]string{j.res.exp.ID}, j.res.scale, opt.Concurrency, rec, start, time.Since(start))
+	// The manifest records the job's own spec, not the daemon's budgets.
+	m := exp.BuildManifest([]string{j.res.exp.ID}, j.res.scale, j.Spec.Spec, rec, start, time.Since(start))
 	if werr := exp.WriteArtifacts(j.Dir, m, tables, rec); werr != nil && err == nil {
 		err = fmt.Errorf("serve: job %s: writing artifacts: %w", j.ID, werr)
 	}

@@ -23,7 +23,9 @@
 package vertigo
 
 import (
+	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"strings"
 	"time"
@@ -69,7 +71,7 @@ const (
 )
 
 // Config describes one simulation. The zero value is not runnable; start
-// from Defaults and override.
+// from Defaults and override, in code or with flags (RegisterFlags).
 type Config struct {
 	Seed     int64
 	Duration time.Duration // simulated time (also the completion deadline)
@@ -96,8 +98,7 @@ type Config struct {
 	DisableSched   bool          // Fig. 11a "No Scheduling"
 	DisableDeflect bool          // Fig. 11a "No Deflection"
 	DisableOrder   bool          // Fig. 11a "No Ordering"
-	DisableBoost   bool          // Fig. 11b "No Boosting"
-	BoostFactor    int           // power of two; paper default 2
+	BoostFactor    int           // power of two; paper default 2; 1 = no boosting (Fig. 11b)
 	OrderTimeout   time.Duration // τ; paper default 360µs
 	LAS            bool          // flow-aging marking instead of SRPT (Table 3)
 
@@ -162,6 +163,45 @@ func Defaults(s Scheme, tp Transport) Config {
 		IncastScale:        100,
 		IncastFlowKB:       40,
 	}
+}
+
+// RegisterFlags binds every field of c to a flag of fs, in place: a flag's
+// default is the field's value when RegisterFlags is called, and parsing
+// writes the field.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.Int64Var(&c.Seed, "seed", c.Seed, "simulation seed (same seed => identical run)")
+	fs.DurationVar(&c.Duration, "duration", c.Duration, "simulated time (also the completion deadline)")
+	fs.StringVar((*string)(&c.Scheme), "scheme", string(c.Scheme), "forwarding scheme: ecmp|drill|dibs|vertigo")
+	fs.StringVar((*string)(&c.Transport), "transport", string(c.Transport), "congestion control: tcp|dctcp|swift")
+	fs.StringVar((*string)(&c.Topology), "topology", string(c.Topology), "fabric: leafspine|fattree")
+	fs.IntVar(&c.Spines, "spines", c.Spines, "leaf-spine: spine switches")
+	fs.IntVar(&c.Leaves, "leaves", c.Leaves, "leaf-spine: leaf (ToR) switches")
+	fs.IntVar(&c.HostsPerLeaf, "hosts-per-leaf", c.HostsPerLeaf, "leaf-spine: hosts per leaf")
+	fs.IntVar(&c.FatTreeK, "fattree-k", c.FatTreeK, "fat-tree: k (even)")
+	fs.IntVar(&c.HostGbps, "host-gbps", c.HostGbps, "access link rate in Gb/s")
+	fs.IntVar(&c.FabricGbps, "fabric-gbps", c.FabricGbps, "leaf-spine: switch-to-switch link rate in Gb/s")
+	fs.IntVar(&c.BufferKB, "buffer-kb", c.BufferKB, "per-port buffer in KB")
+	fs.IntVar(&c.ECNThresholdPk, "ecn-threshold", c.ECNThresholdPk, "DCTCP marking threshold in packets")
+	fs.IntVar(&c.FwdChoices, "fwd-choices", c.FwdChoices, "Vertigo power-of-n forwarding choices (Fig. 12)")
+	fs.IntVar(&c.DeflChoices, "defl-choices", c.DeflChoices, "Vertigo power-of-n deflection choices (Fig. 12)")
+	fs.IntVar(&c.MaxDeflections, "max-deflections", c.MaxDeflections, "per-packet deflection budget (0 = the policy's default)")
+	fs.BoolVar(&c.DisableSched, "disable-sched", c.DisableSched, `FIFO instead of RFS-sorted queues (Fig. 11a "No Scheduling")`)
+	fs.BoolVar(&c.DisableDeflect, "disable-deflect", c.DisableDeflect, `drop instead of deflecting (Fig. 11a "No Deflection")`)
+	fs.BoolVar(&c.DisableOrder, "disable-order", c.DisableOrder, `release reordered packets at once (Fig. 11a "No Ordering")`)
+	fs.IntVar(&c.BoostFactor, "boost-factor", c.BoostFactor, "Vertigo boosting factor (power of two; 1 disables)")
+	fs.DurationVar(&c.OrderTimeout, "ordering-timeout", c.OrderTimeout, "Vertigo ordering timeout τ")
+	fs.BoolVar(&c.LAS, "las", c.LAS, "use flow-aging (LAS) marking instead of SRPT")
+	fs.Float64Var(&c.BackgroundLoad, "bg-load", c.BackgroundLoad, "background load fraction of host capacity")
+	fs.StringVar(&c.BackgroundWorkload, "bg-workload", c.BackgroundWorkload, "cachefollower|datamining|websearch")
+	fs.StringVar(&c.TracePath, "trace", c.TracePath, "CSV flow trace to replay (start_us,src,dst,bytes)")
+	fs.Float64Var(&c.IncastQPS, "incast-qps", c.IncastQPS, "incast queries per second (used when -incast-load is 0)")
+	fs.IntVar(&c.IncastScale, "incast-scale", c.IncastScale, "servers per incast query")
+	fs.IntVar(&c.IncastFlowKB, "incast-flow-kb", c.IncastFlowKB, "incast response size in KB")
+	fs.Float64Var(&c.IncastLoad, "incast-load", c.IncastLoad, "incast offered load fraction (overrides -incast-qps)")
+	fs.BoolVar(&c.Telemetry, "telemetry", c.Telemetry, "print the per-port monitoring report (§5)")
+	fs.StringVar(&c.PacketTracePath, "packet-trace", c.PacketTracePath, "write a per-event dataplane trace (JSONL, one object per event) to this file")
+	fs.Uint64Var(&c.PacketTraceFlow, "packet-trace-flow", c.PacketTraceFlow, "flow ID to trace (0 = all flows)")
+	fs.IntVar(&c.Shards, "shards", c.Shards, "shard the run across this many topology domains on separate cores, probes included (deterministic per shard count, same offered workload at any; 0 or 1 = serial engine)")
 }
 
 // Report is the digest of one run.
@@ -297,17 +337,11 @@ func (cfg Config) lower() (core.Config, error) {
 	cc.Fabric.Scheduling = !cfg.DisableSched
 	cc.Fabric.Deflection = !cfg.DisableDeflect
 
-	if cfg.BoostFactor > 0 {
-		log2 := uint(0)
-		for f := cfg.BoostFactor; f > 1; f >>= 1 {
-			if f%2 != 0 {
-				return core.Config{}, fmt.Errorf("vertigo: boost factor %d is not a power of two", cfg.BoostFactor)
-			}
-			log2++
-		}
-		cc.Marker.BoostFactorLog2 = log2
+	log2, err := boostLog2(cfg.BoostFactor)
+	if err != nil {
+		return core.Config{}, err
 	}
-	cc.Marker.Boosting = !cfg.DisableBoost
+	cc.Marker.BoostFactorLog2, cc.Marker.Boosting = log2, log2 > 0
 	if cfg.LAS {
 		cc.Marker.Discipline = host.LAS
 	}
@@ -349,6 +383,19 @@ func (cfg Config) lower() (core.Config, error) {
 	cc.Telemetry = cfg.Telemetry
 	cc.Shards = cfg.Shards
 	return cc, nil
+}
+
+// boostLog2 returns log2 of a boost factor: 1, 2, 4, 8, … give 0, 1, 2,
+// 3, …, and 0 selects the paper's 2. Any other factor is an error, which
+// the Marker and Orderer constructors panic with.
+func boostLog2(factor int) (uint, error) {
+	if factor == 0 {
+		return 1, nil
+	}
+	if factor < 0 || factor&(factor-1) != 0 {
+		return 0, fmt.Errorf("vertigo: boost factor %d is not a power of two", factor)
+	}
+	return uint(bits.TrailingZeros(uint(factor))), nil
 }
 
 func report(res *core.Result) *Report {
