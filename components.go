@@ -50,12 +50,27 @@ func DecodeOption(b []byte) (FlowInfo, error) {
 
 // Marker is the TX-path marking component (paper §3.1): it tracks outgoing
 // flows, tags every segment with the flow's remaining bytes, detects
-// retransmissions with a cuckoo filter, and boosts their priority.
+// retransmissions with a cuckoo filter, and boosts their priority. Boosts
+// counts the boosts applied, FilterOverflows the signatures the filter was
+// too full to keep (each one a retransmission that may go unboosted: raise
+// MarkerOptions.FlowCapacity). A Marker is about 90 KB once it has marked a
+// segment, most of it the filter's first chunk of pages: build one per TX
+// queue, not one per connection.
 type Marker = host.WireMarker
 
 // Orderer is the RX-path ordering component (paper §3.3): it re-sequences
 // out-of-order (deflected) segments before the transport sees them, holding
-// early segments for at most the ordering timeout τ.
+// early segments for at most the ordering timeout τ. It is sans-IO: the
+// caller passes the time to every call, in non-decreasing order (an earlier
+// time counts as the latest seen), and arms its own timer for NextDeadline.
+// Each Orderer owns an event engine, flow table and packet slab: about 250 KB
+// when built, 340 KB once it has received a segment. Build one per RX queue,
+// not one per connection.
+//
+//	ready := o.Receive(time.Now(), seg)
+//	deliver(ready...)
+//	if dl, ok := o.NextDeadline(); ok { armTimer(dl) }
+//	// on timer: deliver(o.Expire(time.Now())...)
 type Orderer = host.WireOrderer
 
 // MarkerOptions configures a Marker.

@@ -13,16 +13,17 @@ import (
 // directory is the flow state of every host of one simulation: one table per
 // kind of state, keyed by (flow or destination, host), where each host used
 // to keep four tables of its own. A per-host key space mirrors the deployable
-// prototype (§4.4; WireMarker and WireOrderer keep theirs) but buys a
-// simulator nothing — a simulated flow ID is already simulation-unique — and
-// costs a thousand-host run four thousand tables, built again in every domain
-// of a sharded run. Here an idle host costs its struct, a slot one host's
-// flow vacates warms the next flow of any host, and the tables grow a page at
-// a time. What the slots' values point to moves with them, so the reorder
-// buffers' arenas and the duplicate filters' chunk source live here too.
+// prototype (§4.4) but buys a simulator nothing — a simulated flow ID is
+// already simulation-unique — and costs a thousand-host run four thousand
+// tables, built again in every domain of a sharded run. Here an idle host
+// costs its struct, a slot one host's flow vacates warms the next flow of any
+// host, and the tables grow a page at a time. What the slots' values point to
+// moves with them, so the reorder buffers' arenas and the duplicate filters'
+// chunk source live here too.
 //
 // Hosts built against one fabric.Network share its directory (directoryOf); a
-// marker or orderer built on its own has a directory of one.
+// marker or orderer built on its own — the wire components' — has a directory
+// of one, which is the prototype's per-host key space.
 type directory struct {
 	handlers flowtab.Table[Handler]    // (flow, host): the flow's bound transport endpoint
 	marks    flowtab.Table[markerFlow] // (flow, source host)

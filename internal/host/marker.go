@@ -57,7 +57,6 @@ func DefaultMarkerConfig() MarkerConfig {
 type markerFlow struct {
 	size   int64
 	hi     int64           // highest first-transmitted seq; -1 before any
-	pkts   int64           // packets first-transmitted so far (LAS age)
 	retx   flowtab.PagedU8 // per-segment retransmission count (boost rotations)
 	flowID uint8
 }
@@ -108,7 +107,6 @@ func (m *Marker) StartFlow(flow uint64, dst int, size int64) {
 	}
 	f.size = size
 	f.hi = -1
-	f.pkts = 0
 	f.flowID = id
 	f.retx.Reset() // recycled slots must start with clean counters
 }
@@ -161,28 +159,32 @@ func (m *Marker) Mark(p *packet.Packet) {
 	if f == nil {
 		panic(fmt.Sprintf("host: marking packet of unregistered flow %d", p.Flow))
 	}
+	p.Marked = true
+	p.InvalidateSize() // marking adds the shim header to the wire size
+	p.Info = m.mark(f, p.Flow, p.Seq)
+}
 
+// mark returns the flowinfo of the segment at seq of flow, whose entry is f,
+// and records the transmission: a first one in the duplicate filter, a
+// repeat as one more boost.
+func (m *Marker) mark(f *markerFlow, flow uint64, seq int64) packet.FlowInfo {
 	var base uint32
-	var first bool
 	switch m.cfg.Discipline {
 	case SRPT:
-		base = uint32(f.size - p.Seq) // remaining bytes incl. this packet
-		first = p.Seq == 0
+		base = uint32(f.size - seq) // remaining bytes incl. this packet
 	case LAS:
 		// Age in packets at first transmission of this segment.
-		base = uint32(p.Seq / packet.MSS)
-		first = p.Seq == 0
+		base = uint32(seq / packet.MSS)
 	}
 
-	key := sig(p.Flow, p.Seq)
 	retcnt := uint8(0)
-	present, ok := m.filter.ContainsOrAdd(key)
+	present, ok := m.filter.ContainsOrAdd(sig(flow, seq))
 	if !ok {
 		m.FilterOverflows++
 	}
 	if present {
 		// Retransmission: bump this segment's boost count.
-		seg := p.Seq / packet.MSS
+		seg := seq / packet.MSS
 		c := f.retx.Get(seg)
 		if m.cfg.Boosting && c < packet.MaxRetx {
 			c++
@@ -190,18 +192,13 @@ func (m *Marker) Mark(p *packet.Packet) {
 			m.Boosts++
 		}
 		retcnt = c
-	} else {
-		f.pkts++
-		if p.Seq > f.hi {
-			f.hi = p.Seq
-		}
+	} else if seq > f.hi {
+		f.hi = seq
 	}
 
 	rfs := base
 	for i := uint8(0); i < retcnt; i++ {
 		rfs = packet.BoostRFS(rfs, m.cfg.BoostFactorLog2)
 	}
-	p.Marked = true
-	p.InvalidateSize() // marking adds the shim header to the wire size
-	p.Info = packet.FlowInfo{RFS: rfs, RetCnt: retcnt, FlowID: f.flowID, First: first}
+	return packet.FlowInfo{RFS: rfs, RetCnt: retcnt, FlowID: f.flowID, First: seq == 0}
 }

@@ -16,7 +16,7 @@ const (
 	MSS        = 1460 // max transport payload bytes per packet
 	HeaderLen  = 40   // IP + transport headers, before flowinfo
 	AckLen     = 64   // total size of a pure ACK frame
-	MaxRetx    = 16   // 32-bit RFS supports 16 boosting rotations (paper §3.1.2)
+	MaxRetx    = 15   // boosting rotations the 4-bit RetCnt field can carry (paper §3.1.2)
 	FlowIDBits = 3    // width of the flowinfo flow-id field
 )
 

@@ -27,6 +27,23 @@ func TestShimRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMaxRetxFitsTheHeader: a marker boosts a segment at most MaxRetx times,
+// and both encodings must carry that count: a count the 4-bit field wraps
+// would have the receiver unboost the copy by the wrong number of rotations.
+func TestMaxRetxFitsTheHeader(t *testing.T) {
+	in := FlowInfo{RFS: 1, RetCnt: MaxRetx, FlowID: 7, First: true}
+	var shim [ShimHeaderLen]byte
+	var opt [OptionLen]byte
+	EncodeShim(shim[:], in, 0x0800)
+	EncodeOption(opt[:], in)
+	if out, _, _ := DecodeShim(shim[:]); out != in {
+		t.Errorf("shim carries %+v as %+v", in, out)
+	}
+	if out, _ := DecodeOption(opt[:]); out != in {
+		t.Errorf("option carries %+v as %+v", in, out)
+	}
+}
+
 func TestOptionRoundTrip(t *testing.T) {
 	f := func(rfs uint32, retcnt, flowID uint8, first bool) bool {
 		in := normalize(FlowInfo{RFS: rfs, RetCnt: retcnt, FlowID: flowID, First: first})
