@@ -68,9 +68,11 @@ shard-smoke:
 # benchmark still builds and runs against the simulator it measures. Memory
 # is another matter: fattree16_churn's peak RSS repeats to a few MiB and its
 # allocs_per_pkt is exact for a seed, so the 1,024-host run must also stay
-# under 160 MiB (it reads 125–132) and at or under 0.25 allocations a packet (it
-# reads 0.076; 0.57 while hosts, ports and sender slots each allocated their
-# own) — the absolute bounds on the benchmark of record.
+# under 130 MiB (it reads 100–110; 125–132 while duplicate filters kept every
+# page they ever touched and dead far timers waited in the overflow heap) and
+# at or under 0.25 allocations a packet (it reads 0.07; 0.57 while hosts,
+# ports and sender slots each allocated their own) — the absolute bounds on
+# the benchmark of record.
 benchmark-smoke:
 	@for w in leafspine_bulk fattree16_churn; do \
 	  line=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
@@ -79,8 +81,8 @@ benchmark-smoke:
 	done; \
 	rss=$$(echo "$$line" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p'); \
 	apk=$$(echo "$$line" | sed -n 's/.*"allocs_per_pkt":{"value":\([0-9.e+-]*\).*/\1/p'); \
-	echo "fattree16_churn peak_rss_mb $$rss, bound 160; allocs_per_pkt $$apk, bound 0.25"; \
-	[ -n "$$rss" ] && [ "$$rss" -lt 160 ] && [ -n "$$apk" ] && awk -v a="$$apk" 'BEGIN { exit !(a + 0 <= 0.25) }'
+	echo "fattree16_churn peak_rss_mb $$rss, bound 130; allocs_per_pkt $$apk, bound 0.25"; \
+	[ -n "$$rss" ] && [ "$$rss" -lt 130 ] && [ -n "$$apk" ] && awk -v a="$$apk" 'BEGIN { exit !(a + 0 <= 0.25) }'
 
 # The benchmark of record on two revisions, and its verdict: unpacks BASE's
 # committed tree under .bench_build/, runs every workload there and then

@@ -53,9 +53,10 @@ func DecodeOption(b []byte) (FlowInfo, error) {
 // retransmissions with a cuckoo filter, and boosts their priority. Boosts
 // counts the boosts applied, FilterOverflows the signatures the filter was
 // too full to keep (each one a retransmission that may go unboosted: raise
-// MarkerOptions.FlowCapacity). A Marker is about 90 KB once it has marked a
-// segment, most of it the filter's first chunk of pages: build one per TX
-// queue, not one per connection.
+// MarkerOptions.FlowCapacity). A Marker is about 80 KB once it has marked a
+// segment, most of it the filter's first slab of pages, and about 105 KB with
+// a thousand segments in flight: build one per TX queue, not one per
+// connection.
 type Marker = host.WireMarker
 
 // Orderer is the RX-path ordering component (paper §3.3): it re-sequences

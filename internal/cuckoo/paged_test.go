@@ -230,44 +230,104 @@ func TestAbsentPageReadsAllocateNothing(t *testing.T) {
 	}
 }
 
+// footprint is what filter f holds in bytes: chunks, their pointers, and
+// the page index or table (not the shared noIndex).
+func footprint(f *Filter) int {
+	index := cap(f.index) * 4
+	if len(f.index) < minIndex {
+		index = 0
+	}
+	return cap(f.table)*2 + index + cap(f.chunks)*8 + len(f.chunks)*chunkBuckets*slotsPerBucket*2
+}
+
 // TestFootprintFollowsTouchedPages pins the point of paging: an idle default
-// filter costs nothing past its header — the page table comes with the first
-// page — a lightly used one a few chunks, and a fully touched one the dense
-// 256 KiB plus the table — chunks are never reallocated, so not twice that.
+// filter costs nothing past its header; a page whose last fingerprint is
+// deleted is given back, and a sparse filter finds its pages through an
+// index sized by what it holds, not an 8 KiB table; a lightly used one costs
+// a few chunks; and a fully touched one the dense 256 KiB plus the table —
+// chunks are never reallocated, so not twice that.
 func TestFootprintFollowsTouchedPages(t *testing.T) {
 	const dense = (1 << 15) * slotsPerBucket * 2 // default geometry, flat
-	footprint := func(f *Filter) int {
-		return cap(f.table)*2 + cap(f.chunks)*8 + len(f.chunks)*chunkBuckets*slotsPerBucket*2
-	}
+	const chunkBytes = chunkBuckets * slotsPerBucket * 2
 	f := New(1 << 16)
 	if got := footprint(f); got != 0 || f.Contains(7) || f.Delete(7) {
 		t.Errorf("idle filter holds %d B, want nothing before the first insert", got)
 	}
 	f.Insert(1 << 40)
 	f.Delete(1 << 40)
-	if got := footprint(f) - chunkBuckets*slotsPerBucket*2 - cap(f.chunks)*8; got != 8<<10 {
-		t.Errorf("page table is %d B after the first insert, want 8 KiB", got)
+	if f.mapped != 0 || f.free == 0 || f.table != nil {
+		t.Errorf("after insert and delete: %d pages mapped, free list %d, table %d entries; want the page released", f.mapped, f.free, len(f.table))
 	}
+	if got := footprint(f) - chunkBytes - cap(f.chunks)*8; got != minIndex*4 {
+		t.Errorf("page index is %d B after the first insert, want %d", got, minIndex*4)
+	}
+	f.Insert(1 << 41)
+	if f.pages != 1 || f.mapped != 1 || f.free != 0 {
+		t.Errorf("second page: %d ids handed out, %d mapped, free list %d; want the released page reused", f.pages, f.mapped, f.free)
+	}
+	f.Delete(1 << 41)
 	for k := uint64(0); k < 225; k++ { // a fattree16_churn host's whole run
 		f.Insert(k)
 	}
-	if got := footprint(f); got > 32<<10 {
-		t.Errorf("225 inserts hold %d B over %d pages, want under 32 KiB", got, f.pages)
+	if f.table != nil {
+		t.Errorf("225 inserts over %d pages switched to the dense table", f.mapped)
+	}
+	if got := footprint(f); got > 24<<10 {
+		t.Errorf("225 inserts hold %d B over %d pages, want under 24 KiB", got, f.pages)
 	}
 	for k := uint64(225); k < 1<<16; k++ {
 		f.Insert(k)
 	}
-	if f.pages != len(f.table) {
-		t.Fatalf("65536 inserts touched %d of %d pages", f.pages, len(f.table))
+	if f.pages != len(f.table) || f.index != nil {
+		t.Fatalf("65536 inserts touched %d of %d pages, index %d entries", f.pages, len(f.table), len(f.index))
 	}
 	if got := footprint(f); got > dense+10<<10 {
 		t.Errorf("fully touched filter holds %d B, dense array is %d", got, dense)
 	}
+	// A dense filter keeps its pages: the deletes leave them mapped.
+	for k := uint64(0); k < 1<<16; k++ {
+		f.Delete(k)
+	}
+	if f.mapped != f.pages || f.free != 0 {
+		t.Errorf("dense filter released pages: %d of %d mapped", f.mapped, f.pages)
+	}
+}
+
+// TestFootprintIndependentOfRunLength: a fixed live set churned round after
+// round — every round deletes the previous round's keys and inserts as many
+// new ones, as a host's flows come and go — holds no more at round 100 than
+// at round 1: pages emptied by the deletes are reused, not added to, so the
+// filter never hands out more page ids than keys it holds at once.
+func TestFootprintIndependentOfRunLength(t *testing.T) {
+	const live = 64
+	f := New(1 << 16)
+	var first, firstPages int
+	for round := 1; round <= 100; round++ {
+		base := uint64(round) << 20
+		for k := uint64(0); k < live && round > 1; k++ {
+			if !f.Delete(base - 1<<20 + k) {
+				t.Fatalf("round %d: key %d of the previous round missing", round, k)
+			}
+		}
+		for k := uint64(0); k < live; k++ {
+			f.Insert(base + k)
+		}
+		if round == 1 {
+			first, firstPages = footprint(f), f.pages
+		}
+		if f.Len() != live || f.mapped > live {
+			t.Fatalf("round %d: %d keys over %d pages, want %d keys", round, f.Len(), f.mapped, live)
+		}
+	}
+	if got := footprint(f); got > first || f.pages > live {
+		t.Fatalf("round 100 holds %d B in %d pages, round 1 %d B in %d", got, f.pages, first, firstPages)
+	}
 }
 
 // TestLargeFilterWidensPages: past 1<<15 pages the page grows instead of the
-// page id, so any capacity still indexes through the uint16 table — also
-// once a single page outgrows a chunk and spans several.
+// page id, so any capacity still indexes through 16-bit page ids — also once
+// a single page outgrows a chunk and spans several, whose buckets must all
+// be empty before it is given back.
 func TestLargeFilterWidensPages(t *testing.T) {
 	for _, capacity := range []int{1 << 22, 1 << 27} {
 		f := New(capacity)
@@ -277,8 +337,8 @@ func TestLargeFilterWidensPages(t *testing.T) {
 				t.Fatalf("cap %d: insert %d failed", capacity, k)
 			}
 		}
-		if len(f.table) > 1<<maxPageBits || f.pageShift <= minPageShift {
-			t.Fatalf("cap %d: table %d entries at page shift %d", capacity, len(f.table), f.pageShift)
+		if pages := f.mask>>f.pageShift + 1; pages > 1<<maxPageBits || f.pageShift <= minPageShift {
+			t.Fatalf("cap %d: %d pages at page shift %d", capacity, pages, f.pageShift)
 		}
 		for k := uint64(0); k < keys; k++ {
 			if !f.Contains(k) {
@@ -287,6 +347,15 @@ func TestLargeFilterWidensPages(t *testing.T) {
 		}
 		if want := (f.pages<<f.pageShift + chunkBuckets - 1) >> chunkShift; len(f.chunks) != want {
 			t.Fatalf("cap %d: %d pages of %d buckets in %d chunks, want %d", capacity, f.pages, 1<<f.pageShift, len(f.chunks), want)
+		}
+		// Wide pages are given back too, once every bucket in them is empty.
+		for k := uint64(0); k < keys; k++ {
+			if !f.Delete(k) {
+				t.Fatalf("cap %d: delete %d failed", capacity, k)
+			}
+		}
+		if f.mapped != 0 || freePages(f) != f.pages {
+			t.Fatalf("cap %d: %d of %d pages still mapped after deleting every key", capacity, f.mapped, f.pages)
 		}
 	}
 }
@@ -339,4 +408,165 @@ func TestSharedChunksMatchPrivate(t *testing.T) {
 	if len(seen) < 2*chunksPerSlab {
 		t.Fatalf("only %d chunks handed out: the test does not cross a slab boundary", len(seen))
 	}
+}
+
+// pagedScripts are FuzzPagedMatchesDense's checked-in inputs: capacities
+// from one bucket to 1<<17 signatures and one that widens pages.
+var pagedScripts = []struct {
+	capLog uint8
+	seed   int64
+	ops    uint16
+}{
+	{0, 1, 2000}, {3, 2, 6000}, {6, 3, 12000}, {8, 4, 30000}, {14, 5, 20000}, {14, 6, 60000}, {27, 7, 8000}, {40, 8, 5000},
+}
+
+// FuzzPagedMatchesDense drives the paged filter and the dense reference
+// through one scripted mix of Insert, ContainsOrAdd, Contains, Delete and
+// Reset, phase after phase: each phase fills toward, or drains down to, a
+// target load — a sparse handful of keys, up to half the slots, or past 95%
+// into kick chains and failed inserts — and churns around it once there.
+// Draining deletes live keys, so pages empty and are released while the
+// filter is sparse and refill later; filling crosses from the sparse index to
+// the dense table. Every answer, Len, the kick-stream position and finally
+// every bucket must agree.
+func FuzzPagedMatchesDense(f *testing.F) {
+	for _, c := range pagedScripts {
+		f.Add(c.capLog, c.seed, c.ops)
+	}
+	f.Fuzz(func(t *testing.T, capLog uint8, seed int64, ops uint16) {
+		runPagedScript(t, capLog, seed, ops)
+	})
+}
+
+// TestPagedScriptsCover pins what the checked-in scripts exercise between
+// them: pages released and refilled, filters that go dense, kick chains.
+func TestPagedScriptsCover(t *testing.T) {
+	var all scriptCover
+	for _, c := range pagedScripts {
+		got := runPagedScript(t, c.capLog, c.seed, c.ops)
+		all.released += got.released
+		all.reused += got.reused
+		all.densified += got.densified
+		all.kicks += got.kicks
+		all.failed += got.failed
+	}
+	if all.released == 0 || all.reused == 0 || all.densified == 0 || all.kicks == 0 || all.failed == 0 {
+		t.Fatalf("scripts cover %+v, want some of each", all)
+	}
+}
+
+// scriptCover tallies what a script exercised.
+type scriptCover struct {
+	released, reused, densified, kicks, failed int
+}
+
+// runPagedScript runs one FuzzPagedMatchesDense script; see there.
+func runPagedScript(t *testing.T, capLog uint8, seed int64, ops uint16) (cov scriptCover) {
+	t.Helper()
+	capacity := 4<<(capLog%15) + int(capLog/15)*37
+	pf, d := New(capacity), newDense(capacity)
+	slots := int(pf.mask+1) * slotsPerBucket
+	rng := rand.New(rand.NewSource(seed))
+	var keys []uint64 // inserted and not yet deleted, duplicates included
+	target := 0
+	for op := 0; op < int(ops); op++ {
+		if op%1024 == 0 || pf.Len() == target && rng.Intn(64) == 0 {
+			sameKickPosition(t, pf, d)
+			switch rng.Intn(6) {
+			case 0:
+				pf.Reset()
+				*d = denseFilter{buckets: make([]bucket, len(d.buckets)), mask: d.mask, rng: d.rng, draws: d.draws}
+				keys = keys[:0]
+				fallthrough
+			case 1: // a handful of keys per page in eight: sparse until it crosses
+				target = rng.Intn(int(pf.mask>>pf.pageShift)/8 + 2)
+			case 2:
+				target = rng.Intn(slots/2 + 1)
+			case 3:
+				target = slots * (95 + rng.Intn(6)) / 100
+			default:
+				target = 0
+			}
+		}
+		grow := pf.Len() < target
+		var key uint64
+		if len(keys) > 0 && (!grow || rng.Intn(4) == 0) {
+			j := rng.Intn(len(keys))
+			key = keys[j]
+			if !grow {
+				keys[j] = keys[len(keys)-1]
+				keys = keys[:len(keys)-1]
+			}
+		} else {
+			key = rng.Uint64()
+		}
+		mapped, free, dense, draws := pf.mapped, pf.free, pf.table != nil, d.draws
+		switch r := rng.Intn(8); {
+		case !grow && r < 6:
+			if got, want := pf.Delete(key), d.Delete(key); got != want {
+				t.Fatalf("op %d: Delete(%#x) = %v, dense %v", op, key, got, want)
+			}
+		case r < 3:
+			got, want := pf.Insert(key), d.Insert(key)
+			if got != want {
+				t.Fatalf("op %d: Insert(%#x) = %v, dense %v at len %d", op, key, got, want, d.count)
+			}
+			if got {
+				keys = append(keys, key)
+			} else {
+				cov.failed++
+			}
+		case r < 6:
+			gp, gok := pf.ContainsOrAdd(key)
+			wp, wok := d.ContainsOrAdd(key)
+			if gp != wp || gok != wok {
+				t.Fatalf("op %d: ContainsOrAdd(%#x) = %v,%v, dense %v,%v", op, key, gp, gok, wp, wok)
+			}
+			if !gp && gok {
+				keys = append(keys, key)
+			}
+		default:
+			if got, want := pf.Contains(key), d.Contains(key); got != want {
+				t.Fatalf("op %d: Contains(%#x) = %v, dense %v", op, key, got, want)
+			}
+		}
+		if pf.Len() != d.count {
+			t.Fatalf("op %d: Len = %d, dense %d", op, pf.Len(), d.count)
+		}
+		switch {
+		case pf.mapped < mapped:
+			cov.released++
+		case pf.mapped > mapped && free != 0 && pf.free != free:
+			cov.reused++
+		}
+		if !dense && pf.table != nil {
+			cov.densified++
+		}
+		if d.draws > draws {
+			cov.kicks++
+		}
+	}
+	sameKickPosition(t, pf, d)
+	for i := uint64(0); i <= pf.mask; i++ {
+		var got bucket
+		if b := pf.bucket(i); b != nil {
+			got = *b
+		}
+		if got != d.buckets[i] {
+			t.Fatalf("bucket %d = %v, dense %v", i, got, d.buckets[i])
+		}
+	}
+	if n := freePages(pf); pf.table == nil && pf.mapped+n != pf.pages {
+		t.Fatalf("%d pages mapped and %d free, %d handed out", pf.mapped, n, pf.pages)
+	}
+	return cov
+}
+
+// freePages counts the pages on f's free list.
+func freePages(f *Filter) int {
+	n := 0
+	for ref := f.free; ref != 0; ref = f.first(ref)[0] {
+		n++
+	}
+	return n
 }

@@ -278,6 +278,18 @@ func (p *pair) probe(i int) {
 	if pe, pr := p.eng.Pending(), p.ref.pendingCount(); pe != pr {
 		p.t.Fatalf("%s: Pending() engine=%d ref=%d", p.tag, pe, pr)
 	}
+	dead := 0
+	for _, nd := range p.eng.overflow {
+		if !nd.ev.parked {
+			p.t.Fatalf("%s: overflow node at %v not marked parked", p.tag, nd.at)
+		}
+		if nd.ev.dead {
+			dead++
+		}
+	}
+	if dead != p.eng.overDead || (dead > 0 && 4*dead >= len(p.eng.overflow)) {
+		p.t.Fatalf("%s: overflow heap holds %d tombstones of %d nodes, engine counts %d", p.tag, dead, len(p.eng.overflow), p.eng.overDead)
+	}
 }
 
 // sameLog compares what the two sides logged since the last call.
@@ -314,10 +326,12 @@ const ringSpan = units.Time(nBuckets << bucketShift)
 // schedulers. A dense script adds the operations that put the engine where a
 // k=16 fat-tree does: bursts of 300+ tie-heavy events inside one bucket whose
 // handlers schedule into, and cancel out of, the bucket being drained
-// (sometimes enough at once to trigger a sweep mid-drain); events near and
-// past the ring span, which end up sharing slots with a later lap once a
-// long Run window parks the cursor and a schedule rewinds it; and PeekTime
-// between windows.
+// (sometimes enough at once to tombstone most of it mid-drain); events near
+// and past the ring span, which end up sharing slots with a later lap once a
+// long Run window parks the cursor and a schedule rewinds it; far timers
+// cancelled after a rewind, on both sides of the ring's edge, against the
+// engine's count of overflow tombstones (see probe); and PeekTime between
+// windows.
 func runScript(t *testing.T, seed int64, ops int, dense bool) {
 	t.Helper()
 	p := newPair(t, "")
@@ -329,7 +343,7 @@ func runScript(t *testing.T, seed int64, ops int, dense bool) {
 		p.tag = fmt.Sprintf("seed %d op %d", seed, op)
 		k := rng.Intn(10)
 		if dense && rng.Intn(3) == 0 {
-			k = 10 + rng.Intn(5)
+			k = 10 + rng.Intn(6)
 		}
 		switch {
 		case k < 4: // plain schedule, heavy tie density to stress seq order
@@ -361,7 +375,7 @@ func runScript(t *testing.T, seed int64, ops int, dense bool) {
 				case 3, 4, 5: // cancel a node that has not surfaced (or has)
 					h.cancelLo = first + rng.Intn(n)
 					h.cancelHi = h.cancelLo + 1
-				case 6: // cancel enough to tip the engine into a sweep
+				case 6: // cancel the whole burst
 					if rng.Intn(8) == 0 {
 						h.cancelLo, h.cancelHi = first, first+n
 					}
@@ -374,6 +388,23 @@ func runScript(t *testing.T, seed int64, ops int, dense bool) {
 			p.run(units.Time(rng.Intn(int(2 * ringSpan))))
 		case k == 13: // stop mid-bucket
 			p.run(units.Time(rng.Intn(8)))
+		case k == 14: // far timers either side of the ring's edge, a rewind, then cancels
+			p.run(units.Time(rng.Intn(4 << bucketShift))) // may park the cursor past now
+			edge := max(p.eng.curB, int64(p.eng.Now())>>bucketShift) + nBuckets
+			first, n := len(p.engTimers), 1+rng.Intn(8)
+			for i := 0; i < n; i++ {
+				at := units.Time((edge+int64(rng.Intn(6)-3))<<bucketShift + int64(rng.Intn(1<<bucketShift)))
+				p.after(at-p.eng.Now(), plain)
+			}
+			// A near event rewinds a parked cursor: the far timers that went
+			// into the ring now lie a full span past it, those in the overflow
+			// heap further still, and only the latter count as its dead.
+			p.after(units.Time(rng.Intn(8)), plain)
+			for i := first; i < first+n; i++ {
+				if rng.Intn(4) != 0 {
+					p.cancel(i)
+				}
+			}
 		default:
 			p.peek()
 		}

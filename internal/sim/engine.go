@@ -18,9 +18,10 @@
 // same total order a single heap would produce and replacing the structure
 // cannot perturb a run.
 // Cancellation is lazy: Timer.Cancel tombstones the frame in place and the
-// scheduler reaps it when it surfaces at its bucket's root (or sweeps ring
-// and overflow heap once tombstones dominate), so the cancel path — which
-// TCP retransmit timers hit on every ACK — is O(1).
+// scheduler reaps it when it surfaces at its bucket's root, when it would
+// migrate out of the overflow heap, or when a quarter of that heap is dead
+// and Cancel filters it, so the cancel path — which TCP retransmit timers hit
+// on every ACK — is O(1) amortized.
 package sim
 
 import (
@@ -43,8 +44,9 @@ type ArgHandler func(arg uint64)
 // event is a scheduled callback. Events are recycled through the engine's
 // free list once fired or reaped; gen distinguishes incarnations so that
 // a Timer held across its event's recycling can never act on the new tenant.
-// A tombstoned (dead) event stays in its bucket or heap until it surfaces at
-// the root, where locate discards it without firing.
+// A tombstoned (dead) event stays in its bucket until it surfaces at the
+// root, where locate discards it without firing; one in the overflow heap
+// until it would migrate, or until Cancel compacts the heap (see Cancel).
 //
 // Exactly one of fn and afn is set (schedule writes both, so a frame rearmed
 // in place cannot keep the other from its last life). The tie-breaking
@@ -59,9 +61,10 @@ type event struct {
 	schedAt units.Time // sim time the event was scheduled, for the flight recorder
 	dead    bool       // tombstone: cancelled, reaped lazily at pop
 	chain   bool       // fire-and-forget (Sched, SchedArg): frame may self-reschedule in place
+	parked  bool       // in the overflow heap: set by schedule, cleared by migrate or compact
 	// Pad to 64 bytes: frames are carved from contiguous slabs (see alloc),
 	// and a frame that straddles two cache lines costs two misses per fire.
-	_ [14]byte
+	_ [13]byte
 }
 
 // heapNode is one calendar/heap slot: the (at, seq) sort key inlined next
@@ -110,8 +113,9 @@ type Engine struct {
 	nodes arena.Pool[heapNode]
 	// overflow is a 4-ary min-heap on (at, seq) holding events scheduled
 	// at least a full ring span past the cursor; migrate moves them into
-	// the ring as the cursor approaches.
+	// the ring as the cursor approaches. overDead of them are tombstones.
 	overflow []heapNode
+	overDead int
 	now      units.Time
 	asOf     units.Time // the as-of clock while set (see SetAsOf), else -1
 	seq      uint64
@@ -126,8 +130,8 @@ type Engine struct {
 
 	// Self-instrumentation (see Stats).
 	freeHits    uint64 // alloc calls served from the free list
-	tombPops    uint64 // tombstoned events reaped at a bucket root or by sweep
-	sweeps      uint64 // amortized tombstone sweeps triggered by Cancel
+	tombPops    uint64 // tombstoned events reaped at a bucket root, at migration or by compact
+	compacts    uint64 // overflow-heap compactions triggered by Cancel
 	peakPending int    // high-water mark of live scheduled events
 
 	// Wall-clock watchdog (see SetWallDeadline).
@@ -144,7 +148,7 @@ type Engine struct {
 	pubFired    uint64
 	pubSeq      uint64
 	pubTombPops uint64
-	pubSweeps   uint64
+	pubCompacts uint64
 	pubLive     int
 	onPublish   []func()            // co-located components' publish hooks, see OnPublish
 	flight      *obs.FlightRecorder // crash flight recorder, nil when disabled
@@ -334,64 +338,55 @@ func heapPop(h []heapNode) []heapNode {
 }
 
 // migrate moves overflow events into the ring as long as their bucket lies
-// within a ring span of the cursor. Called whenever the cursor advances, so
-// the overflow invariant (bucket >= curB + nBuckets) holds between calls
-// and the ring always contains the global minimum when it is non-empty.
-// The cursor having just moved, no bucket is heapified yet (heaped is
-// false), so a plain append is right even for the cursor's own slot.
+// within a ring span of the cursor, and reaps the tombstones among them.
+// Called whenever the cursor advances, so the overflow invariant (bucket >=
+// curB + nBuckets) holds between calls and the ring always contains the
+// global minimum when it is non-empty. The cursor having just moved, no
+// bucket is heapified yet (heaped is false), so a plain append is right even
+// for the cursor's own slot.
 func (e *Engine) migrate() {
 	for len(e.overflow) > 0 && int64(e.overflow[0].at)>>bucketShift < e.curB+nBuckets {
 		nd := e.overflow[0]
 		e.overflow = heapPop(e.overflow)
+		nd.ev.parked = false
+		if nd.ev.dead {
+			e.overDead--
+			e.tombPops++
+			e.recycle(nd.ev)
+			continue
+		}
 		s := (int64(nd.at) >> bucketShift) & ringMask
 		e.ring[s] = append(e.room(s), nd)
 		e.ringCnt++
 	}
 }
 
-// sweep filters every tombstone out of the overflow heap and the ring,
-// recycles the frames, and re-heapifies the overflow survivors in place.
-// Cancel triggers it once tombstones outnumber live events, so the cost is
-// O(n) but amortized O(1) per cancel; without it, long-deadline timers
-// re-armed at high rate (TCP RTOs reset on every ACK) would pile dead
-// frames up in the overflow heap until their deadlines pass. Removal
-// cannot change fire order: extraction selects by the (at, seq) total
-// order, never by position. Filtering does break the heap shape of a bucket
-// mid-drain, so the mark is cleared and locate re-heapifies what is left.
-func (e *Engine) sweep() {
+// compact filters every tombstone out of the overflow heap, recycles the
+// frames, and re-heapifies the survivors in place. Cancel triggers it once a
+// quarter of the heap is dead, so the cost is O(n) but amortized O(1) per
+// cancel; without it, long-deadline timers re-armed at high rate (TCP RTOs
+// reset on every ACK) would pile dead frames up in the heap until their
+// deadlines came within a ring span. The ring needs no such pass: a bucket
+// drains, reaping its tombstones, within one ring span of simulated time.
+// Removal cannot change fire order: extraction selects by the (at, seq)
+// total order, never by position.
+func (e *Engine) compact() {
 	h := e.overflow
 	kept := h[:0]
 	for _, nd := range h {
 		if nd.ev.dead {
+			nd.ev.parked = false
 			e.tombPops++
 			e.recycle(nd.ev)
 		} else {
 			kept = append(kept, nd)
 		}
 	}
-	for i := len(kept); i < len(h); i++ {
-		h[i] = heapNode{}
-	}
+	clear(h[len(kept):])
 	heapify(kept)
 	e.overflow = kept
-	e.heaped = false
-	for s, b := range e.ring {
-		kb := b[:0]
-		for _, nd := range b {
-			if nd.ev.dead {
-				e.tombPops++
-				e.recycle(nd.ev)
-				e.ringCnt--
-			} else {
-				kb = append(kb, nd)
-			}
-		}
-		for i := len(kb); i < len(b); i++ {
-			b[i] = heapNode{}
-		}
-		e.ring[s] = kb
-	}
-	e.sweeps++
+	e.overDead = 0
+	e.compacts++
 }
 
 // schedule allocates (or reuses) a frame for the event — fn, or afn(arg) —
@@ -426,6 +421,7 @@ func (e *Engine) schedule(t units.Time, fn Handler, afn ArgHandler, arg uint64, 
 	s := b & ringMask
 	switch {
 	case b-e.curB >= nBuckets:
+		ev.parked = true
 		e.overflow = heapPush(e.overflow, nd)
 	case e.heaped && b == e.curB:
 		// The cursor's bucket is being drained in heap order: sift up.
@@ -702,8 +698,8 @@ type EngineStats struct {
 	Events         uint64 `json:"events"`          // handlers fired
 	Scheduled      uint64 `json:"scheduled"`       // events scheduled via At/After/Sched
 	FreeListHits   uint64 `json:"free_list_hits"`  // scheduled events reusing a recycled frame
-	TombstonedPops uint64 `json:"tombstoned_pops"` // lazily-cancelled events reaped at pop or sweep
-	HeapSweeps     uint64 `json:"heap_sweeps"`     // amortized tombstone sweeps triggered by Cancel
+	TombstonedPops uint64 `json:"tombstoned_pops"` // lazily-cancelled events reaped at pop, migration or compaction
+	HeapSweeps     uint64 `json:"heap_sweeps"`     // overflow-heap compactions triggered by Cancel
 	PeakPending    int    `json:"peak_pending"`    // high-water mark of live pending events
 }
 
@@ -725,7 +721,7 @@ func (e *Engine) Stats() EngineStats {
 		Scheduled:      e.seq,
 		FreeListHits:   e.freeHits,
 		TombstonedPops: e.tombPops,
-		HeapSweeps:     e.sweeps,
+		HeapSweeps:     e.compacts,
 		PeakPending:    e.peakPending,
 	}
 }
@@ -749,8 +745,10 @@ func (t Timer) valid() bool {
 // already-cancelled timer is a no-op. Reports whether the event was pending.
 //
 // Cancellation is lazy: the event is tombstoned in place and reaped when it
-// surfaces at a heap root, so Cancel is O(1) — no re-sift, no bookkeeping on
-// the path retransmit timers hit on every ACK.
+// surfaces at a bucket root, so Cancel is O(1) — no re-sift on the path
+// retransmit timers hit on every ACK. A tombstone in the overflow heap is
+// counted; once a quarter of the heap is dead, Cancel compacts it, so
+// re-armed far timers pin at most a third again as many frames as are live.
 func (t Timer) Cancel() bool {
 	ev := t.ev
 	if ev == nil || ev.gen != t.gen || ev.dead {
@@ -759,12 +757,10 @@ func (t Timer) Cancel() bool {
 	ev.dead = true
 	e := t.engine
 	e.live--
-	// Amortized garbage bound: once tombstones outnumber live events, sweep
-	// them out so cancel-heavy workloads cannot inflate the overflow heap or
-	// starve the free list while waiting for dead deadlines to pass. (Ring
-	// tombstones are also reaped as their bucket drains.)
-	if n := e.ringCnt + len(e.overflow); n >= 64 && e.live < n-e.live {
-		e.sweep()
+	if ev.parked {
+		if e.overDead++; 4*e.overDead >= len(e.overflow) {
+			e.compact()
+		}
 	}
 	return true
 }

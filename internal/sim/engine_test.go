@@ -612,6 +612,62 @@ func TestCancelPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestRearmedFarTimersDoNotPinFrames: K timers past the ring's span, each
+// re-armed N times between short Run windows — a TCP sender's RTO reset on
+// every ACK, with packets in flight — leave a tombstone in the overflow heap
+// per re-arm. Cancel compacts the heap once a quarter of it is dead, so the
+// dead never exceed a third of the K live and the engine carves at most
+// 4K/3 frames, plus the rest of one slab; the K survivors still fire in
+// order, and no tombstone is left counted.
+func TestRearmedFarTimersDoNotPinFrames(t *testing.T) {
+	const K, N = 1000, 40
+	eng := NewEngine(1)
+	var fired []uint64
+	fire := func(k uint64) { fired = append(fired, k) }
+	// Packets keep the ring busy, as in a run: the cursor follows now
+	// instead of jumping to the overflow heap's first deadline. (Timer-backed,
+	// so that every schedule either reuses a freed frame or carves one.)
+	ticking := true
+	var tick Handler
+	tick = func() {
+		if ticking {
+			eng.After(100, tick)
+		}
+	}
+	eng.After(100, tick)
+	rto := units.Time(3 * nBuckets << bucketShift)
+	timers := make([]Timer, K)
+	for k := range timers {
+		timers[k] = eng.AfterArg(rto, fire, uint64(k))
+	}
+	for round := 0; round < N; round++ {
+		eng.Run(eng.Now() + units.Microsecond)
+		for k := range timers {
+			if !timers[k].Cancel() {
+				t.Fatalf("round %d: timer %d not pending", round, k)
+			}
+			timers[k] = eng.AfterArg(rto+units.Time(k), fire, uint64(k))
+		}
+	}
+	st := eng.Stats()
+	if carved := st.Scheduled - st.FreeListHits; carved > K+K/3+frameSlab {
+		t.Fatalf("%d re-arms of %d far timers carved %d frames, want at most %d", N, K, carved, K+K/3+frameSlab)
+	}
+	if st.HeapSweeps == 0 || len(eng.overflow) > K+K/3 || eng.overDead*4 >= len(eng.overflow) {
+		t.Fatalf("overflow heap holds %d nodes, %d dead, after %d compactions", len(eng.overflow), eng.overDead, st.HeapSweeps)
+	}
+	ticking = false
+	eng.Run(units.Second)
+	if len(fired) != K || eng.overDead != 0 || len(eng.overflow) != 0 {
+		t.Fatalf("fired %d of %d timers; overflow left %d nodes, %d counted dead", len(fired), K, len(eng.overflow), eng.overDead)
+	}
+	for k, got := range fired {
+		if got != uint64(k) {
+			t.Fatalf("fire %d was timer %d", k, got)
+		}
+	}
+}
+
 // TestOnPublishCadence: publish hooks run where the engine itself publishes —
 // every 16 Ki events inside Run, when Run returns, and from FinishObs — in
 // registration order, and never per event.

@@ -11,8 +11,8 @@ import "vertigo/internal/obs"
 var (
 	obsEvents    = obs.NewCounter("vertigo_engine_events_total", "simulation events fired")
 	obsScheduled = obs.NewCounter("vertigo_engine_scheduled_total", "events scheduled via At/After/Sched")
-	obsTombPops  = obs.NewCounter("vertigo_engine_tombstone_pops_total", "lazily-cancelled events reaped at pop or sweep")
-	obsSweeps    = obs.NewCounter("vertigo_engine_heap_sweeps_total", "amortized tombstone sweeps triggered by Cancel")
+	obsTombPops  = obs.NewCounter("vertigo_engine_tombstone_pops_total", "lazily-cancelled events reaped at pop, migration or compaction")
+	obsCompacts  = obs.NewCounter("vertigo_engine_heap_sweeps_total", "overflow-heap compactions triggered by Cancel")
 	obsPending   = obs.NewGauge("vertigo_engine_pending", "live pending events summed across running engines")
 )
 
@@ -32,9 +32,9 @@ func (e *Engine) publishObs() {
 		obsTombPops.Add(d)
 		e.pubTombPops = e.tombPops
 	}
-	if d := e.sweeps - e.pubSweeps; d > 0 {
-		obsSweeps.Add(d)
-		e.pubSweeps = e.sweeps
+	if d := e.compacts - e.pubCompacts; d > 0 {
+		obsCompacts.Add(d)
+		e.pubCompacts = e.compacts
 	}
 	if d := e.live - e.pubLive; d != 0 {
 		obsPending.Add(int64(d))

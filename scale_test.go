@@ -50,11 +50,14 @@ func runHugeConfig() core.Config {
 // Slab recycling, the streaming metrics store and the arenas are what make
 // this hold; before them, sender/receiver/record state accreted per flow.
 //
-// Measured: 217 → 471 MB, 2.17×. The ratio rises as the fixed floor under
-// both runs falls, so it says less than the two figures: 546 → 824 MB (1.5×)
-// while every host's marker carried a 256 KiB flat duplicate filter, 247 →
-// 515 MB (2.08×) while the FIB held a slice per (switch, host) and every
-// calendar bucket the array of its worst burst. The 3× bound below is
+// Measured on a 2-core machine: 124 → 230 MB, 1.86×, since duplicate
+// filters give back the pages their deletes empty and dead far timers leave
+// the overflow heap (153 → 377 MB, 2.46×, before, on the same machine;
+// 217 → 471 MB, 2.17×, earlier still). The ratio rises as the fixed floor
+// under both runs falls, so it says less than the two figures: 546 → 824 MB
+// (1.5×) while every host's marker carried a 256 KiB flat duplicate filter,
+// 247 → 515 MB (2.08×) while the FIB held a slice per (switch, host) and
+// every calendar bucket the array of its worst burst. The 3× bound below is
 // unchanged.
 //
 // Both runs execute in this process and getrusage's high-water mark is
