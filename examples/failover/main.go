@@ -4,8 +4,8 @@
 // repair the FIB; Vertigo's switches see the dead port as a full queue and
 // deflect around it in the dataplane, within microseconds.
 //
-// This example drives the internal scenario API directly (link failures are
-// a research knob, not part of the stable public surface).
+// This example drives the internal scenario API directly (fault schedules
+// are a research knob, not part of the stable public surface).
 package main
 
 import (
@@ -14,6 +14,7 @@ import (
 
 	"vertigo/internal/core"
 	"vertigo/internal/fabric"
+	"vertigo/internal/faults"
 	"vertigo/internal/metrics"
 	"vertigo/internal/topo"
 	"vertigo/internal/transport"
@@ -38,7 +39,7 @@ func main() {
 		cfg.SetIncastLoad(0.20)
 		// Host access links occupy indices 0..hosts-1; the first leaf-spine
 		// uplink follows.
-		cfg.LinkFailures = []core.LinkFailure{{Link: cfg.NumHosts(), At: cfg.SimTime / 2}}
+		cfg.Faults = (&faults.Schedule{}).Add(faults.Event{At: cfg.SimTime / 2, Kind: faults.LinkDown, Link: cfg.NumHosts()})
 
 		res, err := core.Run(cfg)
 		if err != nil {

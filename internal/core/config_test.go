@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vertigo/internal/fabric"
+	"vertigo/internal/faults"
 	"vertigo/internal/metrics"
 	"vertigo/internal/topo"
 	"vertigo/internal/transport"
@@ -130,11 +131,21 @@ func TestRunRejectsBadTrace(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadLinkFailure: a permanent link failure — a LinkDown with
+// no LinkUp — on a negative link index or past the horizon fails Run before
+// any work, as an out-of-range index does once the topology is built.
 func TestRunRejectsBadLinkFailure(t *testing.T) {
-	cfg := smallConfig(fabric.ECMP, transport.DCTCP)
-	cfg.LinkFailures = []LinkFailure{{Link: 1 << 20, At: 0}}
-	if _, err := Run(cfg); err == nil {
-		t.Error("out-of-range link failure accepted")
+	for _, ev := range []faults.Event{
+		{Kind: faults.LinkDown, Link: -1},
+		{At: units.Second + 1, Kind: faults.LinkDown, Link: 0},
+		{Kind: faults.LinkDown, Link: 1 << 20},
+	} {
+		cfg := smallConfig(fabric.ECMP, transport.DCTCP)
+		cfg.SimTime = units.Second
+		cfg.Faults = (&faults.Schedule{}).Add(ev)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("link failure %v accepted", ev)
+		}
 	}
 }
 
@@ -166,11 +177,10 @@ func TestLinkFailureEndToEnd(t *testing.T) {
 	cfg.BGLoad = 0
 	cfg.IncastQPS = 0
 	hosts := cfg.NumHosts()
-	var fails []LinkFailure
+	cfg.Faults = &faults.Schedule{}
 	for i := 0; i < cfg.LeafSpineCfg.Spines; i++ {
-		fails = append(fails, LinkFailure{Link: hosts + i, At: units.Millisecond})
+		cfg.Faults.Add(faults.Event{At: units.Millisecond, Kind: faults.LinkDown, Link: hosts + i})
 	}
-	cfg.LinkFailures = fails
 	cfg.Trace = &workload.Trace{Flows: []workload.TraceFlow{
 		{At: 0, Src: 0, Dst: hosts - 1, Size: 20_000},                     // finishes pre-failure
 		{At: 2 * units.Millisecond, Src: 0, Dst: hosts - 1, Size: 20_000}, // doomed

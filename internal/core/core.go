@@ -89,15 +89,11 @@ type Config struct {
 	// returned in Result.Sampler.
 	SampleTick units.Time
 
-	// LinkFailures schedules dataplane link failures (an extension beyond
-	// the paper: deflection-capable schemes route around carrier loss in
-	// place, while ECMP/DRILL blackhole until the control plane would heal).
-	// These are permanent; for transient faults use Faults.
-	LinkFailures []LinkFailure
-
 	// Faults, when non-empty, replays a fault schedule into the fabric:
-	// transient link flaps, switch failures, bit-error corruption and rate
-	// brownouts (see internal/faults).
+	// permanent or transient link failures (an extension beyond the paper:
+	// deflection-capable schemes route around carrier loss in place, while
+	// ECMP/DRILL blackhole until the control plane would heal), switch
+	// failures, bit-error corruption and rate brownouts (see internal/faults).
 	Faults *faults.Schedule
 	// HealDelay, when positive, enables control-plane healing: HealDelay
 	// after each Faults topology change, freshly computed FIBs that route
@@ -151,12 +147,6 @@ var (
 	ErrWallBudget = errors.New("wall-clock budget exceeded")
 	ErrMaxEvents  = errors.New("event budget exceeded")
 )
-
-// LinkFailure kills one topology link at a point in simulated time.
-type LinkFailure struct {
-	Link int // index into the topology's Links
-	At   units.Time
-}
 
 // DefaultConfig returns the paper's Table 1 defaults on the paper's
 // leaf-spine topology for the given scheme/transport combination.
@@ -252,14 +242,6 @@ func (c *Config) Validate() error {
 	if c.ChaosPanicAt < 0 || c.ChaosPanicAt > c.SimTime {
 		return fmt.Errorf("core: chaos panic at %v is outside the simulated window [0, %v]", c.ChaosPanicAt, c.SimTime)
 	}
-	for i, lf := range c.LinkFailures {
-		if lf.Link < 0 {
-			return fmt.Errorf("core: link failure %d has negative link index %d", i, lf.Link)
-		}
-		if lf.At < 0 || lf.At > c.SimTime {
-			return fmt.Errorf("core: link failure %d at %v is outside the simulated window [0, %v]", i, lf.At, c.SimTime)
-		}
-	}
 	// Link/switch index ranges are re-checked against the built topology in
 	// Run; here only times and parameter ranges can be validated.
 	if err := c.Faults.Validate(-1, -1, c.SimTime); err != nil {
@@ -272,7 +254,6 @@ func (c *Config) Validate() error {
 type Result struct {
 	Summary   *metrics.Summary
 	Collector *metrics.Collector
-	Events    uint64
 	// Engine and Pool snapshot the runtime's self-instrumentation: how much
 	// work the run did and how well the event/packet free lists recycled.
 	Engine sim.EngineStats
@@ -391,9 +372,9 @@ type world struct {
 	senders *transport.SenderPool
 	hosts   []*host.Host
 	inj     *faults.Injector // nil when nothing is scheduled to fail
+	pub     published        // see publish
 
-	// Probes attach independently; the fabric fans events out through a
-	// telemetry.Multi when more than one is present.
+	// Probes attach independently; the fabric fans each event out to all.
 	mon     *telemetry.Monitor
 	tracer  *telemetry.Tracer
 	sampler *telemetry.Sampler
@@ -428,6 +409,7 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 		w.net = fabric.New(eng, t, w.met, cfg.Fabric)
 	}
 	w.ids = &packet.IDGen{}
+	eng.OnPublish(w.publish)
 
 	if cfg.Telemetry {
 		w.mon = telemetry.NewMonitor(eng, cfg.TelemetryConfig)
@@ -442,18 +424,9 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 		w.sampler.Start(cfg.SimTime)
 		w.net.AddObserver(w.sampler)
 	}
-	// One schedule, one injector: the permanent LinkFailures lead it, so the
-	// healer's view of what is dead includes them.
-	sched := &faults.Schedule{}
-	for _, lf := range cfg.LinkFailures {
-		sched.Add(faults.Event{At: lf.At, Kind: faults.LinkDown, Link: lf.Link})
-	}
-	if cfg.Faults != nil {
-		sched.Add(cfg.Faults.Events...)
-	}
-	if !sched.Empty() {
+	if !cfg.Faults.Empty() {
 		var err error
-		if w.inj, err = faults.Apply(eng, w.net, sched, cfg.HealDelay); err != nil {
+		if w.inj, err = faults.Apply(eng, w.net, cfg.Faults, cfg.HealDelay); err != nil {
 			return nil, err
 		}
 	}
@@ -520,14 +493,16 @@ func (w *world) overBudget(cfg *Config) error {
 
 // finish closes a world whose engine has run to the horizon: it replays the
 // pops due by then, so the totals do not depend on which ports happened to be
-// touched last, publishes the last registry deltas, fails an over-budget run,
+// touched last, publishes the last registry growth and withdraws the world's
+// pending events from the gauge, fails an over-budget run,
 // flushes the probes, and returns the world's own collector and counters,
 // unmerged and without a Summary — summarizing is the caller's, over one
 // collector or the merge.
 func (w *world) finish(cfg *Config) (*Result, error) {
 	w.net.SettleAll()
-	w.eng.FinishObs()
-	w.net.Pool().PublishObs()
+	w.publish()
+	regPending.Add(int64(-w.pub.pending)) // the engine is done
+	w.pub.pending = 0
 	if err := w.overBudget(cfg); err != nil {
 		return nil, err
 	}
@@ -541,7 +516,6 @@ func (w *world) finish(cfg *Config) (*Result, error) {
 	}
 	return &Result{
 		Collector: w.met,
-		Events:    w.eng.Events(),
 		Engine:    w.eng.Stats(),
 		Pool:      w.net.Pool().Stats(),
 		Trains:    w.net.TrainStats(),

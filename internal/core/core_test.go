@@ -71,8 +71,8 @@ func TestDeterministicRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Events != b.Events {
-		t.Fatalf("event counts differ: %d vs %d", a.Events, b.Events)
+	if a.Engine.Events != b.Engine.Events {
+		t.Fatalf("event counts differ: %d vs %d", a.Engine.Events, b.Engine.Events)
 	}
 	if a.Summary.MeanFCT != b.Summary.MeanFCT || a.Summary.Drops != b.Summary.Drops {
 		t.Fatalf("summaries differ: %+v vs %+v", a.Summary, b.Summary)

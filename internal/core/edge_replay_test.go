@@ -11,6 +11,7 @@ import (
 	"vertigo/internal/metrics"
 	"vertigo/internal/packet"
 	"vertigo/internal/sim"
+	"vertigo/internal/telemetry"
 	"vertigo/internal/topo"
 	"vertigo/internal/transport"
 	"vertigo/internal/units"
@@ -126,6 +127,7 @@ func (c *edgeCapture) Deliver(h int, p *packet.Packet) {
 func (c *edgeCapture) Transmit(int, int, *packet.Packet, units.Time, units.ByteSize) {}
 func (c *edgeCapture) Deflect(int, int, int, *packet.Packet)                         {}
 func (c *edgeCapture) Drop(int, int, *packet.Packet, metrics.DropReason)             {}
+func (c *edgeCapture) Fault(telemetry.FaultEvent)                                    {}
 
 // captureEdges runs cfg serially, as Run does, with an edgeCapture attached,
 // and checks the observed run is Run's.
@@ -161,8 +163,8 @@ func captureEdges(t *testing.T, cfg Config) (*edgeCapture, *world) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Events != ref.Events {
-		t.Fatalf("captured run fired %d events, Run %d: not the same run", res.Events, ref.Events)
+	if res.Engine.Events != ref.Engine.Events {
+		t.Fatalf("captured run fired %d events, Run %d: not the same run", res.Engine.Events, ref.Engine.Events)
 	}
 	return c, w
 }

@@ -214,7 +214,6 @@ func runSharded(cfg Config, t *topo.Topology, part *topo.Partition) (*Result, er
 			return nil, err
 		}
 		met.Merge(r.Collector)
-		res.Events += r.Events
 		res.Engine.Events += r.Engine.Events
 		res.Engine.Scheduled += r.Engine.Scheduled
 		res.Engine.FreeListHits += r.Engine.FreeListHits

@@ -56,8 +56,8 @@ func TestShardedDeterministic(t *testing.T) {
 				t.Errorf("shards=%d: summaries differ between repetitions:\n%+v\nvs\n%+v",
 					n, first.Summary, r.Summary)
 			}
-			if first.Events != r.Events {
-				t.Errorf("shards=%d: event counts differ: %d vs %d", n, first.Events, r.Events)
+			if first.Engine.Events != r.Engine.Events {
+				t.Errorf("shards=%d: event counts differ: %d vs %d", n, first.Engine.Events, r.Engine.Events)
 			}
 			if first.Collector.Drops != r.Collector.Drops {
 				t.Errorf("shards=%d: drop counters differ: %v vs %v",

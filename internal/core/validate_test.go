@@ -30,12 +30,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"negative sample tick", func(c *Config) { c.SampleTick = -units.Microsecond }, "sample tick"},
 		{"negative wall timeout", func(c *Config) { c.WallTimeout = -time.Second }, "wall timeout"},
 		{"negative shards", func(c *Config) { c.Shards = -3 }, "shard count"},
-		{"negative failure link", func(c *Config) {
-			c.LinkFailures = []LinkFailure{{Link: -1, At: 0}}
-		}, "link index"},
-		{"failure beyond sim end", func(c *Config) {
-			c.LinkFailures = []LinkFailure{{Link: 0, At: c.SimTime + 1}}
-		}, "outside the simulated window"},
 		{"fault beyond sim end", func(c *Config) {
 			c.Faults = (&faults.Schedule{}).Add(
 				faults.Event{At: c.SimTime * 2, Kind: faults.LinkDown, Link: 0})
@@ -112,18 +106,17 @@ func TestRunWithFaultScheduleAccounts(t *testing.T) {
 	}
 }
 
-// TestHealerSeesLinkFailures: a permanent Config.LinkFailures entry goes
-// through the same injector as Config.Faults, so the control plane's heal
-// knows the link is dead — also when a later, unrelated flap triggers another
-// recomputation — and the tables it installs route around it.
+// TestHealerSeesLinkFailures: a permanent link failure — a LinkDown with no
+// LinkUp — stays dead in the control plane's view, also when a later,
+// unrelated flap triggers another recomputation, and the tables it installs
+// route around it.
 func TestHealerSeesLinkFailures(t *testing.T) {
 	cfg := smallConfig(fabric.ECMP, transport.DCTCP)
 	cfg.SimTime = 5 * units.Millisecond
 	dead := cfg.NumHosts()        // leaf 0's first uplink
 	flapped := cfg.NumHosts() + 1 // its second
-	cfg.LinkFailures = []LinkFailure{{Link: dead, At: units.Millisecond}}
-	cfg.Faults = (&faults.Schedule{}).Add(
-		faults.Flap(flapped, 2*units.Millisecond, 500*units.Microsecond, units.Millisecond, 1)...)
+	cfg.Faults = (&faults.Schedule{}).Add(faults.Event{At: units.Millisecond, Kind: faults.LinkDown, Link: dead})
+	cfg.Faults.Add(faults.Flap(flapped, 2*units.Millisecond, 500*units.Microsecond, units.Millisecond, 1)...)
 	cfg.HealDelay = 100 * units.Microsecond
 	tp, err := topo.NewLeafSpine(cfg.LeafSpineCfg)
 	if err != nil {
@@ -135,7 +128,7 @@ func TestHealerSeesLinkFailures(t *testing.T) {
 	}
 	w.eng.Run(cfg.SimTime)
 	if w.inj == nil || w.inj.FailedLinks() != 1 {
-		t.Fatalf("injector does not count the LinkFailures link as failed (injector %v)", w.inj)
+		t.Fatalf("injector does not count the permanently failed link (injector %v)", w.inj)
 	}
 	if w.met.FIBInstalls != 3 {
 		t.Errorf("FIB installs = %d, want 3 (the failure and both flap edges)", w.met.FIBInstalls)

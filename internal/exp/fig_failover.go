@@ -3,8 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"vertigo/internal/core"
 	"vertigo/internal/fabric"
+	"vertigo/internal/faults"
 	"vertigo/internal/metrics"
 	"vertigo/internal/transport"
 )
@@ -37,7 +37,7 @@ func runFailover(sc Scale, opt *Options) ([]*Table, error) {
 		cfg := withLoads(baseConfig(sc, p, transport.DCTCP), 0.30, 0.50)
 		// The first leaf-spine link follows the host access links.
 		firstUplink := sc.Hosts()
-		cfg.LinkFailures = []core.LinkFailure{{Link: firstUplink, At: sc.SimTime / 2}}
+		cfg.Faults = (&faults.Schedule{}).Add(faults.Event{At: sc.SimTime / 2, Kind: faults.LinkDown, Link: firstUplink})
 		sw.add(fmt.Sprintf("failover/%s", p), cfg,
 			func(s *metrics.Summary, col *metrics.Collector) {
 				t.Add(schemeName(p, transport.DCTCP), pct(s.FlowCompletionP), s.MeanFCT,

@@ -151,6 +151,9 @@ type Observer interface {
 	Drop(sw, port int, p *packet.Packet, reason metrics.DropReason)
 	// Deliver fires when a packet reaches its destination host.
 	Deliver(host int, p *packet.Packet)
+	// Fault fires when fault injection changes the fabric: a carrier loss
+	// or recovery, a switch failure, a bit-error or rate change, a FIB heal.
+	Fault(ev telemetry.FaultEvent)
 }
 
 // Network instantiates a topology: one Switch per topology switch, one
@@ -172,7 +175,7 @@ type Network struct {
 	txFn     sim.ArgHandler // wake-up event of ports[arg], see Port.armWake
 	arrFn    sim.ArgHandler // arrival event of ports[arg]
 	hostRecv []Receiver     // host ingress handlers
-	obs      Observer       // optional telemetry observer
+	obs      []Observer     // attached telemetry probes, in attachment order
 	pool     *packet.Pool   // per-simulation packet free list
 
 	// Shared arenas for the ports' arrays — in-flight FIFOs (inf) and queues
@@ -198,14 +201,8 @@ type Network struct {
 	swDown        []bool
 	linkDownSince []units.Time // -1 while a link is up
 
-	// Replay accounting (see TrainStats), with what publishObs has already
-	// folded into the registry.
-	replays, replayedPops       uint64
-	pubReplays, pubReplayedPops uint64
-
-	// Per-packet registry signals not yet published (see publishObs).
-	queueDepth obs.HistBatch
-	ecnMarks   uint64
+	// Replay accounting (see TrainStats).
+	replays, replayedPops uint64
 
 	// Sharded execution (nil when serial — see shard.go): the domain
 	// context this replica runs under, and the inbox delivering packets
@@ -234,18 +231,11 @@ func (n *Network) TrainStats() TrainStats {
 // SettleAll replays, on every port, the pops due by now. No result depends
 // on it — a port replays the same pops at its next touch — so it is for
 // readers that look at state without touching the ports: a sampler before
-// its snapshot (see offerSettler), a run's end before the totals are read.
+// its snapshot (see AddObserver), a run's end before the totals are read.
 func (n *Network) SettleAll() {
 	now := n.Eng.Now()
 	for i := range n.ports {
 		n.ports[i].sync(now)
-	}
-}
-
-// offerSettler hands SettleAll to an observer that asks for it.
-func (n *Network) offerSettler(o Observer) {
-	if s, ok := o.(interface{ SetSettler(settle func()) }); ok {
-		s.SetSettler(n.SettleAll)
 	}
 }
 
@@ -260,29 +250,23 @@ func (n *Network) Pool() *packet.Pool {
 	return n.pool
 }
 
-// AddObserver attaches one more telemetry probe alongside any already
-// attached, fanning events out through a telemetry.Multi once more than one
-// is present. The no-observer fast path stays a single nil check — and zero
-// allocations — on every dataplane event; the mux allocates only here, at
-// attach time. Nil is a no-op.
+// AddObserver attaches one more telemetry probe after any already attached;
+// every dataplane and fault event fans out to the probes in attachment
+// order. A probe that asks for a settler (a SetSettler method, see
+// telemetry.Sampler) gets SettleAll. With no probe attached each event costs
+// one empty-slice check and no allocation. Nil is a no-op.
 func (n *Network) AddObserver(o Observer) {
-	n.offerSettler(o)
-	switch {
-	case o == nil:
-	case n.obs == nil:
-		n.obs = o
-	default:
-		if m, ok := n.obs.(*telemetry.Multi); ok {
-			m.Add(o)
-		} else {
-			n.obs = telemetry.NewMulti(n.obs, o)
-		}
+	if o == nil {
+		return
 	}
+	if s, ok := o.(interface{ SetSettler(settle func()) }); ok {
+		s.SetSettler(n.SettleAll)
+	}
+	n.obs = append(n.obs, o)
 }
 
-// Observer returns the attached observer (a *telemetry.Multi when several
-// probes are attached), or nil.
-func (n *Network) Observer() Observer { return n.obs }
+// Observers returns the attached probes in attachment order.
+func (n *Network) Observers() []Observer { return n.obs }
 
 // New builds the runtime network for t.
 func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) *Network {
@@ -324,7 +308,6 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 	for i := range n.linkDownSince {
 		n.linkDownSince[i] = -1
 	}
-	eng.OnPublish(n.publishObs)
 	n.txFn = func(i uint64) { n.ports[i].wake() }
 	n.arrFn = func(i uint64) { n.ports[i].arrive() }
 
@@ -401,9 +384,9 @@ func (n *Network) Send(p *packet.Packet) {
 	nic := &n.nics[p.Src]
 	nic.sync(n.Eng.Now())
 	nic.push(p)
-	n.queueDepth.Observe(int64(nic.qs.Bytes()))
-	if n.obs != nil {
-		n.obs.Enqueue(int(nic.sw), int(nic.idx), p, nic.qs.Bytes())
+	n.Met.QueueDepth.Observe(int64(nic.qs.Bytes()))
+	for _, o := range n.obs {
+		o.Enqueue(int(nic.sw), int(nic.idx), p, nic.qs.Bytes())
 	}
 	nic.maybeSend()
 }
@@ -456,7 +439,6 @@ func (n *Network) setLinkState(li int, up bool) {
 			// account for it once, in the owning domain.
 			if n.ownsLink(li) {
 				n.Met.Recovered(now - since)
-				obsTTR.Observe(int64(now - since))
 			}
 			n.linkDownSince[li] = -1
 		}
@@ -525,7 +507,6 @@ func (n *Network) InstallFIB(fib *topo.FIB) {
 	n.fib = fib
 	if n.ownsControl() {
 		n.Met.FIBInstalls++
-		obsFIBInstalls.Inc()
 		n.emitFault(telemetry.FaultEvent{
 			Time: n.Eng.Now(), Kind: telemetry.FaultFIBHeal, Link: -1, Switch: -1,
 		})
@@ -558,14 +539,12 @@ func (n *Network) linkPorts(li int) [2]*Port {
 	return [2]*Port{get(l.A), get(l.B)}
 }
 
-// emitFault accounts a fault transition and fans it out to any attached
-// observer that implements telemetry.FaultObserver.
+// emitFault accounts a fault transition and fans it out to the probes.
 func (n *Network) emitFault(ev telemetry.FaultEvent) {
 	n.Met.FaultEvents++
-	obsFaultEvents.Inc()
 	n.Eng.Flight().Record(obs.FlightFault, int64(ev.Time), int64(ev.Kind), int64(ev.Link), int64(ev.Switch))
-	if fo, ok := n.obs.(telemetry.FaultObserver); ok {
-		fo.Fault(ev)
+	for _, o := range n.obs {
+		o.Fault(ev)
 	}
 }
 
@@ -576,8 +555,8 @@ func (n *Network) deliverToHost(h int, p *packet.Packet) {
 		// misdelivery here is a routing bug, not a simulation outcome.
 		panic(fmt.Sprintf("fabric: packet for host %d delivered to host %d", p.Dst, h))
 	}
-	if n.obs != nil {
-		n.obs.Deliver(h, p)
+	for _, o := range n.obs {
+		o.Deliver(h, p)
 	}
 	if r := n.hostRecv[h]; r != nil {
 		r.Receive(p)
@@ -591,11 +570,10 @@ func (n *Network) drop(sw, port int, p *packet.Packet, reason metrics.DropReason
 			cls = metrics.Incast
 		}
 		n.Met.Drop(reason, cls)
-		obsDrops.At(int(reason)).Inc()
 	}
 	n.Eng.Flight().Record(obs.FlightDrop, int64(n.Eng.AsOf()), int64(reason), int64(sw), int64(port))
-	if n.obs != nil {
-		n.obs.Drop(sw, port, p, reason)
+	for _, o := range n.obs {
+		o.Drop(sw, port, p, reason)
 	}
 	// The fabric holds the last reference to a dropped packet.
 	n.pool.Put(p)
@@ -893,7 +871,7 @@ func (pt *Port) sendOne(at units.Time) {
 	if j := int64(pt.net.Cfg.Jitter); j > 0 {
 		tx += units.Time(pt.rng.Int63n(j + 1))
 	}
-	if o := pt.net.obs; o != nil {
+	for _, o := range pt.net.obs {
 		o.Transmit(int(pt.sw), int(pt.idx), p, tx, pt.qs.Bytes())
 	}
 	end := at + tx
@@ -980,9 +958,9 @@ func (s *Switch) enqueue(i int, p *packet.Packet) bool {
 	if !port.push(p) {
 		return false
 	}
-	s.net.queueDepth.Observe(int64(port.qs.Bytes()))
+	s.net.Met.QueueDepth.Observe(int64(port.qs.Bytes()))
 	s.markECN(port, p)
-	if o := s.net.obs; o != nil {
+	for _, o := range s.net.obs {
 		o.Enqueue(s.id, i, p, port.qs.Bytes())
 	}
 	port.maybeSend()
@@ -994,7 +972,16 @@ func (s *Switch) markECN(port *Port, p *packet.Packet) {
 	if k > 0 && p.ECNCapable && port.qs.Len() >= k {
 		p.CE = true
 		s.net.Met.ECNMarks++
-		s.net.ecnMarks++
+	}
+}
+
+// deflected accounts p's detour from port from to port to and tells the
+// probes; the caller then enqueues it at to.
+func (s *Switch) deflected(from, to int, p *packet.Packet) {
+	p.Deflections++
+	s.net.Met.Deflections++
+	for _, o := range s.net.obs {
+		o.Deflect(s.id, from, to, p)
 	}
 }
 

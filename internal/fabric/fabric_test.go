@@ -1,9 +1,11 @@
 package fabric
 
 import (
+	"reflect"
 	"testing"
 
 	"vertigo/internal/metrics"
+	"vertigo/internal/obs"
 	"vertigo/internal/packet"
 	"vertigo/internal/sim"
 	"vertigo/internal/topo"
@@ -227,13 +229,14 @@ func TestECNMarking(t *testing.T) {
 }
 
 // TestPerPacketSignalsPublishInBatches: queue depth and ECN marks are
-// tallied per network and reach the process-global registry on the engine's
-// publish cadence — nothing per enqueue, everything by the time Run returns.
+// tallied in the run's own collector, one observation per enqueue, and the
+// fabric writes nothing to the process-global registry — the run's publisher
+// (internal/core) folds the tallies in on the engine's cadence.
 func TestPerPacketSignalsPublishInBatches(t *testing.T) {
 	cfg := DefaultConfig(ECMP)
 	cfg.ECNThreshold = 5
 	eng, net, met, got := testNet(t, cfg)
-	depth0, marks0 := obsQueueDepth.Count(), obsECNMarks.Value()
+	before := obs.Default.Snapshot()
 	var ids packet.IDGen
 	for i := 0; i < 50; i++ {
 		for src := 1; src <= 2; src++ {
@@ -241,9 +244,6 @@ func TestPerPacketSignalsPublishInBatches(t *testing.T) {
 			p.ECNCapable = true
 			net.Send(p)
 		}
-	}
-	if obsQueueDepth.Count() != depth0 {
-		t.Fatal("an enqueue wrote to the shared registry")
 	}
 	eng.Run(units.Second)
 	var enqueues uint64
@@ -253,11 +253,11 @@ func TestPerPacketSignalsPublishInBatches(t *testing.T) {
 	if len(got[0]) != 100 || met.ECNMarks == 0 {
 		t.Fatalf("%d of 100 packets delivered, %d marks: scenario shows nothing", len(got[0]), met.ECNMarks)
 	}
-	if d := obsQueueDepth.Count() - depth0; d != enqueues {
-		t.Errorf("registry saw %d queue-depth observations, want %d", d, enqueues)
+	if n := met.QueueDepth.Count(); n != enqueues {
+		t.Errorf("collector saw %d queue-depth observations, want %d", n, enqueues)
 	}
-	if d := obsECNMarks.Value() - marks0; d != uint64(met.ECNMarks) {
-		t.Errorf("registry saw %d ECN marks, collector %d", d, met.ECNMarks)
+	if after := obs.Default.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Errorf("the fabric wrote to the registry:\n%+v\nthen\n%+v", before, after)
 	}
 }
 

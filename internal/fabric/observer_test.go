@@ -25,6 +25,7 @@ func (o *nopObserver) Drop(sw, port int, p *packet.Packet, reason metrics.DropRe
 	o.events++
 }
 func (o *nopObserver) Deliver(host int, p *packet.Packet) { o.events++ }
+func (o *nopObserver) Fault(ev telemetry.FaultEvent)      { o.events++ }
 
 // observerRig is a 2-spine/2-leaf fabric whose receivers recycle every
 // delivered packet, so the steady-state send path allocates nothing and
@@ -102,8 +103,8 @@ func TestMultiObserverAllocFree(t *testing.T) {
 			n.AddObserver(&probes[i])
 		}
 	})
-	if m, ok := net.Observer().(*telemetry.Multi); !ok || m.Len() != 3 {
-		t.Fatalf("observer %T, want *telemetry.Multi with 3 probes", net.Observer())
+	if n := len(net.Observers()); n != 3 {
+		t.Fatalf("%d probes attached, want 3", n)
 	}
 	i := 4096
 	var m0, m1 runtime.MemStats
@@ -128,30 +129,20 @@ func TestMultiObserverAllocFree(t *testing.T) {
 
 func TestAddObserverComposition(t *testing.T) {
 	_, net, _ := observerRig(t, nil)
-	if net.Observer() != nil {
+	if len(net.Observers()) != 0 {
 		t.Fatal("fresh network has an observer")
 	}
 	net.AddObserver(nil)
-	if net.Observer() != nil {
+	if len(net.Observers()) != 0 {
 		t.Fatal("AddObserver(nil) attached something")
 	}
 	a, b, c := &nopObserver{}, &nopObserver{}, &nopObserver{}
 	net.AddObserver(a)
-	if net.Observer() != Observer(a) {
-		t.Fatal("single observer should attach directly, not via a mux")
-	}
 	net.AddObserver(b)
-	m, ok := net.Observer().(*telemetry.Multi)
-	if !ok || m.Len() != 2 {
-		t.Fatalf("two observers: got %T", net.Observer())
-	}
-	net.AddObserver(c)
-	if m2, ok := net.Observer().(*telemetry.Multi); !ok || m2.Len() != 3 || m2 != m {
-		t.Fatal("third observer should extend the existing mux in place")
-	}
 	net.AddObserver(nil)
-	if m2, ok := net.Observer().(*telemetry.Multi); !ok || m2.Len() != 3 {
-		t.Fatal("AddObserver(nil) on a mux should leave its three probes attached")
+	net.AddObserver(c)
+	if got := net.Observers(); len(got) != 3 || got[0] != Observer(a) || got[1] != Observer(b) || got[2] != Observer(c) {
+		t.Fatalf("probes %v, want a, b, c in attachment order", got)
 	}
 }
 

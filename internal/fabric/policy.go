@@ -108,11 +108,7 @@ func (s *Switch) routeDIBS(p *packet.Packet) {
 		port := set[j]
 		set[j] = set[n-1]
 		if !s.ports[port].down && s.ports[port].fitsNow(p.Size()) {
-			p.Deflections++
-			s.net.noteDeflect()
-			if o := s.net.obs; o != nil {
-				o.Deflect(s.id, i, port, p)
-			}
+			s.deflected(i, port, p)
 			s.enqueue(port, p)
 			return
 		}
@@ -207,11 +203,7 @@ func (s *Switch) deflectVertigo(victim *packet.Packet, origin int) {
 	}
 	i := s.pickPowerOfN(set, s.net.Cfg.DeflChoices)
 	if !s.ports[i].down && s.ports[i].fitsNow(victim.Size()) {
-		victim.Deflections++
-		s.net.noteDeflect()
-		if o := s.net.obs; o != nil {
-			o.Deflect(s.id, origin, i, victim)
-		}
+		s.deflected(origin, i, victim)
 		s.enqueue(i, victim)
 		return
 	}
@@ -219,11 +211,7 @@ func (s *Switch) deflectVertigo(victim *packet.Packet, origin int) {
 	// port by rank and drop from its tail (paper footnote 5).
 	if pt := &s.ports[i]; pt.isSorted && !pt.down {
 		pt.sync(s.net.Eng.Now())
-		victim.Deflections++
-		s.net.noteDeflect()
-		if o := s.net.obs; o != nil {
-			o.Deflect(s.id, origin, i, victim)
-		}
+		s.deflected(origin, i, victim)
 		s.evicted = pt.qs.ForceInsert(victim, s.evicted[:0])
 		for _, ev := range s.evicted {
 			s.net.drop(s.id, i, ev, metrics.DropDeflectFull)

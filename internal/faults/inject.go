@@ -2,18 +2,8 @@ package faults
 
 import (
 	"vertigo/internal/fabric"
-	"vertigo/internal/obs"
 	"vertigo/internal/sim"
 	"vertigo/internal/units"
-)
-
-// Process-global fault-injection metrics. The fabric accounts the resulting
-// dataplane transitions (vertigo_fault_events_total, TTR); these count the
-// injector's own activity so a scrape distinguishes scheduled faults from
-// their fan-out.
-var (
-	obsInjected = obs.NewCounter("vertigo_faults_injected_total", "schedule events applied by injectors")
-	obsHeals    = obs.NewCounter("vertigo_faults_heals_total", "control-plane heal recomputations installed")
 )
 
 // Injector replays a Schedule into a fabric and, when healing is enabled,
@@ -32,6 +22,11 @@ type Injector struct {
 	// the recovered topology (as a real control plane would).
 	deadLinks    map[int]bool
 	deadSwitches map[int]bool
+
+	// Injected counts the schedule events applied and Heals the control-plane
+	// recomputations installed: the injector's own activity, apart from the
+	// dataplane transitions the fabric accounts.
+	Injected, Heals uint64
 }
 
 // Apply validates sched against the fabric's topology, schedules every event
@@ -61,7 +56,7 @@ func Apply(eng *sim.Engine, net *fabric.Network, sched *Schedule, healDelay unit
 
 // fire applies one event to the fabric (on the simulator thread).
 func (inj *Injector) fire(ev Event) {
-	obsInjected.Inc()
+	inj.Injected++
 	switch ev.Kind {
 	case LinkDown:
 		inj.deadLinks[ev.Link] = true
@@ -100,7 +95,7 @@ func (inj *Injector) scheduleHeal() {
 // them fabric-wide. With no standing faults the pristine tables go back in
 // (no recompute needed).
 func (inj *Injector) heal() {
-	obsHeals.Inc()
+	inj.Heals++
 	t := inj.net.Topo
 	if len(inj.deadLinks) == 0 && len(inj.deadSwitches) == 0 {
 		inj.net.InstallFIB(t.FIB)

@@ -153,6 +153,20 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum += other.sum
 }
 
+// PublishTo adds to dst, a registry histogram on the same bucket grid, what h
+// observed since *last — an earlier copy of h — and advances *last to h.
+func (h *Histogram) PublishTo(dst *obs.Histogram, last *Histogram) {
+	if h.total == last.total {
+		return
+	}
+	var counts [obs.NumBuckets]uint64
+	for i := range counts {
+		counts[i] = h.counts[i] - last.counts[i]
+	}
+	dst.AddCounts(&counts, h.sum-last.sum)
+	*last = *h
+}
+
 // Bucket is one non-empty histogram bucket: Count observations in [Low, High].
 type Bucket struct {
 	Low   int64  `json:"low"`

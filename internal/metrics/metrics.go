@@ -159,6 +159,11 @@ type Collector struct {
 	OrderTimeout int64 // ordering-layer timeouts fired
 	Boosted      int64 // retransmitted packets whose RFS was boosted
 
+	// QueueDepth is egress-queue occupancy in bytes, observed after every
+	// enqueue at a NIC or switch port: the occupancy distribution, not its
+	// mean, tells buffer regimes apart (paper §5).
+	QueueDepth Histogram
+
 	// Fault-injection accounting (see internal/faults). Recovery durations
 	// are folded into a histogram + sum/count as links come back up, so flap
 	// storms cost O(1) memory; the raw series is kept only under RawKeep.
@@ -184,7 +189,6 @@ func (c *Collector) StartFlow(rec FlowRecord) {
 	}
 	v, _ := c.flows.Put(rec.ID)
 	*v = rec
-	obsFlowsStarted.Inc()
 }
 
 // startRecycling drops the raw series and every already-completed record,
@@ -218,8 +222,6 @@ func (c *Collector) EndFlow(id uint64, t units.Time) {
 	f.Completed = true
 	c.flowsCompleted++
 	fct := t - f.Start
-	obsFlowsCompleted.Inc()
-	obsFCT.Observe(int64(fct))
 	c.fctHist[f.Class].Observe(int64(fct))
 	c.fctSum += int64(fct)
 	if !c.recycling {
@@ -242,8 +244,6 @@ func (c *Collector) EndFlow(id uint64, t units.Time) {
 			q.End = t
 			q.Completed = true
 			qct := t - q.Start
-			obsQueriesCompleted.Inc()
-			obsQCT.Observe(int64(qct))
 			c.qctHist.Observe(int64(qct))
 			c.qctSum += int64(qct)
 			if !c.recycling {
@@ -293,7 +293,6 @@ func (c *Collector) ClassFCTHist(class FlowClass) *Histogram { return &c.fctHist
 func (c *Collector) StartQuery(scale int, t units.Time) int {
 	id := len(c.Queries)
 	c.Queries = append(c.Queries, QueryRecord{ID: id, Scale: scale, Start: t, Remaining: scale})
-	obsQueriesStarted.Inc()
 	return id
 }
 
@@ -326,6 +325,9 @@ func (c *Collector) MTTR() units.Time {
 	}
 	return units.Time(c.ttrSum / int64(c.ttrCount))
 }
+
+// QCTHist returns the live query-completion-time histogram.
+func (c *Collector) QCTHist() *Histogram { return &c.qctHist }
 
 // TTRHist returns the live time-to-recover histogram.
 func (c *Collector) TTRHist() *Histogram { return &c.ttrHist }
@@ -390,6 +392,7 @@ func (c *Collector) Merge(other *Collector) {
 	c.FaultEvents += other.FaultEvents
 	c.FIBInstalls += other.FIBInstalls
 	c.PostRecoveryTx += other.PostRecoveryTx
+	c.QueueDepth.Merge(&other.QueueDepth)
 	c.ttrHist.Merge(&other.ttrHist)
 	c.ttrCount += other.ttrCount
 	c.ttrSum += other.ttrSum

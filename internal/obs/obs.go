@@ -1,24 +1,27 @@
 // Package obs is the simulator's live introspection plane: a process-global,
-// zero-allocation metrics registry that subsystems register into once (at
-// package init) and bump on hot paths with plain atomic operations, plus the
-// debug HTTP surface (/metrics, /statusz, /healthz, expvar, pprof) that
-// exposes it, and a crash flight recorder.
+// zero-allocation metrics registry that a few packages register into once (at
+// package init) and bump with plain atomic operations, plus the debug HTTP
+// surface (/metrics, /statusz, /healthz, expvar, pprof) that exposes it, and
+// a crash flight recorder.
 //
-// The registry exists so a warm process — a long sweep, or eventually
-// vertigo-serve — can be scraped mid-run instead of only reporting at run
-// end. Two invariants make that safe:
+// The registry exists so a warm process — a long sweep, or vertigo-serve —
+// can be scraped mid-run instead of only reporting at run end. Two
+// invariants make that safe:
 //
 //   - Bumps are wait-free atomic adds with no allocation and no locks, so
-//     instrumenting a hot path cannot perturb simulation timing-determinism
-//     (registry values never feed back into the model) and cannot trip the
-//     race detector when many engines run concurrently.
+//     publishing cannot perturb simulation timing-determinism (registry
+//     values never feed back into the model) and cannot trip the race
+//     detector when many engines run concurrently.
 //   - Reads are snapshots, never drains: scraping copies counter values and
 //     resets nothing, so a concurrently-scraped run produces byte-identical
 //     artifacts to an unscraped one.
 //
 // Metrics are process-global aggregates across every concurrently-running
-// simulation (the -j workers of a sweep all bump the same cells); per-run
-// numbers still come from the per-run EngineStats/PoolStats/Summary.
+// simulation (the -j workers of a sweep all add to the same cells). The
+// simulation's own families are declared in one place, internal/core, whose
+// publisher folds each run's own tallies — EngineStats, PoolStats, the
+// metrics.Collector — into them on the engine's publish cadence; no
+// simulation layer writes the registry itself.
 package obs
 
 import (
@@ -129,37 +132,21 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// HistBatch is a Histogram's single-goroutine front end for per-packet
-// signals: Observe tallies in plain memory — no atomics, no cache line shared
-// with another simulation — and FlushTo folds the tally into the shared
-// histogram, which the owner does on its engine's publish cadence (see
-// sim.Engine.OnPublish). The zero value is ready to use.
-type HistBatch struct {
-	counts [NumBuckets]uint64
-	count  uint64
-	sum    int64
-}
-
-// Observe records one value.
-func (b *HistBatch) Observe(v int64) {
-	b.counts[BucketOf(v)]++
-	b.count++
-	b.sum += v
-}
-
-// FlushTo adds everything observed since the last flush to h.
-func (b *HistBatch) FlushTo(h *Histogram) {
-	if b.count == 0 {
-		return
-	}
-	for i := range b.counts {
-		if c := b.counts[i]; c > 0 {
+// AddCounts adds a batch tallied elsewhere on the same bucket grid — counts
+// per bucket and the sum of the values — as if each value had been observed
+// here. A simulation tallies its own histograms in plain memory and its
+// publisher folds their growth in with this, so no per-packet path touches a
+// cache line another simulation writes.
+func (h *Histogram) AddCounts(counts *[NumBuckets]uint64, sum int64) {
+	var n uint64
+	for i, c := range counts {
+		if c > 0 {
 			h.counts[i].Add(c)
+			n += c
 		}
 	}
-	h.count.Add(b.count)
-	h.sum.Add(b.sum)
-	*b = HistBatch{}
+	h.count.Add(n)
+	h.sum.Add(sum)
 }
 
 // Count returns the number of observations.

@@ -240,24 +240,23 @@ func TestFlightDumpJSONL(t *testing.T) {
 	}
 }
 
-// TestHistBatchFlush: a batch flushed into a histogram leaves it exactly as
-// observing the same values directly would, a flush empties the batch, and
-// neither step allocates.
-func TestHistBatchFlush(t *testing.T) {
+// TestHistogramAddCounts: a batch tallied per bucket and added in one call
+// leaves a histogram exactly as observing the same values directly would,
+// an empty batch adds nothing, and neither step allocates.
+func TestHistogramAddCounts(t *testing.T) {
 	r := NewRegistry()
 	direct, batched := r.Histogram("direct_ns", ""), r.Histogram("batched_ns", "")
-	var b HistBatch
 	vals := []int64{-5, 0, 1, 2, 3, 1000, 1000, 1 << 40}
 	for round := 0; round < 3; round++ {
+		var counts [NumBuckets]uint64
+		var sum int64
 		for _, v := range vals {
 			direct.Observe(v)
-			b.Observe(v)
+			counts[BucketOf(v)]++
+			sum += v
 		}
-		if round == 0 && batched.Count() != 0 {
-			t.Fatal("batch reached the histogram before its flush")
-		}
-		b.FlushTo(batched)
-		b.FlushTo(batched) // empty: adds nothing
+		batched.AddCounts(&counts, sum)
+		batched.AddCounts(&[NumBuckets]uint64{}, 0)
 	}
 	want, got := direct.Snapshot(), batched.Snapshot()
 	if got.Count != want.Count || got.Sum != want.Sum || len(got.Buckets) != len(want.Buckets) {
@@ -268,8 +267,10 @@ func TestHistBatchFlush(t *testing.T) {
 			t.Fatalf("bucket %d: batched %+v, direct %+v", i, got.Buckets[i], want.Buckets[i])
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { b.Observe(12345); b.FlushTo(batched) }); allocs != 0 {
-		t.Fatalf("batch observe+flush allocates: %v allocs/op", allocs)
+	var one [NumBuckets]uint64
+	one[BucketOf(12345)] = 1
+	if allocs := testing.AllocsPerRun(100, func() { batched.AddCounts(&one, 12345) }); allocs != 0 {
+		t.Fatalf("AddCounts allocates: %v allocs/op", allocs)
 	}
 }
 

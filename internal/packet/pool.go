@@ -1,24 +1,9 @@
 package packet
 
-import "vertigo/internal/obs"
-
 // slabSize is the number of Packet frames carved from one backing
 // allocation. 256 frames ≈ 40 KB: big enough to amortize the allocator to
 // noise, small enough that a short run does not strand memory.
 const slabSize = 256
-
-// Process-global pool metrics, aggregated across every pool in the process.
-// Each pool publishes counter deltas every obsPubMask+1 Gets (and on
-// PublishObs), keeping the per-packet path free of atomic traffic.
-var (
-	obsGets  = obs.NewCounter("vertigo_packet_pool_gets_total", "packets handed out by pools")
-	obsHits  = obs.NewCounter("vertigo_packet_pool_hits_total", "handed-out packets that were recycled frames")
-	obsPuts  = obs.NewCounter("vertigo_packet_pool_puts_total", "packets returned to pools")
-	obsSlabs = obs.NewCounter("vertigo_packet_pool_slabs_total", "backing slabs allocated by pools")
-)
-
-// obsPubMask throttles registry publishes to one per 4 Ki Gets.
-const obsPubMask = 1<<12 - 1
 
 // Pool is a per-simulation free list of Packets backed by slab allocation.
 // Data packets and ACKs are the simulator's dominant allocation churn (one
@@ -44,9 +29,6 @@ type Pool struct {
 	hits  uint64 // Get calls served from the free list
 	puts  uint64 // Put calls
 	slabs uint64 // backing slabs allocated
-
-	// Last-published shadows for the throttled registry publish.
-	pubGets, pubHits, pubPuts, pubSlabs uint64
 }
 
 // Get returns a packet for the caller to initialize. The packet's fields are
@@ -57,9 +39,6 @@ func (pl *Pool) Get() *Packet {
 		return &Packet{}
 	}
 	pl.gets++
-	if pl.gets&obsPubMask == 0 {
-		pl.PublishObs()
-	}
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
@@ -122,29 +101,4 @@ func (pl *Pool) Stats() PoolStats {
 		return PoolStats{}
 	}
 	return PoolStats{Gets: pl.gets, Hits: pl.hits, Puts: pl.puts, Slabs: pl.slabs}
-}
-
-// PublishObs pushes the pool's counter growth since the last publish into
-// the process-global registry. Get calls it every 4 Ki packets; run teardown
-// (core.Run) calls it once more so short runs surface too. Nil-safe.
-func (pl *Pool) PublishObs() {
-	if pl == nil {
-		return
-	}
-	if d := pl.gets - pl.pubGets; d > 0 {
-		obsGets.Add(d)
-		pl.pubGets = pl.gets
-	}
-	if d := pl.hits - pl.pubHits; d > 0 {
-		obsHits.Add(d)
-		pl.pubHits = pl.hits
-	}
-	if d := pl.puts - pl.pubPuts; d > 0 {
-		obsPuts.Add(d)
-		pl.pubPuts = pl.puts
-	}
-	if d := pl.slabs - pl.pubSlabs; d > 0 {
-		obsSlabs.Add(d)
-		pl.pubSlabs = pl.slabs
-	}
 }

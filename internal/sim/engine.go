@@ -142,16 +142,8 @@ type Engine struct {
 	maxEvents    uint64
 	maxEventsHit bool
 
-	// Introspection plane (see internal/obs). pub* shadow the counters
-	// above at their last publish into the process-global registry, so the
-	// throttled publish pushes deltas instead of re-reading totals.
-	pubFired    uint64
-	pubSeq      uint64
-	pubTombPops uint64
-	pubCompacts uint64
-	pubLive     int
-	onPublish   []func()            // co-located components' publish hooks, see OnPublish
-	flight      *obs.FlightRecorder // crash flight recorder, nil when disabled
+	publish func()              // see OnPublish
+	flight  *obs.FlightRecorder // crash flight recorder, nil when disabled
 }
 
 // bucketCap is each ring bucket's preallocated capacity. Carving all
@@ -617,10 +609,12 @@ func (e *Engine) Run(until units.Time) units.Time {
 			break
 		}
 		if e.fired&wallCheckMask == 0 {
-			// Piggyback the registry publish on the watchdog cadence: one
-			// batch of atomic adds per 16 Ki events keeps /metrics live
-			// without putting atomic traffic on the per-event path.
-			e.publishObs()
+			// Piggyback the publish hook on the watchdog cadence: one batch
+			// of registry adds per 16 Ki events keeps /metrics live without
+			// putting atomic traffic on the per-event path.
+			if e.publish != nil {
+				e.publish()
+			}
 			if watchdog && time.Now().After(e.wallDeadline) {
 				e.deadlineHit = true
 				e.flight.Record(obs.FlightWatchdog, int64(e.now), int64(e.fired), 0, 0)
@@ -673,7 +667,9 @@ func (e *Engine) Run(until units.Time) units.Time {
 	if e.now < until && !e.stopped {
 		e.now = until
 	}
-	e.publishObs() // runs shorter than the publish cadence still surface
+	if e.publish != nil {
+		e.publish() // runs shorter than the publish cadence still surface
+	}
 	return e.now
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -668,30 +669,27 @@ func TestRearmedFarTimersDoNotPinFrames(t *testing.T) {
 	}
 }
 
-// TestOnPublishCadence: publish hooks run where the engine itself publishes —
-// every 16 Ki events inside Run, when Run returns, and from FinishObs — in
-// registration order, and never per event.
+// TestOnPublishCadence: the publish hook runs every 16 Ki events inside Run
+// and when Run returns, never per event; a later OnPublish replaces it and
+// nil removes it.
 func TestOnPublishCadence(t *testing.T) {
 	eng := NewEngine(1)
-	var calls []int
-	eng.OnPublish(func() { calls = append(calls, 1) })
-	eng.OnPublish(func() { calls = append(calls, 2) })
+	var at []uint64
+	eng.OnPublish(func() { t.Fatal("replaced hook ran") })
+	eng.OnPublish(func() { at = append(at, eng.Events()) })
 	for i := 0; i < 40_000; i++ {
 		eng.Sched(units.Time(i), func() {})
 	}
 	eng.Run(units.Second)
 	// Before events 0, 16384 and 32768, and at exit.
-	if len(calls) != 8 {
-		t.Fatalf("hooks ran %d times over 40k events, want 2 hooks x 4 publishes", len(calls))
+	if want := []uint64{0, 16384, 32768, 40000}; !reflect.DeepEqual(at, want) {
+		t.Fatalf("hook ran at events %v, want %v", at, want)
 	}
-	eng.FinishObs()
-	if len(calls) != 10 {
-		t.Fatalf("FinishObs ran the hooks %d times, want once each", len(calls)-8)
-	}
-	for i, c := range calls {
-		if c != 1+i%2 {
-			t.Fatalf("hook order %v, want registration order at every publish", calls)
-		}
+	eng.OnPublish(nil)
+	eng.Sched(2*units.Second, func() {})
+	eng.Run(3 * units.Second)
+	if len(at) != 4 {
+		t.Fatalf("removed hook ran %d more times", len(at)-4)
 	}
 }
 

@@ -64,25 +64,7 @@ func (e FaultEvent) String() string {
 	return fmt.Sprintf("%v %s", e.Time, e.Kind)
 }
 
-// FaultObserver is the optional extension of Observer for probes that want
-// the fault-injection event stream alongside the dataplane one. The fabric
-// type-asserts its attached observer, so plain Observers keep working
-// unchanged.
-type FaultObserver interface {
-	Fault(ev FaultEvent)
-}
-
-// Fault implements FaultObserver for the mux: the event fans out to every
-// attached observer that cares about faults.
-func (m *Multi) Fault(ev FaultEvent) {
-	for _, o := range m.obs {
-		if fo, ok := o.(FaultObserver); ok {
-			fo.Fault(ev)
-		}
-	}
-}
-
-// Fault implements FaultObserver for the Monitor: events are retained for
+// Fault implements fabric.Observer for the Monitor: events are retained for
 // reporting and carrier losses are paired with recoveries into per-link
 // time-to-recover samples.
 func (m *Monitor) Fault(ev FaultEvent) {
@@ -109,7 +91,7 @@ func (m *Monitor) Faults() []FaultEvent { return m.faults }
 // TimesToRecover returns the carrier-loss durations of links that recovered.
 func (m *Monitor) TimesToRecover() []units.Time { return m.ttrs }
 
-// Fault implements FaultObserver for the Tracer: one "fault" record per
+// Fault implements fabric.Observer for the Tracer: one "fault" record per
 // transition, in the same JSONL stream as the dataplane events.
 func (t *Tracer) Fault(ev FaultEvent) {
 	t.Lines++
@@ -117,7 +99,7 @@ func (t *Tracer) Fault(ev FaultEvent) {
 		int64(ev.Time), ev.Kind, ev.Link, ev.Switch, ev.Value)
 }
 
-// Fault implements FaultObserver for the Sampler: fault transitions become
+// Fault implements fabric.Observer for the Sampler: fault transitions become
 // annotation marks that WriteCSV interleaves with the series, so plots of
 // queue/utilization can draw the fault timeline without a second artifact.
 func (s *Sampler) Fault(ev FaultEvent) {

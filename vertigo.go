@@ -424,7 +424,7 @@ func report(res *core.Result) *Report {
 		ReorderedPackets:    s.ReorderPkts,
 		OverallGoodputGbps:  float64(s.OverallGoodput) / float64(units.Gbps),
 		ElephantGoodputMbps: float64(s.ElephantGoodput) / float64(units.Mbps),
-		Events:              res.Events,
+		Events:              res.Engine.Events,
 	}
 	for _, t := range s.FCTs {
 		r.FCTs = append(r.FCTs, t.Duration())
