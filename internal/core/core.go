@@ -125,7 +125,8 @@ type Config struct {
 
 	// RawSeries controls whether the Summary keeps raw FCT/QCT slices next
 	// to the histograms; the zero value (metrics.RawAuto) keeps them for
-	// runs up to metrics.RawAutoMaxFlows started flows.
+	// runs up to metrics.RawAutoMaxFlows started flows. Only
+	// metrics.RawKeep keeps completed flows' records on Result.Collector.
 	RawSeries metrics.RawMode
 
 	// Shards, when > 1, splits the run across that many topology domains
@@ -365,14 +366,15 @@ func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts i
 // point where the workload is armed; the caller arms it (armGenerators), then
 // calls bound, runs the engine, and calls finish.
 type world struct {
-	eng     *sim.Engine
-	met     *metrics.Collector
-	net     *fabric.Network
-	ids     *packet.IDGen
-	senders *transport.SenderPool
-	hosts   []*host.Host
-	inj     *faults.Injector // nil when nothing is scheduled to fail
-	pub     published        // see publish
+	eng       *sim.Engine
+	met       *metrics.Collector
+	net       *fabric.Network
+	ids       *packet.IDGen
+	senders   *transport.SenderPool
+	receivers *transport.ReceiverPool
+	hosts     []*host.Host
+	inj       *faults.Injector // nil when nothing is scheduled to fail
+	pub       published        // see publish
 
 	// Probes attach independently; the fabric fans each event out to all.
 	mon     *telemetry.Monitor
@@ -441,7 +443,7 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 	// slots recycle as flows complete, so a run's transport footprint is
 	// O(peak concurrent flows), not O(flows started).
 	w.senders = transport.NewSenderPool(cfg.Transport)
-	receivers := transport.NewReceiverPool(eng, w.net, w.met, w.ids)
+	w.receivers = transport.NewReceiverPool(eng, w.net, w.met, w.ids)
 
 	// A sharded run's every domain instantiates all hosts (the fabric
 	// replica's NIC wiring expects them), but only owned hosts ever see
@@ -451,7 +453,7 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 	for i := range w.hosts {
 		h := host.NewHost(i, eng, w.net, w.met, cfg.Marker, ocfg, vertigoStack)
 		h.SetAcceptor(func(first *packet.Packet) func(*packet.Packet) {
-			return receivers.Accept(h, first)
+			return w.receivers.Accept(h, first)
 		})
 		w.hosts[i] = h
 	}

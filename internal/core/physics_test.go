@@ -13,12 +13,14 @@ import (
 // The physics tests validate the simulator against first-principles bounds:
 // if any of these fail, no experiment built on top can be trusted.
 
-// physicsConfig is a quiet 16-host fabric for controlled flows.
+// physicsConfig is a quiet 16-host fabric for controlled flows, whose
+// completed records stay for Flow and RangeFlows.
 func physicsConfig(policy fabric.Policy, proto transport.Protocol) Config {
 	cfg := smallConfig(policy, proto)
 	cfg.BGLoad = 0
 	cfg.IncastQPS = 0
 	cfg.SimTime = 2 * units.Second
+	cfg.RawSeries = metrics.RawKeep
 	return cfg
 }
 

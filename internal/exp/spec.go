@@ -38,7 +38,7 @@ type Spec struct {
 	Shards       int             `json:"shards,omitempty"`         // topology domains per run (0 or 1 = serial; core.Config.Shards)
 	SampleTick   Duration        `json:"sample_tick,omitempty"`    // per-port sampler tick (0 = off); series reach Options.OnRun
 	TraceFlow    uint64          `json:"trace_flow,omitempty"`     // flow ID to trace as JSONL (0 = off)
-	RawSeries    metrics.RawMode `json:"raw_series,omitempty"`     // raw FCT/QCT retention: auto|keep|drop
+	RawSeries    metrics.RawMode `json:"raw_series,omitempty"`     // raw FCT/QCT retention: auto|keep|drop (keep also keeps completed records)
 	ChaosPanicAt Duration        `json:"chaos_panic_at,omitempty"` // crash drill: simulated time every run panics at (0 = never)
 }
 
@@ -76,7 +76,7 @@ func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&s.Shards, "shards", s.Shards, "shard every simulation across this many topology domains on separate cores, probes included (tables are deterministic per shard count, same offered workload at any; 0 or 1 = serial engine)")
 	fs.TextVar(&s.SampleTick, "sample-tick", s.SampleTick, "per-port queue/utilization sampling tick, e.g. 100us (0 = off; series lands in -out samples.csv)")
 	fs.Uint64Var(&s.TraceFlow, "trace-flow", s.TraceFlow, "JSONL packet trace for this flow ID (0 = off; trace lands in -out trace.jsonl)")
-	fs.TextVar(&s.RawSeries, "raw-series", s.RawSeries, "raw FCT/QCT series retention: auto (drop past 200k flows/run), keep, drop (histograms still carry the distributions)")
+	fs.TextVar(&s.RawSeries, "raw-series", s.RawSeries, "raw FCT/QCT series retention: auto (drop past 200k flows/run), keep (also keeps completed flow records), drop (histograms still carry the distributions)")
 	fs.TextVar(&s.ChaosPanicAt, "chaos-panic-at", s.ChaosPanicAt, "crash drill: every run panics at this simulated time (0 = never)")
 }
 

@@ -1,11 +1,12 @@
 // Package flowtab provides the flow-state tables used on the per-packet
 // datapaths: an open-addressing hash table over uint64 flow keys with
-// slab-allocated values and a one-entry last-hit cache, and a paged byte
-// array for per-segment counters. Both are designed around the access
-// pattern the simulator and the wire components share — long trains of
-// packets hitting the same flow, bounded live-flow populations with heavy
-// churn, and a hard determinism requirement (iteration order must not
-// depend on hash seeds or allocation addresses).
+// slab-allocated values and a one-entry last-hit cache, a paged byte array
+// for per-segment counters, and a paged bitset for keys that need only be
+// remembered. All are designed around the access pattern the simulator and
+// the wire components share — long trains of packets hitting the same flow,
+// bounded live-flow populations with heavy churn, and a hard determinism
+// requirement (iteration order must not depend on hash seeds or allocation
+// addresses).
 //
 // Compared with map[uint64]*T on these paths, Table[T] removes the pointer
 // chase to a separately heap-allocated value (values live in slab pages),
@@ -253,9 +254,8 @@ func (t *Table[T]) Put(key uint64) (v *T, existed bool) { return t.put(key, 1, t
 
 // PutReuse is Put, except that a freshly inserted entry occupying a
 // recycled slot keeps the previous occupant's value bytes instead of
-// being zeroed. Callers use it to hand grown buffers (orderer
-// reorder buffers, retx pages) to the next flow; they must reset every
-// semantic field themselves.
+// being zeroed. Callers use it to hand grown buffers (the marker's retx
+// pages) to the next flow; they must reset every semantic field themselves.
 func (t *Table[T]) PutReuse(key uint64) (v *T, existed bool) { return t.put(key, 1, false) }
 
 // Delete removes key, reporting whether it was present. The slab slot goes
@@ -387,3 +387,33 @@ func (p *PagedU8) Reset() {
 		}
 	}
 }
+
+// bitsShift sizes Bits pages: 4,096 keys per 512-byte page.
+const (
+	bitsShift = 12
+	bitsWords = 1 << bitsShift / 64
+)
+
+// Bits is a sparse set of uint64 keys: one bit per key, in 4,096-bit pages
+// that a Table finds by the key's high bits. A page is allocated when the
+// first of its keys is set and never freed, so keys minted by a counter —
+// flow IDs — cost about one bit per minted key, whatever their spread. Keys
+// cannot be cleared. The zero value is an empty set.
+type Bits struct {
+	pages Table[[bitsWords]uint64]
+}
+
+// Set adds key to the set.
+func (b *Bits) Set(key uint64) {
+	pg, _ := b.pages.Put(key >> bitsShift)
+	pg[key>>6&(bitsWords-1)] |= 1 << (key & 63)
+}
+
+// Has reports whether key was set.
+func (b *Bits) Has(key uint64) bool {
+	pg := b.pages.Get(key >> bitsShift)
+	return pg != nil && pg[key>>6&(bitsWords-1)]&(1<<(key&63)) != 0
+}
+
+// Pages returns the number of pages allocated.
+func (b *Bits) Pages() int { return b.pages.Len() }

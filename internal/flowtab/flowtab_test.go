@@ -322,3 +322,30 @@ func TestPagedU8Random(t *testing.T) {
 		}
 	}
 }
+
+// TestBitsSetsWhatItWasGiven: keys set are found, their neighbours and keys
+// on untouched pages are not, and a page is allocated per 4,096-key block
+// touched — the bits of keys as far apart as a counter's and a hash's.
+func TestBitsSetsWhatItWasGiven(t *testing.T) {
+	var b Bits
+	keys := []uint64{0, 1, 63, 64, 4095, 4096, 1 << 40, ^uint64(0)}
+	for _, k := range keys {
+		if b.Has(k) {
+			t.Fatalf("empty set has %d", k)
+		}
+		b.Set(k)
+	}
+	for _, k := range keys {
+		if !b.Has(k) {
+			t.Fatalf("set lost %d", k)
+		}
+	}
+	for _, k := range []uint64{2, 62, 65, 4094, 4097, 1<<40 + 1, 8192, ^uint64(0) - 1} {
+		if b.Has(k) {
+			t.Fatalf("set has %d, never set", k)
+		}
+	}
+	if got := b.Pages(); got != 4 {
+		t.Fatalf("%d pages, want 4 (blocks 0, 1, 2^28 and the last)", got)
+	}
+}

@@ -79,6 +79,18 @@ func (h *Host) Bind(flow uint64, hd Handler) {
 // Unbind removes a flow's handler.
 func (h *Host) Unbind(flow uint64) { h.handlers.Delete(flow) }
 
+// Retire unbinds a finished inbound flow and hands its later data packets —
+// stragglers and retransmissions — to fin, which answers for every flow the
+// simulation's hosts retire. What stays of the flow is one bit in the
+// directory, not a binding: flow IDs are simulation-unique, so a retired ID
+// never names a new flow.
+func (h *Host) Retire(flow uint64, fin Handler) {
+	h.handlers.Delete(flow)
+	d := directoryOf(h.Net)
+	d.retired.Set(flow)
+	d.fin = fin
+}
+
 // Send transmits p out of the host NIC, marking data packets when the
 // Vertigo stack is enabled.
 func (h *Host) Send(p *packet.Packet) {
@@ -106,19 +118,25 @@ func (h *Host) Receive(p *packet.Packet) {
 	h.dispatch(p)
 }
 
-// dispatch hands p to its flow's handler, consulting the acceptor for new
-// inbound flows.
+// dispatch hands p to its flow's handler, to the fin handler for a retired
+// flow's data, or to the acceptor for a new inbound flow.
 func (h *Host) dispatch(p *packet.Packet) {
 	if hp := h.handlers.Get(p.Flow); hp != nil {
 		hd := *hp // copy out: the handler may rebind its flow, or unbind it, under hp
 		hd.Handle(p)
 		return
 	}
-	if p.Kind == packet.Data && h.accept != nil {
-		if fn := h.accept(p); fn != nil {
-			h.Bind(p.Flow, HandlerFunc(fn))
-			fn(p)
+	if p.Kind == packet.Data {
+		if d := directoryOf(h.Net); d.fin != nil && d.retired.Has(p.Flow) {
+			d.fin.Handle(p)
 			return
+		}
+		if h.accept != nil {
+			if fn := h.accept(p); fn != nil {
+				h.Bind(p.Flow, HandlerFunc(fn))
+				fn(p)
+				return
+			}
 		}
 	}
 	// Packets for unknown flows (e.g. ACKs straggling in after the sender

@@ -28,31 +28,40 @@ func DefaultOrdererConfig() OrdererConfig {
 }
 
 // orderFlow is the per-flow state of the Fig. 4 state machine. The three
-// paper states map onto the fields: Init ⇔ no state, In-order Receive ⇔
-// empty buffer, Out-of-order Receive ⇔ non-empty buffer (timer armed).
+// paper states map onto the fields: Init ⇔ no state, In-order Receive ⇔ no
+// buffer, Out-of-order Receive ⇔ a buffer (and its timer armed).
 //
 // Entries live in the directory's flow table and are recycled, across
-// hosts: newFlow resets the semantic fields while the buffer keeps its
-// backing arrays. A slot's timers carry its table ref as their argument (see
-// directory.onTimeout), so the slot itself holds no callback.
-//
-// The reorder buffer is struct-of-arrays: held packet i of the live window
-// [head, len) is (bufP[i], bufV[i], bufAt[i]). Splitting the former
-// 24-byte entry struct keeps the position values bufferEarly binary-searches
-// densely packed — sixteen uint32 per cache line instead of two entries —
-// and lets each array recycle through the directory's arenas independently
-// when a burst-grown flow quiesces.
+// hosts. A slot is 24 bytes: what a flow needs in order, and in its afterlife
+// as a tombstone, is its expectation and its finish time. The reorder buffer
+// and its timer are a separate record the slot holds only while packets wait
+// in it (see orderBuf); a slot's timers carry its table ref as their
+// argument (see directory.onTimeout), so the slot itself holds no callback.
 type orderFlow struct {
 	hasExpected bool
 	finished    bool   // flow fully delivered; state lingers as a tombstone
 	expected    uint32 // position value of the next in-order packet
 	slot        int32  // this entry's flow-table ref, the timers' argument
+	buf         int32  // one plus the index of the held reorder buffer, 0 for none
 	finishedAt  units.Time
-	head        int              // index of the first live entry
-	bufP        []*packet.Packet // held packets, flow order
-	bufV        []uint32         // their un-boosted position values
-	bufAt       []units.Time     // their arrival times (timer deadlines)
-	timer       sim.Timer
+}
+
+// orderBuf is one flow's reorder buffer while it holds packets, and the τ
+// timer those packets wait on. It is struct-of-arrays: held packet i of the
+// live window [head, len) is (bufP[i], bufV[i], bufAt[i]). Splitting the
+// former 24-byte entry struct keeps the position values bufferEarly
+// binary-searches densely packed — sixteen uint32 per cache line instead of
+// two entries — and lets each array recycle through the directory's arenas
+// independently when a burst-grown buffer drains. A drained buffer goes
+// back to the directory's free list with its modest arrays, warm for the
+// next flow that buffers anything.
+type orderBuf struct {
+	head  int              // index of the first live entry
+	bufP  []*packet.Packet // held packets, flow order
+	bufV  []uint32         // their un-boosted position values
+	bufAt []units.Time     // their arrival times (timer deadlines)
+	timer sim.Timer
+	next  int32 // on the directory's free list: the record under it
 }
 
 // Orderer is the RX-path ordering component: the first software entity to
@@ -90,6 +99,13 @@ func newOrderer(eng *sim.Engine, cfg OrdererConfig, deliver func(*packet.Packet)
 		cfg.Timeout = DefaultOrdererConfig().Timeout
 	}
 	o := &Orderer{eng: eng, cfg: cfg, deliver: deliver, dir: dir, flows: dir.orders.View(owner)}
+	if dir.eng == nil {
+		// The first orderer sizes what all of them share, so that a flow's
+		// first finish or held packet finds room.
+		dir.eng = eng
+		dir.reclaims = make([]reclaimEntry, 0, reclaimFirst)
+		dir.bufPages = make([]*[bufPage]orderBuf, 0, 4)
+	}
 	for int(owner) >= len(dir.orderers) {
 		dir.orderers = append(dir.orderers, nil)
 	}
@@ -142,21 +158,11 @@ func (o *Orderer) done(nextExpected uint32, p *packet.Packet) bool {
 	return p.Fin
 }
 
-// newFlow creates ordering state for a first-seen flow, recycling a slab
-// slot (and its buffer backing) when one is free.
+// newFlow creates ordering state for a first-seen flow.
 func (o *Orderer) newFlow(p *packet.Packet, v uint32) *orderFlow {
-	st, _ := o.flows.PutReuse(p.Flow)
+	st, _ := o.flows.Put(p.Flow)
 	o.active++
-	st.hasExpected = false
-	st.finished = false
-	st.expected = 0
 	st.slot = o.flows.Ref(p.Flow)
-	st.finishedAt = 0
-	st.head = 0
-	st.bufP = st.bufP[:0]
-	st.bufV = st.bufV[:0]
-	st.bufAt = st.bufAt[:0]
-	st.timer = sim.Timer{}
 	if p.Info.First {
 		st.hasExpected = true
 		st.expected = v
@@ -171,6 +177,12 @@ func (o *Orderer) newFlow(p *packet.Packet, v uint32) *orderFlow {
 func (o *Orderer) Receive(p *packet.Packet) {
 	v := o.position(p)
 	st := o.flows.Get(p.Flow)
+	if st != nil && st.finished && o.eng.Now() >= st.finishedAt+o.cfg.Timeout {
+		// The tombstone expired τ after the finish, whether or not the
+		// directory's reclaim has collected it yet: the flow is new again.
+		o.forget(p.Flow)
+		st = nil
+	}
 	if st == nil {
 		st = o.newFlow(p, v)
 	}
@@ -196,106 +208,91 @@ func (o *Orderer) Receive(p *packet.Packet) {
 	}
 }
 
-// buffered returns the number of held packets.
-func (st *orderFlow) buffered() int { return len(st.bufV) - st.head }
-
-// keepBuf is the largest reorder-buffer capacity a quiesced slot keeps for
-// its next flow; burst-grown arrays past it go back to the shared arenas.
-const keepBuf = 1024
-
-// clearBuf empties the reorder buffer, dropping packet references. Modestly
-// sized backing arrays stay with the slot for its next flow; burst-grown
-// ones return to the directory's arenas instead of pinning the slot.
-func (o *Orderer) clearBuf(st *orderFlow) {
-	for i := st.head; i < len(st.bufP); i++ {
-		st.bufP[i] = nil
+// buffered returns the number of packets st's flow holds.
+func (o *Orderer) buffered(st *orderFlow) int {
+	if st.buf == 0 {
+		return 0
 	}
-	if cap(st.bufV) > keepBuf {
-		o.dir.bufP.Put(st.bufP)
-		o.dir.bufV.Put(st.bufV)
-		o.dir.bufAt.Put(st.bufAt)
-		st.bufP, st.bufV, st.bufAt = nil, nil, nil
-	} else {
-		st.bufP = st.bufP[:0]
-		st.bufV = st.bufV[:0]
-		st.bufAt = st.bufAt[:0]
-	}
-	st.head = 0
+	b := o.dir.buf(st.buf)
+	return len(b.bufV) - b.head
 }
 
-// winLen is the capacity of a slot's first reorder buffer. RFS-sorted queues
-// let a flow's later packets overtake its earlier ones wherever a queue
-// builds, so nearly every flow buffers a packet or two and nearly every slot
-// needs a buffer, if a small one: arrays this size the arenas carve from a
-// chunk that serves hundreds of slots.
+// winLen is the capacity of a buffer record's first arrays. RFS-sorted
+// queues let a flow's later packets overtake its earlier ones wherever a
+// queue builds, so nearly every flow buffers a packet or two, if briefly:
+// arrays this size the arenas carve from a chunk that serves hundreds of
+// records.
 const winLen = 8
 
-// growBuf widens a full reorder buffer — to a window for a slot that has
+// growBuf widens a full reorder buffer — to a window for a record that has
 // none yet, else to twice its size — through the directory's arenas, which
 // take the outgrown arrays back.
-func (o *Orderer) growBuf(st *orderFlow) {
-	st.bufP = o.dir.bufP.Grow(st.bufP, winLen)
-	st.bufV = o.dir.bufV.Grow(st.bufV, winLen)
-	st.bufAt = o.dir.bufAt.Grow(st.bufAt, winLen)
+func (o *Orderer) growBuf(b *orderBuf) {
+	b.bufP = o.dir.bufP.Grow(b.bufP, winLen)
+	b.bufV = o.dir.bufV.Grow(b.bufV, winLen)
+	b.bufAt = o.dir.bufAt.Grow(b.bufAt, winLen)
 }
 
 // bufCap is the capacity usable across all three parallel arrays.
-func (st *orderFlow) bufCap() int {
-	c := cap(st.bufP)
-	if cv := cap(st.bufV); cv < c {
+func (b *orderBuf) bufCap() int {
+	c := cap(b.bufP)
+	if cv := cap(b.bufV); cv < c {
 		c = cv
 	}
-	if ct := cap(st.bufAt); ct < c {
+	if ct := cap(b.bufAt); ct < c {
 		c = ct
 	}
 	return c
 }
 
 // deliverRun delivers p, then drains every buffered packet that has become
-// consecutive. It finishes or re-arms the flow's timer as appropriate.
+// consecutive. A drained buffer goes back to the directory with its timer
+// disarmed; one still holding packets has its timer re-armed for the new
+// head. A flow delivered to its end with nothing held finishes.
 func (o *Orderer) deliverRun(st *orderFlow, p *packet.Packet, v uint32) {
 	o.deliver(p)
 	st.expected = o.next(v, p)
 	finished := o.done(st.expected, p)
-	for st.head < len(st.bufV) && st.bufV[st.head] == st.expected {
-		ep, ev := st.bufP[st.head], st.bufV[st.head]
-		st.bufP[st.head] = nil
-		st.head++
-		o.deliver(ep)
-		st.expected = o.next(ev, ep)
-		finished = o.done(st.expected, ep)
+	if st.buf != 0 {
+		b := o.dir.buf(st.buf)
+		for b.head < len(b.bufV) && b.bufV[b.head] == st.expected {
+			ep, ev := b.bufP[b.head], b.bufV[b.head]
+			b.bufP[b.head] = nil
+			b.head++
+			o.deliver(ep)
+			st.expected = o.next(ev, ep)
+			finished = o.done(st.expected, ep)
+		}
+		b.timer.Cancel()
+		b.timer = sim.Timer{}
+		if b.head < len(b.bufV) {
+			o.armAt(st, b, b.bufAt[b.head]+o.cfg.Timeout)
+			return
+		}
+		o.dir.putBuf(st.buf)
+		st.buf = 0
 	}
-	if st.head == len(st.bufV) {
-		st.bufP = st.bufP[:0]
-		st.bufV = st.bufV[:0]
-		st.bufAt = st.bufAt[:0]
-		st.head = 0
-	}
-	if finished && st.buffered() == 0 {
+	if finished {
 		o.finish(st)
-		return
 	}
-	o.rearm(st)
 }
 
 // finish marks a flow fully delivered. The state lingers as a tombstone for
 // one τ so that straggling duplicates (e.g. a retransmission that crossed
-// paths with the original) pass straight through instead of being buffered,
-// then is reclaimed.
+// paths with the original) pass straight through instead of being buffered.
+// Receive treats it as gone from finishedAt+τ on; the directory's reclaim
+// queue frees the slot then.
 func (o *Orderer) finish(st *orderFlow) {
-	st.timer.Cancel()
-	st.timer = sim.Timer{}
 	st.finished = true
 	st.finishedAt = o.eng.Now()
-	o.clearBuf(st)
-	o.eng.AfterArg(o.cfg.Timeout, o.dir.onReclaim, uint64(st.slot))
+	o.dir.retire(st.slot, st.finishedAt+o.cfg.Timeout)
 }
 
-// reclaim removes a tombstone a full τ after it finished; a reclaim event
+// reclaim removes a tombstone a full τ after it finished; a reclaim entry
 // resolves its slot to the flow occupying it now (see directory.onReclaim).
-// The age check stands in for a pointer-identity test: while the tombstone
-// exists, Receive never recreates state for the flow, so a younger
-// finishedAt on this slot always means a *newer* finish event is due.
+// The age check stands in for a pointer-identity test: a slot the entry's
+// flow vacated may hold a newer flow, in order or finished later, which
+// keeps its state until its own finish is τ old.
 func (o *Orderer) reclaim(flow uint64, st *orderFlow) {
 	if st.finished && o.eng.Now() >= st.finishedAt+o.cfg.Timeout {
 		o.forget(flow)
@@ -305,102 +302,86 @@ func (o *Orderer) reclaim(flow uint64, st *orderFlow) {
 // bufferEarly inserts an early packet into the flow-ordered buffer,
 // discarding duplicates, and arms the timer.
 func (o *Orderer) bufferEarly(st *orderFlow, p *packet.Packet, v uint32) {
+	if st.buf == 0 {
+		st.buf = o.dir.getBuf()
+	}
+	b := o.dir.buf(st.buf)
 	// Inlined sort.Search over the live window [head, len): first index
 	// whose position does not precede v. Touches only the packed position
 	// array — the struct-of-arrays payoff.
-	lo, hi := st.head, len(st.bufV)
+	lo, hi := b.head, len(b.bufV)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if o.before(st.bufV[mid], v) {
+		if o.before(b.bufV[mid], v) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(st.bufV) && st.bufV[lo] == v {
+	if lo < len(b.bufV) && b.bufV[lo] == v {
 		return // duplicate of an already-buffered packet
 	}
 	now := o.eng.Now()
-	if lo == st.head && st.head > 0 {
+	if lo == b.head && b.head > 0 {
 		// New head-of-buffer: reuse the slack in front.
-		st.head--
-		st.bufP[st.head] = p
-		st.bufV[st.head] = v
-		st.bufAt[st.head] = now
+		b.head--
+		b.bufP[b.head] = p
+		b.bufV[b.head] = v
+		b.bufAt[b.head] = now
 	} else {
-		if len(st.bufV) == st.bufCap() {
-			o.growBuf(st)
+		if len(b.bufV) == b.bufCap() {
+			o.growBuf(b)
 		}
-		st.bufP = append(st.bufP, nil)
-		st.bufV = append(st.bufV, 0)
-		st.bufAt = append(st.bufAt, 0)
-		copy(st.bufP[lo+1:], st.bufP[lo:])
-		copy(st.bufV[lo+1:], st.bufV[lo:])
-		copy(st.bufAt[lo+1:], st.bufAt[lo:])
-		st.bufP[lo] = p
-		st.bufV[lo] = v
-		st.bufAt[lo] = now
+		b.bufP = append(b.bufP, nil)
+		b.bufV = append(b.bufV, 0)
+		b.bufAt = append(b.bufAt, 0)
+		copy(b.bufP[lo+1:], b.bufP[lo:])
+		copy(b.bufV[lo+1:], b.bufV[lo:])
+		copy(b.bufAt[lo+1:], b.bufAt[lo:])
+		b.bufP[lo] = p
+		b.bufV[lo] = v
+		b.bufAt[lo] = now
 	}
 	o.Held++
 	if o.met != nil {
 		o.met.OrderingHeld++
 	}
-	if !st.timer.Pending() {
-		o.armAt(st, st.bufAt[st.head]+o.cfg.Timeout)
+	if !b.timer.Pending() {
+		o.armAt(st, b, b.bufAt[b.head]+o.cfg.Timeout)
 	}
 }
 
 // debugTimeout, when set by tests, observes every ordering timeout.
 var debugTimeout func(flow uint64, hasExp bool, expected, headV uint32, buflen int, now units.Time)
 
-// rearm resets the timer to the head-of-buffer arrival plus τ (paper §3.3.2
-// event 2), or disarms it when nothing is buffered.
-func (o *Orderer) rearm(st *orderFlow) {
-	st.timer.Cancel()
-	st.timer = sim.Timer{}
-	if st.buffered() > 0 {
-		o.armAt(st, st.bufAt[st.head]+o.cfg.Timeout)
-	}
-}
-
-func (o *Orderer) armAt(st *orderFlow, at units.Time) {
+// armAt arms st's buffer timer at at (paper §3.3.2 event 2: the
+// head-of-buffer arrival plus τ), or at now if that has passed.
+func (o *Orderer) armAt(st *orderFlow, b *orderBuf, at units.Time) {
 	if at < o.eng.Now() {
 		at = o.eng.Now()
 	}
-	st.timer = o.eng.AtArg(at, o.dir.onTimeout, uint64(st.slot))
+	b.timer = o.eng.AtArg(at, o.dir.onTimeout, uint64(st.slot))
 }
 
 // timeout releases buffered packets up to the next gap (paper §3.3.2 event
 // 4): the transport now sees the gap and can run its own loss recovery. The
 // timer event resolves its slot back to the flow (see directory.onTimeout);
-// a fired timer's state always still exists, since every path that deletes
-// ordering state cancels or has observed the timer first.
+// a fired timer's state and buffer always still exist, since every path that
+// drains a buffer cancels its timer first.
 func (o *Orderer) timeout(flow uint64, st *orderFlow) {
-	st.timer = sim.Timer{}
-	if st.buffered() == 0 {
-		// Nothing held (state was idle): drop stale flow state.
-		if !st.hasExpected {
-			o.forget(flow)
-		}
-		return
-	}
+	b := o.dir.buf(st.buf)
+	b.timer = sim.Timer{}
 	o.Timeouts++
 	if o.met != nil {
 		o.met.OrderTimeout++
 	}
 	if debugTimeout != nil {
-		debugTimeout(flow, st.hasExpected, st.expected, st.bufV[st.head], st.buffered(), o.eng.Now())
+		debugTimeout(flow, st.hasExpected, st.expected, b.bufV[b.head], len(b.bufV)-b.head, o.eng.Now())
 	}
 	// Skip the gap: the next packet in flow order becomes the new expected.
-	ep, ev := st.bufP[st.head], st.bufV[st.head]
-	st.bufP[st.head] = nil
-	st.head++
-	if st.head == len(st.bufV) {
-		st.bufP = st.bufP[:0]
-		st.bufV = st.bufV[:0]
-		st.bufAt = st.bufAt[:0]
-		st.head = 0
-	}
+	ep, ev := b.bufP[b.head], b.bufV[b.head]
+	b.bufP[b.head] = nil
+	b.head++
 	st.hasExpected = true
 	st.expected = ev
 	o.Releases++

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"vertigo/internal/packet"
 	"vertigo/internal/sim"
@@ -240,5 +241,73 @@ func TestOrdererFreshSlotsShareChunks(t *testing.T) {
 	eng.Run(eng.Now() + 2*cfg.Timeout)
 	if o.ActiveFlows() != 0 {
 		t.Fatalf("%d tombstones survived reclaim", o.ActiveFlows())
+	}
+}
+
+// TestTombstoneExpiresAtDeadline pins a finished flow's afterlife. Its
+// tombstone answers stragglers until finishedAt+τ and not from then on,
+// whether or not the reclaim queue has collected it yet; the queue holds one
+// event for any number of tombstones; and a straggler that outlives τ leaves
+// an in-order slot that holds no buffer.
+func TestTombstoneExpiresAtDeadline(t *testing.T) {
+	if n := unsafe.Sizeof(orderFlow{}); n > 48 {
+		t.Fatalf("an ordering slot is %d bytes, want at most 48", n)
+	}
+	eng := sim.NewEngine(1)
+	cfg := DefaultOrdererConfig()
+	tau := cfg.Timeout
+	delivered := 0
+	o := NewOrderer(eng, cfg, func(*packet.Packet) { delivered++ })
+
+	// Flow 1 finishes at 10 µs. Its first segment comes back twice: one tick
+	// before the deadline and at it — the latter by an event scheduled before
+	// the finish, so that it runs ahead of the reclaim event of that instant
+	// and meets the uncollected tombstone.
+	pkts := mkFlow(1, 2)
+	finish := 10 * units.Microsecond
+	var recreated *orderFlow
+	eng.At(finish+tau, func() {
+		o.Receive(pkts[0])
+		recreated = o.flows.Get(1)
+	})
+	eng.Run(finish)
+	o.Receive(pkts[0])
+	o.Receive(pkts[1])
+	if delivered != 2 || o.ActiveFlows() != 1 {
+		t.Fatalf("delivered %d, %d flows; want 2 and the tombstone", delivered, o.ActiveFlows())
+	}
+	eng.Run(finish + tau - 1)
+	o.Receive(pkts[0])
+	if st := o.flows.Get(1); delivered != 3 || st == nil || !st.finished {
+		t.Fatalf("a straggler at finishedAt+τ-1: delivered %d, state %+v; want it passed through a tombstone", delivered, st)
+	}
+	eng.Run(finish + tau)
+	if st := recreated; delivered != 4 || st == nil || st.finished || !st.hasExpected || st.expected != pkts[1].Info.RFS {
+		t.Fatalf("a straggler at finishedAt+τ: delivered %d, state %+v; want a new in-order state expecting the second segment", delivered, st)
+	}
+	// Nothing ends the re-created state: it stays, stranded, with no buffer.
+	eng.Run(finish + 3*tau)
+	if st := o.flows.Get(1); o.ActiveFlows() != 1 || st == nil || st.buf != 0 || o.dir.footprint().OrderBuffers != 0 {
+		t.Fatalf("%d flows, state %+v, %d buffers; want one stranded in-order state holding none",
+			o.ActiveFlows(), st, o.dir.footprint().OrderBuffers)
+	}
+
+	// A thousand single-segment flows finish within one τ: a thousand
+	// tombstones, one pending event.
+	const n = 1000
+	start := eng.Now()
+	for i := 0; i < n; i++ {
+		eng.Run(start + units.Time(i)*tau/(2*n))
+		o.Receive(mkFlow(uint64(100+i), 1)[0])
+	}
+	fp := o.dir.footprint()
+	if fp.Reclaims != n || fp.ReclaimEvents != 1 || eng.Pending() != 1 {
+		t.Fatalf("%d finishes: %d queued, %d reclaim events, %d events pending; want %d, 1, 1",
+			n, fp.Reclaims, fp.ReclaimEvents, eng.Pending(), n)
+	}
+	eng.Run(start + tau + tau/2)
+	if o.ActiveFlows() != 1 || eng.Pending() != 0 || o.dir.footprint().Reclaims != 0 {
+		t.Fatalf("past every deadline: %d flows, %d events pending, %d queued; want the in-order state alone",
+			o.ActiveFlows(), eng.Pending(), o.dir.footprint().Reclaims)
 	}
 }

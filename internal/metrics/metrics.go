@@ -96,11 +96,13 @@ func (q *QueryRecord) QCT() units.Time { return q.End - q.Start }
 //
 // Completion times are streamed: every scalar and distribution a Summary
 // reports is folded in at EndFlow time (sums, counts, per-class log-bucketed
-// histograms), so the collector's steady-state footprint is O(active flows),
-// not O(total flows). FlowRecord slots live in a flowtab slab table; once
-// the RawSeries mode stops keeping raw series (RawDrop, or RawAuto past its
-// started-flows cutoff) completed records are deleted on completion and
-// their slots recycled for the next flow.
+// histograms), so the collector's footprint is O(active flows), not O(total
+// flows). FlowRecord slots live in a flowtab slab table and hold open flows
+// only: EndFlow deletes a completed record and its slot goes to the next
+// flow, unless RawSeries is RawKeep, which keeps every record for Flow and
+// RangeFlows to inspect. The raw FCT/QCT series follow their own RawMode
+// rule; no mode changes a Summary's aggregates. What still grows with the
+// run is Queries, one entry per incast query.
 type Collector struct {
 	// RawSeries controls whether raw FCT/QCT series are accumulated and kept
 	// on the Summary (see RawMode); the zero value is RawAuto. Set it before
@@ -108,17 +110,15 @@ type Collector struct {
 	RawSeries RawMode
 
 	Queries []QueryRecord
-	// flows holds the live flow records, keyed by flow ID. Flow IDs come
-	// from the shared packet.IDGen, so they are sparse (interleaved with
-	// packet IDs), ruling out a dense slice; the flowtab keeps lookups cheap
-	// and recycles record slots. Completed records are retained only while
-	// the raw mode keeps per-flow series (small runs), so tests and tools
-	// can still inspect them; past the cutoff they are deleted on completion.
+	// flows holds the open flow records — and under RawKeep the completed
+	// ones too — keyed by flow ID. Flow IDs come from the shared
+	// packet.IDGen, so they are sparse (interleaved with packet IDs), ruling
+	// out a dense slice; the flowtab keeps lookups cheap and recycles record
+	// slots.
 	flows *flowtab.Table[FlowRecord]
-	// recycling is set once raw series are dropped: from the first flow
-	// under RawDrop, or at the RawAuto cutoff. From then on EndFlow deletes
-	// the record and the slab slot is reused.
-	recycling bool
+	// dropRaw is set once raw series are dropped: from the first flow under
+	// RawDrop, or at the RawAuto cutoff.
+	dropRaw bool
 
 	flowsStarted   int
 	flowsCompleted int
@@ -184,35 +184,19 @@ func NewCollector() *Collector {
 // StartFlow registers a new flow.
 func (c *Collector) StartFlow(rec FlowRecord) {
 	c.flowsStarted++
-	if !c.recycling && !c.RawSeries.keepRaw(c.flowsStarted) {
-		c.startRecycling()
+	// The cut is on flows started — a configuration-time quantity — so it
+	// cannot flip on completion behaviour.
+	if !c.dropRaw && !c.RawSeries.keepRaw(c.flowsStarted) {
+		c.dropRaw = true
+		c.fcts, c.qcts = nil, nil
 	}
 	v, _ := c.flows.Put(rec.ID)
 	*v = rec
 }
 
-// startRecycling drops the raw series and every already-completed record,
-// and switches EndFlow to delete-on-completion. The cut is on flows started
-// — a configuration-time quantity — so it cannot flip on completion
-// behaviour.
-func (c *Collector) startRecycling() {
-	c.recycling = true
-	c.fcts, c.qcts = nil, nil
-	var done []uint64
-	c.flows.Range(func(key uint64, v *FlowRecord) bool {
-		if v.Completed {
-			done = append(done, key)
-		}
-		return true
-	})
-	for _, key := range done {
-		c.flows.Delete(key)
-	}
-}
-
 // EndFlow marks a flow complete at time t, streams its completion into the
-// aggregate sums and histograms, and — once raw series are off — recycles
-// the record slot.
+// aggregate sums and histograms and, unless RawSeries is RawKeep, deletes
+// the record.
 func (c *Collector) EndFlow(id uint64, t units.Time) {
 	f := c.flows.Get(id)
 	if f == nil || f.Completed {
@@ -224,7 +208,7 @@ func (c *Collector) EndFlow(id uint64, t units.Time) {
 	fct := t - f.Start
 	c.fctHist[f.Class].Observe(int64(fct))
 	c.fctSum += int64(fct)
-	if !c.recycling {
+	if !c.dropRaw {
 		c.fcts = append(c.fcts, fct)
 	}
 	if f.Size < MiceMaxBytes {
@@ -246,19 +230,18 @@ func (c *Collector) EndFlow(id uint64, t units.Time) {
 			qct := t - q.Start
 			c.qctHist.Observe(int64(qct))
 			c.qctSum += int64(qct)
-			if !c.recycling {
+			if !c.dropRaw {
 				c.qcts = append(c.qcts, qct)
 			}
 		}
 	}
-	if c.recycling {
+	if c.RawSeries != RawKeep {
 		c.flows.Delete(id)
 	}
 }
 
-// Flow returns the record for a flow ID, or nil. Completed flows are found
-// only while the raw mode keeps per-flow state; once recycling is on their
-// records are deleted at EndFlow.
+// Flow returns the record for a flow ID, or nil. A completed flow is found
+// only under RawKeep; in the other modes EndFlow deletes its record.
 //
 // Aliasing rule: the pointer aims into the flow table's value slab, which
 // can move when StartFlow grows the table. A *FlowRecord is therefore valid
@@ -274,13 +257,14 @@ func (c *Collector) FlowsStarted() int { return c.flowsStarted }
 // FlowsCompleted returns the number of flows completed so far.
 func (c *Collector) FlowsCompleted() int { return c.flowsCompleted }
 
-// LiveFlows returns the number of flow records currently held. With
-// recycling on this is the active-flow population — the collector's
+// LiveFlows returns the number of flow records currently held. Unless
+// RawSeries is RawKeep this is the open-flow population — the collector's
 // footprint is proportional to it, not to FlowsStarted.
 func (c *Collector) LiveFlows() int { return c.flows.Len() }
 
 // RangeFlows calls fn for every retained flow record in table order until
-// fn returns false. The *FlowRecord follows the Flow aliasing rule.
+// fn returns false: the open flows, and the completed ones only under
+// RawKeep. The *FlowRecord follows the Flow aliasing rule.
 func (c *Collector) RangeFlows(fn func(*FlowRecord) bool) {
 	c.flows.Range(func(_ uint64, v *FlowRecord) bool { return fn(v) })
 }

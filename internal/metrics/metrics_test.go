@@ -10,6 +10,7 @@ import (
 
 func TestFlowLifecycle(t *testing.T) {
 	c := NewCollector()
+	c.RawSeries = RawKeep // the completed record stays for Flow
 	c.StartFlow(FlowRecord{ID: 1, Size: 1000, Start: 100, Query: -1})
 	c.EndFlow(1, 500)
 	f := c.Flow(1)

@@ -3,10 +3,12 @@ package metrics
 import "fmt"
 
 // RawMode controls whether Summarize keeps the raw per-flow FCT/QCT series
-// on the Summary next to the log-bucketed histograms. The histograms carry
-// the whole distribution in 65 counters and merge across sharded runs, so
-// the raw series exist only for exact percentiles and fine-grained CDF
-// figures — a luxury that stops scaling around a million flows.
+// on the Summary next to the log-bucketed histograms, and whether the
+// Collector keeps completed flows' records. The histograms carry the whole
+// distribution in 65 counters and merge across sharded runs, so the raw
+// series exist only for exact percentiles and fine-grained CDF figures — a
+// luxury that stops scaling around a million flows. No Summary aggregate
+// depends on the mode.
 type RawMode int
 
 // Raw-series modes.
@@ -15,12 +17,14 @@ const (
 	// at most RawAutoMaxFlows started flows — and drops them beyond that.
 	// The threshold is on flows *started*, which is fixed by the workload
 	// configuration, so whether a run keeps its raw series never depends on
-	// completion behaviour.
+	// completion behaviour. A completed flow's record is deleted at once.
 	RawAuto RawMode = iota
-	// RawKeep always keeps the raw series.
+	// RawKeep always keeps the raw series, and every completed flow's
+	// record for Collector.Flow and RangeFlows.
 	RawKeep
 	// RawDrop always drops them; percentiles and CDFs fall back to the
-	// histograms at factor-of-two resolution.
+	// histograms at factor-of-two resolution. Completed records go as
+	// under RawAuto.
 	RawDrop
 )
 

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"testing"
 
 	"vertigo/internal/units"
@@ -43,8 +44,8 @@ func TestRecyclingBoundsLiveRecords(t *testing.T) {
 func time(us int) units.Time { return units.Time(us) * units.Microsecond }
 
 // TestRawAutoCutoverPurges drives a collector past the RawAuto started-flows
-// cutoff and checks the crossing: raw series dropped, already-completed
-// records purged, and recycling on from then out.
+// cutoff and checks the crossing: raw series dropped, no completed record
+// held on either side of it.
 func TestRawAutoCutoverPurges(t *testing.T) {
 	c := NewCollector()
 	n := RawAutoMaxFlows + 100
@@ -69,6 +70,52 @@ func TestRawAutoCutoverPurges(t *testing.T) {
 	want := units.Time(n+1) * 500
 	if s.MeanFCT != want {
 		t.Fatalf("MeanFCT = %v, want exact %v", s.MeanFCT, want)
+	}
+}
+
+// TestCompletedRecordsStayOnlyUnderRawKeep: in every mode EndFlow streams a
+// completion into the same aggregates, and only RawKeep keeps the completed
+// record — RawAuto keeps the raw series of a small run, not its records, and
+// its Summary is RawKeep's.
+func TestCompletedRecordsStayOnlyUnderRawKeep(t *testing.T) {
+	run := func(m RawMode) (*Collector, *Summary) {
+		c := NewCollector()
+		c.RawSeries = m
+		q := c.StartQuery(2, 0)
+		for i := uint64(1); i <= 100; i++ {
+			rec := FlowRecord{ID: 2 * i, Size: int64(i) * 1000, Start: time(int(i)), Query: -1}
+			if i <= 2 {
+				rec.Class, rec.Query = Incast, q
+			}
+			c.StartFlow(rec)
+			if i > 4 { // flows 97..100 stay open
+				c.EndFlow(2*(i-4), time(int(3*i)))
+			}
+		}
+		return c, c.Summarize(time(1000))
+	}
+	keep, ks := run(RawKeep)
+	if keep.LiveFlows() != 100 || keep.Flow(2) == nil || !keep.Flow(2).Completed {
+		t.Fatalf("RawKeep holds %d records, flow 2 %+v; want all 100, flow 2 completed", keep.LiveFlows(), keep.Flow(2))
+	}
+	for _, m := range []RawMode{RawAuto, RawDrop} {
+		c, s := run(m)
+		if c.LiveFlows() != 4 || c.Flow(2) != nil || c.Flow(200) == nil {
+			t.Fatalf("%v: %d records held, want the 4 open flows", m, c.LiveFlows())
+		}
+		n := 0
+		c.RangeFlows(func(f *FlowRecord) bool { n++; return !f.Completed })
+		if n != 4 {
+			t.Fatalf("%v: RangeFlows saw a completed record or missed an open one (%d visited)", m, n)
+		}
+		want := *ks
+		if m == RawDrop { // the raw series, and what only they resolve, aside
+			s.FCTs, s.QCTs, want.FCTs, want.QCTs = nil, nil, nil, nil
+			s.P99FCT, s.P99QCT, want.P99FCT, want.P99QCT = 0, 0, 0, 0
+		}
+		if !reflect.DeepEqual(*s, want) {
+			t.Fatalf("%v summary differs from RawKeep's:\n got %+v\nwant %+v", m, *s, want)
+		}
 	}
 }
 

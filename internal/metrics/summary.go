@@ -151,7 +151,7 @@ func (c *Collector) Summarize(end units.Time) *Summary {
 	s.FCTHist = mergedHist(&c.fctHist[Background], &c.fctHist[Incast])
 	s.FCTHistBackground = histCopy(&c.fctHist[Background])
 	s.FCTHistIncast = histCopy(&c.fctHist[Incast])
-	if !c.recycling {
+	if !c.dropRaw {
 		s.FCTs = append([]units.Time(nil), c.fcts...)
 		s.QCTs = append([]units.Time(nil), c.qcts...)
 	}

@@ -1,6 +1,9 @@
 package transport
 
-import "vertigo/internal/units"
+import (
+	"vertigo/internal/host"
+	"vertigo/internal/units"
+)
 
 // SetDebugRTO installs a test observer for retransmission timeouts.
 func SetDebugRTO(fn func(flow uint64, sndUna, nextSeq int64, now, rto units.Time, dupAcks int)) {
@@ -14,3 +17,6 @@ func (s *Sender) RTOForTest() units.Time                 { return s.rto }
 func (s *Sender) SRTTForTest() units.Time                { return s.srtt }
 func (s *Sender) AlphaForTest() float64                  { return s.alpha }
 func (s *Sender) SetCwndForTest(w float64)               { s.cwnd = w }
+
+// FinForTest returns the pool's shared fin handler.
+func (rp *ReceiverPool) FinForTest() host.Handler { return rp.fin }

@@ -92,11 +92,12 @@ func (sp *SenderPool) Allocated() int { return len(sp.slabs) * connSlab }
 const maxKeepIntervals = 1024
 
 // ReceiverPool recycles Receiver slots the same way SenderPool recycles
-// senders. A receiver quiesces when its last byte arrives; its flow stays
-// bound — to the pool's shared fin handler rather than the receiver — so
-// straggling retransmissions still get the full-coverage ACK they would
-// have gotten from the live receiver, byte for byte, while the slot (and
-// its out-of-order buffers) moves on to the next flow.
+// senders. A receiver quiesces when its last byte arrives and retires its
+// flow at the host (host.Host.Retire): the binding goes, a bit in the host
+// directory stays, and the host hands the flow's straggling retransmissions
+// to the pool's shared fin handler, which sends the full-coverage ACK they
+// would have gotten from the live receiver, byte for byte, while the slot
+// (and its out-of-order buffers) moves on to the next flow.
 type ReceiverPool struct {
 	met   *metrics.Collector
 	ids   *packet.IDGen
@@ -167,10 +168,10 @@ func (rp *ReceiverPool) Accept(h *host.Host, first *packet.Packet) func(*packet.
 	return r.onDataFn
 }
 
-// release rebinds the finished flow to the shared fin handler and returns
+// release retires the finished flow to the shared fin handler and returns
 // the slot to the free list, trimming burst-grown interval buffers.
 func (rp *ReceiverPool) release(r *Receiver) {
-	r.h.Bind(r.flow, rp.fin)
+	r.h.Retire(r.flow, rp.fin)
 	if cap(r.ooo) > maxKeepIntervals {
 		r.ooo = nil
 	}

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"vertigo/internal/fabric"
+	"vertigo/internal/host"
+	"vertigo/internal/metrics"
 	"vertigo/internal/packet"
+	"vertigo/internal/telemetry"
 	"vertigo/internal/transport"
 	"vertigo/internal/units"
 )
@@ -138,6 +141,7 @@ func TestPoolRTOFollowsTheSlot(t *testing.T) {
 // one-second RTO.
 func TestPoolPacingFollowsTheSlot(t *testing.T) {
 	r, sp, _ := newPoolRigFor(t, transport.Swift)
+	r.met.RawSeries = metrics.RawKeep // the completed records stay for Flow
 	get := func(src, dst int) (*transport.Sender, uint64) {
 		spec := transport.FlowSpec{ID: r.ids.Next(), Src: src, Dst: dst, Size: 6_000, Query: -1}
 		return sp.Get(r.hosts[src], r.met, r.ids, spec, nil), spec.ID
@@ -204,5 +208,86 @@ func TestPoolStragglerAck(t *testing.T) {
 	}
 	if sp.Live() != 0 || rp.Live() != 0 {
 		t.Fatalf("slots leaked after recovery: %d senders, %d receivers", sp.Live(), rp.Live())
+	}
+}
+
+// ackTap records every ACK of one flow as its sender hands it to the fabric.
+type ackTap struct {
+	flow uint64
+	acks []packet.Packet
+}
+
+func (a *ackTap) Enqueue(sw, port int, p *packet.Packet, occ units.ByteSize) {
+	if p.Kind == packet.Ack && p.Flow == a.flow {
+		a.acks = append(a.acks, *p)
+	}
+}
+func (a *ackTap) Transmit(int, int, *packet.Packet, units.Time, units.ByteSize) {}
+func (a *ackTap) Deflect(int, int, int, *packet.Packet)                         {}
+func (a *ackTap) Drop(int, int, *packet.Packet, metrics.DropReason)             {}
+func (a *ackTap) Deliver(int, *packet.Packet)                                   {}
+func (a *ackTap) Fault(telemetry.FaultEvent)                                    {}
+
+// TestRetiredStragglerGetsFinAck: a pooled receiver that finishes retires its
+// flow — the binding goes, a bit stays — and a data straggler of the flow
+// still gets the pool's fin handler's ACK, field for field what the handler
+// sends when handed the packet itself, and counts as one reordered packet.
+// A flow ID never seen still reaches the acceptor.
+func TestRetiredStragglerGetsFinAck(t *testing.T) {
+	r, sp, rp := newPoolRig(t)
+	spec := transport.FlowSpec{ID: r.ids.Next(), Src: 0, Dst: 2, Size: 20_000, Query: -1}
+	tap := &ackTap{flow: spec.ID}
+	r.net.AddObserver(tap)
+	sp.Get(r.hosts[0], r.met, r.ids, spec, nil).Start()
+	r.eng.Run(5 * units.Millisecond)
+	if r.met.FlowsCompleted() != 1 || sp.Live() != 0 || rp.Live() != 0 {
+		t.Fatalf("flow not done: %d completed, %d senders and %d receivers live", r.met.FlowsCompleted(), sp.Live(), rp.Live())
+	}
+	if fp := host.FootprintOf(r.net); fp.Handlers != 0 || fp.RetiredPages != 1 {
+		t.Fatalf("after the flow: %d handlers bound, %d retired pages; want none and one", fp.Handlers, fp.RetiredPages)
+	}
+
+	straggler := func() *packet.Packet {
+		p := r.net.Pool().Get()
+		*p = packet.Packet{
+			ID: r.ids.Next(), Kind: packet.Data, Src: 0, Dst: 2, Flow: spec.ID,
+			Seq: 2 * packet.MSS, PayloadLen: packet.MSS, FlowSize: spec.Size,
+			ECNCapable: true, CE: true, Incast: true, Hops: 3,
+			TxAt: r.eng.Now() - 4*units.Microsecond,
+		}
+		return p
+	}
+	tap.acks = nil
+	reorder, goodput := r.met.ReorderPkts, r.met.BytesGoodput
+	r.hosts[2].Receive(straggler()) // stamps RxAt = now, then dispatches
+	if len(tap.acks) != 1 || r.met.ReorderPkts != reorder+1 || r.met.BytesGoodput != goodput {
+		t.Fatalf("the retired flow's straggler drew %d ACKs, %d reorders, %d goodput bytes; want 1, 1, 0",
+			len(tap.acks), r.met.ReorderPkts-reorder, r.met.BytesGoodput-goodput)
+	}
+	direct := straggler()
+	direct.RxAt = r.eng.Now()
+	rp.FinForTest().Handle(direct)
+	if len(tap.acks) != 2 || r.met.ReorderPkts != reorder+2 {
+		t.Fatalf("the fin handler sent %d ACKs", len(tap.acks)-1)
+	}
+	got, want := tap.acks[0], tap.acks[1]
+	if want.ID <= got.ID {
+		t.Fatalf("ACK IDs %d then %d: not freshly minted", got.ID, want.ID)
+	}
+	got.ID = want.ID
+	if got != want {
+		t.Fatalf("the retired flow's straggler got\n %+v\nthe fin handler sends\n %+v", got, want)
+	}
+	if got.AckSeq != spec.Size || got.Src != 2 || got.Dst != 0 || !got.ECE || got.EchoHops != 3 || !got.Incast {
+		t.Fatalf("fin ACK %+v does not cover the flow or echo the straggler", got)
+	}
+
+	// A flow ID no receiver ever saw is a new flow.
+	fresh := straggler()
+	fresh.Flow, fresh.Seq, fresh.FlowSize = r.ids.Next(), 0, 2*packet.MSS
+	tap.flow = fresh.Flow
+	r.hosts[2].Receive(fresh)
+	if rp.Live() != 1 || len(tap.acks) != 3 || tap.acks[2].AckSeq != packet.MSS {
+		t.Fatalf("a never-seen flow: %d receivers live, ACKs %+v; want one accepted and acking its first segment", rp.Live(), tap.acks[2:])
 	}
 }

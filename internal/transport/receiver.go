@@ -72,8 +72,8 @@ func (r *Receiver) Received() int64 { return r.recvNext }
 
 // onData consumes one packet: the receiver is its final owner, so the frame
 // is recycled after processing. Once the flow's last byte has arrived the
-// slot quiesces back to its pool; the pool's shared fin handler takes over
-// the binding for any straggling retransmissions.
+// slot quiesces back to its pool; the pool's shared fin handler answers any
+// straggling retransmissions of the retired flow.
 func (r *Receiver) onData(p *packet.Packet) {
 	r.handleData(p)
 	r.pool.Put(p)

@@ -62,6 +62,7 @@ func (r *rig) flow(src, dst int, size int64) *transport.Sender {
 func TestSingleFlowCompletes(t *testing.T) {
 	for _, proto := range []transport.Protocol{transport.Reno, transport.DCTCP, transport.Swift} {
 		r := newRig(t, fabric.DefaultConfig(fabric.ECMP), transport.DefaultConfig(proto), false)
+		r.met.RawSeries = metrics.RawKeep // the completed record stays for Flow
 		const size = 1_000_000
 		s := r.flow(0, 2, size)
 		r.eng.Run(units.Second)
