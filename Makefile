@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-serve vet shard-smoke benchmark-smoke benchmark-compare exp-small exp-medium examples clean
+.PHONY: all build test test-budget test-short race race-serve vet shard-smoke benchmark-smoke benchmark-compare exp-small exp-medium examples clean
 
 all: build vet test
 
@@ -14,6 +14,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 under a wall budget (needs jq): every package's elapsed time and the
+# ten slowest tests; fails when a package takes more than 300 s, half of go
+# test's default 600 s package timeout. CI's test job runs it.
+test-budget:
+	scripts/test-budget.sh
 
 test-short:
 	$(GO) test -short ./...

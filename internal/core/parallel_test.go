@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -33,35 +34,87 @@ func shardTestConfig() Config {
 	return cfg
 }
 
+// shardCase is one config the shard claims are checked over.
+type shardCase struct {
+	name string
+	cfg  Config
+}
+
+// shardCases are what the experiments carry into a run: every policy, each at
+// a load of its own (ECMP under Reno, as fig1 runs it), a flap schedule and
+// two corrupting links, each on links of two domains (flapstorm and corrupt).
+// Under -short only the first, the Vertigo case, runs.
+func shardCases() []shardCase {
+	base := shardTestConfig()
+	hosts, links := base.NumHosts(), base.NumHosts()+base.LeafSpineCfg.Leaves*base.LeafSpineCfg.Spines
+	T := base.SimTime
+	reno := withPolicy(base, fabric.ECMP)
+	reno.Transport = DefaultConfig(fabric.ECMP, transport.Reno).Transport
+	reno.BGLoad = 0.15
+	reno.SetIncastLoad(0.35)
+	drill := withPolicy(base, fabric.DRILL)
+	drill.BGLoad = 0.3
+	dibs := withPolicy(base, fabric.DIBS)
+	dibs.SetIncastLoad(0.25)
+	flaps := base
+	flaps.Faults = (&faults.Schedule{}).
+		Add(faults.Flap(hosts, T/4, T/16, T/8, 3)...).
+		Add(faults.Flap(links-1, T/3, T/16, T/8, 2)...)
+	corrupt := withPolicy(base, fabric.ECMP)
+	corrupt.Faults = (&faults.Schedule{}).Add(
+		faults.Event{Kind: faults.Corrupt, Link: hosts, BER: 1e-3},
+		faults.Event{Kind: faults.Corrupt, Link: links - 1, BER: 1e-2})
+	cases := []shardCase{
+		{"vertigo", base}, {"ecmp-reno", reno}, {"drill", drill}, {"dibs", dibs},
+		{"flaps", flaps}, {"corrupt", corrupt},
+	}
+	if testing.Short() {
+		cases = cases[:1]
+	}
+	return cases
+}
+
 // TestShardedDeterministic pins the sharded determinism contract: for a
-// fixed shard count the run is exactly reproducible. (Different shard
-// counts are distinct deterministic universes — same-instant event ordering
-// is partition-dependent — so cross-count identity is deliberately NOT
-// asserted; see DESIGN.md.)
+// fixed shard count a run is exactly reproducible, whatever the policy,
+// faults or corruption. (Different shard counts are distinct deterministic
+// universes — same-instant event ordering is partition-dependent — so
+// cross-count identity is deliberately NOT asserted; see DESIGN.md.) The
+// second of the flap case's two runs at two shards is watched by a sampler,
+// the monitor and a tracer, so that pair also pins sharded observation
+// identity: every probe shards, and none changes the run.
 func TestShardedDeterministic(t *testing.T) {
-	for _, n := range []int{2, 4} {
-		var first *Result
-		for rep := 0; rep < 2; rep++ {
-			cfg := shardTestConfig()
+	for _, tc := range shardCases() {
+		for _, n := range []int{2, 4} {
+			name := fmt.Sprintf("%s shards=%d", tc.name, n)
+			cfg := tc.cfg
 			cfg.Shards = n
+			first, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			watched := tc.name == "flaps" && n == 2
+			var trace bytes.Buffer
+			if watched {
+				cfg.Telemetry, cfg.SampleTick = true, 200*units.Microsecond
+				cfg.PacketTrace, cfg.PacketTraceFlow = &trace, 1
+			}
 			r, err := Run(cfg)
 			if err != nil {
-				t.Fatalf("shards=%d rep=%d: %v", n, rep, err)
-			}
-			if first == nil {
-				first = r
-				continue
+				t.Fatalf("%s, again: %v", name, err)
 			}
 			if !reflect.DeepEqual(first.Summary, r.Summary) {
-				t.Errorf("shards=%d: summaries differ between repetitions:\n%+v\nvs\n%+v",
-					n, first.Summary, r.Summary)
+				t.Errorf("%s: summaries differ between repetitions (watched %t):\n%+v\nvs\n%+v",
+					name, watched, first.Summary, r.Summary)
 			}
-			if first.Engine.Events != r.Engine.Events {
-				t.Errorf("shards=%d: event counts differ: %d vs %d", n, first.Engine.Events, r.Engine.Events)
+			// The sampler's ticks are events of their own.
+			if !watched && first.Engine.Events != r.Engine.Events {
+				t.Errorf("%s: event counts differ: %d vs %d", name, first.Engine.Events, r.Engine.Events)
 			}
 			if first.Collector.Drops != r.Collector.Drops {
-				t.Errorf("shards=%d: drop counters differ: %v vs %v",
-					n, first.Collector.Drops, r.Collector.Drops)
+				t.Errorf("%s: drop counters differ: %v vs %v", name, first.Collector.Drops, r.Collector.Drops)
+			}
+			if watched && (r.Telemetry.Delivered == 0 || len(r.Sampler.Samples()) == 0 || trace.Len() == 0) {
+				t.Errorf("%s: the probes saw nothing", name)
 			}
 		}
 	}
@@ -104,21 +157,25 @@ func TestShardedConservation(t *testing.T) {
 }
 
 // TestShardedDegradesToSerial pins the one degrade rule an option carries:
-// shard counts <= 1 take the serial engine, byte-for-byte. (The other rule —
-// a topology the partition cannot cut — is TestPartitionDegradesToSerial's.)
+// shard counts <= 1 take the serial engine, byte-for-byte, over every shard
+// case — a fault schedule's replicas must not double-count when there is
+// only one domain. (The other rule — a topology the partition cannot cut — is
+// TestPartitionDegradesToSerial's.)
 func TestShardedDegradesToSerial(t *testing.T) {
-	base, err := Run(shardTestConfig())
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	cfg := shardTestConfig()
-	cfg.Shards = 1
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("shards=1: %v", err)
-	}
-	if !reflect.DeepEqual(base.Summary, r.Summary) {
-		t.Errorf("shards=1: expected serial-identical summary, got:\n%+v\nvs serial\n%+v", r.Summary, base.Summary)
+	for _, tc := range shardCases() {
+		base, err := Run(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s serial: %v", tc.name, err)
+		}
+		cfg := tc.cfg
+		cfg.Shards = 1
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s shards=1: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(base.Summary, r.Summary) {
+			t.Errorf("%s shards=1: expected serial-identical summary, got:\n%+v\nvs serial\n%+v", tc.name, r.Summary, base.Summary)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"vertigo/internal/fabric"
@@ -36,20 +37,37 @@ func renderAll(t *testing.T, id string, opt *Options) []byte {
 	return buf.Bytes()
 }
 
+// parallelFig1 is fig1's -j8 render with every probe on. It is simulated
+// afresh, never read from the reference memo, and once per process: the two
+// tests that compare it with the -j1 reference share it, one for the tables
+// and one for the time-series artifacts.
+var parallelFig1 struct {
+	once  sync.Once
+	sweep sweepRun
+}
+
+// parallelObserved is parallelFig1, rendered on first use.
+func parallelObserved(t *testing.T) sweepRun {
+	t.Helper()
+	parallelFig1.once.Do(func() { parallelFig1.sweep = render(t, "fig1", observed, workers(8)) })
+	if parallelFig1.sweep.tables == nil {
+		t.Fatal("fig1's -j8 render failed")
+	}
+	return parallelFig1.sweep
+}
+
 // TestParallelSweepDeterminism pins the runner's core guarantee: rendered
 // tables are byte-identical whether the sweep ran sequentially or on a
-// worker pool, because render callbacks fire in submission order.
+// worker pool, because render callbacks fire in submission order. (The
+// pair's samples.csv and trace.jsonl are TestObservationIdentityArtifacts'.)
 func TestParallelSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	for _, id := range []string{"fig1", "fig8"} {
-		seq := renderAll(t, id, workers(1))
-		par := renderAll(t, id, workers(8))
-		if !bytes.Equal(seq, par) {
-			t.Errorf("%s: parallel render differs from sequential:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
-				id, seq, par)
-		}
+	seq := reference(t, "fig1", observed)
+	par := parallelObserved(t)
+	if !bytes.Equal(seq.tables, par.tables) {
+		t.Errorf("parallel render differs from sequential:\n--- j=1 ---\n%s\n--- j=8 ---\n%s", seq.tables, par.tables)
 	}
 }
 

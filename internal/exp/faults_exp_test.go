@@ -18,13 +18,14 @@ import (
 
 // TestFaultSweepDeterminism pins the acceptance criterion for the fault
 // subsystem: a fault schedule produces byte-identical tables at any -j,
-// because injection is driven entirely by engine events.
+// because injection is driven entirely by engine events. The sequential side
+// is the memo's reference render.
 func TestFaultSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
 	for _, id := range []string{"failheal", "flapstorm"} {
-		seq := renderAll(t, id, workers(1))
+		seq := reference(t, id, observation{}).tables
 		par := renderAll(t, id, workers(8))
 		if !bytes.Equal(seq, par) {
 			t.Errorf("%s: parallel render differs from sequential:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,47 +21,30 @@ import (
 	"vertigo/internal/units"
 )
 
-// fig1Artifacts runs fig1 at Tiny on conc workers with sampling and tracing
-// on and returns every deterministic artifact: rendered tables, samples.csv,
-// trace.jsonl. (results.json is excluded deliberately — it carries
-// wall-clock timings.)
-func fig1Artifacts(t *testing.T, conc int) (tables, samples, trace []byte) {
-	t.Helper()
-	opt := workers(conc)
-	opt.Spec.SampleTick = Duration(100 * units.Microsecond)
-	opt.Spec.TraceFlow = 1
-	rec := NewRecorder()
-	opt.OnRun = rec.Record
-	tables = renderAll(t, "fig1", opt)
-	return tables, rec.SamplesCSV(), rec.TraceJSONL()
-}
+// scrapePause spaces a scraper's requests, so that it shares the box with
+// the sweep it watches instead of taking a core from it.
+const scrapePause = 5 * time.Millisecond
 
 // TestScrapeDoesNotPerturb pins the introspection plane's core guarantee: a
-// live /metrics scraper hammering the registry mid-sweep never changes a
-// single artifact byte, sequentially or on the worker pool. Registry reads
-// are snapshots, never drains — nothing flows back into the model.
+// live /metrics and /statusz scraper reading the registry while a sweep runs
+// never changes a single artifact byte. Registry reads are snapshots, never
+// drains — nothing flows back into the model. The scraped sweep must match
+// the reference of the same observation, and a scrape must have completed
+// while its runs were in flight.
 func TestScrapeDoesNotPerturb(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	baseTables, baseSamples, baseTrace := fig1Artifacts(t, 1)
-	if len(baseSamples) == 0 || len(baseTrace) == 0 {
-		t.Fatal("baseline run produced no samples/trace; test would prove nothing")
-	}
+	want := reference(t, "fig1", observed)
 
 	srv := httptest.NewServer(obs.Handler(obs.Default, func() any { return "scrape-test" }))
 	defer srv.Close()
-	stop := make(chan struct{})
-	scraped := make(chan int)
+	var mu sync.Mutex
+	var scraped []time.Time // when each request completed
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		n := 0
+		defer close(done)
 		for {
-			select {
-			case <-stop:
-				scraped <- n
-				return
-			default:
-			}
 			for _, path := range []string{"/metrics", "/statusz"} {
 				resp, err := http.Get(srv.URL + path)
 				if err != nil {
@@ -68,27 +52,49 @@ func TestScrapeDoesNotPerturb(t *testing.T) {
 				}
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				n++
+				mu.Lock()
+				scraped = append(scraped, time.Now())
+				mu.Unlock()
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(scrapePause):
 			}
 		}
 	}()
 
-	for _, conc := range []int{1, 8} {
-		tables, samples, trace := fig1Artifacts(t, conc)
-		if !bytes.Equal(tables, baseTables) {
-			t.Errorf("j=%d: tables perturbed by live scraping:\n--- quiet ---\n%s\n--- scraped ---\n%s",
-				conc, baseTables, tables)
+	// OnRun calls are serialized, and each knows its run's wall time.
+	var firstStart, lastEnd time.Time
+	opt := NewOptions()
+	opt.OnRun = func(ri RunInfo) {
+		end := time.Now()
+		if start := end.Add(-ri.Wall); firstStart.IsZero() || start.Before(firstStart) {
+			firstStart = start
 		}
-		if !bytes.Equal(samples, baseSamples) {
-			t.Errorf("j=%d: samples.csv perturbed by live scraping", conc)
-		}
-		if !bytes.Equal(trace, baseTrace) {
-			t.Errorf("j=%d: trace.jsonl perturbed by live scraping", conc)
+		lastEnd = end
+	}
+	got := render(t, "fig1", observed, opt)
+	close(stop)
+	<-done
+
+	if !bytes.Equal(got.tables, want.tables) {
+		t.Errorf("tables perturbed by live scraping:\n--- quiet ---\n%s\n--- scraped ---\n%s", want.tables, got.tables)
+	}
+	if !bytes.Equal(got.rec.SamplesCSV(), want.rec.SamplesCSV()) {
+		t.Error("samples.csv perturbed by live scraping")
+	}
+	if !bytes.Equal(got.rec.TraceJSONL(), want.rec.TraceJSONL()) {
+		t.Error("trace.jsonl perturbed by live scraping")
+	}
+	during := 0
+	for _, at := range scraped {
+		if at.After(firstStart) && at.Before(lastEnd) {
+			during++
 		}
 	}
-	close(stop)
-	if n := <-scraped; n == 0 {
-		t.Error("scraper completed zero requests; test proved nothing")
+	if during == 0 {
+		t.Errorf("none of %d scrapes completed between the first run's start and the last run's end; the test proved nothing", len(scraped))
 	}
 
 	// And the scrape itself must be well-formed while the registry is hot.

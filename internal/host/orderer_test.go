@@ -1,6 +1,7 @@
 package host
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -208,39 +209,47 @@ func TestOrdererSlotChurnAllocatesNothing(t *testing.T) {
 // at once take 64 fresh slots, whose windows are carved from one chunk an
 // array — not three arrays and two closures a slot. What is left is an empty
 // table's first page and its probe array doubling its way to 64 entries.
+//
+// MemStats.Mallocs counts the whole process, so a reading also holds what the
+// runtime allocated meanwhile (more of it under -race, or beside other
+// packages' tests). The bound holds for the least of a few readings, each
+// the first use of a fresh orderer on an engine of its own.
 func TestOrdererFreshSlotsShareChunks(t *testing.T) {
-	eng := sim.NewEngine(1)
+	const slots, readings = 64, 5
 	cfg := DefaultOrdererConfig()
-	delivered := 0
-	o := NewOrderer(eng, cfg, func(*packet.Packet) { delivered++ })
-	// Size the engine's frame free list and far-timer heap first, so that
-	// the count below is the orderer's own.
-	for i := 0; i < 256; i++ {
-		eng.After(units.Millisecond+units.Time(i), func() {})
+	least := uint64(math.MaxUint64)
+	for r := 0; r < readings; r++ {
+		eng := sim.NewEngine(1)
+		delivered := 0
+		o := NewOrderer(eng, cfg, func(*packet.Packet) { delivered++ })
+		// Size the engine's frame free list and far-timer heap first, so
+		// that the count below is the orderer's own.
+		for i := 0; i < 256; i++ {
+			eng.After(units.Millisecond+units.Time(i), func() {})
+		}
+		eng.Run(2 * units.Millisecond)
+		flows := make([][]*packet.Packet, slots)
+		for i := range flows {
+			flows[i] = mkFlow(uint64(1+i), 3)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for _, pkts := range flows {
+			reorderedFlow(o, pkts)
+		}
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.Mallocs-m0.Mallocs)
+		if o.ActiveFlows() != slots || delivered != 3*slots {
+			t.Fatalf("%d tombstones, %d delivered; want %d and %d", o.ActiveFlows(), delivered, slots, 3*slots)
+		}
+		eng.Run(eng.Now() + 2*cfg.Timeout)
+		if o.ActiveFlows() != 0 {
+			t.Fatalf("%d tombstones survived reclaim", o.ActiveFlows())
+		}
 	}
-	eng.Run(2 * units.Millisecond)
-	const slots = 64
-	flows := make([][]*packet.Packet, slots)
-	for i := range flows {
-		flows[i] = mkFlow(uint64(1+i), 3)
-	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for _, pkts := range flows {
-		reorderedFlow(o, pkts)
-	}
-	runtime.ReadMemStats(&m1)
-	allocs := m1.Mallocs - m0.Mallocs
-	t.Logf("%d fresh slots: %d allocations", slots, allocs)
-	if allocs > 12 {
-		t.Fatalf("first use of %d slots cost %d allocations, want at most 12", slots, allocs)
-	}
-	if o.ActiveFlows() != slots || delivered != 3*slots {
-		t.Fatalf("%d tombstones, %d delivered; want %d and %d", o.ActiveFlows(), delivered, slots, 3*slots)
-	}
-	eng.Run(eng.Now() + 2*cfg.Timeout)
-	if o.ActiveFlows() != 0 {
-		t.Fatalf("%d tombstones survived reclaim", o.ActiveFlows())
+	t.Logf("%d fresh slots: %d allocations (least of %d readings)", slots, least, readings)
+	if least > 12 {
+		t.Fatalf("first use of %d slots cost %d allocations, want at most 12", slots, least)
 	}
 }
 
