@@ -496,10 +496,11 @@ func (w *world) overBudget(cfg *Config) error {
 // finish closes a world whose engine has run to the horizon: it replays the
 // pops due by then, so the totals do not depend on which ports happened to be
 // touched last, publishes the last registry growth and withdraws the world's
-// pending events from the gauge, fails an over-budget run,
-// flushes the probes, and returns the world's own collector and counters,
-// unmerged and without a Summary — summarizing is the caller's, over one
-// collector or the merge.
+// pending events from the gauge, fails an over-budget run, flushes the
+// probes and detaches them from the world (a retained Result keeps what they
+// recorded, not the world), and returns the world's own collector and
+// counters, unmerged and without a Summary — summarizing is the caller's,
+// over one collector or the merge.
 func (w *world) finish(cfg *Config) (*Result, error) {
 	w.net.SettleAll()
 	w.publish()
@@ -510,6 +511,9 @@ func (w *world) finish(cfg *Config) (*Result, error) {
 	}
 	if w.mon != nil {
 		w.mon.Finish()
+	}
+	if w.sampler != nil {
+		w.sampler.Finish()
 	}
 	if w.tracer != nil {
 		if err := w.tracer.Flush(); err != nil {

@@ -113,7 +113,7 @@ func TestShardedDeterministic(t *testing.T) {
 			if first.Collector.Drops != r.Collector.Drops {
 				t.Errorf("%s: drop counters differ: %v vs %v", name, first.Collector.Drops, r.Collector.Drops)
 			}
-			if watched && (r.Telemetry.Delivered == 0 || len(r.Sampler.Samples()) == 0 || trace.Len() == 0) {
+			if watched && (r.Telemetry.DeflectionHist == [17]int64{} || len(r.Sampler.Samples()) == 0 || trace.Len() == 0) {
 				t.Errorf("%s: the probes saw nothing", name)
 			}
 		}
@@ -410,7 +410,7 @@ func TestShardedMonitorReconciles(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				var sb strings.Builder
-				r.Telemetry.WriteReport(&sb, r.Summary.Duration, 1<<30)
+				r.Telemetry.WriteReport(&sb, r.Summary, 1<<30)
 				reports[rep] = sb.String()
 			}
 			if reports[0] != reports[1] {
@@ -431,8 +431,12 @@ func TestShardedMonitorReconciles(t *testing.T) {
 			}
 
 			mon, s := r.Telemetry, r.Summary
-			if mon.Delivered == 0 || mon.Delivered != s.PacketsRecv {
-				t.Errorf("%s: monitor delivered %d, summary %d", name, mon.Delivered, s.PacketsRecv)
+			var delivered int64
+			for _, c := range mon.DeflectionHist {
+				delivered += c
+			}
+			if delivered == 0 || delivered != s.PacketsRecv {
+				t.Errorf("%s: monitor delivered %d, summary %d", name, delivered, s.PacketsRecv)
 			}
 			seen := map[telemetry.PortKey]bool{}
 			var drops, defl int64
@@ -455,11 +459,12 @@ func TestShardedMonitorReconciles(t *testing.T) {
 			if defl == 0 || defl != s.Deflections {
 				t.Errorf("%s: ports sum to %d deflections, summary %d", name, defl, s.Deflections)
 			}
-			if got := len(mon.Faults()); got != flaps || int64(got) != r.Collector.FaultEvents {
-				t.Errorf("%s: monitor saw %d fault events, collector %d, schedule %d", name, got, r.Collector.FaultEvents, flaps)
+			if r.Collector.FaultEvents != int64(flaps) || r.Collector.RecoveryCount() != recoveries {
+				t.Errorf("%s: collector counts %d fault events and %d recoveries, schedule %d and %d",
+					name, r.Collector.FaultEvents, r.Collector.RecoveryCount(), flaps, recoveries)
 			}
-			if got := len(mon.TimesToRecover()); got != recoveries || got != r.Collector.RecoveryCount() {
-				t.Errorf("%s: monitor paired %d recoveries, collector %d, schedule %d", name, got, r.Collector.RecoveryCount(), recoveries)
+			if want := fmt.Sprintf("fault events: %d, %d link recoveries", flaps, recoveries); recoveries > 0 && !strings.Contains(reports[0], want) {
+				t.Errorf("%s: report has no %q line:\n%s", name, want, reports[0])
 			}
 		}
 	}

@@ -94,7 +94,7 @@ func TestObservationIdentityIncast(t *testing.T) {
 		if a, b := summaryDigest(t, bare.Summary), summaryDigest(t, watched.Summary); a != b {
 			t.Errorf("seed %d: digest %.12s unobserved, %.12s observed", seed, a, b)
 		}
-		if watched.Telemetry.Delivered == 0 || len(watched.Sampler.Samples()) == 0 || trace.Len() == 0 {
+		if watched.Telemetry.DeflectionHist == [17]int64{} || len(watched.Sampler.Samples()) == 0 || trace.Len() == 0 {
 			t.Errorf("seed %d: the probes saw nothing", seed)
 		}
 	}

@@ -760,9 +760,6 @@ func (pt *Port) Queue() buffer.Queue {
 	return pt.qs.FIFO()
 }
 
-// Down reports whether the port's link has failed.
-func (pt *Port) Down() bool { return pt.down }
-
 // occBytes returns the queue occupancy an external observer must see: the
 // pops due by now replayed first.
 func (pt *Port) occBytes() units.ByteSize {

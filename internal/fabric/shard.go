@@ -81,9 +81,6 @@ func NewSharded(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg C
 	return n
 }
 
-// Sharded reports whether this Network is a domain replica.
-func (n *Network) Sharded() bool { return n.shard != nil }
-
 // ownsSwitch reports whether this replica owns switch sw (always true when
 // not sharded). Fault accounting is gated on ownership so merged shard
 // metrics count each transition exactly once.

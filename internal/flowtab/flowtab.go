@@ -15,10 +15,6 @@
 // key (the last-hit cache turns packet trains into two loads and a
 // compare). None of the operations allocate in steady state.
 //
-// One table can serve many owners: a View is one owner's key space in a
-// table it shares with others, which is how a simulation keeps one table per
-// kind of flow state instead of one per host (the host package's directory).
-//
 // Tables are not safe for concurrent use; in the simulator each engine
 // owns its tables, matching the one-goroutine-per-run sweep model.
 package flowtab
@@ -47,13 +43,11 @@ type page[T any] struct {
 	val [pageLen]T
 }
 
-// hdr names a slot's occupant. tag is one plus the owner of a live slot (see
-// View; the table's own keys have owner 0) and zero for a free one, whose key
-// field then links the free list: one plus the free slot under it, zero at
-// the bottom.
+// hdr names a slot's occupant. A free slot is not live, and its key field
+// links the free list: one plus the free slot under it, zero at the bottom.
 type hdr struct {
-	key uint64
-	tag uint32
+	key  uint64
+	live bool
 }
 
 // Table is an open-addressing hash table from uint64 keys to values of
@@ -99,55 +93,44 @@ func hash(x uint64) uint64 {
 	return x
 }
 
-// home is the probe slot (key, tag) hashes to. Tag 1 — a table's own key
-// space — hashes as the bare key; other owners' keys are spread apart from it
-// and from each other.
-func (t *Table[T]) home(key uint64, tag uint32) uint64 {
-	return hash(key+uint64(tag-1)*0x9e3779b97f4a7c15) & t.mask
-}
+// home is the probe slot key hashes to.
+func (t *Table[T]) home(key uint64) uint64 { return hash(key) & t.mask }
 
 func (t *Table[T]) at(r ref) *T   { return &t.pages[r>>pageBits].val[r&(pageLen-1)] }
 func (t *Table[T]) hd(r ref) *hdr { return &t.pages[r>>pageBits].hdr[r&(pageLen-1)] }
 
-// Len reports the number of live entries, every owner's together.
+// Len reports the number of live entries.
 func (t *Table[T]) Len() int { return t.count }
 
-// find returns the slab slot of tag's key, or noRef.
-func (t *Table[T]) find(key uint64, tag uint32) ref {
-	if r := t.last - 1; r >= 0 && *t.hd(r) == (hdr{key, tag}) {
+// find returns the slab slot of key, or noRef.
+func (t *Table[T]) find(key uint64) ref {
+	if r := t.last - 1; r >= 0 && *t.hd(r) == (hdr{key, true}) {
 		return r
 	}
 	if t.count == 0 {
 		return noRef
 	}
-	for i := t.home(key, tag); ; i = (i + 1) & t.mask {
+	for i := t.home(key); ; i = (i + 1) & t.mask {
 		r := t.index[i]
 		if r == noRef {
 			return noRef
 		}
-		if *t.hd(r) == (hdr{key, tag}) {
+		if *t.hd(r) == (hdr{key, true}) {
 			t.last = r + 1
 			return r
 		}
 	}
 }
 
-func (t *Table[T]) get(key uint64, tag uint32) *T {
-	if r := t.find(key, tag); r != noRef {
-		return t.at(r)
-	}
-	return nil
-}
-
-func (t *Table[T]) put(key uint64, tag uint32, zero bool) (*T, bool) {
+func (t *Table[T]) put(key uint64, zero bool) (*T, bool) {
 	// Room for one more first, so that one probe run both looks the key up
 	// and finds where it goes.
 	if (t.count+1)*4 > len(t.index)*3 {
 		t.reindex(max(2*len(t.index), 16))
 	}
-	i := t.home(key, tag)
+	i := t.home(key)
 	for ; t.index[i] != noRef; i = (i + 1) & t.mask {
-		if r := t.index[i]; *t.hd(r) == (hdr{key, tag}) {
+		if r := t.index[i]; *t.hd(r) == (hdr{key, true}) {
 			t.last = r + 1
 			return t.at(r), true
 		}
@@ -167,7 +150,7 @@ func (t *Table[T]) put(key uint64, tag uint32, zero bool) (*T, bool) {
 		}
 		t.n++
 	}
-	*t.hd(r) = hdr{key, tag}
+	*t.hd(r) = hdr{key, true}
 	t.index[i] = r
 	t.count++
 	t.last = r + 1
@@ -176,8 +159,7 @@ func (t *Table[T]) put(key uint64, tag uint32, zero bool) (*T, bool) {
 
 // link enters live slot r, which is not in the probe array, into it.
 func (t *Table[T]) link(r ref) {
-	h := t.hd(r)
-	i := t.home(h.key, h.tag)
+	i := t.home(t.hd(r).key)
 	for t.index[i] != noRef {
 		i = (i + 1) & t.mask
 	}
@@ -185,7 +167,7 @@ func (t *Table[T]) link(r ref) {
 }
 
 // reindex replaces the probe array with one of n slots and re-enters the
-// slab. Slab slots (and therefore iteration order and Ref values) are
+// slab. Slab slots, and therefore iteration order and value pointers, are
 // unchanged.
 func (t *Table[T]) reindex(n int) {
 	t.index = make([]ref, n)
@@ -194,22 +176,25 @@ func (t *Table[T]) reindex(n int) {
 		t.index[i] = noRef
 	}
 	for r := ref(0); int(r) < t.n; r++ {
-		if t.hd(r).tag != 0 {
+		if t.hd(r).live {
 			t.link(r)
 		}
 	}
 }
 
-func (t *Table[T]) delete(key uint64, tag uint32) bool {
+// Delete removes key, reporting whether it was present. The slab slot goes
+// on the free list, which is threaded through the free slots' headers and so
+// costs nothing to push on; its value bytes are retained for PutReuse.
+func (t *Table[T]) Delete(key uint64) bool {
 	if t.count == 0 {
 		return false
 	}
-	for i := t.home(key, tag); ; i = (i + 1) & t.mask {
+	for i := t.home(key); ; i = (i + 1) & t.mask {
 		r := t.index[i]
 		if r == noRef {
 			return false
 		}
-		if h := t.hd(r); *h == (hdr{key, tag}) {
+		if h := t.hd(r); *h == (hdr{key, true}) {
 			*h = hdr{key: uint64(t.free)}
 			t.free = r + 1
 			t.count--
@@ -234,8 +219,7 @@ func (t *Table[T]) unlink(i uint64) {
 			// Move r back to the freed slot unless its ideal position
 			// lies cyclically between the freed slot and its current one
 			// (in which case moving would break its probe chain).
-			h := t.hd(r)
-			k := t.home(h.key, h.tag)
+			k := t.home(t.hd(r).key)
 			if (j-k)&t.mask >= (j-i)&t.mask {
 				t.index[i] = r
 				i = j
@@ -246,69 +230,22 @@ func (t *Table[T]) unlink(i uint64) {
 }
 
 // Get returns a pointer to key's value, or nil if absent.
-func (t *Table[T]) Get(key uint64) *T { return t.get(key, 1) }
+func (t *Table[T]) Get(key uint64) *T {
+	if r := t.find(key); r != noRef {
+		return t.at(r)
+	}
+	return nil
+}
 
 // Put returns a pointer to key's value, inserting a zeroed entry if
 // absent. existed reports whether the key was already present.
-func (t *Table[T]) Put(key uint64) (v *T, existed bool) { return t.put(key, 1, true) }
+func (t *Table[T]) Put(key uint64) (v *T, existed bool) { return t.put(key, true) }
 
 // PutReuse is Put, except that a freshly inserted entry occupying a
 // recycled slot keeps the previous occupant's value bytes instead of
 // being zeroed. Callers use it to hand grown buffers (the marker's retx
 // pages) to the next flow; they must reset every semantic field themselves.
-func (t *Table[T]) PutReuse(key uint64) (v *T, existed bool) { return t.put(key, 1, false) }
-
-// Delete removes key, reporting whether it was present. The slab slot goes
-// on the free list, which is threaded through the free slots' headers and so
-// costs nothing to push on; its value bytes are retained for PutReuse.
-func (t *Table[T]) Delete(key uint64) bool { return t.delete(key, 1) }
-
-// Ref returns a stable handle for key, or -1 if absent. A ref stays
-// valid for the lifetime of the table and survives slab growth; after
-// the key is deleted, AtRef on it reports ok=false (and a slot recycled
-// to a different key reports that key). Refs let per-entry callbacks
-// (timer arguments) outlive the occupant they were made for.
-func (t *Table[T]) Ref(key uint64) int32 { return t.find(key, 1) }
-
-// AtRef resolves a handle from Ref to its current key, that key's owner
-// (zero for the table's own keys) and the value.
-func (t *Table[T]) AtRef(r int32) (key uint64, owner uint32, v *T, ok bool) {
-	if r < 0 || int(r) >= t.n || t.hd(r).tag == 0 {
-		return 0, 0, nil, false
-	}
-	h := t.hd(r)
-	return h.key, h.tag - 1, t.at(r), true
-}
-
-// View is one owner's key space in a table shared by many: two owners' equal
-// keys are different entries, and a slot one owner's key vacates is recycled
-// to whichever owner inserts next — a burst-grown value warms the next flow
-// anywhere, not the next flow of the same owner. Owner 0 is the table's own
-// key space, the one Table's methods address. The shared table's Len, Range
-// and AtRef see every owner's entries.
-type View[T any] struct {
-	t   *Table[T]
-	tag uint32 // the owner plus one, as in hdr.tag
-}
-
-// View returns owner's view of t.
-func (t *Table[T]) View(owner uint32) View[T] { return View[T]{t, owner + 1} }
-
-// Get is Table.Get among the owner's keys.
-func (v View[T]) Get(key uint64) *T { return v.t.get(key, v.tag) }
-
-// Put is Table.Put among the owner's keys.
-func (v View[T]) Put(key uint64) (*T, bool) { return v.t.put(key, v.tag, true) }
-
-// PutReuse is Table.PutReuse among the owner's keys.
-func (v View[T]) PutReuse(key uint64) (*T, bool) { return v.t.put(key, v.tag, false) }
-
-// Delete is Table.Delete among the owner's keys.
-func (v View[T]) Delete(key uint64) bool { return v.t.delete(key, v.tag) }
-
-// Ref is Table.Ref among the owner's keys; resolve it with the shared
-// table's AtRef.
-func (v View[T]) Ref(key uint64) int32 { return v.t.find(key, v.tag) }
+func (t *Table[T]) PutReuse(key uint64) (v *T, existed bool) { return t.put(key, false) }
 
 // Range calls f for each live entry in slab order — the order keys were
 // first inserted, with freed slots reused LIFO — which is a pure
@@ -319,7 +256,7 @@ func (v View[T]) Ref(key uint64) int32 { return v.t.find(key, v.tag) }
 // false stops the walk.
 func (t *Table[T]) Range(f func(key uint64, v *T) bool) {
 	for r := ref(0); int(r) < t.n; r++ {
-		if h := t.hd(r); h.tag != 0 && !f(h.key, t.at(r)) {
+		if h := t.hd(r); h.live && !f(h.key, t.at(r)) {
 			return
 		}
 	}

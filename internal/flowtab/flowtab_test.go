@@ -180,33 +180,24 @@ func TestTableRangeDeleteCurrent(t *testing.T) {
 	})
 }
 
-// TestTableRefStability: refs survive slab growth and report staleness
-// after delete / recycling to a different key.
+// TestTableRefStability: a value pointer survives slab growth, and a slot
+// its key vacates is recycled LIFO: the next insert gets the same pointer.
 func TestTableRefStability(t *testing.T) {
 	tb := New[int](0)
 	v, _ := tb.Put(10)
 	*v = 1
-	r := tb.Ref(10)
-	if r < 0 {
-		t.Fatal("Ref(10) < 0")
-	}
 	for k := uint64(100); k < 1100; k++ { // force several growths
 		tb.Put(k)
 	}
-	if k, _, v, ok := tb.AtRef(r); !ok || k != 10 || *v != 1 {
-		t.Fatalf("AtRef after growth = %d, %v, %v", k, v, ok)
+	if w := tb.Get(10); w != v || *v != 1 {
+		t.Fatalf("Get after growth = %p, want %p holding 1", w, v)
 	}
 	tb.Delete(10)
-	if _, _, _, ok := tb.AtRef(r); ok {
-		t.Fatal("AtRef ok after delete")
+	if tb.Get(10) != nil {
+		t.Fatal("Get after delete found the key")
 	}
-	// The freed slot is recycled LIFO: the next insert lands on it.
-	tb.Put(9999)
-	if k, _, _, ok := tb.AtRef(r); !ok || k != 9999 {
-		t.Fatalf("recycled AtRef = %d, %v, want 9999", k, ok)
-	}
-	if tb.Ref(12345) != -1 {
-		t.Fatal("Ref of absent key != -1")
+	if w, _ := tb.Put(9999); w != v {
+		t.Fatalf("recycled slot %p, want %p", w, v)
 	}
 }
 
@@ -255,7 +246,7 @@ func TestTableReset(t *testing.T) {
 	if existed || v == nil {
 		t.Fatal("Put after Reset broken")
 	}
-	if r := tb.Ref(7); r != 0 {
+	if r := tb.find(7); r != 0 {
 		t.Fatalf("first slot after Reset = %d, want 0", r)
 	}
 }
@@ -347,5 +338,47 @@ func TestBitsSetsWhatItWasGiven(t *testing.T) {
 	}
 	if got := b.Pages(); got != 4 {
 		t.Fatalf("%d pages, want 4 (blocks 0, 1, 2^28 and the last)", got)
+	}
+}
+
+// TestSlabGrowsInPages: a table never moves a value — a pointer from its
+// first Put stays good through any number of inserts — and growth costs one
+// page per pageLen inserts plus the probe array's doublings, not a copy of
+// everything so far.
+func TestSlabGrowsInPages(t *testing.T) {
+	var tb Table[[4]int64]
+	v, _ := tb.Put(0)
+	v[0] = 42
+	const more = 64 * pageLen
+	allocs := testing.AllocsPerRun(1, func() {
+		for k := uint64(1); k <= more; k++ {
+			tb.Put(k)
+		}
+	})
+	if w := tb.Get(0); w != v || v[0] != 42 {
+		t.Fatalf("value moved from %p to %p while the table grew", v, w)
+	}
+	if allocs > more/pageLen+24 { // a page per pageLen inserts, a probe array per doubling, the page list
+		t.Fatalf("%d inserts made %.0f allocations, want about one per %d", more, allocs, pageLen)
+	}
+}
+
+// TestZeroTableAndDeleteAllocateNothing: an empty table is its header — no
+// probe array, no page — and answers reads; Delete pushes on a free list
+// threaded through the slots, so a table that only shrinks never allocates.
+func TestZeroTableAndDeleteAllocateNothing(t *testing.T) {
+	var tb Table[int]
+	if tb.Get(1) != nil || tb.Delete(1) || tb.Len() != 0 {
+		t.Fatal("zero table is not an empty table")
+	}
+	if tb.index != nil || tb.pages != nil {
+		t.Fatal("reads made a zero table allocate")
+	}
+	for k := uint64(0); k < 4096; k++ {
+		tb.Put(k)
+	}
+	k := uint64(0)
+	if allocs := testing.AllocsPerRun(4096, func() { tb.Delete(k); k++ }); allocs != 0 {
+		t.Fatalf("Delete allocates %.2f objects a call, want 0", allocs)
 	}
 }

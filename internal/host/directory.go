@@ -11,15 +11,17 @@ import (
 )
 
 // directory is the flow state of every host of one simulation: one table per
-// kind of state, keyed by (flow or destination, host), where each host used
-// to keep four tables of its own. A per-host key space mirrors the deployable
-// prototype (§4.4) but buys a simulator nothing — a simulated flow ID is
-// already simulation-unique — and costs a thousand-host run four thousand
-// tables, built again in every domain of a sharded run. Here an idle host
-// costs its struct, a slot one host's flow vacates warms the next flow of any
-// host, and the tables grow a page at a time. What the slots' values point to
-// moves with them, so the reorder buffers' arenas and the duplicate filters'
-// chunk source live here too.
+// kind of state, keyed by flow (the epochs by source and destination), where
+// each host used to keep four tables of its own. A per-host key space mirrors
+// the deployable prototype (§4.4) but buys a simulator nothing — a simulated
+// flow ID is already simulation-unique, and a flow has one source and one
+// destination — and costs a thousand-host run four thousand tables, built
+// again in every domain of a sharded run. Here an idle host costs its struct,
+// a slot one host's flow vacates warms the next flow of any host, and each
+// packet a host receives resolves its flow once in the table of its kind: an
+// ACK in senders, data in orders and receivers. What the slots' values point
+// to moves with them, so the reorder buffers' arenas and the duplicate
+// filters' chunk source live here too.
 //
 // A finished flow leaves what a later straggler of it can still observe, in
 // the smallest form that gives the same answer: a retired inbound flow is a
@@ -30,22 +32,23 @@ import (
 // marker or orderer built on its own — the wire components' — has a directory
 // of one, which is the prototype's per-host key space.
 type directory struct {
-	handlers flowtab.Table[Handler]    // (flow, host): the flow's bound transport endpoint
-	marks    flowtab.Table[markerFlow] // (flow, source host)
-	epochs   flowtab.Table[uint8]      // (destination, source host): next 3-bit flow epoch
-	orders   flowtab.Table[orderFlow]  // (flow, destination host)
-	retired  flowtab.Bits              // flows a receiver finished (Host.Retire)
-	fin      Handler                   // takes the retired flows' data packets
+	senders   flowtab.Table[sendFlow]  // outgoing flows at their source
+	receivers flowtab.Table[Handler]   // inbound flows' transport endpoints
+	epochs    flowtab.Table[uint8]     // (source, destination): next 3-bit flow epoch
+	orders    flowtab.Table[orderFlow] // inbound flows' ordering state
+	retired   flowtab.Bits             // flows a receiver finished (Host.Retire)
+	fin       Handler                  // takes the retired flows' data packets
 
-	// orderers resolves an orders slot's owner: a slot's timers carry its
-	// table ref to the two handlers below, built once for all hosts.
+	// orderers resolves the orderer that armed a τ timer or queued a
+	// tombstone, by the index its buffer record or reclaim entry carries,
+	// for the two handlers below, built once for all hosts.
 	orderers             []*Orderer
 	onTimeout, onReclaim sim.ArgHandler
 	eng                  *sim.Engine // the orderers' engine, which runs onReclaim
 
 	// reclaims is the tombstones' queue, in finish order — deadline order,
 	// for one τ — from reclaimHead on; one event, armed while it is not
-	// empty, fires at the head's deadline and collects every slot due.
+	// empty, fires at the head's deadline and collects every flow due.
 	reclaims     []reclaimEntry
 	reclaimHead  int
 	reclaimArmed bool
@@ -69,20 +72,39 @@ type directory struct {
 	filterChunks cuckoo.Chunks
 }
 
+// sendFlow is an outgoing flow's state at its source host, which lives from
+// Sender.Start to the sender's completion: the transport endpoint its ACKs go
+// to (Host.Bind) and its marking state (Marker.StartFlow). The slot goes when
+// both are gone; a recycled slot keeps its retx pages for the next flow.
+type sendFlow struct {
+	handler Handler // nil when unbound
+	mark    markerFlow
+}
+
+// sender returns flow's sendFlow slot, taking one — with the last tenant's
+// retx pages, and nothing else of its — if the flow has none.
+func (d *directory) sender(flow uint64) *sendFlow {
+	s, existed := d.senders.PutReuse(flow)
+	if !existed {
+		s.handler = nil
+		s.mark.live = false
+	}
+	return s
+}
+
 func newDirectory() *directory {
 	d := &directory{}
-	d.onTimeout = func(slot uint64) {
-		if flow, owner, st, ok := d.orders.AtRef(int32(slot)); ok {
-			d.orderers[owner].timeout(flow, st)
-		}
+	d.onTimeout = func(flow uint64) {
+		st := d.orders.Get(flow)
+		d.orderers[d.buf(st.buf).owner].timeout(flow, st)
 	}
 	d.onReclaim = func(uint64) {
 		now := d.eng.Now()
 		for d.reclaimHead < len(d.reclaims) && d.reclaims[d.reclaimHead].at <= now {
-			slot := d.reclaims[d.reclaimHead].slot
+			e := d.reclaims[d.reclaimHead]
 			d.reclaimHead++
-			if flow, owner, st, ok := d.orders.AtRef(slot); ok {
-				d.orderers[owner].reclaim(flow, st)
+			if st := d.orders.Get(e.flow); st != nil {
+				d.orderers[e.owner].reclaim(e.flow, st)
 			}
 		}
 		if d.reclaimHead == len(d.reclaims) {
@@ -102,17 +124,18 @@ func newDirectory() *directory {
 // τ at a small run's pace, and the doubling past it is short.
 const reclaimFirst = 256
 
-// reclaimEntry is a tombstone's place in the reclaim queue: its slot, and
-// when its τ runs out.
+// reclaimEntry is a tombstone's place in the reclaim queue: its flow, the
+// orderer holding it, and when its τ runs out.
 type reclaimEntry struct {
-	slot int32
-	at   units.Time
+	flow  uint64
+	at    units.Time
+	owner int32
 }
 
-// retire queues a tombstone's slot for collection at at, arming the queue's
-// event if it was idle.
-func (d *directory) retire(slot int32, at units.Time) {
-	d.reclaims = append(d.reclaims, reclaimEntry{slot, at})
+// retire queues owner's tombstone of flow for collection at at, arming the
+// queue's event if it was idle.
+func (d *directory) retire(flow uint64, owner int32, at units.Time) {
+	d.reclaims = append(d.reclaims, reclaimEntry{flow, at, owner})
 	if !d.reclaimArmed {
 		d.reclaimArmed = true
 		d.eng.SchedArg(at, d.onReclaim, 0)
@@ -189,7 +212,7 @@ func FootprintOf(net *fabric.Network) Footprint { return directoryOf(net).footpr
 
 func (d *directory) footprint() Footprint {
 	f := Footprint{
-		Handlers:     d.handlers.Len(),
+		Handlers:     d.senders.Len() + d.receivers.Len(),
 		RetiredPages: d.retired.Pages(),
 		OrderSlots:   d.orders.Len(),
 		OrderBuffers: int(d.nbufs),

@@ -13,72 +13,106 @@ import (
 )
 
 // TestHostsShareOneDirectoryAndKeepTheirOwnCounts: hosts built against one
-// network keep their flow state in that network's directory — the same flow
-// ID, and the same destination's epoch, under two hosts are two entries — and
-// ActiveFlows stays a per-host count. A slot one host's flow vacates goes to
-// whichever host registers a flow next; the timers of the slot's new tenant
-// fire on the new tenant's orderer.
+// network keep their flow state in that network's directory, keyed by flow.
+// One flow's two ends are two entries — the sender's, which takes its ACKs,
+// and the receiver's, which takes its data — and ActiveFlows stays a per-host
+// count. A slot one host's flow vacates goes to whichever host registers a
+// flow next, and a τ timer fires on the orderer that armed it.
 func TestHostsShareOneDirectoryAndKeepTheirOwnCounts(t *testing.T) {
 	eng, a, b, _ := hostPair(t, true)
 	dir := directoryOf(a.Net)
-	if directoryOf(b.Net) != dir || a.Marker.flows != dir.marks.View(0) || b.Orderer.flows != dir.orders.View(1) {
+	if directoryOf(b.Net) != dir || a.dir != dir || b.Marker.dir != dir || b.Orderer.dir != dir {
 		t.Fatal("two hosts of one network do not share its directory")
 	}
+	tau := DefaultOrdererConfig().Timeout
 
-	// Markers: flow 7 at both hosts, toward the same destination.
-	a.Marker.StartFlow(7, 5, 3*packet.MSS)
-	a.Marker.StartFlow(8, 5, 3*packet.MSS)
-	b.Marker.StartFlow(7, 5, 9*packet.MSS)
-	if a.Marker.ActiveFlows() != 2 || b.Marker.ActiveFlows() != 1 || dir.marks.Len() != 3 {
-		t.Fatalf("markers count %d and %d flows, the directory %d; want 2, 1 and 3",
-			a.Marker.ActiveFlows(), b.Marker.ActiveFlows(), dir.marks.Len())
+	// Flow 7 from host 0 to host 1: host 0 binds it for its ACKs, host 1
+	// accepts it and acknowledges each segment.
+	var acks, data int
+	a.Marker.StartFlow(7, 1, 2*packet.MSS)
+	a.Bind(7, HandlerFunc(func(p *packet.Packet) {
+		if p.Kind == packet.Ack {
+			acks++
+		}
+	}))
+	b.SetAcceptor(func(*packet.Packet) func(*packet.Packet) {
+		return func(p *packet.Packet) {
+			if p.Kind == packet.Data {
+				data++
+			}
+			b.Send(&packet.Packet{Kind: packet.Ack, Src: 1, Dst: 0, Flow: p.Flow, AckSeq: p.End()})
+		}
+	})
+	for seq := int64(0); seq < 2*packet.MSS; seq += packet.MSS {
+		a.Send(&packet.Packet{Kind: packet.Data, Src: 0, Dst: 1, Flow: 7, Seq: seq, PayloadLen: packet.MSS, FlowSize: 2 * packet.MSS})
 	}
-	pa := &packet.Packet{Kind: packet.Data, Flow: 7, PayloadLen: packet.MSS}
-	pb := &packet.Packet{Kind: packet.Data, Flow: 7, PayloadLen: packet.MSS}
-	a.Marker.Mark(pa)
-	b.Marker.Mark(pb)
-	if pa.Info.RFS != 3*packet.MSS || pb.Info.RFS != 9*packet.MSS {
-		t.Fatalf("flow 7 marked %d at host 0 and %d at host 1: the hosts share an entry", pa.Info.RFS, pb.Info.RFS)
+	eng.Run(eng.Now() + 10*units.Microsecond)
+	if data != 2 || acks != 2 || dir.senders.Len() != 1 || dir.receivers.Len() != 1 {
+		t.Fatalf("flow 7: receiver got %d segments, sender %d ACKs; %d sender and %d receiver entries; want 2, 2, 1 and 1",
+			data, acks, dir.senders.Len(), dir.receivers.Len())
 	}
-	if pa.Info.FlowID != 0 || pb.Info.FlowID != 0 {
-		t.Fatalf("first flow toward host 5 carries epoch %d at host 0 and %d at host 1, want 0 at both", pa.Info.FlowID, pb.Info.FlowID)
+
+	// Counts stay per host, and epochs per (source, destination).
+	a.Marker.StartFlow(8, 5, packet.MSS)
+	b.Marker.StartFlow(9, 5, packet.MSS)
+	b.Marker.StartFlow(10, 5, packet.MSS)
+	if a.Marker.ActiveFlows() != 2 || b.Marker.ActiveFlows() != 2 || dir.senders.Len() != 4 {
+		t.Fatalf("markers count %d and %d flows, the directory %d senders; want 2, 2 and 4",
+			a.Marker.ActiveFlows(), b.Marker.ActiveFlows(), dir.senders.Len())
+	}
+	if a.Orderer.ActiveFlows() != 0 || b.Orderer.ActiveFlows() != 1 || dir.orders.Len() != 1 {
+		t.Fatalf("orderers count %d and %d flows, the directory %d; want flow 7's tombstone at host 1 alone",
+			a.Orderer.ActiveFlows(), b.Orderer.ActiveFlows(), dir.orders.Len())
+	}
+	for _, c := range []struct {
+		m    *Marker
+		flow uint64
+		want uint8
+	}{{a.Marker, 8, 0}, {b.Marker, 9, 0}, {b.Marker, 10, 1}} {
+		p := &packet.Packet{Kind: packet.Data, Flow: c.flow, PayloadLen: packet.MSS}
+		c.m.Mark(p)
+		if p.Info.FlowID != c.want {
+			t.Errorf("flow %d toward host 5 carries epoch %d, want %d", c.flow, p.Info.FlowID, c.want)
+		}
+	}
+
+	// Host 0's flow 7 ends — the binding first, then the marking state — and
+	// host 1's next flow takes the slot it vacates.
+	s7 := dir.senders.Get(7)
+	a.Unbind(7)
+	if dir.senders.Get(7) != s7 || a.Marker.ActiveFlows() != 2 {
+		t.Fatal("unbinding flow 7 dropped its marking state")
 	}
 	a.Marker.EndFlow(7)
 	a.Marker.EndFlow(7) // ending an unknown flow counts nothing
-	if a.Marker.ActiveFlows() != 1 || b.Marker.ActiveFlows() != 1 || b.Marker.flows.Get(7) == nil {
-		t.Fatalf("after host 0 ended flow 7: %d and %d flows", a.Marker.ActiveFlows(), b.Marker.ActiveFlows())
+	b.Marker.StartFlow(11, 5, packet.MSS)
+	if dir.senders.Get(7) != nil || dir.senders.Get(11) != s7 || a.Marker.ActiveFlows() != 1 || b.Marker.ActiveFlows() != 3 {
+		t.Fatalf("after host 0 ended flow 7: %d and %d flows; host 1's flow 11 in slot %p, want %p",
+			a.Marker.ActiveFlows(), b.Marker.ActiveFlows(), dir.senders.Get(11), s7)
 	}
 
-	// Orderers: host 0 holds a reordered flow, host 1 completes one; host 1's
-	// tombstone is reclaimed, host 0's slot times out on host 0.
+	// Host 1's tombstone of flow 7 is reclaimed, and host 0's next ordered
+	// flow takes its slot.
+	o7 := dir.orders.Get(7)
+	eng.Run(eng.Now() + 2*tau)
+	if dir.orders.Get(7) != nil || b.Orderer.ActiveFlows() != 0 {
+		t.Fatalf("flow 7's tombstone outlived τ: %d flows at host 1", b.Orderer.ActiveFlows())
+	}
 	var gotA, gotB int
 	a.Orderer.deliver = func(*packet.Packet) { gotA++ }
 	b.Orderer.deliver = func(*packet.Packet) { gotB++ }
-	fa, fb := mkFlow(21, 4), mkFlow(21, 2)
-	a.Orderer.Receive(fa[1])
-	for _, p := range fb {
-		b.Orderer.Receive(p)
+	a.Orderer.Receive(mkFlow(21, 2)[1])
+	if dir.orders.Get(21) != o7 || a.Orderer.ActiveFlows() != 1 {
+		t.Fatal("host 0's new flow did not take the slot host 1 vacated")
 	}
-	if a.Orderer.ActiveFlows() != 1 || b.Orderer.ActiveFlows() != 1 || dir.orders.Len() != 2 || gotA != 0 || gotB != 2 {
-		t.Fatalf("orderers count %d and %d flows (directory %d), delivered %d and %d",
-			a.Orderer.ActiveFlows(), b.Orderer.ActiveFlows(), dir.orders.Len(), gotA, gotB)
-	}
-	eng.Run(eng.Now() + 2*DefaultOrdererConfig().Timeout)
-	if gotA != 1 || a.Orderer.Timeouts != 1 || b.Orderer.Timeouts != 0 {
-		t.Fatalf("host 0's held packet: delivered %d, timeouts %d at host 0 and %d at host 1", gotA, a.Orderer.Timeouts, b.Orderer.Timeouts)
-	}
-	if b.Orderer.ActiveFlows() != 0 || a.Orderer.ActiveFlows() != 1 {
-		t.Fatalf("after reclaim: %d flows at host 1 (want 0), %d at host 0 (want the open flow)", b.Orderer.ActiveFlows(), a.Orderer.ActiveFlows())
-	}
-	// Host 1's vacated slot now serves host 0.
-	vacated := dir.orders.Len()
-	a.Orderer.Receive(mkFlow(22, 2)[1])
-	if _, owner, _, ok := dir.orders.AtRef(a.Orderer.flows.Ref(22)); !ok || owner != 0 || dir.orders.Len() != vacated+1 {
-		t.Fatal("host 0's new flow is not in the directory under host 0")
-	}
-	eng.Run(eng.Now() + 2*DefaultOrdererConfig().Timeout)
-	if gotA != 2 || a.Orderer.Timeouts != 2 || b.Orderer.Timeouts != 0 {
-		t.Fatalf("recycled slot's timer: delivered %d, timeouts %d at host 0 and %d at host 1", gotA, a.Orderer.Timeouts, b.Orderer.Timeouts)
+
+	// Each host holds a reordered flow; each τ timer fires on its own host.
+	b.Orderer.Receive(mkFlow(22, 3)[2])
+	b.Orderer.Receive(mkFlow(22, 3)[1])
+	eng.Run(eng.Now() + 2*tau)
+	if gotA != 1 || gotB != 2 || a.Orderer.Timeouts != 1 || b.Orderer.Timeouts != 1 {
+		t.Fatalf("held packets: delivered %d at host 0 and %d at host 1, timeouts %d and %d; want 1, 2, 1 and 1",
+			gotA, gotB, a.Orderer.Timeouts, b.Orderer.Timeouts)
 	}
 }
 
@@ -107,7 +141,7 @@ func TestIdleHostsCostTheirStructs(t *testing.T) {
 		t.Errorf("an idle Vertigo host costs %.0f B in %.1f objects, want under 1 KiB in at most 6", perHost, objs)
 	}
 	dir := directoryOf(net)
-	if dir.handlers.Len()+dir.marks.Len()+dir.epochs.Len()+dir.orders.Len() != 0 || len(dir.orderers) != tp.NumHosts {
+	if dir.senders.Len()+dir.receivers.Len()+dir.epochs.Len()+dir.orders.Len() != 0 || len(dir.orderers) != tp.NumHosts {
 		t.Errorf("idle hosts left entries in the directory, or %d of %d orderers registered", len(dir.orderers), tp.NumHosts)
 	}
 }

@@ -2,7 +2,6 @@ package host
 
 import (
 	"vertigo/internal/fabric"
-	"vertigo/internal/flowtab"
 	"vertigo/internal/metrics"
 	"vertigo/internal/packet"
 	"vertigo/internal/sim"
@@ -38,8 +37,8 @@ type Host struct {
 	Marker  *Marker
 	Orderer *Orderer
 
-	handlers flowtab.View[Handler] // this host's flows in the directory
-	accept   Acceptor
+	dir    *directory // the flow state of every host of the simulation
+	accept Acceptor
 }
 
 // NewHost creates host id attached to net. vertigoStack enables the marking
@@ -47,16 +46,10 @@ type Host struct {
 func NewHost(id int, eng *sim.Engine, net *fabric.Network, met *metrics.Collector,
 	mcfg MarkerConfig, ocfg OrdererConfig, vertigoStack bool) *Host {
 	dir := directoryOf(net)
-	h := &Host{
-		ID:       id,
-		Eng:      eng,
-		Net:      net,
-		Met:      met,
-		handlers: dir.handlers.View(uint32(id)),
-	}
+	h := &Host{ID: id, Eng: eng, Net: net, Met: met, dir: dir}
 	if vertigoStack {
 		h.Marker = newMarker(mcfg, dir, uint32(id))
-		h.Orderer = newOrderer(eng, ocfg, h.dispatch, dir, uint32(id))
+		h.Orderer = newOrderer(eng, ocfg, h.dispatch, dir, int32(id))
 		h.Orderer.SetCollector(met)
 	}
 	net.RegisterHost(id, h)
@@ -70,14 +63,21 @@ func (h *Host) SetAcceptor(a Acceptor) { h.accept = a }
 // transports allocate and to which final consumers return packets.
 func (h *Host) Pool() *packet.Pool { return h.Net.Pool() }
 
-// Bind routes received packets of a flow to hd.
-func (h *Host) Bind(flow uint64, hd Handler) {
-	v, _ := h.handlers.Put(flow)
-	*v = hd
-}
+// Bind routes the ACKs of an outgoing flow, which this host sends, to hd.
+// An inbound flow's handler comes from the acceptor.
+func (h *Host) Bind(flow uint64, hd Handler) { h.dir.sender(flow).handler = hd }
 
-// Unbind removes a flow's handler.
-func (h *Host) Unbind(flow uint64) { h.handlers.Delete(flow) }
+// Unbind removes an outgoing flow's handler.
+func (h *Host) Unbind(flow uint64) {
+	s := h.dir.senders.Get(flow)
+	if s == nil {
+		return
+	}
+	s.handler = nil
+	if !s.mark.live {
+		h.dir.senders.Delete(flow)
+	}
+}
 
 // Retire unbinds a finished inbound flow and hands its later data packets —
 // stragglers and retransmissions — to fin, which answers for every flow the
@@ -85,10 +85,9 @@ func (h *Host) Unbind(flow uint64) { h.handlers.Delete(flow) }
 // directory, not a binding: flow IDs are simulation-unique, so a retired ID
 // never names a new flow.
 func (h *Host) Retire(flow uint64, fin Handler) {
-	h.handlers.Delete(flow)
-	d := directoryOf(h.Net)
-	d.retired.Set(flow)
-	d.fin = fin
+	h.dir.receivers.Delete(flow)
+	h.dir.retired.Set(flow)
+	h.dir.fin = fin
 }
 
 // Send transmits p out of the host NIC, marking data packets when the
@@ -118,22 +117,30 @@ func (h *Host) Receive(p *packet.Packet) {
 	h.dispatch(p)
 }
 
-// dispatch hands p to its flow's handler, to the fin handler for a retired
-// flow's data, or to the acceptor for a new inbound flow.
+// dispatch hands an ACK to its outgoing flow's handler, and data to its
+// inbound flow's handler, to the fin handler for a retired flow, or to the
+// acceptor for a new inbound flow. A call holds its own copy of the handler,
+// which may unbind or retire its flow while it runs.
 func (h *Host) dispatch(p *packet.Packet) {
-	if hp := h.handlers.Get(p.Flow); hp != nil {
-		hd := *hp // copy out: the handler may rebind its flow, or unbind it, under hp
-		hd.Handle(p)
-		return
-	}
-	if p.Kind == packet.Data {
-		if d := directoryOf(h.Net); d.fin != nil && d.retired.Has(p.Flow) {
+	d := h.dir
+	if p.Kind == packet.Ack {
+		if s := d.senders.Get(p.Flow); s != nil && s.handler != nil {
+			s.handler.Handle(p)
+			return
+		}
+	} else {
+		if hp := d.receivers.Get(p.Flow); hp != nil {
+			(*hp).Handle(p)
+			return
+		}
+		if d.fin != nil && d.retired.Has(p.Flow) {
 			d.fin.Handle(p)
 			return
 		}
 		if h.accept != nil {
 			if fn := h.accept(p); fn != nil {
-				h.Bind(p.Flow, HandlerFunc(fn))
+				hp, _ := d.receivers.Put(p.Flow)
+				*hp = HandlerFunc(fn)
 				fn(p)
 				return
 			}

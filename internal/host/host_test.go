@@ -29,19 +29,27 @@ func hostPair(t *testing.T, vertigoStack bool) (*sim.Engine, *Host, *Host, *metr
 	return eng, a, b, met
 }
 
+// TestHostBindDispatch: Bind routes an outgoing flow's ACKs — and only its
+// ACKs — to its handler until Unbind; a data packet of the same flow ID is an
+// inbound flow's, and goes to the acceptor.
 func TestHostBindDispatch(t *testing.T) {
 	eng, a, b, _ := hostPair(t, false)
-	var got []*packet.Packet
-	b.Bind(7, HandlerFunc(func(p *packet.Packet) { got = append(got, p) }))
+	acks, accepted := 0, 0
+	b.Bind(7, HandlerFunc(func(*packet.Packet) { acks++ }))
+	b.SetAcceptor(func(*packet.Packet) func(*packet.Packet) {
+		accepted++
+		return nil
+	})
+	a.Send(&packet.Packet{Kind: packet.Ack, Src: 0, Dst: 1, Flow: 7})
 	a.Send(&packet.Packet{Kind: packet.Data, Src: 0, Dst: 1, Flow: 7, PayloadLen: 100})
 	eng.Run(units.Second)
-	if len(got) != 1 {
-		t.Fatalf("handler got %d packets, want 1", len(got))
+	if acks != 1 || accepted != 1 {
+		t.Fatalf("handler got %d packets and the acceptor %d, want the ACK and the data packet", acks, accepted)
 	}
 	b.Unbind(7)
-	a.Send(&packet.Packet{Kind: packet.Data, Src: 0, Dst: 1, Flow: 7, PayloadLen: 100})
+	a.Send(&packet.Packet{Kind: packet.Ack, Src: 0, Dst: 1, Flow: 7})
 	eng.Run(2 * units.Second)
-	if len(got) != 1 {
+	if acks != 1 {
 		t.Fatal("unbound handler still invoked")
 	}
 }
@@ -69,7 +77,7 @@ func TestHostMarksOutgoingData(t *testing.T) {
 	eng, a, b, _ := hostPair(t, true)
 	a.Marker.StartFlow(3, 1, 5000)
 	var got *packet.Packet
-	b.Bind(3, HandlerFunc(func(p *packet.Packet) { got = p }))
+	b.SetAcceptor(func(*packet.Packet) func(*packet.Packet) { return func(p *packet.Packet) { got = p } })
 	a.Send(&packet.Packet{
 		Kind: packet.Data, Src: 0, Dst: 1, Flow: 3,
 		Seq: 0, PayloadLen: 1460, FlowSize: 5000,
@@ -99,7 +107,7 @@ func TestHostAcksBypassMarkerAndOrderer(t *testing.T) {
 
 func TestHostCountsReceives(t *testing.T) {
 	eng, a, b, met := hostPair(t, false)
-	b.Bind(5, HandlerFunc(func(*packet.Packet) {}))
+	b.SetAcceptor(func(*packet.Packet) func(*packet.Packet) { return func(*packet.Packet) {} })
 	a.Send(&packet.Packet{Kind: packet.Data, Src: 0, Dst: 1, Flow: 5, PayloadLen: 100})
 	a.Send(&packet.Packet{Kind: packet.Ack, Src: 0, Dst: 1, Flow: 5})
 	eng.Run(units.Second)

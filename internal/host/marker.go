@@ -51,25 +51,25 @@ func DefaultMarkerConfig() MarkerConfig {
 	return MarkerConfig{Discipline: SRPT, BoostFactorLog2: 1, Boosting: true}
 }
 
-// markerFlow is the per-flow entry in the marking component's flow table.
-// Entries live in the flow table's slab and are recycled across flows:
-// StartFlow resets every field, and the retx pages keep their backing.
+// markerFlow is an outgoing flow's marking state, part of its sendFlow slot
+// in the directory. Slots are recycled across flows: StartFlow resets every
+// field, and the retx pages keep their backing.
 type markerFlow struct {
 	size   int64
 	hi     int64           // highest first-transmitted seq; -1 before any
 	retx   flowtab.PagedU8 // per-segment retransmission count (boost rotations)
 	flowID uint8
+	live   bool // between StartFlow and EndFlow
 }
 
-// Marker is the TX-path marking component. It tracks outgoing flows in an
-// open-addressing flow table — its host's key space in the simulation's
-// directory — tags every data packet with a flowinfo header, and detects
-// retransmissions with a cuckoo filter over (flow, seq) signatures so it can
-// boost their priority (paper §3.1.2). Not safe for concurrent use.
+// Marker is the TX-path marking component. It tracks outgoing flows in the
+// simulation's directory, tags every data packet with a flowinfo header, and
+// detects retransmissions with a cuckoo filter over (flow, seq) signatures
+// so it can boost their priority (paper §3.1.2). Not safe for concurrent use.
 type Marker struct {
 	cfg    MarkerConfig
-	flows  flowtab.View[markerFlow]
-	nextID flowtab.View[uint8] // per-destination 3-bit flow epoch
+	dir    *directory
+	src    uint64 // this host's ID, the high half of its epochs' keys
 	filter cuckoo.Filter
 	active int // flows registered and not yet ended
 	// Boosts counts boosting operations applied (telemetry).
@@ -84,13 +84,13 @@ type Marker struct {
 // NewMarker returns a marking component on its own.
 func NewMarker(cfg MarkerConfig) *Marker { return newMarker(cfg, newDirectory(), 0) }
 
-// newMarker returns the marking component of dir's host owner.
-func newMarker(cfg MarkerConfig, dir *directory, owner uint32) *Marker {
+// newMarker returns the marking component of dir's host src.
+func newMarker(cfg MarkerConfig, dir *directory, src uint32) *Marker {
 	capHint := cfg.FilterCapacity
 	if capHint <= 0 {
 		capHint = 1 << 16
 	}
-	m := &Marker{cfg: cfg, flows: dir.marks.View(owner), nextID: dir.epochs.View(owner)}
+	m := &Marker{cfg: cfg, dir: dir, src: uint64(src) << 32}
 	m.filter.Init(capHint, &dir.filterChunks)
 	return m
 }
@@ -98,16 +98,18 @@ func newMarker(cfg MarkerConfig, dir *directory, owner uint32) *Marker {
 // StartFlow registers an outgoing flow of the given total size toward dst.
 // It must be called before the flow's first packet is marked.
 func (m *Marker) StartFlow(flow uint64, dst int, size int64) {
-	idp, _ := m.nextID.Put(uint64(dst))
+	idp, _ := m.dir.epochs.Put(m.src | uint64(uint32(dst)))
 	id := *idp
 	*idp = (id + 1) % (1 << packet.FlowIDBits)
-	f, existed := m.flows.PutReuse(flow)
-	if !existed {
+	s := m.dir.sender(flow)
+	f := &s.mark
+	if !f.live {
 		m.active++
 	}
 	f.size = size
 	f.hi = -1
 	f.flowID = id
+	f.live = true
 	f.retx.Reset() // recycled slots must start with clean counters
 }
 
@@ -116,10 +118,11 @@ func (m *Marker) StartFlow(flow uint64, dst int, size int64) {
 // ever entered the filter, so the walk is bounded by the high-water
 // offset actually marked, not the flow's nominal size.
 func (m *Marker) EndFlow(flow uint64) {
-	f := m.flows.Get(flow)
-	if f == nil {
+	s := m.dir.senders.Get(flow)
+	if s == nil || !s.mark.live {
 		return
 	}
+	f := &s.mark
 	for seq := int64(0); seq <= f.hi; seq += packet.MSS {
 		m.filter.Delete(sig(flow, seq))
 	}
@@ -128,7 +131,10 @@ func (m *Marker) EndFlow(flow uint64) {
 		m.filter.Delete(sig(flow, 0))
 	}
 	f.retx.Reset()
-	m.flows.Delete(flow)
+	f.live = false
+	if s.handler == nil {
+		m.dir.senders.Delete(flow)
+	}
 	m.active--
 }
 
@@ -155,13 +161,21 @@ func mix(x uint64) uint64 {
 // wiring is broken. Retransmitted packets have their rank boosted by one
 // rotation per retransmission, up to packet.MaxRetx.
 func (m *Marker) Mark(p *packet.Packet) {
-	f := m.flows.Get(p.Flow)
+	f := m.flow(p.Flow)
 	if f == nil {
 		panic(fmt.Sprintf("host: marking packet of unregistered flow %d", p.Flow))
 	}
 	p.Marked = true
 	p.InvalidateSize() // marking adds the shim header to the wire size
 	p.Info = m.mark(f, p.Flow, p.Seq)
+}
+
+// flow returns flow's marking state, or nil if it is not registered.
+func (m *Marker) flow(flow uint64) *markerFlow {
+	if s := m.dir.senders.Get(flow); s != nil && s.mark.live {
+		return &s.mark
+	}
+	return nil
 }
 
 // mark returns the flowinfo of the segment at seq of flow, whose entry is f,

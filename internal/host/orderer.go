@@ -1,7 +1,6 @@
 package host
 
 import (
-	"vertigo/internal/flowtab"
 	"vertigo/internal/metrics"
 	"vertigo/internal/packet"
 	"vertigo/internal/sim"
@@ -35,13 +34,12 @@ func DefaultOrdererConfig() OrdererConfig {
 // hosts. A slot is 24 bytes: what a flow needs in order, and in its afterlife
 // as a tombstone, is its expectation and its finish time. The reorder buffer
 // and its timer are a separate record the slot holds only while packets wait
-// in it (see orderBuf); a slot's timers carry its table ref as their
-// argument (see directory.onTimeout), so the slot itself holds no callback.
+// in it (see orderBuf); a flow's timer carries the flow ID as its argument
+// (see directory.onTimeout), so the slot itself holds no callback.
 type orderFlow struct {
 	hasExpected bool
 	finished    bool   // flow fully delivered; state lingers as a tombstone
 	expected    uint32 // position value of the next in-order packet
-	slot        int32  // this entry's flow-table ref, the timers' argument
 	buf         int32  // one plus the index of the held reorder buffer, 0 for none
 	finishedAt  units.Time
 }
@@ -61,6 +59,7 @@ type orderBuf struct {
 	bufV  []uint32         // their un-boosted position values
 	bufAt []units.Time     // their arrival times (timer deadlines)
 	timer sim.Timer
+	owner int32 // the orderer whose flow holds the record, which its timer fires on
 	next  int32 // on the directory's free list: the record under it
 }
 
@@ -74,10 +73,9 @@ type Orderer struct {
 	cfg     OrdererConfig
 	deliver func(*packet.Packet)
 	// dir holds the ordering state of every host of the simulation — the
-	// table flows is this host's key space in, the timer handlers, the
-	// reorder buffers' arenas.
+	// flow table, the timer handlers, the reorder buffers' arenas.
 	dir    *directory
-	flows  flowtab.View[orderFlow]
+	owner  int32              // this orderer's index in dir.orderers
 	active int                // flows with ordering state
 	met    *metrics.Collector // optional aggregate telemetry
 
@@ -94,11 +92,11 @@ func NewOrderer(eng *sim.Engine, cfg OrdererConfig, deliver func(*packet.Packet)
 }
 
 // newOrderer returns the ordering component of dir's host owner.
-func newOrderer(eng *sim.Engine, cfg OrdererConfig, deliver func(*packet.Packet), dir *directory, owner uint32) *Orderer {
+func newOrderer(eng *sim.Engine, cfg OrdererConfig, deliver func(*packet.Packet), dir *directory, owner int32) *Orderer {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultOrdererConfig().Timeout
 	}
-	o := &Orderer{eng: eng, cfg: cfg, deliver: deliver, dir: dir, flows: dir.orders.View(owner)}
+	o := &Orderer{eng: eng, cfg: cfg, deliver: deliver, dir: dir, owner: owner}
 	if dir.eng == nil {
 		// The first orderer sizes what all of them share, so that a flow's
 		// first finish or held packet finds room.
@@ -121,7 +119,7 @@ func (o *Orderer) ActiveFlows() int { return o.active }
 
 // forget drops flow's ordering state.
 func (o *Orderer) forget(flow uint64) {
-	o.flows.Delete(flow)
+	o.dir.orders.Delete(flow)
 	o.active--
 }
 
@@ -160,9 +158,8 @@ func (o *Orderer) done(nextExpected uint32, p *packet.Packet) bool {
 
 // newFlow creates ordering state for a first-seen flow.
 func (o *Orderer) newFlow(p *packet.Packet, v uint32) *orderFlow {
-	st, _ := o.flows.Put(p.Flow)
+	st, _ := o.dir.orders.Put(p.Flow)
 	o.active++
-	st.slot = o.flows.Ref(p.Flow)
 	if p.Info.First {
 		st.hasExpected = true
 		st.expected = v
@@ -176,7 +173,7 @@ func (o *Orderer) newFlow(p *packet.Packet, v uint32) *orderFlow {
 // Receive processes one marked data packet.
 func (o *Orderer) Receive(p *packet.Packet) {
 	v := o.position(p)
-	st := o.flows.Get(p.Flow)
+	st := o.dir.orders.Get(p.Flow)
 	if st != nil && st.finished && o.eng.Now() >= st.finishedAt+o.cfg.Timeout {
 		// The tombstone expired τ after the finish, whether or not the
 		// directory's reclaim has collected it yet: the flow is new again.
@@ -266,14 +263,14 @@ func (o *Orderer) deliverRun(st *orderFlow, p *packet.Packet, v uint32) {
 		b.timer.Cancel()
 		b.timer = sim.Timer{}
 		if b.head < len(b.bufV) {
-			o.armAt(st, b, b.bufAt[b.head]+o.cfg.Timeout)
+			o.armAt(p.Flow, b, b.bufAt[b.head]+o.cfg.Timeout)
 			return
 		}
 		o.dir.putBuf(st.buf)
 		st.buf = 0
 	}
 	if finished {
-		o.finish(st)
+		o.finish(p.Flow, st)
 	}
 }
 
@@ -282,17 +279,17 @@ func (o *Orderer) deliverRun(st *orderFlow, p *packet.Packet, v uint32) {
 // paths with the original) pass straight through instead of being buffered.
 // Receive treats it as gone from finishedAt+τ on; the directory's reclaim
 // queue frees the slot then.
-func (o *Orderer) finish(st *orderFlow) {
+func (o *Orderer) finish(flow uint64, st *orderFlow) {
 	st.finished = true
 	st.finishedAt = o.eng.Now()
-	o.dir.retire(st.slot, st.finishedAt+o.cfg.Timeout)
+	o.dir.retire(flow, o.owner, st.finishedAt+o.cfg.Timeout)
 }
 
 // reclaim removes a tombstone a full τ after it finished; a reclaim entry
-// resolves its slot to the flow occupying it now (see directory.onReclaim).
-// The age check stands in for a pointer-identity test: a slot the entry's
-// flow vacated may hold a newer flow, in order or finished later, which
-// keeps its state until its own finish is τ old.
+// resolves its flow to the state the flow holds now (see
+// directory.onReclaim). The age check stands in for an identity test: a
+// straggler past τ may have given the flow new state, in order or finished
+// later, which it keeps until its own finish is τ old.
 func (o *Orderer) reclaim(flow uint64, st *orderFlow) {
 	if st.finished && o.eng.Now() >= st.finishedAt+o.cfg.Timeout {
 		o.forget(flow)
@@ -304,6 +301,7 @@ func (o *Orderer) reclaim(flow uint64, st *orderFlow) {
 func (o *Orderer) bufferEarly(st *orderFlow, p *packet.Packet, v uint32) {
 	if st.buf == 0 {
 		st.buf = o.dir.getBuf()
+		o.dir.buf(st.buf).owner = o.owner
 	}
 	b := o.dir.buf(st.buf)
 	// Inlined sort.Search over the live window [head, len): first index
@@ -347,27 +345,27 @@ func (o *Orderer) bufferEarly(st *orderFlow, p *packet.Packet, v uint32) {
 		o.met.OrderingHeld++
 	}
 	if !b.timer.Pending() {
-		o.armAt(st, b, b.bufAt[b.head]+o.cfg.Timeout)
+		o.armAt(p.Flow, b, b.bufAt[b.head]+o.cfg.Timeout)
 	}
 }
 
 // debugTimeout, when set by tests, observes every ordering timeout.
 var debugTimeout func(flow uint64, hasExp bool, expected, headV uint32, buflen int, now units.Time)
 
-// armAt arms st's buffer timer at at (paper §3.3.2 event 2: the
+// armAt arms flow's buffer timer at at (paper §3.3.2 event 2: the
 // head-of-buffer arrival plus τ), or at now if that has passed.
-func (o *Orderer) armAt(st *orderFlow, b *orderBuf, at units.Time) {
+func (o *Orderer) armAt(flow uint64, b *orderBuf, at units.Time) {
 	if at < o.eng.Now() {
 		at = o.eng.Now()
 	}
-	b.timer = o.eng.AtArg(at, o.dir.onTimeout, uint64(st.slot))
+	b.timer = o.eng.AtArg(at, o.dir.onTimeout, flow)
 }
 
 // timeout releases buffered packets up to the next gap (paper §3.3.2 event
 // 4): the transport now sees the gap and can run its own loss recovery. The
-// timer event resolves its slot back to the flow (see directory.onTimeout);
-// a fired timer's state and buffer always still exist, since every path that
-// drains a buffer cancels its timer first.
+// timer event resolves its flow to the state and the buffer record's orderer
+// (see directory.onTimeout); a fired timer's state and buffer always still
+// exist, since every path that drains a buffer cancels its timer first.
 func (o *Orderer) timeout(flow uint64, st *orderFlow) {
 	b := o.dir.buf(st.buf)
 	b.timer = sim.Timer{}

@@ -153,8 +153,8 @@ func reorderedFlow(o *Orderer, pkts []*packet.Packet) {
 	o.Receive(pkts[0])
 }
 
-// TestOrdererSlotChurnAllocatesNothing pins what the slot-number timers and
-// the kept reorder window buy: a flow-table slot hosting one reordered flow
+// TestOrdererSlotChurnAllocatesNothing pins what the argument timers (a
+// flow ID, not a closure) and the kept reorder window buy: a flow-table slot hosting one reordered flow
 // after another — buffer, arm τ, release, tombstone, reclaim — costs its
 // first tenant a window and every later one nothing, where closures bound to
 // the slot cost two objects and arena buffers three per fresh slot. The
@@ -182,14 +182,17 @@ func TestOrdererSlotChurnAllocatesNothing(t *testing.T) {
 			o := NewOrderer(eng, cfg, func(*packet.Packet) { delivered++ })
 			pkts := mkFlow(0, tc.segs)
 			tenants := 0
+			var first *orderFlow
 			tenant := func() {
 				tenants++
 				for _, p := range pkts {
 					p.Flow++
 				}
 				tc.arrive(o, pkts)
-				if slot := o.flows.Ref(pkts[0].Flow); slot != 0 {
-					t.Fatalf("tenant %d landed in slot %d, want the recycled slot 0", tenants, slot)
+				if st := o.dir.orders.Get(pkts[0].Flow); first == nil {
+					first = st
+				} else if st != first {
+					t.Fatalf("tenant %d landed in slot %p, want the recycled slot %p", tenants, st, first)
 				}
 				eng.Run(eng.Now() + 2*cfg.Timeout) // past the tombstone's reclaim
 			}
@@ -259,8 +262,8 @@ func TestOrdererFreshSlotsShareChunks(t *testing.T) {
 // event for any number of tombstones; and a straggler that outlives τ leaves
 // an in-order slot that holds no buffer.
 func TestTombstoneExpiresAtDeadline(t *testing.T) {
-	if n := unsafe.Sizeof(orderFlow{}); n > 48 {
-		t.Fatalf("an ordering slot is %d bytes, want at most 48", n)
+	if n := unsafe.Sizeof(orderFlow{}); n > 24 {
+		t.Fatalf("an ordering slot is %d bytes, want at most 24", n)
 	}
 	eng := sim.NewEngine(1)
 	cfg := DefaultOrdererConfig()
@@ -277,7 +280,7 @@ func TestTombstoneExpiresAtDeadline(t *testing.T) {
 	var recreated *orderFlow
 	eng.At(finish+tau, func() {
 		o.Receive(pkts[0])
-		recreated = o.flows.Get(1)
+		recreated = o.dir.orders.Get(1)
 	})
 	eng.Run(finish)
 	o.Receive(pkts[0])
@@ -287,7 +290,7 @@ func TestTombstoneExpiresAtDeadline(t *testing.T) {
 	}
 	eng.Run(finish + tau - 1)
 	o.Receive(pkts[0])
-	if st := o.flows.Get(1); delivered != 3 || st == nil || !st.finished {
+	if st := o.dir.orders.Get(1); delivered != 3 || st == nil || !st.finished {
 		t.Fatalf("a straggler at finishedAt+τ-1: delivered %d, state %+v; want it passed through a tombstone", delivered, st)
 	}
 	eng.Run(finish + tau)
@@ -296,7 +299,7 @@ func TestTombstoneExpiresAtDeadline(t *testing.T) {
 	}
 	// Nothing ends the re-created state: it stays, stranded, with no buffer.
 	eng.Run(finish + 3*tau)
-	if st := o.flows.Get(1); o.ActiveFlows() != 1 || st == nil || st.buf != 0 || o.dir.footprint().OrderBuffers != 0 {
+	if st := o.dir.orders.Get(1); o.ActiveFlows() != 1 || st == nil || st.buf != 0 || o.dir.footprint().OrderBuffers != 0 {
 		t.Fatalf("%d flows, state %+v, %d buffers; want one stranded in-order state holding none",
 			o.ActiveFlows(), st, o.dir.footprint().OrderBuffers)
 	}

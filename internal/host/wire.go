@@ -37,7 +37,7 @@ func (m *WireMarker) StartFlow(key uint64, totalBytes int64) { m.Marker.StartFlo
 // under key, applying retransmission boosting, and writes the shim header
 // into a non-nil hdr (packet.ShimHeaderLen bytes) around innerEtherType.
 func (m *WireMarker) Mark(key uint64, offset int64, n int, hdr []byte, innerEtherType uint16) (packet.FlowInfo, error) {
-	f := m.flows.Get(key)
+	f := m.flow(key)
 	if f == nil {
 		return packet.FlowInfo{}, fmt.Errorf("%w: %d", ErrUnknownFlow, key)
 	}
@@ -102,7 +102,7 @@ func (o *WireOrderer) release(p *packet.Packet) {
 		o.curOut = true
 	} else {
 		if len(o.out) == cap(o.out) { // room for the rest of the flow's held run
-			o.out = slices.Grow(o.out, 1+o.buffered(o.flows.Get(p.Flow)))
+			o.out = slices.Grow(o.out, 1+o.buffered(o.dir.orders.Get(p.Flow)))
 		}
 		o.out = append(o.out, o.held[p.ID])
 		o.held[p.ID] = WireSegment{}

@@ -117,15 +117,6 @@ func (s *Summary) FCTCDF(maxPoints int) []CDFPoint {
 	return s.FCTHist.CDF(maxPoints)
 }
 
-// QCTCDF returns up to maxPoints of the query-completion-time CDF; see
-// FCTCDF.
-func (s *Summary) QCTCDF(maxPoints int) []CDFPoint {
-	if len(s.QCTs) > 0 {
-		return CDF(s.QCTs, maxPoints)
-	}
-	return s.QCTHist.CDF(maxPoints)
-}
-
 // Summarize digests the collector at simulation end time end. Every scalar
 // is read from the streaming aggregates (exact integer sums and counts);
 // percentiles and CDFs are exact while the raw series are kept and served

@@ -125,19 +125,6 @@ func (l *List[T]) ExtractMin(now uint64) (Item[T], bool) {
 	return zero, false
 }
 
-// PeekMin returns the smallest-ranked eligible element without removing it.
-func (l *List[T]) PeekMin(now uint64) (Item[T], bool) {
-	for _, b := range l.blocks {
-		for i := range b {
-			if b[i].EligibleAt <= now {
-				return b[i], true
-			}
-		}
-	}
-	var zero Item[T]
-	return zero, false
-}
-
 // ExtractTail removes and returns the largest-ranked element regardless of
 // eligibility — Vertigo's extension (§A.3), used to evict the packet with
 // the largest remaining flow size from a full buffer. Among equal maximal

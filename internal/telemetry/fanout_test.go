@@ -3,7 +3,6 @@ package telemetry_test
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -133,7 +132,8 @@ func TestMultiPassesSettlerOn(t *testing.T) {
 }
 
 // TestMultiFaultFanOut: a carrier loss and recovery applied to the fabric
-// reach the Monitor, the Sampler and the Tracer attached to it.
+// reach the Sampler and the Tracer attached to it, and the Monitor's report
+// gives the run's count of them.
 func TestMultiFaultFanOut(t *testing.T) {
 	eng, net := fanoutNet(t)
 	mon := telemetry.NewMonitor(eng, telemetry.Config{})
@@ -147,14 +147,11 @@ func TestMultiFaultFanOut(t *testing.T) {
 	eng.At(3*units.Millisecond, func() { net.SetLinkState(4, true) })
 	eng.Run(4 * units.Millisecond)
 
+	if rep := report(mon, net, eng); !strings.Contains(rep, "fault events: 2, 1 link recoveries (mean TTR 2.000ms)\n") {
+		t.Fatalf("monitor report:\n%s", rep)
+	}
 	want := telemetry.FaultEvent{Time: units.Millisecond, Kind: telemetry.FaultLinkDown, Link: 4, Switch: -1}
-	if got := mon.Faults(); len(got) != 2 || got[0] != want {
-		t.Fatalf("monitor recorded %v", got)
-	}
-	if ttrs := mon.TimesToRecover(); !reflect.DeepEqual(ttrs, []units.Time{2 * units.Millisecond}) {
-		t.Fatalf("TTRs = %v, want one 2ms recovery", ttrs)
-	}
-	if marks := samp.FaultMarks(); len(marks) != 2 {
+	if marks := samp.FaultMarks(); len(marks) != 2 || marks[0] != want {
 		t.Fatalf("sampler marks = %v", marks)
 	}
 	if err := tr.Flush(); err != nil {
@@ -171,5 +168,32 @@ func TestMultiFaultFanOut(t *testing.T) {
 	}
 	if rec.Ev != "fault" || rec.Kind != "link-down" || rec.Link != 4 {
 		t.Fatalf("tracer record = %+v", rec)
+	}
+}
+
+// report is mon's report on net's run so far.
+func report(mon *telemetry.Monitor, net *fabric.Network, eng *sim.Engine) string {
+	var sb strings.Builder
+	mon.WriteReport(&sb, net.Met.Summarize(eng.Now()), 0)
+	return sb.String()
+}
+
+// TestMonitorUnpairedDownHasNoTTR: the report counts a recovery only for a
+// carrier loss that ended, and times it from the loss's first failure — a
+// second failure of a dead link does not restart the clock.
+func TestMonitorUnpairedDownHasNoTTR(t *testing.T) {
+	eng, net := fanoutNet(t)
+	mon := telemetry.NewMonitor(eng, telemetry.Config{})
+	net.AddObserver(mon)
+	eng.At(units.Millisecond, func() { net.SetLinkState(1, false) })
+	eng.At(2*units.Millisecond, func() { net.SetLinkState(1, false) })
+	eng.Run(4 * units.Millisecond)
+	if rep := report(mon, net, eng); !strings.Contains(rep, "fault events: 2\n") {
+		t.Fatalf("report before the recovery:\n%s", rep)
+	}
+	eng.At(5*units.Millisecond, func() { net.SetLinkState(1, true) })
+	eng.Run(6 * units.Millisecond)
+	if rep := report(mon, net, eng); !strings.Contains(rep, "fault events: 3, 1 link recoveries (mean TTR 4.000ms)\n") {
+		t.Fatalf("report after the recovery:\n%s", rep)
 	}
 }

@@ -64,32 +64,10 @@ func (e FaultEvent) String() string {
 	return fmt.Sprintf("%v %s", e.Time, e.Kind)
 }
 
-// Fault implements fabric.Observer for the Monitor: events are retained for
-// reporting and carrier losses are paired with recoveries into per-link
-// time-to-recover samples.
-func (m *Monitor) Fault(ev FaultEvent) {
-	m.faults = append(m.faults, ev)
-	switch ev.Kind {
-	case FaultLinkDown:
-		if m.linkDownAt == nil {
-			m.linkDownAt = make(map[int]units.Time)
-		}
-		if _, down := m.linkDownAt[ev.Link]; !down {
-			m.linkDownAt[ev.Link] = ev.Time
-		}
-	case FaultLinkUp:
-		if at, down := m.linkDownAt[ev.Link]; down {
-			delete(m.linkDownAt, ev.Link)
-			m.ttrs = append(m.ttrs, ev.Time-at)
-		}
-	}
-}
-
-// Faults returns every fault event observed, in injection order.
-func (m *Monitor) Faults() []FaultEvent { return m.faults }
-
-// TimesToRecover returns the carrier-loss durations of links that recovered.
-func (m *Monitor) TimesToRecover() []units.Time { return m.ttrs }
+// Fault implements fabric.Observer for the Monitor: it keeps nothing. The run
+// counts fault events and link recoveries (the Summary's FaultEvents,
+// LinkRecoveries and MTTR), and WriteReport reads them there.
+func (m *Monitor) Fault(FaultEvent) {}
 
 // Fault implements fabric.Observer for the Tracer: one "fault" record per
 // transition, in the same JSONL stream as the dataplane events.

@@ -9,21 +9,6 @@ import (
 	"vertigo/internal/units"
 )
 
-func TestMonitorUnpairedDownHasNoTTR(t *testing.T) {
-	mon := NewMonitor(sim.NewEngine(1), Config{})
-	mon.Fault(FaultEvent{Time: units.Millisecond, Kind: FaultLinkDown, Link: 1, Switch: -1})
-	// A second down on the same link must not restart the outage clock.
-	mon.Fault(FaultEvent{Time: 2 * units.Millisecond, Kind: FaultLinkDown, Link: 1, Switch: -1})
-	if len(mon.TimesToRecover()) != 0 {
-		t.Fatal("TTR recorded without a recovery")
-	}
-	mon.Fault(FaultEvent{Time: 5 * units.Millisecond, Kind: FaultLinkUp, Link: 1, Switch: -1})
-	ttrs := mon.TimesToRecover()
-	if len(ttrs) != 1 || ttrs[0] != 4*units.Millisecond {
-		t.Fatalf("TTRs = %v, want 4ms from the first down", ttrs)
-	}
-}
-
 func TestSamplerCSVFaultAnnotations(t *testing.T) {
 	eng := sim.NewEngine(1)
 	samp := NewSampler(eng, SamplerConfig{})

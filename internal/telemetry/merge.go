@@ -28,7 +28,6 @@ func MergeSamplers(parts []*Sampler) *Sampler {
 		out.samples = append(out.samples, p.samples...)
 		out.marks = append(out.marks, p.marks...)
 		out.truncated += p.truncated
-		out.DepthHist.Merge(&p.DepthHist)
 	}
 	sort.SliceStable(out.samples, func(i, j int) bool {
 		a, b := &out.samples[i], &out.samples[j]
@@ -65,29 +64,20 @@ func sortFaults(evs []FaultEvent) {
 // MergeMonitors folds the finished per-domain monitors of a sharded run into
 // one: the union of their port tables (a port reports only in the domain that
 // owns it, so no row is summed), the episodes in Finish's canonical order,
-// delivery counters and histograms summed, and the fault stream in canonical
-// order, replayed so the time-to-recover samples follow it. Like a merged
-// sampler the result is only good for reading. parts is non-empty.
+// and the deflection histograms summed. Like a merged sampler the result is
+// only good for reading. parts is non-empty.
 func MergeMonitors(parts []*Monitor) *Monitor {
 	out := &Monitor{cfg: parts[0].cfg}
-	var faults []FaultEvent
 	for _, p := range parts {
 		for _, ps := range p.ports.order {
 			out.ports.insert(ps.Key.Switch, ps.Key.Port, ps)
 		}
 		out.episodes = append(out.episodes, p.episodes...)
-		faults = append(faults, p.faults...)
 		for n, c := range p.DeflectionHist {
 			out.DeflectionHist[n] += c
 		}
-		out.DeflPerPacket.Merge(&p.DeflPerPacket)
-		out.Delivered += p.Delivered
 	}
 	sortEpisodes(out.episodes)
-	sortFaults(faults)
-	for _, ev := range faults {
-		out.Fault(ev)
-	}
 	return out
 }
 

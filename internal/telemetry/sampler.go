@@ -57,10 +57,6 @@ type Sampler struct {
 	samples   []Sample
 	truncated int64
 	marks     []FaultEvent // fault annotations (see fault.go)
-
-	// DepthHist is the log-bucketed distribution of queue occupancy (bytes)
-	// observed at every enqueue — the queue-depth histogram of the run.
-	DepthHist metrics.Histogram
 }
 
 // portState is one port's state accumulated since the last tick.
@@ -98,6 +94,11 @@ func (s *Sampler) Start(until units.Time) {
 	}
 }
 
+// Finish detaches the sampler from its run once the engine has run to the
+// end: the series stays readable, and a retained sampler keeps it and not
+// the simulated world its engine and settler reach.
+func (s *Sampler) Finish() { s.eng, s.settle = nil, nil }
+
 func (s *Sampler) onTick() {
 	now := s.eng.Now()
 	if s.settle != nil {
@@ -133,7 +134,6 @@ func (s *Sampler) port(sw, port int) *portState {
 // Enqueue implements fabric.Observer.
 func (s *Sampler) Enqueue(sw, port int, p *packet.Packet, occ units.ByteSize) {
 	s.port(sw, port).occ = occ
-	s.DepthHist.Observe(int64(occ))
 }
 
 // Transmit implements fabric.Observer.

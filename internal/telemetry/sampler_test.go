@@ -46,7 +46,7 @@ func TestSamplerRecordsTimeSeries(t *testing.T) {
 		t.Fatal("busy 16-host run produced no samples")
 	}
 	var lastT units.Time
-	seenNIC, seenSwitch := false, false
+	seenNIC, seenSwitch, queued := false, false, false
 	for _, sm := range samples {
 		if sm.Time%tick != 0 {
 			t.Fatalf("sample at %v not on the %v tick grid", sm.Time, tick)
@@ -61,6 +61,7 @@ func TestSamplerRecordsTimeSeries(t *testing.T) {
 		if sm.Queue < 0 {
 			t.Fatalf("negative occupancy %v", sm.Queue)
 		}
+		queued = queued || sm.Queue > 0
 		if sm.Port.Switch < 0 {
 			seenNIC = true
 		} else {
@@ -70,8 +71,8 @@ func TestSamplerRecordsTimeSeries(t *testing.T) {
 	if !seenNIC || !seenSwitch {
 		t.Errorf("series covers NICs=%v switches=%v, want both", seenNIC, seenSwitch)
 	}
-	if s.DepthHist.Count() == 0 {
-		t.Error("queue-depth histogram empty despite traffic")
+	if !queued {
+		t.Error("no sample shows a queue despite traffic")
 	}
 	if s.Truncated() != 0 {
 		t.Errorf("default cap truncated %d samples in a tiny run", s.Truncated())

@@ -130,18 +130,10 @@ type Monitor struct {
 	ports portTable[PortStats]
 
 	episodes []Episode
-	// Fault stream (see fault.go): every transition, plus the open carrier
-	// losses and completed time-to-recover samples derived from it.
-	faults     []FaultEvent
-	linkDownAt map[int]units.Time
-	ttrs       []units.Time
 	// DeflectionHist[n] counts delivered data packets that were deflected
-	// exactly n times (n capped at len-1).
+	// exactly n times (n capped at len-1); its sum is the data packets
+	// delivered.
 	DeflectionHist [17]int64
-	// DeflPerPacket is the same distribution as a log-bucketed
-	// metrics.Histogram, uncapped and serializable into run artifacts.
-	DeflPerPacket metrics.Histogram
-	Delivered     int64
 }
 
 // NewMonitor returns a monitor reading simulated time from eng.
@@ -204,8 +196,6 @@ func (m *Monitor) Deliver(host int, p *packet.Packet) {
 	if p.Kind != packet.Data {
 		return
 	}
-	m.Delivered++
-	m.DeflPerPacket.Observe(int64(p.Deflections))
 	n := p.Deflections
 	if n >= len(m.DeflectionHist) {
 		n = len(m.DeflectionHist) - 1
@@ -239,6 +229,8 @@ func (m *Monitor) track(ps *PortStats, occ units.ByteSize) {
 // start, then port. An episode is recorded when the fabric reports the
 // transmission that ended it, which for a replayed pop is whenever the port
 // was next touched; the order of recording is not a property of the run.
+// The monitor lets go of the engine, so a retained one keeps its report and
+// not the simulated world.
 func (m *Monitor) Finish() {
 	now := m.eng.Now()
 	for _, ps := range m.ports.order {
@@ -253,6 +245,7 @@ func (m *Monitor) Finish() {
 		}
 	}
 	sortEpisodes(m.episodes)
+	m.eng = nil
 }
 
 // sortEpisodes puts episodes in their canonical order: by end instant, then
@@ -299,9 +292,11 @@ func (m *Monitor) Ports(elapsed units.Time) []*PortStats {
 	return out
 }
 
-// WriteReport renders a monitoring summary: hot ports, congestion episodes,
-// and the deflections-per-delivered-packet histogram.
-func (m *Monitor) WriteReport(w io.Writer, elapsed units.Time, topN int) {
+// WriteReport renders a monitoring summary of the run s summarizes: hot
+// ports, congestion episodes, fault events and link recoveries, and the
+// deflections-per-delivered-packet histogram.
+func (m *Monitor) WriteReport(w io.Writer, s *metrics.Summary, topN int) {
+	elapsed := s.Duration
 	ports := m.Ports(elapsed)
 	if topN > len(ports) {
 		topN = len(ports)
@@ -317,22 +312,23 @@ func (m *Monitor) WriteReport(w io.Writer, elapsed units.Time, topN int) {
 	micro := m.Microbursts()
 	fmt.Fprintf(w, "congestion episodes: %d total, %d microbursts (<= %v)\n",
 		len(m.episodes), len(micro), m.cfg.MicroburstMax)
-	if len(m.faults) > 0 {
-		fmt.Fprintf(w, "fault events: %d", len(m.faults))
-		if len(m.ttrs) > 0 {
-			fmt.Fprintf(w, ", %d link recoveries (mean TTR %v)",
-				len(m.ttrs), metrics.Mean(m.ttrs))
+	if s.FaultEvents > 0 {
+		fmt.Fprintf(w, "fault events: %d", s.FaultEvents)
+		if s.LinkRecoveries > 0 {
+			fmt.Fprintf(w, ", %d link recoveries (mean TTR %v)", s.LinkRecoveries, s.MTTR)
 		}
 		fmt.Fprintln(w)
 	}
 	var hist strings.Builder
+	var delivered int64
 	for n, c := range m.DeflectionHist {
+		delivered += c
 		if c > 0 && n > 0 {
 			fmt.Fprintf(&hist, " %dx:%d", n, c)
 		}
 	}
 	if hist.Len() > 0 {
 		fmt.Fprintf(w, "deflections per delivered packet:%s (of %d delivered)\n",
-			hist.String(), m.Delivered)
+			hist.String(), delivered)
 	}
 }

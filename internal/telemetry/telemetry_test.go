@@ -57,9 +57,19 @@ func TestMonitorObservesFabric(t *testing.T) {
 	if top.TxPackets == 0 || top.HighWater == 0 {
 		t.Fatalf("top port missing counters: %+v", top)
 	}
-	if mon.Delivered != res.Summary.PacketsRecv {
-		t.Fatalf("monitor delivered %d, collector says %d", mon.Delivered, res.Summary.PacketsRecv)
+	if got := delivered(mon); got != res.Summary.PacketsRecv {
+		t.Fatalf("monitor delivered %d, collector says %d", got, res.Summary.PacketsRecv)
 	}
+}
+
+// delivered is the data packets mon saw delivered: its deflection
+// histogram's sum.
+func delivered(mon *telemetry.Monitor) int64 {
+	var n int64
+	for _, c := range mon.DeflectionHist {
+		n += c
+	}
+	return n
 }
 
 func TestMonitorSeesDeflectionsWithoutDrops(t *testing.T) {
@@ -105,7 +115,7 @@ func TestMicroburstClassification(t *testing.T) {
 func TestWriteReport(t *testing.T) {
 	res := telemetryRun(t, fabric.Vertigo)
 	var sb strings.Builder
-	res.Telemetry.WriteReport(&sb, res.Summary.Duration, 5)
+	res.Telemetry.WriteReport(&sb, res.Summary, 5)
 	out := sb.String()
 	for _, want := range []string{"telemetry:", "port", "congestion episodes"} {
 		if !strings.Contains(out, want) {
@@ -225,11 +235,10 @@ func TestMonitorOnFatTreeVertigo(t *testing.T) {
 	if deflSum == 0 {
 		t.Error("fabric deflected but no port shows Deflections")
 	}
-	if mon.DeflPerPacket.Count() != uint64(mon.Delivered) {
-		t.Errorf("deflection histogram has %d observations, %d delivered",
-			mon.DeflPerPacket.Count(), mon.Delivered)
+	if got := delivered(mon); got != res.Summary.PacketsRecv {
+		t.Errorf("deflection histogram has %d observations, %d delivered", got, res.Summary.PacketsRecv)
 	}
-	if mon.DeflPerPacket.Max() == 0 {
+	if delivered(mon) == mon.DeflectionHist[0] {
 		t.Error("no delivered packet records a deflection despite fabric deflections")
 	}
 	if len(mon.Episodes()) == 0 {

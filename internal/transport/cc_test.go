@@ -14,7 +14,7 @@ func mkSender(t *testing.T, proto transport.Protocol) *transport.Sender {
 	t.Helper()
 	r := newRig(t, fabric.DefaultConfig(fabric.ECMP), transport.DefaultConfig(proto), false)
 	spec := transport.FlowSpec{ID: r.ids.Next(), Src: 0, Dst: 2, Size: 1 << 20, Query: -1}
-	return transport.NewSender(r.hosts[0], r.met, r.cfg, r.ids, spec, nil)
+	return r.senders.Get(r.hosts[0], r.met, r.ids, spec, nil)
 }
 
 func TestSwiftTargetScaling(t *testing.T) {
@@ -90,7 +90,7 @@ func TestDCTCPAlphaTracksMarkingFraction(t *testing.T) {
 	fcfg := fabric.DefaultConfig(fabric.ECMP)
 	r := newRig(t, fcfg, transport.DefaultConfig(transport.DCTCP), false)
 	spec := transport.FlowSpec{ID: r.ids.Next(), Src: 2, Dst: 0, Size: 4 << 20, Query: -1}
-	s := transport.NewSender(r.hosts[2], r.met, r.cfg, r.ids, spec, nil)
+	s := r.senders.Get(r.hosts[2], r.met, r.ids, spec, nil)
 	s.Start()
 	r.flow(3, 0, 4<<20)
 	r.eng.Run(3 * units.Millisecond) // mid-flight, ECN active

@@ -42,16 +42,15 @@ func NewSenderPool(cfg Config) *SenderPool {
 	return sp
 }
 
-// at resolves a slot number. Every slab but a private pool's only one (see
-// NewSender) holds connSlab slots.
+// at resolves a slot number.
 func (sp *SenderPool) at(slot uint64) *Sender {
 	return &sp.slabs[slot/connSlab][slot%connSlab]
 }
 
-// grow carves a slab of n free slots, numbering them.
-func (sp *SenderPool) grow(n int) {
+// grow carves a slab of free slots, numbering them.
+func (sp *SenderPool) grow() {
 	base := len(sp.slabs) * connSlab
-	slab := make([]Sender, n)
+	slab := make([]Sender, connSlab)
 	sp.slabs = append(sp.slabs, slab)
 	for i := range slab {
 		slab[i].slot = uint32(base + i)
@@ -64,7 +63,7 @@ func (sp *SenderPool) grow(n int) {
 // flow completes.
 func (sp *SenderPool) Get(h *host.Host, met *metrics.Collector, ids *packet.IDGen, spec FlowSpec, onDone func()) *Sender {
 	if len(sp.free) == 0 {
-		sp.grow(connSlab)
+		sp.grow()
 	}
 	s := sp.free[len(sp.free)-1]
 	sp.free = sp.free[:len(sp.free)-1]

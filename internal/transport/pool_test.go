@@ -23,14 +23,7 @@ func newPoolRig(t *testing.T) (*rig, *transport.SenderPool, *transport.ReceiverP
 func newPoolRigFor(t *testing.T, proto transport.Protocol) (*rig, *transport.SenderPool, *transport.ReceiverPool) {
 	t.Helper()
 	r := newRig(t, fabric.DefaultConfig(fabric.ECMP), transport.DefaultConfig(proto), false)
-	rp := transport.NewReceiverPool(r.eng, r.net, r.met, r.ids)
-	for _, h := range r.hosts {
-		h := h
-		h.SetAcceptor(func(first *packet.Packet) func(*packet.Packet) {
-			return rp.Accept(h, first)
-		})
-	}
-	return r, transport.NewSenderPool(r.cfg), rp
+	return r, r.senders, r.receivers
 }
 
 // TestPoolRecyclesConnections drives many sequential flows through pooled

@@ -27,21 +27,12 @@ type Receiver struct {
 	maxEnd   int64      // highest byte offset seen (reordering detection)
 	done     bool
 
-	rp *ReceiverPool // owning pool, nil for standalone receivers
+	rp *ReceiverPool // owning pool
 	// onDataFn is the slot's prebuilt handler closure, reused across flows.
 	onDataFn func(*packet.Packet)
 }
 
 type interval struct{ lo, hi int64 }
-
-// NewReceiver builds a standalone, non-pooled receiver from the first data
-// packet of a flow and returns its packet handler, matching host.Acceptor's
-// contract (the ReceiverPool path is core's default).
-func NewReceiver(h *host.Host, met *metrics.Collector, ids *packet.IDGen, first *packet.Packet) func(*packet.Packet) {
-	r := &Receiver{}
-	r.init(nil, h, met, ids, first)
-	return r.onDataFn
-}
 
 // init resets a slot for a new inbound flow, keeping the slot's prebuilt
 // handler closure and burst-grown interval backing arrays.
@@ -67,9 +58,6 @@ func (r *Receiver) init(rp *ReceiverPool, h *host.Host, met *metrics.Collector, 
 	r.onDataFn = onData
 }
 
-// Received returns the count of in-order bytes received so far.
-func (r *Receiver) Received() int64 { return r.recvNext }
-
 // onData consumes one packet: the receiver is its final owner, so the frame
 // is recycled after processing. Once the flow's last byte has arrived the
 // slot quiesces back to its pool; the pool's shared fin handler answers any
@@ -77,7 +65,7 @@ func (r *Receiver) Received() int64 { return r.recvNext }
 func (r *Receiver) onData(p *packet.Packet) {
 	r.handleData(p)
 	r.pool.Put(p)
-	if r.done && r.rp != nil {
+	if r.done {
 		r.rp.release(r)
 	}
 }

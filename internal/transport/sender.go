@@ -85,15 +85,6 @@ type Sender struct {
 	onDone func()
 }
 
-// NewSender creates (but does not start) a sender of its own on host h, in a
-// private pool of one slot (the shared SenderPool is core's default; this
-// remains for tests and single-flow tools).
-func NewSender(h *host.Host, met *metrics.Collector, cfg Config, ids *packet.IDGen, spec FlowSpec, onDone func()) *Sender {
-	sp := NewSenderPool(cfg)
-	sp.grow(1)
-	return sp.Get(h, met, ids, spec, onDone)
-}
-
 // init resets a slot for a new flow, preserving the slot's number.
 func (s *Sender) init(sp *SenderPool, h *host.Host, met *metrics.Collector,
 	ids *packet.IDGen, spec FlowSpec, onDone func()) {

@@ -14,14 +14,16 @@ import (
 )
 
 // rig is a minimal full-stack harness: a 2-leaf/2-spine fabric with four
-// hosts, transports wired through the host layer.
+// hosts, pooled transports wired through the host layer.
 type rig struct {
-	eng   *sim.Engine
-	met   *metrics.Collector
-	net   *fabric.Network
-	hosts []*host.Host
-	ids   *packet.IDGen
-	cfg   transport.Config
+	eng       *sim.Engine
+	met       *metrics.Collector
+	net       *fabric.Network
+	hosts     []*host.Host
+	ids       *packet.IDGen
+	cfg       transport.Config
+	senders   *transport.SenderPool
+	receivers *transport.ReceiverPool
 }
 
 func newRig(t *testing.T, fcfg fabric.Config, tcfg transport.Config, vertigoStack bool) *rig {
@@ -41,11 +43,13 @@ func newRig(t *testing.T, fcfg fabric.Config, tcfg transport.Config, vertigoStac
 		cfg: tcfg,
 	}
 	r.net = fabric.New(r.eng, tp, r.met, fcfg)
+	r.senders = transport.NewSenderPool(tcfg)
+	r.receivers = transport.NewReceiverPool(r.eng, r.net, r.met, r.ids)
 	for i := 0; i < tp.NumHosts; i++ {
 		h := host.NewHost(i, r.eng, r.net, r.met,
 			host.DefaultMarkerConfig(), host.DefaultOrdererConfig(), vertigoStack)
 		h.SetAcceptor(func(first *packet.Packet) func(*packet.Packet) {
-			return transport.NewReceiver(h, r.met, r.ids, first)
+			return r.receivers.Accept(h, first)
 		})
 		r.hosts = append(r.hosts, h)
 	}
@@ -54,7 +58,7 @@ func newRig(t *testing.T, fcfg fabric.Config, tcfg transport.Config, vertigoStac
 
 func (r *rig) flow(src, dst int, size int64) *transport.Sender {
 	spec := transport.FlowSpec{ID: r.ids.Next(), Src: src, Dst: dst, Size: size, Query: -1}
-	s := transport.NewSender(r.hosts[src], r.met, r.cfg, r.ids, spec, nil)
+	s := r.senders.Get(r.hosts[src], r.met, r.ids, spec, nil)
 	s.Start()
 	return s
 }

@@ -269,7 +269,7 @@ func Run(cfg Config) (rep *Report, err error) {
 	rep = report(res)
 	if res.Telemetry != nil {
 		var sb strings.Builder
-		res.Telemetry.WriteReport(&sb, res.Summary.Duration, 10)
+		res.Telemetry.WriteReport(&sb, res.Summary, 10)
 		rep.TelemetryText = sb.String()
 		rep.Microbursts = len(res.Telemetry.Microbursts())
 	}
