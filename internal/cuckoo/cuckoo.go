@@ -10,101 +10,46 @@
 // Lookups may return false positives at a rate governed by the fingerprint
 // width, but never false negatives for items that were inserted and not
 // deleted.
+//
+// The bucket array is logical: a filter sized for the worst case (a host's
+// default 65,536 signatures, 32,768 buckets) keeps only the buckets that hold
+// a fingerprint, in an open-addressing table of occupied buckets whose size
+// follows how many there are. A filter therefore costs memory in proportion
+// to the fingerprints it holds, not to its capacity.
 package cuckoo
 
 import (
-	"math/bits"
 	"math/rand"
+
+	"vertigo/internal/arena"
 )
 
 const (
 	slotsPerBucket = 4
 	maxKicks       = 500
 
-	// Buckets live in pages that exist only while a fingerprint is placed in
-	// them. A page is one cache line (8 buckets) unless the filter is so
-	// large that its page ids would outgrow 16 bits.
-	minPageShift = 3  // log2 buckets per page: 8 × 4 × 2 B = 64 B
-	maxPageBits  = 15 // at most 1<<15 pages, so id+1 fits a uint16
-	// Pages are carved, in the order they are first placed into, from
-	// 4 KiB chunks. A chunk is never reallocated, so a fully touched filter
-	// costs its dense size plus the page table, not a doubling.
-	chunkShift   = 9
-	chunkBuckets = 1 << chunkShift
-	// A Chunks source allocates this many chunks at a time.
-	chunksPerSlab = 16
-	// A sparse filter finds its pages through an open-addressing index kept
-	// at most half full; once it maps more than one page in 1<<denseShift it
-	// switches to a flat page table for good.
-	minIndex   = 8
-	denseShift = 3
-	// A Chunks source carves index arrays from slabs that double from 1 KiB
-	// to 16 KiB, so that a lone filter's first slab is small and a thousand
-	// filters' are few; larger arrays are allocated on their own.
-	minIndexSlab = 1 << 8
-	indexSlab    = 1 << 12
+	// minTable is the smallest table of occupied buckets: a filter that has
+	// stored anything keeps at least this many slots (96 B).
+	minTable = 8
+	// maxBuckets bounds the bucket count, so that a bucket's index + 1 fits
+	// the uint32 a table slot keeps it in and the count fits a 32-bit int.
+	maxBuckets = 1 << 30
 )
 
 type bucket [slotsPerBucket]uint16
 
-type chunk [chunkBuckets]bucket
-
-// Chunks is a source of page chunks and index arrays for the many filters
-// of one simulation, a thousand hosts' say, each of which touches a few
-// chunks' worth of pages: it allocates chunks a slab at a time, carves index
-// arrays from shared slabs, and keeps one outgrown index of each size for the
-// next filter that grows through it. A nil *Chunks allocates each on its
-// own. Not safe for concurrent use.
-type Chunks struct {
-	slab  []chunk
-	spare [maxPageBits][]uint32 // an outgrown index array by log2 length, or nil
-	carve []uint32              // uncarved tail of the newest index slab
-	slabs int                   // length of the newest index slab
+// slot is one entry of a filter's table: an occupied bucket's index + 1 (0
+// when the slot is empty) and the bucket's fingerprints, inline.
+type slot struct {
+	ref uint32
+	b   bucket
 }
 
-func (c *Chunks) next() *chunk {
-	if c == nil {
-		return new(chunk)
-	}
-	if len(c.slab) == 0 {
-		c.slab = make([]chunk, chunksPerSlab)
-	}
-	ch := &c.slab[0]
-	c.slab = c.slab[1:]
-	return ch
-}
-
-// getIndex returns a zeroed index of n entries, n a power of two.
-func (c *Chunks) getIndex(n int) []uint32 {
-	if c == nil || n > indexSlab {
-		return make([]uint32, n)
-	}
-	k := bits.Len(uint(n)) - 1
-	if ix := c.spare[k]; ix != nil {
-		c.spare[k] = nil
-		return ix
-	}
-	if len(c.carve) < n {
-		c.slabs = min(max(2*c.slabs, minIndexSlab, n), indexSlab)
-		c.carve = make([]uint32, c.slabs)
-	}
-	ix := c.carve[:n:n]
-	c.carve = c.carve[n:]
-	return ix
-}
-
-// putIndex takes back an index its filter no longer uses, keeping it if
-// there is no spare of its size yet. The shared noIndex, shorter than any
-// index a filter grows, is never kept.
-func (c *Chunks) putIndex(ix []uint32) {
-	if c == nil || len(ix) < minIndex || len(ix) > indexSlab {
-		return
-	}
-	if k := bits.Len(uint(len(ix))) - 1; c.spare[k] == nil {
-		clear(ix)
-		c.spare[k] = ix
-	}
-}
+// Arena is the source of the tables of one simulation's filters, a thousand
+// hosts' say: small tables are carved from shared chunks, and a table a
+// filter outgrows or shrinks out of goes back for the next filter that passes
+// through its size. Not safe for concurrent use.
+type Arena = arena.Pool[slot]
 
 // Filter is an approximate membership set over uint64 keys.
 // It is not safe for concurrent use.
@@ -114,55 +59,50 @@ func (c *Chunks) putIndex(ix []uint32) {
 // rare false positive — and therefore the whole event sequence — differ
 // between identically-configured runs.
 //
-// The logical geometry (bucket count, candidate buckets, kick sequence) is
-// that of a flat bucket array; only the storage is paged, so that a filter
-// sized for the worst case costs memory in proportion to the buckets it
-// currently fills. An absent page reads as eight empty buckets. While the
-// filter is sparse, a Delete that empties a page unmaps it and threads it
-// onto a free list through its first slot; the next new page reuses it.
+// The logical geometry (bucket count, candidate buckets, slot-fill order,
+// kick sequence) is that of a flat bucket array. Only the buckets holding a
+// fingerprint are stored, in a table linear-probed from the bucket index and
+// kept at most half full: it doubles when an added bucket would fill it past
+// half and halves when a Delete leaves it under an eighth full. A Delete that
+// empties a bucket removes its slot at once, by backward shift, so every
+// occupied slot is a non-empty bucket and an absent bucket reads as empty.
+//
+// A *bucket from find points into the table and goes stale when an add
+// resizes it: an operation resolves a bucket after the last add that could
+// move it, never before.
 type Filter struct {
-	table     []uint16 // dense page table: table[page] is the page's id + 1, 0 if absent; nil while sparse
-	index     []uint32 // sparse page index: page<<16 | id+1, linear-probed from slot page mod len, 0 empty; noIndex before the first page
-	imask     uint64   // len(index) - 1
-	chunks    []*chunk // page id p starts at slot p<<pageShift of the chunks laid end to end
-	src       *Chunks  // where chunks and index arrays come from
-	pages     int      // page ids handed out so far, mapped or free
-	mapped    int      // pages currently mapped
-	free      uint16   // first free page's id + 1, 0 when none; each links the next in its first slot
-	pageShift uint     // log2 buckets per page
-	pageMask  uint64   // 1<<pageShift - 1
-	mask      uint64   // bucket count - 1
-	count     int
-	rng       *rand.Rand // kick stream, built on the first kick
+	table []slot     // occupied buckets; noTable before the first insert
+	tmask uint64     // len(table) - 1
+	used  int        // occupied slots
+	src   *Arena     // where tables come from
+	mask  uint64     // bucket count - 1
+	count int        // fingerprints stored
+	rng   *rand.Rand // kick stream, built on the first kick
 }
 
 // New returns a filter sized for at least capacity items. The filter keeps
 // roughly 95% load factor headroom; inserts may start failing beyond that.
 func New(capacity int) *Filter {
 	f := new(Filter)
-	f.Init(capacity, nil)
+	f.Init(capacity, new(Arena))
 	return f
 }
 
 // Init makes f, wherever its owner keeps it, an empty filter sized for at
-// least capacity items whose pages come from src. It allocates nothing: a
+// least capacity items whose tables come from src. It allocates nothing: a
 // filter that never stores anything — the marker of a host that never sends —
 // costs its header.
-func (f *Filter) Init(capacity int, src *Chunks) {
+func (f *Filter) Init(capacity int, src *Arena) {
 	if capacity < slotsPerBucket {
 		capacity = slotsPerBucket
 	}
-	n := nextPow2((capacity + slotsPerBucket - 1) / slotsPerBucket * 21 / 20)
-	shift := uint(minPageShift)
-	for n>>shift > 1<<maxPageBits {
-		shift++
-	}
-	*f = Filter{index: noIndex, src: src, pageShift: shift, pageMask: 1<<shift - 1, mask: uint64(n - 1)}
+	n := min(nextPow2((capacity+slotsPerBucket-1)/slotsPerBucket*21/20), maxBuckets)
+	*f = Filter{table: noTable, src: src, mask: uint64(n - 1)}
 }
 
-// noIndex is every sparse filter's index until it maps its first page: one
-// empty slot, never written, so that a lookup needs no length check.
-var noIndex = []uint32{0}
+// noTable is every filter's table until it stores its first fingerprint:
+// one empty slot, never written, so that a lookup needs no length check.
+var noTable = []slot{{}}
 
 func nextPow2(n int) int {
 	p := 1
@@ -172,164 +112,77 @@ func nextPow2(n int) int {
 	return p
 }
 
-// bucket returns bucket i, or nil when its page is not mapped, without
-// allocating. Callers resolve a bucket once per operation and work on the
-// pointer: the two dependent loads (page table or index, then chunk) are the
-// paged layout's whole cost over a flat array. The marker's per-packet
-// operations, ContainsOrAdd and Delete, test for the dense table themselves,
-// so that there its lookups inline.
-func (f *Filter) bucket(i uint64) *bucket {
-	if f.table != nil {
-		return f.direct(i)
-	}
-	return f.sparse(i)
-}
-
-// direct returns bucket i of a dense filter, or nil when its page is absent.
-// (The &63 tells the compiler the shift count is in range, sparing a check
-// on this path.)
-func (f *Filter) direct(i uint64) *bucket {
-	if ref := f.table[i>>(f.pageShift&63)]; ref != 0 {
-		return f.at(ref, i)
-	}
-	return nil
-}
-
-// sparse returns bucket i of a sparse filter, or nil when its page is not
-// mapped. Buckets, and so pages, are uniform hashes of their keys: the page
-// number itself is the probe start. (Small enough to inline: the index is
-// never empty, and its mask is kept beside it.)
-func (f *Filter) sparse(i uint64) *bucket {
-	pg := i >> (f.pageShift & 63)
-	for h := pg; ; h++ {
-		e := f.index[h&f.imask]
-		if e == 0 {
-			return nil
+// find returns the table position of bucket i and the bucket, or a nil
+// bucket when it holds nothing, without allocating. Buckets are uniform
+// hashes of their keys, so the index itself is the probe start.
+func (f *Filter) find(i uint64) (uint64, *bucket) {
+	ref := uint32(i + 1)
+	for h := i & f.tmask; ; h = (h + 1) & f.tmask {
+		s := &f.table[h]
+		if s.ref == ref {
+			return h, &s.b
 		}
-		if uint64(e>>16) == pg {
-			return f.at(uint16(e), i)
+		if s.ref == 0 {
+			return h, nil
 		}
 	}
 }
 
-// at returns bucket i, which lies in the page whose id + 1 is ref.
-func (f *Filter) at(ref uint16, i uint64) *bucket {
-	slot := uint64(ref-1)<<(f.pageShift&63) | i&f.pageMask
-	return &f.chunks[slot>>chunkShift][slot&(chunkBuckets-1)]
+// add stores bucket i, which must be absent, and returns it empty, doubling
+// the table first if it would pass half full.
+func (f *Filter) add(i uint64) *bucket {
+	if 2*(f.used+1) > len(f.table) {
+		f.resize(max(2*len(f.table), minTable))
+	}
+	f.used++
+	h := i & f.tmask
+	for f.table[h].ref != 0 {
+		h = (h + 1) & f.tmask
+	}
+	f.table[h].ref = uint32(i + 1)
+	return &f.table[h].b
 }
 
-// first returns the first bucket of the page whose id + 1 is ref.
-func (f *Filter) first(ref uint16) *bucket {
-	return f.at(ref, uint64(ref-1)<<f.pageShift)
-}
-
-// newPage maps a page for bucket i, whose page must be absent, and returns
-// the bucket. It reuses the most recently released page, else carves the
-// next id: chunks are added until they cover every slot of the ids handed
-// out, a chunk holding many small pages, a large page spanning chunks.
-func (f *Filter) newPage(i uint64) *bucket {
-	ref := f.free // id + 1, as the table, the index and the free list hold it
-	if ref != 0 {
-		b := f.first(ref)
-		f.free, b[0] = b[0], 0
-	} else {
-		if f.chunks == nil {
-			f.chunks = make([]*chunk, 0, 8) // a churn host's whole run, see TestFootprintFollowsTouchedPages
+// remove empties table slot h, whose bucket was just emptied, by backward
+// shift — a later slot of the probe run moves into the hole unless its own
+// probe start lies cyclically after the hole — and halves the table if it
+// fell under an eighth full.
+func (f *Filter) remove(h uint64) {
+	t, m := f.table, f.tmask
+	for j := h; ; {
+		j = (j + 1) & m
+		s := t[j]
+		if s.ref == 0 {
+			break
 		}
-		f.pages++
-		ref = uint16(f.pages)
-		for uint64(len(f.chunks))<<chunkShift < uint64(f.pages)<<f.pageShift {
-			f.chunks = append(f.chunks, f.src.next())
+		if (j-uint64(s.ref-1))&m >= (j-h)&m {
+			t[h], h = s, j
 		}
 	}
-	f.mapPage(i>>f.pageShift, ref)
-	return f.at(ref, i)
+	t[h] = slot{}
+	f.used--
+	if len(t) > minTable && 8*f.used < len(t) {
+		f.resize(len(t) / 2)
+	}
 }
 
-// mapPage maps page pg to the page whose id + 1 is ref, switching the filter
-// to the dense page table once it maps more than one page in 1<<denseShift.
-func (f *Filter) mapPage(pg uint64, ref uint16) {
-	f.mapped++
-	if total := f.mask>>f.pageShift + 1; f.table == nil && uint64(f.mapped)<<denseShift > total {
-		f.table = make([]uint16, total)
-		// A dense filter is on its way to touching every page: give the
-		// chunk list its final size now instead of doubling into it.
-		f.chunks = append(make([]*chunk, 0, (f.mask+chunkBuckets)>>chunkShift), f.chunks...)
-		for _, e := range f.index {
-			if e != 0 {
-				f.table[e>>16] = uint16(e)
+// resize moves the occupied slots to a table of n slots, n a power of two,
+// and gives the old one back to the arena.
+func (f *Filter) resize(n int) {
+	old := f.table
+	f.table = f.src.Get(n)[:n]
+	f.tmask = uint64(n - 1)
+	for _, s := range old {
+		if s.ref != 0 {
+			h := uint64(s.ref-1) & f.tmask
+			for f.table[h].ref != 0 {
+				h = (h + 1) & f.tmask
 			}
-		}
-		f.src.putIndex(f.index)
-		f.index, f.imask = nil, 0
-	}
-	if f.table != nil {
-		f.table[pg] = ref
-		return
-	}
-	if 2*f.mapped > len(f.index) {
-		old := f.index
-		f.index = f.src.getIndex(max(2*len(old), minIndex))
-		f.imask = uint64(len(f.index) - 1)
-		for _, e := range old {
-			if e != 0 {
-				f.insertIndex(e)
-			}
-		}
-		f.src.putIndex(old)
-	}
-	f.insertIndex(uint32(pg)<<16 | uint32(ref))
-}
-
-// insertIndex stores entry e in the first free slot from its page on.
-func (f *Filter) insertIndex(e uint32) {
-	h := uint64(e>>16) & f.imask
-	for f.index[h] != 0 {
-		h = (h + 1) & f.imask
-	}
-	f.index[h] = e
-}
-
-// release gives back bucket i's page of a sparse filter if b, its bucket,
-// was just emptied and the rest of the page is empty too. Delete leaves a
-// dense filter's pages alone: they are mostly full, so releasing would pay
-// the page scan and the refill on every flow and save nothing.
-func (f *Filter) release(i uint64, b *bucket) {
-	if *b != (bucket{}) {
-		return
-	}
-	pg := i >> f.pageShift
-	ix, m := f.index, f.imask
-	h := pg & m
-	for uint64(ix[h]>>16) != pg {
-		h = (h + 1) & m
-	}
-	ref := uint16(ix[h])
-	for j := uint64(0); j <= f.pageMask; j++ {
-		if *f.at(ref, j) != (bucket{}) {
-			return
+			f.table[h] = s
 		}
 	}
-	f.first(ref)[0] = f.free
-	f.free = ref
-	f.mapped--
-	// Unmap by backward shift: a later entry of the probe run moves into the
-	// hole unless its own probe start lies cyclically after the hole.
-	for {
-		ix[h] = 0
-		j := h
-		for {
-			j = (j + 1) & m
-			e := ix[j]
-			if e == 0 {
-				return
-			}
-			if (j-uint64(e>>16))&m >= (j-h)&m {
-				ix[h] = e
-				h = j
-				break
-			}
-		}
+	if len(old) >= minTable { // never noTable
+		f.src.Put(old)
 	}
 }
 
@@ -352,11 +205,12 @@ func (b *bucket) drop(fp uint16) bool {
 	return false
 }
 
-// place stores fp in bucket i, resolved by the caller as b, allocating its
-// page if b is nil. It reports false when the bucket is full.
+// place stores fp in bucket i, resolved by the caller as b, adding the
+// bucket if b is nil. It reports false when the bucket is full.
 func (f *Filter) place(i uint64, b *bucket, fp uint16) bool {
 	if b == nil {
-		b = f.newPage(i)
+		f.add(i)[0] = fp
+		return true
 	}
 	for s := range b {
 		if b[s] == 0 {
@@ -395,11 +249,14 @@ func (f *Filter) altIndex(i uint64, fp uint16) uint64 {
 func (f *Filter) Insert(key uint64) bool {
 	fp, i1 := f.fingerprint(key)
 	i2 := f.altIndex(i1, fp)
-	return f.insert(fp, i1, i2, f.bucket(i1), f.bucket(i2))
+	_, b1 := f.find(i1)
+	_, b2 := f.find(i2)
+	return f.insert(fp, i1, i2, b1, b2)
 }
 
 // insert places fingerprint fp, whose candidate buckets i1 and i2 the caller
-// resolved as b1 and b2, kicking as needed.
+// resolved as b1 and b2, kicking as needed. b2 cannot be stale: placing in
+// i1 either adds no bucket or adds bucket i1 and is done.
 func (f *Filter) insert(fp uint16, i1, i2 uint64, b1, b2 *bucket) bool {
 	if f.place(i1, b1, fp) || f.place(i2, b2, fp) {
 		f.count++
@@ -415,12 +272,12 @@ func (f *Filter) insert(fp uint16, i1, i2 uint64, b1, b2 *bucket) bool {
 		i = i2
 	}
 	for k := 0; k < maxKicks; k++ {
-		// Bucket i is full — place just failed on it — so its page exists.
-		b := f.bucket(i)
+		// Bucket i is full — place just failed on it — so it is stored.
+		_, b := f.find(i)
 		s := f.rng.Intn(slotsPerBucket)
 		fp, b[s] = b[s], fp
 		i = f.altIndex(i, fp)
-		if f.place(i, f.bucket(i), fp) {
+		if _, b := f.find(i); f.place(i, b, fp) {
 			f.count++
 			return true
 		}
@@ -437,12 +294,8 @@ func (f *Filter) insert(fp uint16, i1, i2 uint64, b1, b2 *bucket) bool {
 func (f *Filter) ContainsOrAdd(key uint64) (present, ok bool) {
 	fp, i1 := f.fingerprint(key)
 	i2 := f.altIndex(i1, fp)
-	var b1, b2 *bucket
-	if f.table != nil {
-		b1, b2 = f.direct(i1), f.direct(i2)
-	} else {
-		b1, b2 = f.sparse(i1), f.sparse(i2)
-	}
+	_, b1 := f.find(i1)
+	_, b2 := f.find(i2)
 	if b1.has(fp) || b2.has(fp) {
 		return true, true
 	}
@@ -453,7 +306,11 @@ func (f *Filter) ContainsOrAdd(key uint64) (present, ok bool) {
 // possible; false negatives are not.
 func (f *Filter) Contains(key uint64) bool {
 	fp, i1 := f.fingerprint(key)
-	return f.bucket(i1).has(fp) || f.bucket(f.altIndex(i1, fp)).has(fp)
+	if _, b := f.find(i1); b.has(fp) {
+		return true
+	}
+	_, b := f.find(f.altIndex(i1, fp))
+	return b.has(fp)
 }
 
 // Delete removes one copy of key, reporting whether a matching fingerprint
@@ -461,30 +318,18 @@ func (f *Filter) Contains(key uint64) bool {
 // entry, as with any cuckoo filter.
 func (f *Filter) Delete(key uint64) bool {
 	fp, i := f.fingerprint(key)
-	if f.table != nil { // a dense filter keeps its pages (see release)
-		if f.direct(i).drop(fp) || f.direct(f.altIndex(i, fp)).drop(fp) {
-			f.count--
-			return true
-		}
-		return false
-	}
-	b := f.sparse(i)
+	h, b := f.find(i)
 	if !b.drop(fp) {
-		i = f.altIndex(i, fp)
-		if b = f.sparse(i); !b.drop(fp) {
+		if h, b = f.find(f.altIndex(i, fp)); !b.drop(fp) {
 			return false
 		}
 	}
 	f.count--
-	f.release(i, b)
+	if *b == (bucket{}) {
+		f.remove(h)
+	}
 	return true
 }
 
 // Len returns the number of items currently stored.
 func (f *Filter) Len() int { return f.count }
-
-// Reset empties the filter, dropping its pages; the kick stream carries on.
-func (f *Filter) Reset() {
-	f.src.putIndex(f.index)
-	*f = Filter{index: noIndex, src: f.src, pageShift: f.pageShift, pageMask: f.pageMask, mask: f.mask, rng: f.rng}
-}

@@ -69,22 +69,6 @@ func TestHighLoadInsertions(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	f := New(100)
-	for i := uint64(0); i < 50; i++ {
-		f.Insert(i)
-	}
-	f.Reset()
-	if f.Len() != 0 {
-		t.Fatalf("Len = %d after reset", f.Len())
-	}
-	for i := uint64(0); i < 50; i++ {
-		if f.Contains(i) {
-			t.Fatalf("key %d survived reset", i)
-		}
-	}
-}
-
 // Property: no false negatives for any insert/delete interleaving where the
 // key is inserted and not subsequently deleted.
 func TestPropertyNoFalseNegatives(t *testing.T) {

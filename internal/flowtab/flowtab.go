@@ -19,6 +19,8 @@
 // owns its tables, matching the one-goroutine-per-run sweep model.
 package flowtab
 
+import "vertigo/internal/arena"
+
 // ref is an index into the value slab; -1 marks an empty probe slot. Where a
 // field's zero value must mean "none" (Table.free, Table.last, a free slot's
 // link) it holds the ref plus one.
@@ -262,33 +264,19 @@ func (t *Table[T]) Range(f func(key uint64, v *T) bool) {
 	}
 }
 
-// Reset drops every entry while keeping the slab and probe array for
-// reuse. Value bytes are retained (as with Delete).
-func (t *Table[T]) Reset() {
-	for i := range t.index {
-		t.index[i] = noRef
-	}
-	// Rebuild the free list so the lowest slots are handed out first,
-	// matching a fresh table's allocation order.
-	t.free = 0
-	for r := ref(t.n) - 1; r >= 0; r-- {
-		*t.hd(r) = hdr{key: uint64(t.free)}
-		t.free = r + 1
-	}
-	t.count = 0
-	t.last = 0
-}
-
-// pageShift sizes PagedU8 pages: 512 counters (= 512 MSS segments,
-// ~750 KB of flow) per 512-byte page.
+// pageShift sizes PagedU8 pages: at most 512 counters (= 512 MSS segments,
+// ~750 KB of flow) per page.
 const pageShift = 9
 
 const pageMask = (1 << pageShift) - 1
 
 // PagedU8 is a sparse []uint8 indexed by segment number, used for the
-// per-flow retransmission counters that replaced map[int64]uint8: flows
-// with no retransmissions never allocate a page, and pages are retained
-// across Reset so a recycled flow slot reuses its predecessor's memory.
+// per-flow retransmission counters that replaced map[int64]uint8: a flow
+// with no retransmissions has no page, and pages come from, and go back to,
+// an arena shared by the flows of a simulation. A page holds 512 counters,
+// or fewer when its owner has fewer: Set is told how many there are (a
+// flow's segment count), so a 28-segment flow's page is 32 bytes. The page
+// list outlives Release, so a recycled flow slot reuses it.
 type PagedU8 struct {
 	pages [][]uint8
 }
@@ -296,33 +284,40 @@ type PagedU8 struct {
 // Get returns the counter at index i (0 if its page was never written).
 func (p *PagedU8) Get(i int64) uint8 {
 	pg := i >> pageShift
-	if pg >= int64(len(p.pages)) || p.pages[pg] == nil {
+	if pg >= int64(len(p.pages)) {
 		return 0
 	}
-	return p.pages[pg][i&pageMask]
+	if b, j := p.pages[pg], i&pageMask; j < int64(len(b)) {
+		return b[j]
+	}
+	return 0
 }
 
-// Set stores v at index i, allocating the page on first touch.
-func (p *PagedU8) Set(i int64, v uint8) {
-	pg := i >> pageShift
+// Set stores v at index i of n counters, taking i's page from src on first
+// touch.
+func (p *PagedU8) Set(i int64, v uint8, n int64, src *arena.Pool[uint8]) {
+	pg, j := i>>pageShift, i&pageMask
 	for int64(len(p.pages)) <= pg {
 		p.pages = append(p.pages, nil)
 	}
 	b := p.pages[pg]
-	if b == nil {
-		b = make([]uint8, 1<<pageShift)
-		p.pages[pg] = b
+	if j >= int64(len(b)) { // no page yet, or an index past the n given
+		size := max(min(n-pg<<pageShift, 1<<pageShift), j+1)
+		nb := src.Get(int(size))[:size]
+		copy(nb, b)
+		src.Put(b)
+		b, p.pages[pg] = nb, nb
 	}
-	b[i&pageMask] = v
+	b[j] = v
 }
 
-// Reset zeroes all counters, keeping allocated pages for the next flow.
-func (p *PagedU8) Reset() {
-	for _, b := range p.pages {
-		if b != nil {
-			clear(b)
-		}
+// Release gives every page back to src, zeroing all counters.
+func (p *PagedU8) Release(src *arena.Pool[uint8]) {
+	for i, b := range p.pages {
+		src.Put(b)
+		p.pages[i] = nil
 	}
+	p.pages = p.pages[:0]
 }
 
 // bitsShift sizes Bits pages: 4,096 keys per 512-byte page.

@@ -3,6 +3,8 @@ package flowtab
 import (
 	"math/rand"
 	"testing"
+
+	"vertigo/internal/arena"
 )
 
 // TestTableBasics covers the single-key lifecycle.
@@ -225,32 +227,6 @@ func TestTablePutReuse(t *testing.T) {
 	}
 }
 
-// TestTableReset keeps capacity but drops all entries.
-func TestTableReset(t *testing.T) {
-	tb := New[int](0)
-	for k := uint64(0); k < 50; k++ {
-		v, _ := tb.Put(k)
-		*v = int(k)
-	}
-	tb.Reset()
-	if tb.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", tb.Len())
-	}
-	for k := uint64(0); k < 50; k++ {
-		if tb.Get(k) != nil {
-			t.Fatalf("key %d survived Reset", k)
-		}
-	}
-	// Table still works and recycles slots lowest-first like a fresh one.
-	v, existed := tb.Put(7)
-	if existed || v == nil {
-		t.Fatal("Put after Reset broken")
-	}
-	if r := tb.find(7); r != 0 {
-		t.Fatalf("first slot after Reset = %d, want 0", r)
-	}
-}
-
 // TestTableSteadyStateAllocs: the per-packet operations must not
 // allocate once the table has reached its working size.
 func TestTableSteadyStateAllocs(t *testing.T) {
@@ -268,48 +244,71 @@ func TestTableSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPagedU8 covers the sparse counter array incl. page reuse on Reset.
+// TestPagedU8 covers the sparse counter array: pages sized by the counters
+// their owner has, an index past them, and pages given back by Release and
+// taken again from the arena.
 func TestPagedU8(t *testing.T) {
+	var src arena.Pool[uint8]
 	var p PagedU8
 	if p.Get(0) != 0 || p.Get(1<<20) != 0 {
 		t.Fatal("zero value not zero")
 	}
-	p.Set(3, 7)
-	p.Set(512, 9)  // second page
-	p.Set(5000, 1) // later page, skipping some
-	if p.Get(3) != 7 || p.Get(512) != 9 || p.Get(5000) != 1 || p.Get(4) != 0 {
+	const n = 5010 // counters: nine full pages and a tenth of 402
+	p.Set(3, 7, n, &src)
+	p.Set(512, 9, n, &src)  // second page
+	p.Set(5000, 1, n, &src) // last page, skipping some
+	if p.Get(3) != 7 || p.Get(512) != 9 || p.Get(5000) != 1 || p.Get(4) != 0 || p.Get(5009) != 0 {
 		t.Fatal("Set/Get broken")
 	}
-	if p.pages[1] == nil || p.pages[3] != nil {
+	if p.pages[1] == nil || p.pages[3] != nil || len(p.pages[0]) != 1<<pageShift || len(p.pages[9]) != n-9<<pageShift {
 		t.Fatal("unexpected page allocation pattern")
 	}
-	p.Reset()
-	if p.Get(3) != 0 || p.Get(512) != 0 || p.Get(5000) != 0 {
-		t.Fatal("Reset left counters")
+	p.Set(5100, 2, n, &src) // past the n given: the last page widens
+	if p.Get(5000) != 1 || p.Get(5100) != 2 || len(p.pages) != 10 {
+		t.Fatal("widened page lost a counter")
 	}
-	if p.pages[0] == nil {
-		t.Fatal("Reset dropped pages")
+	p.Release(&src)
+	if p.Get(3) != 0 || p.Get(512) != 0 || p.Get(5000) != 0 || len(p.pages) != 0 {
+		t.Fatal("Release left counters")
 	}
-	allocs := testing.AllocsPerRun(100, func() { p.Set(3, 1); p.Set(5000, 2) })
+	var small PagedU8
+	small.Set(27, 1, 28, &src) // a 28-segment flow
+	if len(small.pages[0]) != 28 {
+		t.Fatalf("28-counter page holds %d", len(small.pages[0]))
+	}
+	small.Release(&src)
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Set(3, 1, n, &src)
+		p.Set(5000, 2, n, &src)
+		p.Release(&src)
+	})
 	if allocs != 0 {
-		t.Fatalf("Set on touched pages = %v allocs, want 0", allocs)
+		t.Fatalf("Set after Release = %v allocs, want 0: pages come back from the arena", allocs)
 	}
 }
 
 // TestPagedU8Random cross-checks against a map over a clustered index
-// distribution (like real retx offsets).
+// distribution (like real retx offsets), releasing now and then.
 func TestPagedU8Random(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var src arena.Pool[uint8]
 	var p PagedU8
 	ref := make(map[int64]uint8)
+	const n = 1<<14 - 100
 	for op := 0; op < 50000; op++ {
-		i := int64(rng.Intn(1 << 14))
-		if rng.Intn(2) == 0 {
+		i := int64(rng.Intn(n))
+		switch r := rng.Intn(1000); {
+		case r == 0:
+			p.Release(&src)
+			clear(ref)
+		case r < 500:
 			v := uint8(rng.Intn(256))
-			p.Set(i, v)
+			p.Set(i, v, n, &src)
 			ref[i] = v
-		} else if p.Get(i) != ref[i] {
-			t.Fatalf("op %d: Get(%d) = %d, want %d", op, i, p.Get(i), ref[i])
+		default:
+			if p.Get(i) != ref[i] {
+				t.Fatalf("op %d: Get(%d) = %d, want %d", op, i, p.Get(i), ref[i])
+			}
 		}
 	}
 }

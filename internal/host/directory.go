@@ -20,8 +20,8 @@ import (
 // a slot one host's flow vacates warms the next flow of any host, and each
 // packet a host receives resolves its flow once in the table of its kind: an
 // ACK in senders, data in orders and receivers. What the slots' values point
-// to moves with them, so the reorder buffers' arenas and the duplicate
-// filters' chunk source live here too.
+// to moves with them, so the arenas of the reorder buffers, the duplicate
+// filters' tables and the retransmission counters live here too.
 //
 // A finished flow leaves what a later straggler of it can still observe, in
 // the smallest form that gives the same answer: a retired inbound flow is a
@@ -69,20 +69,22 @@ type directory struct {
 	bufV  arena.Pool[uint32]
 	bufAt arena.Pool[units.Time]
 
-	filterChunks cuckoo.Chunks
+	filters cuckoo.Arena      // the markers' duplicate filters' tables
+	retx    arena.Pool[uint8] // pages of sending flows' retransmission counters
 }
 
 // sendFlow is an outgoing flow's state at its source host, which lives from
 // Sender.Start to the sender's completion: the transport endpoint its ACKs go
 // to (Host.Bind) and its marking state (Marker.StartFlow). The slot goes when
-// both are gone; a recycled slot keeps its retx pages for the next flow.
+// both are gone; a recycled slot keeps its retx page list, emptied when the
+// last flow ended, for the next flow.
 type sendFlow struct {
 	handler Handler // nil when unbound
 	mark    markerFlow
 }
 
 // sender returns flow's sendFlow slot, taking one — with the last tenant's
-// retx pages, and nothing else of its — if the flow has none.
+// retx page list, and nothing else of its — if the flow has none.
 func (d *directory) sender(flow uint64) *sendFlow {
 	s, existed := d.senders.PutReuse(flow)
 	if !existed {

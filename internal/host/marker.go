@@ -53,7 +53,7 @@ func DefaultMarkerConfig() MarkerConfig {
 
 // markerFlow is an outgoing flow's marking state, part of its sendFlow slot
 // in the directory. Slots are recycled across flows: StartFlow resets every
-// field, and the retx pages keep their backing.
+// field, and EndFlow gives the retx pages back to the directory's arena.
 type markerFlow struct {
 	size   int64
 	hi     int64           // highest first-transmitted seq; -1 before any
@@ -91,7 +91,7 @@ func newMarker(cfg MarkerConfig, dir *directory, src uint32) *Marker {
 		capHint = 1 << 16
 	}
 	m := &Marker{cfg: cfg, dir: dir, src: uint64(src) << 32}
-	m.filter.Init(capHint, &dir.filterChunks)
+	m.filter.Init(capHint, &dir.filters)
 	return m
 }
 
@@ -110,7 +110,7 @@ func (m *Marker) StartFlow(flow uint64, dst int, size int64) {
 	f.hi = -1
 	f.flowID = id
 	f.live = true
-	f.retx.Reset() // recycled slots must start with clean counters
+	f.retx.Release(&m.dir.retx) // a restarted flow starts with clean counters
 }
 
 // EndFlow removes a completed flow from the flow table and clears its
@@ -130,7 +130,7 @@ func (m *Marker) EndFlow(flow uint64) {
 		// Zero-length flows mark exactly one (empty) segment at seq 0.
 		m.filter.Delete(sig(flow, 0))
 	}
-	f.retx.Reset()
+	f.retx.Release(&m.dir.retx)
 	f.live = false
 	if s.handler == nil {
 		m.dir.senders.Delete(flow)
@@ -202,7 +202,7 @@ func (m *Marker) mark(f *markerFlow, flow uint64, seq int64) packet.FlowInfo {
 		c := f.retx.Get(seg)
 		if m.cfg.Boosting && c < packet.MaxRetx {
 			c++
-			f.retx.Set(seg, c)
+			f.retx.Set(seg, c, (f.size+packet.MSS-1)/packet.MSS, &m.dir.retx)
 			m.Boosts++
 		}
 		retcnt = c

@@ -330,7 +330,8 @@ func heapPop(h []heapNode) []heapNode {
 }
 
 // migrate moves overflow events into the ring as long as their bucket lies
-// within a ring span of the cursor, and reaps the tombstones among them.
+// within a ring span of the cursor, and reaps the tombstones among them and,
+// if what stays behind is a quarter dead, the rest.
 // Called whenever the cursor advances, so the overflow invariant (bucket >=
 // curB + nBuckets) holds between calls and the ring always contains the
 // global minimum when it is non-empty. The cursor having just moved, no
@@ -351,17 +352,23 @@ func (e *Engine) migrate() {
 		e.ring[s] = append(e.room(s), nd)
 		e.ringCnt++
 	}
+	// Live nodes leaving shrink the heap around its tombstones: once they
+	// are a quarter of it, compact, as Cancel does.
+	if e.overDead > 0 && 4*e.overDead >= len(e.overflow) {
+		e.compact()
+	}
 }
 
 // compact filters every tombstone out of the overflow heap, recycles the
 // frames, and re-heapifies the survivors in place. Cancel triggers it once a
-// quarter of the heap is dead, so the cost is O(n) but amortized O(1) per
-// cancel; without it, long-deadline timers re-armed at high rate (TCP RTOs
-// reset on every ACK) would pile dead frames up in the heap until their
-// deadlines came within a ring span. The ring needs no such pass: a bucket
-// drains, reaping its tombstones, within one ring span of simulated time.
-// Removal cannot change fire order: extraction selects by the (at, seq)
-// total order, never by position.
+// quarter of the heap is dead, as does migrate when live nodes leaving make
+// it so, so the cost is O(n) but amortized O(1) per cancel; without it,
+// long-deadline timers re-armed at high rate (TCP RTOs reset on every ACK)
+// would pile dead frames up in the heap until their deadlines came within a
+// ring span. The ring needs no such pass: a bucket drains, reaping its
+// tombstones, within one ring span of simulated time. Removal cannot change
+// fire order: extraction selects by the (at, seq) total order, never by
+// position.
 func (e *Engine) compact() {
 	h := e.overflow
 	kept := h[:0]

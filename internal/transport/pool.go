@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"vertigo/internal/arena"
 	"vertigo/internal/fabric"
 	"vertigo/internal/host"
 	"vertigo/internal/metrics"
@@ -86,8 +87,8 @@ func (sp *SenderPool) Allocated() int { return len(sp.slabs) * connSlab }
 
 // maxKeepIntervals bounds the out-of-order interval backing arrays a
 // recycled receiver slot keeps. A pathological reordering burst can grow
-// them arbitrarily; past this they are dropped so one bad flow does not pin
-// memory for the rest of the run.
+// them arbitrarily; past this they go back to the pool's arena, so one bad
+// flow does not pin memory in its slot for the rest of the run.
 const maxKeepIntervals = 1024
 
 // ReceiverPool recycles Receiver slots the same way SenderPool recycles
@@ -104,6 +105,7 @@ type ReceiverPool struct {
 	free  []*Receiver
 	live  int
 	fin   host.HandlerFunc
+	ivs   arena.Pool[interval] // the receivers' out-of-order interval arrays
 }
 
 // NewReceiverPool returns a receiver pool for one run. eng and net are the
@@ -168,13 +170,16 @@ func (rp *ReceiverPool) Accept(h *host.Host, first *packet.Packet) func(*packet.
 }
 
 // release retires the finished flow to the shared fin handler and returns
-// the slot to the free list, trimming burst-grown interval buffers.
+// the slot to the free list, returning burst-grown interval arrays to the
+// arena.
 func (rp *ReceiverPool) release(r *Receiver) {
 	r.h.Retire(r.flow, rp.fin)
 	if cap(r.ooo) > maxKeepIntervals {
+		rp.ivs.Put(r.ooo)
 		r.ooo = nil
 	}
 	if cap(r.scratch) > maxKeepIntervals {
+		rp.ivs.Put(r.scratch)
 		r.scratch = nil
 	}
 	rp.live--

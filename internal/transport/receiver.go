@@ -34,6 +34,11 @@ type Receiver struct {
 
 type interval struct{ lo, hi int64 }
 
+// firstIntervals is the capacity of a receiver slot's first interval arrays:
+// room for a reordering episode's few gaps. They, and their doublings up to
+// the arena's largest carved class, are carved from the pool's arena.
+const firstIntervals = 8
+
 // init resets a slot for a new inbound flow, keeping the slot's prebuilt
 // handler closure and burst-grown interval backing arrays.
 func (r *Receiver) init(rp *ReceiverPool, h *host.Host, met *metrics.Collector, ids *packet.IDGen, first *packet.Packet) {
@@ -112,7 +117,13 @@ func (r *Receiver) admit(lo, hi int64) int64 {
 		fresh -= overlap(interval{lo, hi}, iv)
 	}
 	// Merge [lo,hi) into the sorted disjoint set, writing into the spare
-	// backing array so steady-state merges don't allocate.
+	// backing array, which the pool's arena widens beforehand to hold the
+	// merge's worst case, one interval more than there are.
+	if cap(r.scratch) <= len(r.ooo) {
+		n := max(2*cap(r.scratch), len(r.ooo)+1, firstIntervals)
+		r.rp.ivs.Put(r.scratch)
+		r.scratch = r.rp.ivs.Get(n)
+	}
 	cur := interval{lo, hi}
 	out := r.scratch[:0]
 	inserted := false

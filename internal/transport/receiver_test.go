@@ -10,7 +10,7 @@ import "testing"
 // three of every four allocations of the leaf-spine incast workloads.
 func TestAdmitReusesItsArrays(t *testing.T) {
 	const seg = 1000
-	r := &Receiver{}
+	r := &Receiver{rp: &ReceiverPool{}}
 	next := int64(0)
 	// One round: segments k+1..k+4 arrive ahead of k, which then arrives and
 	// lets the pointer sweep over all five — every round leaves ooo empty, by
@@ -31,6 +31,9 @@ func TestAdmitReusesItsArrays(t *testing.T) {
 	round()
 	if avg := testing.AllocsPerRun(1000, round); avg != 0 {
 		t.Fatalf("steady out-of-order admits allocate %.2f objects a round, want 0", avg)
+	}
+	if cap(r.ooo) != firstIntervals || cap(r.scratch) != firstIntervals || r.rp.ivs.Misses() != 2 {
+		t.Fatalf("arrays of %d and %d intervals after %d arena misses; want the two first arrays, %d each", cap(r.ooo), cap(r.scratch), r.rp.ivs.Misses(), firstIntervals)
 	}
 	// A partial advance keeps what it leaves, in order.
 	r.admit(next+2*seg, next+3*seg)
