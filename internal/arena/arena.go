@@ -13,7 +13,10 @@
 // window. A large fabric has tens of thousands of owners that each need one,
 // and one allocation apiece is most of what such a run asks of the
 // allocator; a miss in a small size class is therefore carved from a chunk
-// that serves many.
+// that serves many. A pool's chunks start small and double, so a pool that
+// hands out a few arrays — a marker's, an orderer's on its own — holds a few
+// arrays' worth, and one that serves a fabric reaches full chunks in a
+// handful of steps.
 //
 // Pools are not safe for concurrent use; each simulation engine owns its
 // own (one engine == one goroutine, matching the rest of the simulator).
@@ -30,10 +33,12 @@ const (
 	// holding its high-water mark forever.
 	maxPerClass = 16
 	// carveClasses is how many of the smallest size classes — arrays of up
-	// to 1<<(carveClasses-1) elements — are carved from chunks of chunkLen
-	// elements. An array carved from a chunk cannot be freed on its own, so
+	// to 1<<(carveClasses-1) elements — are carved from chunks: the first
+	// of firstChunk elements, each next one twice its predecessor, up to
+	// chunkLen. An array carved from a chunk cannot be freed on its own, so
 	// dropping one would strand it: these classes retain whatever is Put.
 	carveClasses = 7
+	firstChunk   = 16
 	chunkLen     = 2048
 )
 
@@ -42,6 +47,7 @@ const (
 type Pool[T any] struct {
 	classes [numClasses][][]T
 	chunk   []T // uncarved remainder of the newest chunk
+	chunkN  int // length of the newest chunk
 	hits    uint64
 	misses  uint64
 }
@@ -74,7 +80,8 @@ func (a *Pool[T]) Get(n int) []T {
 	if len(a.chunk) < 1<<c {
 		// The remainder, shorter than this class, is left behind: at most
 		// one array's worth a chunk.
-		a.chunk = make([]T, chunkLen)
+		a.chunkN = min(max(2*a.chunkN, firstChunk, 1<<c), chunkLen)
+		a.chunk = make([]T, a.chunkN)
 	}
 	s := a.chunk[: 0 : 1<<c]
 	a.chunk = a.chunk[1<<c:]

@@ -142,3 +142,27 @@ func TestSmallClassesAreCarvedFromChunks(t *testing.T) {
 		t.Fatalf("%d of the returned arrays were not kept", a.Misses()-misses)
 	}
 }
+
+// TestChunksStartSmallAndDouble: a pool's first chunk is firstChunk elements
+// and each next one twice the last, up to chunkLen — so a pool that hands out
+// a single small array holds a small chunk — and a class larger than the
+// next doubling gets a chunk of its own size.
+func TestChunksStartSmallAndDouble(t *testing.T) {
+	var a Pool[int]
+	var got []int
+	for len(got) < 12 {
+		if a.Get(1); len(a.chunk) == a.chunkN-1 { // a fresh chunk's first array
+			got = append(got, a.chunkN)
+		}
+	}
+	want := []int{16, 32, 64, 128, 256, 512, 1024, 2048, 2048, 2048, 2048, 2048}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("chunk lengths %v, want %v", got, want)
+		}
+	}
+	var b Pool[int]
+	if b.Get(1 << (carveClasses - 1)); b.chunkN != 1<<(carveClasses-1) {
+		t.Fatalf("a first miss for %d elements carved a chunk of %d", 1<<(carveClasses-1), b.chunkN)
+	}
+}

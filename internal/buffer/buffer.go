@@ -26,6 +26,13 @@ type Mem struct {
 // fabric never hold more.
 const seedLen = 32
 
+// reclaimFloor is how long a consumed prefix may grow before Pop moves the
+// live packets back to the front, once they are no more than it. Low enough
+// that a port kept busy by a packet or two compacts well inside its seed
+// array instead of doubling it on every lap; the copy is of at most as many
+// packets as were popped since the last one, so Pop stays amortized O(1).
+const reclaimFloor = 8
+
 // compact reclaims the consumed prefix of a deferred-compaction queue slice
 // once the head index dominates it, returning the live suffix moved to the
 // front. When the backing array was grown by a deep burst and occupancy has
@@ -109,7 +116,7 @@ func (q *DropTailQueue) Pop() *packet.Packet {
 	q.bytes -= p.Size()
 	// Reclaim the consumed prefix when the queue drains or once it dominates
 	// the slice.
-	if q.head == len(q.pkts) || q.head > 64 && q.head*2 >= len(q.pkts) {
+	if q.head == len(q.pkts) || q.head > reclaimFloor && q.head*2 >= len(q.pkts) {
 		q.pkts = compact(&q.mem.pkts, q.pkts, q.head)
 		q.head = 0
 	}
@@ -257,7 +264,7 @@ func (q *SortedQueue) Pop() *packet.Packet {
 	q.bytes -= p.Size()
 	// Reclaim the consumed prefix when the queue drains or once it dominates
 	// the slice.
-	if q.head == len(q.pkts) || q.head > 64 && q.head*2 >= len(q.pkts) {
+	if q.head == len(q.pkts) || q.head > reclaimFloor && q.head*2 >= len(q.pkts) {
 		q.rewind()
 	}
 	return p

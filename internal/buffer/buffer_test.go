@@ -358,3 +358,39 @@ func TestSortedTailFastPathOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestBusyQueueArraysFollowOccupancy: a queue kept busy by two to four
+// packets through 10k of them holds arrays sized to that, not to how long it
+// has been busy. Its packet and rank arrays must stay within their 32-entry
+// seed under both disciplines: a consumed prefix left to grow to 64 entries
+// before compaction doubles them, lap after lap, to 128.
+func TestBusyQueueArraysFollowOccupancy(t *testing.T) {
+	const pkts = 10000
+	for _, tc := range []struct {
+		name  string
+		q     Queue
+		slots func() (pkts, ranks int)
+	}{
+		{name: "droptail", q: NewDropTail(1 << 30)},
+		{name: "sorted", q: NewSorted(1 << 30)},
+	} {
+		switch q := tc.q.(type) {
+		case *DropTailQueue:
+			tc.slots = func() (int, int) { return cap(q.pkts), 0 }
+		case *SortedQueue:
+			tc.slots = func() (int, int) { return cap(q.pkts), cap(q.ranks) }
+		}
+		rng := rand.New(rand.NewSource(1))
+		for pushed := 0; pushed < pkts; {
+			if n := tc.q.Len(); n < 2 || n < 4 && rng.Intn(2) == 0 {
+				tc.q.Push(dataPkt(uint32(rng.Intn(100)), 100))
+				pushed++
+			} else {
+				tc.q.Pop()
+			}
+		}
+		if p, r := tc.slots(); p > 32 || r > 32 {
+			t.Errorf("%s: holds %d packet and %d rank slots for %d packets, want at most 32", tc.name, p, r, tc.q.Len())
+		}
+	}
+}

@@ -732,11 +732,12 @@ func (pt *Port) arrive() {
 	pt.inflight[pt.infHead].p = nil
 	pt.infHead++
 	// Reclaim the consumed prefix so a continuously busy link cannot
-	// grow the slice without bound (only a handful of packets fit in
-	// one propagation delay, so the copy is tiny).
+	// grow the slice without bound, nor one carrying a frame or two double
+	// it lap after lap (only a handful of packets fit in one propagation
+	// delay, so the copy is tiny).
 	if pt.infHead == len(pt.inflight) {
 		pt.releaseInflight()
-	} else if pt.infHead > 32 && pt.infHead*2 >= len(pt.inflight) {
+	} else if pt.infHead > 4 && pt.infHead*2 >= len(pt.inflight) {
 		pt.inflight = append(pt.inflight[:0], pt.inflight[pt.infHead:]...)
 		pt.infHead = 0
 	}

@@ -187,3 +187,64 @@ func TestPickPowerOfNMatchesCopyingReference(t *testing.T) {
 		}
 	}
 }
+
+// TestBusyPortInflightFollowsOccupancy: a port kept busy by a frame or two
+// carries an in-flight FIFO sized to that, not to how long it has been busy.
+// Host 0 keeps a window of packets toward host 2 a couple beyond what the
+// path holds, for 10k packets, over links long enough to carry two frames
+// each: its NIC always has a packet or two queued and on the wire. Every
+// in-flight FIFO must stay within 16 entries, under both disciplines: a
+// consumed prefix left to grow to 32 entries before compaction doubles it,
+// lap after lap, to 64. (buffer.TestBusyQueueArraysFollowOccupancy bounds
+// the queues' arrays the same way.)
+func TestBusyPortInflightFollowsOccupancy(t *testing.T) {
+	const pkts, window = 10000, 12
+	for _, pol := range []Policy{Vertigo, ECMP} {
+		tp, err := topo.NewLeafSpine(topo.LeafSpineConfig{
+			Spines: 2, Leaves: 2, HostsPerLeaf: 2,
+			HostRate: 10 * units.Gbps, FabricRate: 40 * units.Gbps,
+			LinkDelay: 2 * units.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sim.NewEngine(1)
+		net := New(eng, tp, metrics.NewCollector(), DefaultConfig(pol))
+		var ids packet.IDGen
+		sent, delivered, peak := 0, 0, 0
+		send := func() {
+			p := net.Pool().Get()
+			*p = *dataPkt(&ids, 0, 2, 1, 1000)
+			net.Send(p)
+			if sent++; sent > 2*window { // past the opening burst
+				peak = max(peak, net.nics[0].qs.Len())
+			}
+		}
+		for h := 0; h < tp.NumHosts; h++ {
+			net.RegisterHost(h, recvFunc(func(p *packet.Packet) {
+				delivered++
+				net.Pool().Put(p)
+				if sent < pkts {
+					send()
+				}
+			}))
+		}
+		for i := 0; i < window; i++ {
+			send()
+		}
+		eng.Run(units.Second)
+		if delivered != pkts {
+			t.Fatalf("%v: delivered %d of %d", pol, delivered, pkts)
+		}
+		if peak < 2 || peak > 4 {
+			t.Fatalf("%v: host 0's NIC queued up to %d packets, want a couple", pol, peak)
+		}
+		for i := range net.ports {
+			pt := &net.ports[i]
+			if n := cap(pt.inflight); n > 16 {
+				t.Errorf("%v: port %d (switch %d, index %d) holds %d in-flight slots, want at most 16",
+					pol, i, pt.sw, pt.idx, n)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"runtime"
 	"testing"
 
 	"vertigo/internal/fabric"
@@ -248,4 +249,34 @@ func TestMarkerWarmFlowAllocatesNothing(t *testing.T) {
 	if m.FilterOverflows != 0 {
 		t.Fatalf("%d filter overflows at default capacity", m.FilterOverflows)
 	}
+}
+
+// TestStandaloneMarkerIsSmall: a marker built on its own — the wire marker,
+// one per TX queue — holds memory for what it marks, not a shared fabric's
+// worth of chunks. Two hundred markers that each mark ten segments of a
+// flow must average well under the 42 KB one held when a first miss in any
+// of its pools' small classes carved a full 2,048-element chunk (24 KiB of
+// it behind one 8-slot duplicate-filter table).
+func TestStandaloneMarkerIsSmall(t *testing.T) {
+	const markers, segs, limit = 200, 10, 24 << 10
+	ms := make([]*Marker, markers)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range ms {
+		m := NewMarker(DefaultMarkerConfig())
+		m.StartFlow(1, 0, segs*packet.MSS)
+		for k := 0; k < segs; k++ {
+			m.Mark(&packet.Packet{Flow: 1, Seq: int64(k) * packet.MSS, PayloadLen: packet.MSS})
+		}
+		ms[i] = m
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / markers
+	t.Logf("%d markers hold %d B each", markers, per)
+	if per > limit {
+		t.Errorf("a marker that marked %d segments holds %d B, want at most %d", segs, per, limit)
+	}
+	runtime.KeepAlive(ms)
 }

@@ -3,13 +3,14 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"vertigo/internal/units"
 )
 
 // This file cross-validates the calendar scheduler — unordered ring buckets
-// heapified and drained in (at, seq) order as the cursor reaches them, a
+// sorted once as the cursor reaches them and drained from their end, a
 // 4-ary overflow heap, lazy cancellation — against a deliberately naive
 // reference scheduler: an unsorted slice scanned for the minimum (at, seq)
 // on every step. The reference is too slow to simulate anything but
@@ -325,19 +326,30 @@ const ringSpan = units.Time(nBuckets << bucketShift)
 // runScript executes ops pseudo-random operations derived from seed on both
 // schedulers. A dense script adds the operations that put the engine where a
 // k=16 fat-tree does: bursts of 300+ tie-heavy events inside one bucket whose
-// handlers schedule into, and cancel out of, the bucket being drained
-// (sometimes enough at once to tombstone most of it mid-drain); events near
+// handlers schedule into the bucket being drained — at its current minimum
+// instant, its last one and in between — and cancel out of it (the node due
+// next, sometimes enough at once to tombstone most of it mid-drain), the
+// burst's minimum sometimes cancelled before the cursor arrives; events near
 // and past the ring span, which end up sharing slots with a later lap once a
 // long Run window parks the cursor and a schedule rewinds it; far timers
 // cancelled after a rewind, on both sides of the ring's edge, against the
-// engine's count of overflow tombstones (see probe); and PeekTime between
-// windows.
+// engine's count of overflow tombstones (see probe); overflow timers that
+// migrate into a bucket where direct schedules then join them at the same
+// instants; a dense bucket sharing its slot with a dense far-wrap lap after
+// a rewind, which the counting sort must hand to the comparison sort twice —
+// for the far-wrap nodes, and a lap later for their descending ties; and
+// PeekTime between windows.
 func runScript(t *testing.T, seed int64, ops int, dense bool) {
 	t.Helper()
 	p := newPair(t, "")
-	// Both sides must make the same choices, so all randomness comes from one
-	// stream consumed identically for both.
+	// Both sides must make the same choices, so all randomness comes from
+	// streams consumed identically for both. The sorted-drain operations —
+	// the burst's minimum-instant, last-instant and next-minimum handlers,
+	// and the operations after each op (see sortedDrainOp) — draw from a
+	// second stream, so that rng makes the same draws, and a seed replays
+	// the same operations, as before they existed.
 	rng := rand.New(rand.NewSource(seed))
+	xrng := rand.New(rand.NewSource(^seed))
 
 	for op := 0; op < ops; op++ {
 		p.tag = fmt.Sprintf("seed %d op %d", seed, op)
@@ -367,20 +379,50 @@ func runScript(t *testing.T, seed int64, ops int, dense bool) {
 				base = 0 // bucket 0 ahead started before now: spill into it and the next
 			}
 			first := len(p.engTimers)
-			for i := 0; i < n; i++ {
-				h := plain
-				switch rng.Intn(16) {
+			hs, kinds, ds := make([]inHandler, n), make([]int, n), make([]units.Time, n)
+			for i := range hs {
+				hs[i] = plain
+				kinds[i] = rng.Intn(16)
+				switch kinds[i] {
 				case 0, 1, 2: // child lands in the bucket being drained, or the next
-					h.nest = units.Time(rng.Intn(12))
+					hs[i].nest = units.Time(rng.Intn(12))
 				case 3, 4, 5: // cancel a node that has not surfaced (or has)
-					h.cancelLo = first + rng.Intn(n)
-					h.cancelHi = h.cancelLo + 1
+					hs[i].cancelLo = first + rng.Intn(n)
+					hs[i].cancelHi = hs[i].cancelLo + 1
 				case 6: // cancel the whole burst
 					if rng.Intn(8) == 0 {
-						h.cancelLo, h.cancelHi = first, first+n
+						hs[i].cancelLo, hs[i].cancelHi = first, first+n
 					}
 				}
-				p.after(base+units.Time(rng.Intn(1<<bucketShift)), h)
+				ds[i] = base + units.Time(rng.Intn(1<<bucketShift))
+			}
+			// fireOrder lists the burst in (at, seq) order; next[i] is the
+			// burst timer due after timer i, the bucket's minimum once i fired.
+			fireOrder := make([]int, n)
+			for i := range fireOrder {
+				fireOrder[i] = i
+			}
+			sort.SliceStable(fireOrder, func(a, b int) bool { return ds[fireOrder[a]] < ds[fireOrder[b]] })
+			next := make([]int, n)
+			for j, i := range fireOrder {
+				next[i] = fireOrder[(j+1)%n]
+			}
+			for i, h := range hs {
+				switch kinds[i] {
+				case 7: // child at the drained bucket's current minimum instant, or its last
+					if at := p.eng.Now() + ds[i]; xrng.Intn(2) == 0 {
+						h.nest = 0
+					} else {
+						h.nest = (at | (1<<bucketShift - 1)) - at
+					}
+				case 8: // cancel the bucket's minimum once this one has fired
+					h.cancelLo = first + next[i]
+					h.cancelHi = h.cancelLo + 1
+				}
+				p.after(ds[i], h)
+			}
+			if xrng.Intn(4) == 0 { // the burst's minimum, before the cursor arrives
+				p.cancel(first + fireOrder[0])
 			}
 		case k == 11: // near the ring's far edge, and past it into overflow
 			p.after(ringSpan-units.Time(rng.Intn(64<<bucketShift))+units.Time(rng.Intn(3))*ringSpan/2, plain)
@@ -411,9 +453,57 @@ func runScript(t *testing.T, seed int64, ops int, dense bool) {
 		if len(p.engTimers) > 0 {
 			p.probe(rng.Intn(len(p.engTimers)))
 		}
+		if dense && xrng.Intn(12) == 0 {
+			p.tag = fmt.Sprintf("seed %d op %d sorted drain", seed, op)
+			p.sortedDrainOp(xrng)
+			if len(p.engTimers) > 0 {
+				p.probe(xrng.Intn(len(p.engTimers)))
+			}
+		}
 	}
 	p.tag = fmt.Sprintf("seed %d drain", seed)
 	p.drain()
+}
+
+// sortedDrainOp is one of the dense operations aimed at sortBucket's paths:
+// overflow timers that migrate into a bucket where direct schedules then
+// join them at the same instants, or a dense bucket sharing its slot with a
+// dense far-wrap lap after a rewind, which the counting sort must hand to the
+// comparison sort twice — for the far-wrap nodes, and a lap later for their
+// descending ties.
+func (p *pair) sortedDrainOp(rng *rand.Rand) {
+	p.t.Helper()
+	if rng.Intn(2) == 0 {
+		b := max(p.eng.curB, int64(p.eng.Now())>>bucketShift) + nBuckets + int64(rng.Intn(8))
+		in := func() units.Time { return units.Time(b<<bucketShift+int64(rng.Intn(4))) - p.eng.Now() }
+		for i, n := 0, 6+rng.Intn(12); i < n; i++ {
+			p.after(in(), plain)
+		}
+		// The cursor's arrival at the pacer's bucket migrates bucket b.
+		walk := units.Time((b-nBuckets+1)<<bucketShift) - p.eng.Now()
+		p.after(walk, plain)
+		p.run(walk + units.Time(rng.Intn(64)))
+		for i, n := 0, 6+rng.Intn(12); i < n; i++ {
+			p.after(in(), plain)
+		}
+		return
+	}
+	p.run(units.Time(rng.Intn(4 << bucketShift))) // may park the cursor past now
+	r, c := int64(p.eng.Now())>>bucketShift+1, p.eng.curB
+	if c <= r {
+		return // not parked: nothing to rewind
+	}
+	// Bucket f lies within a span of the parked cursor, so it goes into the
+	// ring, and a full span past r, where a schedule rewinds it.
+	f := r + nBuckets + int64(rng.Intn(int(c-r)))
+	in := func(b int64) units.Time { return units.Time(b<<bucketShift+int64(rng.Intn(4))) - p.eng.Now() }
+	for i, n := 0, 13+rng.Intn(8); i < n; i++ {
+		p.after(in(f), plain)
+	}
+	p.after(in(r), plain)
+	for i, n := 0, 13+rng.Intn(8); i < n; i++ {
+		p.after(in(f-nBuckets), plain)
+	}
 }
 
 // TestCrossValidateAgainstReference runs many random interleavings. Each

@@ -541,7 +541,8 @@ func ringCap(e *Engine) (nodes int) {
 // that dense as the cursor passes, but only the 64 buckets of the window are
 // at any instant, so the bucket arrays must total a small multiple of the
 // pending set — not 2,048 times the densest bucket, which is what a ring whose
-// buckets each kept the array they grew comes to (~525k nodes here).
+// buckets each kept the array they grew comes to (~525k nodes here). The
+// sort's scratch array is one bucket's worth.
 func TestRingMemoryFollowsDenseWindow(t *testing.T) {
 	const (
 		perBucket = 256
@@ -563,6 +564,11 @@ func TestRingMemoryFollowsDenseWindow(t *testing.T) {
 	t.Logf("%d pending, bucket arrays hold %d nodes", pending, got)
 	if got > 4*pending {
 		t.Errorf("bucket arrays hold %d nodes after four dense laps, want at most 4 x the %d pending", got, pending)
+	}
+	// The counting sort's scratch array trades places with the buckets it
+	// sorts: it is the size of the densest bucket's array, and no bigger.
+	if c := cap(eng.sortBuf); c < perBucket || c > 2*perBucket {
+		t.Errorf("sort scratch holds %d nodes, want the densest bucket's %d to %d", c, perBucket, 2*perBucket)
 	}
 	// The arrays go round: whatever the free list could not supply in the
 	// first lap it has by now.
@@ -665,6 +671,105 @@ func TestRearmedFarTimersDoNotPinFrames(t *testing.T) {
 	for k, got := range fired {
 		if got != uint64(k) {
 			t.Fatalf("fire %d was timer %d", k, got)
+		}
+	}
+}
+
+// TestMigrateCompactsQuarterDeadHeap: live timers migrating out of the
+// overflow heap leave its tombstones behind, and once those are a quarter of
+// what stays, migrate compacts it as Cancel would. Twenty of 100 far timers
+// are cancelled — too few for Cancel to compact — and the cursor's jump to
+// the first migrates the 32 within a ring span, leaving 20 dead of 68.
+func TestMigrateCompactsQuarterDeadHeap(t *testing.T) {
+	const K, dead = 100, 20
+	eng := NewEngine(1)
+	var fired []uint64
+	fire := func(k uint64) { fired = append(fired, k) }
+	base := units.Time(2 * nBuckets << bucketShift)
+	timers := make([]Timer, K)
+	for k := range timers {
+		timers[k] = eng.AtArg(base+units.Time(k*64<<bucketShift), fire, uint64(k))
+	}
+	for k := K - dead; k < K; k++ {
+		timers[k].Cancel()
+	}
+	if eng.overDead != dead || eng.Stats().HeapSweeps != 0 {
+		t.Fatalf("after %d cancels: %d counted dead, %d compactions", dead, eng.overDead, eng.Stats().HeapSweeps)
+	}
+	eng.Run(base)
+	if len(fired) != 1 || eng.overDead != 0 || eng.Stats().HeapSweeps != 1 {
+		t.Fatalf("fired %d; overflow heap holds %d nodes, %d counted dead, after %d compactions; want 1 fired and one compaction",
+			len(fired), len(eng.overflow), eng.overDead, eng.Stats().HeapSweeps)
+	}
+	eng.Run(units.Second)
+	if len(fired) != K-dead {
+		t.Fatalf("fired %d of %d live timers", len(fired), K-dead)
+	}
+	for k, got := range fired {
+		if got != uint64(k) {
+			t.Fatalf("fire %d was timer %d", k, got)
+		}
+	}
+}
+
+// TestSortedDrainAfterRewind: a slot holding two dense laps — far-wrap nodes
+// scheduled while Run left the cursor parked ahead, then the cursor's own
+// lap after a schedule behind it rewinds it — cannot be counting-sorted on
+// its instants alone: the laps share them. Its first drain leaves the far
+// lap in descending order, ties included, which a lap later is not the
+// counting sort's either. Both must fall back to the comparison sort, and
+// everything fires in (at, seq) order.
+func TestSortedDrainAfterRewind(t *testing.T) {
+	const perLap = 2 * insertionMax
+	eng := NewEngine(1)
+	type sched struct {
+		at units.Time
+		id uint64
+	}
+	var want []sched
+	var fired []uint64
+	fire := func(id uint64) {
+		if eng.Now() != want[id].at {
+			t.Errorf("event %d fired at %v, want %v", id, eng.Now(), want[id].at)
+		}
+		fired = append(fired, id)
+	}
+	at := func(t units.Time) {
+		id := uint64(len(want))
+		want = append(want, sched{t, id})
+		eng.AtArg(t, fire, id)
+	}
+	const parked = 100 // bucket the cursor parks on
+	at(parked << bucketShift)
+	eng.Run(10)
+	if eng.curB != parked {
+		t.Fatalf("cursor at bucket %d after Run, want it parked at %d", eng.curB, parked)
+	}
+	// Bucket 1 lies behind the cursor; bucket 1 + nBuckets, within a span of
+	// it, goes into the same ring slot.
+	for i := 0; i < perLap; i++ {
+		at(units.Time((1+nBuckets)<<bucketShift + i%4))
+	}
+	for i := 0; i < perLap; i++ {
+		at(units.Time(1<<bucketShift + i%4))
+	}
+	if eng.curB != 1 {
+		t.Fatalf("cursor at bucket %d after a schedule behind it, want it rewound to 1", eng.curB)
+	}
+	// The cursor's lap first: a far-lap node sorted last would leave the
+	// rest of it stranded a lap on.
+	eng.Run(2 << bucketShift)
+	if len(fired) != perLap {
+		t.Fatalf("fired %d events by the end of bucket 1, want its %d", len(fired), perLap)
+	}
+	eng.Run(units.Second)
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d of %d events", len(fired), len(want))
+	}
+	for i, w := range want {
+		if fired[i] != w.id {
+			t.Fatalf("fire %d was event %d, want %d (at %v)", i, fired[i], w.id, w.at)
 		}
 	}
 }
