@@ -53,10 +53,9 @@ func DecodeOption(b []byte) (FlowInfo, error) {
 // retransmissions with a cuckoo filter, and boosts their priority. Boosts
 // counts the boosts applied, FilterOverflows the signatures the filter was
 // too full to keep (each one a retransmission that may go unboosted: raise
-// MarkerOptions.FlowCapacity). A Marker is about 80 KB once it has marked a
-// segment, most of it the filter's first slab of pages, and about 105 KB with
-// a thousand segments in flight: build one per TX queue, not one per
-// connection.
+// MarkerOptions.FlowCapacity). A Marker is about 18 KB once it has marked a
+// segment and about 68 KB with a thousand segments in flight: build one per
+// TX queue, not one per connection.
 type Marker = host.WireMarker
 
 // Orderer is the RX-path ordering component (paper §3.3): it re-sequences
@@ -64,8 +63,8 @@ type Marker = host.WireMarker
 // early segments for at most the ordering timeout τ. It is sans-IO: the
 // caller passes the time to every call, in non-decreasing order (an earlier
 // time counts as the latest seen), and arms its own timer for NextDeadline.
-// Each Orderer owns an event engine, flow table and packet slab: about 250 KB
-// when built, 340 KB once it has received a segment. Build one per RX queue,
+// Each Orderer owns an event engine, flow table and packet slab: about 260 KB
+// when built, 315 KB once it has received a segment. Build one per RX queue,
 // not one per connection.
 //
 //	ready := o.Receive(time.Now(), seg)

@@ -14,8 +14,9 @@ import (
 // the flows that are open, not the flows that have been. A small
 // Vertigo+DCTCP run, stopped at T and again at 2T, holds a flow record per
 // open flow, a bound handler per live sender and receiver — a finished
-// inbound flow is a bit, not a binding — and one pending reclaim event for
-// all its orderer tombstones, where each used to have its own.
+// inbound flow is a bit, not a binding — a receive slot per live receiver or
+// ordering state, and one pending reclaim event for all its orderer
+// tombstones, where each used to have its own.
 func TestRunFootprintFollowsLiveFlows(t *testing.T) {
 	const T = 10 * units.Millisecond
 	cfg := smallConfig(fabric.Vertigo, transport.DCTCP)
@@ -51,6 +52,10 @@ func TestRunFootprintFollowsLiveFlows(t *testing.T) {
 		}
 		if fp.Handlers > live {
 			t.Errorf("at %v: %d handlers bound for %d live senders and receivers", until, fp.Handlers, live)
+		}
+		if fp.RecvSlots > w.receivers.Live()+fp.OrderSlots {
+			t.Errorf("at %v: %d receive slots for %d live receivers and %d ordering states",
+				until, fp.RecvSlots, w.receivers.Live(), fp.OrderSlots)
 		}
 		if fp.ReclaimEvents > 1 {
 			t.Errorf("at %v: %d reclaim events pending for %d tombstones", until, fp.ReclaimEvents, fp.Reclaims)

@@ -11,37 +11,36 @@ import (
 )
 
 // directory is the flow state of every host of one simulation: one table per
-// kind of state, keyed by flow (the epochs by source and destination), where
-// each host used to keep four tables of its own. A per-host key space mirrors
-// the deployable prototype (§4.4) but buys a simulator nothing — a simulated
-// flow ID is already simulation-unique, and a flow has one source and one
-// destination — and costs a thousand-host run four thousand tables, built
-// again in every domain of a sharded run. Here an idle host costs its struct,
-// a slot one host's flow vacates warms the next flow of any host, and each
-// packet a host receives resolves its flow once in the table of its kind: an
-// ACK in senders, data in orders and receivers. What the slots' values point
-// to moves with them, so the arenas of the reorder buffers, the duplicate
-// filters' tables and the retransmission counters live here too.
+// end of a flow, keyed by flow, and the epochs, keyed by source and
+// destination. A per-host key space mirrors the deployable prototype (§4.4)
+// but buys a simulator nothing — a simulated flow ID is simulation-unique,
+// and a flow has one source and one destination — and costs a thousand-host
+// run thousands of tables, built again in every domain of a sharded run.
+// Here an idle host costs its struct, a slot one host's flow vacates warms
+// the next flow of any host, and a packet a host receives resolves its flow
+// once: an ACK in senders, data in receivers, where the orderer's probe
+// leaves the slot in the last-hit cache for the dispatch of what it releases.
+// What the slots point to moves with them, so the arenas of the reorder
+// buffers, the duplicate filters' tables and the retransmission counters
+// live here too.
 //
-// A finished flow leaves what a later straggler of it can still observe, in
-// the smallest form that gives the same answer: a retired inbound flow is a
-// bit (Host.Retire), and an orderer tombstone is its 24-byte slot plus an
-// entry in one reclaim queue, which a single timer drains in deadline order.
+// A finished flow leaves what a later straggler of it can still observe: a
+// retired inbound flow is a bit (Host.Retire), and an orderer tombstone the
+// ordering half of its 32-byte slot plus a 16-byte entry in one reclaim
+// queue, which a single timer drains in deadline order.
 //
 // Hosts built against one fabric.Network share its directory (directoryOf); a
 // marker or orderer built on its own — the wire components' — has a directory
 // of one, which is the prototype's per-host key space.
 type directory struct {
-	senders   flowtab.Table[sendFlow]  // outgoing flows at their source
-	receivers flowtab.Table[Handler]   // inbound flows' transport endpoints
-	epochs    flowtab.Table[uint8]     // (source, destination): next 3-bit flow epoch
-	orders    flowtab.Table[orderFlow] // inbound flows' ordering state
-	retired   flowtab.Bits             // flows a receiver finished (Host.Retire)
-	fin       Handler                  // takes the retired flows' data packets
+	senders   flowtab.Table[sendFlow] // outgoing flows at their source
+	receivers flowtab.Table[recvFlow] // inbound flows at their destination
+	epochs    flowtab.Table[uint8]    // (source, destination): next 3-bit flow epoch
+	retired   flowtab.Bits            // flows a receiver finished (Host.Retire)
+	fin       Handler                 // takes the retired flows' data packets
 
-	// orderers resolves the orderer that armed a τ timer or queued a
-	// tombstone, by the index its buffer record or reclaim entry carries,
-	// for the two handlers below, built once for all hosts.
+	// orderers are the hosts' orderers, by the index a slot names
+	// (orderFlow.owner), for the two handlers below, built once for all.
 	orderers             []*Orderer
 	onTimeout, onReclaim sim.ArgHandler
 	eng                  *sim.Engine // the orderers' engine, which runs onReclaim
@@ -83,6 +82,24 @@ type sendFlow struct {
 	mark    markerFlow
 }
 
+// recvFlow is an inbound flow's state at its destination host: the transport
+// endpoint its data goes to, from the acceptor's until Host.Retire, and its
+// ordering state, from Orderer.newFlow until Orderer.reclaim. The slot goes
+// when both are gone: a flow whose receiver retires keeps its tombstone, and
+// a flow whose tombstone is reclaimed keeps its receiver.
+type recvFlow struct {
+	deliver func(*packet.Packet) // nil when unbound
+	order   orderFlow
+}
+
+// order returns flow's ordering state, or nil if it has none.
+func (d *directory) order(flow uint64) *orderFlow {
+	if r := d.receivers.Get(flow); r != nil && r.order.live {
+		return &r.order
+	}
+	return nil
+}
+
 // sender returns flow's sendFlow slot, taking one — with the last tenant's
 // retx page list, and nothing else of its — if the flow has none.
 func (d *directory) sender(flow uint64) *sendFlow {
@@ -97,16 +114,16 @@ func (d *directory) sender(flow uint64) *sendFlow {
 func newDirectory() *directory {
 	d := &directory{}
 	d.onTimeout = func(flow uint64) {
-		st := d.orders.Get(flow)
-		d.orderers[d.buf(st.buf).owner].timeout(flow, st)
+		st := d.order(flow)
+		d.orderers[st.owner].timeout(flow, st)
 	}
 	d.onReclaim = func(uint64) {
 		now := d.eng.Now()
 		for d.reclaimHead < len(d.reclaims) && d.reclaims[d.reclaimHead].at <= now {
 			e := d.reclaims[d.reclaimHead]
 			d.reclaimHead++
-			if st := d.orders.Get(e.flow); st != nil {
-				d.orderers[e.owner].reclaim(e.flow, st)
+			if r := d.receivers.Get(e.flow); r != nil && r.order.live {
+				d.orderers[r.order.owner].reclaim(e.flow, r)
 			}
 		}
 		if d.reclaimHead == len(d.reclaims) {
@@ -126,18 +143,16 @@ func newDirectory() *directory {
 // τ at a small run's pace, and the doubling past it is short.
 const reclaimFirst = 256
 
-// reclaimEntry is a tombstone's place in the reclaim queue: its flow, the
-// orderer holding it, and when its τ runs out.
+// reclaimEntry is a tombstone's place in the reclaim queue: its flow and
+// when its τ runs out. The flow's slot names the orderer holding it.
 type reclaimEntry struct {
-	flow  uint64
-	at    units.Time
-	owner int32
+	flow uint64
+	at   units.Time
 }
 
-// retire queues owner's tombstone of flow for collection at at, arming the
-// queue's event if it was idle.
-func (d *directory) retire(flow uint64, owner int32, at units.Time) {
-	d.reclaims = append(d.reclaims, reclaimEntry{flow, at, owner})
+// retire queues flow's tombstone for collection at at, arming an idle queue.
+func (d *directory) retire(flow uint64, at units.Time) {
+	d.reclaims = append(d.reclaims, reclaimEntry{flow, at})
 	if !d.reclaimArmed {
 		d.reclaimArmed = true
 		d.eng.SchedArg(at, d.onReclaim, 0)
@@ -153,8 +168,7 @@ func (d *directory) buf(ref int32) *orderBuf {
 	return &d.bufPages[i/bufPage][i%bufPage]
 }
 
-// getBuf checks an empty buffer record out: the one drained last, or a new
-// one.
+// getBuf checks out an empty buffer record: the one drained last, or a new one.
 func (d *directory) getBuf() int32 {
 	if ref := d.freeBuf; ref != 0 {
 		d.freeBuf = d.buf(ref).next
@@ -171,8 +185,7 @@ func (d *directory) getBuf() int32 {
 // its next flow; burst-grown arrays past it go back to the arenas.
 const keepBuf = 1024
 
-// putBuf returns a drained buffer record, whose timer is disarmed, to the
-// free list.
+// putBuf returns a drained record, its timer disarmed, to the free list.
 func (d *directory) putBuf(ref int32) {
 	b := d.buf(ref)
 	if cap(b.bufV) > keepBuf {
@@ -187,8 +200,7 @@ func (d *directory) putBuf(ref int32) {
 	b.next, d.freeBuf = d.freeBuf, ref
 }
 
-// directoryOf returns the directory of net's simulation, creating it for the
-// first host built.
+// directoryOf returns net's directory, creating it for the first host built.
 func directoryOf(net *fabric.Network) *directory {
 	d, _ := net.Ext.(*directory)
 	if d == nil {
@@ -202,6 +214,7 @@ func directoryOf(net *fabric.Network) *directory {
 // directory once the flows behind it have come and gone.
 type Footprint struct {
 	Handlers      int // bound flows: one per live sender and live receiver
+	RecvSlots     int // inbound flows with a bound receiver, ordering state or both
 	RetiredPages  int // 512-byte pages of retired inbound flow IDs
 	OrderSlots    int // ordering states: open, stranded in order, tombstones
 	OrderBuffers  int // reorder buffers out, one per slot holding packets
@@ -214,12 +227,26 @@ func FootprintOf(net *fabric.Network) Footprint { return directoryOf(net).footpr
 
 func (d *directory) footprint() Footprint {
 	f := Footprint{
-		Handlers:     d.senders.Len() + d.receivers.Len(),
+		RecvSlots:    d.receivers.Len(),
 		RetiredPages: d.retired.Pages(),
-		OrderSlots:   d.orders.Len(),
 		OrderBuffers: int(d.nbufs),
 		Reclaims:     len(d.reclaims) - d.reclaimHead,
 	}
+	d.senders.Range(func(_ uint64, s *sendFlow) bool {
+		if s.handler != nil {
+			f.Handlers++
+		}
+		return true
+	})
+	d.receivers.Range(func(_ uint64, r *recvFlow) bool {
+		if r.deliver != nil {
+			f.Handlers++
+		}
+		if r.order.live {
+			f.OrderSlots++
+		}
+		return true
+	})
 	for ref := d.freeBuf; ref != 0; ref = d.buf(ref).next {
 		f.OrderBuffers--
 	}

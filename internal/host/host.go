@@ -50,7 +50,7 @@ func NewHost(id int, eng *sim.Engine, net *fabric.Network, met *metrics.Collecto
 	if vertigoStack {
 		h.Marker = newMarker(mcfg, dir, uint32(id))
 		h.Orderer = newOrderer(eng, ocfg, h.dispatch, dir, int32(id))
-		h.Orderer.SetCollector(met)
+		h.Orderer.met = met
 	}
 	net.RegisterHost(id, h)
 	return h
@@ -69,12 +69,9 @@ func (h *Host) Bind(flow uint64, hd Handler) { h.dir.sender(flow).handler = hd }
 
 // Unbind removes an outgoing flow's handler.
 func (h *Host) Unbind(flow uint64) {
-	s := h.dir.senders.Get(flow)
-	if s == nil {
-		return
-	}
-	s.handler = nil
-	if !s.mark.live {
+	if s := h.dir.senders.Get(flow); s != nil && s.mark.live {
+		s.handler = nil
+	} else {
 		h.dir.senders.Delete(flow)
 	}
 }
@@ -83,9 +80,13 @@ func (h *Host) Unbind(flow uint64) {
 // stragglers and retransmissions — to fin, which answers for every flow the
 // simulation's hosts retire. What stays of the flow is one bit in the
 // directory, not a binding: flow IDs are simulation-unique, so a retired ID
-// never names a new flow.
+// never names a new flow. The slot stays while it holds ordering state.
 func (h *Host) Retire(flow uint64, fin Handler) {
-	h.dir.receivers.Delete(flow)
+	if r := h.dir.receivers.Get(flow); r != nil && r.order.live {
+		r.deliver = nil
+	} else {
+		h.dir.receivers.Delete(flow)
+	}
 	h.dir.retired.Set(flow)
 	h.dir.fin = fin
 }
@@ -129,8 +130,8 @@ func (h *Host) dispatch(p *packet.Packet) {
 			return
 		}
 	} else {
-		if hp := d.receivers.Get(p.Flow); hp != nil {
-			(*hp).Handle(p)
+		if r := d.receivers.Get(p.Flow); r != nil && r.deliver != nil {
+			r.deliver(p)
 			return
 		}
 		if d.fin != nil && d.retired.Has(p.Flow) {
@@ -139,8 +140,8 @@ func (h *Host) dispatch(p *packet.Packet) {
 		}
 		if h.accept != nil {
 			if fn := h.accept(p); fn != nil {
-				hp, _ := d.receivers.Put(p.Flow)
-				*hp = HandlerFunc(fn)
+				r, _ := d.receivers.Put(p.Flow)
+				r.deliver = fn
 				fn(p)
 				return
 			}

@@ -28,38 +28,35 @@ func DefaultOrdererConfig() OrdererConfig {
 
 // orderFlow is the per-flow state of the Fig. 4 state machine. The three
 // paper states map onto the fields: Init ⇔ no state, In-order Receive ⇔ no
-// buffer, Out-of-order Receive ⇔ a buffer (and its timer armed).
-//
-// Entries live in the directory's flow table and are recycled, across
-// hosts. A slot is 24 bytes: what a flow needs in order, and in its afterlife
-// as a tombstone, is its expectation and its finish time. The reorder buffer
-// and its timer are a separate record the slot holds only while packets wait
-// in it (see orderBuf); a flow's timer carries the flow ID as its argument
-// (see directory.onTimeout), so the slot itself holds no callback.
+// buffer, Out-of-order Receive ⇔ a buffer (and its timer armed). It is the
+// ordering half of the flow's recvFlow slot, 24 bytes: what a flow needs in
+// order, and as a tombstone, is its expectation, its finish time and its
+// orderer. The reorder buffer and its τ timer are a record it holds only while
+// packets wait (orderBuf); the timer and the reclaim entry carry the flow ID,
+// which resolves to this state and so to its owner (directory.onTimeout).
 type orderFlow struct {
+	live        bool // the orderer holds the flow
 	hasExpected bool
 	finished    bool   // flow fully delivered; state lingers as a tombstone
 	expected    uint32 // position value of the next in-order packet
 	buf         int32  // one plus the index of the held reorder buffer, 0 for none
+	owner       int32  // the orderer's index in directory.orderers
 	finishedAt  units.Time
 }
 
 // orderBuf is one flow's reorder buffer while it holds packets, and the τ
-// timer those packets wait on. It is struct-of-arrays: held packet i of the
-// live window [head, len) is (bufP[i], bufV[i], bufAt[i]). Splitting the
-// former 24-byte entry struct keeps the position values bufferEarly
-// binary-searches densely packed — sixteen uint32 per cache line instead of
-// two entries — and lets each array recycle through the directory's arenas
-// independently when a burst-grown buffer drains. A drained buffer goes
-// back to the directory's free list with its modest arrays, warm for the
-// next flow that buffers anything.
+// timer those packets wait on. Held packet i of the live window [head, len)
+// is (bufP[i], bufV[i], bufAt[i]): struct-of-arrays keeps the positions
+// bufferEarly binary-searches dense, and lets each array recycle through the
+// directory's arenas on its own when a burst-grown buffer drains. A drained
+// record goes back to the directory's free list with its modest arrays, warm
+// for the next flow that buffers anything.
 type orderBuf struct {
 	head  int              // index of the first live entry
 	bufP  []*packet.Packet // held packets, flow order
 	bufV  []uint32         // their un-boosted position values
 	bufAt []units.Time     // their arrival times (timer deadlines)
 	timer sim.Timer
-	owner int32 // the orderer whose flow holds the record, which its timer fires on
 	next  int32 // on the directory's free list: the record under it
 }
 
@@ -111,17 +108,8 @@ func newOrderer(eng *sim.Engine, cfg OrdererConfig, deliver func(*packet.Packet)
 	return o
 }
 
-// SetCollector mirrors the orderer's telemetry into a metrics collector.
-func (o *Orderer) SetCollector(met *metrics.Collector) { o.met = met }
-
 // ActiveFlows returns the number of flows with ordering state.
 func (o *Orderer) ActiveFlows() int { return o.active }
-
-// forget drops flow's ordering state.
-func (o *Orderer) forget(flow uint64) {
-	o.dir.orders.Delete(flow)
-	o.active--
-}
 
 // position returns the packet's un-boosted position value.
 func (o *Orderer) position(p *packet.Packet) uint32 {
@@ -156,31 +144,26 @@ func (o *Orderer) done(nextExpected uint32, p *packet.Packet) bool {
 	return p.Fin
 }
 
-// newFlow creates ordering state for a first-seen flow.
+// newFlow creates ordering state for a first-seen flow, or for one whose
+// tombstone has expired, in the flow's receive slot. A flow whose first-seen
+// packet is not flagged First started with reordering; we buffer until the
+// First packet or a timeout reveals where to start.
 func (o *Orderer) newFlow(p *packet.Packet, v uint32) *orderFlow {
-	st, _ := o.dir.orders.Put(p.Flow)
-	o.active++
-	if p.Info.First {
-		st.hasExpected = true
-		st.expected = v
+	r, _ := o.dir.receivers.Put(p.Flow)
+	if !r.order.live {
+		o.active++
 	}
-	// A flow whose first-seen packet is not flagged First started with
-	// reordering; we buffer until the First packet or a timeout reveals
-	// where to start.
-	return st
+	r.order = orderFlow{live: true, hasExpected: p.Info.First, expected: v, owner: o.owner}
+	return &r.order
 }
 
 // Receive processes one marked data packet.
 func (o *Orderer) Receive(p *packet.Packet) {
 	v := o.position(p)
-	st := o.dir.orders.Get(p.Flow)
-	if st != nil && st.finished && o.eng.Now() >= st.finishedAt+o.cfg.Timeout {
-		// The tombstone expired τ after the finish, whether or not the
+	st := o.dir.order(p.Flow)
+	if st == nil || st.finished && o.eng.Now() >= st.finishedAt+o.cfg.Timeout {
+		// A tombstone expires τ after the finish, whether or not the
 		// directory's reclaim has collected it yet: the flow is new again.
-		o.forget(p.Flow)
-		st = nil
-	}
-	if st == nil {
 		st = o.newFlow(p, v)
 	}
 
@@ -231,16 +214,7 @@ func (o *Orderer) growBuf(b *orderBuf) {
 }
 
 // bufCap is the capacity usable across all three parallel arrays.
-func (b *orderBuf) bufCap() int {
-	c := cap(b.bufP)
-	if cv := cap(b.bufV); cv < c {
-		c = cv
-	}
-	if ct := cap(b.bufAt); ct < c {
-		c = ct
-	}
-	return c
-}
+func (b *orderBuf) bufCap() int { return min(cap(b.bufP), cap(b.bufV), cap(b.bufAt)) }
 
 // deliverRun delivers p, then drains every buffered packet that has become
 // consecutive. A drained buffer goes back to the directory with its timer
@@ -282,17 +256,24 @@ func (o *Orderer) deliverRun(st *orderFlow, p *packet.Packet, v uint32) {
 func (o *Orderer) finish(flow uint64, st *orderFlow) {
 	st.finished = true
 	st.finishedAt = o.eng.Now()
-	o.dir.retire(flow, o.owner, st.finishedAt+o.cfg.Timeout)
+	o.dir.retire(flow, st.finishedAt+o.cfg.Timeout)
 }
 
-// reclaim removes a tombstone a full τ after it finished; a reclaim entry
-// resolves its flow to the state the flow holds now (see
-// directory.onReclaim). The age check stands in for an identity test: a
-// straggler past τ may have given the flow new state, in order or finished
-// later, which it keeps until its own finish is τ old.
-func (o *Orderer) reclaim(flow uint64, st *orderFlow) {
-	if st.finished && o.eng.Now() >= st.finishedAt+o.cfg.Timeout {
-		o.forget(flow)
+// reclaim drops a tombstone a full τ after it finished, and its slot with
+// it unless a receiver is bound there; a reclaim entry resolves its flow to
+// the slot the flow holds now (see directory.onReclaim). The age check
+// stands in for an identity test: a straggler past τ may have given the flow
+// new state, in order or finished later, which it keeps until its own finish
+// is τ old.
+func (o *Orderer) reclaim(flow uint64, r *recvFlow) {
+	if st := &r.order; !st.finished || o.eng.Now() < st.finishedAt+o.cfg.Timeout {
+		return
+	}
+	o.active--
+	if r.deliver != nil {
+		r.order.live = false
+	} else {
+		o.dir.receivers.Delete(flow)
 	}
 }
 
@@ -301,7 +282,6 @@ func (o *Orderer) reclaim(flow uint64, st *orderFlow) {
 func (o *Orderer) bufferEarly(st *orderFlow, p *packet.Packet, v uint32) {
 	if st.buf == 0 {
 		st.buf = o.dir.getBuf()
-		o.dir.buf(st.buf).owner = o.owner
 	}
 	b := o.dir.buf(st.buf)
 	// Inlined sort.Search over the live window [head, len): first index
@@ -349,22 +329,16 @@ func (o *Orderer) bufferEarly(st *orderFlow, p *packet.Packet, v uint32) {
 	}
 }
 
-// debugTimeout, when set by tests, observes every ordering timeout.
-var debugTimeout func(flow uint64, hasExp bool, expected, headV uint32, buflen int, now units.Time)
-
 // armAt arms flow's buffer timer at at (paper §3.3.2 event 2: the
 // head-of-buffer arrival plus τ), or at now if that has passed.
 func (o *Orderer) armAt(flow uint64, b *orderBuf, at units.Time) {
-	if at < o.eng.Now() {
-		at = o.eng.Now()
-	}
-	b.timer = o.eng.AtArg(at, o.dir.onTimeout, flow)
+	b.timer = o.eng.AtArg(max(at, o.eng.Now()), o.dir.onTimeout, flow)
 }
 
 // timeout releases buffered packets up to the next gap (paper §3.3.2 event
 // 4): the transport now sees the gap and can run its own loss recovery. The
-// timer event resolves its flow to the state and the buffer record's orderer
-// (see directory.onTimeout); a fired timer's state and buffer always still
+// timer event resolves its flow to the state and the state's orderer (see
+// directory.onTimeout); a fired timer's state and buffer always still
 // exist, since every path that drains a buffer cancels its timer first.
 func (o *Orderer) timeout(flow uint64, st *orderFlow) {
 	b := o.dir.buf(st.buf)
@@ -372,9 +346,6 @@ func (o *Orderer) timeout(flow uint64, st *orderFlow) {
 	o.Timeouts++
 	if o.met != nil {
 		o.met.OrderTimeout++
-	}
-	if debugTimeout != nil {
-		debugTimeout(flow, st.hasExpected, st.expected, b.bufV[b.head], len(b.bufV)-b.head, o.eng.Now())
 	}
 	// Skip the gap: the next packet in flow order becomes the new expected.
 	ep, ev := b.bufP[b.head], b.bufV[b.head]

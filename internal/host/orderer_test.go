@@ -189,7 +189,7 @@ func TestOrdererSlotChurnAllocatesNothing(t *testing.T) {
 					p.Flow++
 				}
 				tc.arrive(o, pkts)
-				if st := o.dir.orders.Get(pkts[0].Flow); first == nil {
+				if st := o.dir.order(pkts[0].Flow); first == nil {
 					first = st
 				} else if st != first {
 					t.Fatalf("tenant %d landed in slot %p, want the recycled slot %p", tenants, st, first)
@@ -262,8 +262,8 @@ func TestOrdererFreshSlotsShareChunks(t *testing.T) {
 // event for any number of tombstones; and a straggler that outlives τ leaves
 // an in-order slot that holds no buffer.
 func TestTombstoneExpiresAtDeadline(t *testing.T) {
-	if n := unsafe.Sizeof(orderFlow{}); n > 24 {
-		t.Fatalf("an ordering slot is %d bytes, want at most 24", n)
+	if o, r, e := unsafe.Sizeof(orderFlow{}), unsafe.Sizeof(recvFlow{}), unsafe.Sizeof(reclaimEntry{}); o > 24 || r > 32 || e != 16 {
+		t.Fatalf("ordering state %d bytes, receive slot %d, reclaim entry %d; want at most 24, at most 32, and 16", o, r, e)
 	}
 	eng := sim.NewEngine(1)
 	cfg := DefaultOrdererConfig()
@@ -280,7 +280,7 @@ func TestTombstoneExpiresAtDeadline(t *testing.T) {
 	var recreated *orderFlow
 	eng.At(finish+tau, func() {
 		o.Receive(pkts[0])
-		recreated = o.dir.orders.Get(1)
+		recreated = o.dir.order(1)
 	})
 	eng.Run(finish)
 	o.Receive(pkts[0])
@@ -290,7 +290,7 @@ func TestTombstoneExpiresAtDeadline(t *testing.T) {
 	}
 	eng.Run(finish + tau - 1)
 	o.Receive(pkts[0])
-	if st := o.dir.orders.Get(1); delivered != 3 || st == nil || !st.finished {
+	if st := o.dir.order(1); delivered != 3 || st == nil || !st.finished {
 		t.Fatalf("a straggler at finishedAt+τ-1: delivered %d, state %+v; want it passed through a tombstone", delivered, st)
 	}
 	eng.Run(finish + tau)
@@ -299,7 +299,7 @@ func TestTombstoneExpiresAtDeadline(t *testing.T) {
 	}
 	// Nothing ends the re-created state: it stays, stranded, with no buffer.
 	eng.Run(finish + 3*tau)
-	if st := o.dir.orders.Get(1); o.ActiveFlows() != 1 || st == nil || st.buf != 0 || o.dir.footprint().OrderBuffers != 0 {
+	if st := o.dir.order(1); o.ActiveFlows() != 1 || st == nil || st.buf != 0 || o.dir.footprint().OrderBuffers != 0 {
 		t.Fatalf("%d flows, state %+v, %d buffers; want one stranded in-order state holding none",
 			o.ActiveFlows(), st, o.dir.footprint().OrderBuffers)
 	}

@@ -102,7 +102,7 @@ func (o *WireOrderer) release(p *packet.Packet) {
 		o.curOut = true
 	} else {
 		if len(o.out) == cap(o.out) { // room for the rest of the flow's held run
-			o.out = slices.Grow(o.out, 1+o.buffered(o.dir.orders.Get(p.Flow)))
+			o.out = slices.Grow(o.out, 1+o.buffered(o.dir.order(p.Flow)))
 		}
 		o.out = append(o.out, o.held[p.ID])
 		o.held[p.ID] = WireSegment{}
