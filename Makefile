@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-budget test-short race race-serve vet shard-smoke fuzz-smoke benchmark-smoke benchmark-compare exp-small exp-medium examples clean
+.PHONY: all build test test-budget test-short race race-serve vet fuzz-smoke benchmark-smoke benchmark-compare exp-small exp-medium examples clean
 
 all: build vet test
 
@@ -35,35 +35,6 @@ race:
 # serve-smoke job runs first.
 race-serve:
 	$(GO) test -race -timeout 20m ./internal/serve/
-
-# Sharded runs outside `go test` — what CI's shard-smoke job runs (needs jq).
-# Per-count determinism at the CLI: two `-shards 2` renders of fig1 are the
-# same bytes. The offered workload is a function of the seed alone — not of
-# the shard count, not of the policy: all twelve runs of fig1 report the same
-# flows_started and queries_started serial and sharded, and every system at
-# one load reports the same pair. And every probe shards: `vertigo-sim -shards
-# 2 -telemetry -packet-trace` prints a Monitor report and writes a JSONL trace,
-# both merged across the domains, the same bytes on a second run.
-SMOKE := $(CURDIR)/.bench_build/shard-smoke
-STARTED := [.runs[] | [.label, .summary.flows_started, .summary.queries_started]] | sort
-SMOKE_SIM := $(GO) run ./cmd/vertigo-sim -scheme vertigo -duration 10ms -shards 2 -telemetry -packet-trace
-shard-smoke:
-	rm -rf $(SMOKE) && mkdir -p $(SMOKE)
-	$(GO) run ./cmd/vertigo-exp -scale tiny -shards 2 fig1 > $(SMOKE)/a.txt
-	$(GO) run ./cmd/vertigo-exp -scale tiny -shards 2 fig1 > $(SMOKE)/b.txt
-	test -s $(SMOKE)/a.txt && cmp $(SMOKE)/a.txt $(SMOKE)/b.txt
-	$(GO) run ./cmd/vertigo-exp -scale tiny -shards 0 -out $(SMOKE)/serial fig1 > /dev/null
-	$(GO) run ./cmd/vertigo-exp -scale tiny -shards 2 -out $(SMOKE)/sharded fig1 > /dev/null
-	jq -c '$(STARTED)' $(SMOKE)/serial/results.json > $(SMOKE)/serial.started
-	jq -c '$(STARTED)' $(SMOKE)/sharded/results.json > $(SMOKE)/sharded.started
-	jq -e 'length == 12 and all(.[]; .[1] > 0 and .[2] > 0)' $(SMOKE)/serial.started
-	jq -e 'group_by(.[0] | split("/")[2]) | length == 4 and all(.[]; map(.[1:]) | unique | length == 1)' $(SMOKE)/serial.started
-	cmp $(SMOKE)/serial.started $(SMOKE)/sharded.started
-	$(SMOKE_SIM) $(SMOKE)/p.jsonl > $(SMOKE)/sim-a.txt
-	$(SMOKE_SIM) $(SMOKE)/q.jsonl > $(SMOKE)/sim-b.txt
-	cmp $(SMOKE)/sim-a.txt $(SMOKE)/sim-b.txt && cmp $(SMOKE)/p.jsonl $(SMOKE)/q.jsonl
-	grep -q 'congestion episodes' $(SMOKE)/sim-a.txt
-	head -n 1 $(SMOKE)/p.jsonl | jq -e .t && tail -n 1 $(SMOKE)/p.jsonl | jq -e .t
 
 # Every fuzz target in the module, found by name, fuzzed for 10 s each —
 # what CI's fuzz-smoke job runs. Tier-1 runs only their checked-in seeds; a

@@ -6,12 +6,11 @@ import (
 	"testing"
 
 	"vertigo/internal/packet"
-	"vertigo/internal/pieo"
 	"vertigo/internal/units"
 )
 
 // TestSortedQueueMatchesPIEO cross-validates the fabric's SortedQueue
-// against the independent PIEO implementation: driven by the same random
+// against the independent PIEO list of pieo_test.go: driven by the same random
 // operation sequence, both must release identical rank sequences. Two
 // implementations agreeing under random interleavings of insert, pop-min
 // and extract-tail is strong evidence neither has an ordering bug. Every so
@@ -23,7 +22,7 @@ func TestSortedQueueMatchesPIEO(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		sq := NewSorted(1 << 30)
-		pl := pieo.NewList[*packet.Packet](256)
+		pl := newPIEOList[*packet.Packet](256)
 		id := uint64(0)
 		insert := func() {
 			id++
@@ -33,13 +32,13 @@ func TestSortedQueueMatchesPIEO(t *testing.T) {
 				Info:       packet.FlowInfo{RFS: uint32(rng.Intn(50))}, // ties likely
 			}
 			sq.Push(p)
-			pl.Insert(pieo.Item[*packet.Packet]{Value: p, Rank: p.Info.RFS})
+			pl.Insert(pieoItem[*packet.Packet]{Value: p, Rank: p.Info.RFS})
 		}
 		// remove takes one packet from the given end of both queues.
 		remove := func(at string, tail bool) {
 			t.Helper()
 			var a *packet.Packet
-			var b pieo.Item[*packet.Packet]
+			var b pieoItem[*packet.Packet]
 			var ok bool
 			if tail {
 				a = sq.ExtractTail()

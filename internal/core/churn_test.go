@@ -57,11 +57,9 @@ func TestFlowChurnAllocBudget(t *testing.T) {
 // to hurt: Run with one simulated nanosecond on the k=16 fat-tree — topology,
 // FIB, fabric, 1,024 Vertigo hosts, pools, armed generators — made 31,746
 // allocations and 32 MB while every host built its own four flow tables,
-// filter directory and orderer closures, and twice that sharded in two, each
-// domain building all 1,024 hosts to use half. An idle host now costs its
-// structs (host.TestIdleHostsCostTheirStructs), so a second domain's hosts
-// add what the first's do and no tables. Readings are process-wide: the
-// least of three.
+// filter directory and orderer closures. An idle host now costs its structs
+// (host.TestIdleHostsCostTheirStructs). Readings are process-wide: the least
+// of three.
 func TestSetupAllocatesByTheSimulationNotTheHost(t *testing.T) {
 	cfg := DefaultConfig(fabric.Vertigo, transport.DCTCP)
 	cfg.Kind = FatTree
@@ -71,29 +69,21 @@ func TestSetupAllocatesByTheSimulationNotTheHost(t *testing.T) {
 	cfg.IncastScale = 32
 	cfg.IncastFlowSize = 4000
 	cfg.SetIncastLoad(0.40)
-	setup := func(shards int) (mallocs, bytes uint64) {
-		cfg.Shards = shards
-		mallocs, bytes = ^uint64(0), ^uint64(0)
-		for i := 0; i < 3; i++ {
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			if _, err := Run(cfg); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&m1)
-			mallocs, bytes = min(mallocs, m1.Mallocs-m0.Mallocs), min(bytes, m1.TotalAlloc-m0.TotalAlloc)
+	mallocs, bytes := ^uint64(0), ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
 		}
-		return mallocs, bytes
+		runtime.ReadMemStats(&m1)
+		mallocs, bytes = min(mallocs, m1.Mallocs-m0.Mallocs), min(bytes, m1.TotalAlloc-m0.TotalAlloc)
 	}
-	for _, tc := range []struct {
-		shards         int
-		mallocs, bytes uint64 // measured 5,551 and 3.1 MB serial, 11,100 and 5.4 MB in two domains
-	}{{0, 8_000, 5 << 20}, {2, 16_000, 9 << 20}} {
-		mallocs, bytes := setup(tc.shards)
-		t.Logf("shards=%d: %d allocations, %.1f MB", tc.shards, mallocs, float64(bytes)/(1<<20))
-		if mallocs > tc.mallocs || bytes > tc.bytes {
-			t.Errorf("shards=%d: set-up made %d allocations of %.1f MB, want at most %d and %.1f MB",
-				tc.shards, mallocs, float64(bytes)/(1<<20), tc.mallocs, float64(tc.bytes)/(1<<20))
-		}
+	t.Logf("%d allocations, %.1f MB", mallocs, float64(bytes)/(1<<20))
+	// Measured 5,551 allocations and 3.1 MB.
+	const maxMallocs, maxBytes = 8_000, 5 << 20
+	if mallocs > maxMallocs || bytes > maxBytes {
+		t.Errorf("set-up made %d allocations of %.1f MB, want at most %d and %.1f MB",
+			mallocs, float64(bytes)/(1<<20), maxMallocs, float64(maxBytes)/(1<<20))
 	}
 }

@@ -78,9 +78,8 @@ type Config struct {
 	Telemetry       bool
 	TelemetryConfig telemetry.Config
 	// PacketTrace, when non-nil, receives one JSON object per dataplane
-	// event (fleet-wide packet capture, the trace.jsonl format; a sharded
-	// run's is merged by time); PacketTraceFlow filters to one flow (0 = all
-	// flows — beware volume).
+	// event (fleet-wide packet capture, the trace.jsonl format);
+	// PacketTraceFlow filters to one flow (0 = all flows — beware volume).
 	PacketTrace     io.Writer
 	PacketTraceFlow uint64
 
@@ -129,14 +128,10 @@ type Config struct {
 	// metrics.RawKeep keeps completed flows' records on Result.Collector.
 	RawSeries metrics.RawMode
 
-	// Shards, when > 1, splits the run across that many topology domains
-	// executing on separate cores under a conservative window protocol
-	// (see parallel.go), whatever else the config carries — every probe
-	// shards. Values 0 and 1 and topologies the partition cannot cut into more
-	// than one domain take the serial engine; Validate rejects negative ones. The offered workload is the
-	// same at any count and results are deterministic per count, but
-	// same-instant events commit in a partition-dependent order, so
-	// -shards=N is statistically — not bitwise — comparable to -shards=1.
+	// Shards has no effect at any value. It was the number of topology
+	// domains a run was split across on separate cores, which one execution
+	// path replaced; the field stays only because the frozen benchmark/
+	// package still assigns it, and the next benchmark PR removes both.
 	Shards int
 }
 
@@ -237,9 +232,6 @@ func (c *Config) Validate() error {
 	if c.WallTimeout < 0 {
 		return fmt.Errorf("core: negative wall timeout %v", c.WallTimeout)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", c.Shards)
-	}
 	if c.ChaosPanicAt < 0 || c.ChaosPanicAt > c.SimTime {
 		return fmt.Errorf("core: chaos panic at %v is outside the simulated window [0, %v]", c.ChaosPanicAt, c.SimTime)
 	}
@@ -290,23 +282,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	if cfg.Shards > 1 {
-		part, perr := topo.NewPartition(t, cfg.Shards)
-		if perr != nil {
-			return nil, perr
-		}
-		if part.N > 1 {
-			return runSharded(cfg, t, part)
-		}
-	}
-
-	w, err := newWorld(&cfg, t, nil, cfg.PacketTrace)
+	w, err := newWorld(&cfg, t)
 	if err != nil {
 		return nil, err
 	}
-	// The serial run owns every host (nil predicate) and mints flow IDs from
-	// the generator its packets share.
-	err = armGenerators(&cfg, w.eng, w.met, t.NumHosts, nil, func(src, dst int, size int64, incast bool, query int) {
+	// Flow IDs come from the generator the run's packets share.
+	err = armGenerators(&cfg, w.eng, w.met, t.NumHosts, func(src, dst int, size int64, incast bool, query int) {
 		spec := transport.FlowSpec{ID: w.ids.Next(), Src: src, Dst: dst, Size: size, Incast: incast, Query: query}
 		w.senders.Get(w.hosts[src], w.met, w.ids, spec, nil).Start()
 	})
@@ -326,11 +307,8 @@ func Run(cfg Config) (*Result, error) {
 // armGenerators arms cfg's synthetic workload on eng — background, trace
 // replay, incast, in the order that fixes each one's share of the engine's
 // random stream — with start called at every flow arrival. It is the only
-// way a run gets its workload: a serial run passes a nil owns; each domain of
-// a sharded run arms the same generators on its own identically seeded
-// engine, so all draw one schedule, and owns (the domain's hosts) confines a
-// query's registration to the domain of its client.
-func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts int, owns func(host int) bool, start workload.FlowStarter) error {
+// way a run gets its workload.
+func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts int, start workload.FlowStarter) error {
 	if cfg.BGLoad > 0 {
 		dist := cfg.BGDist
 		if dist == nil {
@@ -353,7 +331,7 @@ func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts i
 			Eng: eng, Met: met, Hosts: hosts,
 			QPS: cfg.IncastQPS, Scale: cfg.IncastScale, FlowSize: cfg.IncastFlowSize,
 			Periodic: cfg.IncastPeriodic, RequestDelay: cfg.RequestDelay,
-			Start: start, Owns: owns,
+			Start: start,
 		}
 		ic.Run(cfg.SimTime)
 	}
@@ -361,10 +339,9 @@ func armGenerators(cfg *Config, eng *sim.Engine, met *metrics.Collector, hosts i
 }
 
 // world is one assembled simulation stack — engine, collector, fabric with
-// its probes and faults, transport pools and every host — the whole of a
-// serial run and one domain of a sharded one. newWorld builds it up to the
-// point where the workload is armed; the caller arms it (armGenerators), then
-// calls bound, runs the engine, and calls finish.
+// its probes and faults, transport pools and every host. newWorld builds it
+// up to the point where the workload is armed; the caller arms it
+// (armGenerators), then calls bound, runs the engine, and calls finish.
 type world struct {
 	eng       *sim.Engine
 	met       *metrics.Collector
@@ -380,36 +357,19 @@ type world struct {
 	mon     *telemetry.Monitor
 	tracer  *telemetry.Tracer
 	sampler *telemetry.Sampler
-
-	// what names the world in an error: "run", or "shard 2".
-	what string
-	// first is false for a sharded run's domains past 0, which leave the
-	// flight recorder and the chaos panic to domain 0.
-	first bool
 }
 
-// newWorld assembles cfg's stack on t, as one domain of a sharded run when sd
-// is non-nil. Packet trace lines go to traceOut (nil: no tracer). The order
-// of the constructor, AddObserver and scheduling calls is part of a run's
-// identity — it fixes event sequence numbers and the position of random
-// draws — and is the same for both callers.
-func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Writer) (*world, error) {
-	w := &world{what: "run", first: true}
-	if sd != nil {
-		w.what, w.first = fmt.Sprintf("shard %d", sd.Domain), sd.Domain == 0
-	}
+// newWorld assembles cfg's stack on t. The order of the constructor,
+// AddObserver and scheduling calls is part of a run's identity — it fixes
+// event sequence numbers and the position of random draws.
+func newWorld(cfg *Config, t *topo.Topology) (*world, error) {
+	w := &world{}
 	eng := sim.NewEngine(cfg.Seed)
 	w.eng = eng
-	if w.first {
-		eng.SetFlight(cfg.Flight)
-	}
+	eng.SetFlight(cfg.Flight)
 	w.met = metrics.NewCollector()
 	w.met.RawSeries = cfg.RawSeries
-	if sd != nil {
-		w.net = fabric.NewSharded(eng, t, w.met, cfg.Fabric, sd)
-	} else {
-		w.net = fabric.New(eng, t, w.met, cfg.Fabric)
-	}
+	w.net = fabric.New(eng, t, w.met, cfg.Fabric)
 	w.ids = &packet.IDGen{}
 	eng.OnPublish(w.publish)
 
@@ -417,8 +377,8 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 		w.mon = telemetry.NewMonitor(eng, cfg.TelemetryConfig)
 		w.net.AddObserver(w.mon)
 	}
-	if traceOut != nil {
-		w.tracer = telemetry.NewTracer(eng, traceOut, cfg.PacketTraceFlow)
+	if cfg.PacketTrace != nil {
+		w.tracer = telemetry.NewTracer(eng, cfg.PacketTrace, cfg.PacketTraceFlow)
 		w.net.AddObserver(w.tracer)
 	}
 	if cfg.SampleTick > 0 {
@@ -445,10 +405,8 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 	w.senders = transport.NewSenderPool(cfg.Transport)
 	w.receivers = transport.NewReceiverPool(eng, w.net, w.met, w.ids)
 
-	// A sharded run's every domain instantiates all hosts (the fabric
-	// replica's NIC wiring expects them), but only owned hosts ever see
-	// traffic. The others cost their structs: flow state lives in the
-	// domain's one directory, whose tables grow with the flows it holds.
+	// Flow state lives in the run's one host directory, whose tables grow
+	// with the flows it holds; an idle host costs its struct.
 	w.hosts = make([]*host.Host, t.NumHosts)
 	for i := range w.hosts {
 		h := host.NewHost(i, eng, w.net, w.met, cfg.Marker, ocfg, vertigoStack)
@@ -461,12 +419,10 @@ func newWorld(cfg *Config, t *topo.Topology, sd *fabric.ShardCtx, traceOut io.Wr
 }
 
 // bound arms what can cut the run short: the chaos-drill panic, the
-// wall-clock watchdog and the event cap (per domain when sharded: any single
-// shard firing MaxEvents events aborts the run, which bounds a runaway
-// scenario as deterministically as the serial cap does). It comes after the
-// workload is armed, so the panic's sequence number follows the generators'.
+// wall-clock watchdog and the event cap. It comes after the workload is
+// armed, so the panic's sequence number follows the generators'.
 func (w *world) bound(cfg *Config) {
-	if w.first && cfg.ChaosPanicAt > 0 {
+	if cfg.ChaosPanicAt > 0 {
 		at := cfg.ChaosPanicAt
 		w.eng.At(at, func() {
 			panic(fmt.Sprintf("core: deliberate chaos panic at t=%v (ChaosPanicAt)", at))
@@ -480,34 +436,25 @@ func (w *world) bound(cfg *Config) {
 	}
 }
 
-// overBudget reports a run the watchdog or the event cap stopped.
-func (w *world) overBudget(cfg *Config) error {
-	if w.eng.DeadlineExceeded() {
-		return fmt.Errorf("core: %s exceeded its %v wall-clock budget at t=%v (%d events fired): %w",
-			w.what, cfg.WallTimeout, w.eng.Now(), w.eng.Events(), ErrWallBudget)
-	}
-	if w.eng.MaxEventsExceeded() {
-		return fmt.Errorf("core: %s exceeded its %d-event budget at t=%v: %w",
-			w.what, cfg.MaxEvents, w.eng.Now(), ErrMaxEvents)
-	}
-	return nil
-}
-
 // finish closes a world whose engine has run to the horizon: it replays the
 // pops due by then, so the totals do not depend on which ports happened to be
 // touched last, publishes the last registry growth and withdraws the world's
 // pending events from the gauge, fails an over-budget run, flushes the
 // probes and detaches them from the world (a retained Result keeps what they
-// recorded, not the world), and returns the world's own collector and
-// counters, unmerged and without a Summary — summarizing is the caller's,
-// over one collector or the merge.
+// recorded, not the world), and returns the world's collector and counters
+// without a Summary, which is Run's to make.
 func (w *world) finish(cfg *Config) (*Result, error) {
 	w.net.SettleAll()
 	w.publish()
 	regPending.Add(int64(-w.pub.pending)) // the engine is done
 	w.pub.pending = 0
-	if err := w.overBudget(cfg); err != nil {
-		return nil, err
+	if w.eng.DeadlineExceeded() {
+		return nil, fmt.Errorf("core: run exceeded its %v wall-clock budget at t=%v (%d events fired): %w",
+			cfg.WallTimeout, w.eng.Now(), w.eng.Events(), ErrWallBudget)
+	}
+	if w.eng.MaxEventsExceeded() {
+		return nil, fmt.Errorf("core: run exceeded its %d-event budget at t=%v: %w",
+			cfg.MaxEvents, w.eng.Now(), ErrMaxEvents)
 	}
 	if w.mon != nil {
 		w.mon.Finish()
@@ -517,7 +464,7 @@ func (w *world) finish(cfg *Config) (*Result, error) {
 	}
 	if w.tracer != nil {
 		if err := w.tracer.Flush(); err != nil {
-			return nil, fmt.Errorf("core: flushing %s packet trace: %w", w.what, err)
+			return nil, fmt.Errorf("core: flushing run packet trace: %w", err)
 		}
 	}
 	return &Result{

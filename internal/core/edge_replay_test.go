@@ -141,7 +141,7 @@ func captureEdges(t *testing.T, cfg Config) (*edgeCapture, *world) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWorld(&cfg, tp, nil, nil)
+	w, err := newWorld(&cfg, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func captureEdges(t *testing.T, cfg Config) (*edgeCapture, *world) {
 		size: make(map[uint64]int64), ended: make(map[uint64]bool),
 	}
 	w.net.AddObserver(c)
-	err = armGenerators(&cfg, w.eng, w.met, tp.NumHosts, nil, func(src, dst int, size int64, incast bool, query int) {
+	err = armGenerators(&cfg, w.eng, w.met, tp.NumHosts, func(src, dst int, size int64, incast bool, query int) {
 		spec := transport.FlowSpec{ID: w.ids.Next(), Src: src, Dst: dst, Size: size, Incast: incast, Query: query}
 		w.senders.Get(w.hosts[src], w.met, w.ids, spec, nil).Start()
 	})

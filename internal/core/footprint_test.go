@@ -25,11 +25,11 @@ func TestRunFootprintFollowsLiveFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWorld(&cfg, tp, nil, nil)
+	w, err := newWorld(&cfg, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = armGenerators(&cfg, w.eng, w.met, tp.NumHosts, nil, func(src, dst int, size int64, incast bool, query int) {
+	err = armGenerators(&cfg, w.eng, w.met, tp.NumHosts, func(src, dst int, size int64, incast bool, query int) {
 		spec := transport.FlowSpec{ID: w.ids.Next(), Src: src, Dst: dst, Size: size, Incast: incast, Query: query}
 		w.senders.Get(w.hosts[src], w.met, w.ids, spec, nil).Start()
 	})

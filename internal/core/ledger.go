@@ -123,9 +123,7 @@ func (w *world) publish() {
 	add(regFaultEvents, uint64(m.FaultEvents), &p.faults)
 	add(regFIBInstalls, uint64(m.FIBInstalls), &p.installs)
 	m.TTRHist().PublishTo(regTTR, &p.ttr)
-	// Every domain of a sharded run replays the whole fault schedule; the
-	// first one speaks for the run.
-	if w.inj != nil && w.first {
+	if w.inj != nil {
 		add(regInjected, w.inj.Injected, &p.injected)
 		add(regHeals, w.inj.Heals, &p.heals)
 	}

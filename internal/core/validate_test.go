@@ -29,7 +29,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"negative heal delay", func(c *Config) { c.HealDelay = -units.Millisecond }, "heal delay"},
 		{"negative sample tick", func(c *Config) { c.SampleTick = -units.Microsecond }, "sample tick"},
 		{"negative wall timeout", func(c *Config) { c.WallTimeout = -time.Second }, "wall timeout"},
-		{"negative shards", func(c *Config) { c.Shards = -3 }, "shard count"},
 		{"fault beyond sim end", func(c *Config) {
 			c.Faults = (&faults.Schedule{}).Add(
 				faults.Event{At: c.SimTime * 2, Kind: faults.LinkDown, Link: 0})
@@ -122,7 +121,7 @@ func TestHealerSeesLinkFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWorld(&cfg, tp, nil, nil)
+	w, err := newWorld(&cfg, tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,10 @@ import (
 )
 
 // Scale sizes an experiment run. The paper's full scale (320 hosts, 5 s) is
-// hours of CPU per sweep; the smaller presets preserve the oversubscription
-// ratio and burst-to-buffer ratio so orderings and crossover shapes hold.
+// hours of CPU per sweep. The presets are different networks, not one network
+// scaled: every scale runs the hosts at 10 Gb/s and the fabric at 40 Gb/s,
+// so the leaf-spine's oversubscription, as vertigo-topo prints it, is 0.50:1
+// at tiny, small and medium and 2.50:1 at paper.
 type Scale struct {
 	Name         string
 	Spines       int
@@ -52,7 +54,8 @@ var (
 		Name: "small", Spines: 2, Leaves: 4, HostsPerLeaf: 4, FatTreeK: 4,
 		SimTime: 80 * units.Millisecond, IncastScale: 8, IncastFlowKB: 40, Seed: 1,
 	}
-	// Medium approaches the paper's oversubscription at 64 hosts.
+	// Medium is 64 hosts on the paper's 4 spines and 8 leaves, at an
+	// oversubscription of 0.50:1 (the paper's is 2.50:1).
 	Medium = Scale{
 		Name: "medium", Spines: 4, Leaves: 8, HostsPerLeaf: 8, FatTreeK: 6,
 		SimTime: 200 * units.Millisecond, IncastScale: 24, IncastFlowKB: 40, Seed: 1,

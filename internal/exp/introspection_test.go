@@ -108,43 +108,6 @@ func TestScrapeDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestShardedRunCountsStartsOnce: every domain of a sharded run arms every
-// generator, so each arrival fires once per replica — but the registry, like
-// the Summary, must hear of a started query or flow exactly once (from the
-// domain that owns it). A throwaway collector that replays the workload, or a
-// start callback that registers what it does not own, reads N times the
-// Summary here.
-func TestShardedRunCountsStartsOnce(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	cfg := withLoads(baseConfig(Tiny, fabric.Vertigo, transport.DCTCP), 0.2, 0.5)
-	cfg.Shards = 2
-	// Registering a name again returns the live series.
-	queries := obs.NewCounter("vertigo_workload_queries_started_total", "")
-	flows := obs.NewCounter("vertigo_workload_flows_started_total", "")
-	q0, f0 := queries.Value(), flows.Value()
-	sum, _, err := NewOptions().run("sharded-start-counters", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.QueriesStarted == 0 || sum.FlowsStarted == 0 {
-		t.Fatalf("run started %d queries and %d flows; test would prove nothing", sum.QueriesStarted, sum.FlowsStarted)
-	}
-	for _, row := range []struct {
-		name     string
-		got      uint64
-		reported int
-	}{
-		{"vertigo_workload_queries_started_total", queries.Value() - q0, sum.QueriesStarted},
-		{"vertigo_workload_flows_started_total", flows.Value() - f0, sum.FlowsStarted},
-	} {
-		if row.got != uint64(row.reported) {
-			t.Errorf("%s rose by %d over a Shards=2 run whose Summary reports %d", row.name, row.got, row.reported)
-		}
-	}
-}
-
 // TestWatchdogKillDumpsFlight: a sweep whose every run is killed by the
 // wall-clock watchdog still fails cleanly AND leaves a non-empty
 // flight.jsonl naming what each run was doing when it died.

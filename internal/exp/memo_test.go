@@ -59,14 +59,7 @@ func render(t *testing.T, id string, ob observation, opt *Options) sweepRun {
 // fails the test: comparing against it would prove nothing.
 func reference(t *testing.T, id string, ob observation) sweepRun {
 	t.Helper()
-	return shardedReference(t, id, ob, 0)
-}
-
-// shardedReference is reference for a sweep split over the given number of
-// shards, 0 being the serial engine.
-func shardedReference(t *testing.T, id string, ob observation, shards int) sweepRun {
-	t.Helper()
-	key := fmt.Sprintf("%s %v shards=%d", id, ob, shards)
+	key := fmt.Sprintf("%s %v", id, ob)
 	references.Lock()
 	ref := references.sweeps[key]
 	if ref == nil {
@@ -76,15 +69,13 @@ func shardedReference(t *testing.T, id string, ob observation, shards int) sweep
 	references.Unlock()
 	ref.once.Do(func() {
 		runs := &runMemo{runs: map[string]*memoRun{}}
-		all, one := NewOptions(), workers(1)
-		all.Spec.Shards, one.Spec.Shards = shards, shards
-		renderVia(t, id, ob, all, runs.run)
+		renderVia(t, id, ob, NewOptions(), runs.run)
 		runs.replay = true
-		ref.sweep = renderVia(t, id, ob, one, runs.run)
+		ref.sweep = renderVia(t, id, ob, workers(1), runs.run)
 	})
 	sr := ref.sweep
 	if sr.tables == nil {
-		t.Fatalf("%s under %v at shards=%d: the reference failed to render", id, ob, shards)
+		t.Fatalf("%s under %v: the reference failed to render", id, ob)
 	}
 	if ob.tick > 0 && len(sr.rec.SamplesCSV()) == 0 || ob.trace > 0 && len(sr.rec.TraceJSONL()) == 0 {
 		t.Fatalf("%s under %v: samples=%d trace=%d bytes; the probes recorded nothing to compare",
@@ -101,7 +92,7 @@ type referenceSweep struct {
 
 var references = struct {
 	sync.Mutex
-	sweeps map[string]*referenceSweep // by experiment, observation and shard count; scale and options are fixed
+	sweeps map[string]*referenceSweep // by experiment and observation; scale and options are fixed
 }{sweeps: map[string]*referenceSweep{}}
 
 func renderVia(t *testing.T, id string, ob observation, opt *Options,

@@ -14,7 +14,8 @@ import (
 // looking at a run — a sampler settling every port on its tick, a monitor and
 // a tracer called back on every enqueue and transmission — changes nothing in
 // it, with or without faults in play. The observed and the unobserved run are
-// one run. (A sharded run's observers are core's TestShardedDeterministic's.)
+// one run. (core's TestObservedFlapRunIsUnobserved checks one run's Summary,
+// events and drops the same way.)
 
 // TestObservationIdentitySweeps: fig1 (the standard burst suite), flapstorm
 // (carrier flaps mid-backlog) and corrupt (per-link bit errors: frames that

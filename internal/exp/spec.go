@@ -35,7 +35,6 @@ type Spec struct {
 	HealDelay    Duration        `json:"heal_delay,omitempty"`     // control-plane healing delay (0 = off)
 	RunTimeout   Duration        `json:"run_timeout,omitempty"`    // wall-clock budget per run (0 = unlimited; core.ErrWallBudget)
 	MaxEvents    uint64          `json:"max_events,omitempty"`     // event budget per run (0 = unlimited; core.ErrMaxEvents)
-	Shards       int             `json:"shards,omitempty"`         // topology domains per run (0 or 1 = serial; core.Config.Shards)
 	SampleTick   Duration        `json:"sample_tick,omitempty"`    // per-port sampler tick (0 = off); series reach Options.OnRun
 	TraceFlow    uint64          `json:"trace_flow,omitempty"`     // flow ID to trace as JSONL (0 = off)
 	RawSeries    metrics.RawMode `json:"raw_series,omitempty"`     // raw FCT/QCT retention: auto|keep|drop (keep also keeps completed records)
@@ -73,7 +72,6 @@ func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
 	fs.TextVar(&s.HealDelay, "heal-delay", s.HealDelay, "control-plane healing delay after each -fault topology change (0 = healing off)")
 	fs.TextVar(&s.RunTimeout, "run-timeout", s.RunTimeout, "wall-clock budget per simulation run; an over-budget run fails its row (0 = unlimited)")
 	fs.Uint64Var(&s.MaxEvents, "max-events", s.MaxEvents, "event budget per simulation run; a capped run fails its row (0 = unlimited)")
-	fs.IntVar(&s.Shards, "shards", s.Shards, "shard every simulation across this many topology domains on separate cores, probes included (tables are deterministic per shard count, same offered workload at any; 0 or 1 = serial engine)")
 	fs.TextVar(&s.SampleTick, "sample-tick", s.SampleTick, "per-port queue/utilization sampling tick, e.g. 100us (0 = off; series lands in -out samples.csv)")
 	fs.Uint64Var(&s.TraceFlow, "trace-flow", s.TraceFlow, "JSONL packet trace for this flow ID (0 = off; trace lands in -out trace.jsonl)")
 	fs.TextVar(&s.RawSeries, "raw-series", s.RawSeries, "raw FCT/QCT series retention: auto (drop past 200k flows/run), keep (also keeps completed flow records), drop (histograms still carry the distributions)")
@@ -155,7 +153,6 @@ func (o *Options) applyTo(cfg core.Config) core.Config {
 	fill(&cfg.HealDelay, units.Time(s.HealDelay))
 	fill(&cfg.WallTimeout, time.Duration(s.RunTimeout))
 	fill(&cfg.MaxEvents, s.MaxEvents)
-	fill(&cfg.Shards, s.Shards)
 	fill(&cfg.SampleTick, units.Time(s.SampleTick))
 	if cfg.PacketTrace == nil {
 		fill(&cfg.PacketTraceFlow, s.TraceFlow)

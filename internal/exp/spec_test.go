@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"vertigo/internal/metrics"
 )
 
 // flap is a fault schedule that fits the tiny scale's 30 ms window.
@@ -43,8 +45,8 @@ func TestSpecEncodingsAgree(t *testing.T) {
 		{nil, `{}`},
 		{[]string{"-scale", "small", "-seed", "1", "-sim-time", "80ms", "-j", "1", "-raw-series", "auto"}, `{}`},
 		{[]string{"-scale", "tiny", "-seed", "3", "-sim-time", "4ms"}, `{"scale":"tiny","seed":3,"sim_time":"4000us"}`},
-		{[]string{"-scale", "tiny", "-fault", flap, "-heal-delay", "500us", "-shards", "2"},
-			`{"scale":"tiny","fault":"` + flap + `","heal_delay":"0.5ms","shards":2}`},
+		{[]string{"-scale", "tiny", "-fault", flap, "-heal-delay", "500us"},
+			`{"scale":"tiny","fault":"` + flap + `","heal_delay":"0.5ms"}`},
 		{[]string{"-j", "4", "-run-timeout", "2m", "-max-events", "1000000", "-sample-tick", "100us",
 			"-trace-flow", "7", "-raw-series", "keep", "-chaos-panic-at", "40ms"},
 			`{"jobs":4,"run_timeout":"120s","max_events":1000000,"sample_tick":"100us","trace_flow":7,"raw_series":"keep","chaos_panic_at":"40ms"}`},
@@ -72,7 +74,7 @@ func TestSpecEncodingsAgree(t *testing.T) {
 // TestManifestSpecResolves: manifest.json records what ran — decoding its
 // spec and resolving it gives back the sweep's Scale and Options.
 func TestManifestSpecResolves(t *testing.T) {
-	spec := Spec{Scale: "tiny", Seed: 3, Fault: flap, Shards: 2, HealDelay: Duration(500 * time.Microsecond)}
+	spec := Spec{Scale: "tiny", Seed: 3, Fault: flap, HealDelay: Duration(500 * time.Microsecond)}
 	sc, opt, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -100,5 +102,26 @@ func TestManifestSpecResolves(t *testing.T) {
 	_, sc2, opt2 := resolveStrict(t, doc.Spec)
 	if !reflect.DeepEqual(sc, sc2) || !reflect.DeepEqual(opt, opt2) {
 		t.Errorf("manifest spec %s resolves to another sweep:\n%+v %+v\n%+v %+v", doc.Spec, sc, opt, sc2, opt2)
+	}
+}
+
+// TestSpecHashIsStable: a spec's hash is what it was when specs still had a
+// "shards" field, for every spec that did not set it — the values below were
+// computed then — so vertigo-serve journals and artifact directories keyed by
+// hash keep resolving.
+func TestSpecHashIsStable(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{}, "b4fa7761e5beef4c"},
+		{Spec{Scale: "tiny", Seed: 3, SimTime: Duration(4 * time.Millisecond), Jobs: 2,
+			Fault: "flap@1ms:link=16,down=500us,period=1ms,count=2", HealDelay: Duration(500 * time.Microsecond),
+			RunTimeout: Duration(2 * time.Minute), MaxEvents: 1000000, SampleTick: Duration(100 * time.Microsecond),
+			TraceFlow: 7, RawSeries: metrics.RawKeep}, "379ac822cc9cec59"},
+	} {
+		if got := tc.spec.Hash(); got != tc.want {
+			t.Errorf("%+v hashes to %s, want %s", tc.spec, got, tc.want)
+		}
 	}
 }

@@ -172,7 +172,6 @@ type Network struct {
 	ports    []Port
 	cold     []portCold     // what ports[i] reads off the per-packet path, by the same index
 	nics     []Port         // host egress toward its ToR, by host ID
-	txFn     sim.ArgHandler // wake-up event of ports[arg], see Port.armWake
 	arrFn    sim.ArgHandler // arrival event of ports[arg]
 	hostRecv []Receiver     // host ingress handlers
 	obs      []Observer     // attached telemetry probes, in attachment order
@@ -203,12 +202,6 @@ type Network struct {
 
 	// Replay accounting (see TrainStats).
 	replays, replayedPops uint64
-
-	// Sharded execution (nil when serial — see shard.go): the domain
-	// context this replica runs under, and the inbox delivering packets
-	// injected from other domains.
-	shard *ShardCtx
-	inbox crossInbox
 }
 
 // TrainStats counts the lazy wire's replays under the names the frozen
@@ -308,7 +301,6 @@ func New(eng *sim.Engine, t *topo.Topology, met *metrics.Collector, cfg Config) 
 	for i := range n.linkDownSince {
 		n.linkDownSince[i] = -1
 	}
-	n.txFn = func(i uint64) { n.ports[i].wake() }
 	n.arrFn = func(i uint64) { n.ports[i].arrive() }
 
 	// One slab for every port: a k=32 fat-tree has ~41k switch ports, and
@@ -412,9 +404,7 @@ func (n *Network) SetLinkState(li int, up bool) {
 	if up {
 		kind = telemetry.FaultLinkUp
 	}
-	if n.ownsLink(li) {
-		n.emitFault(telemetry.FaultEvent{Time: n.Eng.Now(), Kind: kind, Link: li, Switch: -1})
-	}
+	n.emitFault(telemetry.FaultEvent{Time: n.Eng.Now(), Kind: kind, Link: li, Switch: -1})
 }
 
 // setLinkState flips both ports of link li without emitting a fault event
@@ -435,11 +425,7 @@ func (n *Network) setLinkState(li int, up bool) {
 	now := n.Eng.Now()
 	if up {
 		if since := n.linkDownSince[li]; since >= 0 {
-			// Sharded runs replicate the state flip in every domain but
-			// account for it once, in the owning domain.
-			if n.ownsLink(li) {
-				n.Met.Recovered(now - since)
-			}
+			n.Met.Recovered(now - since)
 			n.linkDownSince[li] = -1
 		}
 	} else if n.linkDownSince[li] < 0 {
@@ -460,9 +446,7 @@ func (n *Network) SetSwitchState(sw int, up bool) {
 	if up {
 		kind = telemetry.FaultSwitchUp
 	}
-	if n.ownsSwitch(sw) {
-		n.emitFault(telemetry.FaultEvent{Time: n.Eng.Now(), Kind: kind, Link: -1, Switch: sw})
-	}
+	n.emitFault(telemetry.FaultEvent{Time: n.Eng.Now(), Kind: kind, Link: -1, Switch: sw})
 }
 
 // SetLinkBER sets link li's bit-error rate now: each packet serialized onto
@@ -473,11 +457,9 @@ func (n *Network) SetLinkBER(li int, ber float64) {
 		pt.sync(n.Eng.Now())
 		pt.cold().ber, pt.hasBER = ber, ber > 0
 	}
-	if n.ownsLink(li) {
-		n.emitFault(telemetry.FaultEvent{
-			Time: n.Eng.Now(), Kind: telemetry.FaultCorrupt, Link: li, Switch: -1, Value: ber,
-		})
-	}
+	n.emitFault(telemetry.FaultEvent{
+		Time: n.Eng.Now(), Kind: telemetry.FaultCorrupt, Link: li, Switch: -1, Value: ber,
+	})
 }
 
 // SetLinkRateFactor applies a rate brownout now: link li serializes at factor
@@ -491,11 +473,9 @@ func (n *Network) SetLinkRateFactor(li int, factor float64) {
 			pt.rate = 1
 		}
 	}
-	if n.ownsLink(li) {
-		n.emitFault(telemetry.FaultEvent{
-			Time: n.Eng.Now(), Kind: telemetry.FaultDegrade, Link: li, Switch: -1, Value: factor,
-		})
-	}
+	n.emitFault(telemetry.FaultEvent{
+		Time: n.Eng.Now(), Kind: telemetry.FaultDegrade, Link: li, Switch: -1, Value: factor,
+	})
 }
 
 // InstallFIB swaps the forwarding tables every switch consults — the
@@ -505,12 +485,10 @@ func (n *Network) SetLinkRateFactor(li int, factor float64) {
 // thread (schedule via the engine).
 func (n *Network) InstallFIB(fib *topo.FIB) {
 	n.fib = fib
-	if n.ownsControl() {
-		n.Met.FIBInstalls++
-		n.emitFault(telemetry.FaultEvent{
-			Time: n.Eng.Now(), Kind: telemetry.FaultFIBHeal, Link: -1, Switch: -1,
-		})
-	}
+	n.Met.FIBInstalls++
+	n.emitFault(telemetry.FaultEvent{
+		Time: n.Eng.Now(), Kind: telemetry.FaultFIBHeal, Link: -1, Switch: -1,
+	})
 }
 
 // FIB returns the forwarding tables currently installed (for tests and
@@ -602,10 +580,8 @@ func (n *Network) drop(sw, port int, p *packet.Packet, reason metrics.DropReason
 // arrival — the end of the port's arrival chain, due after busyUntil since
 // propagation takes time — is a touch that replays the next pop before that
 // pop's own arrival has to be scheduled. A corrupted frame keeps its place
-// in the chain (the far end discards it on arrival), so the one port that
-// has no arrival to rely on is a cross-domain port, which hands its frames
-// to another domain as they are popped: it alone arms an event of its own
-// (armWake).
+// in the chain (the far end discards it on arrival), so no port needs an
+// event of its own.
 type Port struct {
 	net *Network
 	// qs is the port's queue, the queue's header kept by value: rank-sorted
@@ -640,30 +616,21 @@ type Port struct {
 	isSorted bool // qs is rank-sorted, not drop-tail
 	down     bool // link failed: no carrier
 	wasDown  bool // carrier was lost and later restored at least once
-	txArmed  bool // a wake-up event is pending at cold().txAt, see armWake
 	arrArmed bool // the arrival event of the in-flight head is pending
-	xdom     bool // the peer switch lives in another domain, see cold().xdst
 	hasBER   bool // cold().ber > 0: transmissions draw from the bit-error stream
 
-	_ [9]byte // to three cache lines, see Network.ports
+	_ [11]byte // to three cache lines, see Network.ports
 }
 
-// portCold is the part of a port no unfaulted, undivided run reads after
-// set-up, kept out of the slab the per-packet path walks: Network.cold[i]
-// belongs to Network.ports[i].
+// portCold is the part of a port no unfaulted run reads after set-up, kept
+// out of the slab the per-packet path walks: Network.cold[i] belongs to
+// Network.ports[i].
 type portCold struct {
-	// txAt is when the pending wake-up event is due. One that fires when
-	// !txArmed or at another time was superseded by a touch at that instant.
-	txAt units.Time
 	// ber is the bit-error corruption probability per transmitted packet,
 	// berRNG the port's positional stream for it (see Port.rng).
 	ber    float64
 	berRNG xrand.Source
 	rate0  units.BitRate // configured rate, restored by factor-1 transitions
-	// xdst is the destination domain of a cross-domain egress (sharded runs
-	// only): the peer switch lives there, so popped packets are emitted to
-	// the coordinator instead of riding the local wire.
-	xdst int32
 }
 
 func (pt *Port) cold() *portCold { return &pt.net.cold[pt.slot] }
@@ -694,32 +661,6 @@ func (pt *Port) pop() *packet.Packet {
 type wireSeg struct {
 	p  *packet.Packet
 	at units.Time
-}
-
-// armWake arms a cross-domain port's wake-up event at busyUntil when packets
-// wait behind its busy wire. Such a port has no arrival chain to replay its
-// pops, and must pop on time whatever happens: the window protocol needs its
-// frames emitted before the peer domain advances past their arrival. It is
-// called once a touch has made its last pop, never from sendOne: in the
-// middle of a replay busyUntil can still lie behind now. The event is never
-// cancelled; a superseded arming falls through in wake.
-func (pt *Port) armWake() {
-	if !pt.xdom || pt.qs.Len() == 0 || (pt.txArmed && pt.cold().txAt == pt.busyUntil) {
-		return
-	}
-	pt.txArmed, pt.cold().txAt = true, pt.busyUntil
-	pt.net.Eng.SchedArg(pt.busyUntil, pt.net.txFn, uint64(pt.slot))
-}
-
-// wake is a cross-domain port's wake-up event: a touch at busyUntil and
-// nothing more.
-func (pt *Port) wake() {
-	now := pt.net.Eng.Now()
-	if !pt.txArmed || now != pt.cold().txAt {
-		return
-	}
-	pt.txArmed = false
-	pt.sync(now)
 }
 
 // arrive is the port's arrival event: deliver the due in-flight packet to
@@ -794,7 +735,6 @@ func (pt *Port) sync(now units.Time) {
 	}
 	eng.ClearAsOf()
 	pt.net.replays++
-	pt.armWake()
 }
 
 // keepInflight is the largest in-flight FIFO capacity a drained port keeps;
@@ -804,14 +744,6 @@ const keepInflight = 64
 // pushInflight appends a popped packet to the in-flight FIFO, growing it
 // through the network's shared arena.
 func (pt *Port) pushInflight(p *packet.Packet, at units.Time) {
-	if pt.xdom {
-		// The peer lives in another domain: the packet leaves this replica
-		// at its pop and arrives through the peer domain's inbox.
-		if p != nil {
-			pt.emitCross(p, at)
-		}
-		return
-	}
 	if len(pt.inflight) == cap(pt.inflight) {
 		pt.inflight = pt.net.inf.Grow(pt.inflight, 8)
 	}
@@ -855,7 +787,6 @@ func (pt *Port) maybeSend() {
 	if now >= pt.busyUntil && pt.qs.Len() > 0 {
 		pt.sendOne(now)
 	}
-	pt.armWake()
 }
 
 // sendOne pops the head of the queue onto the wire at instant at: now, or
@@ -910,7 +841,7 @@ type Switch struct {
 
 	// rng is the switch's positional policy stream (see Switch.intn): random
 	// routing decisions depend on the seed, the switch and the draw's index,
-	// not on how events interleave across switches or domains.
+	// not on how events interleave across switches.
 	rng xrand.Source
 }
 

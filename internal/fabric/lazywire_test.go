@@ -404,7 +404,7 @@ func TestLazyWireEnqueueAtBusyUntil(t *testing.T) {
 
 // TestLazyWireDrainsBehindCorruptedFrame: a corrupted frame is dropped at its
 // pop and still holds its place in the arrival chain, so the backlog behind
-// it leaves on time and without a wake-up event — whether the corrupted
+// it leaves on time, with no event of its own to wake it — whether the corrupted
 // frame opened the busy period or was itself popped by replay, and on a link
 // whose propagation delay exceeds a serialization, where arrivals run
 // several frames behind the wire.
@@ -424,8 +424,6 @@ func TestLazyWireDrainsBehindCorruptedFrame(t *testing.T) {
 			sw, port := net.Switch(tp.HostToR[0]), downlink(t, tp, 0)
 			var arrivals []units.Time
 			net.RegisterHost(0, recvFunc(func(*packet.Packet) { arrivals = append(arrivals, eng.Now()) }))
-			wakes := 0
-			net.txFn = func(uint64) { wakes++ }
 			var ids packet.IDGen
 			tx := sw.Port(port).rate.TxTime(dataPkt(&ids, 2, 0, 1, 100).Size())
 			// Bit errors are certain over a window holding one frame's start.
@@ -451,9 +449,6 @@ func TestLazyWireDrainsBehindCorruptedFrame(t *testing.T) {
 			}
 			if n := met.Drops[metrics.DropCorrupt]; n != 1 {
 				t.Errorf("delay %v, frame %d corrupted: %d corrupt drops, want 1", delay, corrupted, n)
-			}
-			if wakes != 0 {
-				t.Errorf("delay %v, frame %d corrupted: %d wake-up events, want none", delay, corrupted, wakes)
 			}
 		}
 	}
@@ -506,79 +501,20 @@ func TestLazyWireRateChangeMidBacklog(t *testing.T) {
 	}
 }
 
-// TestLazyWireCrossDomainEmitsOnTime: a port whose peer lives in another
-// domain hands each frame to the coordinator at the instant its
-// serialization starts, not when the port is next touched.
-func TestLazyWireCrossDomainEmitsOnTime(t *testing.T) {
-	tp, err := topo.NewLeafSpine(topo.LeafSpineConfig{
-		Spines: 2, Leaves: 2, HostsPerLeaf: 2,
-		HostRate: 10 * units.Gbps, FabricRate: 40 * units.Gbps,
-		LinkDelay: 500 * units.Nanosecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := topo.NewPartition(tp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine(1)
-	type emission struct{ at, arrives units.Time }
-	var emitted []emission
-	sd := &ShardCtx{
-		Domain: 0, SwitchDomain: part.SwitchDomain, HostDomain: part.HostDomain,
-		Emit: func(_ int, it CrossItem) { emitted = append(emitted, emission{eng.Now(), it.At}) },
-	}
-	net := NewSharded(eng, tp, metrics.NewCollector(), noJitter(ECMP), sd)
-	var xsw *Switch
-	xport := -1
-	for s := 0; s < tp.NumSwitches && xport < 0; s++ {
-		for i := range net.Switch(s).ports {
-			if part.SwitchDomain[s] == 0 && net.Switch(s).Port(i).xdom {
-				xsw, xport = net.Switch(s), i
-				break
-			}
-		}
-	}
-	if xport < 0 {
-		t.Fatal("no cross-domain port in domain 0")
-	}
-	var ids packet.IDGen
-	for i := 0; i < 6; i++ {
-		xsw.enqueue(xport, dataPkt(&ids, 0, 2, 1, 100))
-	}
-	eng.Run(units.Second)
-	pt := xsw.Port(xport)
-	tx := pt.rate.TxTime(dataPkt(&ids, 0, 2, 1, 100).Size())
-	var want []emission
-	for k := units.Time(0); k < 6; k++ {
-		want = append(want, emission{k * tx, (k+1)*tx + pt.delay})
-	}
-	if !reflect.DeepEqual(emitted, want) {
-		t.Errorf("emitted (at, arriving) %v, want %v", emitted, want)
-	}
-}
-
 // TestLazyWireNoTransmitEvents: draining a 1,000-packet backlog schedules no
-// wake-up event at all — the arrivals carry the port — and the replay
-// counters show who popped: all but the first packet left by replay.
+// event but one arrival a packet — the arrivals carry the port — and the
+// replay counters show who popped: all but the first packet left by replay.
 func TestLazyWireNoTransmitEvents(t *testing.T) {
 	cfg := DefaultConfig(ECMP)
 	cfg.BufferBytes = 2 * units.MB
 	r := newPortRig(t, cfg)
 	got := deliveredIDs(r)
-	wakes := 0
-	fn := r.net.txFn
-	r.net.txFn = func(i uint64) { wakes++; fn(i) }
 	var ids packet.IDGen
 	r.backlog(&ids, make([]uint32, 1000)...)
 	before := r.eng.Events()
 	r.eng.Run(units.Second)
 	if len(*got) != 1000 {
 		t.Fatalf("delivered %d of 1000", len(*got))
-	}
-	if wakes != 0 {
-		t.Errorf("%d wake-up events fired, want none", wakes)
 	}
 	if n := r.eng.Events() - before; n != 1000 {
 		t.Errorf("%d events for 1000 packets, want one arrival each", n)

@@ -15,7 +15,7 @@ import (
 // destination. A per-host key space mirrors the deployable prototype (§4.4)
 // but buys a simulator nothing — a simulated flow ID is simulation-unique,
 // and a flow has one source and one destination — and costs a thousand-host
-// run thousands of tables, built again in every domain of a sharded run.
+// run thousands of tables.
 // Here an idle host costs its struct, a slot one host's flow vacates warms
 // the next flow of any host, and a packet a host receives resolves its flow
 // once: an ACK in senders, data in receivers, where the orderer's probe

@@ -329,60 +329,6 @@ func (c *Collector) TotalDrops() int64 {
 	return n
 }
 
-// Merge folds the streaming aggregates of a completed shard into c, so
-// sharded or resumed runs combine into one set of totals and distributions.
-// It merges counters, sums and histograms — everything a Summary is built
-// from — plus the raw series both sides kept. Live per-flow state (the flow
-// table, open queries) is not migrated: merge collectors only after their
-// runs have finished.
-func (c *Collector) Merge(other *Collector) {
-	c.flowsStarted += other.flowsStarted
-	c.flowsCompleted += other.flowsCompleted
-	for i := range c.fctHist {
-		c.fctHist[i].Merge(&other.fctHist[i])
-	}
-	c.qctHist.Merge(&other.qctHist)
-	c.fctSum += other.fctSum
-	c.qctSum += other.qctSum
-	c.miceCount += other.miceCount
-	c.miceSum += other.miceSum
-	c.elephFlows += other.elephFlows
-	c.elephGoodput += other.elephGoodput
-	c.fcts = append(c.fcts, other.fcts...)
-	c.qcts = append(c.qcts, other.qcts...)
-	for _, q := range other.Queries {
-		q.ID = len(c.Queries)
-		c.Queries = append(c.Queries, q)
-	}
-	for i := range c.Drops {
-		c.Drops[i] += other.Drops[i]
-	}
-	for i := range c.DropsByClass {
-		c.DropsByClass[i] += other.DropsByClass[i]
-	}
-	c.Deflections += other.Deflections
-	c.ECNMarks += other.ECNMarks
-	c.PacketsSent += other.PacketsSent
-	c.PacketsRecv += other.PacketsRecv
-	c.BytesGoodput += other.BytesGoodput
-	c.HopSum += other.HopSum
-	c.Retransmits += other.Retransmits
-	c.RTOs += other.RTOs
-	c.FastRetx += other.FastRetx
-	c.ReorderPkts += other.ReorderPkts
-	c.OrderingHeld += other.OrderingHeld
-	c.OrderTimeout += other.OrderTimeout
-	c.Boosted += other.Boosted
-	c.FaultEvents += other.FaultEvents
-	c.FIBInstalls += other.FIBInstalls
-	c.PostRecoveryTx += other.PostRecoveryTx
-	c.QueueDepth.Merge(&other.QueueDepth)
-	c.ttrHist.Merge(&other.ttrHist)
-	c.ttrCount += other.ttrCount
-	c.ttrSum += other.ttrSum
-	c.recoveries = append(c.recoveries, other.recoveries...)
-}
-
 // Mean returns the arithmetic mean of ts, or 0 for empty input.
 func Mean(ts []units.Time) units.Time {
 	if len(ts) == 0 {

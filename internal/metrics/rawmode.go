@@ -5,7 +5,7 @@ import "fmt"
 // RawMode controls whether Summarize keeps the raw per-flow FCT/QCT series
 // on the Summary next to the log-bucketed histograms, and whether the
 // Collector keeps completed flows' records. The histograms carry the whole
-// distribution in 65 counters and merge across sharded runs, so the raw
+// distribution in 65 counters, so the raw
 // series exist only for exact percentiles and fine-grained CDF figures — a
 // luxury that stops scaling around a million flows. No Summary aggregate
 // depends on the mode.

@@ -40,7 +40,7 @@ func TestHistogramMergeAssociativity(t *testing.T) {
 		t.Errorf("merge not associative:\n(a+b)+c = %v\na+(b+c) = %v", left, right)
 	}
 	if !reflect.DeepEqual(left, direct) {
-		t.Errorf("merged shards differ from one-shot histogram:\nmerged = %v\ndirect = %v", left, direct)
+		t.Errorf("merged parts differ from one-shot histogram:\nmerged = %v\ndirect = %v", left, direct)
 	}
 }
 

@@ -119,57 +119,6 @@ func TestCompletedRecordsStayOnlyUnderRawKeep(t *testing.T) {
 	}
 }
 
-// TestCollectorMerge folds two shards and checks the combined summary
-// matches a single collector fed both workloads.
-func TestCollectorMerge(t *testing.T) {
-	feed := func(c *Collector, base uint64, n int) {
-		q := c.StartQuery(2, 0)
-		c.StartFlow(FlowRecord{ID: base, Class: Incast, Size: 4000, Start: 0, Query: q})
-		c.StartFlow(FlowRecord{ID: base + 1, Class: Incast, Size: 4000, Start: 0, Query: q})
-		c.EndFlow(base, time(5))
-		c.EndFlow(base+1, time(7))
-		for i := 0; i < n; i++ {
-			id := base + 2 + uint64(i)
-			c.StartFlow(FlowRecord{ID: id, Size: 20_000_000, Start: 0, Query: -1})
-			c.EndFlow(id, time(1000+i))
-		}
-		c.PacketsSent += int64(n) * 10
-		c.Recovered(time(50))
-	}
-	a, b, whole := NewCollector(), NewCollector(), NewCollector()
-	feed(a, 1000, 3)
-	feed(b, 2000, 5)
-	feed(whole, 1000, 3)
-	feed(whole, 2000, 5)
-
-	a.Merge(b)
-	got, want := a.Summarize(time(10_000)), whole.Summarize(time(10_000))
-	if got.FlowsStarted != want.FlowsStarted || got.FlowsCompleted != want.FlowsCompleted {
-		t.Fatalf("flow counts %d/%d, want %d/%d",
-			got.FlowsCompleted, got.FlowsStarted, want.FlowsCompleted, want.FlowsStarted)
-	}
-	if got.MeanFCT != want.MeanFCT || got.P99FCT != want.P99FCT {
-		t.Fatalf("FCT scalars differ: mean %v/%v p99 %v/%v",
-			got.MeanFCT, want.MeanFCT, got.P99FCT, want.P99FCT)
-	}
-	if got.MeanQCT != want.MeanQCT || got.QueriesCompleted != want.QueriesCompleted {
-		t.Fatalf("QCT differs: %v/%v (%d/%d queries)",
-			got.MeanQCT, want.MeanQCT, got.QueriesCompleted, want.QueriesCompleted)
-	}
-	if got.ElephantGoodput != want.ElephantGoodput || got.ElephantFlows != want.ElephantFlows {
-		t.Fatalf("elephant goodput %v/%v", got.ElephantGoodput, want.ElephantGoodput)
-	}
-	if got.FCTHist.Count() != want.FCTHist.Count() || got.FCTHist.Sum() != want.FCTHist.Sum() {
-		t.Fatal("merged histogram diverges from one-shot")
-	}
-	if got.PacketsSent != want.PacketsSent {
-		t.Fatalf("counters not merged: %d vs %d", got.PacketsSent, want.PacketsSent)
-	}
-	if got.LinkRecoveries != 2 || got.MTTR != time(50) {
-		t.Fatalf("recoveries %d MTTR %v, want 2 at 50µs", got.LinkRecoveries, got.MTTR)
-	}
-}
-
 // TestRecoveriesBounded pins the flap-storm bound: recoveries stream into
 // the TTR histogram, and the raw series exists only under RawKeep.
 func TestRecoveriesBounded(t *testing.T) {

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -205,5 +208,54 @@ func TestDrainDefersQueuedJobs(t *testing.T) {
 		if v := waitState(t, b, id); v.State != StateCompleted {
 			t.Fatalf("deferred job %s = %+v, want completed after restart", id, v)
 		}
+	}
+}
+
+// TestJournalWithRetiredKeyResumes: a journal written while specs still carried
+// a "shards" key — the line below is one such accept, verbatim — resumes
+// after the key was retired. The lenient journal decoder drops the key, the
+// job keeps the hash it was accepted under, and it runs the one execution
+// path: its tables are those of the same spec run directly through the batch
+// API. (A new HTTP submission that carries the key is a 400 from the strict
+// decoder; see TestSubmitRejectsInvalid.)
+func TestJournalWithRetiredKeyResumes(t *testing.T) {
+	cfg := testConfig(t)
+	const line = `{"ev":"accept","id":"j1","hash":"efc42d3d48c5c2aa","t":"2026-10-19T16:39:23.96305009Z",` +
+		`"spec":{"tenant":"anon","experiment":"failover","scale":"tiny","seed":3,"sim_time":"4ms","jobs":1,"shards":2}}` + "\n"
+	if err := os.WriteFile(journalPath(cfg.DataDir), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, cfg, nil)
+	v := waitState(t, s, "j1")
+	if v.State != StateCompleted || v.Hash != "efc42d3d48c5c2aa" {
+		t.Fatalf("resumed job = %+v, want completed under the journaled hash", v)
+	}
+
+	sp := tiny(3)
+	sp.SimTime = ms(4)
+	res, err := sp.resolve(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := res.exp.Run(res.scale, res.opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(v.ArtifactDir, "results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Tables json.RawMessage `json:"tables"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := canonical(t, doc.Tables); !bytes.Equal(got, canonical(t, want)) {
+		t.Errorf("resumed job's tables differ from the batch run:\ndaemon: %s\nbatch:  %s", got, canonical(t, want))
 	}
 }

@@ -124,7 +124,7 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		"bad fault DSL":      `{"experiment":"failover","fault":"exploding-teapot"}`,
 		"bad duration":       `{"experiment":"failover","run_timeout":"five minutes"}`,
 		"negative duration":  `{"experiment":"failover","sample_tick":"-1ms"}`,
-		"negative shards":    `{"experiment":"failover","shards":-3}`,
+		"retired shards key": `{"experiment":"failover","shards":2}`,
 		"bad raw series":     `{"experiment":"failover","raw_series":"sometimes"}`,
 		"fault past end":     `{"experiment":"failover","scale":"tiny","fault":"flap@1s:link=16,down=1ms,period=4ms,count=2"}`,
 		"chaos past end":     `{"experiment":"failover","scale":"tiny","chaos_panic_at":"1h"}`,

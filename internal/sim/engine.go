@@ -795,9 +795,7 @@ func (e *Engine) Run(until units.Time) units.Time {
 }
 
 // PeekTime returns the fire time of the next pending event without running
-// it, and false when nothing is scheduled. The sharded runner's window
-// barrier calls this between rounds to compute the global minimum next-event
-// time. It shares Run's locate step — reaping surfaced tombstones and
+// it, and false when nothing is scheduled. It shares Run's locate step — reaping surfaced tombstones and
 // advancing the bucket cursor, both of which Run would do anyway — so a
 // subsequent Run observes exactly the state it would have reached itself.
 func (e *Engine) PeekTime() (units.Time, bool) {

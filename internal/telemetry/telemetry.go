@@ -120,8 +120,7 @@ func (t *portTable[T]) insert(sw, port int, v *T) {
 	t.order = append(t.order, v)
 }
 
-// Monitor collects fabric telemetry. Attach with fabric.Network.AddObserver;
-// a sharded run attaches one per domain and merges them (MergeMonitors).
+// Monitor collects fabric telemetry. Attach with fabric.Network.AddObserver.
 // Timestamps are read from the engine's as-of clock: the fabric reports a
 // transmission when it replays it, stamped with the instant it happened.
 type Monitor struct {

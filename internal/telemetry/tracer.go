@@ -17,8 +17,7 @@ import (
 // gigabytes.
 //
 // Each event is one JSON object on a line of its own (JSONL, the
-// trace.jsonl artifact format), leading with its timestamp — the key a
-// sharded run's per-domain traces merge by (MergeJSONLTraces):
+// trace.jsonl artifact format), leading with its timestamp:
 //
 //	{"t":<ns>,"ev":"enq","sw":1,"port":2,"kind":"data","flow":7,...,"occ":4500}
 //

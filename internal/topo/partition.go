@@ -6,8 +6,10 @@ import (
 	"vertigo/internal/units"
 )
 
-// Partition cuts a topology into n domains for sharded (conservative
-// parallel) execution. The cut follows the access layer: ToR switches are
+// Partition cuts a topology into n domains. It served sharded (conservative
+// parallel) execution, which is gone: a run has one execution path. Its only
+// caller is the frozen benchmark/ package (probes.go's
+// topo.probe_partition_s), and ROADMAP item 1(a) deletes both. The cut follows the access layer: ToR switches are
 // grouped into contiguous equal-size blocks, each host is pinned to its
 // ToR's domain, and every other switch joins the domain that owns the
 // majority of its directly attached ToRs (ties and ToR-less switches fall

@@ -17,10 +17,6 @@ type FlowSpec struct {
 	Size     int64
 	Incast   bool
 	Query    int // owning incast query, or -1
-	// Preregistered marks a flow whose metrics record was already created
-	// (sharded runs register every flow in its destination domain's
-	// collector); Start then skips the duplicate StartFlow.
-	Preregistered bool
 }
 
 // Sender is the transmit side of one connection. It is ACK-clocked; Swift
@@ -112,21 +108,19 @@ func (s *Sender) init(sp *SenderPool, h *host.Host, met *metrics.Collector,
 
 // Start registers the flow and transmits the initial window.
 func (s *Sender) Start() {
-	if !s.spec.Preregistered {
-		cls := metrics.Background
-		if s.spec.Incast {
-			cls = metrics.Incast
-		}
-		s.met.StartFlow(metrics.FlowRecord{
-			ID:    s.spec.ID,
-			Class: cls,
-			Src:   s.spec.Src,
-			Dst:   s.spec.Dst,
-			Size:  s.spec.Size,
-			Start: s.eng.Now(),
-			Query: s.spec.Query,
-		})
+	cls := metrics.Background
+	if s.spec.Incast {
+		cls = metrics.Incast
 	}
+	s.met.StartFlow(metrics.FlowRecord{
+		ID:    s.spec.ID,
+		Class: cls,
+		Src:   s.spec.Src,
+		Dst:   s.spec.Dst,
+		Size:  s.spec.Size,
+		Start: s.eng.Now(),
+		Query: s.spec.Query,
+	})
 	if s.h.Marker != nil {
 		s.h.Marker.StartFlow(s.spec.ID, s.spec.Dst, s.spec.Size)
 	}

@@ -92,10 +92,6 @@ type Incast struct {
 	// RequestDelay models the query packet's trip from client to servers.
 	RequestDelay units.Time
 	Start        FlowStarter
-	// Owns, when non-nil, makes this one replica of a generator that runs
-	// identically in every domain of a sharded run: a query is registered in
-	// Met only where its client lives, and Start gets -1 for the others.
-	Owns func(host int) bool
 
 	perm    []int // fire's server permutation, reused across queries
 	until   units.Time
@@ -187,10 +183,7 @@ func (ic *Incast) fire() {
 	rng := ic.Eng.Rand()
 	client := rng.Intn(ic.Hosts)
 	scale := fanIn(ic.Scale, ic.Hosts)
-	query := -1
-	if ic.Owns == nil || ic.Owns(client) {
-		query = ic.Met.StartQuery(scale, ic.Eng.Now())
-	}
+	query := ic.Met.StartQuery(scale, ic.Eng.Now())
 	// Sample `scale` distinct servers != client by partial Fisher-Yates over
 	// the host range with the client swapped out.
 	if len(ic.perm) != ic.Hosts {

@@ -5,12 +5,12 @@
 // engine's math/rand stream is the workload generators' alone. One shared
 // stream makes each draw's value depend on the global *order* of draws: a
 // policy's draws shift the generators' (every scheme is offered another
-// workload), a sharded run's depend on how domains interleave, and a port that
-// replays a transmission when it is next touched, rather than in an event of
-// its own, takes its jitter draw at another position. A stream per element
+// workload), and a port that replays a transmission when it is next touched,
+// rather than in an event of its own, takes its jitter draw at another
+// position. A stream per element
 // makes draws positional — the k-th draw of a port has the same value whether
 // taken when the k-th packet starts serializing or later, when the port
-// replays that pop — which the lazy wire and sharded execution rely on.
+// replays that pop — which the lazy wire relies on.
 //
 // The generator is splitmix64 (Steele et al., "Fast splittable pseudorandom
 // number generators"): 8 bytes of state, one add and three xor-shifts per

@@ -126,14 +126,6 @@ type Config struct {
 	// event of the traced flow to this file (PacketTraceFlow; 0 = all flows).
 	PacketTracePath string
 	PacketTraceFlow uint64
-
-	// Shards, when > 1, partitions the fabric into that many topology
-	// domains and runs them on separate cores under a conservative
-	// time-window protocol, probes included (Telemetry and the packet trace
-	// merge across domains). The seed fixes the offered workload at any
-	// count; a sharded run is deterministic for a given count but
-	// statistically — not bitwise — comparable to a serial run.
-	Shards int
 }
 
 // Defaults returns the paper's default settings (Table 1, §4.1) for a
@@ -201,7 +193,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Telemetry, "telemetry", c.Telemetry, "print the per-port monitoring report (§5)")
 	fs.StringVar(&c.PacketTracePath, "packet-trace", c.PacketTracePath, "write a per-event dataplane trace (JSONL, one object per event) to this file")
 	fs.Uint64Var(&c.PacketTraceFlow, "packet-trace-flow", c.PacketTraceFlow, "flow ID to trace (0 = all flows)")
-	fs.IntVar(&c.Shards, "shards", c.Shards, "shard the run across this many topology domains on separate cores, probes included (deterministic per shard count, same offered workload at any; 0 or 1 = serial engine)")
 }
 
 // Report is the digest of one run.
@@ -381,7 +372,6 @@ func (cfg Config) lower() (core.Config, error) {
 		cc.SetIncastLoad(cfg.IncastLoad)
 	}
 	cc.Telemetry = cfg.Telemetry
-	cc.Shards = cfg.Shards
 	return cc, nil
 }
 
