@@ -102,6 +102,37 @@ func TestResumeIdempotentByHash(t *testing.T) {
 	}
 }
 
+// TestRetiredKeyDedupesWithTodaysSpec: j1 was accepted with the retired
+// "shards" key and completed; j2, the same spec without the key, was accepted
+// but not run when the process died. Both hash as the spec they decode to,
+// so j2 resumes as completed with j1's artifacts instead of running again.
+func TestRetiredKeyDedupesWithTodaysSpec(t *testing.T) {
+	cfg := testConfig(t)
+	sp := tiny(3)
+	sp.SimTime = ms(4)
+	j1Dir := filepath.Join(cfg.DataDir, "jobs", "j1")
+	journal := retiredKeyAccept +
+		`{"ev":"done","id":"j1","hash":"efc42d3d48c5c2aa","t":"2026-10-19T16:39:25Z","state":"completed"}` + "\n"
+	j2, err := json.Marshal(journalRec{Ev: "accept", ID: "j2", Hash: sp.Hash(), Time: "2026-10-19T16:40:00Z", Spec: &sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal += string(j2) + "\n"
+	if err := os.WriteFile(journalPath(cfg.DataDir), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var ran atomic.Int32
+	s := newTestServer(t, cfg, func(*Job) error { ran.Add(1); return nil })
+	v := waitState(t, s, "j2")
+	if v.State != StateCompleted || v.ArtifactDir != j1Dir {
+		t.Fatalf("j2 = %+v, want completed with j1's artifacts %s", v, j1Dir)
+	}
+	if ran.Load() != 0 {
+		t.Fatalf("j2 executed %d times, want 0", ran.Load())
+	}
+}
+
 // TestResumeSkipsTerminalAndTornRecords pins replay robustness: done jobs
 // are not re-run, and a torn final line (half-written during the kill) is
 // skipped without poisoning the rest.
@@ -211,28 +242,32 @@ func TestDrainDefersQueuedJobs(t *testing.T) {
 	}
 }
 
+// retiredKeyAccept is an accept of job j1 journaled while specs still
+// carried a "shards" key, verbatim. The spec hashed to efc42d3d48c5c2aa then;
+// without the key it hashes to something else.
+const retiredKeyAccept = `{"ev":"accept","id":"j1","hash":"efc42d3d48c5c2aa","t":"2026-10-19T16:39:23.96305009Z",` +
+	`"spec":{"tenant":"anon","experiment":"failover","scale":"tiny","seed":3,"sim_time":"4ms","jobs":1,"shards":2}}` + "\n"
+
 // TestJournalWithRetiredKeyResumes: a journal written while specs still carried
-// a "shards" key — the line below is one such accept, verbatim — resumes
-// after the key was retired. The lenient journal decoder drops the key, the
-// job keeps the hash it was accepted under, and it runs the one execution
-// path: its tables are those of the same spec run directly through the batch
-// API. (A new HTTP submission that carries the key is a 400 from the strict
-// decoder; see TestSubmitRejectsInvalid.)
+// a "shards" key resumes after the key was retired. The lenient journal
+// decoder drops the key, the job takes the hash of the spec it decodes to —
+// the hash the same spec gets when submitted today — and it runs the one
+// execution path: its tables are those of the same spec run directly through
+// the batch API. (A new HTTP submission that carries the key is a 400 from
+// the strict decoder; see TestSubmitRejectsInvalid.)
 func TestJournalWithRetiredKeyResumes(t *testing.T) {
 	cfg := testConfig(t)
-	const line = `{"ev":"accept","id":"j1","hash":"efc42d3d48c5c2aa","t":"2026-10-19T16:39:23.96305009Z",` +
-		`"spec":{"tenant":"anon","experiment":"failover","scale":"tiny","seed":3,"sim_time":"4ms","jobs":1,"shards":2}}` + "\n"
-	if err := os.WriteFile(journalPath(cfg.DataDir), []byte(line), 0o644); err != nil {
+	if err := os.WriteFile(journalPath(cfg.DataDir), []byte(retiredKeyAccept), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, cfg, nil)
 	v := waitState(t, s, "j1")
-	if v.State != StateCompleted || v.Hash != "efc42d3d48c5c2aa" {
-		t.Fatalf("resumed job = %+v, want completed under the journaled hash", v)
-	}
-
 	sp := tiny(3)
 	sp.SimTime = ms(4)
+	if want := sp.Hash(); v.State != StateCompleted || v.Hash != want || want == "efc42d3d48c5c2aa" {
+		t.Fatalf("resumed job = %+v, want completed under the decoded spec's hash %s", v, want)
+	}
+
 	res, err := sp.resolve(cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)

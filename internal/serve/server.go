@@ -190,10 +190,13 @@ func (s *Server) resume(recs []journalRec) {
 			if rec.Spec == nil || s.jobs[rec.ID] != nil {
 				continue // no spec, or a second accept for one ID: the first stands
 			}
+			// The hash is the decoded spec's, not the journaled one: a spec
+			// journaled under a key since retired hashes differently now,
+			// and dedupe and the panic count must see it as the spec it is.
 			j := &Job{
 				ID:    rec.ID,
 				Spec:  *rec.Spec,
-				Hash:  rec.Hash,
+				Hash:  rec.Spec.Hash(),
 				State: StateQueued,
 				Dir:   filepath.Join(s.cfg.DataDir, "jobs", rec.ID),
 				hub:   newHub(),

@@ -1,6 +1,9 @@
 package topo
 
-import "encoding/binary"
+import (
+	"math/bits"
+	"slices"
+)
 
 // FIB is an immutable shortest-path forwarding table: for every switch and
 // destination host, the output ports that lie on a shortest path, and that
@@ -44,9 +47,7 @@ func (f *FIB) NextHops(sw, dst int) []int {
 	if o == torCell {
 		return f.access[dst : dst+1 : dst+1]
 	}
-	lo := int(o) + 1
-	hi := lo + f.ports[o]
-	return f.ports[lo:hi:hi]
+	return f.listAt(o)
 }
 
 // Hops returns the number of switches a packet from switch sw (inclusive)
@@ -64,18 +65,23 @@ func (f *FIB) Hops(sw, dst int) int {
 // (traffic to them is unroutable until the links recover). A nil dead keeps
 // every link: that is Topology.FIB, which Finalize builds.
 //
-// It runs one reverse BFS per column across the switch graph and records per
-// switch every port that steps one hop closer.
+// It runs the reverse BFS of every column at once: each switch carries a
+// bitset of columns, and ring d of all of them is one step over the switch
+// graph, a switch's new columns being the OR of its live neighbours' last
+// ring less the columns it has already seen. A switch's list for a new column
+// is every neighbour whose last ring holds the column, in port order.
 func (t *Topology) FIBExcluding(dead func(link int) bool) *FIB {
+	nsw := t.NumSwitches
 	f := &FIB{
-		switches: t.NumSwitches,
+		switches: nsw,
 		col:      make([]int32, t.NumHosts),
 		ports:    make([]int, 1, 64),
 		access:   t.accessPort,
 	}
 	// Columns, in order of each ToR's first reachable host.
-	torCol := make([]int32, t.NumSwitches)
-	colToR := []int{-1}
+	torCol := make([]int32, nsw)
+	colToR := make([]int, 1, min(t.NumHosts, nsw)+1)
+	colToR[0] = -1
 	for h := 0; h < t.NumHosts; h++ {
 		if dead != nil && dead(t.HostLink[h]) {
 			continue // no switch can reach it: column 0
@@ -87,85 +93,185 @@ func (t *Topology) FIBExcluding(dead func(link int) bool) *FIB {
 		}
 		f.col[h] = torCol[tor]
 	}
-	f.off = make([]uint32, len(colToR)*t.NumSwitches)
-	f.hops = make([]uint8, len(colToR)*t.NumSwitches)
+	ncol := len(colToR)
+	f.off = make([]uint32, ncol*nsw)
+	f.hops = make([]uint8, ncol*nsw)
 
-	// Switch adjacency: neighbor switch -> connecting ports, dead links
-	// filtered out up front, packed into one backing array.
-	type adj struct{ sw, port int }
-	live := func(sw, p int) bool {
-		return !t.PortPeer[sw][p].Host && (dead == nil || !dead(t.PortLink[sw][p]))
+	// Live switch adjacency in port order, dead links filtered out up front:
+	// switch sw's neighbours are adj[first[sw]:first[sw+1]].
+	nport := 0
+	for _, peers := range t.PortPeer {
+		nport += len(peers)
 	}
-	nAdj := 0
-	for sw := range t.PortPeer {
-		for p := range t.PortPeer[sw] {
-			if live(sw, p) {
-				nAdj++
+	adj := make([]neighbor, 0, nport)
+	first := make([]int32, nsw+1)
+	maxDeg := 0
+	for sw, peers := range t.PortPeer {
+		for p, peer := range peers {
+			if !peer.Host && (dead == nil || !dead(t.PortLink[sw][p])) {
+				adj = append(adj, neighbor{int32(peer.Node), int32(p)})
 			}
 		}
-	}
-	adjBack := make([]adj, 0, nAdj)
-	neighbors := make([][]adj, t.NumSwitches)
-	for sw := range t.PortPeer {
-		start := len(adjBack)
-		for p, peer := range t.PortPeer[sw] {
-			if live(sw, p) {
-				adjBack = append(adjBack, adj{peer.Node, p})
-			}
-		}
-		neighbors[sw] = adjBack[start:len(adjBack):len(adjBack)]
+		first[sw+1] = int32(len(adj))
+		maxDeg = max(maxDeg, len(adj)-int(first[sw]))
 	}
 
-	dist := make([]int, t.NumSwitches)
-	queue := make([]int, 0, t.NumSwitches)
-	// Equal lists are stored once; without that the packed array is 2.4 MB at
-	// k=16 and 72 MB at k=32, where it is 42 and 82 words.
-	stored := map[string]uint32{} // a list's port ids, four bytes each -> its offset in f.ports
-	var (
-		list []int  // the cell's ports
-		key  []byte // the same, as a map key
-	)
-	for c := 1; c < len(colToR); c++ {
+	// Per switch, a bitset of columns words wide: the columns it has reached
+	// (seen), reached in the last ring (front), and reaches in this one (next).
+	words := (ncol + 63) / 64
+	sets := make([]uint64, 3*nsw*words)
+	seen, front, next := sets[:nsw*words], sets[nsw*words:2*nsw*words], sets[2*nsw*words:]
+	for c := 1; c < ncol; c++ {
 		tor := colToR[c]
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[tor] = 0
-		queue = append(queue[:0], tor)
-		for head := 0; head < len(queue); head++ {
-			sw := queue[head]
-			for _, n := range neighbors[sw] {
-				if dist[n.sw] == -1 {
-					dist[n.sw] = dist[sw] + 1
-					queue = append(queue, n.sw)
+		seen[tor*words+c/64] |= 1 << (c % 64)
+		front[tor*words+c/64] |= 1 << (c % 64)
+		f.off[c*nsw+tor] = torCell
+		f.hops[c*nsw+tor] = 1
+	}
+
+	// A switch's new columns fall into classes, the columns that the same
+	// neighbours' fronts hold, and each class has one list: the ports to
+	// those neighbours. Classes are found one word of columns at a time, by
+	// splitting the word's new columns against each neighbour's front;
+	// class k is cls[k], a mask within the word, and its neighbours are
+	// pats[k*pw:(k+1)*pw], bit i for nbrs[i].
+	pw := (maxDeg + 63) / 64
+	pats := make([]uint64, 64*pw)
+	cls := make([]uint64, 0, 64) // disjoint, non-empty masks within one word
+	store := listStore{slots: make([]uint32, 64), list: make([]int, 0, maxDeg)}
+
+	for d := 1; ; d++ {
+		hop := uint8(min(d+1, 255)) // +1 for the final host hop
+		grew := false
+		for v := 0; v < nsw; v++ {
+			nbrs := adj[first[v]:first[v+1]]
+			nv, sv := next[v*words:(v+1)*words], seen[v*words:(v+1)*words]
+			clear(nv)
+			for _, n := range nbrs {
+				fu := front[int(n.sw)*words : int(n.sw+1)*words]
+				for w := range nv {
+					nv[w] |= fu[w]
+				}
+			}
+			for w := range nv {
+				nv[w] &^= sv[w]
+				sv[w] |= nv[w]
+			}
+			for w, nw := range nv {
+				if nw == 0 {
+					continue
+				}
+				grew = true
+				cls = append(cls[:0], nw)
+				clear(pats[:pw])
+				for i, n := range nbrs {
+					m := front[int(n.sw)*words+w] & nw
+					for k, n0 := 0, len(cls); m != 0 && k < n0; k++ {
+						in := cls[k] & m
+						if in == 0 {
+							continue
+						}
+						m &^= in
+						j := k
+						if out := cls[k] &^ in; out != 0 { // split: in becomes a class of its own
+							cls[k] = out
+							j = len(cls)
+							cls = append(cls, in)
+							copy(pats[j*pw:(j+1)*pw], pats[k*pw:(k+1)*pw])
+						}
+						pats[j*pw+i/64] |= 1 << (i % 64)
+					}
+				}
+				for k, in := range cls {
+					o := store.offset(f, nbrs, pats[k*pw:(k+1)*pw])
+					for ; in != 0; in &= in - 1 {
+						cell := (w*64+bits.TrailingZeros64(in))*nsw + v
+						f.off[cell] = o
+						f.hops[cell] = hop
+					}
 				}
 			}
 		}
-		for sw, d := range dist {
-			if d < 0 {
-				continue // cannot reach the ToR: empty list, 0 hops
-			}
-			cell := c*t.NumSwitches + sw
-			f.hops[cell] = uint8(min(d+1, 255)) // +1 for the final host hop
-			if sw == tor {
-				f.off[cell] = torCell
-				continue
-			}
-			list, key = list[:0], key[:0]
-			for _, n := range neighbors[sw] {
-				if dist[n.sw] == d-1 {
-					list = append(list, n.port)
-					key = binary.LittleEndian.AppendUint32(key, uint32(n.port))
-				}
-			}
-			o, ok := stored[string(key)]
-			if !ok {
-				o = uint32(len(f.ports))
-				stored[string(key)] = o
-				f.ports = append(append(f.ports, len(list)), list...)
-			}
-			f.off[cell] = o
+		if !grew {
+			return f
+		}
+		front, next = next, front
+	}
+}
+
+// neighbor is one live fabric port of a switch: the switch across it, and
+// the port's number.
+type neighbor struct{ sw, port int32 }
+
+// listStore keeps the lists of FIB.ports unique while a table is built: equal
+// lists are stored once, whichever switch or column they serve. Port
+// numbering repeats from switch to switch, so without it the packed array is
+// 2.4 MB at k=16 and 72 MB at k=32, where it is 42 and 82 words. A list is
+// found by its hash and confirmed by its content.
+type listStore struct {
+	slots []uint32 // open addressing, a power of two long: a list's offset in ports, 0 if free
+	used  int
+	list  []int // scratch: the list in hand
+}
+
+// offset returns the offset in f.ports of the list that pattern picks out of
+// nbrs (bit i: the port to nbrs[i]), appending the list if it is new. The
+// list is never empty, so no stored list has offset 0.
+func (s *listStore) offset(f *FIB, nbrs []neighbor, pattern []uint64) uint32 {
+	s.list = s.list[:0]
+	for w, m := range pattern {
+		for ; m != 0; m &= m - 1 {
+			s.list = append(s.list, int(nbrs[w*64+bits.TrailingZeros64(m)].port))
 		}
 	}
-	return f
+	h := hashList(s.list)
+	mask := len(s.slots) - 1
+	for i := h & mask; ; i = (i + 1) & mask {
+		o := s.slots[i]
+		if o == 0 {
+			break
+		}
+		if slices.Equal(f.listAt(o), s.list) {
+			return o
+		}
+	}
+	o := uint32(len(f.ports))
+	f.ports = append(append(f.ports, len(s.list)), s.list...)
+	if s.used++; 2*s.used > len(s.slots) {
+		old := s.slots
+		s.slots = make([]uint32, 2*len(old))
+		for _, o := range old {
+			if o != 0 {
+				s.insert(o, hashList(f.listAt(o)))
+			}
+		}
+	}
+	s.insert(o, h)
+	return o
+}
+
+// insert files offset o in the first free slot from h on.
+func (s *listStore) insert(o uint32, h int) {
+	mask := len(s.slots) - 1
+	i := h & mask
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = o
+}
+
+// hashList mixes a list's port ids (FNV-1a over whole words).
+func hashList(list []int) int {
+	h := uint64(0xcbf29ce484222325)
+	for _, p := range list {
+		h = (h ^ uint64(p)) * 0x100000001b3
+	}
+	return int(h ^ h>>32)
+}
+
+// listAt returns the list stored at offset o of f.ports.
+func (f *FIB) listAt(o uint32) []int {
+	lo := int(o) + 1
+	hi := lo + f.ports[o]
+	return f.ports[lo:hi:hi]
 }
