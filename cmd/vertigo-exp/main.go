@@ -13,7 +13,7 @@
 //
 // The sweep flags (-scale, -seed, -sim-time, -j, -fault, -heal-delay,
 // -run-timeout, -max-events, -sample-tick, -trace-flow,
-// -raw-series, -chaos-panic-at) are the fields of exp.Spec — the same spec,
+// -chaos-panic-at) are the fields of exp.Spec — the same spec,
 // under the same names with underscores, that a vertigo-serve job submits
 // as JSON. Every spec is resolved, and rejected if invalid, before anything
 // prints or runs.

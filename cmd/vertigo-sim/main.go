@@ -57,7 +57,6 @@ func main() {
 	}
 
 	if *jsonOut {
-		rep.FCTs, rep.QCTs = nil, nil // keep the JSON digestible
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {

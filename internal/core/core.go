@@ -122,10 +122,8 @@ type Config struct {
 	// survive a panic unwinding out of Run.
 	Flight *obs.FlightRecorder
 
-	// RawSeries controls whether the Summary keeps raw FCT/QCT slices next
-	// to the histograms; the zero value (metrics.RawAuto) keeps them for
-	// runs up to metrics.RawAutoMaxFlows started flows. Only
-	// metrics.RawKeep keeps completed flows' records on Result.Collector.
+	// RawSeries set to metrics.RawKeep keeps completed flows' records on
+	// Result.Collector for RangeFlows; no mode changes the Summary.
 	RawSeries metrics.RawMode
 
 	// Shards has no effect at any value. It was the number of topology

@@ -73,10 +73,10 @@ type published struct {
 	done     uint64
 	queries  uint64
 	answered uint64
-	fct      [2]metrics.Histogram // by flow class
-	qct      metrics.Histogram
-	ttr      metrics.Histogram
-	depth    metrics.Histogram
+	fct      [2]metrics.Log2Histogram // by flow class
+	qct      metrics.Log2Histogram
+	ttr      metrics.Log2Histogram
+	depth    metrics.Log2Histogram
 }
 
 // add puts the growth of a counter whose last published value is *last

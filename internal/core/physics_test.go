@@ -143,12 +143,7 @@ func TestPhysicsIncastQCTLowerBound(t *testing.T) {
 		t.Fatal("no queries completed")
 	}
 	bound := 256 * units.Microsecond
-	min := res.Summary.QCTs[0]
-	for _, q := range res.Summary.QCTs {
-		if q < min {
-			min = q
-		}
-	}
+	min := units.Time(res.Summary.QCTHist.Min())
 	if min < bound {
 		t.Errorf("QCT %v beats the serialization bound %v: conservation broken", min, bound)
 	}

@@ -6,6 +6,7 @@ import (
 	"vertigo/internal/fabric"
 	"vertigo/internal/metrics"
 	"vertigo/internal/transport"
+	"vertigo/internal/units"
 )
 
 // TestShapeUnderHighLoad pins the paper's headline orderings at high load
@@ -55,12 +56,17 @@ func TestShapeUnderHighLoad(t *testing.T) {
 // incomplete queries as infinitely slow. If fewer than half completed, the
 // median is the full simulation duration (a pessimistic stand-in).
 func censoredMedianQCT(r *Result) int64 {
-	s := r.Summary
-	rank := s.QueriesStarted / 2
-	if rank >= len(s.QCTs) {
-		return int64(s.Duration)
+	var qcts []units.Time
+	for _, q := range r.Collector.Queries {
+		if q.Completed {
+			qcts = append(qcts, q.QCT())
+		}
+	}
+	rank := r.Summary.QueriesStarted / 2
+	if rank >= len(qcts) {
+		return int64(r.Summary.Duration)
 	}
 	// The median of the censored distribution falls at rank `rank` within
 	// the sorted completed QCTs.
-	return int64(metrics.Percentile(s.QCTs, 100*float64(rank+1)/float64(len(s.QCTs))))
+	return int64(metrics.Percentile(qcts, 100*float64(rank+1)/float64(len(qcts))))
 }

@@ -56,12 +56,12 @@ func withPolicy(cfg Config, pol fabric.Policy) Config {
 
 // TestShardsHasNoEffect pins the contract of the one field a run keeps for
 // the frozen benchmark: Config.Shards changes nothing at any value — the
-// benchmark's sim_digest (a SHA-256 of the compact Summary) and the Summary
+// benchmark's sim_digest (a SHA-256 of the encoded Summary) and the Summary
 // itself are those of the same run without it.
 func TestShardsHasNoEffect(t *testing.T) {
 	digest := func(s *metrics.Summary) string {
 		h := sha256.New()
-		if err := s.Compact().Encode(h); err != nil {
+		if err := s.Encode(h); err != nil {
 			t.Fatal(err)
 		}
 		return hex.EncodeToString(h.Sum(nil))

@@ -84,10 +84,10 @@ type labeledBytes struct {
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Record folds one run's instrumentation into the recorder. Summaries are
-// compacted (raw FCT/QCT series dropped, histograms kept) so results.json
-// stays proportional to the number of runs, not the number of flows.
-// Failed runs (info.Err non-empty) are collected into the errors section.
+// Record folds one run's instrumentation into the recorder. A Summary holds
+// histograms, not per-flow series, so results.json stays proportional to
+// the number of runs, not the number of flows. Failed runs (info.Err
+// non-empty) are collected into the errors section.
 func (r *Recorder) Record(info RunInfo) {
 	if info.Err != "" {
 		r.failed = append(r.failed, RunRecord{Label: info.Label, Error: info.Err})
@@ -105,7 +105,7 @@ func (r *Recorder) Record(info RunInfo) {
 		EventsPerSec: info.EventsPerSec(),
 		Engine:       info.Engine,
 		Pool:         info.Pool,
-		Summary:      info.Summary.Compact(),
+		Summary:      info.Summary,
 	})
 	if info.Sampler != nil && len(info.Sampler.Samples()) > 0 {
 		var b bytes.Buffer

@@ -162,7 +162,7 @@ func runFig7(sc Scale, opt *Options) ([]*Table, error) {
 				sw.add(label, cfg, func(s *metrics.Summary, _ *metrics.Collector) {
 					t.Add(schemeName(p, proto),
 						fmt.Sprintf("%.0f%%+%.0f%%", mix.bg*100, mix.incast*100),
-						pFCT(s, 50), pFCT(s, 99), pTime(s, 50), pTime(s, 99),
+						s.FCTPercentile(50), s.FCTPercentile(99), s.QCTPercentile(50), s.QCTPercentile(99),
 						pct(s.QueryCompletionP))
 				})
 			}

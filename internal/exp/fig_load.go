@@ -178,7 +178,7 @@ func runFig6(sc Scale, opt *Options) ([]*Table, error) {
 						s.MeanQCT, pct(s.QueryCompletionP), pct(100*s.DropRate))
 					if load == 0.85 {
 						cdf.Add(schemeName(sys.policy, sys.proto),
-							pTime(s, 25), pTime(s, 50), pTime(s, 75), pTime(s, 95), pTime(s, 99))
+							s.QCTPercentile(25), s.QCTPercentile(50), s.QCTPercentile(75), s.QCTPercentile(95), s.QCTPercentile(99))
 					}
 				})
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"vertigo/internal/core"
 	"vertigo/internal/fabric"
 	"vertigo/internal/metrics"
 	"vertigo/internal/obs"
@@ -174,39 +176,57 @@ func TestWatchdogKillDumpsFlight(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantilesMatchRawFig1: on a real fig1-style workload the
-// histogram quantiles agree with the exact raw percentiles to within bucket
-// resolution (a factor of two), never below. This is the fidelity contract
-// that lets RawDrop summaries stand in for raw series at scale.
+// TestHistogramQuantilesMatchRawFig1 is the grid's contract on real
+// workloads, fig1's leaf-spine mix and a fat-tree k=4 cell: every percentile
+// a Summary reports lies in [exact, exact·65/64], where exact is the
+// nearest-rank percentile of the completion times the run's own records
+// hold (RawKeep's completed flows, every query), and the counts agree.
 func TestHistogramQuantilesMatchRawFig1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	cfg := withLoads(baseConfig(Tiny, fabric.Vertigo, transport.DCTCP), 0.2, 0.5)
-	cfg.RawSeries = metrics.RawKeep
-	sum, _, err := NewOptions().run("quantile-fidelity", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum.FCTs) == 0 || sum.FCTHist == nil {
-		t.Fatalf("run kept %d raw FCTs, hist=%v; need both for the comparison",
-			len(sum.FCTs), sum.FCTHist != nil)
-	}
-	if got, want := sum.FCTHist.Count(), uint64(len(sum.FCTs)); got != want {
-		t.Errorf("histogram count %d != %d raw FCTs", got, want)
-	}
-	for _, p := range []float64{10, 50, 90, 99, 99.9} {
-		raw := metrics.Percentile(sum.FCTs, p)
-		approx := units.Time(sum.FCTHist.Quantile(p / 100))
-		if approx < raw || approx > 2*raw {
-			t.Errorf("FCT p%g: histogram %v outside [%v, %v] around raw", p, approx, raw, 2*raw)
+	within := func(what string, exact, grid units.Time) {
+		if grid < exact || grid > exact*65/64 {
+			t.Errorf("%s: grid %v outside [%v, %v]", what, grid, exact, exact*65/64)
 		}
 	}
-	for _, p := range []float64{50, 99} {
-		raw := metrics.Percentile(sum.QCTs, p)
-		approx := units.Time(sum.QCTHist.Quantile(p / 100))
-		if approx < raw || approx > 2*raw {
-			t.Errorf("QCT p%g: histogram %v outside [%v, %v] around raw", p, approx, raw, 2*raw)
+	for _, cell := range []struct {
+		name string
+		cfg  core.Config
+	}{
+		{"fig1", withLoads(baseConfig(Tiny, fabric.Vertigo, transport.DCTCP), 0.2, 0.5)},
+		{"fattree-k4", withLoads(fatTreeConfig(Tiny, fabric.Vertigo, transport.DCTCP), 0.2, 0.5)},
+	} {
+		cfg := cell.cfg
+		cfg.RawSeries = metrics.RawKeep
+		sum, met, err := NewOptions().run("quantile-fidelity/"+cell.name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fcts, qcts []units.Time
+		met.RangeFlows(func(f *metrics.FlowRecord) bool {
+			if f.Completed {
+				fcts = append(fcts, f.FCT())
+			}
+			return true
+		})
+		for _, q := range met.Queries {
+			if q.Completed {
+				qcts = append(qcts, q.QCT())
+			}
+		}
+		if len(fcts) == 0 || len(qcts) == 0 || sum.FCTHist.Count() != uint64(len(fcts)) || sum.QCTHist.Count() != uint64(len(qcts)) {
+			t.Fatalf("%s: %d completed records and %d queries, histograms count %d and %d",
+				cell.name, len(fcts), len(qcts), sum.FCTHist.Count(), sum.QCTHist.Count())
+		}
+		for _, p := range []float64{10, 50, 90, 99, 99.9} {
+			within(fmt.Sprintf("%s FCT p%g", cell.name, p), metrics.Percentile(fcts, p), sum.FCTPercentile(p))
+		}
+		for _, p := range []float64{50, 99} {
+			within(fmt.Sprintf("%s QCT p%g", cell.name, p), metrics.Percentile(qcts, p), sum.QCTPercentile(p))
+		}
+		if sum.P99FCT != sum.FCTPercentile(99) || sum.P99QCT != sum.QCTPercentile(99) {
+			t.Errorf("%s: P99FCT %v and P99QCT %v are not the grid's p99", cell.name, sum.P99FCT, sum.P99QCT)
 		}
 	}
 }

@@ -129,7 +129,7 @@ func renderVia(t *testing.T, id string, ob observation, opt *Options,
 func summaryDigest(t *testing.T, s *metrics.Summary) string {
 	t.Helper()
 	h := sha256.New()
-	if err := s.Compact().Encode(h); err != nil {
+	if err := s.Encode(h); err != nil {
 		t.Fatal(err)
 	}
 	return hex.EncodeToString(h.Sum(nil))

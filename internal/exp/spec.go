@@ -12,7 +12,6 @@ import (
 	"vertigo/internal/core"
 	"vertigo/internal/fabric"
 	"vertigo/internal/faults"
-	"vertigo/internal/metrics"
 	"vertigo/internal/transport"
 	"vertigo/internal/units"
 )
@@ -27,18 +26,17 @@ import (
 // chaos_panic_at) applies to every run of the sweep that sets none of its
 // own.
 type Spec struct {
-	Scale        string          `json:"scale,omitempty"`          // tiny|small|medium|paper|huge (default small)
-	Seed         int64           `json:"seed,omitempty"`           // RNG seed (0 = the scale's)
-	SimTime      Duration        `json:"sim_time,omitempty"`       // simulated time per run (0 = the scale's)
-	Jobs         int             `json:"jobs,omitempty"`           // simulations run at once (default 1); tables are identical at any
-	Fault        string          `json:"fault,omitempty"`          // fault schedule (internal/faults DSL)
-	HealDelay    Duration        `json:"heal_delay,omitempty"`     // control-plane healing delay (0 = off)
-	RunTimeout   Duration        `json:"run_timeout,omitempty"`    // wall-clock budget per run (0 = unlimited; core.ErrWallBudget)
-	MaxEvents    uint64          `json:"max_events,omitempty"`     // event budget per run (0 = unlimited; core.ErrMaxEvents)
-	SampleTick   Duration        `json:"sample_tick,omitempty"`    // per-port sampler tick (0 = off); series reach Options.OnRun
-	TraceFlow    uint64          `json:"trace_flow,omitempty"`     // flow ID to trace as JSONL (0 = off)
-	RawSeries    metrics.RawMode `json:"raw_series,omitempty"`     // raw FCT/QCT retention: auto|keep|drop (keep also keeps completed records)
-	ChaosPanicAt Duration        `json:"chaos_panic_at,omitempty"` // crash drill: simulated time every run panics at (0 = never)
+	Scale        string   `json:"scale,omitempty"`          // tiny|small|medium|paper|huge (default small)
+	Seed         int64    `json:"seed,omitempty"`           // RNG seed (0 = the scale's)
+	SimTime      Duration `json:"sim_time,omitempty"`       // simulated time per run (0 = the scale's)
+	Jobs         int      `json:"jobs,omitempty"`           // simulations run at once (default 1); tables are identical at any
+	Fault        string   `json:"fault,omitempty"`          // fault schedule (internal/faults DSL)
+	HealDelay    Duration `json:"heal_delay,omitempty"`     // control-plane healing delay (0 = off)
+	RunTimeout   Duration `json:"run_timeout,omitempty"`    // wall-clock budget per run (0 = unlimited; core.ErrWallBudget)
+	MaxEvents    uint64   `json:"max_events,omitempty"`     // event budget per run (0 = unlimited; core.ErrMaxEvents)
+	SampleTick   Duration `json:"sample_tick,omitempty"`    // per-port sampler tick (0 = off); series reach Options.OnRun
+	TraceFlow    uint64   `json:"trace_flow,omitempty"`     // flow ID to trace as JSONL (0 = off)
+	ChaosPanicAt Duration `json:"chaos_panic_at,omitempty"` // crash drill: simulated time every run panics at (0 = never)
 }
 
 // Duration is a Spec duration: nanoseconds, written as a Go duration string.
@@ -74,7 +72,6 @@ func (s *Spec) RegisterFlags(fs *flag.FlagSet) {
 	fs.Uint64Var(&s.MaxEvents, "max-events", s.MaxEvents, "event budget per simulation run; a capped run fails its row (0 = unlimited)")
 	fs.TextVar(&s.SampleTick, "sample-tick", s.SampleTick, "per-port queue/utilization sampling tick, e.g. 100us (0 = off; series lands in -out samples.csv)")
 	fs.Uint64Var(&s.TraceFlow, "trace-flow", s.TraceFlow, "JSONL packet trace for this flow ID (0 = off; trace lands in -out trace.jsonl)")
-	fs.TextVar(&s.RawSeries, "raw-series", s.RawSeries, "raw FCT/QCT series retention: auto (drop past 200k flows/run), keep (also keeps completed flow records), drop (histograms still carry the distributions)")
 	fs.TextVar(&s.ChaosPanicAt, "chaos-panic-at", s.ChaosPanicAt, "crash drill: every run panics at this simulated time (0 = never)")
 }
 
@@ -157,7 +154,6 @@ func (o *Options) applyTo(cfg core.Config) core.Config {
 	if cfg.PacketTrace == nil {
 		fill(&cfg.PacketTraceFlow, s.TraceFlow)
 	}
-	fill(&cfg.RawSeries, s.RawSeries)
 	fill(&cfg.ChaosPanicAt, units.Time(s.ChaosPanicAt))
 	return cfg
 }

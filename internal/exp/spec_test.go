@@ -9,8 +9,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"vertigo/internal/metrics"
 )
 
 // flap is a fault schedule that fits the tiny scale's 30 ms window.
@@ -43,13 +41,13 @@ func TestSpecEncodingsAgree(t *testing.T) {
 		json  string
 	}{
 		{nil, `{}`},
-		{[]string{"-scale", "small", "-seed", "1", "-sim-time", "80ms", "-j", "1", "-raw-series", "auto"}, `{}`},
+		{[]string{"-scale", "small", "-seed", "1", "-sim-time", "80ms", "-j", "1"}, `{}`},
 		{[]string{"-scale", "tiny", "-seed", "3", "-sim-time", "4ms"}, `{"scale":"tiny","seed":3,"sim_time":"4000us"}`},
 		{[]string{"-scale", "tiny", "-fault", flap, "-heal-delay", "500us"},
 			`{"scale":"tiny","fault":"` + flap + `","heal_delay":"0.5ms"}`},
 		{[]string{"-j", "4", "-run-timeout", "2m", "-max-events", "1000000", "-sample-tick", "100us",
-			"-trace-flow", "7", "-raw-series", "keep", "-chaos-panic-at", "40ms"},
-			`{"jobs":4,"run_timeout":"120s","max_events":1000000,"sample_tick":"100us","trace_flow":7,"raw_series":"keep","chaos_panic_at":"40ms"}`},
+			"-trace-flow", "7", "-chaos-panic-at", "40ms"},
+			`{"jobs":4,"run_timeout":"120s","max_events":1000000,"sample_tick":"100us","trace_flow":7,"chaos_panic_at":"40ms"}`},
 	} {
 		var fromFlags Spec
 		fs := flag.NewFlagSet("spec", flag.ContinueOnError)
@@ -105,10 +103,10 @@ func TestManifestSpecResolves(t *testing.T) {
 	}
 }
 
-// TestSpecHashIsStable: a spec's hash is what it was when specs still had a
-// "shards" field, for every spec that did not set it — the values below were
-// computed then — so vertigo-serve journals and artifact directories keyed by
-// hash keep resolving.
+// TestSpecHashIsStable: a spec's hash is what it was before two fields were
+// retired (the shard count and the raw-series mode), for every spec that set
+// neither — the values below were computed then — so vertigo-serve journals
+// and artifact directories keyed by hash keep resolving.
 func TestSpecHashIsStable(t *testing.T) {
 	for _, tc := range []struct {
 		spec Spec
@@ -118,7 +116,7 @@ func TestSpecHashIsStable(t *testing.T) {
 		{Spec{Scale: "tiny", Seed: 3, SimTime: Duration(4 * time.Millisecond), Jobs: 2,
 			Fault: "flap@1ms:link=16,down=500us,period=1ms,count=2", HealDelay: Duration(500 * time.Microsecond),
 			RunTimeout: Duration(2 * time.Minute), MaxEvents: 1000000, SampleTick: Duration(100 * time.Microsecond),
-			TraceFlow: 7, RawSeries: metrics.RawKeep}, "379ac822cc9cec59"},
+			TraceFlow: 7}, "d3b43a0d2adaf1ef"},
 	} {
 		if got := tc.spec.Hash(); got != tc.want {
 			t.Errorf("%+v hashes to %s, want %s", tc.spec, got, tc.want)

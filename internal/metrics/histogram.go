@@ -3,28 +3,61 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"vertigo/internal/obs"
-	"vertigo/internal/units"
 )
 
-// Histogram is a log-bucketed histogram of non-negative int64 observations
-// (nanoseconds, bytes, counts) on obs's bucket grid: bucket i>0 holds values
-// in [2^(i-1), 2^i), bucket 0 zero and negative values. Log bucketing keeps
-// the whole distribution — from sub-microsecond queue blips to multi-second
-// tails — in 65 counters with bounded (≤ 2×) relative error, which is what
-// run artifacts need: end-of-run scalars hide exactly the transient behaviour
-// the paper's evaluation is about.
+// Histogram is a histogram of non-negative int64 observations (nanoseconds,
+// bytes, counts) on a log-linear grid in HdrHistogram's layout: each value
+// from 0 to 63 has its own bucket, and each octave [2^k, 2^(k+1)) for k ≥ 6
+// is split into 64 equal sub-buckets. A bucket is never wider than 1/64 of
+// its lower edge, so a quantile read from the grid is within a factor 65/64
+// above the exact one at any count, while the whole range — sub-microsecond
+// queue blips to multi-second tails — stays in at most 3,712 counters that
+// merge exactly. Negative values land in bucket 0.
 //
-// The zero value is an empty, usable histogram.
+// Every bucket lies inside one bucket of obs's log-2 grid, so PublishTo
+// folds the histogram onto a registry histogram exactly.
+//
+// counts grows only to the highest bucket observed: the zero value is an
+// empty, usable histogram that has allocated nothing.
 type Histogram struct {
-	counts [obs.NumBuckets]uint64
+	counts []uint64
 	total  uint64
 	sum    int64
 	min    int64
 	max    int64
 }
+
+// subBits is log2 of the sub-buckets per octave.
+const subBits = 6
+
+// bucketOf returns the grid index of v: v itself below 64, otherwise the
+// octave's offset plus v's top subBits+1 bits.
+func bucketOf(v int64) int {
+	if v <= 0 {
+		return 0
+	}
+	shift := max(bits.Len64(uint64(v))-1-subBits, 0)
+	return shift<<subBits + int(v>>shift)
+}
+
+// bucketLow returns the inclusive lower edge of bucket i.
+func bucketLow(i int) int64 {
+	shift := max(i>>subBits-1, 0)
+	return int64(i-shift<<subBits) << shift
+}
+
+// bucketHigh returns the inclusive upper edge of bucket i.
+func bucketHigh(i int) int64 {
+	shift := max(i>>subBits-1, 0)
+	return bucketLow(i) + (1<<shift - 1)
+}
+
+// foldBucket returns the obs log-2 bucket that holds all of bucket i.
+func foldBucket(i int) int { return obs.BucketOf(bucketLow(i)) }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
@@ -34,9 +67,18 @@ func (h *Histogram) Observe(v int64) {
 	if h.total == 0 || v > h.max {
 		h.max = v
 	}
-	h.counts[obs.BucketOf(v)]++
+	i := bucketOf(v)
+	h.grow(i + 1)
+	h.counts[i]++
 	h.total++
 	h.sum += v
+}
+
+// grow extends counts to at least n buckets.
+func (h *Histogram) grow(n int) {
+	if n > len(h.counts) {
+		h.counts = append(h.counts, make([]uint64, n-len(h.counts))...)
+	}
 }
 
 // Count returns the number of observations.
@@ -71,10 +113,12 @@ func (h *Histogram) Mean() float64 {
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1): the
 // inclusive upper edge of the bucket holding the nearest-rank observation,
-// tightened to Min/Max at the extremes. Resolution is the bucket width
-// (factor of two).
+// clamped to Max, and Min or Max exactly at the extremes. For non-negative
+// observations the result lies in [exact, exact·65/64], where exact is the
+// nearest-rank percentile of the observed values (metrics.Percentile). A
+// nil histogram is empty.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h.total == 0 {
+	if h == nil || h.total == 0 {
 		return 0
 	}
 	if q <= 0 {
@@ -91,48 +135,10 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i, c := range h.counts {
 		seen += c
 		if seen >= rank {
-			hi := obs.BucketHigh(i)
-			if hi > h.max {
-				hi = h.max
-			}
-			return hi
+			return min(bucketHigh(i), h.max)
 		}
 	}
 	return h.Max()
-}
-
-// CDF returns the histogram's cumulative distribution as one point per
-// non-empty bucket (at most maxPoints, downsampled evenly when the grid has
-// more), each point's Value being the bucket's inclusive upper bound clamped
-// to the observed max. Nil-safe: a nil or empty histogram returns nil. This
-// is the figure-path fallback when the raw series was dropped — resolution
-// is the factor-of-two bucket width instead of per-sample.
-func (h *Histogram) CDF(maxPoints int) []CDFPoint {
-	if h == nil || h.total == 0 || maxPoints <= 0 {
-		return nil
-	}
-	var pts []CDFPoint
-	var seen uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		seen += c
-		v := obs.BucketHigh(i)
-		if v > h.max {
-			v = h.max
-		}
-		pts = append(pts, CDFPoint{Value: units.Time(v), Fraction: float64(seen) / float64(h.total)})
-	}
-	if len(pts) <= maxPoints {
-		return pts
-	}
-	// Downsample evenly, always keeping the final (fraction 1) point.
-	out := make([]CDFPoint, 0, maxPoints)
-	for i := 1; i <= maxPoints; i++ {
-		out = append(out, pts[i*len(pts)/maxPoints-1])
-	}
-	return out
 }
 
 // Merge folds other into h.
@@ -146,6 +152,7 @@ func (h *Histogram) Merge(other *Histogram) {
 	if h.total == 0 || other.max > h.max {
 		h.max = other.max
 	}
+	h.grow(len(other.counts))
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
@@ -153,17 +160,55 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.sum += other.sum
 }
 
-// PublishTo adds to dst, a registry histogram on the same bucket grid, what h
-// observed since *last — an earlier copy of h — and advances *last to h.
-func (h *Histogram) PublishTo(dst *obs.Histogram, last *Histogram) {
+// PublishTo adds to dst, a registry histogram, what h observed since *last,
+// folded onto dst's log-2 grid, and advances *last to that fold.
+func (h *Histogram) PublishTo(dst *obs.Histogram, last *Log2Histogram) {
 	if h.total == last.total {
 		return
 	}
-	var counts [obs.NumBuckets]uint64
-	for i := range counts {
-		counts[i] = h.counts[i] - last.counts[i]
+	now := Log2Histogram{total: h.total, sum: h.sum}
+	for i, c := range h.counts {
+		now.counts[foldBucket(i)] += c
 	}
-	dst.AddCounts(&counts, h.sum-last.sum)
+	now.PublishTo(dst, last)
+}
+
+// Log2Histogram counts observations on obs's log-2 grid in plain memory:
+// 65 counters, a count and a sum. It is what Histogram.PublishTo has
+// published, and the whole of a per-packet tally that only the registry
+// reads (Collector.QueueDepth), where its few cache lines keep Observe
+// cheap; the log-linear grid's hundreds of counters would miss the cache
+// on every enqueue. The zero value is empty.
+type Log2Histogram struct {
+	counts [obs.NumBuckets]uint64
+	total  uint64
+	sum    int64
+}
+
+// Observe records one value.
+func (h *Log2Histogram) Observe(v int64) {
+	h.counts[obs.BucketOf(v)]++
+	h.total++
+	h.sum += v
+}
+
+// Count returns the number of observations.
+func (h *Log2Histogram) Count() uint64 { return h.total }
+
+// Sum returns the sum of all observations.
+func (h *Log2Histogram) Sum() int64 { return h.sum }
+
+// PublishTo adds to dst what h observed since *last, and advances *last
+// to h.
+func (h *Log2Histogram) PublishTo(dst *obs.Histogram, last *Log2Histogram) {
+	if h.total == last.total {
+		return
+	}
+	grew := h.counts
+	for i := range grew {
+		grew[i] -= last.counts[i]
+	}
+	dst.AddCounts(&grew, h.sum-last.sum)
 	*last = *h
 }
 
@@ -179,7 +224,7 @@ func (h *Histogram) Buckets() []Bucket {
 	var out []Bucket
 	for i, c := range h.counts {
 		if c > 0 {
-			out = append(out, Bucket{Low: obs.BucketLow(i), High: obs.BucketHigh(i), Count: c})
+			out = append(out, Bucket{Low: bucketLow(i), High: bucketHigh(i), Count: c})
 		}
 	}
 	return out
@@ -209,10 +254,11 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	}
 	*h = Histogram{total: w.Count, sum: w.Sum, min: w.Min, max: w.Max}
 	for _, b := range w.Buckets {
-		i := obs.BucketOf(b.High)
-		if obs.BucketLow(i) != b.Low {
-			return fmt.Errorf("metrics: bucket [%d,%d] does not match the log-bucket grid", b.Low, b.High)
+		i := bucketOf(b.High)
+		if bucketLow(i) != b.Low || bucketHigh(i) != b.High {
+			return fmt.Errorf("metrics: bucket [%d,%d] does not match the histogram grid", b.Low, b.High)
 		}
+		h.grow(i + 1)
 		h.counts[i] = b.Count
 	}
 	return nil

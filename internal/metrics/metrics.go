@@ -1,6 +1,8 @@
 // Package metrics collects and summarizes simulation results: flow and
-// query completion times, drop/deflection/reorder counters, goodput, and
-// the percentile and CDF machinery the paper's figures are built from.
+// query completion times, drop/deflection/reorder counters and goodput.
+// Completion times stream into log-linear histograms (Histogram), whose
+// percentiles are within a factor 65/64 of the exact ones at any flow
+// count; they are the only percentile path a Summary has.
 package metrics
 
 import (
@@ -8,6 +10,20 @@ import (
 
 	"vertigo/internal/flowtab"
 	"vertigo/internal/units"
+)
+
+// RawMode says whether the Collector keeps completed flows' records.
+type RawMode int
+
+// Record-retention modes.
+const (
+	// RawAuto (the default) deletes a completed flow's record at once.
+	RawAuto RawMode = iota
+	// RawKeep keeps every completed flow's record for Collector.Flow and
+	// RangeFlows.
+	RawKeep
+	// RawDrop is RawAuto; the name stays for callers that still set it.
+	RawDrop
 )
 
 // DropReason classifies packet drops for the §2 and Fig. 12 breakdowns.
@@ -95,18 +111,16 @@ func (q *QueryRecord) QCT() units.Time { return q.End - q.Start }
 // use; the simulator is single-threaded by design.
 //
 // Completion times are streamed: every scalar and distribution a Summary
-// reports is folded in at EndFlow time (sums, counts, per-class log-bucketed
-// histograms), so the collector's footprint is O(active flows), not O(total
-// flows). FlowRecord slots live in a flowtab slab table and hold open flows
-// only: EndFlow deletes a completed record and its slot goes to the next
-// flow, unless RawSeries is RawKeep, which keeps every record for Flow and
-// RangeFlows to inspect. The raw FCT/QCT series follow their own RawMode
-// rule; no mode changes a Summary's aggregates. What still grows with the
-// run is Queries, one entry per incast query.
+// reports is folded in at EndFlow time (sums, counts, per-class histograms),
+// so the collector's footprint is O(active flows), not O(total flows).
+// FlowRecord slots live in a flowtab slab table and hold open flows only:
+// EndFlow deletes a completed record and its slot goes to the next flow,
+// unless RawSeries is RawKeep, which keeps every record for Flow and
+// RangeFlows to inspect. No mode changes a Summary. What still grows with
+// the run is Queries, one entry per incast query.
 type Collector struct {
-	// RawSeries controls whether raw FCT/QCT series are accumulated and kept
-	// on the Summary (see RawMode); the zero value is RawAuto. Set it before
-	// the first StartFlow — the auto cutoff is applied as flows start.
+	// RawSeries says whether completed flows' records stay (see RawMode);
+	// the zero value is RawAuto.
 	RawSeries RawMode
 
 	Queries []QueryRecord
@@ -116,9 +130,6 @@ type Collector struct {
 	// out a dense slice; the flowtab keeps lookups cheap and recycles record
 	// slots.
 	flows *flowtab.Table[FlowRecord]
-	// dropRaw is set once raw series are dropped: from the first flow under
-	// RawDrop, or at the RawAuto cutoff.
-	dropRaw bool
 
 	flowsStarted   int
 	flowsCompleted int
@@ -138,11 +149,6 @@ type Collector struct {
 	elephFlows   int
 	elephGoodput units.BitRate
 
-	// Raw completion-time series in completion order, accumulated only
-	// while the RawSeries mode keeps them.
-	fcts []units.Time
-	qcts []units.Time
-
 	Drops        [numDropReasons]int64
 	DropsByClass [numFlowClasses]int64
 	Deflections  int64
@@ -161,19 +167,19 @@ type Collector struct {
 
 	// QueueDepth is egress-queue occupancy in bytes, observed after every
 	// enqueue at a NIC or switch port: the occupancy distribution, not its
-	// mean, tells buffer regimes apart (paper §5).
-	QueueDepth Histogram
+	// mean, tells buffer regimes apart (paper §5). No Summary reports it,
+	// so it stays on the registry's log-2 grid.
+	QueueDepth Log2Histogram
 
 	// Fault-injection accounting (see internal/faults). Recovery durations
 	// are folded into a histogram + sum/count as links come back up, so flap
-	// storms cost O(1) memory; the raw series is kept only under RawKeep.
+	// storms cost O(1) memory.
 	FaultEvents    int64 // fault transitions applied to the fabric
 	FIBInstalls    int64 // control-plane healing FIB swaps
 	PostRecoveryTx int64 // packets transmitted on a once-failed, recovered port
 	ttrHist        Histogram
 	ttrCount       int
 	ttrSum         int64
-	recoveries     []units.Time // raw carrier-loss durations, RawKeep only
 }
 
 // NewCollector returns an empty collector.
@@ -184,12 +190,6 @@ func NewCollector() *Collector {
 // StartFlow registers a new flow.
 func (c *Collector) StartFlow(rec FlowRecord) {
 	c.flowsStarted++
-	// The cut is on flows started — a configuration-time quantity — so it
-	// cannot flip on completion behaviour.
-	if !c.dropRaw && !c.RawSeries.keepRaw(c.flowsStarted) {
-		c.dropRaw = true
-		c.fcts, c.qcts = nil, nil
-	}
 	v, _ := c.flows.Put(rec.ID)
 	*v = rec
 }
@@ -208,9 +208,6 @@ func (c *Collector) EndFlow(id uint64, t units.Time) {
 	fct := t - f.Start
 	c.fctHist[f.Class].Observe(int64(fct))
 	c.fctSum += int64(fct)
-	if !c.dropRaw {
-		c.fcts = append(c.fcts, fct)
-	}
 	if f.Size < MiceMaxBytes {
 		c.miceCount++
 		c.miceSum += int64(fct)
@@ -230,9 +227,6 @@ func (c *Collector) EndFlow(id uint64, t units.Time) {
 			qct := t - q.Start
 			c.qctHist.Observe(int64(qct))
 			c.qctSum += int64(qct)
-			if !c.dropRaw {
-				c.qcts = append(c.qcts, qct)
-			}
 		}
 	}
 	if c.RawSeries != RawKeep {
@@ -288,15 +282,11 @@ func (c *Collector) Drop(reason DropReason, class FlowClass) {
 
 // Recovered records one link's carrier-loss duration when it comes back up.
 // The duration is streamed into the TTR histogram and sum, so a flapping
-// link costs O(1) memory no matter how often it recovers; the raw series is
-// kept only under RawKeep.
+// link costs O(1) memory no matter how often it recovers.
 func (c *Collector) Recovered(down units.Time) {
 	c.ttrCount++
 	c.ttrSum += int64(down)
 	c.ttrHist.Observe(int64(down))
-	if c.RawSeries == RawKeep {
-		c.recoveries = append(c.recoveries, down)
-	}
 }
 
 // RecoveryCount returns the number of link recoveries recorded.
@@ -315,10 +305,6 @@ func (c *Collector) QCTHist() *Histogram { return &c.qctHist }
 
 // TTRHist returns the live time-to-recover histogram.
 func (c *Collector) TTRHist() *Histogram { return &c.ttrHist }
-
-// RecoveryTimes returns the raw recovery-duration series, non-nil only
-// under RawKeep.
-func (c *Collector) RecoveryTimes() []units.Time { return c.recoveries }
 
 // TotalDrops sums drops across reasons.
 func (c *Collector) TotalDrops() int64 {
@@ -358,29 +344,4 @@ func Percentile(ts []units.Time, p float64) units.Time {
 		rank = len(s) - 1
 	}
 	return s[rank]
-}
-
-// CDFPoint is one (value, cumulative fraction) sample.
-type CDFPoint struct {
-	Value    units.Time
-	Fraction float64
-}
-
-// CDF returns up to maxPoints evenly spaced points of the empirical CDF.
-func CDF(ts []units.Time, maxPoints int) []CDFPoint {
-	if len(ts) == 0 || maxPoints <= 0 {
-		return nil
-	}
-	s := make([]units.Time, len(ts))
-	copy(s, ts)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if maxPoints > len(s) {
-		maxPoints = len(s)
-	}
-	pts := make([]CDFPoint, 0, maxPoints)
-	for i := 1; i <= maxPoints; i++ {
-		idx := i*len(s)/maxPoints - 1
-		pts = append(pts, CDFPoint{Value: s[idx], Fraction: float64(idx+1) / float64(len(s))})
-	}
-	return pts
 }

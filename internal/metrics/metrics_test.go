@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -107,26 +106,6 @@ func TestPropertyPercentileBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	ts := make([]units.Time, 100)
-	for i := range ts {
-		ts[i] = units.Time(i + 1)
-	}
-	pts := CDF(ts, 10)
-	if len(pts) != 10 {
-		t.Fatalf("CDF points %d, want 10", len(pts))
-	}
-	if last := pts[len(pts)-1]; last.Fraction != 1 || last.Value != 100 {
-		t.Fatalf("last CDF point %+v, want (100, 1)", last)
-	}
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].Value < pts[j].Value }) {
-		t.Fatal("CDF values not sorted")
-	}
-	if CDF(nil, 10) != nil {
-		t.Fatal("CDF of empty series should be nil")
 	}
 }
 

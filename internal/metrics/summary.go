@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"vertigo/internal/units"
@@ -66,61 +67,34 @@ type Summary struct {
 	MTTR           units.Time       `json:"mttr_ns,omitempty"`
 	PostRecoveryTx int64            `json:"post_recovery_tx,omitempty"`
 
-	// Log-bucketed completion-time distributions: the whole shape survives
-	// serialization even when the raw series are stripped (Compact).
-	// FCTHist merges the per-class histograms; the class-specific shapes
-	// ride along so the incast/background split survives too.
+	// Completion-time distributions on the log-linear grid (see Histogram):
+	// the percentiles read them. FCTHist merges the per-class histograms;
+	// the class-specific shapes ride along so the incast/background split
+	// survives too.
 	FCTHist           *Histogram `json:"fct_hist,omitempty"`
 	QCTHist           *Histogram `json:"qct_hist,omitempty"`
 	FCTHistBackground *Histogram `json:"fct_hist_background,omitempty"`
 	FCTHistIncast     *Histogram `json:"fct_hist_incast,omitempty"`
 	TTRHist           *Histogram `json:"ttr_hist,omitempty"`
-
-	// Raw series kept for CDF figures. Optional: the collector's RawSeries
-	// mode drops them for large runs (see RawMode), in which case
-	// FCTPercentile/QCTPercentile and CDF figures read the histograms.
-	FCTs []units.Time `json:"fcts_ns,omitempty"`
-	QCTs []units.Time `json:"qcts_ns,omitempty"`
 }
 
 // FCTPercentile returns the p-th percentile (0 < p <= 100) of flow
-// completion times: exact from the raw series when kept, otherwise the
-// histogram's nearest-rank bucket bound (factor-of-two resolution).
+// completion times: the FCT histogram's nearest-rank bucket bound, within
+// a factor 65/64 above the exact value.
 func (s *Summary) FCTPercentile(p float64) units.Time {
-	if len(s.FCTs) > 0 {
-		return Percentile(s.FCTs, p)
-	}
-	if s.FCTHist != nil {
-		return units.Time(s.FCTHist.Quantile(p / 100))
-	}
-	return 0
+	return units.Time(s.FCTHist.Quantile(p / 100))
 }
 
-// QCTPercentile returns the p-th percentile of query completion times; see
-// FCTPercentile for raw-vs-histogram resolution.
+// QCTPercentile returns the p-th percentile of query completion times, at
+// FCTPercentile's resolution.
 func (s *Summary) QCTPercentile(p float64) units.Time {
-	if len(s.QCTs) > 0 {
-		return Percentile(s.QCTs, p)
-	}
-	if s.QCTHist != nil {
-		return units.Time(s.QCTHist.Quantile(p / 100))
-	}
-	return 0
-}
-
-// FCTCDF returns up to maxPoints of the flow-completion-time CDF: the
-// empirical CDF when the raw series is kept, the histogram CDF otherwise.
-func (s *Summary) FCTCDF(maxPoints int) []CDFPoint {
-	if len(s.FCTs) > 0 {
-		return CDF(s.FCTs, maxPoints)
-	}
-	return s.FCTHist.CDF(maxPoints)
+	return units.Time(s.QCTHist.Quantile(p / 100))
 }
 
 // Summarize digests the collector at simulation end time end. Every scalar
-// is read from the streaming aggregates (exact integer sums and counts);
-// percentiles and CDFs are exact while the raw series are kept and served
-// from the log-bucketed histograms past the RawMode cutoff.
+// is read from the streaming aggregates (exact integer sums and counts) and
+// every percentile from the histograms. The Summary shares no state with
+// the collector, so later observations leave it as it is.
 func (c *Collector) Summarize(end units.Time) *Summary {
 	s := &Summary{Duration: end, FlowsStarted: c.flowsStarted, QueriesStarted: len(c.Queries)}
 
@@ -142,15 +116,7 @@ func (c *Collector) Summarize(end units.Time) *Summary {
 	s.FCTHist = mergedHist(&c.fctHist[Background], &c.fctHist[Incast])
 	s.FCTHistBackground = histCopy(&c.fctHist[Background])
 	s.FCTHistIncast = histCopy(&c.fctHist[Incast])
-	if !c.dropRaw {
-		s.FCTs = append([]units.Time(nil), c.fcts...)
-		s.QCTs = append([]units.Time(nil), c.qcts...)
-	}
-	if len(s.FCTs) > 0 {
-		s.P99FCT = Percentile(s.FCTs, 99)
-	} else if s.FCTHist != nil {
-		s.P99FCT = units.Time(s.FCTHist.Quantile(0.99))
-	}
+	s.P99FCT = s.FCTPercentile(99)
 
 	for i := range c.Queries {
 		if c.Queries[i].Completed {
@@ -164,11 +130,7 @@ func (c *Collector) Summarize(end units.Time) *Summary {
 		s.MeanQCT = units.Time(c.qctSum / int64(s.QueriesCompleted))
 	}
 	s.QCTHist = histCopy(&c.qctHist)
-	if len(s.QCTs) > 0 {
-		s.P99QCT = Percentile(s.QCTs, 99)
-	} else if s.QCTHist != nil {
-		s.P99QCT = units.Time(s.QCTHist.Quantile(0.99))
-	}
+	s.P99QCT = s.QCTPercentile(99)
 
 	s.PacketsSent = c.PacketsSent
 	s.PacketsRecv = c.PacketsRecv
@@ -208,12 +170,14 @@ func (c *Collector) Summarize(end units.Time) *Summary {
 	return s
 }
 
-// histCopy snapshots a live histogram, or nil for an empty one.
+// histCopy snapshots a live histogram, sharing no counts with it, or nil
+// for an empty one.
 func histCopy(h *Histogram) *Histogram {
 	if h.Count() == 0 {
 		return nil
 	}
 	cp := *h
+	cp.counts = slices.Clone(h.counts)
 	return &cp
 }
 
@@ -247,14 +211,11 @@ func DecodeSummary(r io.Reader) (*Summary, error) {
 	return s, nil
 }
 
-// Compact returns a copy of the summary without the raw FCT/QCT series,
-// suitable for per-run artifact records: the histograms preserve the
-// distribution shape at a fraction of the bytes (a paper-scale run carries
-// millions of raw samples).
+// Compact returns a plain copy of the summary, which shares its histograms
+// with s. A Summary holds no per-flow series to strip; Compact stays for
+// callers written when it did.
 func (s *Summary) Compact() *Summary {
 	c := *s
-	c.FCTs = nil
-	c.QCTs = nil
 	return &c
 }
 

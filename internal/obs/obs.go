@@ -78,12 +78,11 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// NumBuckets, BucketOf, BucketLow and BucketHigh are the log-2 bucket grid,
+// NumBuckets, BucketOf and BucketHigh are the log-2 bucket grid,
 // defined here once: bucket i>0 holds values in [2^(i-1), 2^i), bucket 0
-// holds zero and negative values. Histogram counts on it atomically and
-// metrics.Histogram with min/max and merging, so registry histograms and
-// end-of-run Summary histograms are directly comparable (and mergeable by
-// bucket index).
+// holds zero and negative values. Histogram counts on it atomically. Each
+// bucket of metrics.Histogram's finer log-linear grid lies inside one of
+// these, so an end-of-run histogram folds onto a registry one exactly.
 const NumBuckets = 65
 
 // BucketOf returns the bucket index for v.
@@ -92,14 +91,6 @@ func BucketOf(v int64) int {
 		return 0
 	}
 	return bits.Len64(uint64(v))
-}
-
-// BucketLow returns the inclusive lower bound of bucket i.
-func BucketLow(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	return 1 << (i - 1)
 }
 
 // BucketHigh returns the inclusive upper bound of bucket i.

@@ -111,7 +111,7 @@ func TestRetiredKeyDedupesWithTodaysSpec(t *testing.T) {
 	sp := tiny(3)
 	sp.SimTime = ms(4)
 	j1Dir := filepath.Join(cfg.DataDir, "jobs", "j1")
-	journal := retiredKeyAccept +
+	journal := retiredKeyAccepts[0].line +
 		`{"ev":"done","id":"j1","hash":"efc42d3d48c5c2aa","t":"2026-10-19T16:39:25Z","state":"completed"}` + "\n"
 	j2, err := json.Marshal(journalRec{Ev: "accept", ID: "j2", Hash: sp.Hash(), Time: "2026-10-19T16:40:00Z", Spec: &sp})
 	if err != nil {
@@ -242,32 +242,31 @@ func TestDrainDefersQueuedJobs(t *testing.T) {
 	}
 }
 
-// retiredKeyAccept is an accept of job j1 journaled while specs still
-// carried a "shards" key, verbatim. The spec hashed to efc42d3d48c5c2aa then;
-// without the key it hashes to something else.
-const retiredKeyAccept = `{"ev":"accept","id":"j1","hash":"efc42d3d48c5c2aa","t":"2026-10-19T16:39:23.96305009Z",` +
-	`"spec":{"tenant":"anon","experiment":"failover","scale":"tiny","seed":3,"sim_time":"4ms","jobs":1,"shards":2}}` + "\n"
+// retiredKeyAccepts are accepts of job j1 journaled while specs still
+// carried a retired key, verbatim, with the hash each spec had then: the
+// "shards" key and the "raw_series" one. Without the key the spec hashes to
+// something else.
+var retiredKeyAccepts = []struct{ key, line, hash string }{
+	{"shards", `{"ev":"accept","id":"j1","hash":"efc42d3d48c5c2aa","t":"2026-10-19T16:39:23.96305009Z",` +
+		`"spec":{"tenant":"anon","experiment":"failover","scale":"tiny","seed":3,"sim_time":"4ms","jobs":1,"shards":2}}` + "\n",
+		"efc42d3d48c5c2aa"},
+	{"raw_series", `{"ev":"accept","id":"j1","hash":"9370427ae94df3d5","t":"2026-10-20T05:30:00.00000000Z",` +
+		`"spec":{"tenant":"anon","experiment":"failover","scale":"tiny","seed":3,"sim_time":"4ms","jobs":1,"raw_series":"keep"}}` + "\n",
+		"9370427ae94df3d5"},
+}
 
-// TestJournalWithRetiredKeyResumes: a journal written while specs still carried
-// a "shards" key resumes after the key was retired. The lenient journal
-// decoder drops the key, the job takes the hash of the spec it decodes to —
-// the hash the same spec gets when submitted today — and it runs the one
-// execution path: its tables are those of the same spec run directly through
-// the batch API. (A new HTTP submission that carries the key is a 400 from
-// the strict decoder; see TestSubmitRejectsInvalid.)
+// TestJournalWithRetiredKeyResumes: a journal written while specs still
+// carried a retired key resumes after the key was retired. The lenient
+// journal decoder drops the key, the job takes the hash of the spec it
+// decodes to — the hash the same spec gets when submitted today — and it
+// runs the one execution path: its tables are those of the same spec run
+// directly through the batch API. (A new HTTP submission that carries the
+// key is a 400 from the strict decoder; see TestSubmitRejectsInvalid.)
 func TestJournalWithRetiredKeyResumes(t *testing.T) {
-	cfg := testConfig(t)
-	if err := os.WriteFile(journalPath(cfg.DataDir), []byte(retiredKeyAccept), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := newTestServer(t, cfg, nil)
-	v := waitState(t, s, "j1")
 	sp := tiny(3)
 	sp.SimTime = ms(4)
-	if want := sp.Hash(); v.State != StateCompleted || v.Hash != want || want == "efc42d3d48c5c2aa" {
-		t.Fatalf("resumed job = %+v, want completed under the decoded spec's hash %s", v, want)
-	}
-
+	want := sp.Hash()
+	cfg := testConfig(t)
 	res, err := sp.resolve(cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
@@ -276,21 +275,32 @@ func TestJournalWithRetiredKeyResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(tables)
+	batch, err := json.Marshal(tables)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(v.ArtifactDir, "results.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Tables json.RawMessage `json:"tables"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if got := canonical(t, doc.Tables); !bytes.Equal(got, canonical(t, want)) {
-		t.Errorf("resumed job's tables differ from the batch run:\ndaemon: %s\nbatch:  %s", got, canonical(t, want))
+	for _, tc := range retiredKeyAccepts {
+		cfg := testConfig(t)
+		if err := os.WriteFile(journalPath(cfg.DataDir), []byte(tc.line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, cfg, nil)
+		v := waitState(t, s, "j1")
+		if v.State != StateCompleted || v.Hash != want || want == tc.hash {
+			t.Fatalf("%s: resumed job = %+v, want completed under the decoded spec's hash %s", tc.key, v, want)
+		}
+		raw, err := os.ReadFile(filepath.Join(v.ArtifactDir, "results.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Tables json.RawMessage `json:"tables"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if got := canonical(t, doc.Tables); !bytes.Equal(got, canonical(t, batch)) {
+			t.Errorf("%s: resumed job's tables differ from the batch run:\ndaemon: %s\nbatch:  %s", tc.key, got, canonical(t, batch))
+		}
 	}
 }

@@ -125,7 +125,7 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 		"bad duration":       `{"experiment":"failover","run_timeout":"five minutes"}`,
 		"negative duration":  `{"experiment":"failover","sample_tick":"-1ms"}`,
 		"retired shards key": `{"experiment":"failover","shards":2}`,
-		"bad raw series":     `{"experiment":"failover","raw_series":"sometimes"}`,
+		"retired raw_series": `{"experiment":"failover","raw_series":"keep"}`,
 		"fault past end":     `{"experiment":"failover","scale":"tiny","fault":"flap@1s:link=16,down=1ms,period=4ms,count=2"}`,
 		"chaos past end":     `{"experiment":"failover","scale":"tiny","chaos_panic_at":"1h"}`,
 		"negative retries":   `{"experiment":"failover","retries":-1}`,
@@ -557,7 +557,7 @@ func TestSpecHashNormalization(t *testing.T) {
 	}
 	for _, same := range [][2]string{
 		{`{"experiment":"failover"}`,
-			`{"tenant":"anon","experiment":"failover","scale":"small","seed":1,"sim_time":"80ms","jobs":1,"raw_series":"auto"}`},
+			`{"tenant":"anon","experiment":"failover","scale":"small","seed":1,"sim_time":"80ms","jobs":1}`},
 		{`{"experiment":"failover","scale":"tiny","sim_time":"4000us"}`,
 			`{"experiment":"failover","scale":"tiny","sim_time":"4ms","heal_delay":""}`},
 	} {

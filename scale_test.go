@@ -23,8 +23,7 @@ import (
 // fat-tree (1024 hosts) under a 40% incast-only load of 4 KB flows —
 // over a million flows in 10 simulated milliseconds. Flow churn, not byte
 // volume, is the stressor: it exercises sender/receiver slab recycling,
-// streaming-only metrics past the raw-series cutover, and the
-// allocation-lean FIB build.
+// streaming metrics at a million flows, and the allocation-lean FIB build.
 func runHugeConfig() core.Config {
 	sc := exp.Huge
 	cfg := core.DefaultConfig(fabric.Vertigo, transport.DCTCP)

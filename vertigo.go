@@ -219,8 +219,9 @@ type Report struct {
 	OverallGoodputGbps            float64
 	ElephantGoodputMbps           float64
 
-	// Raw series for CDF plots.
-	FCTs, QCTs []time.Duration
+	// fcts and qcts are the run's completion-time histograms, which
+	// FCTPercentile and QCTPercentile read.
+	fcts, qcts *metrics.Histogram
 
 	// Events is the number of simulator events executed (throughput gauge).
 	Events uint64
@@ -415,32 +416,20 @@ func report(res *core.Result) *Report {
 		OverallGoodputGbps:  float64(s.OverallGoodput) / float64(units.Gbps),
 		ElephantGoodputMbps: float64(s.ElephantGoodput) / float64(units.Mbps),
 		Events:              res.Engine.Events,
-	}
-	for _, t := range s.FCTs {
-		r.FCTs = append(r.FCTs, t.Duration())
-	}
-	for _, t := range s.QCTs {
-		r.QCTs = append(r.QCTs, t.Duration())
+		fcts:                s.FCTHist,
+		qcts:                s.QCTHist,
 	}
 	return r
 }
 
-// QCTPercentile returns the p-th percentile of completed query completion
-// times.
+// QCTPercentile returns the p-th percentile (0 < p <= 100) of completed
+// query completion times, within a factor 65/64 above the exact value.
 func (r *Report) QCTPercentile(p float64) time.Duration {
-	return percentileDur(r.QCTs, p)
+	return units.Time(r.qcts.Quantile(p / 100)).Duration()
 }
 
 // FCTPercentile returns the p-th percentile of completed flow completion
-// times.
+// times, at QCTPercentile's resolution.
 func (r *Report) FCTPercentile(p float64) time.Duration {
-	return percentileDur(r.FCTs, p)
-}
-
-func percentileDur(ds []time.Duration, p float64) time.Duration {
-	ts := make([]units.Time, len(ds))
-	for i, d := range ds {
-		ts[i] = units.FromDuration(d)
-	}
-	return metrics.Percentile(ts, p).Duration()
+	return units.Time(r.fcts.Quantile(p / 100)).Duration()
 }

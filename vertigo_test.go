@@ -23,7 +23,8 @@ func tinyConfig(s vertigo.Scheme, tr vertigo.Transport) vertigo.Config {
 }
 
 func TestPublicRun(t *testing.T) {
-	rep, err := vertigo.Run(tinyConfig(vertigo.SchemeVertigo, vertigo.TransportDCTCP))
+	cfg := tinyConfig(vertigo.SchemeVertigo, vertigo.TransportDCTCP)
+	rep, err := vertigo.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +34,13 @@ func TestPublicRun(t *testing.T) {
 	if rep.MeanQCT <= 0 || rep.P99QCT < rep.MeanQCT/10 {
 		t.Fatalf("implausible QCTs: mean %v p99 %v", rep.MeanQCT, rep.P99QCT)
 	}
-	if len(rep.QCTs) != rep.QueriesCompleted {
-		t.Fatalf("QCT series %d entries, want %d", len(rep.QCTs), rep.QueriesCompleted)
+	res, err := vertigo.RunResult(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p50, p99 := rep.QCTPercentile(50), rep.QCTPercentile(99); p50 > p99 {
-		t.Fatalf("p50 %v > p99 %v", p50, p99)
+	p50 := rep.QCTPercentile(50)
+	if p50 <= 0 || p50 > rep.P99QCT || p50 != res.Summary.QCTPercentile(50).Duration() {
+		t.Fatalf("QCT p50 %v, want in (0, p99 %v] and the Summary's %v", p50, rep.P99QCT, res.Summary.QCTPercentile(50).Duration())
 	}
 }
 
