@@ -70,12 +70,20 @@ func main() {
 		cfg.Scheme, cfg.Transport, cfg.Topology, cfg.Duration, cfg.Seed)
 	fmt.Printf("flows     %d started, %d completed (%.1f%%)\n",
 		rep.FlowsStarted, rep.FlowsCompleted, rep.FlowCompletionPct)
-	fmt.Printf("FCT       mean %v  p99 %v  (mice mean %v)\n",
-		rep.MeanFCT, rep.P99FCT, rep.MeanMiceFCT)
+	if rep.FlowsCompleted == 0 {
+		fmt.Println("FCT       none completed")
+	} else {
+		fmt.Printf("FCT       mean %v  p99 %v  (mice mean %v)\n",
+			rep.MeanFCT, rep.P99FCT, rep.MeanMiceFCT)
+	}
 	fmt.Printf("queries   %d started, %d completed (%.1f%%)\n",
 		rep.QueriesStarted, rep.QueriesCompleted, rep.QueryCompletionPct)
-	fmt.Printf("QCT       mean %v  p50 %v  p99 %v\n",
-		rep.MeanQCT, rep.QCTPercentile(50), rep.P99QCT)
+	if rep.QueriesCompleted == 0 {
+		fmt.Println("QCT       none completed")
+	} else {
+		fmt.Printf("QCT       mean %v  p50 %v  p99 %v\n",
+			rep.MeanQCT, rep.QCTPercentile(50), rep.P99QCT)
+	}
 	fmt.Printf("packets   %d sent, %d delivered, %d dropped (%.4f%%)\n",
 		rep.PacketsSent, rep.PacketsDelivered, rep.Drops, rep.DropRatePct)
 	fmt.Printf("network   %d deflections, mean hops %.2f, %d reordered\n",

@@ -73,7 +73,7 @@ type published struct {
 	done     uint64
 	queries  uint64
 	answered uint64
-	fct      [2]metrics.Log2Histogram // by flow class
+	fct      metrics.Log2Histogram
 	qct      metrics.Log2Histogram
 	ttr      metrics.Log2Histogram
 	depth    metrics.Log2Histogram
@@ -132,8 +132,6 @@ func (w *world) publish() {
 	add(regFlowsCompleted, uint64(m.FlowsCompleted()), &p.done)
 	add(regQueriesStarted, uint64(len(m.Queries)), &p.queries)
 	add(regQueriesCompleted, m.QCTHist().Count(), &p.answered)
-	for c := range p.fct {
-		m.ClassFCTHist(metrics.FlowClass(c)).PublishTo(regFCT, &p.fct[c])
-	}
+	m.FCTHist().PublishTo(regFCT, &p.fct)
 	m.QCTHist().PublishTo(regQCT, &p.qct)
 }

@@ -268,9 +268,7 @@ func writeJSON(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(f).Encode(v); err != nil {
 		f.Close()
 		return fmt.Errorf("encoding %s: %w", filepath.Base(path), err)
 	}

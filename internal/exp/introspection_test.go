@@ -228,5 +228,23 @@ func TestHistogramQuantilesMatchRawFig1(t *testing.T) {
 		if sum.P99FCT != sum.FCTPercentile(99) || sum.P99QCT != sum.QCTPercentile(99) {
 			t.Errorf("%s: P99FCT %v and P99QCT %v are not the grid's p99", cell.name, sum.P99FCT, sum.P99QCT)
 		}
+		if sum.MeanFCT != metrics.Mean(fcts) || sum.MeanQCT != metrics.Mean(qcts) {
+			t.Errorf("%s: means FCT %v and QCT %v, records give %v and %v",
+				cell.name, sum.MeanFCT, sum.MeanQCT, metrics.Mean(fcts), metrics.Mean(qcts))
+		}
+		var buf bytes.Buffer
+		if err := sum.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := metrics.DecodeSummary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []float64{0, 1, 10, 50, 90, 99, 99.9, 100} {
+			if back.FCTPercentile(p) != sum.FCTPercentile(p) || back.QCTPercentile(p) != sum.QCTPercentile(p) {
+				t.Errorf("%s: decoded p%g FCT %v QCT %v, encoded %v and %v", cell.name, p,
+					back.FCTPercentile(p), back.QCTPercentile(p), sum.FCTPercentile(p), sum.QCTPercentile(p))
+			}
+		}
 	}
 }

@@ -543,11 +543,7 @@ func (n *Network) deliverToHost(h int, p *packet.Packet) {
 
 func (n *Network) drop(sw, port int, p *packet.Packet, reason metrics.DropReason) {
 	if p.Kind == packet.Data {
-		cls := metrics.Background
-		if p.Incast {
-			cls = metrics.Incast
-		}
-		n.Met.Drop(reason, cls)
+		n.Met.Drop(reason)
 	}
 	n.Eng.Flight().Record(obs.FlightDrop, int64(n.Eng.AsOf()), int64(reason), int64(sw), int64(port))
 	for _, o := range n.obs {

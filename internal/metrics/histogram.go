@@ -34,6 +34,9 @@ type Histogram struct {
 // subBits is log2 of the sub-buckets per octave.
 const subBits = 6
 
+// numBuckets is the size of the grid, bucketOf(math.MaxInt64)+1.
+const numBuckets = 3712
+
 // bucketOf returns the grid index of v: v itself below 64, otherwise the
 // octave's offset plus v's top subBits+1 bits.
 func bucketOf(v int64) int {
@@ -124,13 +127,11 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q <= 0 {
 		return h.Min()
 	}
-	rank := uint64(q*float64(h.total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank >= h.total {
+	r := q*float64(h.total) + 0.5
+	if r >= float64(h.total) {
 		return h.Max()
 	}
+	rank := max(uint64(r), 1)
 	var seen uint64
 	for i, c := range h.counts {
 		seen += c
@@ -230,37 +231,69 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
-// histogramJSON is the wire form: scalars plus only the non-empty buckets.
+// histogramJSON is the wire form: the scalars, then the run of counts from
+// bucket First to the last non-empty bucket. The grid is fixed, so a
+// bucket's index gives its edges (bucketLow, bucketHigh).
 type histogramJSON struct {
-	Count   uint64   `json:"count"`
-	Sum     int64    `json:"sum"`
-	Min     int64    `json:"min"`
-	Max     int64    `json:"max"`
-	Buckets []Bucket `json:"buckets,omitempty"`
+	Count  uint64   `json:"count"`
+	Sum    int64    `json:"sum"`
+	Min    int64    `json:"min"`
+	Max    int64    `json:"max"`
+	First  int      `json:"first"`
+	Counts []uint64 `json:"counts,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler.
 func (h *Histogram) MarshalJSON() ([]byte, error) {
-	return json.Marshal(histogramJSON{
-		Count: h.total, Sum: h.sum, Min: h.Min(), Max: h.Max(), Buckets: h.Buckets(),
-	})
+	w := histogramJSON{Count: h.total, Sum: h.sum, Min: h.Min(), Max: h.Max()}
+	if h.total > 0 {
+		// counts ends at the highest bucket observed; trim the empty ones
+		// below the lowest.
+		for h.counts[w.First] == 0 {
+			w.First++
+		}
+		w.Counts = h.counts[w.First:]
+	}
+	return json.Marshal(w)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. It accepts only what
+// MarshalJSON can write: a run on the grid with a non-zero count at each
+// end, counts that sum to count, and min and max in the run's first and
+// last buckets.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
 	var w histogramJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	*h = Histogram{total: w.Count, sum: w.Sum, min: w.Min, max: w.Max}
-	for _, b := range w.Buckets {
-		i := bucketOf(b.High)
-		if bucketLow(i) != b.Low || bucketHigh(i) != b.High {
-			return fmt.Errorf("metrics: bucket [%d,%d] does not match the histogram grid", b.Low, b.High)
-		}
-		h.grow(i + 1)
-		h.counts[i] = b.Count
+	n := len(w.Counts)
+	if w.First < 0 || w.First > numBuckets-n {
+		return fmt.Errorf("metrics: histogram run of %d buckets from %d is off the %d-bucket grid", n, w.First, numBuckets)
 	}
+	if n == 0 {
+		if w.Count != 0 || w.Sum != 0 || w.Min != 0 || w.Max != 0 || w.First != 0 {
+			return fmt.Errorf("metrics: histogram with no counts has non-zero scalars")
+		}
+		*h = Histogram{}
+		return nil
+	}
+	if w.Counts[0] == 0 || w.Counts[n-1] == 0 {
+		return fmt.Errorf("metrics: histogram run starts or ends with an empty bucket")
+	}
+	var total, over uint64
+	for _, c := range w.Counts {
+		var carry uint64
+		total, carry = bits.Add64(total, c, 0)
+		over |= carry
+	}
+	if over != 0 || total != w.Count {
+		return fmt.Errorf("metrics: histogram counts do not sum to count %d", w.Count)
+	}
+	if w.Min > w.Max || bucketOf(w.Min) != w.First || bucketOf(w.Max) != w.First+n-1 {
+		return fmt.Errorf("metrics: histogram min %d and max %d do not lie in the run's end buckets", w.Min, w.Max)
+	}
+	*h = Histogram{counts: make([]uint64, w.First+n), total: w.Count, sum: w.Sum, min: w.Min, max: w.Max}
+	copy(h.counts[w.First:], w.Counts)
 	return nil
 }
 

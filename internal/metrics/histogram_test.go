@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -212,6 +213,15 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(h, back) {
 		t.Errorf("round trip mismatch:\n got %v\nwant %v", back, h)
 	}
+	// The wire form is the run of counts by grid index: each value below 128
+	// has a bucket of its own, and 128 and 129 share bucket 128.
+	h = &Histogram{}
+	for _, v := range []int64{100, 128, 129} {
+		h.Observe(v)
+	}
+	if data, _ := json.Marshal(h); string(data) != `{"count":3,"sum":357,"min":100,"max":129,"first":100,"counts":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2]}` {
+		t.Errorf("wire form %s", data)
+	}
 	// Empty histogram round-trips too.
 	data, err = json.Marshal(&Histogram{})
 	if err != nil {
@@ -224,10 +234,79 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	if back.Count() != 0 {
 		t.Errorf("empty round trip has count %d", back.Count())
 	}
-	// A bucket off the grid — here a log-2 one — is rejected.
-	if err := json.Unmarshal([]byte(`{"count":1,"sum":1500,"min":1500,"max":1500,"buckets":[{"low":1024,"high":2047,"count":1}]}`), back); err == nil {
-		t.Error("a log-2 bucket decoded onto the log-linear grid")
+}
+
+// TestHistogramJSONRejectsMalformed: the decoder takes only what the
+// encoder writes, so a results.json edited or cut by hand cannot report a
+// quantile its counts do not hold.
+func TestHistogramJSONRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct{ name, in string }{
+		{"first below the grid", `{"count":1,"sum":0,"min":0,"max":0,"first":-1,"counts":[1]}`},
+		{"run past bucket 3711", `{"count":2,"sum":0,"min":` + fmt.Sprint(int64(math.MaxInt64)) + `,"max":` + fmt.Sprint(int64(math.MaxInt64)) + `,"first":3711,"counts":[1,1]}`},
+		{"run starting past the grid", `{"count":1,"sum":0,"min":0,"max":0,"first":3712,"counts":[1]}`},
+		{"zero count first", `{"count":1,"sum":5,"min":5,"max":5,"first":4,"counts":[0,1]}`},
+		{"zero count last", `{"count":1,"sum":5,"min":5,"max":5,"first":5,"counts":[1,0]}`},
+		{"counts short of count", `{"count":3,"sum":10,"min":5,"max":5,"first":5,"counts":[2]}`},
+		{"counts past count", `{"count":1,"sum":10,"min":5,"max":5,"first":5,"counts":[2]}`},
+		{"counts overflowing to count", `{"count":1,"sum":5,"min":5,"max":6,"first":5,"counts":[18446744073709551615,2]}`},
+		{"count without counts", `{"count":1,"sum":1500,"min":1500,"max":1500}`},
+		{"min outside the first bucket", `{"count":2,"sum":11,"min":4,"max":6,"first":5,"counts":[1,1]}`},
+		{"max outside the last bucket", `{"count":2,"sum":11,"min":5,"max":7,"first":5,"counts":[1,1]}`},
+		{"min above max", `{"count":2,"sum":260,"min":129,"max":128,"first":128,"counts":[2]}`},
+		{"empty with scalars", `{"count":0,"sum":0,"min":0,"max":3,"first":0}`},
+	} {
+		if err := json.Unmarshal([]byte(tc.in), &Histogram{}); err == nil {
+			t.Errorf("%s: %s decoded", tc.name, tc.in)
+		}
 	}
+}
+
+// FuzzHistogramJSON decodes arbitrary bytes as a histogram. An input that
+// decodes holds counts that sum to its count, re-encodes to bytes that
+// decode and encode to themselves, and has monotone quantiles between its
+// min and max.
+func FuzzHistogramJSON(f *testing.F) {
+	for _, s := range []string{
+		`{"count":0,"sum":0,"min":0,"max":0,"first":0}`,
+		`{"count":3,"sum":357,"min":100,"max":129,"first":100,"counts":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2]}`,
+		`{"count":2,"sum":-3,"min":-5,"max":2,"first":0,"counts":[1,0,1]}`,
+		`{"count":1,"sum":5,"min":5,"max":5,"first":4,"counts":[0,1]}`,
+		`{"count":1,"sum":1500,"min":1500,"max":1500,"buckets":[{"low":1024,"high":2047,"count":1}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := &Histogram{}
+		if json.Unmarshal(data, h) != nil {
+			return
+		}
+		var total uint64
+		for _, c := range h.counts {
+			total += c
+		}
+		if total != h.Count() {
+			t.Fatalf("%s: counts sum to %d, count %d", data, total, h.Count())
+		}
+		enc, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := &Histogram{}
+		if err := json.Unmarshal(enc, back); err != nil {
+			t.Fatalf("%s re-encoded to %s, which does not decode: %v", data, enc, err)
+		}
+		if again, _ := json.Marshal(back); string(again) != string(enc) {
+			t.Fatalf("%s re-encoded to %s, then to %s", data, enc, again)
+		}
+		prev := h.Min()
+		for _, q := range []float64{0, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
+			v := h.Quantile(q)
+			if v < prev || v > h.Max() {
+				t.Fatalf("%s: Quantile(%g) = %d after %d, max %d", data, q, v, prev, h.Max())
+			}
+			prev = v
+		}
+	})
 }
 
 // FuzzHistogramGrid checks the grid on arbitrary values, read eight bytes

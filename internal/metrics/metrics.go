@@ -68,7 +68,6 @@ type FlowClass int
 const (
 	Background FlowClass = iota
 	Incast
-	numFlowClasses
 )
 
 func (c FlowClass) String() string {
@@ -81,7 +80,7 @@ func (c FlowClass) String() string {
 // FlowRecord is one flow's lifetime.
 type FlowRecord struct {
 	ID        uint64
-	Class     FlowClass
+	Class     FlowClass // no Summary splits by class; the benchmark reads it
 	Src, Dst  int
 	Size      int64
 	Start     units.Time
@@ -111,8 +110,9 @@ func (q *QueryRecord) QCT() units.Time { return q.End - q.Start }
 // use; the simulator is single-threaded by design.
 //
 // Completion times are streamed: every scalar and distribution a Summary
-// reports is folded in at EndFlow time (sums, counts, per-class histograms),
-// so the collector's footprint is O(active flows), not O(total flows).
+// reports is folded in at EndFlow time. The FCT, QCT and TTR histograms are
+// the only store of their distributions, counts and sums included, so the
+// collector's footprint is O(active flows), not O(total flows).
 // FlowRecord slots live in a flowtab slab table and hold open flows only:
 // EndFlow deletes a completed record and its slot goes to the next flow,
 // unless RawSeries is RawKeep, which keeps every record for Flow and
@@ -131,16 +131,10 @@ type Collector struct {
 	// slots.
 	flows *flowtab.Table[FlowRecord]
 
-	flowsStarted   int
-	flowsCompleted int
+	flowsStarted int
 
-	// Streaming FCT/QCT aggregates: the canonical completion-time store.
-	// fctHist is per flow class; Summary merges the classes for the overall
-	// distribution and keeps the per-class shapes.
-	fctHist   [numFlowClasses]Histogram
+	fctHist   Histogram
 	qctHist   Histogram
-	fctSum    int64
-	qctSum    int64
 	miceCount int64
 	miceSum   int64
 	// Elephant goodput: per-flow goodput is truncated to an integer bit
@@ -150,7 +144,6 @@ type Collector struct {
 	elephGoodput units.BitRate
 
 	Drops        [numDropReasons]int64
-	DropsByClass [numFlowClasses]int64
 	Deflections  int64
 	ECNMarks     int64
 	PacketsSent  int64 // data packets injected by hosts (incl. retransmissions)
@@ -172,14 +165,12 @@ type Collector struct {
 	QueueDepth Log2Histogram
 
 	// Fault-injection accounting (see internal/faults). Recovery durations
-	// are folded into a histogram + sum/count as links come back up, so flap
-	// storms cost O(1) memory.
+	// are folded into a histogram as links come back up, so flap storms cost
+	// O(1) memory.
 	FaultEvents    int64 // fault transitions applied to the fabric
 	FIBInstalls    int64 // control-plane healing FIB swaps
 	PostRecoveryTx int64 // packets transmitted on a once-failed, recovered port
 	ttrHist        Histogram
-	ttrCount       int
-	ttrSum         int64
 }
 
 // NewCollector returns an empty collector.
@@ -195,8 +186,8 @@ func (c *Collector) StartFlow(rec FlowRecord) {
 }
 
 // EndFlow marks a flow complete at time t, streams its completion into the
-// aggregate sums and histograms and, unless RawSeries is RawKeep, deletes
-// the record.
+// histograms and the mice and elephant aggregates and, unless RawSeries is
+// RawKeep, deletes the record.
 func (c *Collector) EndFlow(id uint64, t units.Time) {
 	f := c.flows.Get(id)
 	if f == nil || f.Completed {
@@ -204,10 +195,8 @@ func (c *Collector) EndFlow(id uint64, t units.Time) {
 	}
 	f.End = t
 	f.Completed = true
-	c.flowsCompleted++
 	fct := t - f.Start
-	c.fctHist[f.Class].Observe(int64(fct))
-	c.fctSum += int64(fct)
+	c.fctHist.Observe(int64(fct))
 	if f.Size < MiceMaxBytes {
 		c.miceCount++
 		c.miceSum += int64(fct)
@@ -224,9 +213,7 @@ func (c *Collector) EndFlow(id uint64, t units.Time) {
 		if q.Remaining == 0 {
 			q.End = t
 			q.Completed = true
-			qct := t - q.Start
-			c.qctHist.Observe(int64(qct))
-			c.qctSum += int64(qct)
+			c.qctHist.Observe(int64(t - q.Start))
 		}
 	}
 	if c.RawSeries != RawKeep {
@@ -249,7 +236,7 @@ func (c *Collector) Flow(id uint64) *FlowRecord {
 func (c *Collector) FlowsStarted() int { return c.flowsStarted }
 
 // FlowsCompleted returns the number of flows completed so far.
-func (c *Collector) FlowsCompleted() int { return c.flowsCompleted }
+func (c *Collector) FlowsCompleted() int { return int(c.fctHist.Count()) }
 
 // LiveFlows returns the number of flow records currently held. Unless
 // RawSeries is RawKeep this is the open-flow population — the collector's
@@ -263,10 +250,6 @@ func (c *Collector) RangeFlows(fn func(*FlowRecord) bool) {
 	c.flows.Range(func(_ uint64, v *FlowRecord) bool { return fn(v) })
 }
 
-// ClassFCTHist returns the canonical completion-time histogram for one flow
-// class. The histogram is live; callers must not mutate it mid-run.
-func (c *Collector) ClassFCTHist(class FlowClass) *Histogram { return &c.fctHist[class] }
-
 // StartQuery registers an incast query and returns its ID.
 func (c *Collector) StartQuery(scale int, t units.Time) int {
 	id := len(c.Queries)
@@ -275,30 +258,22 @@ func (c *Collector) StartQuery(scale int, t units.Time) int {
 }
 
 // Drop records a dropped data packet.
-func (c *Collector) Drop(reason DropReason, class FlowClass) {
-	c.Drops[reason]++
-	c.DropsByClass[class]++
-}
+func (c *Collector) Drop(reason DropReason) { c.Drops[reason]++ }
 
 // Recovered records one link's carrier-loss duration when it comes back up.
-// The duration is streamed into the TTR histogram and sum, so a flapping
-// link costs O(1) memory no matter how often it recovers.
-func (c *Collector) Recovered(down units.Time) {
-	c.ttrCount++
-	c.ttrSum += int64(down)
-	c.ttrHist.Observe(int64(down))
-}
+// The duration is streamed into the TTR histogram, so a flapping link costs
+// O(1) memory no matter how often it recovers.
+func (c *Collector) Recovered(down units.Time) { c.ttrHist.Observe(int64(down)) }
 
 // RecoveryCount returns the number of link recoveries recorded.
-func (c *Collector) RecoveryCount() int { return c.ttrCount }
+func (c *Collector) RecoveryCount() int { return int(c.ttrHist.Count()) }
 
 // MTTR returns the mean time-to-recover over recorded recoveries, or 0.
-func (c *Collector) MTTR() units.Time {
-	if c.ttrCount == 0 {
-		return 0
-	}
-	return units.Time(c.ttrSum / int64(c.ttrCount))
-}
+func (c *Collector) MTTR() units.Time { return histMean(&c.ttrHist) }
+
+// FCTHist returns the live flow-completion-time histogram of both classes.
+// The histograms are live; callers must not mutate them mid-run.
+func (c *Collector) FCTHist() *Histogram { return &c.fctHist }
 
 // QCTHist returns the live query-completion-time histogram.
 func (c *Collector) QCTHist() *Histogram { return &c.qctHist }

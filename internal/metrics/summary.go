@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 
 	"vertigo/internal/units"
 )
@@ -17,9 +16,11 @@ const (
 )
 
 // Summary is the digest of one simulation run: every scalar the paper's
-// tables and figures report. The JSON tags are the one schema shared by
-// results.json artifacts and any downstream tooling; time fields are
-// nanoseconds, rates are bits per second.
+// tables and figures report, and the FCT, QCT and TTR distributions they
+// are read from. The JSON tags are the one schema shared by results.json
+// artifacts and any downstream tooling; time fields are nanoseconds, rates
+// are bits per second, and a histogram is its run of bucket counts by grid
+// index (see Histogram.MarshalJSON).
 type Summary struct {
 	Duration units.Time `json:"duration_ns"`
 
@@ -67,15 +68,12 @@ type Summary struct {
 	MTTR           units.Time       `json:"mttr_ns,omitempty"`
 	PostRecoveryTx int64            `json:"post_recovery_tx,omitempty"`
 
-	// Completion-time distributions on the log-linear grid (see Histogram):
-	// the percentiles read them. FCTHist merges the per-class histograms;
-	// the class-specific shapes ride along so the incast/background split
-	// survives too.
-	FCTHist           *Histogram `json:"fct_hist,omitempty"`
-	QCTHist           *Histogram `json:"qct_hist,omitempty"`
-	FCTHistBackground *Histogram `json:"fct_hist_background,omitempty"`
-	FCTHistIncast     *Histogram `json:"fct_hist_incast,omitempty"`
-	TTRHist           *Histogram `json:"ttr_hist,omitempty"`
+	// Completion-time distributions on the log-linear grid (see Histogram),
+	// both flow classes in FCTHist: the percentiles read them, and the
+	// counts and means above are their counts and sums.
+	FCTHist *Histogram `json:"fct_hist,omitempty"`
+	QCTHist *Histogram `json:"qct_hist,omitempty"`
+	TTRHist *Histogram `json:"ttr_hist,omitempty"`
 }
 
 // FCTPercentile returns the p-th percentile (0 < p <= 100) of flow
@@ -91,14 +89,15 @@ func (s *Summary) QCTPercentile(p float64) units.Time {
 	return units.Time(s.QCTHist.Quantile(p / 100))
 }
 
-// Summarize digests the collector at simulation end time end. Every scalar
-// is read from the streaming aggregates (exact integer sums and counts) and
-// every percentile from the histograms. The Summary shares no state with
-// the collector, so later observations leave it as it is.
+// Summarize digests the collector at simulation end time end. Every count
+// and mean is read from the streaming aggregates (exact integer sums and
+// counts, the histograms' own included) and every percentile from the
+// histograms. The Summary shares no state with the collector, so later
+// observations leave it as it is.
 func (c *Collector) Summarize(end units.Time) *Summary {
 	s := &Summary{Duration: end, FlowsStarted: c.flowsStarted, QueriesStarted: len(c.Queries)}
 
-	s.FlowsCompleted = c.flowsCompleted
+	s.FlowsCompleted = c.FlowsCompleted()
 	s.ElephantFlows = c.elephFlows
 	s.ElephantGoodput = c.elephGoodput
 	if s.ElephantFlows > 0 {
@@ -107,28 +106,18 @@ func (c *Collector) Summarize(end units.Time) *Summary {
 	if s.FlowsStarted > 0 {
 		s.FlowCompletionP = 100 * float64(s.FlowsCompleted) / float64(s.FlowsStarted)
 	}
-	if c.flowsCompleted > 0 {
-		s.MeanFCT = units.Time(c.fctSum / int64(c.flowsCompleted))
-	}
+	s.MeanFCT = histMean(&c.fctHist)
 	if c.miceCount > 0 {
 		s.MeanMiceFCT = units.Time(c.miceSum / c.miceCount)
 	}
-	s.FCTHist = mergedHist(&c.fctHist[Background], &c.fctHist[Incast])
-	s.FCTHistBackground = histCopy(&c.fctHist[Background])
-	s.FCTHistIncast = histCopy(&c.fctHist[Incast])
+	s.FCTHist = histCopy(&c.fctHist)
 	s.P99FCT = s.FCTPercentile(99)
 
-	for i := range c.Queries {
-		if c.Queries[i].Completed {
-			s.QueriesCompleted++
-		}
-	}
+	s.QueriesCompleted = int(c.qctHist.Count())
 	if s.QueriesStarted > 0 {
 		s.QueryCompletionP = 100 * float64(s.QueriesCompleted) / float64(s.QueriesStarted)
 	}
-	if s.QueriesCompleted > 0 {
-		s.MeanQCT = units.Time(c.qctSum / int64(s.QueriesCompleted))
-	}
+	s.MeanQCT = histMean(&c.qctHist)
 	s.QCTHist = histCopy(&c.qctHist)
 	s.P99QCT = s.QCTPercentile(99)
 
@@ -158,7 +147,7 @@ func (c *Collector) Summarize(end units.Time) *Summary {
 	}
 	s.FaultEvents = c.FaultEvents
 	s.FIBInstalls = c.FIBInstalls
-	s.LinkRecoveries = c.ttrCount
+	s.LinkRecoveries = c.RecoveryCount()
 	s.MTTR = c.MTTR()
 	s.TTRHist = histCopy(&c.ttrHist)
 	s.PostRecoveryTx = c.PostRecoveryTx
@@ -181,24 +170,20 @@ func histCopy(h *Histogram) *Histogram {
 	return &cp
 }
 
-// mergedHist folds histograms into one snapshot, or nil if all are empty.
-func mergedHist(hs ...*Histogram) *Histogram {
-	out := &Histogram{}
-	for _, h := range hs {
-		out.Merge(h)
+// histMean returns the integer mean of h's observations, or 0 for an empty
+// histogram.
+func histMean(h *Histogram) units.Time {
+	if h.Count() == 0 {
+		return 0
 	}
-	if out.Count() == 0 {
-		return nil
-	}
-	return out
+	return units.Time(h.Sum() / int64(h.Count()))
 }
 
-// Encode writes the summary as indented JSON. Together with DecodeSummary it
-// is the round-trippable schema behind every results.json artifact.
+// Encode writes the summary as one line of compact JSON. Together with
+// DecodeSummary it is the round-trippable schema behind every results.json
+// artifact.
 func (s *Summary) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	return json.NewEncoder(w).Encode(s)
 }
 
 // DecodeSummary reads a summary previously written by Encode (or any JSON
@@ -217,30 +202,4 @@ func DecodeSummary(r io.Reader) (*Summary, error) {
 func (s *Summary) Compact() *Summary {
 	c := *s
 	return &c
-}
-
-// String renders a human-readable block, used by cmd/vertigo-sim.
-func (s *Summary) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "duration            %v\n", s.Duration)
-	fmt.Fprintf(&b, "flows               %d started, %d completed (%.1f%%)\n",
-		s.FlowsStarted, s.FlowsCompleted, s.FlowCompletionP)
-	fmt.Fprintf(&b, "FCT                 mean %v  p99 %v  (mice mean %v)\n",
-		s.MeanFCT, s.P99FCT, s.MeanMiceFCT)
-	fmt.Fprintf(&b, "queries             %d started, %d completed (%.1f%%)\n",
-		s.QueriesStarted, s.QueriesCompleted, s.QueryCompletionP)
-	fmt.Fprintf(&b, "QCT                 mean %v  p99 %v\n", s.MeanQCT, s.P99QCT)
-	fmt.Fprintf(&b, "packets             %d sent, %d delivered, %d dropped (%.4f%%)\n",
-		s.PacketsSent, s.PacketsRecv, s.Drops, 100*s.DropRate)
-	fmt.Fprintf(&b, "deflections         %d\n", s.Deflections)
-	fmt.Fprintf(&b, "mean hops           %.2f\n", s.MeanHops)
-	fmt.Fprintf(&b, "retransmits         %d (%d RTO, %d fast)\n", s.Retransmits, s.RTOs, s.FastRetx)
-	fmt.Fprintf(&b, "reordered pkts      %d (%.4f%%)\n", s.ReorderPkts, 100*s.ReorderRate)
-	fmt.Fprintf(&b, "goodput             %v overall, %v per elephant (%d flows)\n",
-		s.OverallGoodput, s.ElephantGoodput, s.ElephantFlows)
-	if s.FaultEvents > 0 {
-		fmt.Fprintf(&b, "faults              %d events, %d FIB heals, %d link recoveries (MTTR %v), %d post-recovery tx\n",
-			s.FaultEvents, s.FIBInstalls, s.LinkRecoveries, s.MTTR, s.PostRecoveryTx)
-	}
-	return b.String()
 }

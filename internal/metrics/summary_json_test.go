@@ -20,7 +20,7 @@ func fullSummary() *Summary {
 	c.EndFlow(1, 2*units.Millisecond)
 	c.EndFlow(2, 40*units.Millisecond)
 	c.EndFlow(3, 500*units.Microsecond)
-	c.Drop(DropOverflow, Background)
+	c.Drop(DropOverflow)
 	c.Deflections = 7
 	c.ECNMarks = 3
 	c.PacketsSent = 1000
@@ -71,8 +71,10 @@ func TestSummaryJSONFieldNames(t *testing.T) {
 			t.Errorf("encoded summary missing key %s", key)
 		}
 	}
-	// A Summary carries no per-flow series: the keys they had are gone.
-	for _, key := range []string{`"fcts_ns"`, `"qcts_ns"`} {
+	// A Summary carries no per-flow series, and FCTHist holds both flow
+	// classes: the keys of the series and of the per-class histograms are
+	// gone.
+	for _, key := range []string{`"fcts_ns"`, `"qcts_ns"`, `"fct_hist_background"`, `"fct_hist_incast"`} {
 		if strings.Contains(out, key) {
 			t.Errorf("encoded summary has the retired key %s", key)
 		}
